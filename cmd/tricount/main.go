@@ -56,7 +56,7 @@ func run() error {
 		p         = flag.Int("p", 8, "number of PEs")
 		threshold = flag.Int("delta", 0, "aggregation threshold δ in words (0 = O(|E_i|))")
 		threads   = flag.Int("threads", 1, "threads per PE (hybrid counting + parallel preprocessing)")
-		overlap   = flag.Bool("overlap", false, "overlapped work-stealing pipeline (DITRIC/CETRIC): eager shipments + steal deque instead of barrier-separated phases")
+		overlap   = flag.Bool("overlap", false, "overlapped schedule of the DITRIC/CETRIC counting pipeline: eager shipments + polling/stealing between row chunks instead of the barriered schedule")
 		lcc       = flag.Bool("lcc", false, "compute local clustering coefficients")
 		sparse    = flag.Bool("sparse-degree", false, "sparse ghost degree exchange")
 		partBy    = flag.String("partition", "uniform", "1D partitioner: uniform|degree|wedges")

@@ -2,6 +2,7 @@ package chaos_test
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -78,16 +79,31 @@ func TestDelayEquivalence(t *testing.T) {
 	}
 }
 
-// runChaos runs one fixture under a fault plan and returns the error, after
-// asserting the run did not silently succeed.
-func runChaos(t *testing.T, fixture string, plan chaos.Plan) (*chaos.Network, *dist.RunError) {
-	t.Helper()
-	fx, ok := testgraph.ByName(fixture)
-	if !ok {
-		t.Fatalf("unknown fixture %q", fixture)
+// schedule is one (algorithm, pipeline schedule) cell a fault is driven
+// through; the grid's default is barriered CETRIC.
+type schedule struct {
+	algo    core.Algorithm
+	overlap bool
+	threads int // 0: the default, no workers
+}
+
+var barrieredCetric = schedule{algo: core.AlgoCetric}
+
+func (s schedule) String() string {
+	name := string(s.algo)
+	if s.overlap {
+		name += "+overlap"
 	}
-	net := chaos.Wrap(transport.NewChanNetwork(chaosP), plan)
-	_, err := core.Run(core.AlgoCetric, fx.Build(), chaosCfg(net))
+	if s.threads > 1 {
+		name += fmt.Sprintf("+t%d", s.threads)
+	}
+	return name
+}
+
+// typedAbort asserts that a faulted run did not silently succeed and that
+// its error is a typed *dist.RunError.
+func typedAbort(t *testing.T, err error) *dist.RunError {
+	t.Helper()
 	if err == nil {
 		t.Fatal("injected fault, run succeeded anyway")
 	}
@@ -95,7 +111,22 @@ func runChaos(t *testing.T, fixture string, plan chaos.Plan) (*chaos.Network, *d
 	if !errors.As(err, &re) {
 		t.Fatalf("fault surfaced as untyped error %T: %v", err, err)
 	}
-	return net, re
+	return re
+}
+
+// runChaos runs one fixture under a fault plan and returns the typed error.
+func runChaos(t *testing.T, fixture string, plan chaos.Plan, sched schedule) (*chaos.Network, *dist.RunError) {
+	t.Helper()
+	fx, ok := testgraph.ByName(fixture)
+	if !ok {
+		t.Fatalf("unknown fixture %q", fixture)
+	}
+	net := chaos.Wrap(transport.NewChanNetwork(chaosP), plan)
+	cfg := chaosCfg(net)
+	cfg.Overlap = sched.overlap
+	cfg.Threads = sched.threads
+	_, err := core.Run(sched.algo, fx.Build(), cfg)
+	return net, typedAbort(t, err)
 }
 
 // TestFaultGrid drives every injected fault mode through a full distributed
@@ -117,6 +148,9 @@ func TestFaultGrid(t *testing.T) {
 		want []dist.AbortCause
 		// check inspects the unwrapped cause further.
 		check func(t *testing.T, re *dist.RunError)
+		// schedules lists the cells the fault runs through (nil: barriered
+		// CETRIC only).
+		schedules []schedule
 	}{
 		{
 			name: "drop",
@@ -172,6 +206,14 @@ func TestFaultGrid(t *testing.T) {
 			plan: chaos.Plan{Seed: 23, CrashRank: 1, CrashAfter: 5,
 				DetectAfter: 30 * time.Millisecond},
 			want: []dist.AbortCause{dist.CausePeerLoss},
+			// Both algorithms under both schedules of the one counting
+			// pipeline: eager flushes and between-chunk polls must not change
+			// how a lost peer surfaces. The worker cells add the leak half of
+			// the contract: an abort must not strand workers on the shipment
+			// channel or the steal deque.
+			schedules: []schedule{barrieredCetric, {algo: core.AlgoCetric, overlap: true},
+				{algo: core.AlgoDiTric}, {algo: core.AlgoDiTric, overlap: true},
+				{algo: core.AlgoCetric, threads: 2}, {algo: core.AlgoDiTric, overlap: true, threads: 2}},
 			check: func(t *testing.T, re *dist.RunError) {
 				var pl *comm.ErrPeerLost
 				if !errors.As(re, &pl) {
@@ -208,28 +250,60 @@ func TestFaultGrid(t *testing.T) {
 	}
 
 	for _, sc := range scenarios {
-		for _, fixture := range fixtures {
-			t.Run(sc.name+"/"+fixture, func(t *testing.T) {
-				start := time.Now()
-				net, re := runChaos(t, fixture, sc.plan)
-				if took := time.Since(start); took > 15*time.Second {
-					t.Fatalf("recovery took %v; the deadline machinery is not bounding the run", took)
-				}
-				ok := false
-				for _, c := range sc.want {
-					if re.Cause == c {
-						ok = true
-					}
-				}
-				if !ok {
-					t.Fatalf("cause = %s, want one of %v (err: %v)", re.Cause, sc.want, re)
-				}
-				if sc.check != nil {
-					sc.check(t, re)
-				}
-				_ = net
-			})
+		if sc.schedules == nil {
+			sc.schedules = []schedule{barrieredCetric}
 		}
+		for _, sched := range sc.schedules {
+			for _, fixture := range fixtures {
+				name := sc.name + "/" + fixture
+				if sched != barrieredCetric {
+					name += "/" + sched.String()
+				}
+				t.Run(name, func(t *testing.T) {
+					start := time.Now()
+					_, re := runChaos(t, fixture, sc.plan, sched)
+					if took := time.Since(start); took > 15*time.Second {
+						t.Fatalf("recovery took %v; the deadline machinery is not bounding the run", took)
+					}
+					ok := false
+					for _, c := range sc.want {
+						if re.Cause == c {
+							ok = true
+						}
+					}
+					if !ok {
+						t.Fatalf("cause = %s, want one of %v (err: %v)", re.Cause, sc.want, re)
+					}
+					if sc.check != nil {
+						sc.check(t, re)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestStreamSilentCrash: the streaming entry point arms the same watchdogs
+// as the one-shot driver. The victim's crash is never reported by the
+// transport (DetectAfter < 0), so only the communication deadline can end
+// the run — typed, in bounded time, with the batch feeder released.
+func TestStreamSilentCrash(t *testing.T) {
+	leakcheck.Check(t)
+	fx, _ := testgraph.ByName("rgg")
+	g := fx.Build()
+	edges := g.Edges()
+	net := chaos.Wrap(transport.NewChanNetwork(chaosP), chaos.Plan{
+		Seed: 43, CrashRank: 1, CrashAfter: 5, DetectAfter: -1,
+	})
+	start := time.Now()
+	_, err := core.RunStream(core.AlgoCetric, uint64(g.NumVertices()),
+		core.SliceBatches(edges[:len(edges)/2], 256), core.SliceBatches(edges[len(edges)/2:], 256), chaosCfg(net))
+	re := typedAbort(t, err)
+	if took := time.Since(start); took > 15*time.Second {
+		t.Fatalf("recovery took %v; the stream's watchdog is not bounding the run", took)
+	}
+	if re.Cause != dist.CauseWatchdog {
+		t.Fatalf("cause = %s, want %s (err: %v)", re.Cause, dist.CauseWatchdog, re)
 	}
 }
 
@@ -239,7 +313,7 @@ func TestCrashSilentStats(t *testing.T) {
 	leakcheck.Check(t)
 	net, _ := runChaos(t, "K12", chaos.Plan{
 		Seed: 37, CrashRank: 2, CrashAfter: 5, DetectAfter: 20 * time.Millisecond,
-	})
+	}, barrieredCetric)
 	if got := net.Stats().Crashes; got != 1 {
 		t.Fatalf("Crashes = %d, want 1", got)
 	}
@@ -282,6 +356,46 @@ func TestGracefulDegradation(t *testing.T) {
 	}
 	if res2.Partial != nil {
 		t.Fatalf("clean run annotated as partial: %+v", res2.Partial)
+	}
+}
+
+// TestPartialCountIsLowerBound: every queue frame arrives corrupt, so the
+// run can only abort from a PE's global phase — after that PE's
+// communication-free local stage published its snapshot — and no type-3
+// triangle is ever counted. The degraded merge must therefore be > 0 and at
+// most the type-1 + type-2 total (siblings still leaving the pre-count
+// barrier when the abort lands contribute nothing), under both schedules of
+// the pipeline.
+func TestPartialCountIsLowerBound(t *testing.T) {
+	leakcheck.Check(t)
+	fx, _ := testgraph.ByName("rmat")
+	g := fx.Build()
+	clean, err := core.Run(core.AlgoCetric, g, core.Config{P: chaosP})
+	if err != nil {
+		t.Fatal(err)
+	}
+	local := clean.TypeCounts[0] + clean.TypeCounts[1]
+	if local == 0 || local >= fx.Triangles {
+		t.Fatalf("fixture has %d of %d triangles local; the scenario needs some of each", local, fx.Triangles)
+	}
+	for _, overlap := range []bool{false, true} {
+		t.Run(schedule{algo: core.AlgoCetric, overlap: overlap}.String(), func(t *testing.T) {
+			net := chaos.Wrap(transport.NewChanNetwork(chaosP), chaos.Plan{Seed: 47, CorruptProb: 1})
+			cfg := chaosCfg(net)
+			cfg.AllowPartial = true
+			cfg.Overlap = overlap
+			res, err := core.Run(core.AlgoCetric, g, cfg)
+			if err != nil {
+				t.Fatalf("degraded run failed outright: %v", err)
+			}
+			var re *dist.RunError
+			if res.Partial == nil || !errors.As(res.Partial.Err, &re) || re.Cause != dist.CauseCorrupt {
+				t.Fatalf("Partial = %+v, want a corrupt-frame annotation", res.Partial)
+			}
+			if res.Count == 0 || res.Count > local {
+				t.Fatalf("partial count = %d, want in (0, %d] (local-stage triangles; %d in total)", res.Count, local, fx.Triangles)
+			}
+		})
 	}
 }
 

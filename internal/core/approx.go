@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"time"
 
@@ -9,7 +8,6 @@ import (
 	"repro/internal/comm"
 	"repro/internal/dist"
 	"repro/internal/graph"
-	"repro/internal/part"
 )
 
 // AMQ-approximate CETRIC (§IV-E): type-1 and type-2 triangles are counted
@@ -60,37 +58,22 @@ type approxOutcome struct {
 
 // RunApproxCetric runs the AMQ variant of CETRIC.
 func RunApproxCetric(g *graph.Graph, cfg Config, acfg AMQConfig) (*ApproxResult, error) {
-	cfg = cfg.withDefaults()
-	if cfg.P <= 0 {
-		return nil, fmt.Errorf("core: config needs P > 0")
+	pl, err := prepare(AlgoCetric, uint64(g.NumVertices()), g.NumEdges(), cfg)
+	if err != nil {
+		return nil, err
 	}
+	cfg = pl.cfg
 	if acfg.BitsPerKey <= 0 {
 		acfg.BitsPerKey = 8
 	}
-	pt := cfg.Partition
-	if pt == nil {
-		pt = part.Uniform(uint64(g.NumVertices()), cfg.P)
-	}
-	threshold := cfg.Threshold
-	if threshold <= 0 {
-		threshold = DefaultThreshold(g.NumEdges(), cfg.P)
-	}
-	if _, err := channelCodecs(cfg.Codec); err != nil {
-		return nil, err
-	}
-	perEdges := graph.ScatterEdgesPar(pt, g.Edges(), cfg.Threads)
+	perEdges := pl.scatter(g.Edges())
 
 	outcomes := make([]*approxOutcome, cfg.P)
 	start := time.Now()
-	metrics, err := dist.Run(dist.Config{
-		P: cfg.P, Threshold: threshold, Indirect: cfg.Indirect, Network: cfg.Network,
-	}, func(pe *dist.PE) error {
-		if err := applyCodecs(pe.Q, cfg.Codec); err != nil {
-			return err
-		}
+	_, metrics, err := pl.run(func(pe *dist.PE, _ *peOutcome) error {
 		out := &approxOutcome{}
 		outcomes[pe.Rank] = out
-		return approxCetricBody(pe, pt, perEdges[pe.Rank], cfg, acfg, out)
+		return approxCetricBody(pe, pl, perEdges[pe.Rank], acfg, out)
 	})
 	if err != nil {
 		return nil, err
@@ -120,9 +103,8 @@ func RunApproxCetric(g *graph.Graph, cfg Config, acfg AMQConfig) (*ApproxResult,
 	return res, nil
 }
 
-func approxCetricBody(pe *dist.PE, pt *part.Partition, edges []graph.Edge,
-	cfg Config, acfg AMQConfig, out *approxOutcome) error {
-
+func approxCetricBody(pe *dist.PE, pl *plan, edges []graph.Edge, acfg AMQConfig, out *approxOutcome) error {
+	pt, cfg := pl.pt, pl.cfg
 	lg := graph.BuildLocalPar(pt, pe.Rank, edges, cfg.Threads)
 	exchangeGhostDegrees(pe, lg, cfg.SparseDegreeExchange, cfg.Threads)
 	ori := graph.OrientLocalPar(lg, cfg.Threads)

@@ -6,22 +6,15 @@ import (
 	"repro/internal/part"
 )
 
-// cetricBody is CETRIC (Algorithm 3): the contraction-based two-phase
-// algorithm. The local phase runs EDGE ITERATOR on the expanded local graph
-// (locals + ghosts) and finds every type-1 and type-2 triangle without any
-// communication; the contraction step removes all non-cut edges; the global
-// phase runs the DITRIC machinery on the remaining cut graph, which by
-// Lemma 1 contains exactly the type-3 triangles.
-func cetricBody(pe *dist.PE, pt *part.Partition, edges []graph.Edge, cfg Config, out *peOutcome) error {
-	sw := newStopwatch(pe.C, out)
-	sw.phase(PhaseBuild)
-	lg := graph.BuildLocalPar(pt, pe.Rank, edges, cfg.Threads)
-	return cetricFrom(pe, pt, lg, cfg, out, sw)
-}
-
-// cetricFrom runs CETRIC's phases on an already-built local view — the
-// entry point shared by the one-shot body above and the streaming driver.
-func cetricFrom(pe *dist.PE, pt *part.Partition, lg *graph.LocalGraph, cfg Config, out *peOutcome, sw *stopwatch) error {
+// cetricFrom is CETRIC (Algorithm 3) on an already-built local view: the
+// contraction-based two-phase algorithm. The local phase runs EDGE ITERATOR
+// on the expanded local graph (locals + ghosts) and finds every type-1 and
+// type-2 triangle without any communication; the contraction step removes
+// all non-cut edges; the global phase runs the DITRIC machinery on the
+// remaining cut graph, which by Lemma 1 contains exactly the type-3
+// triangles.
+func cetricFrom(pe *dist.PE, pl *plan, lg *graph.LocalGraph, out *peOutcome, sw *stopwatch) error {
+	cfg := pl.cfg
 	sw.phase(PhaseDegrees)
 	exchangeGhostDegrees(pe, lg, cfg.SparseDegreeExchange, cfg.Threads)
 	sw.phase(PhaseOrient)
@@ -32,81 +25,42 @@ func cetricFrom(pe *dist.PE, pt *part.Partition, lg *graph.LocalGraph, cfg Confi
 	sw.phase(PhasePreprocess) // residual: handler setup + the barrier
 	state := newCountState(lg, cfg)
 
-	// Overlapped pipeline (pipeline.go): incoming cut neighborhoods wait
-	// encoded in the transport until contraction builds the cut graph,
-	// then the send sweep overlaps emission with receive-side
-	// intersections drained by the same chunk-stealing worker pool.
-	if cfg.Overlap {
-		cetricOverlap(pe, pt, lg, ori, state, cfg, sw)
-		finishBody(pe, sw, state, cfg, out)
-		return nil
-	}
-
-	// The global-phase receive handler intersects with the *contracted*
-	// A-lists. cut is assigned in the contraction phase, strictly before any
-	// chNeigh record can be dispatched: dispatch only happens inside this
-	// PE's Poll/Drain calls, the first of which is in its own global phase.
-	// plc follows the same ordering argument (assigned right after cut,
-	// before the first possible dispatch — the hub-ship drain).
+	// Received records intersect with the *contracted* A-lists. cut is
+	// assigned in the contraction phase, strictly before any record can be
+	// dispatched: dispatch only happens inside this PE's own polls, the local
+	// stage issues none, and the first one after it is the hub-ship drain —
+	// by which time plc is assigned too.
 	var cut *graph.LocalOriented
 	var plc *placeRun
-	// Hybrid mode funnels receive-side intersections to a worker pool; the
-	// pool resolves cut lazily (it is assigned in the contraction phase,
-	// strictly before the first task can be dispatched).
-	var pool *recvPool
-	if cfg.Threads > 1 {
-		pool = newRecvPool(cfg.Threads, lg, cfg, func() *graph.LocalOriented { return cut }, func() *placeRun { return plc })
-	}
-	pe.Q.Handle(chNeigh, func(src int, words []uint64) {
-		v := words[0]
-		list := words[1:]
-		if pool != nil {
-			pool.submit(src, v, list, pe.Q.PinPayload())
-			return
-		}
-		state.t3 += state.recvNeighAt(src, v, list, cut, plc)
+	op := newOverlapPipeline(pe, sw, lg, cfg, state, out, func(ws *countState, r recvRecord) {
+		ws.t3 += ws.recvRecord(r, cut, plc)
 	})
-	pe.Q.Handle(chNeighEdge, func(src int, words []uint64) {
-		state.t3 += state.recvNeighEdge(words[0], words[1], words[2:], cut)
-	})
-	pe.Q.Handle(chDelta, state.handleDelta)
 	pe.C.Barrier()
 
-	sw.phase(PhaseLocal)
-	if cfg.Threads > 1 {
-		hybridCetricLocal(lg, ori, state, cfg)
-	} else {
-		cetricLocalPhase(lg, ori, state, 0, lg.Rows())
-	}
+	// The local stage is communication-free and defers the receive side
+	// entirely: other PEs may reach their send sweeps while this one counts,
+	// but their cut neighborhoods cannot be intersected before the
+	// contraction, so they wait codec-encoded in the transport.
+	op.stage(PhaseLocal, lg.Rows(), false, func(ws *countState, lo, hi int, _ chan<- hybridSend) {
+		cetricLocalPhase(lg, ori, ws, lo, hi)
+	})
 
-	out.partialCount = state.count // coherent local-phase snapshot for degraded merges
 	sw.phase(PhaseContraction)
 	cut = ori.ContractPar(cfg.Threads)
 	cut.BuildHubsPar(cfg.hubMinDegree(), cfg.Threads)
-
 	// Placement over the cut graph: the global phase ships and intersects
 	// contracted A-lists, so nomination weights and stored tables model
 	// exactly those. The Gather inside synchronizes all PEs past their
 	// contraction before any hub ships.
 	plc = computePlacement(pe, lg, cut, cfg)
-	if plc != nil {
-		pe.Q.Handle(chHubShip, plc.handleShip)
-		sw.phase(PhasePlace)
-		plc.ship(pe, cut)
-	}
+	plc.ship(pe, sw, cut)
 
-	sw.phase(PhaseGlobal)
 	// Cut neighborhoods go out as (v, A(v)...) records with A(v) ID-sorted —
 	// the shape the chNeigh delta-varint codec compresses best.
-	cetricGlobalRows(pe, pt, lg, cut, state, 0, lg.NLocal(), nil, cfg.NoSurrogate, plc)
-	pe.Q.Drain()
-	if pool != nil {
-		poolState := newCountState(lg, cfg)
-		pool.drain(poolState)
-		state.t3 += poolState.count
-		state.merge(poolState)
-	}
-
+	op.stage(PhaseGlobal, lg.NLocal(), true, func(ws *countState, lo, hi int, sends chan<- hybridSend) {
+		cetricGlobalRows(pe, pl.pt, lg, cut, ws, lo, hi, sends, cfg.NoSurrogate, plc)
+	})
+	op.finish()
 	finishBody(pe, sw, state, cfg, out)
 	return nil
 }
@@ -140,6 +94,61 @@ func cetricLocalPhase(lg *graph.LocalGraph, ori *graph.LocalOriented, state *cou
 					state.t2++
 				}
 			})
+		}
+	}
+}
+
+// cetricGlobalRows ships the contracted cut neighborhoods of local rows
+// [lo,hi): (v, A(v)...) records with the surrogate dedup, or per-edge
+// (v, u, A(v)...) records under the no-surrogate ablation. Shipments go
+// through sends (funneled) or directly to the queue when sends is nil —
+// the same contract as ditricLocalRows. With a placement overlay each cut
+// edge resolves to its effective destination; a moved hub whose surrogate
+// is this PE is intersected inline against the stored table (every u in a
+// cut A-list is remote, so there is no local pass to double count).
+func cetricGlobalRows(pe *dist.PE, pt *part.Partition, lg *graph.LocalGraph, cut *graph.LocalOriented,
+	state *countState, lo, hi int, sends chan<- hybridSend, noSurrogate bool, plc *placeRun) {
+	var hdr [2]uint64 // record header scratch
+	sh := getShipper(pe, sends)
+	defer sh.put()
+	for r := lo; r < hi; r++ {
+		v := lg.GID(int32(r))
+		av := cut.Out(int32(r))
+		if len(av) < 2 {
+			continue
+		}
+		if plc != nil && !noSurrogate {
+			sh.nextRow()
+			for _, u := range av {
+				j := plc.redirect(pt.Rank(u), u)
+				if j < 0 {
+					continue // dead endpoint: empty list can't complete a triangle
+				}
+				if !sh.firstVisit(j) {
+					continue
+				}
+				if j == pe.Rank {
+					state.t3 += state.surrogateScan(pe.Rank, v, av, plc)
+					continue
+				}
+				hdr[0] = v
+				sh.ship(chNeigh, j, hdr[:1], av)
+			}
+			continue
+		}
+		lastRank := -1
+		for _, u := range av {
+			if noSurrogate {
+				hdr[0], hdr[1] = v, u
+				sh.ship(chNeighEdge, pt.Rank(u), hdr[:2], av)
+				continue
+			}
+			// Surrogate dedup: av is ID-sorted, ranks are contiguous.
+			if j := pt.Rank(u); j != lastRank {
+				hdr[0] = v
+				sh.ship(chNeigh, j, hdr[:1], av)
+				lastRank = j
+			}
 		}
 	}
 }

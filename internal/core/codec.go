@@ -67,20 +67,6 @@ func channelCodecs(policy string) ([comm.MaxChannels]comm.Codec, error) {
 	}
 }
 
-// applyCodecs installs a policy's codec table on a PE's queue. Every PE of a
-// run derives the table from the same Config, so senders and receivers
-// always agree before the first record is in flight.
-func applyCodecs(q *comm.Queue, policy string) error {
-	table, err := channelCodecs(policy)
-	if err != nil {
-		return err
-	}
-	for ch, c := range table {
-		q.SetCodec(ch, c)
-	}
-	return nil
-}
-
 // DefaultThreshold is the authoritative aggregation threshold δ ∈ O(|E_i|):
 // 2|E|/p words (with a small floor), the paper's linear-memory setting.
 // Every run driver uses it when Config.Threshold is unset; comm.NewQueue's

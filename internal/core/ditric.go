@@ -6,25 +6,18 @@ import (
 	"repro/internal/part"
 )
 
-// ditricBody is DITRIC (Algorithm 2 plus the engineering of §IV-A/B): the
-// distributed EDGE ITERATOR with degree orientation, dynamic message
-// aggregation, the surrogate dedup of Arifuzzaman et al. (each A(v) sent at
-// most once per destination PE), and — when the queue routes through the
-// grid — indirect delivery (DITRIC2). The chNeigh/chNeighEdge records ship
-// ID-sorted A-lists, which the channel's delta-varint wire codec compresses
-// at flush time (codec.go); the body itself is codec-agnostic.
-func ditricBody(pe *dist.PE, pt *part.Partition, edges []graph.Edge, cfg Config, out *peOutcome) error {
-	sw := newStopwatch(pe.C, out)
-	sw.phase(PhaseBuild)
-	lg := graph.BuildLocalPar(pt, pe.Rank, edges, cfg.Threads)
-	return ditricFrom(pe, pt, lg, cfg, out, sw)
-}
-
-// ditricFrom runs DITRIC's phases on an already-built local view — the
-// entry point shared by the one-shot body above and the streaming driver
-// (which builds lg incrementally through graph.StreamBuilder before any
-// counting starts).
-func ditricFrom(pe *dist.PE, pt *part.Partition, lg *graph.LocalGraph, cfg Config, out *peOutcome, sw *stopwatch) error {
+// ditricFrom is DITRIC (Algorithm 2 plus the engineering of §IV-A/B) on an
+// already-built local view: the distributed EDGE ITERATOR with degree
+// orientation, dynamic message aggregation, the surrogate dedup of
+// Arifuzzaman et al. (each A(v) sent at most once per destination PE), and —
+// when the queue routes through the grid — indirect delivery (DITRIC2). The
+// chNeigh/chNeighEdge records ship ID-sorted A-lists, which the channel's
+// delta-varint wire codec compresses at flush time (codec.go); the body
+// itself is codec-agnostic. One-shot runs build lg from the scattered edges
+// (plan.body); the streaming driver builds it incrementally through
+// graph.StreamBuilder before any counting starts.
+func ditricFrom(pe *dist.PE, pl *plan, lg *graph.LocalGraph, out *peOutcome, sw *stopwatch) error {
+	cfg := pl.cfg
 	sw.phase(PhaseDegrees)
 	exchangeGhostDegrees(pe, lg, cfg.SparseDegreeExchange, cfg.Threads)
 	sw.phase(PhaseOrient)
@@ -37,66 +30,97 @@ func ditricFrom(pe *dist.PE, pt *part.Partition, lg *graph.LocalGraph, cfg Confi
 	// draining degree traffic. nil when disabled or nothing moves.
 	plc := computePlacement(pe, lg, ori, cfg)
 	state := newCountState(lg, cfg)
-
-	// Overlapped pipeline (pipeline.go): no barrier between local and
-	// global — shipments flush eagerly as row chunks complete and the
-	// chunk-stealing workers drain received records concurrently with
-	// residual local rows.
-	if cfg.Overlap {
-		ditricOverlap(pe, pt, lg, ori, state, cfg, sw, plc)
-		finishBody(pe, sw, state, cfg, out)
-		return nil
-	}
-
-	// Hybrid mode funnels receive-side intersections to a worker pool
-	// (§IV-D); single-threaded mode intersects inline. Received lists are
-	// row-translated once per record (recvNeigh), then intersected with the
-	// adaptive kernels; pooled tasks pin the decode arena until the worker
-	// has consumed the list.
-	var pool *recvPool
-	if cfg.Threads > 1 {
-		pool = newRecvPool(cfg.Threads, lg, cfg, func() *graph.LocalOriented { return ori }, func() *placeRun { return plc })
-	}
-	pe.Q.Handle(chNeigh, func(src int, words []uint64) {
-		v := words[0]
-		list := words[1:]
-		if pool != nil {
-			pool.submit(src, v, list, pe.Q.PinPayload())
-			return
-		}
-		state.recvNeighAt(src, v, list, ori, plc)
+	// The receiver structure is the already-built oriented graph, so received
+	// records can be intersected from the first poll on.
+	op := newOverlapPipeline(pe, sw, lg, cfg, state, out, func(ws *countState, r recvRecord) {
+		ws.recvRecord(r, ori, plc)
 	})
-	pe.Q.Handle(chNeighEdge, func(src int, words []uint64) {
-		state.recvNeighEdge(words[0], words[1], words[2:], ori)
+	// Surrogate tables are complete cluster-wide before any PE can emit a
+	// counting record (the drain inside ship is collective).
+	plc.ship(pe, sw, ori)
+	sw.phase(PhasePreprocess) // the barrier wait is preprocessing skew, not placement
+	pe.C.Barrier()            // everyone finished preprocessing; handlers are live
+
+	// One emission stage over the local rows — local-local wedges counted in
+	// place, cut neighborhoods shipped — then the drain.
+	op.stage(PhaseLocal, lg.NLocal(), true, func(ws *countState, lo, hi int, sends chan<- hybridSend) {
+		ditricLocalRows(pe, pl.pt, lg, ori, ws, lo, hi, sends, cfg.NoSurrogate, plc)
 	})
-	pe.Q.Handle(chDelta, state.handleDelta)
-	if plc != nil {
-		// Ship moved hubs' neighborhoods to their surrogates; the collective
-		// drain inside guarantees every stored-hub table is complete before
-		// any counting record flows.
-		pe.Q.Handle(chHubShip, plc.handleShip)
-		sw.phase(PhasePlace)
-		plc.ship(pe, ori)
-		sw.phase(PhasePreprocess)
-	}
-	pe.C.Barrier() // everyone finished preprocessing; handlers are live
-
-	sw.phase(PhaseLocal)
-	if cfg.Threads > 1 {
-		hybridDitricLocal(pe, lg, ori, state, cfg, plc)
-	} else {
-		ditricLocalRows(pe, pt, lg, ori, state, 0, lg.NLocal(), nil, cfg.NoSurrogate, plc)
-	}
-
-	out.partialCount = state.count // coherent local-phase snapshot for degraded merges
-	sw.phase(PhaseGlobal)
-	pe.Q.Drain()
-	if pool != nil {
-		pool.drain(state)
-	}
-
+	op.finish()
 	finishBody(pe, sw, state, cfg, out)
 	return nil
+}
+
+// ditricLocalRows processes local rows [lo,hi): local-local wedges are
+// intersected in place through the adaptive row-space pair kernels, remote
+// shipments go through the shipper (funneled or direct). With a placement
+// overlay, each cut edge resolves to its effective destination (the hub's
+// surrogate when moved, the owner otherwise); a surrogate that turns out to
+// be this very PE gets its stored-table intersection inline instead of a
+// self-send — the locals in av were already counted above, so the full
+// receive path would double count them.
+func ditricLocalRows(pe *dist.PE, pt *part.Partition, lg *graph.LocalGraph, ori *graph.LocalOriented,
+	state *countState, lo, hi int, sends chan<- hybridSend, noSurrogate bool, plc *placeRun) {
+	first := lg.First
+	var hdr [2]uint64 // record header scratch, reused across shipments
+	sh := getShipper(pe, sends)
+	defer sh.put()
+	for r := lo; r < hi; r++ {
+		rv := int32(r)
+		v := lg.GID(rv)
+		av := ori.Out(rv)
+		avRows := ori.OutRows(rv)
+		if plc != nil && !noSurrogate {
+			sh.nextRow()
+			for _, u := range av {
+				if lg.IsLocal(u) {
+					state.countWedgeRows(avRows, rv, int32(u-first), ori)
+					continue
+				}
+				if len(av) < 2 {
+					continue
+				}
+				j := plc.redirect(pt.Rank(u), u)
+				if j < 0 {
+					continue // dead endpoint: empty list can't complete a triangle
+				}
+				if !sh.firstVisit(j) {
+					continue
+				}
+				if j == pe.Rank {
+					state.surrogateScan(pe.Rank, v, av, plc)
+					continue
+				}
+				hdr[0] = v
+				sh.ship(chNeigh, j, hdr[:1], av)
+			}
+			continue
+		}
+		lastRank := -1
+		for _, u := range av {
+			if lg.IsLocal(u) {
+				state.countWedgeRows(avRows, rv, int32(u-first), ori)
+				continue
+			}
+			if len(av) < 2 {
+				continue // a single out-neighbor cannot close a triangle
+			}
+			if noSurrogate {
+				// Ablation: one per-edge record per cut edge (Algorithm 2
+				// without Arifuzzaman's dedup).
+				hdr[0], hdr[1] = v, u
+				sh.ship(chNeighEdge, pt.Rank(u), hdr[:2], av)
+				continue
+			}
+			// Surrogate dedup: av is ID-sorted and ranks own contiguous
+			// ranges, so equal destinations are adjacent.
+			if j := pt.Rank(u); j != lastRank {
+				hdr[0] = v
+				sh.ship(chNeigh, j, hdr[:1], av)
+				lastRank = j
+			}
+		}
+	}
 }
 
 // finishBody is the shared tail of the DITRIC/CETRIC bodies: the optional

@@ -13,11 +13,49 @@ import (
 	"repro/internal/transport"
 )
 
-// Run executes a distributed triangle counting algorithm on g with cfg.P
-// simulated PEs and returns the merged result. The graph is scattered the
-// way a distributed loader would: each PE receives exactly the edges
-// incident to its contiguous vertex range.
-func Run(algo Algorithm, g *graph.Graph, cfg Config) (*Result, error) {
+// countBody is one 1D algorithm's counting phases on an already-built local
+// view: everything after graph.BuildLocalPar (one-shot runs) or the
+// StreamBuilder seal (streaming runs).
+type countBody func(pe *dist.PE, pl *plan, lg *graph.LocalGraph, out *peOutcome, sw *stopwatch) error
+
+// algoSpecs resolves an algorithm name. TK2D has no 1D count body: its
+// geometry (plan.g2) selects tk2dBody instead.
+var algoSpecs = map[Algorithm]struct {
+	count    countBody
+	indirect bool // the "2" variants force grid-indirect delivery
+	family   bool // DITRIC/CETRIC proper: the algorithms that support LCC and streaming
+}{
+	AlgoDiTric:  {count: ditricFrom, family: true},
+	AlgoDiTric2: {count: ditricFrom, family: true, indirect: true},
+	AlgoCetric:  {count: cetricFrom, family: true},
+	AlgoCetric2: {count: cetricFrom, family: true, indirect: true},
+	AlgoTriC:    {count: tricBody},
+	AlgoHavoq:   {count: havoqBody},
+	AlgoNoAgg:   {count: ditricFrom},
+	AlgoTK2D:    {},
+}
+
+// plan is a validated, fully resolved run set-up. Every entry point — Run,
+// RunRank, RunStream, RunApproxCetric — builds exactly one through prepare,
+// so they accept and reject the same configurations and differ only in the
+// body they execute and in where the endpoints come from.
+type plan struct {
+	cfg    Config          // defaults applied
+	pt     *part.Partition // 1D vertex partition (nil for TK2D)
+	g2     *part.Grid2D    // 2D block grid (TK2D only)
+	count  countBody
+	family bool
+	codecs [comm.MaxChannels]comm.Codec
+	dist   dist.Config
+}
+
+// prepare validates cfg for algo on an n-vertex graph and resolves
+// everything a run derives from it: the partition or block grid, the
+// aggregation threshold δ, the indirect bit, the per-channel codec table and
+// the watchdog fields. m is the edge count δ defaults from; a stream does
+// not know it up front and passes a negative m, which leaves an unset δ to
+// each PE (streamThreshold).
+func prepare(algo Algorithm, n uint64, m int, cfg Config) (*plan, error) {
 	cfg = cfg.withDefaults()
 	if cfg.P <= 0 {
 		return nil, fmt.Errorf("core: config needs P > 0")
@@ -30,70 +68,124 @@ func Run(algo Algorithm, g *graph.Graph, cfg Config) (*Result, error) {
 	if !validPlacement(cfg.Placement) {
 		return nil, fmt.Errorf("core: unknown placement policy %q (want auto, static, or off)", cfg.Placement)
 	}
+	spec, ok := algoSpecs[algo]
+	if !ok {
+		return nil, fmt.Errorf("core: unknown algorithm %q", algo)
+	}
+	if cfg.LCC && !spec.family {
+		return nil, fmt.Errorf("core: LCC is only supported by DITRIC/CETRIC, not %s", algo)
+	}
+	pl := &plan{cfg: cfg, count: spec.count, family: spec.family}
+	indirect := false
 	if algo == AlgoTK2D {
 		// The 2D geometry has its own scatter and partition math; it shares
-		// the outcome merge and phase accounting with the 1D path.
-		return runTK2D(g, cfg)
-	}
-	pt := cfg.Partition
-	if pt == nil {
-		pt = part.Uniform(uint64(g.NumVertices()), cfg.P)
-	} else if pt.P() != cfg.P || pt.N() != uint64(g.NumVertices()) {
-		return nil, fmt.Errorf("core: partition shape (p=%d,n=%d) does not match run (p=%d,n=%d)",
-			pt.P(), pt.N(), cfg.P, g.NumVertices())
-	}
-	if cfg.LCC {
-		switch algo {
-		case AlgoDiTric, AlgoDiTric2, AlgoCetric, AlgoCetric2:
-		default:
-			return nil, fmt.Errorf("core: LCC is only supported by DITRIC/CETRIC, not %s", algo)
+		// everything else — validation, δ, the outcome merge, phase accounting.
+		if cfg.Partition != nil {
+			return nil, fmt.Errorf("core: %s uses the 2D block partition; a 1D Partition cannot be applied", algo)
+		}
+		g2, err := part.NewGrid2D(n, cfg.P)
+		if err != nil {
+			return nil, err
+		}
+		pl.g2 = g2
+	} else {
+		indirect = cfg.Indirect || spec.indirect
+		pl.pt = cfg.Partition
+		if pl.pt == nil {
+			pl.pt = part.Uniform(n, cfg.P)
+		} else if pl.pt.P() != cfg.P || pl.pt.N() != n {
+			return nil, fmt.Errorf("core: partition shape (p=%d,n=%d) does not match run (p=%d,n=%d)",
+				pl.pt.P(), pl.pt.N(), cfg.P, n)
 		}
 	}
-
+	var err error
+	if pl.codecs, err = channelCodecs(cfg.Codec); err != nil {
+		return nil, err
+	}
 	threshold := cfg.Threshold
-	if threshold <= 0 {
+	if threshold <= 0 && m >= 0 {
 		// δ ∈ O(|E_i|): memory per PE stays linear in the local input.
-		threshold = DefaultThreshold(g.NumEdges(), cfg.P)
+		threshold = DefaultThreshold(m, cfg.P)
 	}
-	if _, err := channelCodecs(cfg.Codec); err != nil {
-		return nil, err
-	}
-	indirect := cfg.Indirect
-	body, indirectDefault, err := bodyFor(algo)
-	if err != nil {
-		return nil, err
-	}
-	indirect = indirect || indirectDefault
 	if algo == AlgoNoAgg {
 		threshold = 1 // flush after every record: no aggregation
 	}
+	pl.dist = dist.Config{
+		P: cfg.P, Threshold: threshold, Indirect: indirect, Network: cfg.Network,
+		CommDeadline: cfg.CommDeadline, RunTimeout: cfg.RunTimeout,
+	}
+	return pl, nil
+}
 
+// enter readies a freshly attached PE for the plan's bodies — the one step
+// goroutine PEs (run) and process PEs (RunRank) share. Every PE of a run
+// installs the same codec table, so senders and receivers agree before the
+// first record is in flight.
+func (pl *plan) enter(pe *dist.PE) *peOutcome {
+	for ch, c := range pl.codecs {
+		pe.Q.SetCodec(ch, c)
+	}
+	return newPEOutcome()
+}
+
+// run executes body on the plan's P goroutine PEs and returns their
+// outcomes and metrics, both indexed by rank. An outcome stays nil when its
+// PE never started.
+func (pl *plan) run(body func(pe *dist.PE, out *peOutcome) error) ([]*peOutcome, []comm.Metrics, error) {
+	outcomes := make([]*peOutcome, pl.cfg.P)
+	metrics, err := dist.Run(pl.dist, func(pe *dist.PE) error {
+		outcomes[pe.Rank] = pl.enter(pe)
+		return body(pe, outcomes[pe.Rank])
+	})
+	return outcomes, metrics, err
+}
+
+// scatter splits an edge list the way a distributed loader would: PE i
+// receives exactly the edges incident to its vertex range (1D) or falling
+// into its block (2D).
+func (pl *plan) scatter(edges []graph.Edge) [][]graph.Edge {
+	if pl.g2 != nil {
+		return graph.ScatterEdges2D(pl.g2, edges, pl.cfg.Threads)
+	}
+	return graph.ScatterEdgesPar(pl.pt, edges, pl.cfg.Threads)
+}
+
+// body is the one-shot SPMD body: build this rank's view of its scattered
+// edges, then count.
+func (pl *plan) body(pe *dist.PE, edges []graph.Edge, out *peOutcome) error {
+	if pl.g2 != nil {
+		return tk2dBody(pe, pl, edges, out)
+	}
+	sw := newStopwatch(pe.C, out)
+	sw.phase(PhaseBuild)
+	lg := graph.BuildLocalPar(pl.pt, pe.Rank, edges, pl.cfg.Threads)
+	return pl.count(pe, pl, lg, out, sw)
+}
+
+// Run executes a distributed triangle counting algorithm on g with cfg.P
+// simulated PEs and returns the merged result.
+func Run(algo Algorithm, g *graph.Graph, cfg Config) (*Result, error) {
+	pl, err := prepare(algo, uint64(g.NumVertices()), g.NumEdges(), cfg)
+	if err != nil {
+		return nil, err
+	}
 	// The scatter runs driver-side (the stand-in for a distributed loader),
 	// so its wall is timed here and folded into the preprocess phase after
 	// the merge; Result.Wall remains the cluster wall alone.
 	scatterStart := time.Now()
-	perEdges := graph.ScatterEdgesPar(pt, g.Edges(), cfg.Threads)
+	perEdges := pl.scatter(g.Edges())
 	scatterWall := time.Since(scatterStart)
-	outcomes := make([]*peOutcome, cfg.P)
 	start := time.Now()
-	metrics, err := dist.Run(dist.Config{
-		P: cfg.P, Threshold: threshold, Indirect: indirect, Network: cfg.Network,
-		CommDeadline: cfg.CommDeadline, RunTimeout: cfg.RunTimeout,
-	}, func(pe *dist.PE) error {
-		if err := applyCodecs(pe.Q, cfg.Codec); err != nil {
-			return err
-		}
-		out := newPEOutcome()
-		outcomes[pe.Rank] = out
-		return body(pe, pt, perEdges[pe.Rank], cfg, out)
+	outcomes, metrics, err := pl.run(func(pe *dist.PE, out *peOutcome) error {
+		return pl.body(pe, perEdges[pe.Rank], out)
 	})
 	var res *Result
 	if err != nil {
-		if res = maybePartial(err, cfg, outcomes, metrics, g); res == nil {
+		if res = maybePartial(err, pl.cfg, outcomes, metrics, g); res == nil {
 			return nil, err
 		}
 	} else {
-		res = mergeOutcomes(outcomes, metrics, g, cfg)
+		res = mergeOutcomes(outcomes, metrics, g, pl.cfg)
 	}
 	res.Wall = time.Since(start)
 	res.Phases[PhaseScatter] += scatterWall
@@ -130,64 +222,25 @@ func maybePartial(err error, cfg Config, outcomes []*peOutcome, metrics []comm.M
 // only its slice, so no data distribution is needed. Returns the global
 // triangle count (agreed via an allreduce) and this rank's metrics.
 func RunRank(algo Algorithm, g *graph.Graph, cfg Config, ep transport.Endpoint) (uint64, comm.Metrics, error) {
-	cfg = cfg.withDefaults()
 	cfg.P = ep.Size()
-	if !validPlacement(cfg.Placement) {
-		return 0, comm.Metrics{}, fmt.Errorf("core: unknown placement policy %q (want auto, static, or off)", cfg.Placement)
-	}
-	if algo == AlgoTK2D {
-		return runRankTK2D(g, cfg, ep)
-	}
-	pt := cfg.Partition
-	if pt == nil {
-		pt = part.Uniform(uint64(g.NumVertices()), cfg.P)
-	}
-	body, indirectDefault, err := bodyFor(algo)
+	pl, err := prepare(algo, uint64(g.NumVertices()), g.NumEdges(), cfg)
 	if err != nil {
 		return 0, comm.Metrics{}, err
 	}
-	threshold := cfg.Threshold
-	if threshold <= 0 {
-		threshold = DefaultThreshold(g.NumEdges(), cfg.P)
-	}
-	pe := dist.Attach(ep, threshold, cfg.Indirect || indirectDefault)
-	if err := applyCodecs(pe.Q, cfg.Codec); err != nil {
-		return 0, comm.Metrics{}, err
-	}
+	pe := dist.Attach(ep, pl.dist.Threshold, pl.dist.Indirect)
+	out := pl.enter(pe)
 	// Rank-filtered scatter: every process of a TCP cluster runs this, so
 	// materializing all p slices just to keep one would cost O(|E|) words
 	// per process instead of O(|E_rank|).
-	edges := graph.ScatterEdgesRank(pt, g.Edges(), pe.Rank, cfg.Threads)
-	out := newPEOutcome()
-	if err := body(pe, pt, edges, cfg, out); err != nil {
+	var edges []graph.Edge
+	if pl.g2 != nil {
+		edges = graph.ScatterEdges2DRank(pl.g2, g.Edges(), pe.Rank, pl.cfg.Threads)
+	} else {
+		edges = graph.ScatterEdgesRank(pl.pt, g.Edges(), pe.Rank, pl.cfg.Threads)
+	}
+	if err := pl.body(pe, edges, out); err != nil {
 		return 0, pe.C.M, err
 	}
 	global := pe.C.AllreduceSum([]uint64{out.count})
 	return global[0], pe.C.M, nil
-}
-
-// peBody is the SPMD body of one algorithm.
-type peBody func(pe *dist.PE, pt *part.Partition, edges []graph.Edge, cfg Config, out *peOutcome) error
-
-// bodyFor resolves an algorithm name; the second result forces indirection
-// (the "2" variants).
-func bodyFor(algo Algorithm) (peBody, bool, error) {
-	switch algo {
-	case AlgoDiTric:
-		return ditricBody, false, nil
-	case AlgoDiTric2:
-		return ditricBody, true, nil
-	case AlgoCetric:
-		return cetricBody, false, nil
-	case AlgoCetric2:
-		return cetricBody, true, nil
-	case AlgoTriC:
-		return tricBody, false, nil
-	case AlgoHavoq:
-		return havoqBody, false, nil
-	case AlgoNoAgg:
-		return ditricBody, false, nil
-	default:
-		return nil, false, fmt.Errorf("core: unknown algorithm %q", algo)
-	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/graph"
-	"repro/internal/part"
 )
 
 // havoqBody reimplements the HavoqGT-style vertex-centric counter (Pearce et
@@ -21,10 +20,8 @@ import (
 // reason it loses against DITRIC/CETRIC on wedge-rich graphs. HavoqGT's
 // neighborhood partitioning of extreme hubs is not reproduced; see
 // DESIGN.md §1.
-func havoqBody(pe *dist.PE, pt *part.Partition, edges []graph.Edge, cfg Config, out *peOutcome) error {
-	sw := newStopwatch(pe.C, out)
-	sw.phase(PhaseBuild)
-	lg := graph.BuildLocalPar(pt, pe.Rank, edges, cfg.Threads)
+func havoqBody(pe *dist.PE, pl *plan, lg *graph.LocalGraph, out *peOutcome, sw *stopwatch) error {
+	pt, cfg := pl.pt, pl.cfg
 	sw.phase(PhaseDegrees)
 	exchangeGhostDegrees(pe, lg, cfg.SparseDegreeExchange, cfg.Threads)
 	sw.phase(PhaseOrient)

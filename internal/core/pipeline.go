@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -9,31 +10,44 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/dist"
 	"repro/internal/graph"
-	"repro/internal/part"
 )
 
-// Overlapped phase pipeline (Config.Overlap). The barriered bodies run
-// local → global strictly separated: every cut neighborhood stays buffered
-// until the queue threshold overflows or the post-local Drain, and all
-// receive-side intersection work serializes into the drain, so the PE with
-// the heaviest incoming cut neighborhoods becomes the straggler the whole
-// cluster waits for. The pipeline removes both serializations:
+// The counting pipeline. Every DITRIC/CETRIC body counts through one
+// overlapPipeline: emission stages (chunked row sweeps that may ship cut
+// neighborhoods) followed by finish (drain to global quiescence), with the
+// receive side — intersecting shipped neighborhoods against the receiver's
+// A-lists — running wherever the schedule puts it. Config.Threads and
+// Config.Overlap select that schedule; they do not select code:
 //
-//   - the local phase flushes shipments eagerly as row chunks complete
-//     (Queue.FlushIfOver at a watermark far below δ), so receivers see cut
-//     neighborhoods while senders are still counting;
-//   - received records park on a per-PE steal deque, and the same
-//     chunk-stealing workers that process local rows drain it concurrently
-//     — global-phase intersections start before the local phase finishes,
-//     and a skew-loaded receive side is chewed through by every thread
-//     plus the funnel instead of being serialized behind the local phase;
-//   - the termination detector (Queue.DrainWith) steals deque batches
-//     whenever it would otherwise idle-wait, and meters genuine idle time
-//     into Metrics.IdleNs.
+//   - Threads == 1: no workers. Row chunks run on the PE goroutine and the
+//     queue handlers intersect received records inline, inside whichever
+//     poll dispatched them.
+//   - Threads > 1 (the paper's hybrid mode, §IV-D): workers steal row
+//     chunks — dynamic chunking plays the role of TBB work stealing, so no
+//     cost-model prepartitioning is needed, as Green et al. observed — and
+//     ship through the PE goroutine, which owns the queue (MPI's funneled
+//     mode, the bottleneck the paper measures in Fig. 8). Received records
+//     park on a per-PE steal deque with their decode arena pinned, and the
+//     same workers drain it.
+//   - Overlap == false (the barriered schedule): frames leave only when the
+//     aggregation threshold δ overflows and in the final drain, and nothing
+//     is polled or stolen between chunks, so local and global work stay
+//     separated and the communication counts are deterministic.
+//   - Overlap == true: shipments flush eagerly as row chunks complete
+//     (Queue.FlushIfOver at a watermark far below δ), the network is polled
+//     between chunks, and workers steal parked records between chunks —
+//     global-phase intersections start before the emission finishes, and a
+//     skew-loaded receive side is chewed through by every thread instead of
+//     being serialized behind the local phase.
 //
-// Counts are exactly identical to the barriered path: every record is
-// processed by the same recvNeigh/recvNeighEdge code against the same
-// receiver structure, only earlier and on a different goroutine.
+// In every schedule the termination detector (Queue.DrainWith) steals deque
+// batches whenever it would otherwise idle-wait, and meters genuine idle
+// time into Metrics.IdleNs. Counts are identical across schedules: every
+// record is processed by the same recvNeighAt/recvNeighEdge code against
+// the same receiver structure, only at a different time and on a different
+// goroutine.
+
+const hybridChunk = 128 // rows per stolen chunk
 
 // overlapFlushWords is the eager flush watermark in words: low enough that
 // shipments leave while the local phase still runs, high enough that frames
@@ -46,13 +60,13 @@ const overlapFlushWords = 1 << 10
 // configured costmodel profile's α/β break-even frame size
 // (Profile.FlushWatermark) — frames below it cost more in startup latency
 // than overlapping can hide, which is why the old fixed 1024-word constant
-// lost to the barriered path on high-α (cloud/WAN) parameterizations: it
+// lost to the barriered schedule on high-α (cloud/WAN) parameterizations: it
 // sliced shipments into frames an order of magnitude below those profiles'
 // break-even. With no profile configured the historical constant stands
 // (it is within a factor of two of the supercomputer profile's break-even,
 // the machine the paper measured on).
 //
-// The δ/2 clamp is load-bearing on both paths: DefaultThreshold floors δ
+// The δ/2 clamp is load-bearing: DefaultThreshold floors δ
 // at 1024 — exactly overlapFlushWords — so on tiny graphs (and explicit
 // small -delta values) an unclamped watermark would sit at or above δ, and
 // eager flushing would silently never fire before the overflow flush.
@@ -77,14 +91,13 @@ const dequeBatch = 32
 
 // dequeHighWater is the backpressure bound on decoded, arena-pinned
 // records, enforced at the handler: past it a received record is
-// intersected inline on the funnel instead of parked (the barriered
-// single-threaded behavior), so the deque can never hold more than the
-// high-water mark plus one frame's records — resident decoded memory stays
-// O(dequeHighWater), not O(total incoming traffic), and the queue's
-// linear-memory guarantee survives the overlap. The stage funnel
-// additionally stops polling above the mark, preferring to leave frames
-// codec-encoded in the transport and help drain. This is the overlap
-// analogue of recvPool's bounded submit channel.
+// intersected inline on the funnel instead of parked (the Threads == 1
+// behavior), so the deque can never hold more than the high-water mark plus
+// one frame's records — resident decoded memory stays O(dequeHighWater),
+// not O(total incoming traffic), and the queue's linear-memory guarantee
+// survives the parking. The overlapped stage funnel additionally stops
+// polling above the mark, preferring to leave frames codec-encoded in the
+// transport and help drain.
 const dequeHighWater = 1 << 12
 
 // recvRecord is one received global-phase record parked on the steal deque.
@@ -210,18 +223,17 @@ func drainBatch(dq *stealDeque, scratch []recvRecord, ws *countState, fn globalF
 	return k
 }
 
-// installHandlers installs the neighborhood handlers of the overlapped
-// pipeline: records are parked on the deque with their decode arena pinned
-// instead of being intersected inside the handler, so the funnel returns to
-// polling immediately and any worker can pick the record up. Past the
-// high-water mark the handler intersects inline instead (handlers only fire
-// inside this pipeline's own polls, which every algorithm issues strictly
-// after its receiver structure is ready, so inline processing is always
-// legal), bounding the parked backlog.
+// installHandlers is the one place the neighborhood channels get their
+// handlers. With workers, a record is parked on the deque with its decode
+// arena pinned, so the funnel returns to polling immediately and any worker
+// can pick the record up; past the high-water mark — and always without
+// workers — the handler intersects inline instead. Inline processing is
+// always legal: handlers only fire inside this PE's own polls, which every
+// algorithm issues strictly after its receiver structure is ready.
 func (op *overlapPipeline) installHandlers() {
 	pe := op.pe
 	park := func(r recvRecord) {
-		if op.dq.size() >= dequeHighWater {
+		if len(op.workers) == 0 || op.dq.size() >= dequeHighWater {
 			op.fn(op.state, r)
 			return
 		}
@@ -234,45 +246,53 @@ func (op *overlapPipeline) installHandlers() {
 	pe.Q.Handle(chNeighEdge, func(src int, words []uint64) {
 		park(recvRecord{v: words[0], u: words[1], list: words[2:], src: src, edge: true})
 	})
+	pe.Q.Handle(chDelta, op.state.handleDelta)
 }
 
-// overlapPipeline coordinates one PE's overlapped counting phases: one or
-// more emission stages (chunk-stolen compute that may ship records) followed
-// by finish (drain to global quiescence). With Threads > 1 it owns the
-// worker pool and the funnel; with Threads == 1 everything interleaves on
-// the PE's single goroutine, which keeps the attribution exact.
+// overlapPipeline coordinates one PE's counting phases: one or more
+// emission stages followed by finish. With Threads > 1 it owns the worker
+// states and the funnel; with Threads == 1 everything runs on the PE's
+// single goroutine, which keeps the phase attribution exact.
 type overlapPipeline struct {
-	pe      *dist.PE
-	sw      *stopwatch
-	state   *countState // funnel/main-goroutine state
-	dq      *stealDeque
-	fn      globalFn
-	threads int
+	pe    *dist.PE
+	sw    *stopwatch
+	state *countState // funnel/main-goroutine state
+	out   *peOutcome  // receives the stage-boundary partial-count snapshots
+	dq    *stealDeque
+	fn    globalFn
 
-	// flushWords is the eager-flush watermark: overlapFlushWords clamped
-	// below the queue's δ (overlapWatermark), resolved once per run — except
-	// under -profile=measured, where maybeRecalibrate re-fits it from the
-	// live α/β estimate as samples accumulate.
+	// overlap selects the overlapped schedule; flushWords is its eager-flush
+	// watermark (overlapWatermark), resolved once per run — except under
+	// -profile=measured, where maybeRecalibrate re-fits it from the live α/β
+	// estimate as samples accumulate. The barriered schedule never flushes
+	// eagerly: its watermark is ∞.
+	overlap    bool
 	flushWords int
-	// measured marks a -profile=measured run; recalTick spaces the re-fits.
-	measured bool
+	// measured marks an overlapped -profile=measured run; recalTick spaces
+	// the re-fits.
+	measured  bool
 	recalTick int
 
 	workers   []*countState  // private per-worker states (threads > 1)
 	scratches [][]recvRecord // per-worker steal scratch
-	fscratch  []recvRecord   // funnel/main steal scratch
+	fscratch  []recvRecord   // funnel steal scratch
 
 	overlapNs atomic.Int64 // receive work done during emission stages (pre-drain)
 }
 
+// newOverlapPipeline builds the pipeline for one counting run and installs
+// its handlers. fn intersects one received record.
 func newOverlapPipeline(pe *dist.PE, sw *stopwatch, lg *graph.LocalGraph, cfg Config,
-	state *countState, fn globalFn) *overlapPipeline {
+	state *countState, out *peOutcome, fn globalFn) *overlapPipeline {
 	op := &overlapPipeline{
-		pe: pe, sw: sw, state: state, dq: newStealDeque(), fn: fn,
-		threads:    cfg.Threads,
-		flushWords: overlapWatermark(pe.Q.Threshold(), cfg.Profile),
-		measured:   cfg.Profile == costmodel.MeasuredName,
+		pe: pe, sw: sw, state: state, out: out, dq: newStealDeque(), fn: fn,
+		overlap:    cfg.Overlap,
+		flushWords: math.MaxInt,
 		fscratch:   make([]recvRecord, dequeBatch),
+	}
+	if cfg.Overlap {
+		op.flushWords = overlapWatermark(pe.Q.Threshold(), cfg.Profile)
+		op.measured = cfg.Profile == costmodel.MeasuredName
 	}
 	if cfg.Threads > 1 {
 		op.workers = make([]*countState, cfg.Threads)
@@ -282,6 +302,7 @@ func newOverlapPipeline(pe *dist.PE, sw *stopwatch, lg *graph.LocalGraph, cfg Co
 			op.scratches[t] = make([]recvRecord, dequeBatch)
 		}
 	}
+	op.installHandlers()
 	return op
 }
 
@@ -313,71 +334,82 @@ func (op *overlapPipeline) maybeRecalibrate() {
 
 // stage runs one emission stage over rows [0, rows) under the named
 // stopwatch phase. work processes one chunk into ws, shipping records
-// either directly (sends == nil, single-threaded) or through the funnel.
-// canSteal gates the whole receive side: a stage that cannot intersect yet
-// (CETRIC's local stage runs before the contracted cut graph exists) does
-// not poll either — incoming frames stay codec-encoded in the transport,
-// exactly where the barriered path leaves them, so deferring costs no
-// decoded-arena memory and the queue's O(δ) profile is untouched.
+// either directly (sends == nil, no workers) or through the funnel.
+// canSteal says whether the receiver structure is ready: a stage that
+// cannot intersect yet (CETRIC's local stage runs before the contracted cut
+// graph exists) never polls — incoming frames stay codec-encoded in the
+// transport, so deferring costs no decoded-arena memory and the queue's
+// O(δ) profile is untouched. Only the overlapped schedule acts on it; the
+// barriered one never polls or steals between chunks anyway.
+//
+// Each stage boundary publishes the count found so far as the PE's partial
+// snapshot: every triangle is found exactly once cluster-wide, so whatever
+// an aborted PE had counted by its last boundary is a true lower bound for
+// a degraded merge (Config.AllowPartial).
 func (op *overlapPipeline) stage(phase string, rows int, canSteal bool,
 	work func(ws *countState, lo, hi int, sends chan<- hybridSend)) {
 	op.sw.phase(phase)
-	if op.threads <= 1 {
-		op.stageSeq(phase, rows, canSteal, work)
-		return
+	steal := canSteal && op.overlap
+	if len(op.workers) == 0 {
+		op.stageSeq(phase, rows, steal, work)
+	} else {
+		op.stagePar(rows, steal, work)
 	}
-	op.stagePar(rows, canSteal, work)
+	snapshot := op.state.count
+	for _, ws := range op.workers {
+		snapshot += ws.count
+	}
+	op.out.partialCount = snapshot
 }
 
-// stageSeq interleaves compute, eager flushing, ingestion, and deque
-// draining on the PE's only goroutine. The stopwatch switches between the
-// emission phase and global/recv at chunk boundaries, so the per-phase walls
-// are exact even though the work is interleaved.
-func (op *overlapPipeline) stageSeq(phase string, rows int, canSteal bool,
+// stageSeq runs the chunks on the PE's only goroutine; with steal set it
+// interleaves eager flushing and ingestion (handlers intersect inline)
+// between them. The stopwatch switches between the emission phase and
+// global/recv at chunk boundaries, so the per-phase walls are exact even
+// though the work is interleaved.
+func (op *overlapPipeline) stageSeq(phase string, rows int, steal bool,
 	work func(ws *countState, lo, hi int, sends chan<- hybridSend)) {
 	pe := op.pe
 	for lo := 0; lo < rows; lo += hybridChunk {
 		hi := min(lo+hybridChunk, rows)
 		work(op.state, lo, hi, nil)
-		if !canSteal {
+		if !steal {
 			continue
 		}
 		pe.Q.FlushIfOver(op.flushWords)
 		op.maybeRecalibrate()
 		op.sw.phase(PhaseGlobalRecv)
 		t0 := time.Now()
-		did := pe.Q.Poll()
-		for drainBatch(op.dq, op.fscratch, op.state, op.fn, false) > 0 {
-			did = true
-		}
-		if did {
+		if pe.Q.Poll() {
 			op.overlapNs.Add(time.Since(t0).Nanoseconds())
 		}
 		op.sw.phase(phase)
 	}
 }
 
-// stagePar fans the chunks out to the worker pool. Workers ship through the
-// sends channel and opportunistically steal deque batches between chunks;
-// the funnel forwards shipments, flushes eagerly, polls the network (which
-// parks records on the deque), and steals itself when it would otherwise
-// wait. The stage ends when every chunk is processed and every shipment has
-// been handed to the queue — residual deque work is finish's job. With
-// canSteal unset the funnel does not poll at all: it blocks on the workers'
-// completion while incoming frames wait, still encoded, in the transport.
+// stagePar fans the chunks out to the workers, which ship through the sends
+// channel; the funnel forwards shipments to the queue. With steal set,
+// workers also chew parked records between chunks, and the funnel flushes
+// eagerly, polls the network (which parks records on the deque), and steals
+// itself when it would otherwise wait. With steal unset the funnel only
+// forwards: it blocks on the workers while incoming frames wait, still
+// encoded, in the transport (an overflow poll inside Queue.Send may still
+// park records; they wait for finish). The stage ends when every chunk is
+// processed and every shipment has been handed to the queue — residual
+// deque work is finish's job.
 //
 // Phase attribution is coarse here by design: receive work runs
 // concurrently with emission across the pool, so it cannot be subtracted
 // from the emission wall — the whole stage stays under the emission phase
 // and the receive CPU time is surfaced as Metrics.OverlapNs instead
 // (stageSeq, with one timeline, attributes exactly).
-func (op *overlapPipeline) stagePar(rows int, canSteal bool,
+func (op *overlapPipeline) stagePar(rows int, steal bool,
 	work func(ws *countState, lo, hi int, sends chan<- hybridSend)) {
 	pe := op.pe
 	var next atomic.Int64
-	sends := make(chan hybridSend, 4*op.threads)
+	sends := make(chan hybridSend, 4*len(op.workers))
 	var wg sync.WaitGroup
-	for t := 0; t < op.threads; t++ {
+	for t := range op.workers {
 		wg.Add(1)
 		go func(ws *countState, scratch []recvRecord) {
 			defer wg.Done()
@@ -388,7 +420,7 @@ func (op *overlapPipeline) stagePar(rows int, canSteal bool,
 				}
 				hi := min(lo+hybridChunk, rows)
 				work(ws, lo, hi, sends)
-				if !canSteal {
+				if !steal {
 					continue
 				}
 				// Between chunks, chew a bounded amount of parked global
@@ -409,15 +441,22 @@ func (op *overlapPipeline) stagePar(rows int, canSteal bool,
 		wg.Wait()
 		close(sends)
 	}()
-	if !canSteal {
-		// Receive side deferred: just forward shipments (there are none in
-		// CETRIC's local stage, but the contract allows them) and park the
-		// funnel until the workers finish.
+	// Abort path: when the funnel panics out of a transport operation (peer
+	// loss, watchdog, a sibling's abort), keep consuming shipments so the
+	// workers run out of chunks and exit instead of blocking on sends forever.
+	defer func() {
+		for range sends {
+		}
+	}()
+	forward := func(s hybridSend) {
+		pe.Q.Send(s.ch, s.dst, *s.payload)
+		payloadPool.Put(s.payload)
+		pe.Q.FlushIfOver(op.flushWords)
+		op.maybeRecalibrate()
+	}
+	if !steal {
 		for s := range sends {
-			pe.Q.Send(s.ch, s.dst, *s.payload)
-			payloadPool.Put(s.payload)
-			pe.Q.FlushIfOver(op.flushWords)
-			op.maybeRecalibrate()
+			forward(s)
 		}
 		return
 	}
@@ -427,10 +466,7 @@ func (op *overlapPipeline) stagePar(rows int, canSteal bool,
 			if !ok {
 				return
 			}
-			pe.Q.Send(s.ch, s.dst, *s.payload)
-			payloadPool.Put(s.payload)
-			pe.Q.FlushIfOver(op.flushWords)
-			op.maybeRecalibrate()
+			forward(s)
 		default:
 			// No shipment pending: ingest incoming frames (handlers park
 			// records on the deque) unless the decoded backlog is past the
@@ -449,17 +485,16 @@ func (op *overlapPipeline) stagePar(rows int, canSteal bool,
 	}
 }
 
-// finish drives the pipeline to completion: the termination detector runs
-// with a progress callback that steals deque batches (so waiting for
-// stragglers turns into useful work), the deque is closed once global
-// quiescence is certain, residual records are drained, and worker states
+// finish drives the pipeline to completion: the workers block on the deque
+// while the termination detector runs with a progress callback that steals
+// deque batches too (so waiting for stragglers turns into useful work), the
+// deque is closed once global quiescence is certain, and worker states
 // merge into the PE's. Runs under global/recv; detector wait time is
 // metered as IdleNs and split into overlap/idle by the stopwatch.
 func (op *overlapPipeline) finish() {
 	op.sw.phase(PhaseGlobalRecv)
-	pe := op.pe
 	var wg sync.WaitGroup
-	for t := 0; t < len(op.workers); t++ {
+	for t := range op.workers {
 		wg.Add(1)
 		go func(ws *countState, scratch []recvRecord) {
 			defer wg.Done()
@@ -467,153 +502,115 @@ func (op *overlapPipeline) finish() {
 			}
 		}(op.workers[t], op.scratches[t])
 	}
-	pe.Q.DrainWith(func() bool {
-		// Drain the whole backlog, not one batch: the detector's polls can
-		// decode frames faster than a lone batch per stall would consume
-		// them (with workers running this just competes benignly).
-		did := false
-		for drainBatch(op.dq, op.fscratch, op.state, op.fn, false) > 0 {
-			did = true
-		}
-		return did
-	})
-	op.dq.close()
-	wg.Wait()
-	for drainBatch(op.dq, op.fscratch, op.state, op.fn, false) > 0 {
-	}
+	func() {
+		// Closed on every exit, an abort panicking out of the detector
+		// included, so the workers never stay parked on the deque.
+		defer func() {
+			op.dq.close()
+			wg.Wait()
+		}()
+		op.pe.Q.DrainWith(func() bool {
+			// Drain the whole backlog, not one batch: the detector's polls
+			// can decode frames faster than a lone batch per stall would
+			// consume them (with workers running this just competes benignly).
+			did := false
+			for drainBatch(op.dq, op.fscratch, op.state, op.fn, false) > 0 {
+				did = true
+			}
+			return did
+		})
+	}()
 	for _, ws := range op.workers {
 		op.state.merge(ws)
 	}
 	op.workers = op.workers[:0]
-	pe.C.M.OverlapNs += op.overlapNs.Load()
+	op.pe.C.M.OverlapNs += op.overlapNs.Load()
 }
 
-// ditricOverlap is DITRIC's combined local/global phase under the
-// overlapped pipeline: one emission stage over the local rows (stealing
-// enabled from the start — the receiver structure is the already-built
-// oriented graph), then finish.
-func ditricOverlap(pe *dist.PE, pt *part.Partition, lg *graph.LocalGraph, ori *graph.LocalOriented,
-	state *countState, cfg Config, sw *stopwatch, plc *placeRun) {
-	fn := func(ws *countState, r recvRecord) {
-		if r.edge {
-			ws.recvNeighEdge(r.v, r.u, r.list, ori)
-			return
-		}
-		ws.recvNeighAt(r.src, r.v, r.list, ori, plc)
-	}
-	op := newOverlapPipeline(pe, sw, lg, cfg, state, fn)
-	op.installHandlers()
-	pe.Q.Handle(chDelta, state.handleDelta)
-	if plc != nil {
-		// Hub shipment: surrogate tables are complete cluster-wide before
-		// any PE can emit counting records (the drain inside ship is
-		// collective), so the placed receive path below never races it.
-		pe.Q.Handle(chHubShip, plc.handleShip)
-		sw.phase(PhasePlace)
-		plc.ship(pe, ori)
-	}
-	pe.C.Barrier() // handlers are live on every PE before any eager flush
-	op.stage(PhaseLocal, lg.NLocal(), true, func(ws *countState, lo, hi int, sends chan<- hybridSend) {
-		ditricLocalRows(pe, pt, lg, ori, ws, lo, hi, sends, cfg.NoSurrogate, plc)
-	})
-	op.finish()
+// hybridSend is a deferred neighborhood shipment produced by a worker and
+// executed by the funneled communication goroutine. payload points into a
+// pooled buffer: Queue.Send copies it, so the funnel returns the buffer to
+// payloadPool right after the send.
+type hybridSend struct {
+	dst     int
+	ch      int
+	payload *[]uint64
 }
 
-// cetricOverlap is CETRIC under the overlapped pipeline. The local stage is
-// communication-free and defers the receive side entirely: other PEs reach
-// their send sweeps while we count, but their cut neighborhoods cannot be
-// intersected before our contraction, so they wait codec-encoded in the
-// transport (the same place the barriered path leaves them) instead of
-// being decoded onto the deque. The send sweep then runs as an overlapped
-// stage — emission interleaved with ingestion and stealing — and finish
-// drains the rest.
-func cetricOverlap(pe *dist.PE, pt *part.Partition, lg *graph.LocalGraph, ori *graph.LocalOriented,
-	state *countState, cfg Config, sw *stopwatch) {
-	var cut *graph.LocalOriented // assigned after the local stage, before any steal
-	var plc *placeRun            // assigned with cut, same ordering argument
-	fn := func(ws *countState, r recvRecord) {
-		if r.edge {
-			ws.t3 += ws.recvNeighEdge(r.v, r.u, r.list, cut)
-			return
-		}
-		ws.t3 += ws.recvNeighAt(r.src, r.v, r.list, cut, plc)
+// payloadPool recycles the worker → funnel shipment buffers (the free-list
+// counterpart of the queue's retained per-destination flush buffers): a
+// worker checks a buffer out and fills it, the funnel goroutine checks it
+// back in once Queue.Send has copied the record, so the steady-state local
+// phase allocates no payload memory per shipment.
+var payloadPool = sync.Pool{New: func() any { return new([]uint64) }}
+
+func getPayload(capHint int) *[]uint64 {
+	bp := payloadPool.Get().(*[]uint64)
+	if cap(*bp) < capHint {
+		*bp = make([]uint64, 0, capHint)
+	} else {
+		*bp = (*bp)[:0]
 	}
-	op := newOverlapPipeline(pe, sw, lg, cfg, state, fn)
-	op.installHandlers()
-	pe.Q.Handle(chDelta, state.handleDelta)
-	pe.C.Barrier()
-	op.stage(PhaseLocal, lg.Rows(), false, func(ws *countState, lo, hi int, _ chan<- hybridSend) {
-		cetricLocalPhase(lg, ori, ws, lo, hi)
-	})
-	sw.phase(PhaseContraction)
-	cut = ori.ContractPar(cfg.Threads)
-	cut.BuildHubsPar(cfg.hubMinDegree(), cfg.Threads)
-	// Placement over the *cut* graph: CETRIC's global phase ships and
-	// intersects contracted A-lists, so the nomination weights and the
-	// stored-hub tables must model exactly those.
-	plc = computePlacement(pe, lg, cut, cfg)
-	if plc != nil {
-		pe.Q.Handle(chHubShip, plc.handleShip)
-		sw.phase(PhasePlace)
-		plc.ship(pe, cut)
-	}
-	op.stage(PhaseGlobal, lg.NLocal(), true, func(ws *countState, lo, hi int, sends chan<- hybridSend) {
-		cetricGlobalRows(pe, pt, lg, cut, ws, lo, hi, sends, cfg.NoSurrogate, plc)
-	})
-	op.finish()
+	return bp
 }
 
-// cetricGlobalRows ships the contracted cut neighborhoods of local rows
-// [lo,hi): (v, A(v)...) records with the surrogate dedup, or per-edge
-// (v, u, A(v)...) records under the no-surrogate ablation. Shipments go
-// through sends (funneled) or directly to the queue when sends is nil —
-// the same contract as ditricLocalRows. With a placement overlay each cut
-// edge resolves to its effective destination; a moved hub whose surrogate
-// is this PE is intersected inline against the stored table (every u in a
-// cut A-list is remote, so there is no local pass to double count).
-func cetricGlobalRows(pe *dist.PE, pt *part.Partition, lg *graph.LocalGraph, cut *graph.LocalOriented,
-	state *countState, lo, hi int, sends chan<- hybridSend, noSurrogate bool, plc *placeRun) {
-	var hdr [2]uint64 // record header scratch
-	sh := getShipper(pe, sends)
-	defer sh.put()
-	for r := lo; r < hi; r++ {
-		v := lg.GID(int32(r))
-		av := cut.Out(int32(r))
-		if len(av) < 2 {
-			continue
-		}
-		if plc != nil && !noSurrogate {
-			sh.nextRow()
-			for _, u := range av {
-				j := plc.redirect(pt.Rank(u), u)
-				if j < 0 {
-					continue // dead endpoint: empty list can't complete a triangle
-				}
-				if !sh.firstVisit(j) {
-					continue
-				}
-				if j == pe.Rank {
-					state.t3 += state.surrogateScan(pe.Rank, v, av, plc)
-					continue
-				}
-				hdr[0] = v
-				sh.ship(chNeigh, j, hdr[:1], av)
-			}
-			continue
-		}
-		lastRank := -1
-		for _, u := range av {
-			if noSurrogate {
-				hdr[0], hdr[1] = v, u
-				sh.ship(chNeighEdge, pt.Rank(u), hdr[:2], av)
-				continue
-			}
-			// Surrogate dedup: av is ID-sorted, ranks are contiguous.
-			if j := pt.Rank(u); j != lastRank {
-				hdr[0] = v
-				sh.ship(chNeigh, j, hdr[:1], av)
-				lastRank = j
-			}
-		}
+// shipper emits the row sweeps' shipments (ditricLocalRows,
+// cetricGlobalRows): with a funnel (sends != nil) each record checks a
+// buffer out of payloadPool and the funnel returns it after Queue.Send has
+// copied; without one, a buffer owned by the shipper is reused directly
+// because Queue.Send copies synchronously. It also owns the per-row
+// destination-dedup scratch: owner-driven delivery visits destinations in
+// ascending order (av is ID-sorted, ranks own contiguous ranges) so a
+// last-rank check suffices, but the placement overlay makes effective
+// destinations non-monotone, so placed sweeps dedup with an epoch-stamped
+// per-PE array instead. Shippers recycle through shipperPool so the
+// steady-state sweep allocates nothing.
+type shipper struct {
+	pe    *dist.PE
+	sends chan<- hybridSend
+	buf   []uint64 // reused across shipments on the sends == nil path
+	stamp []int64  // stamp[dst] == epoch ⇔ dst already shipped this row
+	epoch int64
+}
+
+var shipperPool = sync.Pool{New: func() any { return new(shipper) }}
+
+func getShipper(pe *dist.PE, sends chan<- hybridSend) *shipper {
+	sh := shipperPool.Get().(*shipper)
+	sh.pe, sh.sends = pe, sends
+	if len(sh.stamp) < pe.P {
+		sh.stamp = make([]int64, pe.P)
+		sh.epoch = 0
 	}
+	return sh
+}
+
+func (sh *shipper) put() {
+	sh.pe, sh.sends = nil, nil
+	shipperPool.Put(sh)
+}
+
+func (sh *shipper) ship(ch, dst int, head, av []uint64) {
+	if sh.sends != nil {
+		bp := getPayload(len(head) + len(av))
+		*bp = append(append(*bp, head...), av...)
+		sh.sends <- hybridSend{dst: dst, payload: bp, ch: ch}
+		return
+	}
+	sh.buf = append(append(sh.buf[:0], head...), av...)
+	sh.pe.Q.Send(ch, dst, sh.buf)
+}
+
+// nextRow opens a new row's dedup epoch (epochs start at 1, so zeroed
+// stamps never spuriously match).
+func (sh *shipper) nextRow() { sh.epoch++ }
+
+// firstVisit reports whether dst has not been shipped to yet this row, and
+// marks it.
+func (sh *shipper) firstVisit(dst int) bool {
+	if sh.stamp[dst] == sh.epoch {
+		return false
+	}
+	sh.stamp[dst] = sh.epoch
+	return true
 }

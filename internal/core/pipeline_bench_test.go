@@ -12,7 +12,7 @@ import (
 // peak backlog once and is reused forever after, and batch scratch lives
 // with the worker — so the steady state must report zero allocations. This
 // is the fourth leg of CI's allocation-regression gate, next to the queue
-// flush/receive path, the adaptive kernels, and the hybrid recvPool.
+// flush/receive path and the adaptive kernels.
 func BenchmarkStealDequeSteadyState(b *testing.B) {
 	dq := newStealDeque()
 	scratch := make([]recvRecord, dequeBatch)

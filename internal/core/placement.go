@@ -330,15 +330,22 @@ func computePlacement(pe *dist.PE, lg *graph.LocalGraph, src *graph.LocalOriente
 	return pr
 }
 
-// ship sends every redirected local hub's neighborhood to its surrogate on
-// chHubShip and drains to global quiescence. Drain's termination requires
-// every PE to have entered its own hub-ship drain after flushing (probe
-// replies only happen inside Drain), so when any PE proceeds past this
-// point, every stored-hub table in the cluster is complete — no counting
-// record can reach a surrogate before the neighborhood it must intersect
-// with. Every PE with a non-nil placement must call this (the drain is
-// collective), even with nothing of its own to ship.
-func (pr *placeRun) ship(pe *dist.PE, src *graph.LocalOriented) {
+// ship is the hub-shipment step (a no-op without a placement): under
+// PhasePlace it sends every redirected local hub's neighborhood to its
+// surrogate on chHubShip and drains to global quiescence. Drain's
+// termination requires every PE to have entered its own hub-ship drain
+// after flushing (probe replies only happen inside Drain), so when any PE
+// proceeds past this point, every stored-hub table in the cluster is
+// complete — no counting record can reach a surrogate before the
+// neighborhood it must intersect with. The placement broadcast makes the
+// nil-ness identical on every PE, so the drain is collective even for PEs
+// with nothing of their own to ship.
+func (pr *placeRun) ship(pe *dist.PE, sw *stopwatch, src *graph.LocalOriented) {
+	if pr == nil {
+		return
+	}
+	pe.Q.Handle(chHubShip, pr.handleShip)
+	sw.phase(PhasePlace)
 	var buf []uint64
 	for i, row := range pr.redirRows {
 		av := src.Out(row)

@@ -198,6 +198,17 @@ func (s *countState) recvNeighEdge(v, u graph.Vertex, list []uint64, o *graph.Lo
 	return c
 }
 
+// recvRecord intersects one received global-phase record against the
+// receiver structure o: a (v, A(v)) neighborhood under the placement
+// overlay pr (nil when off), or the no-surrogate ablation's per-edge record.
+// Returns the number of triangles found.
+func (s *countState) recvRecord(r recvRecord, o *graph.LocalOriented, pr *placeRun) uint64 {
+	if r.edge {
+		return s.recvNeighEdge(r.v, r.u, r.list, o)
+	}
+	return s.recvNeighAt(r.src, r.v, r.list, o, pr)
+}
+
 // countWedgeRows records the triangles closing the wedge rooted at the
 // oriented edge (rv, ru): av is A(rv) in row space, hoisted by the caller
 // once per row, so each pair pays exactly one hub lookup plus the adaptive
@@ -224,6 +235,27 @@ func (s *countState) sideAdd(v graph.Vertex) {
 		s.side = make(map[graph.Vertex]uint64)
 	}
 	s.side[v]++
+}
+
+// merge folds a worker's private counters into s.
+func (s *countState) merge(w *countState) {
+	s.count += w.count
+	s.t1 += w.t1
+	s.t2 += w.t2
+	s.t3 += w.t3
+	s.recvWork += w.recvWork
+	if s.lcc {
+		for i, d := range w.deltaRows {
+			s.deltaRows[i] += d
+		}
+		for gid, d := range w.side {
+			if s.side == nil {
+				s.side = make(map[graph.Vertex]uint64)
+			}
+			s.side[gid] += d
+		}
+	}
+	s.triangles = append(s.triangles, w.triangles...)
 }
 
 // handleDelta processes ghost Δ aggregation records [gid, Δ, gid, Δ, ...].

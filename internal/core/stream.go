@@ -90,27 +90,6 @@ type streamOutcome struct {
 	tuples [][3]uint64 // per insert batch: (n0, n1, n2) shares
 }
 
-// countBody runs one algorithm's counting phases on an already-built local
-// view (the post-build halves of the one-shot bodies).
-type countBody func(pe *dist.PE, pt *part.Partition, lg *graph.LocalGraph, cfg Config, out *peOutcome, sw *stopwatch) error
-
-// countFor resolves the streaming-capable algorithms; the second result
-// forces indirection (the "2" variants).
-func countFor(algo Algorithm) (countBody, bool, error) {
-	switch algo {
-	case AlgoDiTric:
-		return ditricFrom, false, nil
-	case AlgoDiTric2:
-		return ditricFrom, true, nil
-	case AlgoCetric:
-		return cetricFrom, false, nil
-	case AlgoCetric2:
-		return cetricFrom, true, nil
-	default:
-		return nil, false, fmt.Errorf("core: streaming supports the DITRIC/CETRIC variants, not %s", algo)
-	}
-}
-
 // streamThreshold is DefaultThreshold's per-PE analogue for streams: the
 // driver cannot derive δ from |E| up front (the stream's size is unknown),
 // so each PE resolves its own δ ∈ O(|E_i|) from the sealed resident size.
@@ -123,27 +102,19 @@ func streamThreshold(localEdges int) int { return max(localEdges, 1024) }
 // batches — duplicate edges and self-loops are dropped exactly like
 // graph.FromEdges drops them.
 func RunStream(algo Algorithm, n uint64, initial, inserts BatchSource, cfg Config) (*StreamResult, error) {
-	cfg = cfg.withDefaults()
-	if cfg.P <= 0 {
-		return nil, fmt.Errorf("core: config needs P > 0")
-	}
 	if cfg.LCC || cfg.Collect {
 		return nil, fmt.Errorf("core: streaming does not support LCC or triangle collection")
 	}
-	count, indirectDefault, err := countFor(algo)
+	// The stream's size is unknown up front: m < 0 leaves an unset δ on the
+	// queue's backstop until each PE resolves its own (streamThreshold).
+	pl, err := prepare(algo, n, -1, cfg)
 	if err != nil {
 		return nil, err
 	}
-	pt := cfg.Partition
-	if pt == nil {
-		pt = part.Uniform(n, cfg.P)
-	} else if pt.P() != cfg.P || pt.N() != n {
-		return nil, fmt.Errorf("core: partition shape (p=%d,n=%d) does not match run (p=%d,n=%d)",
-			pt.P(), pt.N(), cfg.P, n)
+	if !pl.family {
+		return nil, fmt.Errorf("core: streaming supports the DITRIC/CETRIC variants, not %s", algo)
 	}
-	if _, err := channelCodecs(cfg.Codec); err != nil {
-		return nil, err
-	}
+	cfg = pl.cfg
 
 	// The feeder scatters one batch at a time and blocks until every PE has
 	// taken its slice (channel capacity 1 ⇒ at most two batches of scatter
@@ -173,7 +144,7 @@ func RunStream(algo Algorithm, n uint64, initial, inserts BatchSource, cfg Confi
 				if len(batch) == 0 {
 					return true
 				}
-				slices := graph.ScatterEdgesPar(pt, batch, cfg.Threads)
+				slices := pl.scatter(batch)
 				for i, ch := range feeds {
 					select {
 					case ch <- feedItem{edges: slices[i], insert: insert}:
@@ -188,12 +159,9 @@ func RunStream(algo Algorithm, n uint64, initial, inserts BatchSource, cfg Confi
 		}
 	}()
 
-	outcomes := make([]*peOutcome, cfg.P)
 	souts := make([]*streamOutcome, cfg.P)
 	start := time.Now()
-	metrics, err := dist.Run(dist.Config{
-		P: cfg.P, Threshold: cfg.Threshold, Indirect: cfg.Indirect || indirectDefault, Network: cfg.Network,
-	}, func(pe *dist.PE) (err error) {
+	outcomes, metrics, err := pl.run(func(pe *dist.PE, out *peOutcome) (err error) {
 		defer func() {
 			if r := recover(); r != nil {
 				abort()
@@ -203,14 +171,9 @@ func RunStream(algo Algorithm, n uint64, initial, inserts BatchSource, cfg Confi
 				abort()
 			}
 		}()
-		if err := applyCodecs(pe.Q, cfg.Codec); err != nil {
-			return err
-		}
-		out := newPEOutcome()
-		outcomes[pe.Rank] = out
 		so := &streamOutcome{}
 		souts[pe.Rank] = so
-		return streamBody(pe, pt, feeds[pe.Rank], abortCh, count, cfg, out, so)
+		return streamBody(pe, pl, feeds[pe.Rank], abortCh, out, so)
 	})
 	abort() // normal completion: release the feeder if it is still blocked
 	if err != nil {
@@ -261,8 +224,9 @@ func recvFeed(feed <-chan feedItem, abortCh <-chan struct{}) (feedItem, bool, er
 // streamBody is the SPMD body of a streaming run: fold the initial batches,
 // seal, count once with the regular machinery, then stage → delta-count →
 // commit each inserted batch.
-func streamBody(pe *dist.PE, pt *part.Partition, feed <-chan feedItem, abortCh <-chan struct{},
-	count countBody, cfg Config, out *peOutcome, so *streamOutcome) error {
+func streamBody(pe *dist.PE, pl *plan, feed <-chan feedItem, abortCh <-chan struct{},
+	out *peOutcome, so *streamOutcome) error {
+	pt, cfg := pl.pt, pl.cfg
 	sw := newStopwatch(pe.C, out)
 	sb := graph.NewStreamBuilder(pt, pe.Rank)
 
@@ -306,7 +270,7 @@ func streamBody(pe *dist.PE, pt *part.Partition, feed <-chan feedItem, abortCh <
 		// bound, not a protocol constant.
 		pe.Q.SetThreshold(streamThreshold(lg.LocalEdges()))
 	}
-	if err := count(pe, pt, lg, cfg, out, sw); err != nil {
+	if err := pl.count(pe, pl, lg, out, sw); err != nil {
 		return err
 	}
 	if feedDone {

@@ -1,14 +1,11 @@
 package core
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/comm"
 	"repro/internal/dist"
 	"repro/internal/graph"
-	"repro/internal/part"
-	"repro/internal/transport"
 )
 
 // TK2D — the 2D grid-partitioned counter of Tom & Karypis ("A 2-D Parallel
@@ -41,78 +38,6 @@ import (
 // into Metrics.IdleNs in both modes, and counting wall spent with the next
 // round in flight into Metrics.OverlapNs. Counts are identical to the
 // blocking schedule.
-func runTK2D(g *graph.Graph, cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
-	if cfg.P <= 0 {
-		return nil, fmt.Errorf("core: config needs P > 0")
-	}
-	if cfg.LCC {
-		return nil, fmt.Errorf("core: LCC is only supported by DITRIC/CETRIC, not %s", AlgoTK2D)
-	}
-	if cfg.Partition != nil {
-		return nil, fmt.Errorf("core: %s uses the 2D block partition; a 1D Partition cannot be applied", AlgoTK2D)
-	}
-	g2, err := part.NewGrid2D(uint64(g.NumVertices()), cfg.P)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := channelCodecs(cfg.Codec); err != nil {
-		return nil, err
-	}
-	threshold := cfg.Threshold
-	if threshold <= 0 {
-		threshold = DefaultThreshold(g.NumEdges(), cfg.P)
-	}
-	scatterStart := time.Now()
-	perEdges := graph.ScatterEdges2D(g2, g.Edges(), cfg.Threads)
-	scatterWall := time.Since(scatterStart)
-	outcomes := make([]*peOutcome, cfg.P)
-	start := time.Now()
-	metrics, err := dist.Run(dist.Config{
-		P: cfg.P, Threshold: threshold, Network: cfg.Network,
-		CommDeadline: cfg.CommDeadline, RunTimeout: cfg.RunTimeout,
-	}, func(pe *dist.PE) error {
-		out := newPEOutcome()
-		outcomes[pe.Rank] = out
-		return tk2dBody(pe, g2, perEdges[pe.Rank], cfg, out)
-	})
-	var res *Result
-	if err != nil {
-		if res = maybePartial(err, cfg, outcomes, metrics, g); res == nil {
-			return nil, err
-		}
-	} else {
-		res = mergeOutcomes(outcomes, metrics, g, cfg)
-	}
-	res.Wall = time.Since(start)
-	res.Phases[PhaseScatter] += scatterWall
-	res.Phases[PhasePreprocess] += scatterWall
-	return res, nil
-}
-
-// runRankTK2D is the multi-process (one rank per process) variant, the 2D
-// analogue of RunRank's 1D path: every process rebuilds the input
-// deterministically and keeps only its block.
-func runRankTK2D(g *graph.Graph, cfg Config, ep transport.Endpoint) (uint64, comm.Metrics, error) {
-	cfg = cfg.withDefaults()
-	cfg.P = ep.Size()
-	g2, err := part.NewGrid2D(uint64(g.NumVertices()), cfg.P)
-	if err != nil {
-		return 0, comm.Metrics{}, err
-	}
-	threshold := cfg.Threshold
-	if threshold <= 0 {
-		threshold = DefaultThreshold(g.NumEdges(), cfg.P)
-	}
-	pe := dist.Attach(ep, threshold, false)
-	edges := graph.ScatterEdges2DRank(g2, g.Edges(), pe.Rank, cfg.Threads)
-	out := newPEOutcome()
-	if err := tk2dBody(pe, g2, edges, cfg, out); err != nil {
-		return 0, pe.C.M, err
-	}
-	global := pe.C.AllreduceSum([]uint64{out.count})
-	return global[0], pe.C.M, nil
-}
 
 // groupCodec maps the run's codec policy to the block-broadcast codec. Raw
 // stays raw; every other policy uses varint: block wire words are already
@@ -142,7 +67,8 @@ type tk2dRound struct {
 // tk2dBody is one PE's TK2D run: build the owned block and its transpose,
 // then L broadcast rounds of exchange + block-local counting — blocking, or
 // pipelined one round ahead under cfg.Overlap.
-func tk2dBody(pe *dist.PE, g2 *part.Grid2D, edges []graph.Edge, cfg Config, out *peOutcome) error {
+func tk2dBody(pe *dist.PE, pl *plan, edges []graph.Edge, out *peOutcome) error {
+	g2, cfg := pl.g2, pl.cfg
 	sw := newStopwatch(pe.C, out)
 	rounds := g2.Rounds()
 	a, b := g2.RowCol(pe.Rank)

@@ -3,7 +3,6 @@ package core
 import (
 	"repro/internal/dist"
 	"repro/internal/graph"
-	"repro/internal/part"
 )
 
 // tricBody reimplements the TriC baseline (Ghosh & Halappanavar) from its
@@ -14,10 +13,8 @@ import (
 // proportional to the total communication volume, which is superlinear in
 // the input; that is the paper's explanation for TriC's out-of-memory
 // crashes, and it shows up here as Metrics.PeakBuffered.
-func tricBody(pe *dist.PE, pt *part.Partition, edges []graph.Edge, cfg Config, out *peOutcome) error {
-	sw := newStopwatch(pe.C, out)
-	sw.phase(PhaseBuild)
-	lg := graph.BuildLocalPar(pt, pe.Rank, edges, cfg.Threads)
+func tricBody(pe *dist.PE, pl *plan, lg *graph.LocalGraph, out *peOutcome, sw *stopwatch) error {
+	pt, cfg := pl.pt, pl.cfg
 	sw.phase(PhaseOrient)
 	// No ghost degree exchange: ID orientation needs no remote information.
 	ori := graph.OrientLocalByIDPar(lg, cfg.Threads)

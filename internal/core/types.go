@@ -67,11 +67,12 @@ const (
 	PhaseOrient  = PhasePreprocess + "/orient"
 )
 
-// Counting sub-phases of the overlapped pipeline. The stopwatch folds each
-// "parent/sub" key into its parent, so PhaseGlobal keeps its Fig. 7 meaning
-// (all global-phase work) while the breakdown separates what used to be
-// miscounted: receive-side intersections that run interleaved with the
-// local phase land under global/recv, and time a PE spends waiting inside
+// Counting sub-phases of the DITRIC/CETRIC pipeline. The stopwatch folds
+// each "parent/sub" key into its parent, so PhaseGlobal keeps its Fig. 7
+// meaning (all global-phase work) while the breakdown separates what used
+// to be miscounted: the final drain — and, under the overlapped schedule,
+// receive-side intersections that run interleaved with the emission —
+// land under global/recv, and time a PE spends waiting inside
 // the termination detector with nothing to process lands under
 // overlap/idle (split out of whatever phase was active — see
 // stopwatch.phase), not under local or global compute.
@@ -109,7 +110,14 @@ type Config struct {
 	P         int  // number of PEs (required)
 	Threshold int  // aggregation threshold δ in words; ≤0 chooses O(|E_i|)
 	Indirect  bool // grid-based indirect delivery (the "2" variants)
-	Threads   int  // >1: hybrid counting phases (DITRIC/CETRIC) + parallel preprocessing (all algorithms)
+	// Threads is the worker count per PE. It parallelizes preprocessing for
+	// every algorithm and selects the thread schedule of the DITRIC/CETRIC
+	// counting pipeline: 1 (or less) runs the row sweeps on the PE goroutine
+	// and intersects received records inline in the queue handlers; more runs
+	// the paper's hybrid mode — workers steal row chunks, ship through the PE
+	// goroutine (funneled communication) and drain received records off a
+	// steal deque.
+	Threads int
 
 	// HubThreshold tunes the adaptive intersection engine: rows whose
 	// oriented neighborhood A(v) has at least this many entries get a packed
@@ -120,16 +128,18 @@ type Config struct {
 	// at the size of the A-lists themselves regardless of the threshold.
 	HubThreshold int
 
-	// Overlap replaces the barrier-separated local → global execution with
-	// the overlapped, work-stealing pipeline (DITRIC/CETRIC and their
-	// indirect variants; the baselines ignore it): cut-neighborhood
-	// shipments are flushed eagerly as row chunks complete, received
-	// records park on a per-PE steal deque, and the same chunk-stealing
-	// worker pool drains that deque concurrently with the remaining
-	// emission work — DITRIC's global intersections start before its local
-	// phase finishes; CETRIC's interleave with its cut send sweep. Counts
-	// are exactly identical to the barriered path (the default), which
-	// remains selectable as the oracle.
+	// Overlap selects the overlapped schedule of the DITRIC/CETRIC counting
+	// pipeline (and their indirect variants; the baselines ignore it). The
+	// default, barriered schedule ships frames only when δ overflows and in
+	// the final drain, and polls or steals nothing between row chunks, so
+	// local and global work stay separated as in the paper's measured
+	// configuration. With Overlap the same pipeline flushes shipments
+	// eagerly at a watermark far below δ as row chunks complete, polls the
+	// network between chunks, and (with Threads > 1) lets workers steal
+	// parked records between chunks — DITRIC's global intersections start
+	// before its local phase finishes; CETRIC's interleave with its cut send
+	// sweep. It is one pipeline with two schedules, not two code paths:
+	// counts, triangle sets and LCC are identical under both.
 	//
 	// For TK2D the same knob pipelines the round loop: round k+1's row and
 	// column broadcasts are posted split-phase (comm.Group.IBcast) before

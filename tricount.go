@@ -67,11 +67,11 @@ const (
 	AlgoHavoq   = core.AlgoHavoq // baseline: vertex-centric wedge visitors
 	AlgoNoAgg   = core.AlgoNoAgg // baseline: no message aggregation (Fig. 2)
 	// AlgoTK2D is the 2D grid-partitioned backend (Tom & Karypis): the
-	// oriented adjacency matrix is cut into a √p×√p block grid and counted
-	// in √p broadcast rounds along grid rows and columns. Requires a square
-	// number of PEs; communication volume is O(|E|/√p) per PE regardless of
-	// the cut structure — see the README's 2D backend section for when it
-	// beats the 1D counters.
+	// oriented adjacency matrix is cut into an r×c block grid and counted in
+	// lcm(r,c) broadcast rounds along grid rows and columns. Any number of
+	// PEs works (a square p gives the classic √p×√p grid); communication
+	// volume is O(|E|/√p) per PE regardless of the cut structure — see the
+	// README's 2D backend section for when it beats the 1D counters.
 	AlgoTK2D = core.AlgoTK2D
 )
 
@@ -85,21 +85,24 @@ type Options struct {
 	// Indirect forces grid-based indirect delivery even for the non-"2"
 	// algorithm names.
 	Indirect bool
-	// Threads is the number of worker goroutines per PE: > 1 enables the
-	// hybrid local/global counting phases (DITRIC/CETRIC) and parallelizes
+	// Threads is the number of worker goroutines per PE. It parallelizes
 	// the whole preprocessing pipeline (scatter, local CSR build,
-	// orientation, contraction, hub bitmaps) for every algorithm.
+	// orientation, contraction, hub bitmaps) for every algorithm, and picks
+	// the thread schedule of the DITRIC/CETRIC counting pipeline: ≤ 1 counts
+	// on the PE goroutine and intersects received records inline; > 1 is the
+	// paper's hybrid mode (chunk-stealing workers, funneled communication,
+	// received records drained off a steal deque).
 	Threads int
-	// Overlap runs DITRIC/CETRIC (and their indirect variants) on the
-	// overlapped, work-stealing execution pipeline instead of the default
-	// barrier-separated phases: cut-neighborhood shipments flush eagerly as
-	// row chunks complete, received records park on a per-PE steal deque,
-	// and the same chunk-stealing workers drain it concurrently with the
-	// remaining emission work — global-phase intersections start while the
-	// PE is still shipping and stragglers get stolen instead of
-	// serialized. Counts are exactly identical to the barriered path; the
-	// baselines ignore the flag. Per-rank overlap and idle time land in
-	// Result.PerPE (OverlapNs/IdleNs) and the overlap/idle sub-phase.
+	// Overlap selects the overlapped schedule of the DITRIC/CETRIC counting
+	// pipeline (and their indirect variants; the baselines ignore it)
+	// instead of the default barriered one: cut-neighborhood shipments flush
+	// eagerly as row chunks complete, the network is polled between chunks,
+	// and with Threads > 1 the workers steal received records between chunks
+	// — global-phase intersections start while the PE is still shipping and
+	// stragglers get stolen instead of serialized. Both schedules run the
+	// same pipeline, so counts are exactly identical. Per-rank overlap and
+	// idle time land in Result.PerPE (OverlapNs/IdleNs) and the overlap/idle
+	// sub-phase. For AlgoTK2D the knob pipelines the broadcast rounds.
 	Overlap bool
 	// LCC additionally computes per-vertex triangle counts Δ(v) and local
 	// clustering coefficients (DITRIC/CETRIC only).
