@@ -1,5 +1,5 @@
 // Package benchutil is the scaffolding shared by the repo's benchmark CLIs
-// (cmd/kernbench, cmd/wirebench, cmd/prepbench): the benchmark stand-in
+// (cmd/kernbench, cmd/wirebench, ...): the benchmark stand-in
 // instance catalog, JSON report emission, a testing.Benchmark wrapper, and
 // the steady-state queue allocation probe that backs the CI allocation
 // gate. Keeping it in one place means the CLIs cannot drift apart on what

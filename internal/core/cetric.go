@@ -68,7 +68,7 @@ func cetricFrom(pe *dist.PE, pl *plan, lg *graph.LocalGraph, out *peOutcome, sw 
 // cetricLocalPhase runs EDGE ITERATOR over rows [lo,hi) of the expanded
 // local graph, counting and classifying type-1/type-2 triangles. It works
 // entirely in row space: A-lists are iterated as row indices (so ghost
-// endpoints cost no map lookup) and every wedge closes through the adaptive
+// endpoints cost no lookup) and every wedge closes through the adaptive
 // pair kernels.
 func cetricLocalPhase(lg *graph.LocalGraph, ori *graph.LocalOriented, state *countState, lo, hi int) {
 	nLoc := int32(lg.NLocal())

@@ -122,8 +122,10 @@ func (s *countState) countEdge(v, u graph.Vertex, av, au []graph.Vertex) uint64 
 // resolve the list's ghosts) only pays off when there are at least two: a
 // cheap range-check scan picks the strategy first — drop the record, run one
 // global-ID intersection, or translate once and run every intersection in
-// row space with the adaptive kernels. Zero map lookups and zero allocations
-// per record either way. Returns the number of triangles found.
+// row space with the adaptive kernels. Translation costs one O(1)
+// ghost-index probe per non-local entry (graph.TranslateRows), so a record
+// is handled in time linear in its length; zero allocations per record
+// either way. Returns the number of triangles found.
 func (s *countState) recvNeigh(v graph.Vertex, list []uint64, o *graph.LocalOriented) uint64 {
 	lg := s.lg
 	nLoc := 0

@@ -211,13 +211,15 @@ func RunStream(algo Algorithm, n uint64, initial, inserts BatchSource, cfg Confi
 }
 
 // recvFeed receives the next batch slice, aborting cleanly when a sibling
-// PE has failed (the feeder may never close the channel in that case).
+// PE has failed (the feeder may never close the channel in that case). The
+// error wraps dist.ErrAborted: it echoes the sibling's failure, so dist.Run
+// must not weigh it as a cause of its own.
 func recvFeed(feed <-chan feedItem, abortCh <-chan struct{}) (feedItem, bool, error) {
 	select {
 	case item, ok := <-feed:
 		return item, ok, nil
 	case <-abortCh:
-		return feedItem{}, false, fmt.Errorf("core: stream feed aborted by sibling PE failure")
+		return feedItem{}, false, fmt.Errorf("core: stream feed released: %w", dist.ErrAborted)
 	}
 }
 

@@ -1,11 +1,15 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/comm"
+	"repro/internal/dist"
 	"repro/internal/graph"
 	"repro/internal/testgraph"
 )
@@ -312,4 +316,30 @@ func TestSparsifyColorfulRejectsZeroColors(t *testing.T) {
 		}
 	}()
 	SparsifyColorful(g, 0, 1)
+}
+
+// TestStreamFeedReleaseIsAnAbortEcho: a PE parked on its batch feed sits
+// outside the transport, so RunStream releases it through abortCh when a
+// sibling fails. What it then returns must read as an echo of that failure
+// (dist.ErrAborted), not as a body error — CauseBody outranks CauseWatchdog,
+// and the run would be blamed on the PE that was merely interrupted.
+func TestStreamFeedReleaseIsAnAbortEcho(t *testing.T) {
+	feed := make(chan feedItem) // never fed, never closed
+	abortCh := make(chan struct{})
+	watchdog := &comm.WatchdogError{Where: "drain", Waited: time.Second}
+	_, err := dist.Run(dist.Config{P: 2}, func(pe *dist.PE) error {
+		if pe.Rank == 0 {
+			_, _, err := recvFeed(feed, abortCh) // parked until rank 1 fails
+			return err
+		}
+		close(abortCh) // RunStream's body wrapper does this for a failing PE
+		return watchdog
+	})
+	var re *dist.RunError
+	if !errors.As(err, &re) {
+		t.Fatalf("err = %v, want a *dist.RunError", err)
+	}
+	if re.Cause != dist.CauseWatchdog || re.Rank != 1 || !errors.Is(err, watchdog) {
+		t.Fatalf("run blamed on PE %d, cause %s (%v); want PE 1, %s", re.Rank, re.Cause, err, dist.CauseWatchdog)
+	}
 }

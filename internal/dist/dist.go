@@ -170,12 +170,16 @@ func Attach(ep transport.Endpoint, threshold int, indirect bool) *PE {
 	}
 }
 
-// errAborted tears down PEs that outlive a failed sibling. The communication
+// ErrAborted tears down PEs that outlive a failed sibling. The communication
 // layer polls its endpoint in a cooperative busy loop, so without this a PE
 // waiting for a frame that its failed peer will never send would spin
 // forever; instead the wrapped endpoint panics with this sentinel and the
-// runtime absorbs it.
-var errAborted = errors.New("dist: aborted: a sibling PE failed")
+// runtime absorbs it. Run treats any PE error wrapping ErrAborted as an echo
+// of the failure, never as its cause — a body that waits outside the
+// transport (on a channel, say) and is released because a sibling failed
+// must return an error wrapping it, or its "I was interrupted" report could
+// outrank the sibling's actual diagnosis.
+var ErrAborted = errors.New("dist: aborted: a sibling PE failed")
 
 // abortableEndpoint checks a cluster-wide abort flag on every transport
 // operation. It is the only cross-PE channel the runtime needs to guarantee
@@ -187,21 +191,21 @@ type abortableEndpoint struct {
 
 func (e abortableEndpoint) Send(dst int, words []uint64) error {
 	if e.aborted.Load() {
-		panic(errAborted)
+		panic(ErrAborted)
 	}
 	return e.Endpoint.Send(dst, words)
 }
 
 func (e abortableEndpoint) SendBytes(dst int, b []byte) error {
 	if e.aborted.Load() {
-		panic(errAborted)
+		panic(ErrAborted)
 	}
 	return e.Endpoint.SendBytes(dst, b)
 }
 
 func (e abortableEndpoint) Recv() (transport.Frame, bool) {
 	if e.aborted.Load() {
-		panic(errAborted)
+		panic(ErrAborted)
 	}
 	return e.Endpoint.Recv()
 }
@@ -269,8 +273,8 @@ func Run(cfg Config, body func(*PE) error) ([]comm.Metrics, error) {
 				}
 				aborted.Store(true)
 				if err, ok := rec.(error); ok {
-					if errors.Is(err, errAborted) {
-						errs[r] = errAborted
+					if errors.Is(err, ErrAborted) {
+						errs[r] = ErrAborted
 						return
 					}
 					// Typed panics from the communication layer (peer loss,
@@ -310,14 +314,14 @@ func Run(cfg Config, body func(*PE) error) ([]comm.Metrics, error) {
 	// watchdog report (a condemned peer explains why everyone else's
 	// watchdog fired; the reverse explains nothing), rank order breaks ties.
 	// Abort echoes only matter when no PE reported a cause (a body panicked
-	// with errAborted itself — still an error, just a less informative one).
+	// with ErrAborted itself — still an error, just a less informative one).
 	var firstAbort, best error
 	bestRank := -1
 	for r, err := range errs {
 		if err == nil {
 			continue
 		}
-		if errors.Is(err, errAborted) {
+		if errors.Is(err, ErrAborted) {
 			if firstAbort == nil {
 				firstAbort = err
 			}

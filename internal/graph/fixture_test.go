@@ -1,6 +1,8 @@
 package graph_test
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -139,44 +141,94 @@ func TestRowSpaceCountsMatchFixtures(t *testing.T) {
 	}
 }
 
-// TestTranslateRowsMatchesGhostMap checks the sorted-gallop translation
-// against the ghost map row by row on every fixture.
-func TestTranslateRowsMatchesGhostMap(t *testing.T) {
-	for _, fix := range testgraph.All {
-		g := fix.Build()
-		if g.NumVertices() < 4 {
+// oracleRow resolves x the way the pre-index code did — locals by offset,
+// ghosts by binary search over the sorted ghost array — independently of
+// the ghost index under test.
+func oracleRow(lg *graph.LocalGraph, x graph.Vertex) (int32, bool) {
+	if lg.IsLocal(x) {
+		return int32(x - lg.First), true
+	}
+	i, ok := slices.BinarySearch(lg.Ghosts(), x)
+	return int32(lg.NLocal() + i), ok
+}
+
+// oracleTranslate is TranslateRows over oracleRow: local rows in list
+// order, then ghost rows in list order, unknown vertices dropped.
+func oracleTranslate(lg *graph.LocalGraph, list []graph.Vertex) (rows []uint64, nLocal int) {
+	var gho []uint64
+	for _, x := range list {
+		switch r, ok := oracleRow(lg, x); {
+		case !ok:
+		case lg.IsLocal(x):
+			rows = append(rows, uint64(r))
+		default:
+			gho = append(gho, uint64(r))
+		}
+	}
+	return append(rows, gho...), len(rows)
+}
+
+// requireGhostIndex checks lg's ghost index against the oracle: every ghost
+// resolves to its row, every other probe (locals, IDs that are no row here,
+// IDs past n, the extreme values) is absent, and TranslateRows agrees with
+// oracleTranslate on every row's neighborhood, on the whole ID range, and on
+// the reversed range (out of order: nothing may be dropped).
+func requireGhostIndex(t *testing.T, tag string, lg *graph.LocalGraph) {
+	t.Helper()
+	for i, gid := range lg.Ghosts() {
+		want := int32(lg.NLocal() + i)
+		if row, ok := lg.GhostRow(gid); !ok || row != want {
+			t.Fatalf("%s: GhostRow(%d) = (%d,%v), want (%d,true)", tag, gid, row, ok, want)
+		}
+		if row := lg.Row(gid); row != want {
+			t.Fatalf("%s: Row(%d) = %d, want %d", tag, gid, row, want)
+		}
+	}
+	n := lg.Part.N()
+	all := make([]graph.Vertex, 0, n+6)
+	for x := graph.Vertex(0); x < n+2; x++ {
+		all = append(all, x)
+	}
+	all = append(all, 1<<32, 1<<63, ^graph.Vertex(0)-1, ^graph.Vertex(0))
+	for _, x := range all {
+		if _, isGhost := slices.BinarySearch(lg.Ghosts(), x); isGhost {
 			continue
 		}
-		pt := part.Uniform(uint64(g.NumVertices()), 4)
-		per := graph.ScatterEdges(pt, g.Edges())
-		for rank := 0; rank < 4; rank++ {
-			lg := graph.BuildLocal(pt, rank, per[rank])
-			var tr graph.RowTranslator
-			for r := 0; r < lg.Rows(); r++ {
-				list := lg.RowNeighbors(int32(r))
-				rows, nLoc := lg.TranslateRows(&tr, list)
-				if len(rows) != len(list) {
-					t.Fatalf("%s rank %d row %d: translation dropped known rows (%d vs %d)",
-						fix.Name, rank, r, len(rows), len(list))
-				}
-				locals := 0
-				seen := make(map[uint64]bool, len(rows))
-				for i, ur := range rows {
-					if i > 0 && rows[i-1] >= ur {
-						t.Fatalf("%s rank %d row %d: translated rows not ascending", fix.Name, rank, r)
-					}
-					if int(ur) < lg.NLocal() {
-						locals++
-					}
-					seen[ur] = true
-				}
-				if locals != nLoc {
-					t.Fatalf("%s rank %d row %d: nLocal=%d, counted %d", fix.Name, rank, r, nLoc, locals)
-				}
-				for _, x := range list {
-					if !seen[uint64(lg.Row(x))] {
-						t.Fatalf("%s rank %d row %d: %d (row %d) missing", fix.Name, rank, r, x, lg.Row(x))
-					}
+		if row, ok := lg.GhostRow(x); ok {
+			t.Fatalf("%s: GhostRow(%d) = %d for a non-ghost", tag, x, row)
+		}
+	}
+	var tr graph.RowTranslator
+	check := func(what string, list []graph.Vertex) {
+		t.Helper()
+		got, gotLoc := lg.TranslateRows(&tr, list)
+		want, wantLoc := oracleTranslate(lg, list)
+		if gotLoc != wantLoc || !slices.Equal(got, want) {
+			t.Fatalf("%s: TranslateRows(%s) = %v (nLocal %d), oracle %v (nLocal %d)",
+				tag, what, got, gotLoc, want, wantLoc)
+		}
+	}
+	for r := 0; r < lg.Rows(); r++ {
+		check(fmt.Sprintf("row %d", r), lg.RowNeighbors(int32(r)))
+	}
+	check("all IDs", all)
+	slices.Reverse(all)
+	check("all IDs reversed", all)
+}
+
+// TestGhostIndexMatchesBinarySearch is the differential suite for the ghost
+// index: every fixture × p × threads, BuildLocalPar's view checked by
+// requireGhostIndex (stream_test.go does the same for Seal/SealRelease).
+func TestGhostIndexMatchesBinarySearch(t *testing.T) {
+	for _, fix := range testgraph.All {
+		g := fix.Build()
+		for _, p := range []int{1, 2, 4, 7} {
+			pt := part.Uniform(uint64(g.NumVertices()), p)
+			per := graph.ScatterEdges(pt, g.Edges())
+			for rank := 0; rank < p; rank++ {
+				for _, threads := range []int{1, 4} {
+					lg := graph.BuildLocalPar(pt, rank, per[rank], threads)
+					requireGhostIndex(t, fmt.Sprintf("%s p=%d rank=%d threads=%d", fix.Name, p, rank, threads), lg)
 				}
 			}
 		}

@@ -2,8 +2,6 @@ package graph
 
 import (
 	"bytes"
-	"encoding/binary"
-	"slices"
 	"strings"
 	"testing"
 )
@@ -171,59 +169,6 @@ func FuzzVarint(f *testing.F) {
 		}
 		if _, ok := nc.next(); ok {
 			t.Fatal("cursor should be exhausted")
-		}
-	})
-}
-
-// FuzzGhostDiscovery drives the sort-based ghost discovery (chunked
-// collect, per-chunk sort + dedup, k-way merge) against a map-based oracle
-// over arbitrary edge streams, at one and several workers. Edge endpoints
-// are decoded from the fuzz payload as 16-bit pairs and edges with no
-// endpoint in the local range are skipped (those panic by contract, which
-// FuzzGhostDiscovery is not probing).
-func FuzzGhostDiscovery(f *testing.F) {
-	f.Add([]byte{}, uint16(8))
-	f.Add([]byte{0, 0, 1, 0, 1, 0, 2, 0, 7, 0, 9, 0}, uint16(10))
-	f.Add([]byte{3, 0, 3, 0, 5, 0, 200, 0, 5, 0, 201, 0}, uint16(16))
-	f.Fuzz(func(t *testing.T, data []byte, nRaw uint16) {
-		n := uint64(nRaw%253) + 3
-		first, last := uint64(0), n/2+1 // PE 0 of a 2-ish split
-		var edges []Edge
-		for i := 0; i+3 < len(data); i += 4 {
-			u := uint64(binary.LittleEndian.Uint16(data[i:])) % n
-			v := uint64(binary.LittleEndian.Uint16(data[i+2:])) % n
-			uLoc := u >= first && u < last
-			vLoc := v >= first && v < last
-			if !uLoc && !vLoc {
-				continue
-			}
-			edges = append(edges, Edge{U: u, V: v})
-		}
-		oracle := make(map[Vertex]bool)
-		for _, e := range edges {
-			if e.U == e.V {
-				continue
-			}
-			if e.U >= last {
-				oracle[e.U] = true
-			}
-			if e.V >= last {
-				oracle[e.V] = true
-			}
-		}
-		want := make([]Vertex, 0, len(oracle))
-		for g := range oracle {
-			want = append(want, g)
-		}
-		slices.Sort(want)
-		for _, threads := range []int{1, 3} {
-			got := discoverGhosts(first, last, 0, edges, threads)
-			if len(got) == 0 && len(want) == 0 {
-				continue
-			}
-			if !slices.Equal(got, want) {
-				t.Fatalf("threads=%d: ghosts %v, oracle %v", threads, got, want)
-			}
 		}
 	})
 }

@@ -1,0 +1,63 @@
+package graph
+
+import "math/bits"
+
+// ghostIndex maps a ghost's global ID to its ordinal in the sorted ghost-ID
+// array (row = NLocal + ordinal) in O(1): a flat open-addressing table with
+// a power-of-two ≥ 2·|ghosts| slots, multiplicative hashing and linear
+// probing. It is built once from the finished ghost array and read-only
+// afterwards, so any number of goroutines may probe it concurrently.
+//
+// A slot holds only an ordinal (+1; 0 marks an empty slot); the key it
+// stands for is ids[ordinal], the ghost array itself, so the table costs 4
+// bytes per slot — 8 to 16 bytes per ghost — on top of the array the local
+// view keeps anyway. Nothing is reserved in the key space: every Vertex —
+// 0, ^Vertex(0), an ID beyond n, a local ID — is a legal probe and reports
+// absent unless it is a ghost. The load factor is at most 1/2, so a probe
+// sequence always ends at an empty slot.
+type ghostIndex struct {
+	ids   []Vertex // the sorted ghost array (LocalGraph.ghostID) ord points into
+	ord   []int32  // ordinal+1; 0 = empty slot
+	shift uint     // 64 − log2(len(ord))
+}
+
+// ghostHashMul is 2^64/φ, the multiplier of Fibonacci hashing: the high bits
+// of x·ghostHashMul spread consecutive IDs (ghosts cluster in runs) evenly.
+const ghostHashMul = 0x9E3779B97F4A7C15
+
+// newGhostIndex builds the index over ghosts, which must be duplicate-free
+// (BuildLocalPar and Seal pass the sorted, deduplicated ghost array).
+func newGhostIndex(ghosts []Vertex) ghostIndex {
+	logSize := 0 // no ghosts: one permanently empty slot
+	if len(ghosts) > 0 {
+		logSize = bits.Len(uint(2*len(ghosts) - 1)) // smallest 2^k ≥ 2·|ghosts|
+	}
+	gi := ghostIndex{
+		ids:   ghosts,
+		ord:   make([]int32, 1<<logSize),
+		shift: uint(64 - logSize),
+	}
+	mask := len(gi.ord) - 1
+	for i, g := range ghosts {
+		s := int((g * ghostHashMul) >> gi.shift)
+		for gi.ord[s] != 0 {
+			s = (s + 1) & mask
+		}
+		gi.ord[s] = int32(i + 1)
+	}
+	return gi
+}
+
+// find returns the ordinal of ghost x and whether x is a ghost.
+func (gi *ghostIndex) find(x Vertex) (int, bool) {
+	mask := len(gi.ord) - 1
+	for s := int((x * ghostHashMul) >> gi.shift); ; s = (s + 1) & mask {
+		o := int(gi.ord[s]) - 1
+		if o < 0 {
+			return 0, false
+		}
+		if gi.ids[o] == x {
+			return o, true
+		}
+	}
+}

@@ -144,3 +144,30 @@ func buildLocalForBench(g *graph.Graph, p, rank int) (*part.Partition, *graph.Lo
 	}
 	return pt, lg
 }
+
+// BenchmarkTranslateRowsSteadyState pins the receive-side translation: a
+// ghost-heavy sorted list (every vertex ID of a no-locality graph, of which
+// one PE of eight owns an eighth and sees most of the rest as ghosts)
+// through a warmed RowTranslator must cost one ghost-index probe per entry
+// and no allocation (CI allocation gate).
+func BenchmarkTranslateRowsSteadyState(b *testing.B) {
+	g := gen.GNM(1<<14, 1<<17, 1)
+	_, lg := buildLocalForBench(g, 8, 3)
+	list := make([]graph.Vertex, g.NumVertices())
+	for i := range list {
+		list[i] = graph.Vertex(i)
+	}
+	var tr graph.RowTranslator
+	rows, _ := lg.TranslateRows(&tr, list) // warm the scratch
+	if len(rows) < lg.NLocal()+lg.NGhost() {
+		b.Fatalf("translated %d of %d rows", len(rows), lg.NLocal()+lg.NGhost())
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var sink uint64
+	for i := 0; i < b.N; i++ {
+		rows, nLoc := lg.TranslateRows(&tr, list)
+		sink += uint64(len(rows) + nLoc)
+	}
+	hubSink = sink
+}

@@ -24,13 +24,13 @@ type LocalGraph struct {
 	First Vertex // first local global ID
 	Last  Vertex // one past the last local global ID
 
-	nLocal   int
-	ghostID  []Vertex         // row NLocal+i has global ID ghostID[i]
-	ghostRow map[Vertex]int32 // global ID -> row index for ghosts
-	off      []int64          // CSR offsets, len = rows+1
-	adj      []Vertex         // global IDs, each row sorted ascending
-	adjRow   []int32          // adj translated to row indices (same layout)
-	deg      []int            // global degree per row; ghost entries -1 until set
+	nLocal  int
+	ghostID []Vertex   // row NLocal+i has global ID ghostID[i]
+	ghosts  ghostIndex // global ID -> i, the inverse of ghostID
+	off     []int64    // CSR offsets, len = rows+1
+	adj     []Vertex   // global IDs, each row sorted ascending
+	adjRow  []int32    // adj translated to row indices (same layout)
+	deg     []int      // global degree per row; ghost entries -1 until set
 }
 
 // BuildLocal constructs the local view for one PE from the edges incident to
@@ -47,9 +47,11 @@ func BuildLocal(pt *part.Partition, rank int, edges []Edge) *LocalGraph {
 //  1. Ghost discovery is sort-based, not map-based: workers collect the
 //     non-local endpoints of their edge chunks, sort and dedup each chunk,
 //     and a k-way merge yields the ascending ghost-ID array.
-//  2. Each edge endpoint is resolved to its row index once (locals by
-//     offset, ghosts by binary search) and memoized, so the count and
-//     placement passes are array reads instead of repeated map lookups.
+//  2. The ghost index — the one ghost lookup structure of the local view,
+//     an O(1) open-addressing table (ghostIndex) — is built from that
+//     array, and each edge endpoint is resolved to its row once (locals by
+//     offset, ghosts through the index) and memoized, so the count and
+//     placement passes are array reads.
 //  3. Row counting and placement are parallel (atomic per-row counters and
 //     cursors when threads > 1); placement order within a row is
 //     thread-dependent but irrelevant, because
@@ -69,10 +71,7 @@ func BuildLocalPar(pt *part.Partition, rank int, edges []Edge, threads int) *Loc
 	}
 	// Pass 1: sort-based ghost discovery (also validates edge locality).
 	l.ghostID = discoverGhosts(lo, hi, rank, edges, threads)
-	l.ghostRow = make(map[Vertex]int32, len(l.ghostID))
-	for i, g := range l.ghostID {
-		l.ghostRow[g] = int32(l.nLocal + i)
-	}
+	l.ghosts = newGhostIndex(l.ghostID)
 	rows := l.nLocal + len(l.ghostID)
 
 	// Pass 2 (fused memo + count): resolve the row of every edge endpoint
@@ -80,18 +79,10 @@ func BuildLocalPar(pt *part.Partition, rank int, edges []Edge, threads int) *Loc
 	// sweep. With one worker the plain loop runs; with several, per-row
 	// atomic counters keep the pass lock-free (rows are hit randomly, so
 	// contention is negligible, and the per-row sort below erases placement
-	// order anyway).
+	// order anyway). The ghost index is read-only from here on, so workers
+	// share it; discovery guarantees every non-local endpoint is in it.
 	rowOf := make([]int32, 2*len(edges))
 	cnt := make([]int64, rows+1)
-	// Resolution goes through the ghost map built from the discovery result
-	// (reads from many goroutines are safe): for ghost-heavy inputs a map
-	// probe beats a log|ghosts| binary search per endpoint.
-	rowLookup := func(x Vertex) int32 {
-		if l.isLocal(x) {
-			return int32(x - l.First)
-		}
-		return l.ghostRow[x] // discovery guarantees membership
-	}
 	w := workersFor(threads, len(edges), parallelChunk)
 	if w == 1 {
 		for i, e := range edges {
@@ -99,7 +90,7 @@ func BuildLocalPar(pt *part.Partition, rank int, edges []Edge, threads int) *Loc
 				rowOf[2*i] = -1
 				continue
 			}
-			ru, rv := rowLookup(e.U), rowLookup(e.V)
+			ru, rv := l.Row(e.U), l.Row(e.V)
 			rowOf[2*i], rowOf[2*i+1] = ru, rv
 			cnt[ru+1]++
 			cnt[rv+1]++
@@ -112,7 +103,7 @@ func BuildLocalPar(pt *part.Partition, rank int, edges []Edge, threads int) *Loc
 					rowOf[2*i] = -1
 					continue
 				}
-				ru, rv := rowLookup(e.U), rowLookup(e.V)
+				ru, rv := l.Row(e.U), l.Row(e.V)
 				rowOf[2*i], rowOf[2*i+1] = ru, rv
 				atomic.AddInt64(&cnt[ru+1], 1)
 				atomic.AddInt64(&cnt[rv+1], 1)
@@ -150,9 +141,8 @@ func BuildLocalPar(pt *part.Partition, rank int, edges []Edge, threads int) *Loc
 		})
 	}
 
-	// Pass 3: sort + dedup + row-translate every row. Entries are sorted
-	// within their row, so ghosts resolve by forward galloping through the
-	// sorted ghost-ID array (no hashing) and never need resolution again —
+	// Pass 3: sort + dedup + row-translate every row. Each surviving entry
+	// costs one ghost-index probe here and never needs resolution again —
 	// orientation, local phases, and receive-side intersections all work on
 	// the translated row indices.
 	//
@@ -162,7 +152,6 @@ func BuildLocalPar(pt *part.Partition, rank int, edges []Edge, threads int) *Loc
 	// workers), a sequential prefix sum over the surviving lengths fixes
 	// the final offsets, and a second parallel sweep copies into exact-size
 	// arrays while translating. The result is identical either way.
-	nLoc := l.nLocal
 	if w == 1 {
 		wr := int64(0)
 		newOff := make([]int64, rows+1)
@@ -173,22 +162,12 @@ func BuildLocalPar(pt *part.Partition, rank int, edges []Edge, threads int) *Loc
 			start := wr
 			var last Vertex
 			first := true
-			gpos := 0
 			for _, x := range row {
 				if !first && x == last {
 					continue
 				}
 				adj[wr] = x
-				if l.isLocal(x) {
-					adjRow[wr] = int32(x - l.First)
-				} else {
-					g, ok := l.ghostSearch(x, gpos)
-					if !ok {
-						panic(fmt.Sprintf("graph: adjacency entry %d is neither local nor ghost on PE %d", x, rank))
-					}
-					adjRow[wr] = int32(nLoc + g)
-					gpos = g + 1
-				}
+				adjRow[wr] = l.Row(x)
 				wr++
 				last, first = x, false
 			}
@@ -224,19 +203,9 @@ func BuildLocalPar(pt *part.Partition, rank int, edges []Edge, threads int) *Loc
 				src := adj[off[r] : off[r]+uniq[r]]
 				dst := outAdj[newOff[r]:newOff[r+1]]
 				dstR := adjRow[newOff[r]:newOff[r+1]]
-				gpos := 0
 				for k, x := range src {
 					dst[k] = x
-					if l.isLocal(x) {
-						dstR[k] = int32(x - l.First)
-					} else {
-						g, ok := l.ghostSearch(x, gpos)
-						if !ok {
-							panic(fmt.Sprintf("graph: adjacency entry %d is neither local nor ghost on PE %d", x, rank))
-						}
-						dstR[k] = int32(nLoc + g)
-						gpos = g + 1
-					}
+					dstR[k] = l.Row(x)
 				}
 			}
 		})
@@ -369,45 +338,6 @@ func mergeSortedDedup(a, b []Vertex) []Vertex {
 
 func (l *LocalGraph) isLocal(v Vertex) bool { return v >= l.First && v < l.Last }
 
-// ghostSearch finds x in ghostID[from:] by exponential + binary search,
-// returning its index. Callers scanning an ascending sequence pass the
-// previous hit + 1 as from, so a whole scan costs O(k log gap) array probes
-// with no hashing.
-func (l *LocalGraph) ghostSearch(x Vertex, from int) (int, bool) {
-	return searchFrom(l.ghostID, x, from)
-}
-
-// searchFrom finds x in the ascending slice s at or after index from by
-// exponential + binary search, returning the insertion index and whether x
-// is present. Callers scanning an ascending probe sequence pass the
-// previous hit + 1 as from, so a whole scan costs O(k log gap) array
-// probes. Shared by the ghost machinery and the streaming builder's
-// staged-batch subtraction.
-func searchFrom(s []Vertex, x Vertex, from int) (int, bool) {
-	lo, hi := from, from
-	step := 1
-	for hi < len(s) && s[hi] < x {
-		lo = hi + 1
-		hi += step
-		step *= 2
-	}
-	if hi > len(s) {
-		hi = len(s)
-	}
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if s[mid] < x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(s) && s[lo] == x {
-		return lo, true
-	}
-	return lo, false
-}
-
 // RowTranslator is reusable scratch for TranslateRows; the zero value is
 // ready to use. It grows to the largest list translated through it and then
 // allocates nothing.
@@ -416,26 +346,25 @@ type RowTranslator struct {
 	gho []uint64
 }
 
-// TranslateRows maps a sorted global-ID list to ascending row indices using
-// tr's scratch. Vertices that are neither local nor ghost here are dropped
-// (they cannot appear in any local A-list). Locals come first — their rows
-// precede all ghost rows — and both subsequences arrive in ID order, so the
-// result is sorted with no comparison sort; ghosts resolve by forward
-// galloping through the sorted ghost-ID array, not by hashing. The returned
-// slice aliases tr's scratch and is valid until the next call; nLocal is the
+// TranslateRows maps a global-ID list to row indices using tr's scratch,
+// one O(1) ghost-index probe per non-local entry. Vertices that are neither
+// local nor ghost here are dropped (they cannot appear in any local A-list).
+// Locals come first — their rows precede all ghost rows — and ghost rows are
+// in ID order, so a sorted list (every well-formed A-list) yields ascending
+// rows with no comparison sort. Each entry resolves on its own: an
+// out-of-order list comes back out of order, never short. The returned slice
+// aliases tr's scratch and is valid until the next call; nLocal is the
 // length of the local-row prefix.
 func (l *LocalGraph) TranslateRows(tr *RowTranslator, list []Vertex) (rows []uint64, nLocal int) {
 	loc, gho := tr.loc[:0], tr.gho[:0]
 	first := l.First
-	lo := 0
 	for _, x := range list {
 		if l.isLocal(x) {
 			loc = append(loc, x-first)
 			continue
 		}
-		if g, ok := l.ghostSearch(x, lo); ok {
+		if g, ok := l.ghosts.find(x); ok {
 			gho = append(gho, uint64(l.nLocal+g))
-			lo = g + 1
 		}
 	}
 	nLocal = len(loc)
@@ -458,10 +387,19 @@ func (l *LocalGraph) Rows() int { return l.nLocal + len(l.ghostID) }
 
 // Row maps a global ID (local vertex or known ghost) to its row index.
 func (l *LocalGraph) Row(v Vertex) int32 {
-	if l.isLocal(v) {
-		return int32(v - l.First)
+	// isLocal as one comparison (v < First wraps far past nLocal): with the
+	// ghost half out of line this keeps Row within the inlining budget.
+	if r := v - l.First; r < Vertex(l.nLocal) {
+		return int32(r)
 	}
-	r, ok := l.ghostRow[v]
+	return l.mustGhostRow(v)
+}
+
+// mustGhostRow is Row's ghost half, kept out of line so that Row itself
+// inlines: the build and seal sweeps call Row once per adjacency entry, and
+// on high-locality inputs nearly every entry takes the local branch.
+func (l *LocalGraph) mustGhostRow(v Vertex) int32 {
+	r, ok := l.GhostRow(v)
 	if !ok {
 		panic(fmt.Sprintf("graph: vertex %d is neither local nor ghost on PE %d", v, l.Rank))
 	}
@@ -470,8 +408,8 @@ func (l *LocalGraph) Row(v Vertex) int32 {
 
 // GhostRow returns the row of a ghost vertex and whether it is known.
 func (l *LocalGraph) GhostRow(v Vertex) (int32, bool) {
-	r, ok := l.ghostRow[v]
-	return r, ok
+	g, ok := l.ghosts.find(v)
+	return int32(l.nLocal + g), ok
 }
 
 // GID returns the global ID of a row.

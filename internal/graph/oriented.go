@@ -132,7 +132,7 @@ func (o *LocalOriented) NumHubs() int { return o.hubs.hubs }
 
 // orientDegree builds both layouts for the degree orientation over rows
 // [0,hi); rows [hi,Rows) stay empty. The ≺ test runs on the row-translated
-// adjacency (l.deg[xr], no ghost-map lookups) and is written out, not passed
+// adjacency (l.deg[xr], no ghost-index probes) and is written out, not passed
 // as a closure — an indirect call per adjacency entry is measurable here.
 //
 // Two-pass counting layout, both passes parallel over rows (rows are

@@ -1,6 +1,8 @@
 package graph_test
 
 import (
+	"encoding/binary"
+	"fmt"
 	"slices"
 	"testing"
 
@@ -119,10 +121,20 @@ func TestParallelPreprocessEquivalence(t *testing.T) {
 					if !slices.Equal(base.Ghosts(), ghostOracle(pt, rank, want[rank])) {
 						t.Fatalf("p=%d rank=%d: sort-based ghost discovery differs from map oracle", p, rank)
 					}
-					// Ground truth: local rows see their full neighborhoods.
+					// Ground truth: local rows see their full neighborhoods,
+					// and every row's translation matches the binary-search
+					// oracle entry for entry.
 					for r := 0; r < base.NLocal(); r++ {
 						if !slices.Equal(base.RowNeighbors(int32(r)), g.Neighbors(base.GID(int32(r)))) {
 							t.Fatalf("p=%d rank=%d row %d: neighborhood differs from global graph", p, rank, r)
+						}
+					}
+					for r := 0; r < base.Rows(); r++ {
+						rows := base.RowNeighborRows(int32(r))
+						for k, x := range base.RowNeighbors(int32(r)) {
+							if want, ok := oracleRow(base, x); !ok || rows[k] != want {
+								t.Fatalf("p=%d rank=%d row %d: entry %d translated to row %d, oracle (%d,%v)", p, rank, r, x, rows[k], want, ok)
+							}
 						}
 					}
 					setGhostDegrees(base, g)
@@ -173,4 +185,43 @@ func TestBuildLocalParForeignEdgePanics(t *testing.T) {
 		}
 	}()
 	graph.BuildLocalPar(pt, 0, edges, 4)
+}
+
+// FuzzGhostDiscovery drives BuildLocalPar's ghost machinery over arbitrary
+// edge streams, at one and several workers: the sort-based discovery
+// (chunked collect, per-chunk sort + dedup, k-way merge) against the
+// map-based oracle, and the ghost index built from it against the
+// binary-search oracle (requireGhostIndex). Edge endpoints are decoded from
+// the fuzz payload as 16-bit pairs and edges with no endpoint in the local
+// range are skipped (those panic by contract, which this target is not
+// probing).
+func FuzzGhostDiscovery(f *testing.F) {
+	f.Add([]byte{}, uint16(8))
+	f.Add([]byte{0, 0, 1, 0, 1, 0, 2, 0, 7, 0, 9, 0}, uint16(10))
+	f.Add([]byte{3, 0, 3, 0, 5, 0, 200, 0, 5, 0, 201, 0}, uint16(16))
+	f.Fuzz(func(t *testing.T, data []byte, nRaw uint16) {
+		n := uint64(nRaw%253) + 3
+		pt, err := part.New([]uint64{0, n/2 + 1, n}) // PE 0 of a 2-ish split
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, last := pt.Range(0)
+		var edges []graph.Edge
+		for i := 0; i+3 < len(data); i += 4 {
+			u := uint64(binary.LittleEndian.Uint16(data[i:])) % n
+			v := uint64(binary.LittleEndian.Uint16(data[i+2:])) % n
+			if u >= last && v >= last {
+				continue
+			}
+			edges = append(edges, graph.Edge{U: u, V: v})
+		}
+		want := ghostOracle(pt, 0, edges)
+		for _, threads := range []int{1, 3} {
+			lg := graph.BuildLocalPar(pt, 0, edges, threads)
+			if !slices.Equal(lg.Ghosts(), want) {
+				t.Fatalf("threads=%d: ghosts %v, oracle %v", threads, lg.Ghosts(), want)
+			}
+			requireGhostIndex(t, fmt.Sprintf("threads=%d", threads), lg)
+		}
+	})
 }

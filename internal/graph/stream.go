@@ -157,8 +157,8 @@ func (b *StreamBuilder) StagedEntries() int { return b.stagedTotal }
 // bucketed per local row with a two-pass counting layout (the batch-scale
 // analogue of the count + placement passes of BuildLocalPar), then every
 // touched row is sorted, deduplicated, and subtracted against its resident
-// row — forward-galloping through the resident list, the same exponential
-// search the ghost machinery uses — leaving the strictly-new Δ. The per-row
+// row — forward-galloping through the resident list (searchFrom) — leaving
+// the strictly-new Δ. The per-row
 // pass fans out over threads; the O(batch) bucketing stays sequential.
 //
 // Self-loops are dropped. An edge with neither endpoint in this PE's range
@@ -268,6 +268,36 @@ func (b *StreamBuilder) stageSubtract(lo, hi int) {
 	}
 }
 
+// searchFrom finds x in the ascending slice s at or after index from by
+// exponential + binary search, returning the insertion index and whether x
+// is present. The streaming builder's staged-batch subtraction scans an
+// ascending probe sequence and passes the previous hit + 1 as from, so a
+// whole scan costs O(k log gap) array probes.
+func searchFrom(s []Vertex, x Vertex, from int) (int, bool) {
+	lo, hi := from, from
+	step := 1
+	for hi < len(s) && s[hi] < x {
+		lo = hi + 1
+		hi += step
+		step *= 2
+	}
+	if hi > len(s) {
+		hi = len(s)
+	}
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if s[mid] < x {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < len(s) && s[lo] == x {
+		return lo, true
+	}
+	return lo, false
+}
+
 // Commit merges the staged Δ into the resident rows and clears the staged
 // state. Each touched row grows once and merges backward in place (write
 // cursor always ahead of both read cursors), parallelized over rows.
@@ -375,26 +405,21 @@ func (b *StreamBuilder) seal(threads int, release bool) *LocalGraph {
 	nCut := len(cut)
 	l.ghostID = append([]Vertex(nil), sortedDedup(cut)...)
 	cut = nil
-	l.ghostRow = make(map[Vertex]int32, len(l.ghostID))
-	for i, g := range l.ghostID {
-		l.ghostRow[g] = int32(l.nLocal + i)
-	}
+	l.ghosts = newGhostIndex(l.ghostID)
 	rows := l.nLocal + len(l.ghostID)
 
 	// Offsets: local row lengths are known; each ghost row's length is its
-	// incidence count among the cut entries, recovered per row by forward
-	// galloping (rows are sorted, so the ghost cursor only moves right).
+	// incidence count among the cut entries (every cut entry is in the ghost
+	// index by construction).
 	off := make([]int64, rows+1)
 	for r, row := range b.rows {
 		off[r+1] = int64(len(row))
 	}
 	for _, row := range b.rows {
-		gpos := 0
 		for _, w := range row {
 			if w < b.first || w >= b.last {
-				g, _ := searchFrom(l.ghostID, w, gpos)
+				g, _ := l.ghosts.find(w)
 				off[l.nLocal+g+1]++
-				gpos = g + 1
 			}
 		}
 	}
@@ -418,13 +443,11 @@ func (b *StreamBuilder) seal(threads int, release bool) *LocalGraph {
 	for r, row := range b.rows {
 		copy(adj[off[r]:off[r+1]], row)
 		v := b.first + Vertex(r)
-		gpos := 0
 		for _, w := range row {
 			if w < b.first || w >= b.last {
-				g, _ := searchFrom(l.ghostID, w, gpos)
+				g, _ := l.ghosts.find(w)
 				adj[pos[g]] = v
 				pos[g]++
-				gpos = g + 1
 			}
 		}
 		if release {
@@ -437,21 +460,14 @@ func (b *StreamBuilder) seal(threads int, release bool) *LocalGraph {
 	}
 
 	// Row-index translation reads adj itself (rows are no longer needed):
-	// ghost rows hold only local IDs, local rows gallop the ghost table.
+	// ghost rows hold only local IDs, local rows probe the ghost index.
 	adjRow := make([]int32, off[rows])
 	parallelFor(threads, rows, 64, func(_, rlo, rhi int) {
 		for r := rlo; r < rhi; r++ {
 			src := adj[off[r]:off[r+1]]
 			dst := adjRow[off[r]:off[r+1]]
-			gpos := 0
 			for k, w := range src {
-				if w >= b.first && w < b.last {
-					dst[k] = int32(w - b.first)
-				} else {
-					g, _ := searchFrom(l.ghostID, w, gpos)
-					dst[k] = int32(l.nLocal + g)
-					gpos = g + 1
-				}
+				dst[k] = l.Row(w)
 			}
 		}
 	})

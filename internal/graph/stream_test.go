@@ -46,9 +46,11 @@ func TestScatterEdgesRankMatchesPar(t *testing.T) {
 }
 
 // requireLocalGraphsEqual compares two local views through the accessor
-// surface the counting phases use.
+// surface the counting phases use, and checks got's own ghost index (Seal
+// builds one separately from BuildLocalPar).
 func requireLocalGraphsEqual(t *testing.T, tag string, got, want *graph.LocalGraph) {
 	t.Helper()
+	requireGhostIndex(t, tag, got)
 	if got.NLocal() != want.NLocal() || got.NGhost() != want.NGhost() {
 		t.Fatalf("%s: shape (%d,%d), want (%d,%d)",
 			tag, got.NLocal(), got.NGhost(), want.NLocal(), want.NGhost())
