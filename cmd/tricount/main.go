@@ -9,6 +9,7 @@
 //	tricount -input graph.txt -algo cetric2 -p 8 -threads 4
 //	tricount -gen rhg -n 16384 -algo cetric -p 4 -approx -bits 8
 //	tricount -gen rgg2d -n 4096 -algo ditric -p 8 -codec raw   # vs default auto
+//	tricount -gen rmat -n 65536 -algo ditric -p 4 -cpuprofile cpu.pprof
 //
 // Multi-process TCP mode (run once per rank, same -peers list):
 //
@@ -20,6 +21,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime/pprof"
 	"sort"
 	"strings"
 	"time"
@@ -42,7 +44,7 @@ func main() {
 	}
 }
 
-func run() error {
+func run() (err error) {
 	var (
 		genFamily  = flag.String("gen", "", "generator family: gnm|rmat|rgg2d|rhg")
 		instance   = flag.String("instance", "", "real-world stand-in instance (see -list)")
@@ -76,8 +78,9 @@ func run() error {
 		tcpRank = flag.Int("tcp-rank", -1, "run as one rank of a TCP cluster (multi-process mode)")
 		peers   = flag.String("peers", "", "comma-separated listen addresses of all ranks")
 
-		list    = flag.Bool("list", false, "list instances and exit")
-		verbose = flag.Bool("v", false, "print per-phase and per-PE details")
+		list       = flag.Bool("list", false, "list instances and exit")
+		verbose    = flag.Bool("v", false, "print per-phase and per-PE details")
+		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the count (graph construction excluded) to this file; read it with 'go tool pprof -top'")
 	)
 	flag.Parse()
 
@@ -93,6 +96,23 @@ func run() error {
 		return err
 	}
 	fmt.Printf("graph: n=%d m=%d maxdeg=%d\n", g.NumVertices(), g.NumEdges(), g.MaxDegree())
+
+	if *cpuProfile != "" {
+		f, cerr := os.Create(*cpuProfile)
+		if cerr != nil {
+			return fmt.Errorf("-cpuprofile: %w", cerr)
+		}
+		if perr := pprof.StartCPUProfile(f); perr != nil {
+			f.Close() // nothing was written; the start failure is the error to report
+			return fmt.Errorf("-cpuprofile: %w", perr)
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			if cerr := f.Close(); cerr != nil && err == nil {
+				err = fmt.Errorf("-cpuprofile: %w", cerr)
+			}
+		}()
+	}
 
 	// Flag validation up front: a NaN or out-of-range probability must die
 	// here, not as a scaled-by-1/NaN³ estimate 20 minutes into a run. The

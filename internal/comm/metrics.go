@@ -33,11 +33,15 @@ type Metrics struct {
 	Peers            int64 // distinct data-frame destinations (O(√p) under grid routing)
 
 	// RecvWorkWords is the receive-side intersection work this PE performed,
-	// in words scanned: for every intersection executed on behalf of a
-	// received neighborhood record, the lengths of both input lists are
-	// added. Unlike wall clocks it is deterministic for a fixed input and
-	// schedule-independent, which makes it the per-rank global-phase work
-	// metric the placement layer balances (and cmd/placebench reports).
+	// in words scanned, charged the way the kernels scan: a received
+	// neighborhood record that is stamped once and probed by each of its
+	// local endpoints adds its own length once plus the probed side of every
+	// endpoint (the endpoint's list, or the record again where the endpoint's
+	// hub bitmap is tested with it); an intersection that runs as a single
+	// pairwise merge adds the lengths of both lists. Unlike wall clocks it is
+	// deterministic for a fixed input and schedule-independent, which makes
+	// it the per-rank global-phase work metric the placement layer balances
+	// (and cmd/placebench reports).
 	RecvWorkWords int64
 
 	// Frame-latency calibration samples (costmodel.Calibrate). Every data

@@ -68,25 +68,43 @@ func cetricFrom(pe *dist.PE, pl *plan, lg *graph.LocalGraph, out *peOutcome, sw 
 // cetricLocalPhase runs EDGE ITERATOR over rows [lo,hi) of the expanded
 // local graph, counting and classifying type-1/type-2 triangles. It works
 // entirely in row space: A-lists are iterated as row indices (so ghost
-// endpoints cost no lookup) and every wedge closes through the adaptive
-// pair kernels.
+// endpoints cost no lookup), each A(v) is stamped into the emission mark
+// once, and every wedge (v,u) closes by probing A(u) against it. Where both
+// wedge endpoints are local the closing vertex decides the type, and rows
+// below NLocal are exactly the locals — so the classification is the
+// kernel's split shape at NLocal, two counters and no per-triangle call;
+// only LCC/collection, which need every closing vertex anyway, enumerate.
 func cetricLocalPhase(lg *graph.LocalGraph, ori *graph.LocalOriented, state *countState, lo, hi int) {
 	nLoc := int32(lg.NLocal())
+	fast := !state.lcc && !state.collect
+	m := lazyMark(&state.emitMark, ori)
 	for r := lo; r < hi; r++ {
 		rv := int32(r)
 		vLocal := rv < nLoc
 		av := ori.OutRows(rv)
+		if len(av) < 2 {
+			continue // a single out-neighbor cannot close a triangle
+		}
+		m.Stamp(av)
 		for _, ur := range av {
 			ru := int32(ur)
 			if !vLocal || ru >= nLoc {
 				// At most one corner of a local-phase triangle is remote, and
 				// here it is v or u: everything found is type 2.
-				c := state.countWedgeRows(av, rv, ru, ori)
+				c, _ := state.countWedgeRows(m, rv, ru, ori)
 				state.t2 += c
 				continue
 			}
 			// Both wedge endpoints local: the closing vertex decides the type.
-			ori.ForEachCommonRowsWith(av, ru, func(w graph.Vertex) {
+			set, probe := ori.Probe(m, ru)
+			if fast {
+				t1, t2 := set.CountListSplit(probe, graph.Vertex(nLoc))
+				state.count += t1 + t2
+				state.t1 += t1
+				state.t2 += t2
+				continue
+			}
+			set.ForEachCommonList(probe, func(w graph.Vertex) {
 				state.addRows(rv, ru, int32(w))
 				if int32(w) < nLoc {
 					state.t1++
@@ -95,6 +113,7 @@ func cetricLocalPhase(lg *graph.LocalGraph, ori *graph.LocalOriented, state *cou
 				}
 			})
 		}
+		m.Unstamp()
 	}
 }
 

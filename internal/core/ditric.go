@@ -52,32 +52,44 @@ func ditricFrom(pe *dist.PE, pl *plan, lg *graph.LocalGraph, out *peOutcome, sw 
 }
 
 // ditricLocalRows processes local rows [lo,hi): local-local wedges are
-// intersected in place through the adaptive row-space pair kernels, remote
-// shipments go through the shipper (funneled or direct). With a placement
-// overlay, each cut edge resolves to its effective destination (the hub's
-// surrogate when moved, the owner otherwise); a surrogate that turns out to
-// be this very PE gets its stored-table intersection inline instead of a
-// self-send — the locals in av were already counted above, so the full
-// receive path would double count them.
+// counted in place through the stamped row-space kernel — A(v) is stamped
+// into the emission mark once and every local partner's A(u) probed against
+// it — and remote shipments go through the shipper (funneled or direct).
+// The row stays stamped while its cut neighborhoods ship; a record the
+// shipper's queue dispatches inline meanwhile lands on the state's receive
+// mark, not this one. With a placement overlay, each cut edge resolves to
+// its effective destination (the hub's surrogate when moved, the owner
+// otherwise); a surrogate that turns out to be this very PE gets its
+// stored-table intersection inline instead of a self-send — the locals in
+// av were already counted above, so the full receive path would double
+// count them.
 func ditricLocalRows(pe *dist.PE, pt *part.Partition, lg *graph.LocalGraph, ori *graph.LocalOriented,
 	state *countState, lo, hi int, sends chan<- hybridSend, noSurrogate bool, plc *placeRun) {
 	first := lg.First
+	nLoc := graph.Vertex(lg.NLocal())
 	var hdr [2]uint64 // record header scratch, reused across shipments
 	sh := getShipper(pe, sends)
 	defer sh.put()
+	m := lazyMark(&state.emitMark, ori)
 	for r := lo; r < hi; r++ {
 		rv := int32(r)
 		v := lg.GID(rv)
 		av := ori.Out(rv)
+		if len(av) < 2 {
+			continue // a single out-neighbor cannot close a triangle
+		}
+		// Local partners are a prefix of the row-space list; without one
+		// there is nothing to probe and the row is not stamped.
 		avRows := ori.OutRows(rv)
+		stamped := avRows[0] < nLoc
+		if stamped {
+			m.Stamp(avRows)
+		}
 		if plc != nil && !noSurrogate {
 			sh.nextRow()
 			for _, u := range av {
 				if lg.IsLocal(u) {
-					state.countWedgeRows(avRows, rv, int32(u-first), ori)
-					continue
-				}
-				if len(av) < 2 {
+					state.countWedgeRows(m, rv, int32(u-first), ori)
 					continue
 				}
 				j := plc.redirect(pt.Rank(u), u)
@@ -94,31 +106,31 @@ func ditricLocalRows(pe *dist.PE, pt *part.Partition, lg *graph.LocalGraph, ori 
 				hdr[0] = v
 				sh.ship(chNeigh, j, hdr[:1], av)
 			}
-			continue
+		} else {
+			lastRank := -1
+			for _, u := range av {
+				if lg.IsLocal(u) {
+					state.countWedgeRows(m, rv, int32(u-first), ori)
+					continue
+				}
+				if noSurrogate {
+					// Ablation: one per-edge record per cut edge (Algorithm 2
+					// without Arifuzzaman's dedup).
+					hdr[0], hdr[1] = v, u
+					sh.ship(chNeighEdge, pt.Rank(u), hdr[:2], av)
+					continue
+				}
+				// Surrogate dedup: av is ID-sorted and ranks own contiguous
+				// ranges, so equal destinations are adjacent.
+				if j := pt.Rank(u); j != lastRank {
+					hdr[0] = v
+					sh.ship(chNeigh, j, hdr[:1], av)
+					lastRank = j
+				}
+			}
 		}
-		lastRank := -1
-		for _, u := range av {
-			if lg.IsLocal(u) {
-				state.countWedgeRows(avRows, rv, int32(u-first), ori)
-				continue
-			}
-			if len(av) < 2 {
-				continue // a single out-neighbor cannot close a triangle
-			}
-			if noSurrogate {
-				// Ablation: one per-edge record per cut edge (Algorithm 2
-				// without Arifuzzaman's dedup).
-				hdr[0], hdr[1] = v, u
-				sh.ship(chNeighEdge, pt.Rank(u), hdr[:2], av)
-				continue
-			}
-			// Surrogate dedup: av is ID-sorted and ranks own contiguous
-			// ranges, so equal destinations are adjacent.
-			if j := pt.Rank(u); j != lastRank {
-				hdr[0] = v
-				sh.ship(chNeigh, j, hdr[:1], av)
-				lastRank = j
-			}
+		if stamped {
+			m.Unstamp()
 		}
 	}
 }

@@ -424,85 +424,18 @@ func (pr *placeRun) redirectedAway(r int32) bool {
 	return lo < len(pr.redirRows) && pr.redirRows[lo] == r
 }
 
-// recvNeighAt is recvNeigh with the placement overlay: pass 1 intersects
-// for the record's local endpoints minus the hubs redirected away from this
-// PE, pass 2 intersects for the foreign hubs stored here that appear in the
-// list. The sender ships each record exactly once per effective
-// destination, so every oriented cut edge is resolved exactly once
-// cluster-wide and the counts match the owner-driven path bit for bit.
+// recvNeighAt is the receive path under the placement overlay (nil when
+// off): pass 1, recvNeigh, intersects for the record's local endpoints minus
+// the hubs redirected away from this PE; pass 2, surrogateScan, for the
+// foreign hubs stored here that appear in the list. The sender ships each
+// record exactly once per effective destination, so every oriented cut edge
+// is resolved exactly once cluster-wide and the counts match the
+// owner-driven path bit for bit.
 func (s *countState) recvNeighAt(src int, v graph.Vertex, list []uint64, o *graph.LocalOriented, pr *placeRun) uint64 {
-	if pr == nil {
-		return s.recvNeigh(v, list, o)
-	}
-	pr.ensureTable()
-	return s.recvNeighPass1(v, list, o, pr) + s.surrogateScan(src, v, list, pr)
-}
-
-// recvNeighPass1 mirrors recvNeigh's strategy dance (drop / one global-ID
-// intersection / translate once and go row-space) while skipping
-// redirected-away local endpoints.
-func (s *countState) recvNeighPass1(v graph.Vertex, list []uint64, o *graph.LocalOriented, pr *placeRun) uint64 {
-	if len(pr.redirRows) == 0 {
-		return s.recvNeigh(v, list, o)
-	}
-	lg := s.lg
-	first := lg.First
-	nLoc, kept := 0, 0
-	keptFirst := int32(-1)
-	for _, x := range list {
-		if lg.IsLocal(x) {
-			nLoc++
-			r := int32(x - first)
-			if pr.redirectedAway(r) {
-				continue
-			}
-			if kept == 0 {
-				keptFirst = r
-			}
-			kept++
-		}
-	}
-	if kept == nLoc {
-		// No redirected endpoint in this record: the plain path is exact.
-		return s.recvNeigh(v, list, o)
-	}
-	fast := !s.lcc && !s.collect
-	switch {
-	case kept == 0:
-		return 0
-	case kept == 1 && fast:
-		partner := o.Out(keptFirst)
-		s.recvWork += uint64(len(list) + len(partner))
-		c := graph.CountIntersect(list, partner)
-		s.count += c
-		return c
-	}
-	rows, _ := lg.TranslateRows(&s.tr, list)
-	var c uint64
-	if fast {
-		for _, ur := range rows[:nLoc] {
-			ru := int32(ur)
-			if pr.redirectedAway(ru) {
-				continue
-			}
-			s.recvWork += uint64(len(rows) + o.OutDegree(ru))
-			c += o.CountRowsWith(rows, ru)
-		}
-		s.count += c
-		return c
-	}
-	// v is adjacent to a kept local vertex, so it is a row (ghost) here.
-	rv := lg.Row(v)
-	for _, ur := range rows[:nLoc] {
-		ru := int32(ur)
-		if pr.redirectedAway(ru) {
-			continue
-		}
-		s.recvWork += uint64(len(rows) + o.OutDegree(ru))
-		o.ForEachCommonRowsWith(rows, ru, func(w graph.Vertex) {
-			s.addRows(rv, ru, int32(w))
-			c++
-		})
+	c := s.recvNeigh(v, list, o, pr)
+	if pr != nil {
+		pr.ensureTable()
+		c += s.surrogateScan(src, v, list, pr)
 	}
 	return c
 }

@@ -45,11 +45,14 @@ type countState struct {
 	deltaRows  []uint64
 	triangles  [][3]graph.Vertex
 
-	// recvWork meters receive-side intersection work in words scanned
-	// (list + partner lengths per intersection). Deterministic and
-	// schedule-independent, unlike wall-clock: it is the per-PE global-phase
-	// load the placement overlay balances, exported via
-	// comm.Metrics.RecvWorkWords.
+	// recvWork meters receive-side intersection work in words scanned, as
+	// the kernels scan them: a stamped record is charged its length once plus
+	// the probed side of every partner (graph.LocalOriented.Probe); the
+	// single intersections that stay on the global-ID merge (a record with
+	// one local endpoint, a per-edge record, a surrogate-side stored hub) are
+	// charged list + partner. Deterministic and schedule-independent, unlike
+	// wall-clock: it is the per-PE global-phase load the placement overlay
+	// balances, exported via comm.Metrics.RecvWorkWords.
 	recvWork uint64
 
 	// side accumulates LCC Δ increments for triangle corners that are not
@@ -61,6 +64,15 @@ type countState struct {
 	// Receive-side translation scratch (see graph.RowTranslator). Reused
 	// across records so steady-state receive processing allocates nothing.
 	tr graph.RowTranslator
+
+	// The stamped wedge kernel's marks (graph.RowMark), allocated on first
+	// use: emitMark holds the A(v) of the emission row being swept, recvMark
+	// a received record's translated list. Two, not one, because at
+	// Threads == 1 queue handlers run inline inside shipper.ship — a record
+	// can be received while an emission row is still stamped, and one shared
+	// bitset would blend the two lists. Nothing nests deeper: the receive
+	// path never sends.
+	emitMark, recvMark *graph.RowMark
 }
 
 func newCountState(lg *graph.LocalGraph, cfg Config) *countState {
@@ -117,66 +129,84 @@ func (s *countState) countEdge(v, u graph.Vertex, av, au []graph.Vertex) uint64 
 	return c
 }
 
-// recvNeigh processes one received (v, A(v)) record. The list is intersected
-// once per local endpoint it contains, so the row translation (which must
-// resolve the list's ghosts) only pays off when there are at least two: a
-// cheap range-check scan picks the strategy first — drop the record, run one
-// global-ID intersection, or translate once and run every intersection in
-// row space with the adaptive kernels. Translation costs one O(1)
-// ghost-index probe per non-local entry (graph.TranslateRows), so a record
-// is handled in time linear in its length; zero allocations per record
-// either way. Returns the number of triangles found.
-func (s *countState) recvNeigh(v graph.Vertex, list []uint64, o *graph.LocalOriented) uint64 {
+// lazyMark returns *slot, allocating the mark over o's row domain on first
+// use.
+func lazyMark(slot **graph.RowMark, o *graph.LocalOriented) *graph.RowMark {
+	if *slot == nil {
+		*slot = o.NewRowMark()
+	}
+	return *slot
+}
+
+// recvNeigh processes one received (v, A(v)) record: the list is intersected
+// with A(u) for every local endpoint u it contains, minus — under a
+// placement overlay pr (nil when off) — the endpoints redirected away from
+// this PE, whose intersections a surrogate runs. A cheap range-check scan
+// counts those endpoints and picks the strategy: none, drop the record; one
+// (and no LCC/collection), a single intersection with nothing to amortise,
+// which stays on the global-ID merge/gallop kernels and skips the row
+// translation; otherwise translate once (one O(1) ghost-index probe per
+// non-local entry, graph.TranslateRows), stamp the translated list into
+// recvMark once, and probe every endpoint's A(u) against it — the list is
+// paid for once, not once per endpoint. Linear in the lengths involved and
+// zero allocations per record either way. Returns the number of triangles
+// found.
+func (s *countState) recvNeigh(v graph.Vertex, list []uint64, o *graph.LocalOriented, pr *placeRun) uint64 {
 	lg := s.lg
-	nLoc := 0
+	redirected := pr != nil && len(pr.redirRows) > 0
+	kept := 0
 	first := int32(-1)
 	for _, x := range list {
-		if lg.IsLocal(x) {
-			if nLoc == 0 {
-				first = int32(x - lg.First)
-			}
-			nLoc++
+		if !lg.IsLocal(x) {
+			continue
 		}
+		r := int32(x - lg.First)
+		if redirected && pr.redirectedAway(r) {
+			continue
+		}
+		if kept == 0 {
+			first = r
+		}
+		kept++
 	}
 	fast := !s.lcc && !s.collect
 	switch {
-	case nLoc == 0:
+	case kept == 0:
 		return 0
-	case nLoc == 1 && fast:
+	case kept == 1 && fast:
 		partner := o.Out(first)
 		s.recvWork += uint64(len(list) + len(partner))
 		c := graph.CountIntersect(list, partner)
 		s.count += c
 		return c
 	}
-	rows, _ := lg.TranslateRows(&s.tr, list)
-	if fast {
-		var c uint64
-		for _, ur := range rows[:nLoc] {
-			s.recvWork += uint64(len(rows) + o.OutDegree(int32(ur)))
-			c += o.CountRowsWith(rows, int32(ur))
-		}
-		s.count += c
-		return c
+	rows, nLoc := lg.TranslateRows(&s.tr, list)
+	rv := int32(-1)
+	if !fast {
+		// v is adjacent to a kept local vertex, so it is a row (ghost) here.
+		rv = lg.Row(v)
 	}
-	// v is adjacent to a local vertex, so it is a row (ghost) here.
-	rv := lg.Row(v)
+	m := lazyMark(&s.recvMark, o)
+	m.Stamp(rows)
+	s.recvWork += uint64(len(rows))
 	var c uint64
 	for _, ur := range rows[:nLoc] {
 		ru := int32(ur)
-		s.recvWork += uint64(len(rows) + o.OutDegree(ru))
-		o.ForEachCommonRowsWith(rows, ru, func(w graph.Vertex) {
-			s.addRows(rv, ru, int32(w))
-			c++
-		})
+		if redirected && pr.redirectedAway(ru) {
+			continue
+		}
+		n, probed := s.countWedgeRows(m, rv, ru, o)
+		s.recvWork += uint64(probed)
+		c += n
 	}
+	m.Unstamp()
 	return c
 }
 
 // recvNeighEdge processes one received (v, u, A(v)) record (the per-edge
 // shipment of the no-surrogate ablation): intersect only for the named u —
-// a single intersection, so the fast path stays on global IDs and skips the
-// row translation entirely.
+// a single intersection with nothing to amortise, so nothing is stamped and
+// the fast path stays on global IDs, skipping the row translation entirely.
 func (s *countState) recvNeighEdge(v, u graph.Vertex, list []uint64, o *graph.LocalOriented) uint64 {
 	if !s.lg.IsLocal(u) {
 		return 0
@@ -193,7 +223,7 @@ func (s *countState) recvNeighEdge(v, u graph.Vertex, list []uint64, o *graph.Lo
 	rv := s.lg.Row(v)
 	var c uint64
 	s.recvWork += uint64(len(rows) + o.OutDegree(ru))
-	o.ForEachCommonRowsWith(rows, ru, func(w graph.Vertex) {
+	graph.ForEachCommon(rows, o.OutRows(ru), func(w graph.Vertex) {
 		s.addRows(rv, ru, int32(w))
 		c++
 	})
@@ -212,21 +242,24 @@ func (s *countState) recvRecord(r recvRecord, o *graph.LocalOriented, pr *placeR
 }
 
 // countWedgeRows records the triangles closing the wedge rooted at the
-// oriented edge (rv, ru): av is A(rv) in row space, hoisted by the caller
-// once per row, so each pair pays exactly one hub lookup plus the adaptive
-// kernel (bitmap tests, gallop, branchy merge).
-func (s *countState) countWedgeRows(av []uint64, rv, ru int32, o *graph.LocalOriented) uint64 {
+// oriented edge (rv, ru), where A(rv) in row space is the list the caller
+// stamped into m once for all of rv's partners: one dispatch
+// (graph.LocalOriented.Probe: the mark probed with A(ru), or a hub ru's
+// bitmap probed with the shorter stamped list), then the count shape of the
+// kernel, or the for-each shape when LCC/collection need every closing
+// vertex. Returns the triangles found and the words probed for them.
+func (s *countState) countWedgeRows(m *graph.RowMark, rv, ru int32, o *graph.LocalOriented) (c uint64, probed int) {
+	set, probe := o.Probe(m, ru)
 	if !s.lcc && !s.collect {
-		c := o.CountRowsWith(av, ru)
+		c = set.CountList(probe)
 		s.count += c
-		return c
+		return c, len(probe)
 	}
-	var c uint64
-	o.ForEachCommonRowsWith(av, ru, func(w graph.Vertex) {
+	set.ForEachCommonList(probe, func(w graph.Vertex) {
 		s.addRows(rv, ru, int32(w))
 		c++
 	})
-	return c
+	return c, len(probe)
 }
 
 // sideAdd records one LCC Δ increment for a vertex that may not be a row

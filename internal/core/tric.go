@@ -27,18 +27,26 @@ func tricBody(pe *dist.PE, pl *plan, lg *graph.LocalGraph, out *peOutcome, sw *s
 	sw.phase(PhaseLocal)
 	// Count local wedges and build the complete static send buffers.
 	sendBufs := make([][]uint64, pe.P)
+	nLoc := graph.Vertex(lg.NLocal())
+	m := lazyMark(&state.emitMark, ori)
 	for r := 0; r < lg.NLocal(); r++ {
 		rv := int32(r)
 		v := lg.GID(rv)
 		av := ori.Out(rv)
+		if len(av) < 2 {
+			continue // a single out-neighbor cannot close a triangle
+		}
+		// Same stamped kernel as DITRIC's local sweep: A(v) marked once when
+		// it has a local partner, each local A(u) probed against it.
 		avRows := ori.OutRows(rv)
+		stamped := avRows[0] < nLoc
+		if stamped {
+			m.Stamp(avRows)
+		}
 		lastRank := -1
 		for _, u := range av {
 			if lg.IsLocal(u) {
-				state.countWedgeRows(avRows, rv, int32(u-lg.First), ori)
-				continue
-			}
-			if len(av) < 2 {
+				state.countWedgeRows(m, rv, int32(u-lg.First), ori)
 				continue
 			}
 			if j := pt.Rank(u); j != lastRank {
@@ -46,6 +54,9 @@ func tricBody(pe *dist.PE, pl *plan, lg *graph.LocalGraph, out *peOutcome, sw *s
 				sendBufs[j] = append(sendBufs[j], av...)
 				lastRank = j
 			}
+		}
+		if stamped {
+			m.Unstamp()
 		}
 	}
 	// Record the static buffer footprint (TriC's downfall).
@@ -69,7 +80,7 @@ func tricBody(pe *dist.PE, pl *plan, lg *graph.LocalGraph, out *peOutcome, sw *s
 			n := int(words[i+1])
 			list := words[i+2 : i+2+n]
 			i += 2 + n
-			state.recvNeigh(v, list, ori)
+			state.recvNeigh(v, list, ori, nil)
 		}
 	}
 	sw.stop()

@@ -84,9 +84,9 @@ func TestHubBitmapCountsMatchFixtures(t *testing.T) {
 
 // TestRowSpaceCountsMatchFixtures distributes every fixture over 4 PEs and
 // recounts type-1/2 triangles per PE through the row-translated layout
-// (OutRows + CountRowsWith + ForEachCommonRowsWith), checking it against the
-// global-ID layout pair by pair — the translation must be an exact
-// relabeling of every A-list.
+// (OutRows + the stamped wedge kernel: RowMark, Probe and the three Bitset
+// shapes), checking it against the global-ID layout pair by pair — the
+// translation must be an exact relabeling of every A-list.
 func TestRowSpaceCountsMatchFixtures(t *testing.T) {
 	for _, fix := range testgraph.All {
 		g := fix.Build()
@@ -102,6 +102,8 @@ func TestRowSpaceCountsMatchFixtures(t *testing.T) {
 			}
 			ori := graph.OrientLocal(lg)
 			ori.BuildHubs(1) // force bitmaps everywhere they fit
+			mark := ori.NewRowMark()
+			nLoc := graph.Vertex(lg.NLocal())
 			for r := 0; r < lg.Rows(); r++ {
 				rv := int32(r)
 				// Row-space lists must be exact relabelings of the global ones.
@@ -121,21 +123,34 @@ func TestRowSpaceCountsMatchFixtures(t *testing.T) {
 						t.Fatalf("%s rank %d row %d: %d missing from row translation", fix.Name, rank, r, u)
 					}
 				}
+				mark.Stamp(avRows)
 				for _, ur := range avRows {
 					ru := int32(ur)
 					want := graph.CountMerge(av, ori.Out(ru))
-					if got := ori.CountRowsWith(avRows, ru); got != want {
-						t.Fatalf("%s rank %d (%d,%d): CountRowsWith=%d, want %d", fix.Name, rank, r, ru, got, want)
+					var wantLocal uint64 // closing vertices owned by this rank
+					graph.ForEachCommon(av, ori.Out(ru), func(w graph.Vertex) {
+						if lg.IsLocal(w) {
+							wantLocal++
+						}
+					})
+					set, probe := ori.Probe(mark, ru)
+					if got := set.CountList(probe); got != want {
+						t.Fatalf("%s rank %d (%d,%d): stamped count=%d, want %d", fix.Name, rank, r, ru, got, want)
+					}
+					if below, rest := set.CountListSplit(probe, nLoc); below != wantLocal || below+rest != want {
+						t.Fatalf("%s rank %d (%d,%d): stamped split=%d+%d, want %d+%d",
+							fix.Name, rank, r, ru, below, rest, wantLocal, want-wantLocal)
 					}
 					var each uint64
-					ori.ForEachCommonRowsWith(avRows, ru, func(graph.Vertex) { each++ })
+					set.ForEachCommonList(probe, func(graph.Vertex) { each++ })
 					if each != want {
-						t.Fatalf("%s rank %d (%d,%d): ForEachCommonRowsWith=%d, want %d", fix.Name, rank, r, ru, each, want)
+						t.Fatalf("%s rank %d (%d,%d): stamped for-each=%d, want %d", fix.Name, rank, r, ru, each, want)
 					}
 					if got := ori.CountRowPair(rv, ru); got != want {
 						t.Fatalf("%s rank %d (%d,%d): CountRowPair=%d, want %d", fix.Name, rank, r, ru, got, want)
 					}
 				}
+				mark.Unstamp()
 			}
 		}
 	}

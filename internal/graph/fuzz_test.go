@@ -79,8 +79,10 @@ func FuzzBinaryGraphFormat(f *testing.F) {
 }
 
 // FuzzIntersectKernels feeds arbitrary byte strings, turned into sorted
-// deduplicated vertex slices, through every intersection kernel; all must
-// agree with the CountMerge oracle, in both argument orders.
+// deduplicated vertex slices, through every intersection kernel — the
+// stamped wedge kernel included, with either slice as the stamped list and
+// the partner with and without a hub bitmap; all must agree with the
+// CountMerge oracle, in both argument orders.
 func FuzzIntersectKernels(f *testing.F) {
 	f.Add([]byte{1, 2, 3}, []byte{2, 3, 4})
 	f.Add([]byte{}, []byte{0})
@@ -140,7 +142,91 @@ func FuzzIntersectKernels(f *testing.F) {
 		if and != want {
 			t.Fatalf("bitmap ForEachAnd = %d, merge = %d", and, want)
 		}
+		// Stamped kernel: both role assignments (so the stamped list is the
+		// shorter side in one of them and the longer in the other, empty lists
+		// included), partner with and without a hub bitmap.
+		for _, hub := range []bool{false, true} {
+			checkStamped(t, a, b, int(domain), hub)
+			checkStamped(t, b, a, int(domain), hub)
+		}
 	})
+}
+
+// checkStamped runs all three shapes of the stamped wedge kernel for
+// list ∩ A(0), where A(0) = partner is the only non-empty row of a synthetic
+// oriented view over [0, domain), against the merge oracle: count, split at
+// 0, at Rows, and at a value inside the partner, and for-each (ascending).
+// The mark must be all-zero again after every Unstamp.
+func checkStamped(t *testing.T, list, partner []Vertex, domain int, hub bool) {
+	t.Helper()
+	off := make([]int64, domain+1)
+	for r := 1; r <= domain; r++ {
+		off[r] = int64(len(partner))
+	}
+	o := &LocalOriented{L: &LocalGraph{nLocal: domain}, off: off, rowOut: partner}
+	if hub {
+		bs := NewBitset(domain)
+		bs.SetList(partner)
+		o.hubs = hubIndex{stride: BitsetWords(domain), perRow: make([]Bitset, domain), hubs: 1}
+		o.hubs.perRow[0] = bs
+	}
+	splits := []Vertex{0, Vertex(domain)}
+	if len(partner) > 0 {
+		splits = append(splits, partner[len(partner)/2])
+	}
+	m := o.NewRowMark()
+	clear := func() {
+		t.Helper()
+		m.Unstamp()
+		for i, w := range m.bits {
+			if w != 0 {
+				t.Fatalf("mark word %d = %#x after Unstamp (list=%v)", i, w, list)
+			}
+		}
+	}
+	want := CountMerge(list, partner)
+	m.Stamp(list)
+	set, probe := o.Probe(m, 0)
+	if len(list) > 0 && len(partner) > 0 {
+		// The hub route is taken exactly when it scans the shorter side.
+		if swapped := &probe[0] == &list[0]; swapped != (hub && len(list) < len(partner)) {
+			t.Fatalf("Probe swapped=%v with hub=%v |list|=%d |partner|=%d", swapped, hub, len(list), len(partner))
+		}
+	}
+	if got := set.CountList(probe); got != want {
+		t.Fatalf("stamped count = %d, merge = %d (hub=%v list=%v partner=%v)", got, want, hub, list, partner)
+	}
+	clear()
+	for _, split := range splits {
+		var wantBelow uint64
+		ForEachCommon(list, partner, func(w Vertex) {
+			if w < split {
+				wantBelow++
+			}
+		})
+		m.Stamp(list)
+		set, probe = o.Probe(m, 0)
+		below, rest := set.CountListSplit(probe, split)
+		if below != wantBelow || below+rest != want {
+			t.Fatalf("stamped split at %d = %d+%d, want %d+%d (hub=%v list=%v partner=%v)",
+				split, below, rest, wantBelow, want-wantBelow, hub, list, partner)
+		}
+		clear()
+	}
+	var common, got []Vertex
+	ForEachCommon(list, partner, func(w Vertex) { common = append(common, w) })
+	m.Stamp(list)
+	set, probe = o.Probe(m, 0)
+	set.ForEachCommonList(probe, func(w Vertex) { got = append(got, w) })
+	clear()
+	if len(got) != len(common) {
+		t.Fatalf("stamped for-each = %v, merge = %v (hub=%v)", got, common, hub)
+	}
+	for i := range got {
+		if got[i] != common[i] {
+			t.Fatalf("stamped for-each = %v, merge = %v (hub=%v)", got, common, hub)
+		}
+	}
 }
 
 // sortedFromBytes maps fuzz bytes to a strictly ascending vertex slice

@@ -91,10 +91,11 @@ func BenchmarkAdaptiveIntersectSteadyState(b *testing.B) {
 	}
 }
 
-// BenchmarkLocalOrientedCount compares the row-translated local phase
-// (CountRowPair over OutRows) against the global-ID layout it replaced
-// (CountMerge over Out with a Row lookup per element) on one PE of a p=8
-// partition — the hot loop of CETRIC's local phase.
+// BenchmarkLocalOrientedCount compares the row-translated local phase (the
+// stamped wedge kernel: each A(v) marked once, every A(u) probed against it)
+// against the global-ID layout it replaced (CountMerge over Out with a Row
+// lookup per element) on one PE of a p=8 partition — the hot loop of
+// CETRIC's local phase.
 func BenchmarkLocalOrientedCount(b *testing.B) {
 	for _, spec := range hubBenchGraphs() {
 		pt, lg := buildLocalForBench(spec.g, 8, 3)
@@ -116,15 +117,22 @@ func BenchmarkLocalOrientedCount(b *testing.B) {
 		})
 		b.Run(spec.name+"/row-space", func(b *testing.B) {
 			ori.BuildHubs(graph.DefaultHubMinDegree)
+			mark := ori.NewRowMark()
 			b.ResetTimer()
 			b.ReportAllocs()
 			var sink uint64
 			for i := 0; i < b.N; i++ {
 				for r := 0; r < rows; r++ {
 					av := ori.OutRows(int32(r))
-					for _, ur := range av {
-						sink += ori.CountRowsWith(av, int32(ur))
+					if len(av) < 2 {
+						continue
 					}
+					mark.Stamp(av)
+					for _, ur := range av {
+						set, probe := ori.Probe(mark, int32(ur))
+						sink += set.CountList(probe)
+					}
+					mark.Unstamp()
 				}
 			}
 			hubSink = sink

@@ -3,7 +3,8 @@ package graph
 import "math/bits"
 
 // Set intersection of sorted vertex slices — the inner loop of every EDGE
-// ITERATOR variant. Four kernels are provided, plus an adaptive dispatcher:
+// ITERATOR variant. Two families of kernels are provided. Pairwise, for a
+// single intersection with nothing to amortise:
 //
 //   - CountMerge: the textbook two-pointer merge (branchy; fast when the
 //     comparison outcome is predictable, i.e. very clustered inputs).
@@ -11,13 +12,17 @@ import "math/bits"
 //     instead of branches, so random interleavings pay no mispredictions.
 //   - CountGallop: exponential + binary search of each element of the
 //     smaller slice in the larger one — wins on skewed operand sizes.
-//   - Bitset.CountList / Bitset.CountAnd: the packed hub-bitmap kernel —
-//     membership tests (or word-AND + popcount) against a precomputed
-//     bitset; see the hub index in oriented.go / order.go.
 //
-// CountIntersect dispatches per pair between the branchless merge and
-// galloping; the bitmap kernel needs a build-time index and is dispatched by
-// the hub-aware methods of LocalOriented and OutGraph.
+// CountIntersect dispatches per pair between the branchy merge and
+// galloping. Set-based, where one side is a Bitset and the other a list
+// tested against it — one bit test per list entry whatever the set's size:
+//
+//   - Bitset.CountList / CountListSplit / ForEachCommonList (and CountAnd /
+//     ForEachAnd for bitset ∩ bitset). The set is either a build-time hub
+//     bitmap (the hub index in oriented.go / order.go / block.go) or a
+//     RowMark stamped at run time with a source list that several partner
+//     lists are then probed against — the stamped wedge kernel every 1D
+//     row-space wedge goes through; LocalOriented.Probe picks the sides.
 
 // gallopRatio is the size skew |b|/|a| beyond which galloping beats merging:
 // merge is O(|a|+|b|), galloping O(|a|·log|b|).
@@ -182,6 +187,19 @@ func (bs Bitset) CountList(list []Vertex) uint64 {
 		cnt += bs[x>>6] >> (x & 63) & 1
 	}
 	return cnt
+}
+
+// CountListSplit is CountList split at a value: below counts the members of
+// list that are < split, rest those ≥ split. list must be ascending, so the
+// members below split are a prefix and the split test costs one predictable
+// branch flip per call, not one per element.
+func (bs Bitset) CountListSplit(list []Vertex, split Vertex) (below, rest uint64) {
+	i := 0
+	for ; i < len(list) && list[i] < split; i++ {
+		x := list[i]
+		below += bs[x>>6] >> (x & 63) & 1
+	}
+	return below, bs.CountList(list[i:])
 }
 
 // CountAnd returns |bs ∩ other| by word-AND + popcount. Both bitsets must

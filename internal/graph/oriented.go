@@ -18,7 +18,8 @@ import (
 //     are what the delta-varint wire codec compresses).
 //   - OutRows(row): the same set translated to row indices, sorted ascending
 //     by row — the shape every local intersection runs on, so the hot loops
-//     never touch the ghost map and can use the packed hub bitmaps.
+//     never touch the ghost index and can use bitsets over the row domain:
+//     the per-hub bitmaps and the stamped RowMark (see Probe).
 //
 // Building either requires ghost degrees, i.e. exchange_ghost_degree must
 // have run (except for the by-ID orientation).
@@ -304,24 +305,68 @@ func (o *LocalOriented) TotalOut() int { return len(o.out) }
 // HubBitset returns the packed bitmap of a hub row, or nil.
 func (o *LocalOriented) HubBitset(row int32) Bitset { return o.hubs.bitset(int(row)) }
 
-// CountRowsWith returns |list ∩ A(row)| where list is an ascending slice of
-// row indices, dispatching to the hub bitmap when row carries one and to the
-// adaptive merge/gallop kernels otherwise.
-func (o *LocalOriented) CountRowsWith(list []Vertex, row int32) uint64 {
-	if bs := o.hubs.bitset(int(row)); bs != nil {
-		return bs.CountList(list)
-	}
-	return CountIntersect(list, o.OutRows(row))
+// RowMark is the reusable "mark once" half of the stamped wedge kernel: a
+// bitset over the row domain holding one ascending row list (a source
+// neighborhood A(v)), against which any number of partner lists A(u) are
+// then probed. Stamp sets the list's L bits, Unstamp zeroes exactly the
+// words those L entries touched — never the whole domain — so a mark costs
+// 2·L word writes however large the row space is, and between stampings the
+// bitset is all-zero.
+//
+// A mark holds one list at a time. Code that can be re-entered while its
+// list is stamped (a queue handler dispatched from inside a send, see
+// core.countState) needs a mark per nesting level; Stamp panics on a mark
+// that is still stamped rather than let two lists blend into one miscount.
+type RowMark struct {
+	bits Bitset
+	list []Vertex // the stamped list (aliased, not copied); nil when clear
 }
 
-// ForEachCommonRowsWith calls fn for every row index in list ∩ A(row),
-// ascending (the enumeration twin of CountRowsWith, for the Δ/collect path).
-func (o *LocalOriented) ForEachCommonRowsWith(list []Vertex, row int32, fn func(Vertex)) {
-	if bs := o.hubs.bitset(int(row)); bs != nil {
-		bs.ForEachCommonList(list, fn)
-		return
+// NewRowMark returns a clear mark over o's row domain (Rows/8 bytes).
+func (o *LocalOriented) NewRowMark() *RowMark {
+	return &RowMark{bits: NewBitset(o.L.Rows())}
+}
+
+// Stamp marks list, which must hold in-domain row indices, ascending (every
+// OutRows slice and every TranslateRows result qualifies). The slice is
+// aliased until Unstamp.
+func (m *RowMark) Stamp(list []Vertex) {
+	if m.list != nil {
+		panic("graph: RowMark stamped while still holding a list")
 	}
-	ForEachCommon(list, o.OutRows(row), fn)
+	m.list = list
+	m.bits.SetList(list)
+}
+
+// Unstamp clears the stamped list's words, leaving the mark all-zero.
+func (m *RowMark) Unstamp() {
+	for _, x := range m.list {
+		m.bits[x>>6] = 0
+	}
+	m.list = nil
+}
+
+// Probe is the stamped wedge kernel's one dispatch: for the list stamped in
+// m and the partner row, it returns a membership set and the ascending list
+// to test against it such that set ∩ probe = list ∩ A(row). Normally that is
+// the mark itself probed with A(row) — |A(row)| bit tests, the stamped list
+// is not scanned again; when row carries a hub bitmap and the stamped list
+// is the shorter side, the roles swap and the list is tested against the
+// hub's bitmap instead. Either way a source list of length L with partners
+// u₁…u_k costs L + Σ min(|A(uᵢ)|, L·[uᵢ is a hub]) bit tests, not the
+// k·L + Σ|A(uᵢ)| steps of k independent merges.
+//
+// The kernel's three shapes are the Bitset methods applied to the result:
+// CountList (count), CountListSplit (count split at a row index — CETRIC's
+// type-1/type-2 classification) and ForEachCommonList (enumerate, ascending:
+// the LCC / Collect path). len(probe) is the work the pair costs, which is
+// what the receive-side work meter charges.
+func (o *LocalOriented) Probe(m *RowMark, row int32) (set Bitset, probe []Vertex) {
+	au := o.OutRows(row)
+	if hub := o.hubs.bitset(int(row)); hub != nil && len(m.list) < len(au) {
+		return hub, m.list
+	}
+	return m.bits, au
 }
 
 // CountRowPair returns |A(a) ∩ A(b)| in row space. Hub pairs use word-AND +
