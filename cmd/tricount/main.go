@@ -10,6 +10,7 @@
 //	tricount -gen rhg -n 16384 -algo cetric -p 4 -approx -bits 8
 //	tricount -gen rgg2d -n 4096 -algo ditric -p 8 -codec raw   # vs default auto
 //	tricount -gen rmat -n 65536 -algo ditric -p 4 -cpuprofile cpu.pprof
+//	tricount -gen rmat -n 16384 -algo cetric -p 4 -stream -memprofile mem.pprof -trace run.trace
 //
 // Multi-process TCP mode (run once per rank, same -peers list):
 //
@@ -21,7 +22,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"runtime/pprof"
+	"runtime/trace"
 	"sort"
 	"strings"
 	"time"
@@ -81,6 +84,8 @@ func run() (err error) {
 		list       = flag.Bool("list", false, "list instances and exit")
 		verbose    = flag.Bool("v", false, "print per-phase and per-PE details")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the count (graph construction excluded) to this file; read it with 'go tool pprof -top'")
+		memProfile = flag.String("memprofile", "", "write an allocation profile of the count (every allocation since process start, graph construction included) to this file; read it with 'go tool pprof -sample_index=alloc_space -top' (or inuse_space for what is still live)")
+		traceFile  = flag.String("trace", "", "write a runtime execution trace of the count to this file; open it with 'go tool trace'")
 	)
 	flag.Parse()
 
@@ -97,19 +102,45 @@ func run() (err error) {
 	}
 	fmt.Printf("graph: n=%d m=%d maxdeg=%d\n", g.NumVertices(), g.NumEdges(), g.MaxDegree())
 
-	if *cpuProfile != "" {
-		f, cerr := os.Create(*cpuProfile)
+	// Every path below — one-shot, -stream, estimators, a TCP rank — runs
+	// inside the profiles; each is written out when run returns.
+	for _, pr := range []struct {
+		flag, file string
+		start      func(*os.File) (stop func() error, err error)
+	}{
+		{"-cpuprofile", *cpuProfile, func(f *os.File) (func() error, error) {
+			return func() error { pprof.StopCPUProfile(); return nil }, pprof.StartCPUProfile(f)
+		}},
+		{"-trace", *traceFile, func(f *os.File) (func() error, error) {
+			return func() error { trace.Stop(); return nil }, trace.Start(f)
+		}},
+		{"-memprofile", *memProfile, func(f *os.File) (func() error, error) {
+			return func() error {
+				runtime.GC() // heap profiles report as of the last completed collection
+				return pprof.Lookup("allocs").WriteTo(f, 0)
+			}, nil
+		}},
+	} {
+		if pr.file == "" {
+			continue
+		}
+		f, cerr := os.Create(pr.file)
 		if cerr != nil {
-			return fmt.Errorf("-cpuprofile: %w", cerr)
+			return fmt.Errorf("%s: %w", pr.flag, cerr)
 		}
-		if perr := pprof.StartCPUProfile(f); perr != nil {
+		stop, serr := pr.start(f)
+		if serr != nil {
 			f.Close() // nothing was written; the start failure is the error to report
-			return fmt.Errorf("-cpuprofile: %w", perr)
+			return fmt.Errorf("%s: %w", pr.flag, serr)
 		}
+		name := pr.flag
 		defer func() {
-			pprof.StopCPUProfile()
-			if cerr := f.Close(); cerr != nil && err == nil {
-				err = fmt.Errorf("-cpuprofile: %w", cerr)
+			werr := stop()
+			if cerr := f.Close(); werr == nil {
+				werr = cerr
+			}
+			if werr != nil && err == nil {
+				err = fmt.Errorf("%s: %w", name, werr)
 			}
 		}()
 	}

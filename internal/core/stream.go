@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -30,14 +31,42 @@ import (
 //	n2 += |Δ(v) ∩ Δ(w)|       (three new edges: seen three times)
 //
 // and the batch's triangle delta is n0 + n1/2 + n2/3 — divided only after
-// the global sum, since per-PE shares need not be divisible. Intersections
-// run in global-ID space with the adaptive merge/gallop kernels: degree
-// orientation is unstable under inserts (an insert can flip an edge's
-// direction and would force re-orientation per batch), so the delta engine
-// deliberately stays unoriented; double counting cannot occur because every
-// new edge is processed exactly once, at the owner of its smaller endpoint,
-// with cut pairs shipped over the queue exactly like the one-shot global
-// phase ships cut neighborhoods.
+// the global sum, since per-PE shares need not be divisible. Lists stay in
+// global-ID space and unoriented: degree orientation is unstable under
+// inserts (an insert can flip an edge's direction and would force
+// re-orientation per batch), and n0 counts closing vertices on either side
+// of (v,w), so old(v) cannot be sliced by ID either without a per-triangle
+// ownership rule, i.e. a different identity. Double counting cannot occur
+// because every new edge is processed exactly once, at the owner of its
+// smaller endpoint.
+//
+// Protocol (one per batch, after every PE has staged its slice). A touched
+// row crosses the wire once per destination PE, not once per cut edge — the
+// surrogate scheme of Arifuzzaman et al. that DITRIC applies to A(v), here
+// applied to (Δ(v), old(v)):
+//
+//	record   [v, |Δ(v)|, Δ(v)..., old(v)...] on chNeighEdge
+//	sender   the owner of v, once for every remote PE that owns some
+//	         w ∈ Δ(v) with w < v. Δ(v) is ascending and every 1D partition
+//	         is contiguous ID ranges, so those entries form one run per PE:
+//	         the record leaves at the first entry of each run.
+//	receiver finds its own partners — the sub-run of the shipped Δ(v) inside
+//	         its range [First, Last), all of them below v because the range
+//	         is — and counts every one against the one decoded record. Both
+//	         owners stage every cut edge (the scatter hands it to both, and
+//	         resident rows stay symmetric across PEs by induction), so that
+//	         sub-run is exactly the set of pairs (v,w) this PE must count.
+//
+// Kernel: the record's old(v) and Δ(v) are stamped once into two global-ID
+// marks (graph.RowMark) and each partner's resident row and staged Δ are
+// probed against them, L + Σ(|old(wᵢ)| + |Δ(wᵢ)|) bit tests for k partners
+// instead of the 2k·L + 2Σ|wᵢ| steps of four merges per pair. A partner
+// whose lists are skewed against the record (graph.Skewed, the intersection
+// kernels' own gallop ratio) goes through the pairwise merge/gallop kernels
+// instead (pair), so a short row meeting a hub does not scan the hub. The
+// two marks cost n/4 bytes per PE — what the StreamBuilder's own row
+// headers cost at p ≈ 112 — and are allocated with the engine at the first
+// insert batch: a pure-ingestion stream never pays for them.
 
 // BatchSource yields successive edge batches of a stream. Returning nil or
 // an empty batch ends the source. Batches may be any size; the driver
@@ -77,6 +106,8 @@ type StreamResult struct {
 	// equals the final Count; LCC/Collect fields stay empty — unsupported
 	// while streaming).
 	Res *Result
+
+	tuples [][3]uint64 // per insert batch: the global (n0, n1, n2) behind Deltas
 }
 
 // feedItem is one PE's slice of one scattered batch.
@@ -203,6 +234,7 @@ func RunStream(algo Algorithm, n uint64, initial, inserts BatchSource, cfg Confi
 			return nil, fmt.Errorf("core: stream delta invariant violated in batch %d (n1=%d, n2=%d)", b, n1, n2)
 		}
 		d := n0 + n1/2 + n2/3
+		sr.tuples = append(sr.tuples, [3]uint64{n0, n1, n2})
 		sr.Deltas = append(sr.Deltas, d)
 		sr.Count += d
 	}
@@ -287,7 +319,7 @@ func streamBody(pe *dist.PE, pl *plan, feed <-chan feedItem, abortCh <-chan stru
 	// Drain), so re-registering chNeighEdge cannot race an in-flight
 	// one-shot record; the barrier below guarantees every PE has its stream
 	// handler installed before any PE can send the first staged record.
-	ss := &streamState{sb: sb}
+	ss := newStreamState(sb, pt.N())
 	pe.Q.Handle(chNeighEdge, ss.handle)
 	pe.C.Barrier()
 
@@ -309,8 +341,9 @@ func streamBody(pe *dist.PE, pl *plan, feed <-chan feedItem, abortCh <-chan stru
 		sb.Stage(item.edges, cfg.Threads)
 		sw.phase(PhaseStreamDelta)
 		ss.countStaged(pe, pt)
-		// Drain (inside countStaged) reached global data quiescence for this
-		// batch; the barrier additionally orders batches: no PE can stage —
+		pe.Q.Drain()
+		// Drain reached global data quiescence for this batch; the barrier
+		// additionally orders batches: no PE can stage —
 		// let alone ship — batch t+1 records before every PE has finished
 		// counting batch t, and incoming records only dispatch during this
 		// PE's own polls, which resume after its own t+1 staging.
@@ -319,6 +352,11 @@ func streamBody(pe *dist.PE, pl *plan, feed <-chan feedItem, abortCh <-chan stru
 		ss.n0, ss.n1, ss.n2 = 0, 0, 0
 		sw.phase(PhaseStreamCommit)
 		sb.Commit(cfg.Threads)
+		if cfg.Threshold <= 0 {
+			// δ follows the resident size: the graph can end many times larger
+			// than the sealed initial one it was first resolved from.
+			pe.Q.SetThreshold(streamThreshold(sb.Entries()))
+		}
 	}
 	sw.stop()
 	return nil
@@ -330,7 +368,15 @@ func streamBody(pe *dist.PE, pl *plan, feed <-chan feedItem, abortCh <-chan stru
 type streamState struct {
 	sb         *graph.StreamBuilder
 	n0, n1, n2 uint64
-	ship       []uint64 // send scratch, reused across records
+	ship       []uint64 // record scratch, reused across rows
+	// Global-ID marks holding old(v) and Δ(v) of the record being counted.
+	// One pair serves received records and local rows alike: see countStaged
+	// for why the two never nest.
+	old, delta *graph.RowMark
+}
+
+func newStreamState(sb *graph.StreamBuilder, n uint64) *streamState {
+	return &streamState{sb: sb, old: graph.NewMark(int(n)), delta: graph.NewMark(int(n))}
 }
 
 // pair accumulates the category intersections for one effective-new edge
@@ -344,27 +390,75 @@ func (s *streamState) pair(oa, da, ob, db []graph.Vertex) {
 	s.n2 += graph.CountIntersect(da, db)
 }
 
-// handle processes one shipped record [v, w, |Δ(v)|, Δ(v)..., old(v)...]:
-// the sender owns v, this PE owns w < v, and the pair is counted here.
+// countPartners counts the new edges (v,w), w ∈ ws, for a row v with
+// neighborhood split (ov=old, dv=Δ); every w is a local vertex. The marks
+// are stamped at the first partner that probes them and cleared on return,
+// so a row whose partners all gallop (or that has none) never touches them.
+func (s *streamState) countPartners(ov, dv, ws []graph.Vertex) {
+	stamped := false
+	for _, w := range ws {
+		r := int32(w - s.sb.First())
+		ow, dw := s.sb.Row(r), s.sb.StagedRowOf(r)
+		if graph.Skewed(len(ov)+len(dv), len(ow)+len(dw)) {
+			s.pair(ov, dv, ow, dw)
+			continue
+		}
+		if !stamped {
+			s.old.Stamp(ov)
+			s.delta.Stamp(dv)
+			stamped = true
+		}
+		s.n0 += s.old.CountList(ow)
+		s.n1 += s.delta.CountList(ow) + s.old.CountList(dw)
+		s.n2 += s.delta.CountList(dw)
+	}
+	if stamped {
+		s.old.Unstamp()
+		s.delta.Unstamp()
+	}
+}
+
+// span returns the sub-slice of the ascending list inside [lo, hi).
+func span(list []graph.Vertex, lo, hi graph.Vertex) []graph.Vertex {
+	i, _ := slices.BinarySearch(list, lo)
+	j := i
+	for j < len(list) && list[j] < hi {
+		j++
+	}
+	return list[i:j]
+}
+
+// handle processes one shipped record [v, |Δ(v)|, Δ(v)..., old(v)...]. The
+// partners are the entries of Δ(v) this PE owns; the sender only ships here
+// when one of them is below v, and then the whole range is (v is not in it).
 func (s *streamState) handle(_ int, words []uint64) {
-	k := int(words[2])
-	dv, ov := words[3:3+k], words[3+k:]
-	r := int32(words[1] - s.sb.First())
-	s.pair(s.sb.Row(r), s.sb.StagedRowOf(r), ov, dv)
+	k := int(words[1])
+	dv, ov := words[2:2+k], words[2+k:]
+	s.countPartners(ov, dv, span(dv, s.sb.First(), s.sb.Last()))
+}
+
+// record assembles row r's shipment in the send scratch.
+func (s *streamState) record(r int32) []uint64 {
+	dv := s.sb.StagedRowOf(r)
+	s.ship = append(append(s.ship[:0], s.sb.First()+graph.Vertex(r), uint64(len(dv))), dv...)
+	s.ship = append(s.ship, s.sb.Row(r)...)
+	return s.ship
 }
 
 // countStaged processes every staged new edge exactly once: edge (v,w) is
-// counted at the owner of min(v,w). Iterating row v's staged Δ:
+// counted at the owner of min(v,w). Row v's ascending Δ(v) falls into
 //
-//	w > v, w local  → count inline (all four lists are resident here)
-//	w > v, w remote → skip: w's owner has (w,v) staged with v < w and ships
-//	w < v, w local  → skip: counted when the loop reaches row w
-//	w < v, w remote → ship [v, w, Δ(v), old(v)] to w's owner
+//	w < First      remote, below v: ship the row once per owning PE
+//	First ≤ w < v  local: skip, counted when the loop reaches row w
+//	v < w < Last   local: count here (all four lists are resident)
+//	Last ≤ w       remote, above v: skip, w's owner ships its row to us
 //
-// Both owners of a cut edge stage it (the scatter gives edges to both
-// sides, and resident rows stay symmetric across PEs by induction), so
-// every cut pair is shipped exactly once and processed exactly once. The
-// closing Drain reaches global data quiescence for the batch.
+// in that order, which is what lets one pair of marks serve both roles: a
+// Send can overflow δ, flush, poll and run handle inline, and handle stamps
+// the marks — but every Send of a row precedes its local partners, so the
+// row's own stamp is never live across one (RowMark.Stamp panics if that
+// ordering is ever broken). Records still buffered or in flight when
+// the loop ends are the caller's Drain to deliver.
 func (s *streamState) countStaged(pe *dist.PE, pt *part.Partition) {
 	sb := s.sb
 	first, last := sb.First(), sb.Last()
@@ -373,20 +467,18 @@ func (s *streamState) countStaged(pe *dist.PE, pt *part.Partition) {
 		if len(dv) == 0 {
 			continue
 		}
-		v := first + graph.Vertex(r)
-		ov := sb.Row(r)
-		for _, w := range dv {
-			local := w >= first && w < last
-			switch {
-			case w > v && local:
-				rw := int32(w - first)
-				s.pair(ov, dv, sb.Row(rw), sb.StagedRowOf(rw))
-			case w < v && !local:
-				s.ship = append(append(s.ship[:0], v, w, uint64(len(dv))), dv...)
-				s.ship = append(s.ship, ov...)
-				pe.Q.Send(chNeighEdge, pt.Rank(w), s.ship)
+		i := 0
+		if dv[0] < first {
+			rec := s.record(r)
+			for i < len(dv) && dv[i] < first {
+				dst := pt.Rank(dv[i])
+				pe.Q.Send(chNeighEdge, dst, rec)
+				_, end := pt.Range(dst)
+				for i < len(dv) && dv[i] < end {
+					i++
+				}
 			}
 		}
+		s.countPartners(sb.Row(r), dv, span(dv[i:], first+graph.Vertex(r)+1, last))
 	}
-	pe.Q.Drain()
 }

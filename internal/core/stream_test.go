@@ -2,15 +2,19 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/comm"
 	"repro/internal/dist"
+	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/part"
 	"repro/internal/testgraph"
 )
 
@@ -116,22 +120,286 @@ func TestRunStreamDuplicateInsertBatch(t *testing.T) {
 // TestRunStreamVariants covers indirection, explicit δ, threads, and codec
 // policies on the streamed path.
 func TestRunStreamVariants(t *testing.T) {
-	fx := testgraph.All[1%len(testgraph.All)]
-	g := fx.Build()
-	edges := g.Edges()
-	for _, cfg := range []Config{
-		{P: 4, Threads: 3},
-		{P: 4, Threshold: 1},
-		{P: 4, Threshold: 64, Codec: CodecRaw},
-		{P: 4, Codec: CodecDeltaVarint},
-		{P: 3, Indirect: true},
-	} {
-		for _, algo := range []Algorithm{AlgoDiTric2, AlgoCetric2, AlgoDiTric, AlgoCetric} {
-			sres := runStreamSplit(t, algo, g.NumVertices(), edges, len(edges)/2, 5, cfg)
-			if sres.Count != fx.Triangles {
-				t.Errorf("%s %+v: count %d, want %d", algo, cfg, sres.Count, fx.Triangles)
+	for _, name := range []string{"bipartite", "rmat"} {
+		fx, _ := testgraph.ByName(name)
+		g := fx.Build()
+		edges := g.Edges()
+		degrees := make([]int, g.NumVertices())
+		for v := range degrees {
+			degrees[v] = g.Degree(graph.Vertex(v))
+		}
+		for _, cfg := range []Config{
+			{P: 4, Threads: 3},
+			{P: 4, Threshold: 1},
+			{P: 4, Threshold: 64, Codec: CodecRaw},
+			{P: 4, Codec: CodecDeltaVarint},
+			{P: 3, Indirect: true},
+			// Ranges of very different widths: the sender's one-run-per-
+			// destination walk and the receiver's partner search both lean on
+			// contiguous ownership, not on equal-sized ranges.
+			{P: 4, Partition: part.ByCost(degrees, 4, part.CostWedges)},
+			{P: 5, Threshold: 1, Partition: part.ByCost(degrees, 5, part.CostDegree)},
+		} {
+			for _, algo := range []Algorithm{AlgoDiTric2, AlgoCetric2, AlgoDiTric, AlgoCetric} {
+				sres := runStreamSplit(t, algo, g.NumVertices(), edges, len(edges)/2, 5+len(edges)/50, cfg)
+				if sres.Count != fx.Triangles {
+					t.Errorf("%s %s %+v: count %d, want %d", name, algo, cfg, sres.Count, fx.Triangles)
+				}
 			}
 		}
+	}
+}
+
+// streamOracle is a sequential single-address-space model of the streamed
+// graph: the resident adjacency plus, per batch, every vertex's strictly-new
+// neighbors. The distributed engine's per-batch numbers are checked against
+// what it derives, independently of StreamBuilder and the queue.
+type streamOracle struct {
+	adj [][]graph.Vertex // resident neighborhoods, ascending
+}
+
+// stage returns Δ(v) for every vertex v: the ascending, duplicate-free
+// neighbors batch adds to the resident graph (self-loops dropped).
+func (o *streamOracle) stage(batch []graph.Edge) [][]graph.Vertex {
+	delta := make([][]graph.Vertex, len(o.adj))
+	for _, e := range batch {
+		if _, resident := slices.BinarySearch(o.adj[e.U], e.V); resident || e.U == e.V {
+			continue
+		}
+		delta[e.U] = append(delta[e.U], e.V)
+		delta[e.V] = append(delta[e.V], e.U)
+	}
+	for v := range delta {
+		slices.Sort(delta[v])
+		delta[v] = slices.Compact(delta[v])
+	}
+	return delta
+}
+
+func (o *streamOracle) commit(delta [][]graph.Vertex) {
+	for v, dv := range delta {
+		o.adj[v] = append(o.adj[v], dv...)
+		slices.Sort(o.adj[v])
+	}
+}
+
+// pairTuple recomputes a staged batch's global (n0, n1, n2) with the
+// pairwise merge/gallop kernels alone: one pair call per new edge, no
+// marks, no records.
+func (o *streamOracle) pairTuple(delta [][]graph.Vertex) [3]uint64 {
+	var ref streamState
+	for v, dv := range delta {
+		for _, w := range dv {
+			if graph.Vertex(v) < w {
+				ref.pair(o.adj[v], dv, o.adj[w], delta[w])
+			}
+		}
+	}
+	return [3]uint64{ref.n0, ref.n1, ref.n2}
+}
+
+// TestStreamDeltaReentrancy pins the one-pair-of-marks rule of the delta
+// engine. At Threads == 1 with δ = 1 every Send flushes and polls, so
+// records are received — and stamped into the marks — in the middle of the
+// sending loop. That is safe only because a row ships before it stamps for
+// its own local partners; an engine that stamped first must die in
+// RowMark.Stamp's guard rather than blend two rows into one miscount.
+func TestStreamDeltaReentrancy(t *testing.T) {
+	for _, name := range []string{"rmat", "K12"} {
+		fx, _ := testgraph.ByName(name)
+		g := fx.Build()
+		edges := g.Edges()
+		want := SeqCount(g)
+		for _, algo := range streamAlgos {
+			for _, p := range []int{2, 4, 6} {
+				t.Run(fmt.Sprintf("%s/%s/p=%d", algo, name, p), func(t *testing.T) {
+					sres := runStreamSplit(t, algo, g.NumVertices(), edges, len(edges)/4, len(edges)/4+1,
+						Config{P: p, Threads: 1, Threshold: 1})
+					if sres.Count != want {
+						t.Fatalf("count = %d, want %d", sres.Count, want)
+					}
+				})
+			}
+		}
+
+		// Whether a goroutine PE really receives mid-send above is up to the
+		// scheduler. Here it is forced: rank 2 ships its whole batch before
+		// rank 1 starts, so rank 1's first Send finds those records in its
+		// inbox and handles them inline.
+		rand.New(rand.NewSource(3)).Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+		for _, stampFirst := range []bool{false, true} {
+			t.Run(fmt.Sprintf("forced/%s/stampFirst=%v", name, stampFirst), func(t *testing.T) {
+				const p = 3
+				pl, err := prepare(AlgoDiTric, uint64(g.NumVertices()), -1, Config{P: p, Threads: 1, Threshold: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var got [3]uint64
+				var inline int64
+				tuples := make(chan [3]uint64, p)
+				shipped := make(chan struct{})
+				_, _, err = pl.run(func(pe *dist.PE, _ *peOutcome) error {
+					sb := graph.NewStreamBuilder(pl.pt, pe.Rank)
+					sb.Fold(graph.ScatterEdgesRank(pl.pt, edges[:len(edges)/2], pe.Rank, 1), 1)
+					sb.Stage(graph.ScatterEdgesRank(pl.pt, edges[len(edges)/2:], pe.Rank, 1), 1)
+					ss := newStreamState(sb, pl.pt.N())
+					pe.Q.Handle(chNeighEdge, ss.handle)
+					pe.C.Barrier()
+					switch pe.Rank {
+					case 2:
+						func() {
+							defer close(shipped) // also on a panic: rank 1 must not wait forever
+							ss.countStaged(pe, pl.pt)
+						}()
+					case 1:
+						<-shipped
+						if stampFirst {
+							// One row of countStaged with the two steps swapped.
+							for _, r := range sb.Staged() {
+								if dv := sb.StagedRowOf(r); len(dv) > 0 && dv[0] < sb.First() {
+									ss.old.Stamp(sb.Row(r))
+									ss.delta.Stamp(dv)
+									pe.Q.Send(chNeighEdge, pl.pt.Rank(dv[0]), ss.record(r))
+								}
+							}
+						}
+						ss.countStaged(pe, pl.pt)
+						inline = pe.C.M.RecvFrames // nothing but a Send has polled yet
+					default:
+						ss.countStaged(pe, pl.pt)
+					}
+					pe.Q.Drain()
+					tuples <- [3]uint64{ss.n0, ss.n1, ss.n2}
+					return nil
+				})
+				if stampFirst {
+					// The guard must fire inside the inline-dispatched handler.
+					for _, frag := range []string{"RowMark stamped while still holding a list", "(*streamState).handle"} {
+						if err == nil || !strings.Contains(err.Error(), frag) {
+							t.Fatalf("err = %v, want a panic naming %q", err, frag)
+						}
+					}
+					return
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if inline == 0 {
+					t.Fatal("rank 1 received nothing while sending; the re-entrant path did not run")
+				}
+				for r := 0; r < p; r++ {
+					tu := <-tuples
+					got[0], got[1], got[2] = got[0]+tu[0], got[1]+tu[1], got[2]+tu[2]
+				}
+				oracle := streamOracle{adj: make([][]graph.Vertex, g.NumVertices())}
+				oracle.commit(oracle.stage(edges[:len(edges)/2]))
+				if want := oracle.pairTuple(oracle.stage(edges[len(edges)/2:])); got != want {
+					t.Fatalf("(n0,n1,n2) = %v, pairwise kernels give %v", got, want)
+				}
+			})
+		}
+	}
+}
+
+// TestStreamShipsOncePerDestination: with δ = 1 every shipped record is its
+// own flush, so a rank's flush count is its record count — which must be one
+// per (touched row, remote PE owning a smaller-ID new neighbor), however many
+// new cut edges the row has into that PE. Streams of 0, 1, 2, … insert
+// batches over an empty initial graph give the per-batch counts as
+// differences (the runs are deterministic).
+func TestStreamShipsOncePerDestination(t *testing.T) {
+	for _, name := range []string{"rmat", "K12"} {
+		fx, _ := testgraph.ByName(name)
+		g := fx.Build()
+		edges := g.Edges()
+		rand.New(rand.NewSource(5)).Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+		const p, nb = 4, 4
+		batch := (len(edges) + nb - 1) / nb
+		pt := part.Uniform(uint64(g.NumVertices()), p)
+		oracle := streamOracle{adj: make([][]graph.Vertex, g.NumVertices())}
+		want := make([]int64, p) // cumulative over batches
+		perEdge := int64(0)
+		for b := 0; b <= nb; b++ {
+			upto := min(b*batch, len(edges))
+			if b > 0 {
+				delta := oracle.stage(edges[upto-batch : upto])
+				for v, dv := range delta {
+					home := pt.Rank(graph.Vertex(v))
+					dsts := map[int]bool{}
+					for _, w := range dv {
+						if w < graph.Vertex(v) && pt.Rank(w) != home {
+							dsts[pt.Rank(w)] = true
+							perEdge++
+						}
+					}
+					want[home] += int64(len(dsts))
+				}
+				oracle.commit(delta)
+			}
+			sres, err := RunStream(AlgoDiTric, uint64(g.NumVertices()), nil, SliceBatches(edges[:upto], batch),
+				Config{P: p, Threads: 1, Threshold: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(sres.Deltas) != b {
+				t.Fatalf("%s: %d insert batches ran, want %d", name, len(sres.Deltas), b)
+			}
+			for r, m := range sres.Res.PerPE {
+				if m.Flushes != want[r] {
+					t.Errorf("%s after %d batches: rank %d flushed %d records, want %d", name, b, r, m.Flushes, want[r])
+				}
+			}
+		}
+		total := int64(0)
+		for _, w := range want {
+			total += w
+		}
+		if total == 0 || total >= perEdge {
+			t.Errorf("%s: %d records for %d new cut edges — the fixture does not separate per-destination from per-edge shipping", name, total, perEdge)
+		}
+	}
+}
+
+// BenchmarkStreamDeltaSteadyState measures allocs/op of the delta engine's
+// record path on a staged batch: rank 1 assembles every record it would ship
+// to rank 0 (send scratch) and rank 0 handles it — partner search, stamping
+// both marks, probing, un-stamping, and the gallop fallback for skewed
+// partners. Marks and scratch are sized on the warm-up pass, so the steady
+// state must report zero allocations (CI allocation gate).
+func BenchmarkStreamDeltaSteadyState(b *testing.B) {
+	g := gen.RMAT(gen.DefaultRMAT(10, 42))
+	edges := g.Edges()
+	rand.New(rand.NewSource(42)).Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+	n := uint64(g.NumVertices())
+	pt := part.Uniform(n, 2)
+	var ss [2]*streamState
+	for r := range ss {
+		sb := graph.NewStreamBuilder(pt, r)
+		sb.Fold(graph.ScatterEdgesRank(pt, edges[:len(edges)/2], r, 1), 1)
+		sb.Stage(graph.ScatterEdgesRank(pt, edges[len(edges)/2:], r, 1), 1)
+		ss[r] = newStreamState(sb, n)
+	}
+	var rows []int32 // rank 1's touched rows with a new neighbor on rank 0
+	for _, r := range ss[1].sb.Staged() {
+		if dv := ss[1].sb.StagedRowOf(r); len(dv) > 0 && dv[0] < ss[1].sb.First() {
+			rows = append(rows, r)
+		}
+	}
+	replay := func() {
+		for _, r := range rows {
+			ss[0].handle(1, ss[1].record(r))
+		}
+	}
+	replay() // grow the send scratch
+	ss[0].n0, ss[0].n1, ss[0].n2 = 0, 0, 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		replay()
+	}
+	b.StopTimer()
+	if ss[0].n0 == 0 || ss[0].n1 == 0 || ss[0].n2 == 0 {
+		b.Fatalf("a triangle category stayed empty (n0=%d n1=%d n2=%d); the benchmark is vacuous", ss[0].n0, ss[0].n1, ss[0].n2)
 	}
 }
 
@@ -197,6 +465,18 @@ func FuzzStreamBatches(f *testing.F) {
 		if sres.Count != fx.Triangles {
 			t.Fatalf("%s %s p=%d batch=%d split=%d: count %d, want %d",
 				fx.Name, algo, p, batch, split, sres.Count, fx.Triangles)
+		}
+		// Per batch, the stamped record kernel must land every closing vertex
+		// in the same category as one pairwise intersection per new edge.
+		oracle := streamOracle{adj: make([][]graph.Vertex, g.NumVertices())}
+		oracle.commit(oracle.stage(edges[:split]))
+		for b, lo := 0, split; lo < len(edges); b, lo = b+1, lo+batch {
+			delta := oracle.stage(edges[lo:min(lo+batch, len(edges))])
+			if want := oracle.pairTuple(delta); sres.tuples[b] != want {
+				t.Fatalf("%s %s p=%d batch=%d split=%d: batch %d (n0,n1,n2) = %v, pairwise kernels give %v",
+					fx.Name, algo, p, batch, split, b, sres.tuples[b], want)
+			}
+			oracle.commit(delta)
 		}
 	})
 }

@@ -28,6 +28,12 @@ import "math/bits"
 // merge is O(|a|+|b|), galloping O(|a|·log|b|).
 const gallopRatio = 32
 
+// Skewed reports whether a list of length long is more than gallopRatio times
+// longer than one of length short — the skew beyond which scanning the long
+// side (a merge, or one bit test per entry against a stamped mark) loses to
+// galloping the short side through it.
+func Skewed(short, long int) bool { return short*gallopRatio < long }
+
 // CountIntersect returns |a ∩ b| for ascending-sorted slices, dispatching
 // between the merge and the galloping kernel by operand skew.
 //
@@ -41,7 +47,7 @@ func CountIntersect(a, b []Vertex) uint64 {
 	if len(a) == 0 || len(b) == 0 {
 		return 0
 	}
-	if len(a)*gallopRatio < len(b) || len(b)*gallopRatio < len(a) {
+	if Skewed(len(a), len(b)) || Skewed(len(b), len(a)) {
 		return CountGallop(a, b)
 	}
 	return CountMerge(a, b)

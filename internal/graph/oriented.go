@@ -306,7 +306,8 @@ func (o *LocalOriented) TotalOut() int { return len(o.out) }
 func (o *LocalOriented) HubBitset(row int32) Bitset { return o.hubs.bitset(int(row)) }
 
 // RowMark is the reusable "mark once" half of the stamped wedge kernel: a
-// bitset over the row domain holding one ascending row list (a source
+// bitset over a dense domain — row indices in the static engine, global IDs
+// in the streaming delta engine — holding one ascending list (a source
 // neighborhood A(v)), against which any number of partner lists A(u) are
 // then probed. Stamp sets the list's L bits, Unstamp zeroes exactly the
 // words those L entries touched — never the whole domain — so a mark costs
@@ -322,12 +323,15 @@ type RowMark struct {
 	list []Vertex // the stamped list (aliased, not copied); nil when clear
 }
 
-// NewRowMark returns a clear mark over o's row domain (Rows/8 bytes).
-func (o *LocalOriented) NewRowMark() *RowMark {
-	return &RowMark{bits: NewBitset(o.L.Rows())}
-}
+// NewMark returns a clear mark over the dense domain [0, n) (n/8 bytes). The
+// static engine marks row indices (NewRowMark); the streaming delta engine,
+// which never builds a row space, marks global vertex IDs.
+func NewMark(n int) *RowMark { return &RowMark{bits: NewBitset(n)} }
 
-// Stamp marks list, which must hold in-domain row indices, ascending (every
+// NewRowMark returns a clear mark over o's row domain (Rows/8 bytes).
+func (o *LocalOriented) NewRowMark() *RowMark { return NewMark(o.L.Rows()) }
+
+// Stamp marks list, which must hold in-domain indices, ascending (every
 // OutRows slice and every TranslateRows result qualifies). The slice is
 // aliased until Unstamp.
 func (m *RowMark) Stamp(list []Vertex) {
@@ -345,6 +349,10 @@ func (m *RowMark) Unstamp() {
 	}
 	m.list = nil
 }
+
+// CountList returns |list ∩ stamped list|: one bit test per element of list,
+// which must lie inside the mark's domain.
+func (m *RowMark) CountList(list []Vertex) uint64 { return m.bits.CountList(list) }
 
 // Probe is the stamped wedge kernel's one dispatch: for the list stamped in
 // m and the partner row, it returns a membership set and the ascending list
