@@ -350,13 +350,15 @@ func human(v int64) string {
 	}
 }
 
-// printPhases lists phase walls in stable sorted order; sub-phases (keys
-// like "preprocess/scatter") sort directly after their parent phase and
-// print indented beneath it.
+// printPhases lists the non-zero phase walls in stable sorted order;
+// sub-phases (keys like "preprocess/build") sort directly after their parent
+// phase and print indented beneath it.
 func printPhases(res *core.Result) {
 	names := make([]string, 0, len(res.Phases))
-	for name := range res.Phases {
-		names = append(names, name)
+	for name, d := range res.Phases {
+		if d != 0 {
+			names = append(names, name)
+		}
 	}
 	sort.Strings(names)
 	for _, name := range names {

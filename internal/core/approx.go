@@ -66,14 +66,12 @@ func RunApproxCetric(g *graph.Graph, cfg Config, acfg AMQConfig) (*ApproxResult,
 	if acfg.BitsPerKey <= 0 {
 		acfg.BitsPerKey = 8
 	}
-	perEdges := pl.scatter(g.Edges())
-
 	outcomes := make([]*approxOutcome, cfg.P)
 	start := time.Now()
 	_, metrics, err := pl.run(func(pe *dist.PE, _ *peOutcome) error {
 		out := &approxOutcome{}
 		outcomes[pe.Rank] = out
-		return approxCetricBody(pe, pl, perEdges[pe.Rank], acfg, out)
+		return approxCetricBody(pe, pl, g, acfg, out)
 	})
 	if err != nil {
 		return nil, err
@@ -103,9 +101,9 @@ func RunApproxCetric(g *graph.Graph, cfg Config, acfg AMQConfig) (*ApproxResult,
 	return res, nil
 }
 
-func approxCetricBody(pe *dist.PE, pl *plan, edges []graph.Edge, acfg AMQConfig, out *approxOutcome) error {
+func approxCetricBody(pe *dist.PE, pl *plan, g *graph.Graph, acfg AMQConfig, out *approxOutcome) error {
 	pt, cfg := pl.pt, pl.cfg
-	lg := graph.BuildLocalPar(pt, pe.Rank, edges, cfg.Threads)
+	lg := graph.BuildLocalCSR(pt, pe.Rank, g, cfg.Threads)
 	exchangeGhostDegrees(pe, lg, cfg.SparseDegreeExchange, cfg.Threads)
 	ori := graph.OrientLocalPar(lg, cfg.Threads)
 	state := newCountState(lg, cfg)

@@ -13,8 +13,15 @@ import (
 	"repro/internal/transport"
 )
 
+// The run drivers. The input of every one-shot entry point (Run, RunRank,
+// RunApproxCetric) is the paper's: the adjacency array, of which PE i reads
+// its own rows (plan.body: the 1D slab [First, Last) or the 2D block). No
+// edge list is materialized and nothing is scattered driver-side, so
+// PhaseScatter reads 0 on these paths. RunStream alone receives edges, and
+// scatters them one batch at a time (plan.scatter).
+
 // countBody is one 1D algorithm's counting phases on an already-built local
-// view: everything after graph.BuildLocalPar (one-shot runs) or the
+// view: everything after graph.BuildLocalCSR (one-shot runs) or the
 // StreamBuilder seal (streaming runs).
 type countBody func(pe *dist.PE, pl *plan, lg *graph.LocalGraph, out *peOutcome, sw *stopwatch) error
 
@@ -78,7 +85,7 @@ func prepare(algo Algorithm, n uint64, m int, cfg Config) (*plan, error) {
 	pl := &plan{cfg: cfg, count: spec.count, family: spec.family}
 	indirect := false
 	if algo == AlgoTK2D {
-		// The 2D geometry has its own scatter and partition math; it shares
+		// The 2D geometry has its own block build and partition math; it shares
 		// everything else — validation, δ, the outcome merge, phase accounting.
 		if cfg.Partition != nil {
 			return nil, fmt.Errorf("core: %s uses the 2D block partition; a 1D Partition cannot be applied", algo)
@@ -120,8 +127,9 @@ func prepare(algo Algorithm, n uint64, m int, cfg Config) (*plan, error) {
 // enter readies a freshly attached PE for the plan's bodies — the one step
 // goroutine PEs (run) and process PEs (RunRank) share. Every PE of a run
 // installs the same codec table, so senders and receivers agree before the
-// first record is in flight.
+// first record is in flight, and arms the same comm watchdog.
 func (pl *plan) enter(pe *dist.PE) *peOutcome {
+	pe.C.SetDeadline(pl.cfg.CommDeadline)
 	for ch, c := range pl.codecs {
 		pe.Q.SetCodec(ch, c)
 	}
@@ -140,25 +148,22 @@ func (pl *plan) run(body func(pe *dist.PE, out *peOutcome) error) ([]*peOutcome,
 	return outcomes, metrics, err
 }
 
-// scatter splits an edge list the way a distributed loader would: PE i
-// receives exactly the edges incident to its vertex range (1D) or falling
-// into its block (2D).
+// scatter splits a streamed batch the way a distributed loader would: PE i
+// receives exactly the edges incident to its vertex range. RunStream is the
+// one entry point that receives edges; every other one hands its PEs g.
 func (pl *plan) scatter(edges []graph.Edge) [][]graph.Edge {
-	if pl.g2 != nil {
-		return graph.ScatterEdges2D(pl.g2, edges, pl.cfg.Threads)
-	}
 	return graph.ScatterEdgesPar(pl.pt, edges, pl.cfg.Threads)
 }
 
-// body is the one-shot SPMD body: build this rank's view of its scattered
-// edges, then count.
-func (pl *plan) body(pe *dist.PE, edges []graph.Edge, out *peOutcome) error {
+// body is the one-shot SPMD body: build this rank's view from its rows of
+// g's CSR — the 1D slab [First, Last) or the 2D block — then count.
+func (pl *plan) body(pe *dist.PE, g *graph.Graph, out *peOutcome) error {
 	if pl.g2 != nil {
-		return tk2dBody(pe, pl, edges, out)
+		return tk2dBody(pe, pl, g, out)
 	}
 	sw := newStopwatch(pe.C, out)
 	sw.phase(PhaseBuild)
-	lg := graph.BuildLocalPar(pl.pt, pe.Rank, edges, pl.cfg.Threads)
+	lg := graph.BuildLocalCSR(pl.pt, pe.Rank, g, pl.cfg.Threads)
 	return pl.count(pe, pl, lg, out, sw)
 }
 
@@ -169,15 +174,9 @@ func Run(algo Algorithm, g *graph.Graph, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The scatter runs driver-side (the stand-in for a distributed loader),
-	// so its wall is timed here and folded into the preprocess phase after
-	// the merge; Result.Wall remains the cluster wall alone.
-	scatterStart := time.Now()
-	perEdges := pl.scatter(g.Edges())
-	scatterWall := time.Since(scatterStart)
 	start := time.Now()
 	outcomes, metrics, err := pl.run(func(pe *dist.PE, out *peOutcome) error {
-		return pl.body(pe, perEdges[pe.Rank], out)
+		return pl.body(pe, g, out)
 	})
 	var res *Result
 	if err != nil {
@@ -188,8 +187,6 @@ func Run(algo Algorithm, g *graph.Graph, cfg Config) (*Result, error) {
 		res = mergeOutcomes(outcomes, metrics, g, pl.cfg)
 	}
 	res.Wall = time.Since(start)
-	res.Phases[PhaseScatter] += scatterWall
-	res.Phases[PhasePreprocess] += scatterWall
 	return res, nil
 }
 
@@ -218,9 +215,12 @@ func maybePartial(err error, cfg Config, outcomes []*peOutcome, metrics []comm.M
 
 // RunRank executes a single rank of a multi-process cluster on an existing
 // transport endpoint (the other ranks run the same code in their own
-// processes). Each process deterministically rebuilds the input and keeps
-// only its slice, so no data distribution is needed. Returns the global
-// triangle count (agreed via an allreduce) and this rank's metrics.
+// processes). Each process deterministically rebuilds the input and reads
+// only its own rows of it, so no data distribution is needed. Returns the
+// global triangle count (agreed via an allreduce) and this rank's metrics. A
+// failure inside the run — the body's own, a malformed row, a lost peer, the
+// watchdog, a corrupt frame — comes back as the *dist.RunError dist.Run
+// would report for it.
 func RunRank(algo Algorithm, g *graph.Graph, cfg Config, ep transport.Endpoint) (uint64, comm.Metrics, error) {
 	cfg.P = ep.Size()
 	pl, err := prepare(algo, uint64(g.NumVertices()), g.NumEdges(), cfg)
@@ -228,19 +228,14 @@ func RunRank(algo Algorithm, g *graph.Graph, cfg Config, ep transport.Endpoint) 
 		return 0, comm.Metrics{}, err
 	}
 	pe := dist.Attach(ep, pl.dist.Threshold, pl.dist.Indirect)
-	out := pl.enter(pe)
-	// Rank-filtered scatter: every process of a TCP cluster runs this, so
-	// materializing all p slices just to keep one would cost O(|E|) words
-	// per process instead of O(|E_rank|).
-	var edges []graph.Edge
-	if pl.g2 != nil {
-		edges = graph.ScatterEdges2DRank(pl.g2, g.Edges(), pe.Rank, pl.cfg.Threads)
-	} else {
-		edges = graph.ScatterEdgesRank(pl.pt, g.Edges(), pe.Rank, pl.cfg.Threads)
-	}
-	if err := pl.body(pe, edges, out); err != nil {
-		return 0, pe.C.M, err
-	}
-	global := pe.C.AllreduceSum([]uint64{out.count})
-	return global[0], pe.C.M, nil
+	var global uint64
+	err = dist.Guard(pe, func() error {
+		out := pl.enter(pe)
+		if err := pl.body(pe, g, out); err != nil {
+			return err
+		}
+		global = pe.C.AllreduceSum([]uint64{out.count})[0]
+		return nil
+	})
+	return global, pe.C.M, err
 }

@@ -1,11 +1,16 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/comm"
+	"repro/internal/dist"
 	"repro/internal/graph"
 	"repro/internal/part"
 	"repro/internal/testgraph"
@@ -98,6 +103,116 @@ func TestRunRankMatchesSequential(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestRunRankWatchdog: a rank whose peer never starts is released by the
+// comm watchdog RunRank arms (plan.enter), and reports it the way dist.Run
+// would — a *dist.RunError with CauseWatchdog — instead of spinning forever
+// or crashing the process with the comm layer's panic.
+func TestRunRankWatchdog(t *testing.T) {
+	fx, _ := testgraph.ByName("K12")
+	net := transport.NewChanNetwork(2)
+	defer net.Close()
+	ep, err := net.Endpoint(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	_, _, err = RunRank(AlgoCetric, fx.Build(), Config{CommDeadline: 100 * time.Millisecond}, ep)
+	var re *dist.RunError
+	if !errors.As(err, &re) || re.Cause != dist.CauseWatchdog || re.Rank != 0 {
+		t.Fatalf("RunRank returned %v, want a rank-0 watchdog RunError", err)
+	}
+	if wall := time.Since(start); wall > 5*time.Second {
+		t.Fatalf("watchdog took %v to release the rank", wall)
+	}
+}
+
+// malformedGraphs returns CSRs that break, in vertex 5's row alone, one each
+// of the invariants the slab builders check: ascending order, no self-loop,
+// no ID ≥ n. The base is the 8-cycle with its four diameters.
+func malformedGraphs() map[string]*graph.Graph {
+	base := func() [][]graph.Vertex {
+		rows := make([][]graph.Vertex, 8)
+		for v := range rows {
+			u := graph.Vertex(v)
+			rows[v] = []graph.Vertex{(u + 1) % 8, (u + 4) % 8, (u + 7) % 8}
+			slices.Sort(rows[v])
+		}
+		return rows
+	}
+	build := func(mutate func(row5 []graph.Vertex) []graph.Vertex) *graph.Graph {
+		rows := base()
+		rows[5] = mutate(rows[5])
+		off := []int64{0}
+		var adj []graph.Vertex
+		for _, row := range rows {
+			adj = append(adj, row...)
+			off = append(off, int64(len(adj)))
+		}
+		return graph.FromSortedAdjacency(off, adj)
+	}
+	return map[string]*graph.Graph{
+		"unsorted":     build(func(r []graph.Vertex) []graph.Vertex { r[0], r[1] = r[1], r[0]; return r }),
+		"self-loop":    build(func(r []graph.Vertex) []graph.Vertex { return []graph.Vertex{1, 4, 5, 6} }),
+		"out of range": build(func(r []graph.Vertex) []graph.Vertex { return append(r, 11) }),
+	}
+}
+
+// TestEntryPointsRejectMalformedCSR: a graph.FromSortedAdjacency caller that
+// breaks a row invariant gets an error naming the vertex from every one-shot
+// entry point and both geometries — never a count, never a hang.
+func TestEntryPointsRejectMalformedCSR(t *testing.T) {
+	requireRowError := func(t *testing.T, what string, err error) {
+		t.Helper()
+		var re *dist.RunError
+		if !errors.As(err, &re) || re.Cause != dist.CauseBody || !strings.Contains(err.Error(), "row of vertex 5 on PE") {
+			t.Fatalf("%s: %v, want a body RunError naming vertex 5", what, err)
+		}
+	}
+	for name, g := range malformedGraphs() {
+		t.Run(name, func(t *testing.T) {
+			for _, algo := range []Algorithm{AlgoDiTric, AlgoCetric, AlgoTK2D} {
+				for _, p := range []int{1, 2, 4} {
+					res, err := Run(algo, g, Config{P: p})
+					if res != nil {
+						t.Fatalf("Run(%s, p=%d) counted %d triangles", algo, p, res.Count)
+					}
+					requireRowError(t, fmt.Sprintf("Run(%s, p=%d)", algo, p), err)
+				}
+			}
+			ares, err := RunApproxCetric(g, Config{P: 2}, AMQConfig{})
+			if ares != nil {
+				t.Fatalf("RunApproxCetric estimated %v", ares.Estimate)
+			}
+			requireRowError(t, "RunApproxCetric", err)
+
+			// Two process-style ranks: vertex 5's owner reports the row, its
+			// peer is released by the watchdog.
+			for _, algo := range []Algorithm{AlgoCetric, AlgoTK2D} {
+				net := transport.NewChanNetwork(2)
+				errs := make([]error, 2)
+				var wg sync.WaitGroup
+				for r := range errs {
+					ep, err := net.Endpoint(r)
+					if err != nil {
+						t.Fatal(err)
+					}
+					wg.Add(1)
+					go func(r int) {
+						defer wg.Done()
+						_, _, errs[r] = RunRank(algo, g, Config{CommDeadline: 200 * time.Millisecond}, ep)
+					}(r)
+				}
+				wg.Wait()
+				net.Close()
+				requireRowError(t, fmt.Sprintf("RunRank(%s) rank 1", algo), errs[1])
+				if errs[0] == nil {
+					t.Fatalf("RunRank(%s) rank 0 returned a count", algo)
+				}
+			}
+		})
 	}
 }
 

@@ -240,8 +240,8 @@ func TestStreamDeltaReentrancy(t *testing.T) {
 				shipped := make(chan struct{})
 				_, _, err = pl.run(func(pe *dist.PE, _ *peOutcome) error {
 					sb := graph.NewStreamBuilder(pl.pt, pe.Rank)
-					sb.Fold(graph.ScatterEdgesRank(pl.pt, edges[:len(edges)/2], pe.Rank, 1), 1)
-					sb.Stage(graph.ScatterEdgesRank(pl.pt, edges[len(edges)/2:], pe.Rank, 1), 1)
+					sb.Fold(graph.ScatterEdges(pl.pt, edges[:len(edges)/2])[pe.Rank], 1)
+					sb.Stage(graph.ScatterEdges(pl.pt, edges[len(edges)/2:])[pe.Rank], 1)
 					ss := newStreamState(sb, pl.pt.N())
 					pe.Q.Handle(chNeighEdge, ss.handle)
 					pe.C.Barrier()
@@ -375,8 +375,8 @@ func BenchmarkStreamDeltaSteadyState(b *testing.B) {
 	var ss [2]*streamState
 	for r := range ss {
 		sb := graph.NewStreamBuilder(pt, r)
-		sb.Fold(graph.ScatterEdgesRank(pt, edges[:len(edges)/2], r, 1), 1)
-		sb.Stage(graph.ScatterEdgesRank(pt, edges[len(edges)/2:], r, 1), 1)
+		sb.Fold(graph.ScatterEdges(pt, edges[:len(edges)/2])[r], 1)
+		sb.Stage(graph.ScatterEdges(pt, edges[len(edges)/2:])[r], 1)
 		ss[r] = newStreamState(sb, n)
 	}
 	var rows []int32 // rank 1's touched rows with a new neighbor on rank 0

@@ -67,14 +67,14 @@ type tk2dRound struct {
 // tk2dBody is one PE's TK2D run: build the owned block and its transpose,
 // then L broadcast rounds of exchange + block-local counting — blocking, or
 // pipelined one round ahead under cfg.Overlap.
-func tk2dBody(pe *dist.PE, pl *plan, edges []graph.Edge, out *peOutcome) error {
+func tk2dBody(pe *dist.PE, pl *plan, g *graph.Graph, out *peOutcome) error {
 	g2, cfg := pl.g2, pl.cfg
 	sw := newStopwatch(pe.C, out)
 	rounds := g2.Rounds()
 	a, b := g2.RowCol(pe.Rank)
 
 	sw.phase(PhaseBuild)
-	own := graph.BuildBlock2D(g2, pe.Rank, edges, cfg.Threads)
+	own := graph.BuildBlockCSR(g2, pe.Rank, g, cfg.Threads)
 	ownT := own.Transpose(cfg.Threads)
 	// When a dimension's stride is 1 (L = c resp. L = r — always on square
 	// grids) every round's stripe is the whole block, so the wire form is

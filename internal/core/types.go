@@ -58,8 +58,9 @@ const (
 // Preprocessing sub-phases. Each is recorded in Result.Phases under its own
 // key AND folded into PhasePreprocess by the stopwatch, so the Fig. 7-style
 // total stays comparable across versions while the breakdown shows where
-// the pre-count time goes: scattering the edge list (driver side), building
-// the local CSR view, exchanging ghost degrees, and orienting the A-lists.
+// the pre-count time goes: building the local CSR view, exchanging ghost
+// degrees, and orienting the A-lists. PhaseScatter is kept for the report
+// schema; no driver scatters inside a timed phase any more, so it reads 0.
 const (
 	PhaseScatter = PhasePreprocess + "/scatter"
 	PhaseBuild   = PhasePreprocess + "/build"

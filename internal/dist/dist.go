@@ -170,6 +170,37 @@ func Attach(ep transport.Endpoint, threshold int, indirect bool) *PE {
 	}
 }
 
+// panicError turns a value recovered from a PE body into that PE's error.
+// Typed panics from the communication layer (peer loss, watchdog, corrupt
+// frame) and the abort echo keep their identity so classify can attribute
+// them; anything else is reported with its stack.
+func panicError(rec any) error {
+	if err, ok := rec.(error); ok {
+		if errors.Is(err, ErrAborted) {
+			return ErrAborted
+		}
+		return err
+	}
+	return fmt.Errorf("panic: %v\n%s", rec, debug.Stack())
+}
+
+// Guard runs one attached PE's body the way Run runs each of its goroutine
+// PEs, for a process that is a single rank of a cluster (core.RunRank): an
+// error the body returns or panics with comes back as a *RunError naming
+// pe's rank, classified by the same taxonomy, instead of crashing the
+// process.
+func Guard(pe *PE, body func() error) (err error) {
+	defer func() {
+		if rec := recover(); rec != nil {
+			err = panicError(rec)
+		}
+		if err != nil {
+			err = &RunError{Cause: classify(err), Rank: pe.Rank, Err: err}
+		}
+	}()
+	return body()
+}
+
 // ErrAborted tears down PEs that outlive a failed sibling. The communication
 // layer polls its endpoint in a cooperative busy loop, so without this a PE
 // waiting for a frame that its failed peer will never send would spin
@@ -267,23 +298,10 @@ func Run(cfg Config, body func(*PE) error) ([]comm.Metrics, error) {
 		go func(r int) {
 			defer wg.Done()
 			defer func() {
-				rec := recover()
-				if rec == nil {
-					return
+				if rec := recover(); rec != nil {
+					aborted.Store(true)
+					errs[r] = panicError(rec)
 				}
-				aborted.Store(true)
-				if err, ok := rec.(error); ok {
-					if errors.Is(err, ErrAborted) {
-						errs[r] = ErrAborted
-						return
-					}
-					// Typed panics from the communication layer (peer loss,
-					// watchdog, corrupt frame) keep their identity so the
-					// final RunError can attribute the abort.
-					errs[r] = err
-					return
-				}
-				errs[r] = fmt.Errorf("panic: %v\n%s", rec, debug.Stack())
 			}()
 			if err := body(pes[r]); err != nil {
 				errs[r] = err

@@ -26,16 +26,6 @@ func BenchmarkOrient(b *testing.B) {
 	}
 }
 
-func BenchmarkBuildLocal(b *testing.B) {
-	g := benchGraph()
-	pt, _ := buildScattered(g, 8)
-	per := ScatterEdges(pt, g.Edges())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		BuildLocal(pt, 3, per[3])
-	}
-}
-
 func BenchmarkCompress(b *testing.B) {
 	g := benchGraph()
 	b.ResetTimer()

@@ -70,40 +70,6 @@ func ScatterEdges2D(g2 *part.Grid2D, edges []Edge, threads int) [][]Edge {
 	return out
 }
 
-// ScatterEdges2DRank keeps only the edges owned by one block — what each
-// process of a multi-process cluster runs so no process materializes all p
-// slices.
-func ScatterEdges2DRank(g2 *part.Grid2D, edges []Edge, rank, threads int) []Edge {
-	w := workersFor(threads, len(edges), parallelChunk)
-	cnt := make([]int64, w)
-	parallelBlocks(w, len(edges), func(worker, lo, hi int) {
-		n := int64(0)
-		for i := lo; i < hi; i++ {
-			e := edges[i]
-			if e.U != e.V && g2.Owner(e.U, e.V) == rank {
-				n++
-			}
-		}
-		cnt[worker] = n
-	})
-	total := int64(0)
-	for worker := 0; worker < w; worker++ {
-		cnt[worker], total = total, total+cnt[worker]
-	}
-	out := make([]Edge, total)
-	parallelBlocks(w, len(edges), func(worker, lo, hi int) {
-		cur := cnt[worker]
-		for i := lo; i < hi; i++ {
-			e := edges[i]
-			if e.U != e.V && g2.Owner(e.U, e.V) == rank {
-				out[cur] = e.Canon()
-				cur++
-			}
-		}
-	})
-	return out
-}
-
 // Block is one block of the oriented upper-triangular adjacency matrix in
 // CSR form: row i (relative index within band bandRow) lists the relative
 // indices, within band bandCol, of the larger endpoints v of edges (u, v)
@@ -183,6 +149,55 @@ func BuildBlock2D(g2 *part.Grid2D, rank int, edges []Edge, threads int) *Block {
 	}
 	b.off[nRows] = wpos
 	b.col = b.col[:wpos]
+	return b
+}
+
+// BuildBlockCSR assembles PE rank's block straight from the global CSR: it
+// walks the rows u of its row band and keeps, of the neighbors v > u, those
+// in its column band, as v div c. Rows arrive sorted and unique (checkRow
+// holds every walked row to that), so there is no scatter, no sort and no
+// dedup, and rows fan out over threads with no effect on the result —
+// which is BuildBlock2D's on the 2D scatter of g's edges.
+func BuildBlockCSR(g2 *part.Grid2D, rank int, g *Graph, threads int) *Block {
+	a, bc := g2.RowCol(rank)
+	b := &Block{bandRow: a, bandCol: bc, domain: g2.BandSizeCol(bc)}
+	nRows := g2.BandSizeRow(a)
+	b.off = make([]int64, nRows+1)
+	c, res := Vertex(g2.C()), Vertex(bc)
+	// upper returns vertex u of block row rel and its neighbors above it.
+	upper := func(rel int) (u Vertex, nb []Vertex) {
+		u = g2.GIDRow(a, Vertex(rel))
+		nb = g.Neighbors(u)
+		i, _ := slices.BinarySearch(nb, u)
+		return u, nb[i:]
+	}
+	ParallelFor(threads, nRows, func(_, lo, hi int) {
+		for rel := lo; rel < hi; rel++ {
+			u, nb := upper(rel)
+			checkRow(g.Neighbors(u), u, g2.N(), rank) // before nb, searched for in it, is trusted
+			for _, v := range nb {
+				if v%c == res {
+					b.off[rel+1]++
+				}
+			}
+		}
+	})
+	for rel := 0; rel < nRows; rel++ {
+		b.off[rel+1] += b.off[rel]
+	}
+	b.col = make([]Vertex, b.off[nRows])
+	ParallelFor(threads, nRows, func(_, lo, hi int) {
+		for rel := lo; rel < hi; rel++ {
+			w := b.off[rel]
+			_, nb := upper(rel)
+			for _, v := range nb {
+				if v%c == res {
+					b.col[w] = v / c
+					w++
+				}
+			}
+		}
+	})
 	return b
 }
 

@@ -69,11 +69,6 @@ func TestScatterEdges2DPartition(t *testing.T) {
 				}
 			}
 		}
-		for rank := range ref {
-			if got := ScatterEdges2DRank(g2, edges, rank, 3); !slices.Equal(got, ref[rank]) {
-				t.Fatalf("ScatterEdges2DRank(%d) differs from ScatterEdges2D slice", rank)
-			}
-		}
 	}
 }
 
@@ -137,6 +132,33 @@ func TestBuildBlock2D(t *testing.T) {
 					t.Fatalf("p=%d rank %d: block shape (%d,%d,%d,%d)", p, rank, b.BandRow(), b.BandCol(), b.NRows(), b.Domain())
 				}
 				checkBlockAgainstOracle(t, b, oracle, "block")
+			}
+		}
+	}
+}
+
+// TestBuildBlockCSRMatchesBuildBlock2D: the block walked out of the global
+// CSR is, field for field, the block built from the 2D scatter of the same
+// graph's edges — square, rectangular and degenerate (1×p) grids, every
+// rank, several thread counts.
+func TestBuildBlockCSRMatchesBuildBlock2D(t *testing.T) {
+	for _, n := range []uint64{1, 23, 4099} { // 4099 rows span several worker chunks
+		g := FromEdges(int(n), block2DEdges(t, n, 31+n))
+		for _, p := range []int{1, 2, 4, 6, 9, 12} {
+			g2, err := part.NewGrid2D(n, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			per := ScatterEdges2D(g2, g.Edges(), 1)
+			for rank := 0; rank < p; rank++ {
+				want := BuildBlock2D(g2, rank, per[rank], 1)
+				for _, threads := range []int{1, 3} {
+					got := BuildBlockCSR(g2, rank, g, threads)
+					if got.bandRow != want.bandRow || got.bandCol != want.bandCol || got.domain != want.domain ||
+						!slices.Equal(got.off, want.off) || !slices.Equal(got.col, want.col) {
+						t.Fatalf("n=%d p=%d rank=%d threads=%d: BuildBlockCSR differs from BuildBlock2D", n, p, rank, threads)
+					}
+				}
 			}
 		}
 	}

@@ -5,8 +5,10 @@ import "math/bits"
 // ghostIndex maps a ghost's global ID to its ordinal in the sorted ghost-ID
 // array (row = NLocal + ordinal) in O(1): a flat open-addressing table with
 // a power-of-two ≥ 2·|ghosts| slots, multiplicative hashing and linear
-// probing. It is built once from the finished ghost array and read-only
-// afterwards, so any number of goroutines may probe it concurrently.
+// probing. A LocalGraph's index is built once from the finished ghost array
+// and read-only afterwards, so any number of goroutines may probe it
+// concurrently; the row-slab builder also grows one per worker through
+// insert, as the set that discovers the ghosts in the first place.
 //
 // A slot holds only an ordinal (+1; 0 marks an empty slot); the key it
 // stands for is ids[ordinal], the ghost array itself, so the table costs 4
@@ -26,7 +28,7 @@ type ghostIndex struct {
 const ghostHashMul = 0x9E3779B97F4A7C15
 
 // newGhostIndex builds the index over ghosts, which must be duplicate-free
-// (BuildLocalPar and Seal pass the sorted, deduplicated ghost array).
+// (the row-slab builder passes the sorted, deduplicated ghost array).
 func newGhostIndex(ghosts []Vertex) ghostIndex {
 	logSize := 0 // no ghosts: one permanently empty slot
 	if len(ghosts) > 0 {
@@ -60,4 +62,25 @@ func (gi *ghostIndex) find(x Vertex) (int, bool) {
 			return o, true
 		}
 	}
+}
+
+// insert returns the ordinal of x, adding it as ordinal len(ids) when it is
+// new: ordinals are handed out in first-appearance order. The table doubles
+// whenever it would pass half full, so a set grown from newGhostIndex(nil)
+// keeps the load factor find relies on. Not safe for concurrent use.
+func (gi *ghostIndex) insert(x Vertex) int {
+	mask := len(gi.ord) - 1
+	s := int((x * ghostHashMul) >> gi.shift)
+	for ; gi.ord[s] != 0; s = (s + 1) & mask {
+		if o := int(gi.ord[s]) - 1; gi.ids[o] == x {
+			return o
+		}
+	}
+	gi.ids = append(gi.ids, x)
+	if 2*len(gi.ids) > len(gi.ord) {
+		*gi = newGhostIndex(gi.ids)
+	} else {
+		gi.ord[s] = int32(len(gi.ids))
+	}
+	return len(gi.ids) - 1
 }

@@ -50,6 +50,47 @@ func TestGhostIndexTable(t *testing.T) {
 	}
 }
 
+// TestGhostSetGrowth drives insert, the growable side of the index the
+// row-slab builder discovers ghosts with: ordinals come in first-appearance
+// order across several doublings, a repeated insert returns the ordinal it
+// got the first time, 0 and ^0 are keys like any other, and the table never
+// passes half full.
+func TestGhostSetGrowth(t *testing.T) {
+	const maxV = ^Vertex(0)
+	keys := []Vertex{maxV, 0}
+	for i := Vertex(0); i < 5000; i++ {
+		keys = append(keys, 1<<40+3*i, 7*i+1) // a clustered run and a strided one
+	}
+	gs := newGhostIndex(nil)
+	want := make(map[Vertex]int)
+	for round := 0; round < 2; round++ { // the second round re-inserts every key
+		for _, x := range keys {
+			if _, seen := want[x]; !seen {
+				want[x] = len(want)
+			}
+			if o := gs.insert(x); o != want[x] {
+				t.Fatalf("round %d: insert(%d) = %d, want %d", round, x, o, want[x])
+			}
+			if size := len(gs.ord); size&(size-1) != 0 || size < 2*len(gs.ids) {
+				t.Fatalf("%d slots for %d keys", size, len(gs.ids))
+			}
+		}
+	}
+	if len(gs.ids) != len(want) || len(gs.ord) < 1<<14 {
+		t.Fatalf("%d keys in %d slots, want %d keys after several doublings", len(gs.ids), len(gs.ord), len(want))
+	}
+	for x, o := range want {
+		if got, ok := gs.find(x); !ok || got != o || gs.ids[o] != x {
+			t.Fatalf("find(%d) = (%d,%v), want (%d,true)", x, got, ok, o)
+		}
+	}
+	for _, x := range []Vertex{2, 1<<40 + 1, 1 << 63, maxV - 1} {
+		if o, ok := gs.find(x); ok {
+			t.Fatalf("find(%d) = %d for a key never inserted", x, o)
+		}
+	}
+}
+
 // TestLocalGraphHostileLookups drives the same property through the
 // LocalGraph surface: on a p = 1 view (no ghosts) and on a two-ghost view,
 // GhostRow rejects locals, IDs ≥ n and the extreme values, and

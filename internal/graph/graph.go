@@ -33,7 +33,14 @@ func (e Edge) Canon() Edge {
 
 // Graph is an immutable undirected graph in compressed adjacency-array form.
 // Every edge {u,v} appears in both Neighbors(u) and Neighbors(v), and each
-// neighborhood is sorted ascending by vertex ID.
+// neighborhood is sorted strictly ascending by vertex ID, without v itself
+// and without IDs ≥ n. FromEdges establishes all of that; a caller of
+// FromSortedAdjacency vouches for it. The distributed builders read a PE's
+// rows in place and re-check what one PE can see of them (BuildLocalCSR and
+// BuildBlockCSR panic on a row that is out of order, holds a self-loop or
+// names an ID ≥ n). Symmetry is the one invariant that cannot be checked
+// locally — the mirror entry lives in another PE's rows — so an asymmetric
+// CSR is counted as given, without an error.
 type Graph struct {
 	off []int64
 	adj []Vertex
@@ -135,7 +142,7 @@ func FromEdges(n int, edges []Edge) *Graph {
 }
 
 // FromSortedAdjacency builds a graph directly from prebuilt CSR arrays.
-// The caller guarantees rows are sorted, deduplicated, and symmetric.
+// The caller guarantees the invariants of Graph; symmetry above all.
 func FromSortedAdjacency(off []int64, adj []Vertex) *Graph {
 	return &Graph{off: off, adj: adj}
 }

@@ -3,7 +3,6 @@ package graph
 import (
 	"fmt"
 	"slices"
-	"sync/atomic"
 
 	"repro/internal/part"
 )
@@ -18,6 +17,14 @@ import (
 // sorted ascending by global ID. Adjacency entries store global IDs, sorted
 // ascending, so neighborhoods can be merged and shipped as message payloads
 // without translation.
+//
+// Every LocalGraph comes out of one builder, buildRows, whose input is the
+// PE's row slab — what the paper's algorithms are handed (§III: the 1D-
+// partitioned adjacency array), not an edge list. Its front ends differ only
+// in where the rows live: BuildLocalCSR reads them in place from the global
+// CSR (every one-shot driver), StreamBuilder.Seal from the resident rows of
+// a stream (stream.go), BuildLocalPar buckets a scattered edge slice into
+// rows first.
 type LocalGraph struct {
 	Part  *part.Partition
 	Rank  int
@@ -33,307 +40,237 @@ type LocalGraph struct {
 	deg     []int      // global degree per row; ghost entries -1 until set
 }
 
-// BuildLocal constructs the local view for one PE from the edges incident to
-// at least one of its vertices. Edges with neither endpoint local are
-// rejected; self loops are dropped; duplicates are merged. Sequential;
-// BuildLocalPar is the threaded variant.
+// BuildLocal is BuildLocalPar on one thread.
 func BuildLocal(pt *part.Partition, rank int, edges []Edge) *LocalGraph {
 	return BuildLocalPar(pt, rank, edges, 1)
 }
 
-// BuildLocalPar is BuildLocal parallelized over threads workers as a fused
-// multi-pass pipeline:
-//
-//  1. Ghost discovery is sort-based, not map-based: workers collect the
-//     non-local endpoints of their edge chunks, sort and dedup each chunk,
-//     and a k-way merge yields the ascending ghost-ID array.
-//  2. The ghost index — the one ghost lookup structure of the local view,
-//     an O(1) open-addressing table (ghostIndex) — is built from that
-//     array, and each edge endpoint is resolved to its row once (locals by
-//     offset, ghosts through the index) and memoized, so the count and
-//     placement passes are array reads.
-//  3. Row counting and placement are parallel (atomic per-row counters and
-//     cursors when threads > 1); placement order within a row is
-//     thread-dependent but irrelevant, because
-//  4. every row is sorted, deduplicated, and row-translated independently —
-//     rows are disjoint, so the final compaction into exact-size arrays
-//     fans out over rows.
-//
-// The result is byte-identical for every thread count.
+// BuildLocalPar is the from-edges front end of buildRows, for callers that
+// hold a PE's scattered edge slice rather than its CSR rows (tests and the
+// cmd/bench probes; the drivers use BuildLocalCSR). The edges incident to
+// rank's vertices are bucketed into one array by a count and a placement
+// pass, every row is sorted and deduplicated in place (threads workers, rows
+// are disjoint), and the resulting slab is built like any other. Self loops
+// are dropped, duplicates merged; an edge with no endpoint on rank panics.
 func BuildLocalPar(pt *part.Partition, rank int, edges []Edge, threads int) *LocalGraph {
-	lo, hi := pt.Range(rank)
-	l := &LocalGraph{
-		Part:   pt,
-		Rank:   rank,
-		First:  lo,
-		Last:   hi,
-		nLocal: int(hi - lo),
+	first, last := pt.Range(rank)
+	nl := int(last - first)
+	off := make([]int64, nl+1)
+	for _, e := range edges {
+		if e.U == e.V {
+			continue
+		}
+		du, dv := e.U-first, e.V-first // < nl iff local (IDs below first wrap)
+		if du >= Vertex(nl) && dv >= Vertex(nl) {
+			panic(fmt.Sprintf("graph: edge (%d,%d) has no endpoint on PE %d [%d,%d)", e.U, e.V, rank, first, last))
+		}
+		if du < Vertex(nl) {
+			off[du+1]++
+		}
+		if dv < Vertex(nl) {
+			off[dv+1]++
+		}
 	}
-	// Pass 1: sort-based ghost discovery (also validates edge locality).
-	l.ghostID = discoverGhosts(lo, hi, rank, edges, threads)
+	for r := 0; r < nl; r++ {
+		off[r+1] += off[r]
+	}
+	adj := make([]Vertex, off[nl])
+	end := slices.Clone(off[:nl]) // per row: write cursor, then end of the unique prefix
+	for _, e := range edges {
+		if e.U == e.V {
+			continue
+		}
+		if du := e.U - first; du < Vertex(nl) {
+			adj[end[du]] = e.V
+			end[du]++
+		}
+		if dv := e.V - first; dv < Vertex(nl) {
+			adj[end[dv]] = e.U
+			end[dv]++
+		}
+	}
+	parallelFor(threads, nl, slabRowChunk, func(_, lo, hi int) {
+		for r := lo; r < hi; r++ {
+			end[r] = off[r] + int64(len(sortedDedup(adj[off[r]:end[r]])))
+		}
+	})
+	return buildRows(pt, rank, func(r int) []Vertex { return adj[off[r]:end[r]] }, nil, threads)
+}
+
+// BuildLocalCSR constructs rank's local view straight from its rows of the
+// global CSR: the rows are read in place, never copied into an edge list.
+func BuildLocalCSR(pt *part.Partition, rank int, g *Graph, threads int) *LocalGraph {
+	first, _ := pt.Range(rank)
+	return buildRows(pt, rank, func(r int) []Vertex { return g.Neighbors(first + Vertex(r)) }, nil, threads)
+}
+
+// slabRowChunk is the fewest rows worth a builder worker of their own.
+const slabRowChunk = 64
+
+// slabWorker is one worker's share of a row-slab build: the ghosts its block
+// of rows met, in first-appearance order, and per ghost what the fill pass
+// needs.
+type slabWorker struct {
+	cut     int64      // cut entries in the block
+	cutRows []int32    // the rows of the block that hold them, ascending
+	set     ghostIndex // provisional ordinal <-> ghost ID
+	cnt     []int32    // per provisional ordinal: cut entries naming it
+	final   []int32    // per provisional ordinal: the ghost's row
+	pos     []int64    // per provisional ordinal: write cursor into that row
+}
+
+// checkRow panics unless nb is a well-formed CSR row of vertex v on n
+// vertices: strictly ascending, without v itself, every ID below n.
+func checkRow(nb []Vertex, v, n Vertex, rank int) {
+	for k, x := range nb {
+		if x == v || (k > 0 && x <= nb[k-1]) {
+			panic(fmt.Sprintf("graph: malformed adjacency row of vertex %d on PE %d: entry %d (%d) is a self-loop or not ascending", v, rank, k, x))
+		}
+	}
+	if k := len(nb); k > 0 && nb[k-1] >= n {
+		panic(fmt.Sprintf("graph: malformed adjacency row of vertex %d on PE %d: neighbor %d out of range n=%d", v, rank, nb[k-1], n))
+	}
+}
+
+// buildRows is the one LocalGraph builder. Its input is a row slab: the
+// sorted, duplicate-free global-ID rows of rank's vertices, row(r) being the
+// neighborhood of vertex First+r. release, when set, is told once row r
+// will not be read again. Workers own static contiguous blocks of rows; the
+// result does not depend on how many there are. Four passes:
+//
+//  1. check (checkRow) and size every row, counting the cut entries, which
+//     fixes the local half of the CSR and the length of the whole;
+//  2. translate every entry to its row, once: locals by subtraction, cut
+//     entries through the worker's growable ghost set, which hands out
+//     provisional ordinals in first-appearance order and counts each
+//     ghost's incidence — the only hash probe a cut entry ever pays;
+//  3. sort the distinct ghosts only, build the final ghost index over them
+//     and map every provisional ordinal to its ghost row (one probe per
+//     ghost per worker); incidences size the ghost rows, and worker-major
+//     cursors into them keep the fill deterministic;
+//  4. fill: copy each local row into adj; then, in the rows that hold cut
+//     entries, rewrite provisional to final in adjRow and transpose every
+//     cut entry into its ghost row. Rows are visited ascending, so ghost
+//     rows come out sorted, and translated.
+func buildRows(pt *part.Partition, rank int, row func(r int) []Vertex, release func(r int), threads int) *LocalGraph {
+	first, last := pt.Range(rank)
+	nl := int(last - first)
+	l := &LocalGraph{Part: pt, Rank: rank, First: first, Last: last, nLocal: nl}
+	w := workersFor(threads, nl, slabRowChunk)
+	ws := make([]slabWorker, w)
+
+	localOff := make([]int64, nl+1)
+	parallelBlocks(w, nl, func(worker, lo, hi int) {
+		cut := int64(0)
+		for r := lo; r < hi; r++ {
+			nb := row(r)
+			checkRow(nb, first+Vertex(r), pt.N(), rank)
+			for _, x := range nb {
+				if x-first >= Vertex(nl) {
+					cut++
+				}
+			}
+			localOff[r+1] = int64(len(nb))
+		}
+		ws[worker].cut = cut
+	})
+	for r := 0; r < nl; r++ {
+		localOff[r+1] += localOff[r]
+	}
+	total := localOff[nl] // every local entry, and one ghost-row entry per cut entry
+	for i := range ws {
+		total += ws[i].cut
+	}
+
+	adjRow := make([]int32, total)
+	parallelBlocks(w, nl, func(worker, lo, hi int) {
+		s := &ws[worker]
+		s.set = newGhostIndex(nil)
+		for r := lo; r < hi; r++ {
+			dst := adjRow[localOff[r]:localOff[r+1]]
+			cut := false
+			for k, x := range row(r) {
+				if d := x - first; d < Vertex(nl) {
+					dst[k] = int32(d)
+					continue
+				}
+				o := s.set.insert(x)
+				if o == len(s.cnt) {
+					s.cnt = append(s.cnt, 0)
+				}
+				s.cnt[o]++
+				dst[k], cut = int32(nl+o), true
+			}
+			if cut {
+				s.cutRows = append(s.cutRows, int32(r))
+			}
+		}
+	})
+
+	for i := range ws {
+		l.ghostID = append(l.ghostID, ws[i].set.ids...)
+	}
+	slices.Sort(l.ghostID)
+	l.ghostID = slices.Compact(l.ghostID)
 	l.ghosts = newGhostIndex(l.ghostID)
-	rows := l.nLocal + len(l.ghostID)
-
-	// Pass 2 (fused memo + count): resolve the row of every edge endpoint
-	// once (self loops become -1) and count entries per row in the same
-	// sweep. With one worker the plain loop runs; with several, per-row
-	// atomic counters keep the pass lock-free (rows are hit randomly, so
-	// contention is negligible, and the per-row sort below erases placement
-	// order anyway). The ghost index is read-only from here on, so workers
-	// share it; discovery guarantees every non-local endpoint is in it.
-	rowOf := make([]int32, 2*len(edges))
-	cnt := make([]int64, rows+1)
-	w := workersFor(threads, len(edges), parallelChunk)
-	if w == 1 {
-		for i, e := range edges {
-			if e.U == e.V {
-				rowOf[2*i] = -1
-				continue
-			}
-			ru, rv := l.Row(e.U), l.Row(e.V)
-			rowOf[2*i], rowOf[2*i+1] = ru, rv
-			cnt[ru+1]++
-			cnt[rv+1]++
-		}
-	} else {
-		parallelFor(threads, len(edges), parallelChunk, func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				e := edges[i]
-				if e.U == e.V {
-					rowOf[2*i] = -1
-					continue
-				}
-				ru, rv := l.Row(e.U), l.Row(e.V)
-				rowOf[2*i], rowOf[2*i+1] = ru, rv
-				atomic.AddInt64(&cnt[ru+1], 1)
-				atomic.AddInt64(&cnt[rv+1], 1)
-			}
-		})
-	}
+	rows := nl + len(l.ghostID)
 	off := make([]int64, rows+1)
-	for i := 1; i <= rows; i++ {
-		off[i] = off[i-1] + cnt[i]
-	}
-	adj := make([]Vertex, off[rows])
-	pos := make([]int64, rows)
-	copy(pos, off[:rows])
-	if w == 1 {
-		for i := 0; i < len(edges); i++ {
-			ru, rv := rowOf[2*i], rowOf[2*i+1]
-			if ru < 0 {
-				continue
-			}
-			adj[pos[ru]] = edges[i].V
-			pos[ru]++
-			adj[pos[rv]] = edges[i].U
-			pos[rv]++
+	copy(off, localOff)
+	for i := range ws {
+		s := &ws[i]
+		s.final = make([]int32, len(s.cnt))
+		for o, x := range s.set.ids {
+			g, _ := l.ghosts.find(x)
+			s.final[o] = int32(nl + g)
+			off[nl+g+1] += int64(s.cnt[o])
 		}
-	} else {
-		parallelFor(threads, len(edges), parallelChunk, func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				ru, rv := rowOf[2*i], rowOf[2*i+1]
-				if ru < 0 {
-					continue
-				}
-				adj[atomic.AddInt64(&pos[ru], 1)-1] = edges[i].V
-				adj[atomic.AddInt64(&pos[rv], 1)-1] = edges[i].U
-			}
-		})
+	}
+	for r := nl; r < rows; r++ {
+		off[r+1] += off[r]
+	}
+	next := slices.Clone(off[nl:rows]) // per ghost row: first slot no earlier worker fills
+	for i := range ws {
+		s := &ws[i]
+		s.pos = make([]int64, len(s.cnt))
+		for o, f := range s.final {
+			s.pos[o] = next[int(f)-nl]
+			next[int(f)-nl] += int64(s.cnt[o])
+		}
 	}
 
-	// Pass 3: sort + dedup + row-translate every row. Each surviving entry
-	// costs one ghost-index probe here and never needs resolution again —
-	// orientation, local phases, and receive-side intersections all work on
-	// the translated row indices.
-	//
-	// With one worker the sweep is fully fused: rows compact in place
-	// behind a running write cursor. With several, compaction is split —
-	// rows sort + dedup in place (disjoint slices of adj fan out over
-	// workers), a sequential prefix sum over the surviving lengths fixes
-	// the final offsets, and a second parallel sweep copies into exact-size
-	// arrays while translating. The result is identical either way.
-	if w == 1 {
-		wr := int64(0)
-		newOff := make([]int64, rows+1)
-		adjRow := make([]int32, len(adj))
-		for r := 0; r < rows; r++ {
-			row := adj[off[r]:off[r+1]]
-			slices.Sort(row)
-			start := wr
-			var last Vertex
-			first := true
-			for _, x := range row {
-				if !first && x == last {
-					continue
-				}
-				adj[wr] = x
-				adjRow[wr] = l.Row(x)
-				wr++
-				last, first = x, false
+	adj := make([]Vertex, total)
+	parallelBlocks(w, nl, func(worker, lo, hi int) {
+		s := &ws[worker]
+		for r := lo; r < hi; r++ {
+			copy(adj[off[r]:], row(r))
+			if release != nil {
+				release(r)
 			}
-			newOff[r] = start
 		}
-		newOff[rows] = wr
-		l.off, l.adj, l.adjRow = newOff, adj[:wr], adjRow[:wr]
-	} else {
-		uniq := make([]int64, rows)
-		parallelFor(threads, rows, 64, func(_, rlo, rhi int) {
-			for r := rlo; r < rhi; r++ {
-				row := adj[off[r]:off[r+1]]
-				slices.Sort(row)
-				u := 0
-				for k, x := range row {
-					if k > 0 && x == row[u-1] {
-						continue
-					}
-					row[u] = x
-					u++
+		for _, r := range s.cutRows {
+			tr := adjRow[off[r]:off[r+1]]
+			for k, t := range tr {
+				if o := int(t) - nl; o >= 0 {
+					tr[k] = s.final[o]
+					p := s.pos[o]
+					s.pos[o] = p + 1
+					adj[p], adjRow[p] = first+Vertex(r), r
 				}
-				uniq[r] = int64(u)
 			}
-		})
-		newOff := make([]int64, rows+1)
-		for r := 0; r < rows; r++ {
-			newOff[r+1] = newOff[r] + uniq[r]
 		}
-		outAdj := make([]Vertex, newOff[rows])
-		adjRow := make([]int32, newOff[rows])
-		parallelFor(threads, rows, 64, func(_, rlo, rhi int) {
-			for r := rlo; r < rhi; r++ {
-				src := adj[off[r] : off[r]+uniq[r]]
-				dst := outAdj[newOff[r]:newOff[r+1]]
-				dstR := adjRow[newOff[r]:newOff[r+1]]
-				for k, x := range src {
-					dst[k] = x
-					dstR[k] = l.Row(x)
-				}
-			}
-		})
-		l.off, l.adj, l.adjRow = newOff, outAdj, adjRow
-	}
+	})
+	l.off, l.adj, l.adjRow = off, adj, adjRow
 
 	// Local degrees are exact (1D partition: every incident edge is visible);
 	// ghost degrees are unknown until the degree exchange.
 	l.deg = make([]int, rows)
-	for r := 0; r < l.nLocal; r++ {
-		l.deg[r] = int(l.off[r+1] - l.off[r])
-	}
-	for r := l.nLocal; r < rows; r++ {
+	for r := range l.deg {
 		l.deg[r] = -1
+		if r < nl {
+			l.deg[r] = int(off[r+1] - off[r])
+		}
 	}
 	return l
-}
-
-// discoverGhosts returns the ascending, deduplicated non-local endpoints of
-// edges for the PE owning [first, last): workers collect the non-local
-// endpoints of their chunks, sort + dedup each chunk in parallel, and a
-// k-way merge (k = workers, so tiny) folds them together. Edges with no
-// endpoint in [first, last) panic, self loops are ignored — the same
-// contract as the map-based discovery it replaces.
-func discoverGhosts(first, last Vertex, rank int, edges []Edge, threads int) []Vertex {
-	w := workersFor(threads, len(edges), parallelChunk)
-	chunks := make([][]Vertex, w)
-	parallelBlocks(w, len(edges), func(worker, lo, hi int) {
-		// U- and V-side ghosts are collected separately, dropping
-		// immediately repeated endpoints: edge lists arrive grouped by
-		// ascending U, so the U-side stream is typically already sorted
-		// (skipping its comparison sort entirely — an O(n) check guards
-		// arbitrary inputs) and a ghost U with several local neighbors
-		// repeats back to back, so most duplicates never reach a sort.
-		bufU := make([]Vertex, 0, 64)
-		bufV := make([]Vertex, 0, 64)
-		lastU, lastV := ^Vertex(0), ^Vertex(0)
-		for i := lo; i < hi; i++ {
-			e := edges[i]
-			if e.U == e.V {
-				continue
-			}
-			uLoc := e.U >= first && e.U < last
-			vLoc := e.V >= first && e.V < last
-			if !uLoc && !vLoc {
-				panic(fmt.Sprintf("graph: edge (%d,%d) has no endpoint on PE %d [%d,%d)", e.U, e.V, rank, first, last))
-			}
-			if !uLoc && e.U != lastU {
-				bufU = append(bufU, e.U)
-				lastU = e.U
-			}
-			if !vLoc && e.V != lastV {
-				bufV = append(bufV, e.V)
-				lastV = e.V
-			}
-		}
-		chunks[worker] = mergeSortedDedup(sortedDedup(bufU), sortedDedup(bufV))
-	})
-	if w == 1 {
-		return chunks[0]
-	}
-	total := 0
-	for _, c := range chunks {
-		total += len(c)
-	}
-	out := make([]Vertex, 0, total)
-	idx := make([]int, w)
-	for {
-		best := -1
-		var bv Vertex
-		for k := 0; k < w; k++ {
-			if idx[k] < len(chunks[k]) && (best < 0 || chunks[k][idx[k]] < bv) {
-				best, bv = k, chunks[k][idx[k]]
-			}
-		}
-		if best < 0 {
-			return out
-		}
-		idx[best]++
-		if len(out) == 0 || out[len(out)-1] != bv {
-			out = append(out, bv)
-		}
-	}
-}
-
-// sortedDedup sorts s unless it is already ascending (an O(n) check — the
-// common case for U-side ghost streams) and removes duplicates in place.
-func sortedDedup(s []Vertex) []Vertex {
-	if !slices.IsSorted(s) {
-		slices.Sort(s)
-	}
-	u := 0
-	for k, x := range s {
-		if k > 0 && x == s[u-1] {
-			continue
-		}
-		s[u] = x
-		u++
-	}
-	return s[:u]
-}
-
-// mergeSortedDedup merges two ascending deduplicated lists into one.
-func mergeSortedDedup(a, b []Vertex) []Vertex {
-	if len(a) == 0 {
-		return b
-	}
-	if len(b) == 0 {
-		return a
-	}
-	out := make([]Vertex, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case a[i] > b[j]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
 }
 
 func (l *LocalGraph) isLocal(v Vertex) bool { return v >= l.First && v < l.Last }

@@ -187,14 +187,16 @@ func TestBuildLocalParForeignEdgePanics(t *testing.T) {
 	graph.BuildLocalPar(pt, 0, edges, 4)
 }
 
-// FuzzGhostDiscovery drives BuildLocalPar's ghost machinery over arbitrary
-// edge streams, at one and several workers: the sort-based discovery
-// (chunked collect, per-chunk sort + dedup, k-way merge) against the
-// map-based oracle, and the ghost index built from it against the
-// binary-search oracle (requireGhostIndex). Edge endpoints are decoded from
-// the fuzz payload as 16-bit pairs and edges with no endpoint in the local
-// range are skipped (those panic by contract, which this target is not
-// probing).
+// FuzzGhostDiscovery drives the row-slab builder's ghost machinery over
+// arbitrary edge streams, at one and several workers, through both of its
+// one-shot front ends: BuildLocalPar on the raw stream (self-loops,
+// duplicates and both orientations included) and BuildLocalCSR on
+// FromEdges of it. Each view must match the map oracle of slab_test.go
+// entry for entry — ghosts, rows, translation, degrees — and its ghost
+// index the binary-search oracle (requireGhostIndex). Edge endpoints are
+// decoded from the fuzz payload as 16-bit pairs; edges with no endpoint in
+// the local range are withheld from BuildLocalPar (those panic by contract,
+// which this target is not probing) but stay in the graph.
 func FuzzGhostDiscovery(f *testing.F) {
 	f.Add([]byte{}, uint16(8))
 	f.Add([]byte{0, 0, 1, 0, 1, 0, 2, 0, 7, 0, 9, 0}, uint16(10))
@@ -206,22 +208,29 @@ func FuzzGhostDiscovery(f *testing.F) {
 			t.Fatal(err)
 		}
 		_, last := pt.Range(0)
-		var edges []graph.Edge
+		var all, edges []graph.Edge
 		for i := 0; i+3 < len(data); i += 4 {
 			u := uint64(binary.LittleEndian.Uint16(data[i:])) % n
 			v := uint64(binary.LittleEndian.Uint16(data[i+2:])) % n
-			if u >= last && v >= last {
-				continue
+			all = append(all, graph.Edge{U: u, V: v})
+			if u < last || v < last {
+				edges = append(edges, graph.Edge{U: u, V: v})
 			}
-			edges = append(edges, graph.Edge{U: u, V: v})
 		}
-		want := ghostOracle(pt, 0, edges)
+		g := graph.FromEdges(int(n), all)
+		want := naiveLocal(pt, 0, all)
+		if !slices.Equal(want.ghosts, ghostOracle(pt, 0, edges)) {
+			t.Fatalf("oracles disagree: %v vs %v", want.ghosts, ghostOracle(pt, 0, edges))
+		}
 		for _, threads := range []int{1, 3} {
-			lg := graph.BuildLocalPar(pt, 0, edges, threads)
-			if !slices.Equal(lg.Ghosts(), want) {
-				t.Fatalf("threads=%d: ghosts %v, oracle %v", threads, lg.Ghosts(), want)
+			for name, lg := range map[string]*graph.LocalGraph{
+				"edges": graph.BuildLocalPar(pt, 0, edges, threads),
+				"csr":   graph.BuildLocalCSR(pt, 0, g, threads),
+			} {
+				tag := fmt.Sprintf("%s threads=%d", name, threads)
+				requireMatchesNaive(t, tag, lg, want)
+				requireGhostIndex(t, tag, lg)
 			}
-			requireGhostIndex(t, fmt.Sprintf("threads=%d", threads), lg)
 		}
 	})
 }

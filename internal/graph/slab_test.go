@@ -1,0 +1,189 @@
+package graph_test
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+
+	"repro/internal/gen"
+	"repro/internal/graph"
+	"repro/internal/part"
+	"repro/internal/testgraph"
+)
+
+// naiveView is what a PE's local view must contain, held in plain maps and
+// slices: the oracle side of the builder matrix below.
+type naiveView struct {
+	ghosts []graph.Vertex
+	rows   [][]graph.Vertex // locals in ID order, then ghosts in ID order
+	rowIdx [][]int32        // rows, translated
+	deg    []int
+}
+
+// naiveLocal derives rank's view from an edge list with nothing but maps and
+// sorts: independent of the row-slab builder, the ghost index and the CSR.
+func naiveLocal(pt *part.Partition, rank int, edges []graph.Edge) naiveView {
+	lo, hi := pt.Range(rank)
+	local := func(v graph.Vertex) bool { return v >= lo && v < hi }
+	nbr := make(map[graph.Vertex]map[graph.Vertex]bool)
+	add := func(a, b graph.Vertex) {
+		if nbr[a] == nil {
+			nbr[a] = make(map[graph.Vertex]bool)
+		}
+		nbr[a][b] = true
+	}
+	var nv naiveView
+	for _, e := range edges {
+		if e.U != e.V && (local(e.U) || local(e.V)) {
+			add(e.U, e.V)
+			add(e.V, e.U)
+		}
+	}
+	for v := range nbr {
+		if !local(v) {
+			nv.ghosts = append(nv.ghosts, v)
+		}
+	}
+	slices.Sort(nv.ghosts)
+	ids := make([]graph.Vertex, 0, int(hi-lo)+len(nv.ghosts))
+	rowOf := make(map[graph.Vertex]int32)
+	for v := lo; v < hi; v++ {
+		ids = append(ids, v)
+	}
+	ids = append(ids, nv.ghosts...)
+	for r, v := range ids {
+		rowOf[v] = int32(r)
+	}
+	for _, v := range ids {
+		row := make([]graph.Vertex, 0, len(nbr[v]))
+		for u := range nbr[v] {
+			row = append(row, u)
+		}
+		slices.Sort(row)
+		idx := make([]int32, len(row))
+		for k, u := range row {
+			idx[k] = rowOf[u]
+		}
+		d := -1
+		if local(v) {
+			d = len(row)
+		}
+		nv.rows, nv.rowIdx, nv.deg = append(nv.rows, row), append(nv.rowIdx, idx), append(nv.deg, d)
+	}
+	return nv
+}
+
+func requireMatchesNaive(t *testing.T, tag string, got *graph.LocalGraph, want naiveView) {
+	t.Helper()
+	if !slices.Equal(got.Ghosts(), want.ghosts) {
+		t.Fatalf("%s: ghosts %v, oracle %v", tag, got.Ghosts(), want.ghosts)
+	}
+	if got.Rows() != len(want.rows) {
+		t.Fatalf("%s: %d rows, oracle %d", tag, got.Rows(), len(want.rows))
+	}
+	for r := range want.rows {
+		if !slices.Equal(got.RowNeighbors(int32(r)), want.rows[r]) {
+			t.Fatalf("%s: row %d = %v, oracle %v", tag, r, got.RowNeighbors(int32(r)), want.rows[r])
+		}
+		if !slices.Equal(got.RowNeighborRows(int32(r)), want.rowIdx[r]) {
+			t.Fatalf("%s: row %d translates to %v, oracle %v", tag, r, got.RowNeighborRows(int32(r)), want.rowIdx[r])
+		}
+		if got.Degree(int32(r)) != want.deg[r] {
+			t.Fatalf("%s: row %d degree %d, oracle %d", tag, r, got.Degree(int32(r)), want.deg[r])
+		}
+	}
+}
+
+// TestLocalBuildersAgree is the builder matrix: on every fixture × p ×
+// partition × rank, the CSR-slab build is checked against the map oracle,
+// and at every thread count the from-edges front end, Seal and SealRelease
+// must reproduce it entry for entry with a sound ghost index. Cost-balanced
+// partitions of the skewed fixtures give PEs with no rows at all; p = 1 and
+// the sparse fixture give PEs with no ghosts.
+func TestLocalBuildersAgree(t *testing.T) {
+	emptyPEs, ghostlessPEs := 0, 0
+	for _, fx := range testgraph.All {
+		g := fx.Build()
+		edges := g.Edges()
+		n := g.NumVertices()
+		degrees := make([]int, n)
+		for v := range degrees {
+			degrees[v] = g.Degree(graph.Vertex(v))
+		}
+		for _, p := range []int{1, 2, 3, 5, 8} {
+			for pname, pt := range map[string]*part.Partition{
+				"uniform": part.Uniform(uint64(n), p),
+				"degree":  part.ByCost(degrees, p, part.CostDegree),
+				"wedges":  part.ByCost(degrees, p, part.CostWedges),
+			} {
+				per := graph.ScatterEdges(pt, edges)
+				for rank := 0; rank < p; rank++ {
+					tag := fmt.Sprintf("%s p=%d %s rank=%d", fx.Name, p, pname, rank)
+					want := graph.BuildLocalCSR(pt, rank, g, 1)
+					requireMatchesNaive(t, tag, want, naiveLocal(pt, rank, edges))
+					if want.NLocal() == 0 {
+						emptyPEs++
+					}
+					if want.NGhost() == 0 {
+						ghostlessPEs++
+					}
+					for _, threads := range equivThreads {
+						tag := fmt.Sprintf("%s threads=%d", tag, threads)
+						requireLocalGraphsEqual(t, tag+" csr", graph.BuildLocalCSR(pt, rank, g, threads), want)
+						requireLocalGraphsEqual(t, tag+" edges", graph.BuildLocalPar(pt, rank, per[rank], threads), want)
+						for _, release := range []bool{false, true} {
+							sb := graph.NewStreamBuilder(pt, rank)
+							sb.Fold(per[rank], threads)
+							got := sb.Seal
+							if release {
+								got = sb.SealRelease
+							}
+							requireLocalGraphsEqual(t, fmt.Sprintf("%s seal(release=%v)", tag, release), got(threads), want)
+						}
+					}
+				}
+			}
+		}
+	}
+	if emptyPEs == 0 || ghostlessPEs == 0 {
+		t.Fatalf("matrix saw %d PEs without rows and %d without ghosts; it must cover both", emptyPEs, ghostlessPEs)
+	}
+}
+
+var buildSink *graph.LocalGraph // keeps the benchmarked builds observable
+
+// BenchmarkBuildLocal times the build of all four ranks' views, one thread,
+// on the 1D one-shot inputs of BENCHMARK.json, through both front ends of
+// the row-slab builder: csr reads each rank's rows of the global CSR in
+// place (what core.Run does), edges buckets and sorts the rank's scattered
+// edge slice first (what the cmd/bench probe times; the scatter is outside
+// the clock).
+func BenchmarkBuildLocal(b *testing.B) {
+	const p = 4
+	for _, in := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"rgg2d", gen.RGG2D(1<<17, 16, 42)},
+		{"rmat", gen.RMAT(gen.DefaultRMAT(16, 42))},
+		{"gnm", gen.GNM(1<<15, 1<<19, 42)},
+	} {
+		pt := part.Uniform(uint64(in.g.NumVertices()), p)
+		b.Run("csr/"+in.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for rank := 0; rank < p; rank++ {
+					buildSink = graph.BuildLocalCSR(pt, rank, in.g, 1)
+				}
+			}
+		})
+		b.Run("edges/"+in.name, func(b *testing.B) {
+			per := graph.ScatterEdges(pt, in.g.Edges())
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for rank := 0; rank < p; rank++ {
+					buildSink = graph.BuildLocalPar(pt, rank, per[rank], 1)
+				}
+			}
+		})
+	}
+}

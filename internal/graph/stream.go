@@ -2,18 +2,18 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/part"
 )
 
-// Streaming ingestion: the chunked counterpart of ScatterEdgesPar +
-// BuildLocalPar. A one-shot run materializes the full global edge list and
-// a complete p-way scatter before any PE starts building — O(|E|) words on
-// the driver, the one place the reproduction still exceeded the paper's
-// O(|E_i|) memory model. The streaming path instead scatters one batch at a
-// time (ScatterEdgesRank keeps a single rank's slice) and folds each batch
-// into a per-PE resident adjacency held by StreamBuilder, so peak driver
-// memory drops to O(|E_i| + batch).
+// Streaming ingestion: the front end of the row-slab builder (buildRows,
+// local.go) for a graph that arrives as edge batches rather than as a CSR.
+// A one-shot run hands every PE its rows of the global CSR and holds no
+// edge list at all; what a stream saves is holding the global graph: the
+// driver scatters one batch at a time and each PE folds its slice into a
+// resident adjacency held by StreamBuilder, so memory outside the PEs stays
+// O(batch) and each PE's O(|E_i|).
 //
 // StreamBuilder separates ingestion into two steps so the incremental
 // counting driver (core.RunStream) can compute tri(G+Δ) − tri(G) between
@@ -23,54 +23,10 @@ import (
 //	                leaving per-row sorted lists of strictly-new neighbors Δ
 //	Commit()      — merge Δ into the resident rows in place
 //
-// Fold = Stage + Commit is the plain loading path, and Seal materializes
-// the resident adjacency through BuildLocalPar, so a sealed streamed build
-// is byte-identical to the one-shot two-pass build of the same edges.
-
-// ScatterEdgesRank returns only rank's slice of ScatterEdges(pt, edges):
-// the edges incident to rank's vertex range, in input order —
-// element-for-element identical to ScatterEdgesPar(pt, edges, threads)[rank]
-// — without materializing the other p−1 slices. A multi-process rank driver
-// (core.RunRank) and the streaming feeder use it to keep O(|E_rank|) per
-// process instead of O(|E|). Endpoint ranks are recomputed in the placement
-// pass rather than memoized: the memo array is itself an O(|E|) allocation,
-// which is exactly what this variant exists to avoid.
-func ScatterEdgesRank(pt *part.Partition, edges []Edge, rank, threads int) []Edge {
-	if len(edges) == 0 {
-		return nil
-	}
-	w := workersFor(threads, len(edges), parallelChunk)
-	cnt := make([]int64, w)
-	parallelBlocks(w, len(edges), func(worker, lo, hi int) {
-		c := int64(0)
-		for i := lo; i < hi; i++ {
-			e := edges[i]
-			if pt.Rank(e.U) == rank || pt.Rank(e.V) == rank {
-				c++
-			}
-		}
-		cnt[worker] = c
-	})
-	total := int64(0)
-	for worker := 0; worker < w; worker++ {
-		cnt[worker], total = total, total+cnt[worker]
-	}
-	if total == 0 {
-		return nil
-	}
-	out := make([]Edge, total)
-	parallelBlocks(w, len(edges), func(worker, lo, hi int) {
-		cur := cnt[worker]
-		for i := lo; i < hi; i++ {
-			e := edges[i]
-			if pt.Rank(e.U) == rank || pt.Rank(e.V) == rank {
-				out[cur] = e
-				cur++
-			}
-		}
-	})
-	return out
-}
+// Fold = Stage + Commit is the plain loading path. The resident rows are
+// exactly a row slab — sorted, duplicate-free global IDs per local vertex —
+// so Seal hands them to buildRows as they are, and a sealed streamed build
+// is byte-identical to BuildLocalCSR on the graph of the same edges.
 
 // StreamBuilder accumulates one PE's scattered edge batches into a resident
 // per-local-row adjacency (sorted global IDs, duplicates removed). Ghost
@@ -155,7 +111,7 @@ func (b *StreamBuilder) StagedEntries() int { return b.stagedTotal }
 
 // Stage ingests one scattered batch without committing it. Candidates are
 // bucketed per local row with a two-pass counting layout (the batch-scale
-// analogue of the count + placement passes of BuildLocalPar), then every
+// twin of BuildLocalPar's count + placement passes), then every
 // touched row is sorted, deduplicated, and subtracted against its resident
 // row — forward-galloping through the resident list (searchFrom) — leaving
 // the strictly-new Δ. The per-row
@@ -268,6 +224,19 @@ func (b *StreamBuilder) stageSubtract(lo, hi int) {
 	}
 }
 
+// sortedDedup sorts s and removes duplicates in place. A list that is
+// already strictly ascending — the common case: edge lists arrive grouped by
+// ascending endpoint — costs one scan and no write.
+func sortedDedup(s []Vertex) []Vertex {
+	for k := 1; k < len(s); k++ {
+		if s[k] <= s[k-1] {
+			slices.Sort(s)
+			return slices.Compact(s)
+		}
+	}
+	return s
+}
+
 // searchFrom finds x in the ascending slice s at or after index from by
 // exponential + binary search, returning the insertion index and whether x
 // is present. The streaming builder's staged-batch subtraction scans an
@@ -357,27 +326,18 @@ func (b *StreamBuilder) Fold(edges []Edge, threads int) {
 	b.Commit(threads)
 }
 
-// Seal materializes the resident adjacency as a LocalGraph identical to
-// BuildLocalPar over the same edges — but without re-materializing an edge
-// list or re-running the sort pipeline. The resident rows already are the
-// final local rows (sorted, deduplicated, global IDs); ghost rows are their
-// transpose: walking local rows in ascending order and appending each row's
-// global ID to the ghost rows of its cut entries yields ghost rows sorted
-// for free. The only transients beyond the output arrays are the cut-entry
-// collection for ghost discovery (≤ |E_i| words, vs the 2·|E_i|-word edge
-// list plus the build pipeline's endpoint memo the old path paid). The
-// builder stays usable: further batches can be staged after sealing.
+// Seal builds the local view of the resident adjacency: buildRows over the
+// resident rows, read in place. The builder stays usable; further batches
+// can be staged after sealing.
 func (b *StreamBuilder) Seal(threads int) *LocalGraph {
 	return b.seal(threads, false)
 }
 
 // SealRelease is Seal for a builder that will take no further batches: each
-// resident row is freed the moment it has been copied into the local view,
-// and the row-index translation reads the view itself instead of the rows.
-// The construction peak therefore holds roughly ONE copy of the adjacency
-// (max of shrinking rows + growing view) rather than two — the difference
-// between a streaming loader beating the one-shot driver's peak and merely
-// matching it. The builder is spent afterwards; any further use panics.
+// resident row is dropped the moment buildRows has copied it into the view,
+// so the construction holds roughly ONE copy of the adjacency (shrinking
+// rows + filling view) rather than two. The builder is spent afterwards;
+// any further use panics.
 func (b *StreamBuilder) SealRelease(threads int) *LocalGraph {
 	return b.seal(threads, true)
 }
@@ -386,101 +346,14 @@ func (b *StreamBuilder) seal(threads int, release bool) *LocalGraph {
 	if b.staged {
 		panic("graph: Seal with a staged batch pending")
 	}
-	l := &LocalGraph{
-		Part:   b.pt,
-		Rank:   b.rank,
-		First:  b.first,
-		Last:   b.last,
-		nLocal: len(b.rows),
-	}
-	// Ghost discovery: collect every cut entry, sort, dedup.
-	var cut []Vertex
-	for _, row := range b.rows {
-		for _, w := range row {
-			if w < b.first || w >= b.last {
-				cut = append(cut, w)
-			}
-		}
-	}
-	nCut := len(cut)
-	l.ghostID = append([]Vertex(nil), sortedDedup(cut)...)
-	cut = nil
-	l.ghosts = newGhostIndex(l.ghostID)
-	rows := l.nLocal + len(l.ghostID)
-
-	// Offsets: local row lengths are known; each ghost row's length is its
-	// incidence count among the cut entries (every cut entry is in the ghost
-	// index by construction).
-	off := make([]int64, rows+1)
-	for r, row := range b.rows {
-		off[r+1] = int64(len(row))
-	}
-	for _, row := range b.rows {
-		for _, w := range row {
-			if w < b.first || w >= b.last {
-				g, _ := l.ghosts.find(w)
-				off[l.nLocal+g+1]++
-			}
-		}
-	}
-	for r := 0; r < rows; r++ {
-		off[r+1] += off[r]
-	}
-
-	// Fill adj: copy each local row and transpose its cut entries into the
-	// ghost rows in the same ascending sweep — sequential by design, the
-	// ascending order is what leaves each ghost row sorted. In release mode
-	// each row is dropped as soon as it has been consumed, so the shrinking
-	// rows and the growing view never both hold the full adjacency.
-	adj := make([]Vertex, off[rows])
-	var pos []int64
-	if nCut > 0 {
-		pos = make([]int64, len(l.ghostID))
-		for i := range l.ghostID {
-			pos[i] = off[l.nLocal+i]
-		}
-	}
-	for r, row := range b.rows {
-		copy(adj[off[r]:off[r+1]], row)
-		v := b.first + Vertex(r)
-		for _, w := range row {
-			if w < b.first || w >= b.last {
-				g, _ := l.ghosts.find(w)
-				adj[pos[g]] = v
-				pos[g]++
-			}
-		}
-		if release {
-			b.rows[r] = nil
-		}
-	}
+	rows := b.rows
+	var drop func(r int)
 	if release {
+		drop = func(r int) { rows[r] = nil }
 		b.rows, b.stagedIdx, b.stagedAdj, b.touched = nil, nil, nil, nil
 		b.candR, b.candV, b.stagedOff, b.stagedLen = nil, nil, nil, nil
 	}
-
-	// Row-index translation reads adj itself (rows are no longer needed):
-	// ghost rows hold only local IDs, local rows probe the ghost index.
-	adjRow := make([]int32, off[rows])
-	parallelFor(threads, rows, 64, func(_, rlo, rhi int) {
-		for r := rlo; r < rhi; r++ {
-			src := adj[off[r]:off[r+1]]
-			dst := adjRow[off[r]:off[r+1]]
-			for k, w := range src {
-				dst[k] = l.Row(w)
-			}
-		}
-	})
-	l.off, l.adj, l.adjRow = off, adj, adjRow
-
-	l.deg = make([]int, rows)
-	for r := 0; r < l.nLocal; r++ {
-		l.deg[r] = int(l.off[r+1] - l.off[r])
-	}
-	for r := l.nLocal; r < rows; r++ {
-		l.deg[r] = -1
-	}
-	return l
+	return buildRows(b.pt, b.rank, func(r int) []Vertex { return rows[r] }, drop, threads)
 }
 
 // growInt32 returns s resized to n, reallocating only when capacity is

@@ -11,39 +11,11 @@ import (
 )
 
 // Streaming-build equivalence: folding a rank's scattered edges batch by
-// batch and sealing must reproduce BuildLocalPar of the same edges exactly,
-// and the rank-filtered scatter must reproduce the rank's slice of the full
-// scatter exactly.
+// batch and sealing must reproduce the one-shot build of the same edges
+// exactly (slab_test.go holds the full builder matrix).
 
 var streamPs = []int{1, 2, 4, 8}
 var streamBatches = []int{1, 7, 97, 1 << 20}
-
-func TestScatterEdgesRankMatchesPar(t *testing.T) {
-	for _, fx := range testgraph.All {
-		g := fx.Build()
-		edges := g.Edges()
-		for _, p := range streamPs {
-			pt := part.Uniform(uint64(g.NumVertices()), p)
-			for _, threads := range []int{1, 3} {
-				full := graph.ScatterEdgesPar(pt, edges, threads)
-				for rank := 0; rank < p; rank++ {
-					got := graph.ScatterEdgesRank(pt, edges, rank, threads)
-					want := full[rank]
-					if len(got) != len(want) {
-						t.Fatalf("%s p=%d rank=%d threads=%d: %d edges, want %d",
-							fx.Name, p, rank, threads, len(got), len(want))
-					}
-					for i := range got {
-						if got[i] != want[i] {
-							t.Fatalf("%s p=%d rank=%d: edge %d = %v, want %v",
-								fx.Name, p, rank, i, got[i], want[i])
-						}
-					}
-				}
-			}
-		}
-	}
-}
 
 // requireLocalGraphsEqual compares two local views through the accessor
 // surface the counting phases use, and checks got's own ghost index (Seal
@@ -123,7 +95,7 @@ func TestStreamBuilderSealShuffled(t *testing.T) {
 	sb := graph.NewStreamBuilder(pt, 1)
 	for lo := 0; lo < len(stream); lo += 13 {
 		batch := stream[lo:min(lo+13, len(stream))]
-		sb.Fold(graph.ScatterEdgesRank(pt, batch, 1, 1), 1)
+		sb.Fold(graph.ScatterEdges(pt, batch)[1], 1)
 	}
 	requireLocalGraphsEqual(t, "shuffled", sb.Seal(1), want)
 }
@@ -227,7 +199,7 @@ func TestStreamBuilderMisuse(t *testing.T) {
 func BenchmarkStreamInsertSteadyState(b *testing.B) {
 	g := gen.GNM(1<<10, 1<<13, 1)
 	pt := part.Uniform(uint64(g.NumVertices()), 2)
-	mine := graph.ScatterEdgesRank(pt, g.Edges(), 0, 1)
+	mine := graph.ScatterEdges(pt, g.Edges())[0]
 	sb := graph.NewStreamBuilder(pt, 0)
 	sb.Fold(mine, 1)
 	batch := mine[:min(256, len(mine))]
