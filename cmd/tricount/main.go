@@ -68,7 +68,7 @@ func run() (err error) {
 		codec     = flag.String("codec", "auto", "wire codec policy: auto|raw|varint|deltavarint")
 		profile   = flag.String("profile", "", "costmodel network profile (supercomputer|cloud|wan|measured): derives the overlapped pipeline's flush watermark and prices placement; 'measured' calibrates α/β live from the run's own frame latencies (falls back to cloud until enough samples); empty keeps the fixed default")
 		placement = flag.String("placement", "off", "hub placement overlay (DITRIC/CETRIC): off|static|auto — move heavy hub rows to surrogate PEs by greedy LPT over the modeled load (static: profile-table α/β, auto: live-calibrated); counts are identical")
-		hub       = flag.Int("hub", 0, "hub-bitmap threshold: min |A(v)| for a packed bitmap (0 = default, <0 = off)")
+		hub       = flag.Int("hub", 0, "hub-bitmap threshold, 1D engines only (tk2d keeps no bitmaps): min |A(v)| for a packed bitmap (0 = default, <0 = off)")
 
 		approx  = flag.Bool("approx", false, "AMQ-approximate type-3 counting (CETRIC)")
 		bits    = flag.Float64("bits", 8, "Bloom filter bits per key for -approx")

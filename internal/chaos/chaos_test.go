@@ -89,6 +89,10 @@ type schedule struct {
 
 var barrieredCetric = schedule{algo: core.AlgoCetric}
 
+// withTK2D adds the 2D backend's blocking and pipelined broadcast rounds to
+// the default cell.
+var withTK2D = []schedule{barrieredCetric, {algo: core.AlgoTK2D}, {algo: core.AlgoTK2D, overlap: true}}
+
 func (s schedule) String() string {
 	name := string(s.algo)
 	if s.overlap {
@@ -115,7 +119,9 @@ func typedAbort(t *testing.T, err error) *dist.RunError {
 }
 
 // runChaos runs one fixture under a fault plan and returns the typed error.
-func runChaos(t *testing.T, fixture string, plan chaos.Plan, sched schedule) (*chaos.Network, *dist.RunError) {
+// With mayComplete a run the fault did not stop is accepted — provided it
+// returns the fixture's exact count — and reported as a nil error.
+func runChaos(t *testing.T, fixture string, plan chaos.Plan, sched schedule, mayComplete bool) (*chaos.Network, *dist.RunError) {
 	t.Helper()
 	fx, ok := testgraph.ByName(fixture)
 	if !ok {
@@ -125,7 +131,13 @@ func runChaos(t *testing.T, fixture string, plan chaos.Plan, sched schedule) (*c
 	cfg := chaosCfg(net)
 	cfg.Overlap = sched.overlap
 	cfg.Threads = sched.threads
-	_, err := core.Run(sched.algo, fx.Build(), cfg)
+	res, err := core.Run(sched.algo, fx.Build(), cfg)
+	if err == nil && mayComplete {
+		if res.Count != fx.Triangles {
+			t.Fatalf("injected fault, run returned the wrong count %d, want %d", res.Count, fx.Triangles)
+		}
+		return net, nil
+	}
 	return net, typedAbort(t, err)
 }
 
@@ -151,6 +163,9 @@ func TestFaultGrid(t *testing.T) {
 		// schedules lists the cells the fault runs through (nil: barriered
 		// CETRIC only).
 		schedules []schedule
+		// mayComplete: the fault can miss everything that matters, and a run
+		// that then returns the exact count has kept the contract.
+		mayComplete bool
 	}{
 		{
 			name: "drop",
@@ -164,6 +179,7 @@ func TestFaultGrid(t *testing.T) {
 					t.Fatalf("no WatchdogError in chain: %v", re)
 				}
 			},
+			schedules: withTK2D,
 		},
 		{
 			name: "corrupt",
@@ -175,13 +191,20 @@ func TestFaultGrid(t *testing.T) {
 					t.Fatalf("no CorruptFrameError in chain: %v", re)
 				}
 			},
+			// The 2D cells: a block broadcast that does not decode is typed
+			// like a queue frame that does not.
+			schedules: withTK2D,
 		},
 		{
 			name: "duplicate",
 			// Duplication inflates recv past sent (data) or replays control
-			// tags into later epochs; either way the run must end typed.
-			plan: chaos.Plan{Seed: 17, DupProb: 0.3},
-			want: []dist.AbortCause{dist.CauseWatchdog, dist.CauseBody, dist.CauseCorrupt},
+			// tags into later epochs; either way the run must end typed. When
+			// every duplicated frame happens to be a control frame whose
+			// replay nothing reads, the run completes — correctly, or the
+			// cell fails.
+			plan:        chaos.Plan{Seed: 17, DupProb: 0.3},
+			want:        []dist.AbortCause{dist.CauseWatchdog, dist.CauseBody, dist.CauseCorrupt},
+			mayComplete: true,
 		},
 		{
 			name: "crash-panic",
@@ -213,7 +236,8 @@ func TestFaultGrid(t *testing.T) {
 			// channel or the steal deque.
 			schedules: []schedule{barrieredCetric, {algo: core.AlgoCetric, overlap: true},
 				{algo: core.AlgoDiTric}, {algo: core.AlgoDiTric, overlap: true},
-				{algo: core.AlgoCetric, threads: 2}, {algo: core.AlgoDiTric, overlap: true, threads: 2}},
+				{algo: core.AlgoCetric, threads: 2}, {algo: core.AlgoDiTric, overlap: true, threads: 2},
+				{algo: core.AlgoTK2D}, {algo: core.AlgoTK2D, overlap: true}},
 			check: func(t *testing.T, re *dist.RunError) {
 				var pl *comm.ErrPeerLost
 				if !errors.As(re, &pl) {
@@ -261,9 +285,12 @@ func TestFaultGrid(t *testing.T) {
 				}
 				t.Run(name, func(t *testing.T) {
 					start := time.Now()
-					_, re := runChaos(t, fixture, sc.plan, sched)
+					_, re := runChaos(t, fixture, sc.plan, sched, sc.mayComplete)
 					if took := time.Since(start); took > 15*time.Second {
 						t.Fatalf("recovery took %v; the deadline machinery is not bounding the run", took)
+					}
+					if re == nil {
+						return // completed with the exact count (mayComplete)
 					}
 					ok := false
 					for _, c := range sc.want {
@@ -280,6 +307,26 @@ func TestFaultGrid(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestTK2DCorruptBlockIsTyped: under the raw codec a corrupted broadcast
+// still decodes to words, so it is the block decoder that rejects it (the
+// frame no longer names the bands this round expects) — and that rejection
+// must surface as the same typed corrupt-frame cause, blaming a sender.
+func TestTK2DCorruptBlockIsTyped(t *testing.T) {
+	leakcheck.Check(t)
+	fx, _ := testgraph.ByName("rgg")
+	cfg := chaosCfg(chaos.Wrap(transport.NewChanNetwork(chaosP), chaos.Plan{Seed: 13, CorruptProb: 1}))
+	cfg.Codec = core.CodecRaw
+	_, err := core.Run(core.AlgoTK2D, fx.Build(), cfg)
+	re := typedAbort(t, err)
+	var cf *comm.CorruptFrameError
+	if re.Cause != dist.CauseCorrupt || !errors.As(re, &cf) {
+		t.Fatalf("cause = %s, want %s with a CorruptFrameError in the chain (err: %v)", re.Cause, dist.CauseCorrupt, re)
+	}
+	if cf.Src < 0 || cf.Src >= chaosP || cf.Src == re.Rank {
+		t.Fatalf("corrupt block blamed on rank %d by rank %d", cf.Src, re.Rank)
 	}
 }
 
@@ -313,7 +360,7 @@ func TestCrashSilentStats(t *testing.T) {
 	leakcheck.Check(t)
 	net, _ := runChaos(t, "K12", chaos.Plan{
 		Seed: 37, CrashRank: 2, CrashAfter: 5, DetectAfter: 20 * time.Millisecond,
-	}, barrieredCetric)
+	}, barrieredCetric, false)
 	if got := net.Stats().Crashes; got != 1 {
 		t.Fatalf("Crashes = %d, want 1", got)
 	}

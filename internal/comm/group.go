@@ -125,7 +125,8 @@ func (g *Group) IBcast(root int, words []uint64, codec Codec) BcastOp {
 // wait metered into Metrics.IdleNs — and returns the decoded words in a
 // pooled buffer. Hand receiver-side buffers back via Recycle once consumed
 // so the steady state allocates nothing; never Recycle the root's return
-// (it is the caller's own payload slice).
+// (it is the caller's own payload slice). A frame the codec cannot decode
+// raises *CorruptFrameError, like a corrupt queue frame.
 func (op BcastOp) Wait() []uint64 {
 	g := op.g
 	if g.Size() == 1 || g.idx == op.root {
@@ -134,7 +135,7 @@ func (op BcastOp) Wait() []uint64 {
 	f := g.c.waitTagIdle(op.t)
 	out, err := op.codec.AppendDecoded(g.c.getWordBuf()[:0], f.Bytes[8:])
 	if err != nil {
-		panic(fmt.Sprintf("comm: group bcast decode: %v", err))
+		panic(&CorruptFrameError{Src: f.Src, Reason: fmt.Sprintf("group bcast decode: %v", err)})
 	}
 	g.c.M.RecvFrames++
 	g.c.M.RecvWords += int64(1 + len(out))

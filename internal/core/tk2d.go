@@ -6,30 +6,34 @@ import (
 	"repro/internal/comm"
 	"repro/internal/dist"
 	"repro/internal/graph"
+	"repro/internal/part"
 )
 
 // TK2D — the 2D grid-partitioned counter of Tom & Karypis ("A 2-D Parallel
 // Triangle Counting Algorithm", 2019) — as an alternative geometry to the
-// paper's 1D counters. The ID-oriented upper-triangular adjacency matrix U
-// is cut into an r×c grid of blocks (cyclic bands per dimension; see
-// part.Grid2D — any p ≥ 1 factors, square p giving the classic √p×√p
-// grid), PE (a,b) owns block U_ab, and the count is the masked SpGEMM
-// trace Σ_ab ⟨(U·U)_ab, U_ab⟩: in round k = 0..L−1 (L = lcm(r,c), the
+// paper's 1D counters, over the same orientation: every edge points from its
+// ≺-smaller to its ≺-larger endpoint (degree, then ID: graph.Less), which
+// keeps the out-lists of hubs short. The oriented adjacency matrix U is cut
+// into an r×c grid of blocks (cyclic bands per dimension, by original ID; see
+// part.Grid2D — any p ≥ 1 factors, square p giving the classic √p×√p grid),
+// PE (a,b) owns block U_ab, and the count is the masked SpGEMM trace
+// Σ_ab ⟨(U·U)_ab, U_ab⟩: in round k = 0..L−1 (L = lcm(r,c), the
 // middle-vertex banding both dimensions agree on) the PE at grid position
 // (a, k mod c) broadcasts its round-k stripe along row a, the PE at
 // (k mod r, b) broadcasts its TRANSPOSED stripe down column b, and every
-// PE (a,b) closes the wedges i→v→j with v ≡ k (mod L) against its own
-// edges (i,j) using the same adaptive merge/gallop/hub-bitmap kernels as
-// the 1D counters. On square grids every stripe is a whole block and the
-// schedule (and wire) reduces to the original √p-round one.
+// PE (a,b) closes the wedges i ≺ v ≺ j with v ≡ k (mod L) against its own
+// edges (i,j) — each triangle once, at the edge between its ≺-smallest and
+// ≺-largest corner — with the column-stamped kernel below (tk2dKernel); there
+// are no hub bitmaps here. On square grids every stripe is a whole block and
+// the schedule (and wire) reduces to the original √p-round one.
 //
 // The communication trade is the point: a PE ships its ~|E|/p-edge block
 // (c−1)+(r−1) block-equivalents — O(|E|/√p) volume to O(√p) neighbors —
 // instead of the 1D counters' cut-neighborhood shipping, whose volume
 // grows with how many PEs each vertex's neighborhood spans and approaches
 // O(|E|) per PE on dense or skewed graphs at large p. No ghost-degree
-// exchange, no termination detection: the broadcast rounds are
-// self-synchronizing.
+// exchange (≺ is read off the global CSR as the block is cut), no
+// termination detection: the broadcast rounds are self-synchronizing.
 //
 // With cfg.Overlap the exchange is pipelined: round k+1's row/column
 // broadcasts are posted split-phase (comm.Group.IBcast) before round k's
@@ -62,6 +66,76 @@ type tk2dRound struct {
 	rowStripe, colStripe graph.Block  // root-side stripe scratch (rect grids)
 	rowWire, colWire     []uint64     // root-side wire scratch
 	aScr, bScr           graph.Block  // receiver-side decode scratch
+}
+
+// tk2dWorker is one counting thread's tally and the mark it stamps.
+type tk2dWorker struct {
+	count uint64
+	tris  [][3]graph.Vertex
+	mark  *graph.RowMark
+}
+
+// tk2dKernel is a PE's block-local counting: the transposed own block whose
+// columns it walks, per-worker state, and the round in hand (set by round).
+type tk2dKernel struct {
+	g2      *part.Grid2D
+	rank    int
+	ownT    *graph.Block
+	cfg     Config
+	workers []tk2dWorker
+	k       int
+	A, B    *graph.Block
+	columns func(w, lo, hi int) // countColumns, bound once: a round allocates nothing
+}
+
+func newTK2DKernel(g2 *part.Grid2D, rank int, ownT *graph.Block, cfg Config) *tk2dKernel {
+	kn := &tk2dKernel{g2: g2, rank: rank, ownT: ownT, cfg: cfg, workers: make([]tk2dWorker, cfg.Threads)}
+	for w := range kn.workers {
+		// Cyclic bands shrink with their index: round band 0 bounds them all.
+		kn.workers[w].mark = graph.NewMark(g2.BandSizeRound(0))
+	}
+	kn.columns = kn.countColumns
+	return kn
+}
+
+// round closes round k's wedges against the own edges, given acquire's
+// operands: the round's out-stripe A of the own rows, in-stripe B of the columns.
+func (kn *tk2dKernel) round(k int, A, B *graph.Block) {
+	kn.k, kn.A, kn.B = k, A, B
+	graph.ParallelFor(kn.cfg.Threads, kn.ownT.NRows(), kn.columns)
+}
+
+// countColumns is round's worker body over the own columns [lo, hi): per
+// column j, stamp the in-stripe B(j) once and probe it with the out-stripe
+// A(i) of every own edge (i,j) — Σ_i d⁺(i)² bit tests, which ≺ keeps small;
+// stamping out-lists instead would cost Σ_j d⁻(j)². An out-stripe far longer
+// than the stamped list (graph.Skewed) is galloped through instead.
+func (kn *tk2dKernel) countColumns(w, lo, hi int) {
+	ws := &kn.workers[w]
+	a, b := kn.g2.RowCol(kn.rank)
+	for relJ := lo; relJ < hi; relJ++ {
+		is, bj := kn.ownT.Row(relJ), kn.B.Row(relJ)
+		if len(is) == 0 || len(bj) == 0 {
+			continue
+		}
+		ws.mark.Stamp(bj)
+		for _, relI := range is {
+			ai := kn.A.Row(int(relI))
+			switch {
+			case kn.cfg.Collect:
+				i, j := kn.g2.GIDRow(a, relI), kn.g2.GIDCol(b, graph.Vertex(relJ))
+				ws.mark.ForEachCommonList(ai, func(v graph.Vertex) {
+					ws.count++
+					ws.tris = append(ws.tris, CanonTriangle(i, kn.g2.GIDRound(kn.k, v), j))
+				})
+			case graph.Skewed(len(bj), len(ai)):
+				ws.count += graph.CountIntersect(bj, ai)
+			default:
+				ws.count += ws.mark.CountList(ai)
+			}
+		}
+		ws.mark.Unstamp()
+	}
 }
 
 // tk2dBody is one PE's TK2D run: build the owned block and its transpose,
@@ -136,89 +210,34 @@ func tk2dBody(pe *dist.PE, pl *plan, g *graph.Graph, out *peOutcome) error {
 		s.rowOp = rowGrp.IBcast(rowRoot, rowWords, codec)
 		s.colOp = colGrp.IBcast(colRoot, colWords, codec)
 	}
+	// receive completes a broadcast into scr. A payload that is not the block
+	// this round expects is a transport fault, typed like the queue path's.
+	receive := func(op comm.BcastOp, grp *comm.Group, src, band, k, nRows int, scr *graph.Block) (*graph.Block, error) {
+		buf := op.Wait()
+		err := graph.DecodeBlockInto(buf, band, k, nRows, g2.BandSizeRound(k), scr)
+		grp.Recycle(buf)
+		if err != nil {
+			return nil, &comm.CorruptFrameError{Src: src, Reason: err.Error()}
+		}
+		return scr, nil
+	}
 	// acquire completes round k's exchange and returns the counting
 	// operands: A = round-k stripe of block (a, k mod c), B = transposed
-	// round-k stripe of block (k mod r, b), both with round-space entries.
-	acquire := func(k int) (*graph.Block, *graph.Block, error) {
+	// round-k stripe of block (k mod r, b), both with round-space entries. (A
+	// root's own handle needs no completion: Wait hands its payload back.)
+	acquire := func(k int) (A, B *graph.Block, err error) {
 		s := &slots[k&1]
-		A, B := s.rowRoot, s.colRoot
-		if b != g2.RootRow(k) {
-			buf := s.rowOp.Wait()
-			err := graph.DecodeBlockInto(buf, a, k, own.NRows(), g2.BandSizeRound(k), &s.aScr)
-			rowGrp.Recycle(buf)
-			if err != nil {
-				return nil, nil, err
-			}
-			A = &s.aScr
-		} else {
-			s.rowOp.Wait()
+		A, B = s.rowRoot, s.colRoot
+		if root := g2.RootRow(k); b != root {
+			A, err = receive(s.rowOp, rowGrp, g2.Rank(a, root), a, k, own.NRows(), &s.aScr)
 		}
-		if a != g2.RootCol(k) {
-			buf := s.colOp.Wait()
-			err := graph.DecodeBlockInto(buf, b, k, ownT.NRows(), g2.BandSizeRound(k), &s.bScr)
-			colGrp.Recycle(buf)
-			if err != nil {
-				return nil, nil, err
-			}
-			B = &s.bScr
-		} else {
-			s.colOp.Wait()
+		if root := g2.RootCol(k); a != root && err == nil {
+			B, err = receive(s.colOp, colGrp, g2.Rank(root, b), b, k, ownT.NRows(), &s.bScr)
 		}
-		return A, B, nil
+		return A, B, err
 	}
 
-	hubMin := cfg.hubMinDegree()
-	type tk2dWorker struct {
-		count uint64
-		tris  [][3]graph.Vertex
-	}
-	workers := make([]tk2dWorker, cfg.Threads)
-	count := func(k int, A, B *graph.Block) {
-		graph.ParallelFor(cfg.Threads, own.NRows(), func(w, lo, hi int) {
-			ws := &workers[w]
-			for rel := lo; rel < hi; rel++ {
-				js := own.Row(rel)
-				if len(js) == 0 {
-					continue
-				}
-				ai := A.Row(rel)
-				if len(ai) == 0 {
-					continue
-				}
-				ha := A.Hub(rel)
-				for _, relJ := range js {
-					bj := B.Row(int(relJ))
-					if len(bj) == 0 {
-						continue
-					}
-					if cfg.Collect {
-						i := g2.GIDRow(a, uint64(rel))
-						j := g2.GIDCol(b, relJ)
-						graph.ForEachCommon(ai, bj, func(v graph.Vertex) {
-							ws.count++
-							ws.tris = append(ws.tris, [3]graph.Vertex{i, g2.GIDRound(k, v), j})
-						})
-						continue
-					}
-					switch {
-					case ha != nil:
-						if hb := B.Hub(int(relJ)); hb != nil {
-							ws.count += ha.CountAnd(hb)
-						} else {
-							ws.count += ha.CountList(bj)
-						}
-					default:
-						if hb := B.Hub(int(relJ)); hb != nil {
-							ws.count += hb.CountList(ai)
-						} else {
-							ws.count += graph.CountIntersect(ai, bj)
-						}
-					}
-				}
-			}
-		})
-	}
-
+	kernel := newTK2DKernel(g2, pe.Rank, ownT, cfg)
 	pipelined := cfg.Overlap && rounds > 1
 	sw.phase(PhaseGlobalExchange)
 	if pipelined {
@@ -240,12 +259,9 @@ func tk2dBody(pe *dist.PE, pl *plan, g *graph.Graph, out *peOutcome) error {
 		if err != nil {
 			return err
 		}
-		A.BuildHubs(hubMin, cfg.Threads)
-		B.BuildHubs(hubMin, cfg.Threads)
-
 		sw.phase(PhaseLocal)
 		t0 := time.Now()
-		count(k, A, B)
+		kernel.round(k, A, B)
 		if pipelined && k+1 < rounds {
 			// Counting wall with the next round's broadcasts in flight: the
 			// compute that hides communication, same meaning as the 1D
@@ -254,9 +270,9 @@ func tk2dBody(pe *dist.PE, pl *plan, g *graph.Graph, out *peOutcome) error {
 		}
 	}
 	sw.stop()
-	for i := range workers {
-		out.count += workers[i].count
-		out.triangles = append(out.triangles, workers[i].tris...)
+	for i := range kernel.workers {
+		out.count += kernel.workers[i].count
+		out.triangles = append(out.triangles, kernel.workers[i].tris...)
 	}
 	out.partialCount = out.count
 	out.finished = true

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/graph"
 	"repro/internal/part"
 	"repro/internal/testgraph"
 )
@@ -53,62 +54,154 @@ func TestTK2DMatches1DCounters(t *testing.T) {
 	}
 }
 
-// TestTK2DHubKernels drives the block hub-bitmap path explicitly: a
-// threshold of 1 turns every non-empty row into a hub (all intersections go
-// through CountAnd/CountList), and a negative threshold disables bitmaps
-// entirely (all merge/gallop). Counts must not move.
-func TestTK2DHubKernels(t *testing.T) {
-	for _, tg := range testgraph.All {
-		for _, hub := range []int{-1, 1} {
-			res, err := Run(AlgoTK2D, tg.Build(), Config{P: 4, HubThreshold: hub})
-			if err != nil {
-				t.Fatalf("%s hub=%d: %v", tg.Name, hub, err)
-			}
-			if res.Count != tg.Triangles {
-				t.Errorf("%s hub=%d: count %d, want %d", tg.Name, hub, res.Count, tg.Triangles)
+// TestTK2DCollect pins what the column-stamped kernel enumerates to the
+// sequential oracle: the count, the collected triangle set (SeqEnumerate)
+// and the per-vertex triangle counts Δ every LCC is computed from
+// (SeqDeltas; TK2D itself rejects cfg.LCC, so Δ is tallied from the set) —
+// on a square and a rectangular grid, blocking and pipelined, one worker
+// and several. Beside the clique chain the fixtures are K12, where every
+// degree ties and ≺ is the ID tie-break alone, and rmat, the most skewed of
+// the catalog (max degree 9.8× the mean), where ≺ and ID order differ most.
+func TestTK2DCollect(t *testing.T) {
+	for _, name := range []string{"cliques", "K12", "rmat"} {
+		tg, ok := testgraph.ByName(name)
+		if !ok {
+			t.Fatalf("%s fixture missing", name)
+		}
+		fix := tg.Build()
+		var exp [][3]uint64
+		SeqEnumerate(fix, func(v, u, w uint64) { exp = append(exp, CanonTriangle(v, u, w)) })
+		sortTriangles(exp)
+		_, wantDeltas := SeqDeltas(fix)
+		for _, p := range []int{4, 6} {
+			for _, threads := range []int{1, 3} {
+				for _, overlap := range []bool{false, true} {
+					res, err := Run(AlgoTK2D, fix,
+						Config{P: p, Collect: true, Threads: threads, Overlap: overlap})
+					if err != nil {
+						t.Fatalf("%s p=%d threads=%d overlap=%v: %v", name, p, threads, overlap, err)
+					}
+					if res.Count != tg.Triangles {
+						t.Errorf("%s p=%d threads=%d overlap=%v: count %d, want %d",
+							name, p, threads, overlap, res.Count, tg.Triangles)
+					}
+					got := slices.Clone(res.Triangles)
+					sortTriangles(got)
+					if !slices.Equal(got, exp) {
+						t.Fatalf("%s p=%d threads=%d overlap=%v: triangle sets differ: got %d, want %d",
+							name, p, threads, overlap, len(got), len(exp))
+					}
+					deltas := make([]uint64, fix.NumVertices())
+					for _, tri := range got {
+						for _, v := range tri {
+							deltas[v]++
+						}
+					}
+					if !slices.Equal(deltas, wantDeltas) {
+						t.Fatalf("%s p=%d threads=%d overlap=%v: per-vertex triangle counts differ from SeqDeltas",
+							name, p, threads, overlap)
+					}
+				}
 			}
 		}
 	}
 }
 
-// TestTK2DCollect checks the collected triangle set equals the oracle's —
-// on a square and a rectangular grid, blocking and pipelined.
-func TestTK2DCollect(t *testing.T) {
-	tg, ok := testgraph.ByName("cliques")
-	if !ok {
-		t.Fatal("cliques fixture missing")
+func sortTriangles(tris [][3]uint64) {
+	slices.SortFunc(tris, func(a, b [3]uint64) int { return slices.Compare(a[:], b[:]) })
+}
+
+// tk2dLocalOperands cuts, out of all ranks' blocks and transposes, the two
+// operands acquire(k) hands PE rank — no communicator involved.
+func tk2dLocalOperands(g2 *part.Grid2D, blocks, blocksT []*graph.Block, rank, k int) (A, B *graph.Block) {
+	a, b := g2.RowCol(rank)
+	A, B = new(graph.Block), new(graph.Block)
+	res, stride := g2.StripeRow(k)
+	blocks[g2.Rank(a, g2.RootRow(k))].StripeInto(A, k, res, stride, g2.BandSizeRound(k))
+	res, stride = g2.StripeCol(k)
+	blocksT[g2.Rank(g2.RootCol(k), b)].StripeInto(B, k, res, stride, g2.BandSizeRound(k))
+	return A, B
+}
+
+func tk2dLocalBlocks(g2 *part.Grid2D, g *graph.Graph) (blocks, blocksT []*graph.Block) {
+	for rank := 0; rank < g2.P(); rank++ {
+		own := graph.BuildBlockCSR(g2, rank, g, 1)
+		blocks, blocksT = append(blocks, own), append(blocksT, own.Transpose(1))
 	}
-	fix := tg.Build()
-	want, err := Run(AlgoDiTric, fix, Config{P: 4, Collect: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	norm := func(tris [][3]uint64) [][3]uint64 {
-		out := slices.Clone(tris)
-		slices.SortFunc(out, func(a, b [3]uint64) int {
-			for i := range a {
-				if a[i] != b[i] {
-					return int(int64(a[i]) - int64(b[i]))
+	return blocks, blocksT
+}
+
+// TestTK2DKernelLeavesMarksClear is the RowMark guard cell of the 2D
+// kernel: driven round by round without a communicator, every worker's
+// mark is all-zero and holds no list after every round — a column that left
+// bits behind would be counted into the next one — and the rounds of all
+// PEs add up to the oracle's count. More than 1024 own columns per PE put
+// several workers (each with its own mark) on a round.
+func TestTK2DKernelLeavesMarksClear(t *testing.T) {
+	g := gen.RMAT(gen.DefaultRMAT(12, 5))
+	want := SeqCount(g)
+	for _, p := range []int{1, 4, 6} {
+		g2, err := part.NewGrid2D(uint64(g.NumVertices()), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blocks, blocksT := tk2dLocalBlocks(g2, g)
+		domain := make([]graph.Vertex, g2.BandSizeRound(0))
+		for i := range domain {
+			domain[i] = graph.Vertex(i)
+		}
+		var total uint64
+		for rank := 0; rank < p; rank++ {
+			kn := newTK2DKernel(g2, rank, blocksT[rank], Config{P: p, Threads: 3})
+			for k := 0; k < g2.Rounds(); k++ {
+				A, B := tk2dLocalOperands(g2, blocks, blocksT, rank, k)
+				kn.round(k, A, B)
+				for w := range kn.workers {
+					mark := kn.workers[w].mark
+					if left := mark.CountList(domain); left != 0 {
+						t.Fatalf("p=%d rank %d round %d: worker %d's mark holds %d bits after the round", p, rank, k, w, left)
+					}
+					mark.Stamp(domain[:0]) // panics if a list is still stamped
+					mark.Unstamp()
 				}
 			}
-			return 0
-		})
-		return out
-	}
-	exp := norm(want.Triangles)
-	for _, p := range []int{4, 6} {
-		for _, overlap := range []bool{false, true} {
-			res, err := Run(AlgoTK2D, fix,
-				Config{P: p, Collect: true, Threads: 2, Overlap: overlap})
-			if err != nil {
-				t.Fatalf("p=%d overlap=%v: %v", p, overlap, err)
-			}
-			got := norm(res.Triangles)
-			if !slices.Equal(got, exp) {
-				t.Fatalf("p=%d overlap=%v: triangle sets differ: got %d, want %d",
-					p, overlap, len(got), len(exp))
+			for w := range kn.workers {
+				total += kn.workers[w].count
 			}
 		}
+		if total != want {
+			t.Errorf("p=%d: kernel rounds count %d, want %d", p, total, want)
+		}
+	}
+}
+
+// BenchmarkTK2DRoundKernelSteadyState measures one counting round of the
+// column-stamped kernel on a block of an RMAT graph (2×2 grid, PE 0, round
+// 0). The marks are allocated with the kernel and the round's worker body
+// is bound once, so a warmed round must report zero allocations (CI
+// allocation gate).
+func BenchmarkTK2DRoundKernelSteadyState(b *testing.B) {
+	g := gen.RMAT(gen.DefaultRMAT(12, 42))
+	g2, err := part.NewGrid2D(uint64(g.NumVertices()), 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	blocks, blocksT := tk2dLocalBlocks(g2, g)
+	A, B := tk2dLocalOperands(g2, blocks, blocksT, 0, 0)
+	kn := newTK2DKernel(g2, 0, blocksT[0], Config{P: 4, Threads: 1})
+	kn.round(0, A, B)
+	perRound := kn.workers[0].count
+	if perRound == 0 {
+		b.Fatal("round closed no wedge")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		kn.round(0, A, B)
+	}
+	b.StopTimer()
+	if got := kn.workers[0].count; got != perRound*uint64(b.N+1) {
+		b.Fatalf("rounds disagree: %d after %d rounds of %d", got, b.N+1, perRound)
 	}
 }
 

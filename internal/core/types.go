@@ -127,6 +127,7 @@ type Config struct {
 	// graph.DefaultHubMinDegree; negative disables the bitmaps, leaving the
 	// branchless-merge and galloping kernels. Total bitmap memory is capped
 	// at the size of the A-lists themselves regardless of the threshold.
+	// 1D engines only: TK2D stamps a mark per column instead and ignores it.
 	HubThreshold int
 
 	// Overlap selects the overlapped schedule of the DITRIC/CETRIC counting

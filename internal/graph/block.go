@@ -7,15 +7,17 @@ import (
 	"repro/internal/part"
 )
 
-// 2D block views of the oriented adjacency matrix. ScatterEdges2D deals the
-// edge list into the r×c block grid of part.Grid2D (one slice per owning
-// PE), and Block is the per-PE CSR over band-relative indices that the TK2D
-// counting rounds broadcast and intersect. Rows are row-band-relative
-// (rel(u) = u div r) and entries column-band-relative (rel(v) = v div c),
-// which keeps the wire varints and the hub-bitmap domains r× resp. c×
-// denser than global IDs. On rectangular grids each counting round ships a
-// stripe of a block — the entries in one middle-vertex band mod
-// L = lcm(r, c) — extracted and translated to round space by StripeInto.
+// 2D block views of the oriented adjacency matrix. Block is the per-PE CSR
+// over band-relative indices that the TK2D counting rounds broadcast and
+// intersect; BuildBlockCSR cuts it out of the global CSR, oriented by the
+// degree order ≺ like every 1D counter (ScatterEdges2D + BuildBlock2D, the
+// edge-list front end of the cmd/bench build probe, cut the ID-oriented
+// matrix). Rows are row-band-relative (rel(u) = u div r) and entries
+// column-band-relative (rel(v) = v div c), which keeps the wire varints and
+// the counting kernel's mark r× resp. c× denser than global IDs. On
+// rectangular grids each counting round ships a stripe of a block — the
+// entries in one middle-vertex band mod L = lcm(r, c) — extracted and
+// translated to round space by StripeInto.
 
 // ScatterEdges2D deals edges into the block grid: each non-loop edge {u,v}
 // is canon-oriented (U < V) and lands in exactly one slice, its block
@@ -70,10 +72,10 @@ func ScatterEdges2D(g2 *part.Grid2D, edges []Edge, threads int) [][]Edge {
 	return out
 }
 
-// Block is one block of the oriented upper-triangular adjacency matrix in
-// CSR form: row i (relative index within band bandRow) lists the relative
-// indices, within band bandCol, of the larger endpoints v of edges (u, v)
-// with rel(u) = i — ascending, deduplicated, each below domain (the entry
+// Block is one block of the oriented adjacency matrix in CSR form: row i
+// (relative index within band bandRow) lists the relative indices, within
+// band bandCol, of the heads v of the oriented edges (u, v) with
+// rel(u) = i — ascending, deduplicated, each below domain (the entry
 // band's size). A transposed block (built by Transpose, broadcast down grid
 // columns) has the same shape with the roles swapped; a stripe (built by
 // StripeInto, the rectangular-grid round operand) carries the counting
@@ -85,7 +87,6 @@ type Block struct {
 	domain           int      // entry band size: every col value is < domain
 	off              []int64  // len NRows+1
 	col              []Vertex // band-relative entries, ascending per row
-	hubs             hubIndex
 }
 
 // BuildBlock2D assembles PE rank's block from its slice of the 2D scatter.
@@ -153,51 +154,47 @@ func BuildBlock2D(g2 *part.Grid2D, rank int, edges []Edge, threads int) *Block {
 }
 
 // BuildBlockCSR assembles PE rank's block straight from the global CSR: it
-// walks the rows u of its row band and keeps, of the neighbors v > u, those
-// in its column band, as v div c. Rows arrive sorted and unique (checkRow
-// holds every walked row to that), so there is no scatter, no sort and no
-// dedup, and rows fan out over threads with no effect on the result —
-// which is BuildBlock2D's on the 2D scatter of g's edges.
+// walks the rows u of its row band once and keeps, of the neighbors in its
+// column band, those with u ≺ v (Less on g's own degrees, tested only once
+// the band matches), as v div c — over all ranks, every edge of g exactly
+// once. Rows arrive sorted and unique (checkRow holds every walked row to
+// that), so there is no scatter, sort, dedup or degree exchange. Each worker
+// appends its contiguous share of the rows to a run of its own and the runs
+// are laid end to end, so the thread count has no effect on the result.
 func BuildBlockCSR(g2 *part.Grid2D, rank int, g *Graph, threads int) *Block {
 	a, bc := g2.RowCol(rank)
 	b := &Block{bandRow: a, bandCol: bc, domain: g2.BandSizeCol(bc)}
 	nRows := g2.BandSizeRow(a)
 	b.off = make([]int64, nRows+1)
 	c, res := Vertex(g2.C()), Vertex(bc)
-	// upper returns vertex u of block row rel and its neighbors above it.
-	upper := func(rel int) (u Vertex, nb []Vertex) {
-		u = g2.GIDRow(a, Vertex(rel))
-		nb = g.Neighbors(u)
-		i, _ := slices.BinarySearch(nb, u)
-		return u, nb[i:]
-	}
-	ParallelFor(threads, nRows, func(_, lo, hi int) {
+	w := workersFor(threads, nRows, parallelChunk)
+	runs := make([][]Vertex, w)
+	parallelBlocks(w, nRows, func(worker, lo, hi int) {
+		// About 1/(r·c) of the CSR span under the rows is in band, and ≺
+		// keeps half of that; append covers a share that runs over.
+		span := g.off[g2.GIDRow(a, Vertex(hi-1))+1] - g.off[g2.GIDRow(a, Vertex(lo))]
+		col := make([]Vertex, 0, span/int64(g2.P())*5/8)
 		for rel := lo; rel < hi; rel++ {
-			u, nb := upper(rel)
-			checkRow(g.Neighbors(u), u, g2.N(), rank) // before nb, searched for in it, is trusted
+			u := g2.GIDRow(a, Vertex(rel))
+			nb := g.Neighbors(u)
+			checkRow(nb, u, g2.N(), rank) // before any entry is used as an index
+			kept := len(col)
 			for _, v := range nb {
-				if v%c == res {
-					b.off[rel+1]++
+				if v%c == res && Less(len(nb), u, g.Degree(v), v) {
+					col = append(col, v/c)
 				}
 			}
+			b.off[rel+1] = int64(len(col) - kept)
 		}
+		runs[worker] = col
 	})
 	for rel := 0; rel < nRows; rel++ {
 		b.off[rel+1] += b.off[rel]
 	}
-	b.col = make([]Vertex, b.off[nRows])
-	ParallelFor(threads, nRows, func(_, lo, hi int) {
-		for rel := lo; rel < hi; rel++ {
-			w := b.off[rel]
-			_, nb := upper(rel)
-			for _, v := range nb {
-				if v%c == res {
-					b.col[w] = v / c
-					w++
-				}
-			}
-		}
-	})
+	b.col = make([]Vertex, 0, b.off[nRows])
+	for _, col := range runs {
+		b.col = append(b.col, col...)
+	}
 	return b
 }
 
@@ -275,7 +272,6 @@ func (b *Block) StripeInto(dst *Block, round, residue, stride, domain int) {
 	}
 	dst.off = dst.off[:nRows+1]
 	dst.col = dst.col[:0]
-	dst.hubs = hubIndex{}
 	res, str := Vertex(residue), Vertex(stride)
 	w := int64(0)
 	for row := 0; row < nRows; row++ {
@@ -289,17 +285,6 @@ func (b *Block) StripeInto(dst *Block, round, residue, stride, domain int) {
 	}
 	dst.off[nRows] = w
 }
-
-// BuildHubs indexes heavy rows with packed bitmaps over the entry band's
-// domain (see buildHubs for the memory cap); minDeg ≤ 0 disables. Queries
-// against a hub row become branchless bit tests, hub ∩ hub word-AND +
-// popcount — the same kernels the 1D counters dispatch to.
-func (b *Block) BuildHubs(minDeg, threads int) {
-	b.hubs = buildHubs(b.NRows(), b.domain, b.off, b.col, minDeg, threads)
-}
-
-// Hub returns row rel's bitmap, nil when the row is not indexed.
-func (b *Block) Hub(rel int) Bitset { return b.hubs.bitset(rel) }
 
 // Wire serialization: only non-empty rows are shipped, each as
 // (relGap, len, first, gap, gap, ...). Rows leave in ascending order, so
@@ -366,7 +351,6 @@ func DecodeBlockInto(wire []uint64, bandRow, bandCol, nRows, domain int, b *Bloc
 	}
 	b.off = b.off[:nRows+1]
 	b.col = b.col[:0]
-	b.hubs = hubIndex{}
 	w := int64(0)
 	nextRow := 0
 	for rec := 0; rec < used; rec++ {

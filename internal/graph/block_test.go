@@ -2,6 +2,7 @@ package graph
 
 import (
 	"encoding/binary"
+	"fmt"
 	"slices"
 	"testing"
 
@@ -137,26 +138,71 @@ func TestBuildBlock2D(t *testing.T) {
 	}
 }
 
-// TestBuildBlockCSRMatchesBuildBlock2D: the block walked out of the global
-// CSR is, field for field, the block built from the 2D scatter of the same
-// graph's edges — square, rectangular and degenerate (1×p) grids, every
-// rank, several thread counts.
-func TestBuildBlockCSRMatchesBuildBlock2D(t *testing.T) {
-	for _, n := range []uint64{1, 23, 4099} { // 4099 rows span several worker chunks
-		g := FromEdges(int(n), block2DEdges(t, n, 31+n))
+// TestBuildBlockCSRCutsDegreeOrientedGraph pins BuildBlockCSR against a map
+// oracle that knows nothing of blocks: over all ranks of a grid the blocks
+// hold every undirected edge exactly once, directed u ≺ v, rows ascending
+// and in range, and the rows of vertex u across its grid row's c blocks add
+// up to u's out-degree in Orient(g) — on square, rectangular and degenerate
+// (1×p) grids, for several thread counts (4099 rows span several worker
+// chunks), and on a 4-regular circulant where every degree ties and ≺ falls
+// through to the ID tie-break.
+func TestBuildBlockCSRCutsDegreeOrientedGraph(t *testing.T) {
+	graphs := make(map[string]*Graph)
+	for _, n := range []uint64{1, 23, 4099} {
+		graphs[fmt.Sprintf("scramble%d", n)] = FromEdges(int(n), block2DEdges(t, n, 31+n))
+	}
+	const nReg = 97
+	var ring []Edge
+	for v := uint64(0); v < nReg; v++ {
+		ring = append(ring, Edge{U: v, V: (v + 1) % nReg}, Edge{U: v, V: (v + 2) % nReg})
+	}
+	graphs["regular"] = FromEdges(nReg, ring)
+
+	for name, g := range graphs {
+		n := uint64(g.NumVertices())
+		ori := Orient(g)
 		for _, p := range []int{1, 2, 4, 6, 9, 12} {
 			g2, err := part.NewGrid2D(n, p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			per := ScatterEdges2D(g2, g.Edges(), 1)
-			for rank := 0; rank < p; rank++ {
-				want := BuildBlock2D(g2, rank, per[rank], 1)
-				for _, threads := range []int{1, 3} {
-					got := BuildBlockCSR(g2, rank, g, threads)
-					if got.bandRow != want.bandRow || got.bandCol != want.bandCol || got.domain != want.domain ||
-						!slices.Equal(got.off, want.off) || !slices.Equal(got.col, want.col) {
-						t.Fatalf("n=%d p=%d rank=%d threads=%d: BuildBlockCSR differs from BuildBlock2D", n, p, rank, threads)
+			for _, threads := range []int{1, 3} {
+				seen := make(map[Edge]int)
+				outDeg := make([]int, n)
+				for rank := 0; rank < p; rank++ {
+					a, bc := g2.RowCol(rank)
+					b := BuildBlockCSR(g2, rank, g, threads)
+					if b.BandRow() != a || b.BandCol() != bc ||
+						b.NRows() != g2.BandSizeRow(a) || b.Domain() != g2.BandSizeCol(bc) {
+						t.Fatalf("%s p=%d rank %d: block shape (%d,%d,%d,%d)", name, p, rank, b.BandRow(), b.BandCol(), b.NRows(), b.Domain())
+					}
+					for rel := 0; rel < b.NRows(); rel++ {
+						u := g2.GIDRow(a, Vertex(rel))
+						row := b.Row(rel)
+						outDeg[u] += len(row)
+						for i, e := range row {
+							if e >= Vertex(b.Domain()) || (i > 0 && e <= row[i-1]) {
+								t.Fatalf("%s p=%d rank %d threads=%d: row %d = %v not ascending below %d", name, p, rank, threads, rel, row, b.Domain())
+							}
+							v := g2.GIDCol(bc, e)
+							if !g.HasEdge(u, v) || !Less(g.Degree(u), u, g.Degree(v), v) {
+								t.Fatalf("%s p=%d rank %d threads=%d: (%d,%d) is not an edge directed by ≺", name, p, rank, threads, u, v)
+							}
+							seen[Edge{U: u, V: v}.Canon()]++
+						}
+					}
+				}
+				if len(seen) != g.NumEdges() {
+					t.Fatalf("%s p=%d threads=%d: blocks hold %d distinct edges, graph has %d", name, p, threads, len(seen), g.NumEdges())
+				}
+				for e, k := range seen {
+					if k != 1 {
+						t.Fatalf("%s p=%d threads=%d: edge %v held %d times", name, p, threads, e, k)
+					}
+				}
+				for u := range outDeg {
+					if want := ori.OutDegree(Vertex(u)); outDeg[u] != want {
+						t.Fatalf("%s p=%d threads=%d: rows of vertex %d hold %d entries, d⁺ = %d", name, p, threads, u, outDeg[u], want)
 					}
 				}
 			}

@@ -354,6 +354,12 @@ func (m *RowMark) Unstamp() {
 // which must lie inside the mark's domain.
 func (m *RowMark) CountList(list []Vertex) uint64 { return m.bits.CountList(list) }
 
+// ForEachCommonList calls fn for every element of list ∩ stamped list, in
+// list order.
+func (m *RowMark) ForEachCommonList(list []Vertex, fn func(Vertex)) {
+	m.bits.ForEachCommonList(list, fn)
+}
+
 // Probe is the stamped wedge kernel's one dispatch: for the list stamped in
 // m and the partner row, it returns a membership set and the ascending list
 // to test against it such that set ∩ probe = list ∩ A(row). Normally that is

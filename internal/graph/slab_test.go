@@ -187,3 +187,33 @@ func BenchmarkBuildLocal(b *testing.B) {
 		})
 	}
 }
+
+var blockSink *graph.Block // keeps the benchmarked block builds observable
+
+// BenchmarkBuildBlock times the build of all four ranks' ≺-oriented blocks,
+// one thread, on the 2×2 grid of BENCHMARK.json's rmat_tk2d row (and a
+// degree-flat GNM beside it), straight from the global CSR — what core.Run
+// does; the cmd/bench probe behind graph.block_build_ns_per_edge still times
+// the ID-oriented edge-list builder (ScatterEdges2D + BuildBlock2D).
+func BenchmarkBuildBlock(b *testing.B) {
+	const p = 4
+	for _, in := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"rmat", gen.RMAT(gen.DefaultRMAT(16, 42))},
+		{"gnm", gen.GNM(1<<15, 1<<19, 42)},
+	} {
+		g2, err := part.NewGrid2D(uint64(in.g.NumVertices()), p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run("csr/"+in.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for rank := 0; rank < p; rank++ {
+					blockSink = graph.BuildBlockCSR(g2, rank, in.g, 1)
+				}
+			}
+		})
+	}
+}

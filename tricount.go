@@ -118,7 +118,8 @@ type Options struct {
 	// (hub ∩ hub into word-AND + popcount). 0 picks the engine default,
 	// negative disables the bitmaps; total bitmap memory is always capped at
 	// the size of the A-lists themselves. See the README's "hot path &
-	// kernel selection" section for tuning guidance.
+	// kernel selection" section for tuning guidance. 1D engines only: the 2D
+	// backend (TK2D) keeps no hub bitmaps and ignores it.
 	HubThreshold int
 	// BatchSize is the edge batch granularity of the streaming entry points
 	// (Stream); ≤ 0 picks max(1024, m/8). Count ignores it.
