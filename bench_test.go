@@ -1,7 +1,7 @@
 package tricount
 
 // One benchmark per table and figure of the paper (plus ablation benches for
-// the design choices DESIGN.md calls out). These are quick spot-checks of
+// the engineering choices of its §IV). These are quick spot-checks of
 // the same drivers cmd/experiments runs at full size; custom metrics expose
 // the paper's reported quantities: max messages over PEs ("msgs") and
 // bottleneck communication volume in machine words ("words").

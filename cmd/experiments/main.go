@@ -1,6 +1,6 @@
 // Command experiments regenerates every table and figure of the paper's
 // evaluation section on scaled-down stand-in inputs. Output is markdown
-// tables on stdout; EXPERIMENTS.md records a reference run.
+// tables on stdout.
 //
 // Usage:
 //

@@ -66,8 +66,7 @@ func run() (err error) {
 		sparse    = flag.Bool("sparse-degree", false, "sparse ghost degree exchange")
 		partBy    = flag.String("partition", "uniform", "1D partitioner: uniform|degree|wedges")
 		codec     = flag.String("codec", "auto", "wire codec policy: auto|raw|varint|deltavarint")
-		profile   = flag.String("profile", "", "costmodel network profile (supercomputer|cloud|wan|measured): derives the overlapped pipeline's flush watermark and prices placement; 'measured' calibrates α/β live from the run's own frame latencies (falls back to cloud until enough samples); empty keeps the fixed default")
-		placement = flag.String("placement", "off", "hub placement overlay (DITRIC/CETRIC): off|static|auto — move heavy hub rows to surrogate PEs by greedy LPT over the modeled load (static: profile-table α/β, auto: live-calibrated); counts are identical")
+		profile   = flag.String("profile", "", "costmodel network profile (supercomputer|cloud|wan|measured): derives the overlapped pipeline's flush watermark; 'measured' starts at the fixed default and re-fits it from the run's own frame latencies as samples arrive; empty keeps the fixed default")
 		hub       = flag.Int("hub", 0, "hub-bitmap threshold, 1D engines only (tk2d keeps no bitmaps): min |A(v)| for a packed bitmap (0 = default, <0 = off)")
 
 		approx  = flag.Bool("approx", false, "AMQ-approximate type-3 counting (CETRIC)")
@@ -176,7 +175,7 @@ func run() (err error) {
 	cfg := core.Config{
 		P: *p, Threshold: *threshold, Threads: *threads, Overlap: *overlap,
 		LCC: *lcc, SparseDegreeExchange: *sparse, Codec: *codec,
-		HubThreshold: *hub, Profile: *profile, Placement: *placement,
+		HubThreshold: *hub, Profile: *profile,
 	}
 	switch *partBy {
 	case "uniform":
@@ -256,8 +255,8 @@ func run() (err error) {
 	}
 	if *profile == costmodel.MeasuredName {
 		if _, ok := costmodel.MeasuredProfile(res.PerPE); !ok && *verbose {
-			fmt.Printf("measured: too few latency samples (< %d per fit); watermark and placement fell back to the %s profile\n",
-				costmodel.MinCalibrationSamples, costmodel.Cloud.Name)
+			fmt.Printf("measured: too few latency samples (< %d per fit); the overlapped flush watermark stayed at its fixed default\n",
+				costmodel.MinCalibrationSamples)
 		}
 	}
 	if *verbose {
@@ -371,8 +370,9 @@ func printPhases(res *core.Result) {
 }
 
 // printActivity leads with the activity-skew summary — the max/mean ratio
-// of per-rank receive-side intersection work (the deterministic load the
-// placement overlay balances) plus the worst idle wait — then lists each
+// of per-rank receive-side intersection work (deterministic, so it shows
+// how unevenly the 1D partition spreads the global phase) plus the worst
+// idle wait — then lists each
 // rank's realized overlap (receive work done while still emitting — CPU
 // time summed over the rank's workers, so it can exceed wall time) and idle
 // wait (termination-detector wall time with nothing to steal).

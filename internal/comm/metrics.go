@@ -40,8 +40,9 @@ type Metrics struct {
 	// hub bitmap is tested with it); an intersection that runs as a single
 	// pairwise merge adds the lengths of both lists. Unlike wall clocks it is
 	// deterministic for a fixed input and schedule-independent, which makes
-	// it the per-rank global-phase work metric the placement layer balances
-	// (and cmd/placebench reports).
+	// it the per-rank global-phase work metric: its max over ranks is how far
+	// the 1D partition skews the global phase (dist.ActivitySkew, the
+	// bench's core.recv_work_words_max).
 	RecvWorkWords int64
 
 	// Frame-latency calibration samples (costmodel.Calibrate). Every data
@@ -146,7 +147,7 @@ type Aggregate struct {
 	MaxIdleNs         int64 // worst PE's drain-wait time (the skew bottleneck)
 	TotalOverlapNs    int64 // summed global-phase work done before local completion
 	TotalRecvWork     int64 // summed receive-side intersection work (words scanned)
-	MaxRecvWork       int64 // worst PE's receive-side work — what placement balances
+	MaxRecvWork       int64 // worst PE's receive-side work — the global-phase straggler
 }
 
 // CompressionRatio returns raw over encoded data bytes (1 when nothing was

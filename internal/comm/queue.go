@@ -14,7 +14,7 @@ import (
 // MaxChannels is the number of logical message channels a Queue multiplexes.
 // Algorithms use separate channels for independent message types (e.g.
 // neighborhood shipments vs. degree requests vs. LCC updates).
-const MaxChannels = 9
+const MaxChannels = 8
 
 // Handler processes one received record: src is the originating PE (not the
 // proxy under indirection), words the record payload.

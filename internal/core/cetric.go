@@ -27,13 +27,11 @@ func cetricFrom(pe *dist.PE, pl *plan, lg *graph.LocalGraph, out *peOutcome, sw 
 
 	// Received records intersect with the *contracted* A-lists. cut is
 	// assigned in the contraction phase, strictly before any record can be
-	// dispatched: dispatch only happens inside this PE's own polls, the local
-	// stage issues none, and the first one after it is the hub-ship drain —
-	// by which time plc is assigned too.
+	// dispatched: dispatch only happens inside this PE's own polls, and the
+	// local stage issues none.
 	var cut *graph.LocalOriented
-	var plc *placeRun
 	op := newOverlapPipeline(pe, sw, lg, cfg, state, out, func(ws *countState, r recvRecord) {
-		ws.t3 += ws.recvRecord(r, cut, plc)
+		ws.t3 += ws.recvRecord(r, cut)
 	})
 	pe.C.Barrier()
 
@@ -48,17 +46,11 @@ func cetricFrom(pe *dist.PE, pl *plan, lg *graph.LocalGraph, out *peOutcome, sw 
 	sw.phase(PhaseContraction)
 	cut = ori.ContractPar(cfg.Threads)
 	cut.BuildHubsPar(cfg.hubMinDegree(), cfg.Threads)
-	// Placement over the cut graph: the global phase ships and intersects
-	// contracted A-lists, so nomination weights and stored tables model
-	// exactly those. The Gather inside synchronizes all PEs past their
-	// contraction before any hub ships.
-	plc = computePlacement(pe, lg, cut, cfg)
-	plc.ship(pe, sw, cut)
 
 	// Cut neighborhoods go out as (v, A(v)...) records with A(v) ID-sorted —
 	// the shape the chNeigh delta-varint codec compresses best.
-	op.stage(PhaseGlobal, lg.NLocal(), true, func(ws *countState, lo, hi int, sends chan<- hybridSend) {
-		cetricGlobalRows(pe, pl.pt, lg, cut, ws, lo, hi, sends, cfg.NoSurrogate, plc)
+	op.stage(PhaseGlobal, lg.NLocal(), true, func(_ *countState, lo, hi int, sends chan<- hybridSend) {
+		cetricGlobalRows(pe, pl.pt, lg, cut, lo, hi, sends, cfg.NoSurrogate)
 	})
 	op.finish()
 	finishBody(pe, sw, state, cfg, out)
@@ -121,12 +113,9 @@ func cetricLocalPhase(lg *graph.LocalGraph, ori *graph.LocalOriented, state *cou
 // [lo,hi): (v, A(v)...) records with the surrogate dedup, or per-edge
 // (v, u, A(v)...) records under the no-surrogate ablation. Shipments go
 // through sends (funneled) or directly to the queue when sends is nil —
-// the same contract as ditricLocalRows. With a placement overlay each cut
-// edge resolves to its effective destination; a moved hub whose surrogate
-// is this PE is intersected inline against the stored table (every u in a
-// cut A-list is remote, so there is no local pass to double count).
+// the same contract as ditricLocalRows.
 func cetricGlobalRows(pe *dist.PE, pt *part.Partition, lg *graph.LocalGraph, cut *graph.LocalOriented,
-	state *countState, lo, hi int, sends chan<- hybridSend, noSurrogate bool, plc *placeRun) {
+	lo, hi int, sends chan<- hybridSend, noSurrogate bool) {
 	var hdr [2]uint64 // record header scratch
 	sh := getShipper(pe, sends)
 	defer sh.put()
@@ -134,25 +123,6 @@ func cetricGlobalRows(pe *dist.PE, pt *part.Partition, lg *graph.LocalGraph, cut
 		v := lg.GID(int32(r))
 		av := cut.Out(int32(r))
 		if len(av) < 2 {
-			continue
-		}
-		if plc != nil && !noSurrogate {
-			sh.nextRow()
-			for _, u := range av {
-				j := plc.redirect(pt.Rank(u), u)
-				if j < 0 {
-					continue // dead endpoint: empty list can't complete a triangle
-				}
-				if !sh.firstVisit(j) {
-					continue
-				}
-				if j == pe.Rank {
-					state.t3 += state.surrogateScan(pe.Rank, v, av, plc)
-					continue
-				}
-				hdr[0] = v
-				sh.ship(chNeigh, j, hdr[:1], av)
-			}
 			continue
 		}
 		lastRank := -1

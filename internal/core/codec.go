@@ -47,9 +47,6 @@ func channelCodecs(policy string) ([comm.MaxChannels]comm.Codec, error) {
 		table[chNeigh] = comm.DeltaVarint
 		table[chNeighEdge] = comm.DeltaVarint
 		table[chDegReq] = comm.DeltaVarint
-		// Hub shipments are (hub, sorted A(hub)...) — the same clustered
-		// sorted-ID shape as chNeigh records.
-		table[chHubShip] = comm.DeltaVarint
 		table[chAMQ] = comm.Raw
 		table[chDeltaF] = comm.Raw
 		return table, nil

@@ -24,27 +24,18 @@ func ditricFrom(pe *dist.PE, pl *plan, lg *graph.LocalGraph, out *peOutcome, sw 
 	ori := graph.OrientLocalOnlyPar(lg, cfg.Threads)
 	ori.BuildHubsPar(cfg.hubMinDegree(), cfg.Threads)
 	sw.phase(PhasePreprocess) // residual: handler setup + the barrier
-	// Cost-driven hub placement: nominate heavy local rows, solve the LPT at
-	// rank 0, broadcast. The Gather inside synchronizes the cluster past the
-	// degree exchange, so the hub shipment below can never race a PE still
-	// draining degree traffic. nil when disabled or nothing moves.
-	plc := computePlacement(pe, lg, ori, cfg)
 	state := newCountState(lg, cfg)
 	// The receiver structure is the already-built oriented graph, so received
 	// records can be intersected from the first poll on.
 	op := newOverlapPipeline(pe, sw, lg, cfg, state, out, func(ws *countState, r recvRecord) {
-		ws.recvRecord(r, ori, plc)
+		ws.recvRecord(r, ori)
 	})
-	// Surrogate tables are complete cluster-wide before any PE can emit a
-	// counting record (the drain inside ship is collective).
-	plc.ship(pe, sw, ori)
-	sw.phase(PhasePreprocess) // the barrier wait is preprocessing skew, not placement
-	pe.C.Barrier()            // everyone finished preprocessing; handlers are live
+	pe.C.Barrier() // everyone finished preprocessing; handlers are live
 
 	// One emission stage over the local rows — local-local wedges counted in
 	// place, cut neighborhoods shipped — then the drain.
 	op.stage(PhaseLocal, lg.NLocal(), true, func(ws *countState, lo, hi int, sends chan<- hybridSend) {
-		ditricLocalRows(pe, pl.pt, lg, ori, ws, lo, hi, sends, cfg.NoSurrogate, plc)
+		ditricLocalRows(pe, pl.pt, lg, ori, ws, lo, hi, sends, cfg.NoSurrogate)
 	})
 	op.finish()
 	finishBody(pe, sw, state, cfg, out)
@@ -57,14 +48,9 @@ func ditricFrom(pe *dist.PE, pl *plan, lg *graph.LocalGraph, out *peOutcome, sw 
 // it — and remote shipments go through the shipper (funneled or direct).
 // The row stays stamped while its cut neighborhoods ship; a record the
 // shipper's queue dispatches inline meanwhile lands on the state's receive
-// mark, not this one. With a placement overlay, each cut edge resolves to
-// its effective destination (the hub's surrogate when moved, the owner
-// otherwise); a surrogate that turns out to be this very PE gets its
-// stored-table intersection inline instead of a self-send — the locals in
-// av were already counted above, so the full receive path would double
-// count them.
+// mark, not this one.
 func ditricLocalRows(pe *dist.PE, pt *part.Partition, lg *graph.LocalGraph, ori *graph.LocalOriented,
-	state *countState, lo, hi int, sends chan<- hybridSend, noSurrogate bool, plc *placeRun) {
+	state *countState, lo, hi int, sends chan<- hybridSend, noSurrogate bool) {
 	first := lg.First
 	nLoc := graph.Vertex(lg.NLocal())
 	var hdr [2]uint64 // record header scratch, reused across shipments
@@ -85,48 +71,25 @@ func ditricLocalRows(pe *dist.PE, pt *part.Partition, lg *graph.LocalGraph, ori 
 		if stamped {
 			m.Stamp(avRows)
 		}
-		if plc != nil && !noSurrogate {
-			sh.nextRow()
-			for _, u := range av {
-				if lg.IsLocal(u) {
-					state.countWedgeRows(m, rv, int32(u-first), ori)
-					continue
-				}
-				j := plc.redirect(pt.Rank(u), u)
-				if j < 0 {
-					continue // dead endpoint: empty list can't complete a triangle
-				}
-				if !sh.firstVisit(j) {
-					continue
-				}
-				if j == pe.Rank {
-					state.surrogateScan(pe.Rank, v, av, plc)
-					continue
-				}
+		lastRank := -1
+		for _, u := range av {
+			if lg.IsLocal(u) {
+				state.countWedgeRows(m, rv, int32(u-first), ori)
+				continue
+			}
+			if noSurrogate {
+				// Ablation: one per-edge record per cut edge (Algorithm 2
+				// without Arifuzzaman's dedup).
+				hdr[0], hdr[1] = v, u
+				sh.ship(chNeighEdge, pt.Rank(u), hdr[:2], av)
+				continue
+			}
+			// Surrogate dedup: av is ID-sorted and ranks own contiguous
+			// ranges, so equal destinations are adjacent.
+			if j := pt.Rank(u); j != lastRank {
 				hdr[0] = v
 				sh.ship(chNeigh, j, hdr[:1], av)
-			}
-		} else {
-			lastRank := -1
-			for _, u := range av {
-				if lg.IsLocal(u) {
-					state.countWedgeRows(m, rv, int32(u-first), ori)
-					continue
-				}
-				if noSurrogate {
-					// Ablation: one per-edge record per cut edge (Algorithm 2
-					// without Arifuzzaman's dedup).
-					hdr[0], hdr[1] = v, u
-					sh.ship(chNeighEdge, pt.Rank(u), hdr[:2], av)
-					continue
-				}
-				// Surrogate dedup: av is ID-sorted and ranks own contiguous
-				// ranges, so equal destinations are adjacent.
-				if j := pt.Rank(u); j != lastRank {
-					hdr[0] = v
-					sh.ship(chNeigh, j, hdr[:1], av)
-					lastRank = j
-				}
+				lastRank = j
 			}
 		}
 		if stamped {
@@ -145,8 +108,9 @@ func finishBody(pe *dist.PE, sw *stopwatch, state *countState, cfg Config, out *
 		pe.Q.Drain()
 	}
 	sw.stop()
-	// Export the deterministic receive-side work meter (the per-PE load the
-	// placement overlay balances) through the rank's Metrics.
+	// Export the deterministic receive-side work meter (the per-PE
+	// global-phase load the activity-skew summary compares) through the
+	// rank's Metrics.
 	pe.C.M.RecvWorkWords += int64(state.recvWork)
 	state.finish(out)
 }

@@ -72,9 +72,6 @@ func prepare(algo Algorithm, n uint64, m int, cfg Config) (*plan, error) {
 			return nil, err
 		}
 	}
-	if !validPlacement(cfg.Placement) {
-		return nil, fmt.Errorf("core: unknown placement policy %q (want auto, static, or off)", cfg.Placement)
-	}
 	spec, ok := algoSpecs[algo]
 	if !ok {
 		return nil, fmt.Errorf("core: unknown algorithm %q", algo)

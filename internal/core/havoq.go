@@ -18,8 +18,7 @@ import (
 // Its communication volume is proportional to the number of *remote wedges*
 // (two words per visitor), not to the cut neighborhoods — the structural
 // reason it loses against DITRIC/CETRIC on wedge-rich graphs. HavoqGT's
-// neighborhood partitioning of extreme hubs is not reproduced; see
-// DESIGN.md §1.
+// neighborhood partitioning of extreme hubs is not reproduced.
 func havoqBody(pe *dist.PE, pl *plan, lg *graph.LocalGraph, out *peOutcome, sw *stopwatch) error {
 	pt, cfg := pl.pt, pl.cfg
 	sw.phase(PhaseDegrees)

@@ -43,7 +43,7 @@ import (
 // In every schedule the termination detector (Queue.DrainWith) steals deque
 // batches whenever it would otherwise idle-wait, and meters genuine idle
 // time into Metrics.IdleNs. Counts are identical across schedules: every
-// record is processed by the same recvNeighAt/recvNeighEdge code against
+// record is processed by the same recvNeigh/recvNeighEdge code against
 // the same receiver structure, only at a different time and on a different
 // goroutine.
 
@@ -107,7 +107,6 @@ type recvRecord struct {
 	v, u    graph.Vertex // u is meaningful only for edge records
 	list    []uint64
 	release func()
-	src     int  // sender rank (placement: skips its co-located stored hubs)
 	edge    bool // chNeighEdge shipment (no-surrogate ablation)
 }
 
@@ -240,11 +239,11 @@ func (op *overlapPipeline) installHandlers() {
 		r.release = pe.Q.PinPayload()
 		op.dq.push(r)
 	}
-	pe.Q.Handle(chNeigh, func(src int, words []uint64) {
-		park(recvRecord{v: words[0], list: words[1:], src: src})
+	pe.Q.Handle(chNeigh, func(_ int, words []uint64) {
+		park(recvRecord{v: words[0], list: words[1:]})
 	})
-	pe.Q.Handle(chNeighEdge, func(src int, words []uint64) {
-		park(recvRecord{v: words[0], u: words[1], list: words[2:], src: src, edge: true})
+	pe.Q.Handle(chNeighEdge, func(_ int, words []uint64) {
+		park(recvRecord{v: words[0], u: words[1], list: words[2:], edge: true})
 	})
 	pe.Q.Handle(chDelta, op.state.handleDelta)
 }
@@ -558,19 +557,12 @@ func getPayload(capHint int) *[]uint64 {
 // cetricGlobalRows): with a funnel (sends != nil) each record checks a
 // buffer out of payloadPool and the funnel returns it after Queue.Send has
 // copied; without one, a buffer owned by the shipper is reused directly
-// because Queue.Send copies synchronously. It also owns the per-row
-// destination-dedup scratch: owner-driven delivery visits destinations in
-// ascending order (av is ID-sorted, ranks own contiguous ranges) so a
-// last-rank check suffices, but the placement overlay makes effective
-// destinations non-monotone, so placed sweeps dedup with an epoch-stamped
-// per-PE array instead. Shippers recycle through shipperPool so the
-// steady-state sweep allocates nothing.
+// because Queue.Send copies synchronously. Shippers recycle through
+// shipperPool so the steady-state sweep allocates nothing.
 type shipper struct {
 	pe    *dist.PE
 	sends chan<- hybridSend
 	buf   []uint64 // reused across shipments on the sends == nil path
-	stamp []int64  // stamp[dst] == epoch ⇔ dst already shipped this row
-	epoch int64
 }
 
 var shipperPool = sync.Pool{New: func() any { return new(shipper) }}
@@ -578,10 +570,6 @@ var shipperPool = sync.Pool{New: func() any { return new(shipper) }}
 func getShipper(pe *dist.PE, sends chan<- hybridSend) *shipper {
 	sh := shipperPool.Get().(*shipper)
 	sh.pe, sh.sends = pe, sends
-	if len(sh.stamp) < pe.P {
-		sh.stamp = make([]int64, pe.P)
-		sh.epoch = 0
-	}
 	return sh
 }
 
@@ -599,18 +587,4 @@ func (sh *shipper) ship(ch, dst int, head, av []uint64) {
 	}
 	sh.buf = append(append(sh.buf[:0], head...), av...)
 	sh.pe.Q.Send(ch, dst, sh.buf)
-}
-
-// nextRow opens a new row's dedup epoch (epochs start at 1, so zeroed
-// stamps never spuriously match).
-func (sh *shipper) nextRow() { sh.epoch++ }
-
-// firstVisit reports whether dst has not been shipped to yet this row, and
-// marks it.
-func (sh *shipper) firstVisit(dst int) bool {
-	if sh.stamp[dst] == sh.epoch {
-		return false
-	}
-	sh.stamp[dst] = sh.epoch
-	return true
 }

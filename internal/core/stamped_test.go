@@ -116,13 +116,13 @@ func BenchmarkMarkedRecvSteadyState(b *testing.B) {
 
 	state := newCountState(lg, Config{P: p})
 	for _, rc := range recs {
-		state.recvNeigh(rc.v, rc.list, ori, nil) // allocate the mark, grow the scratch
+		state.recvNeigh(rc.v, rc.list, ori) // allocate the mark, grow the scratch
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, rc := range recs {
-			state.recvNeigh(rc.v, rc.list, ori, nil)
+			state.recvNeigh(rc.v, rc.list, ori)
 		}
 	}
 	b.StopTimer()

@@ -25,16 +25,13 @@ const (
 	// u, exactly Algorithm 2's semantics (otherwise repeated shipments of the
 	// same neighborhood would double count).
 	chNeighEdge = 7
-	// chHubShip carries placement shipments (hub, A(hub)...): a moved hub's
-	// oriented neighborhood, sent once by its owner to the surrogate PE the
-	// cost-driven placement chose, before any counting traffic flows.
-	chHubShip = 8
 )
 
 // countState accumulates one PE's triangles, per-row Δ counts and optional
 // triangle collection. Rows cover locals and ghosts, so every increment from
-// both the local and the receive side lands in deltaRows (see the type
-// analysis in DESIGN.md §5); ghost rows are shipped to their owners in the
+// both the local and the receive side lands in deltaRows (every corner of a
+// triangle a PE finds is one of its locals or ghosts — the type analysis
+// behind the paper's Lemma 1); ghost rows are shipped to their owners in the
 // postprocessing exchange.
 type countState struct {
 	lg         *graph.LocalGraph
@@ -49,17 +46,10 @@ type countState struct {
 	// the kernels scan them: a stamped record is charged its length once plus
 	// the probed side of every partner (graph.LocalOriented.Probe); the
 	// single intersections that stay on the global-ID merge (a record with
-	// one local endpoint, a per-edge record, a surrogate-side stored hub) are
-	// charged list + partner. Deterministic and schedule-independent, unlike
-	// wall-clock: it is the per-PE global-phase load the placement overlay
-	// balances, exported via comm.Metrics.RecvWorkWords.
+	// one local endpoint, a per-edge record) are charged list + partner.
+	// Deterministic and schedule-independent, unlike wall-clock: it is the
+	// per-PE global-phase load, exported via comm.Metrics.RecvWorkWords.
 	recvWork uint64
-
-	// side accumulates LCC Δ increments for triangle corners that are not
-	// rows on this PE — only surrogate-side intersections can produce those
-	// (the stored hub and the shipped list live in global-ID space). Merged
-	// into deltaRows or shipped to owners by flushGhostDeltas.
-	side map[graph.Vertex]uint64
 
 	// Receive-side translation scratch (see graph.RowTranslator). Reused
 	// across records so steady-state receive processing allocates nothing.
@@ -139,9 +129,7 @@ func lazyMark(slot **graph.RowMark, o *graph.LocalOriented) *graph.RowMark {
 }
 
 // recvNeigh processes one received (v, A(v)) record: the list is intersected
-// with A(u) for every local endpoint u it contains, minus — under a
-// placement overlay pr (nil when off) — the endpoints redirected away from
-// this PE, whose intersections a surrogate runs. A cheap range-check scan
+// with A(u) for every local endpoint u it contains. A cheap range-check scan
 // counts those endpoints and picks the strategy: none, drop the record; one
 // (and no LCC/collection), a single intersection with nothing to amortise,
 // which stays on the global-ID merge/gallop kernels and skips the row
@@ -151,21 +139,16 @@ func lazyMark(slot **graph.RowMark, o *graph.LocalOriented) *graph.RowMark {
 // paid for once, not once per endpoint. Linear in the lengths involved and
 // zero allocations per record either way. Returns the number of triangles
 // found.
-func (s *countState) recvNeigh(v graph.Vertex, list []uint64, o *graph.LocalOriented, pr *placeRun) uint64 {
+func (s *countState) recvNeigh(v graph.Vertex, list []uint64, o *graph.LocalOriented) uint64 {
 	lg := s.lg
-	redirected := pr != nil && len(pr.redirRows) > 0
 	kept := 0
 	first := int32(-1)
 	for _, x := range list {
 		if !lg.IsLocal(x) {
 			continue
 		}
-		r := int32(x - lg.First)
-		if redirected && pr.redirectedAway(r) {
-			continue
-		}
 		if kept == 0 {
-			first = r
+			first = int32(x - lg.First)
 		}
 		kept++
 	}
@@ -191,11 +174,7 @@ func (s *countState) recvNeigh(v graph.Vertex, list []uint64, o *graph.LocalOrie
 	s.recvWork += uint64(len(rows))
 	var c uint64
 	for _, ur := range rows[:nLoc] {
-		ru := int32(ur)
-		if redirected && pr.redirectedAway(ru) {
-			continue
-		}
-		n, probed := s.countWedgeRows(m, rv, ru, o)
+		n, probed := s.countWedgeRows(m, rv, int32(ur), o)
 		s.recvWork += uint64(probed)
 		c += n
 	}
@@ -231,14 +210,13 @@ func (s *countState) recvNeighEdge(v, u graph.Vertex, list []uint64, o *graph.Lo
 }
 
 // recvRecord intersects one received global-phase record against the
-// receiver structure o: a (v, A(v)) neighborhood under the placement
-// overlay pr (nil when off), or the no-surrogate ablation's per-edge record.
-// Returns the number of triangles found.
-func (s *countState) recvRecord(r recvRecord, o *graph.LocalOriented, pr *placeRun) uint64 {
+// receiver structure o: a (v, A(v)) neighborhood, or the no-surrogate
+// ablation's per-edge record. Returns the number of triangles found.
+func (s *countState) recvRecord(r recvRecord, o *graph.LocalOriented) uint64 {
 	if r.edge {
 		return s.recvNeighEdge(r.v, r.u, r.list, o)
 	}
-	return s.recvNeighAt(r.src, r.v, r.list, o, pr)
+	return s.recvNeigh(r.v, r.list, o)
 }
 
 // countWedgeRows records the triangles closing the wedge rooted at the
@@ -262,16 +240,6 @@ func (s *countState) countWedgeRows(m *graph.RowMark, rv, ru int32, o *graph.Loc
 	return c, len(probe)
 }
 
-// sideAdd records one LCC Δ increment for a vertex that may not be a row
-// here (surrogate-side triangle corners). Lazy: only placed runs with LCC
-// enabled ever allocate the map.
-func (s *countState) sideAdd(v graph.Vertex) {
-	if s.side == nil {
-		s.side = make(map[graph.Vertex]uint64)
-	}
-	s.side[v]++
-}
-
 // merge folds a worker's private counters into s.
 func (s *countState) merge(w *countState) {
 	s.count += w.count
@@ -282,12 +250,6 @@ func (s *countState) merge(w *countState) {
 	if s.lcc {
 		for i, d := range w.deltaRows {
 			s.deltaRows[i] += d
-		}
-		for gid, d := range w.side {
-			if s.side == nil {
-				s.side = make(map[graph.Vertex]uint64)
-			}
-			s.side[gid] += d
 		}
 	}
 	s.triangles = append(s.triangles, w.triangles...)
@@ -311,17 +273,6 @@ func (s *countState) flushGhostDeltas(pe *dist.PE) {
 	for i, gid := range lg.Ghosts() {
 		row := lg.NLocal() + i
 		if d := s.deltaRows[row]; d > 0 {
-			dst := lg.Part.Rank(gid)
-			batch[dst] = append(batch[dst], gid, d)
-		}
-	}
-	// Surrogate-side increments: corners of triangles found on behalf of
-	// other PEs need not be rows here, so they bypassed deltaRows. Locals
-	// fold in directly; the rest join the owner-addressed batches.
-	for gid, d := range s.side {
-		if lg.IsLocal(gid) {
-			s.deltaRows[gid-lg.First] += d
-		} else {
 			dst := lg.Part.Rank(gid)
 			batch[dst] = append(batch[dst], gid, d)
 		}

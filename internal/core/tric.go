@@ -80,7 +80,7 @@ func tricBody(pe *dist.PE, pl *plan, lg *graph.LocalGraph, out *peOutcome, sw *s
 			n := int(words[i+1])
 			list := words[i+2 : i+2+n]
 			i += 2 + n
-			state.recvNeigh(v, list, ori, nil)
+			state.recvNeigh(v, list, ori)
 		}
 	}
 	sw.stop()

@@ -80,11 +80,6 @@ const (
 const (
 	PhaseGlobalRecv  = PhaseGlobal + "/recv"
 	PhaseOverlapIdle = PhaseOverlap + "/idle"
-	// PhasePlace is the placement hub-shipment step (sending moved hubs'
-	// neighborhoods to their surrogates and draining to quiescence). Keyed
-	// under global/ because it is global-phase communication the overlay
-	// front-loads; folded into PhaseGlobal by the stopwatch.
-	PhasePlace = PhaseGlobal + "/place"
 	// PhaseGlobalExchange is TK2D's per-round block broadcast time. Keyed
 	// under global/ so the stopwatch's parent-folding lands it in
 	// PhaseGlobal, keeping the 1D and 2D phase reports comparable: in both
@@ -158,10 +153,13 @@ type Config struct {
 	Codec string
 
 	// Profile names a costmodel network profile ("supercomputer", "cloud",
-	// "wan"; empty for none). When set, the overlapped pipeline derives its
-	// eager-flush watermark from the profile's α/β break-even frame size
-	// instead of the fixed default, so high-latency parameterizations flush
-	// in frames large enough to be worth their α. Never changes any count.
+	// "wan"; empty for none), or "measured". When set, the overlapped
+	// pipeline derives its eager-flush watermark from the profile's α/β
+	// break-even frame size instead of the fixed default, so high-latency
+	// parameterizations flush in frames large enough to be worth their α.
+	// "measured" starts at the fixed default and re-fits the watermark from
+	// the run's own frame latencies as samples arrive. Never changes any
+	// count.
 	Profile string
 
 	// Partition overrides the default uniform 1D partition.
@@ -171,18 +169,6 @@ type Config struct {
 	// to in its evaluation.
 	SparseDegreeExchange bool
 
-	// Placement selects the cost-model-driven hub placement overlay for
-	// DITRIC/CETRIC (and their indirect variants): "off" or empty leaves
-	// delivery owner-driven; "static" assigns each heavy hub a surrogate PE
-	// by greedy LPT over the modeled per-PE load, pricing hub moves with the
-	// configured static α+β profile; "auto" does the same but prefers α/β
-	// calibrated live from this run's own frame-latency samples
-	// (costmodel.Calibrate), falling back to the static table until enough
-	// samples exist. Moved hubs' neighborhoods ship once to their surrogate,
-	// which intersects on behalf of all requesters — counts are provably
-	// identical to owner-driven delivery. Ignored under NoSurrogate (the
-	// ablation ships per-edge records no surrogate could dedup).
-	Placement string
 	// NoSurrogate disables the surrogate dedup of Arifuzzaman et al., so a
 	// neighborhood is shipped once per *cut edge* instead of once per
 	// destination PE (an ablation of §IV-D "avoiding redundant messages").

@@ -3,10 +3,12 @@ package costmodel
 import "repro/internal/comm"
 
 // MeasuredName is the profile name that selects online calibration instead
-// of a static parameter table: Config.Profile / -profile accept it, and the
-// consumers (flush watermark, placement cost, the Bottleneck* lenses) then
-// use the α/β recovered from the run's own frame-latency samples, falling
-// back to Cloud until enough samples exist.
+// of a static parameter table: Config.Profile / -profile accept it. Its one
+// engine consumer is the overlapped pipeline's eager-flush watermark, which
+// starts at the pipeline's fixed default and re-fits from the run's own
+// frame-latency samples (Calibrate) once enough have arrived; the
+// t_model(measured) lens of cmd/tricount fits the pooled samples after the
+// run. Resolve is the one place that substitutes Cloud for a failed fit.
 const MeasuredName = "measured"
 
 // MinCalibrationSamples is the smallest number of timed data frames a fit
@@ -20,16 +22,6 @@ const MinCalibrationSamples = 32
 // needs a positive β so downstream α/β ratios (FlushWatermark) stay
 // defined.
 const BetaFloor = 1e-12
-
-// IntersectSecPerWord is the modeled compute rate of a merge intersection:
-// seconds per list word scanned (memory-bound pointer walk over sorted
-// uint64 slices, ~1ns/word on current hardware). It is the exchange rate
-// the placement solver uses to convert wire seconds (α+β) into the same
-// currency as receive-side intersection work, so a move's shipment cost is
-// comparable to the work it relocates regardless of how fast the transport
-// is. Deliberately a constant, not a calibration output: intersect
-// throughput varies far less across machines than network parameters do.
-const IntersectSecPerWord = 1e-9
 
 // Calibrate fits a live α+β profile to the frame-latency samples metered in
 // m: each data frame send contributed one (wire bytes, ns) observation, and

@@ -407,8 +407,8 @@ func Activity(per []comm.Metrics) []RankActivity {
 	return out
 }
 
-// SkewSummary condenses a run's per-rank load imbalance into the numbers a
-// placement decision needs: the busiest and the average rank's receive-side
+// SkewSummary condenses a run's per-rank load imbalance into a few numbers:
+// the busiest and the average rank's receive-side
 // intersection work (comm.Metrics.RecvWorkWords — deterministic, unlike
 // wall clock) and their ratio (1.0 = perfectly balanced; the max-PE
 // straggler finishes Ratio× later than the average under equal throughput),

@@ -14,7 +14,9 @@ import (
 	"repro/internal/part"
 )
 
-// Ablations for the design choices DESIGN.md §4 calls out.
+// Ablations for the engineering choices of the paper's §IV (aggregation,
+// contraction, indirection, degree exchange, surrogate dedup) and of the
+// extensions and baselines around them.
 
 // AblateThreshold sweeps the aggregation threshold δ: smaller δ means more,
 // smaller messages and a lower memory peak.

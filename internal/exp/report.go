@@ -1,9 +1,9 @@
 // Package exp implements the experiment harness: one driver per table or
-// figure of the paper, each producing plain-text tables (the data behind
-// EXPERIMENTS.md). Sizes are scaled to a single machine; the PEs are
-// simulated, so measured wall-clock is indicative while message counts and
-// communication volumes are exact, and the α+β cost model translates them
-// into network regimes (see DESIGN.md §1).
+// figure of the paper, each producing plain-text tables. Sizes are scaled
+// to a single machine; the PEs are simulated, so measured wall-clock is
+// indicative while message counts and communication volumes are exact, and
+// the α+β cost model translates them into network regimes (README,
+// "Architecture: transport → comm → core").
 package exp
 
 import (

@@ -12,7 +12,7 @@ import (
 // them, so each instance is replaced by a deterministic generator from the
 // same structural class at a reduced scale. What the evaluation actually
 // exercises — degree skew, locality/cut structure, wedge-to-edge ratio — is
-// preserved by the model choice; see DESIGN.md §1.
+// preserved by the model choice.
 //
 //	live-journal, orkut, twitter  -> R-MAT (skewed social networks)
 //	friendster                    -> RHG (milder skew, community structure)

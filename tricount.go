@@ -135,29 +135,14 @@ type Options struct {
 	Codec string
 	// Profile names a costmodel network profile ("supercomputer", "cloud",
 	// "wan"), or "measured" to calibrate α/β live from the run's own
-	// frame-latency samples (falling back to cloud until enough samples
-	// exist). When set, the overlapped pipeline derives its eager-flush
-	// watermark from the profile's α/β break-even frame size instead of the
-	// fixed 1024-word constant (clamped to δ/2 either way); under "measured"
-	// the watermark re-fits periodically as samples accumulate. It never
-	// changes any count, only flush timing.
+	// frame-latency samples. When set, the overlapped pipeline derives its
+	// eager-flush watermark from the profile's α/β break-even frame size
+	// instead of the fixed 1024-word constant (clamped to δ/2 either way).
+	// Under "measured" the watermark starts at that fixed constant and
+	// re-fits periodically as samples accumulate. It never changes any
+	// count, only flush timing.
 	Profile string
-	// Placement selects the cost-model-driven hub placement overlay for
-	// DITRIC/CETRIC: "off" (or empty) keeps owner-driven delivery, "static"
-	// assigns heavy hub rows surrogate PEs by a greedy LPT priced with the
-	// static α+β profile, "auto" prefers live-calibrated α/β. A moved hub's
-	// neighborhood ships once to its surrogate, which intersects on behalf
-	// of all requesters, rebalancing the max-PE global-phase work on skewed
-	// graphs. Counts are identical under every setting.
-	Placement string
 }
-
-// Placement policies for Options.Placement.
-const (
-	PlacementOff    = core.PlacementOff
-	PlacementStatic = core.PlacementStatic
-	PlacementAuto   = core.PlacementAuto
-)
 
 // Wire codec policies for Options.Codec.
 const (
@@ -215,7 +200,6 @@ func (o Options) toConfig() core.Config {
 		HubThreshold:         o.HubThreshold,
 		Codec:                o.Codec,
 		Profile:              o.Profile,
-		Placement:            o.Placement,
 	}
 }
 
