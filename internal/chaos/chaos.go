@@ -147,9 +147,17 @@ func (n *Network) severed(src, dst int) bool {
 	return n.groupOf(src) != n.groupOf(dst)
 }
 
-// Endpoint returns (creating on first use) the chaos wrapper for rank.
+// Endpoint returns (creating on first use) the chaos wrapper for rank. It is
+// a transport.Waiter exactly when the inner endpoint is one.
 func (n *Network) Endpoint(rank int) (transport.Endpoint, error) {
-	return n.endpoint(rank)
+	ep, err := n.endpoint(rank)
+	if err != nil {
+		return nil, err
+	}
+	if w, ok := ep.inner.(transport.Waiter); ok {
+		return waitingEndpoint{Endpoint: ep, w: w}, nil
+	}
+	return ep, nil
 }
 
 func (n *Network) endpoint(rank int) (*Endpoint, error) {
@@ -357,7 +365,8 @@ func (e *Endpoint) holdFrame(dst int, f transport.Frame) error {
 }
 
 // Recv returns the next pending frame: due delayed frames first (in hold
-// order), then the inner transport's inbox.
+// order, which is due order: every frame is held for the same Delay), then
+// the inner transport's inbox.
 func (e *Endpoint) Recv() (transport.Frame, bool) {
 	if e.crashStep() {
 		return transport.Frame{}, false // silent crash: hears nothing
@@ -371,6 +380,29 @@ func (e *Endpoint) Recv() (transport.Frame, bool) {
 	}
 	e.dmu.Unlock()
 	return e.inner.Recv()
+}
+
+// waitingEndpoint is an Endpoint over an inner transport.Waiter.
+type waitingEndpoint struct {
+	*Endpoint
+	w transport.Waiter
+}
+
+// Wait parks on the inner endpoint, but no later than the earliest held
+// frame falls due: a delayed frame reaches Recv without the inner transport
+// ever seeing it, so nothing else would wake a parked receiver for it.
+func (e waitingEndpoint) Wait(d time.Duration) {
+	e.dmu.Lock()
+	if len(e.delayed) > 0 {
+		if due := time.Until(e.delayed[0].due); due < d {
+			d = due
+		}
+	}
+	e.dmu.Unlock()
+	if d <= 0 {
+		return
+	}
+	e.w.Wait(d)
 }
 
 // Health condemns peers the fault plan has made unreachable — the scripted

@@ -55,36 +55,108 @@ func TestFaultFreeEquivalence(t *testing.T) {
 	}
 }
 
+// innerNet is the transport under the injector: the in-process network, or
+// loopback TCP, whose receivers park in Wait instead of spinning.
+func innerNet(t *testing.T, tcp bool) transport.Network {
+	t.Helper()
+	if !tcp {
+		return transport.NewChanNetwork(chaosP)
+	}
+	n, err := transport.NewLoopbackTCPNetwork(chaosP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
 // TestDelayEquivalence: delayed frames are still delivered, so a delay plan
-// shorter than the watchdog must change nothing but the wall clock.
+// shorter than the watchdog must change nothing but the wall clock. Over
+// TCP a delayed frame never touches the socket, so only the injector's cap
+// on Wait wakes the parked receiver for it.
 func TestDelayEquivalence(t *testing.T) {
 	leakcheck.Check(t)
-	for _, name := range []string{"K12", "gnm", "trigrid"} {
-		t.Run(name, func(t *testing.T) {
-			fx, _ := testgraph.ByName(name)
-			net := chaos.Wrap(transport.NewChanNetwork(chaosP), chaos.Plan{
-				Seed: 7, DelayProb: 0.25, Delay: 2 * time.Millisecond,
+	for _, tcp := range []bool{false, true} {
+		for _, fixture := range []string{"K12", "gnm", "trigrid"} {
+			name := fixture
+			if tcp {
+				name += "/tcp"
+			}
+			t.Run(name, func(t *testing.T) {
+				fx, _ := testgraph.ByName(fixture)
+				net := chaos.Wrap(innerNet(t, tcp), chaos.Plan{
+					Seed: 7, DelayProb: 0.25, Delay: 2 * time.Millisecond,
+				})
+				res, err := core.Run(core.AlgoCetric, fx.Build(), chaosCfg(net))
+				if err != nil {
+					t.Fatalf("delayed run failed: %v", err)
+				}
+				if res.Count != fx.Triangles {
+					t.Fatalf("count = %d, want %d", res.Count, fx.Triangles)
+				}
+				if net.Stats().Delayed == 0 {
+					t.Fatal("plan injected no delays; the scenario tested nothing")
+				}
 			})
-			res, err := core.Run(core.AlgoCetric, fx.Build(), chaosCfg(net))
-			if err != nil {
-				t.Fatalf("delayed run failed: %v", err)
-			}
-			if res.Count != fx.Triangles {
-				t.Fatalf("count = %d, want %d", res.Count, fx.Triangles)
-			}
-			if net.Stats().Delayed == 0 {
-				t.Fatal("plan injected no delays; the scenario tested nothing")
-			}
-		})
+		}
 	}
 }
 
-// schedule is one (algorithm, pipeline schedule) cell a fault is driven
-// through; the grid's default is barriered CETRIC.
+// TestWaitWakesForDelayedFrame: the injector is a Waiter exactly when its
+// inner transport is, and a receiver parked on it wakes when a held frame
+// falls due, though that frame never reaches the inner transport.
+func TestWaitWakesForDelayedFrame(t *testing.T) {
+	leakcheck.Check(t)
+	plan := chaos.Plan{Seed: 3, DelayProb: 1, Delay: 30 * time.Millisecond}
+	chanEp, _ := chaos.Wrap(transport.NewChanNetwork(2), plan).Endpoint(1)
+	if _, ok := chanEp.(transport.Waiter); ok {
+		t.Fatal("a chaos endpoint over the chan network looks like a Waiter")
+	}
+	tcpInner, err := transport.NewLoopbackTCPNetwork(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := chaos.Wrap(tcpInner, plan)
+	defer net.Close()
+	src, _ := net.Endpoint(0)
+	dst, _ := net.Endpoint(1)
+	w, ok := dst.(transport.Waiter)
+	if !ok {
+		t.Fatal("a chaos endpoint over TCP hides the inner Wait")
+	}
+	if err := src.Send(1, []uint64{5}); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	w.Wait(time.Minute)
+	if took := time.Since(start); took > 5*time.Second {
+		t.Fatalf("parked receiver woke %v after the send; the held frame was due after %v", took, plan.Delay)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if f, ok := dst.Recv(); ok {
+			if f.Words[0] != 5 {
+				t.Fatalf("frame = %v, want [5]", f.Words)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("delayed frame never delivered")
+		}
+		w.Wait(time.Millisecond)
+	}
+	if net.Stats().Delayed != 1 {
+		t.Fatalf("Delayed = %d, want 1", net.Stats().Delayed)
+	}
+}
+
+// schedule is one (algorithm, pipeline schedule, transport) cell a fault is
+// driven through; the grid's default is barriered CETRIC over the in-process
+// network.
 type schedule struct {
 	algo    core.Algorithm
 	overlap bool
-	threads int // 0: the default, no workers
+	threads int  // 0: the default, no workers
+	tcp     bool // loopback TCP under the injector
 }
 
 var barrieredCetric = schedule{algo: core.AlgoCetric}
@@ -100,6 +172,9 @@ func (s schedule) String() string {
 	}
 	if s.threads > 1 {
 		name += fmt.Sprintf("+t%d", s.threads)
+	}
+	if s.tcp {
+		name += "+tcp"
 	}
 	return name
 }
@@ -127,7 +202,7 @@ func runChaos(t *testing.T, fixture string, plan chaos.Plan, sched schedule, may
 	if !ok {
 		t.Fatalf("unknown fixture %q", fixture)
 	}
-	net := chaos.Wrap(transport.NewChanNetwork(chaosP), plan)
+	net := chaos.Wrap(innerNet(t, sched.tcp), plan)
 	cfg := chaosCfg(net)
 	cfg.Overlap = sched.overlap
 	cfg.Threads = sched.threads
@@ -233,11 +308,13 @@ func TestFaultGrid(t *testing.T) {
 			// pipeline: eager flushes and between-chunk polls must not change
 			// how a lost peer surfaces. The worker cells add the leak half of
 			// the contract: an abort must not strand workers on the shipment
-			// channel or the steal deque.
+			// channel or the steal deque. The TCP cell has the survivors
+			// parked in Wait, not spinning, when the crash is detected.
 			schedules: []schedule{barrieredCetric, {algo: core.AlgoCetric, overlap: true},
 				{algo: core.AlgoDiTric}, {algo: core.AlgoDiTric, overlap: true},
 				{algo: core.AlgoCetric, threads: 2}, {algo: core.AlgoDiTric, overlap: true, threads: 2},
-				{algo: core.AlgoTK2D}, {algo: core.AlgoTK2D, overlap: true}},
+				{algo: core.AlgoTK2D}, {algo: core.AlgoTK2D, overlap: true},
+				{algo: core.AlgoCetric, tcp: true}},
 			check: func(t *testing.T, re *dist.RunError) {
 				var pl *comm.ErrPeerLost
 				if !errors.As(re, &pl) {

@@ -44,6 +44,8 @@ func tagOf(f transport.Frame) uint64 {
 // like MPI's funneled mode), so Comm needs no internal locking.
 type Comm struct {
 	ep transport.Endpoint
+	// waiter is ep's blocking receive, nil when it has none (see idle).
+	waiter transport.Waiter
 	// stash holds frames that arrived while the PE was waiting for a
 	// different tag.
 	stash map[uint64][]transport.Frame
@@ -72,12 +74,32 @@ type Comm struct {
 
 // New wraps an endpoint.
 func New(ep transport.Endpoint) *Comm {
+	w, _ := ep.(transport.Waiter)
 	return &Comm{
 		ep:     ep,
+		waiter: w,
 		stash:  make(map[uint64][]transport.Frame),
 		epochs: make(map[uint64]uint64),
 		peers:  make(map[int]struct{}),
 	}
+}
+
+// parkInterval bounds one park in idle. Every condition a parked PE reacts
+// to without a frame — the watchdog deadline, a peer condemned by Health,
+// the runtime's abort flag — is therefore noticed at most this much later
+// than a spinning PE would notice it.
+const parkInterval = time.Millisecond
+
+// idle is the wait step of every blocking primitive, taken after
+// checkStalled found nothing to report. Over a transport that can block it
+// parks until a frame may be pending (or parkInterval passes), which leaves
+// the CPU to the goroutines that deliver frames; otherwise it yields.
+func (c *Comm) idle() {
+	if c.waiter != nil {
+		c.waiter.Wait(parkInterval)
+		return
+	}
+	runtime.Gosched()
 }
 
 // SetDeadline arms the communication watchdog: any blocking primitive (the
@@ -218,15 +240,15 @@ func (c *Comm) next(match func(t uint64) bool) (transport.Frame, bool) {
 	}
 }
 
-// wait blocks (cooperatively) until a matching frame arrives, guarded by the
-// communication watchdog.
+// wait blocks until a matching frame arrives, guarded by the communication
+// watchdog: it polls, and between polls parks or yields (idle).
 func (c *Comm) wait(match func(t uint64) bool) transport.Frame {
 	for {
 		if f, ok := c.next(match); ok {
 			return f
 		}
 		c.checkStalled("collective")
-		runtime.Gosched()
+		c.idle()
 	}
 }
 

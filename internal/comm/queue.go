@@ -3,7 +3,6 @@ package comm
 import (
 	"encoding/binary"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -453,11 +452,12 @@ func (q *Queue) noteBusy() {
 }
 
 // stall is the detector's wait step: try the progress callback, and when it
-// has nothing to do either, yield and account the time as idle. The idle
-// episode is closed *before* the callback runs so that stolen-work time is
-// never attributed to IdleNs — only genuine waiting is. Each idle step also
-// runs the communication watchdog, so a detector waiting on a dead peer
-// fails with a typed error instead of spinning past the deadline.
+// has nothing to do either, park or yield (Comm.idle) and account the time
+// as idle — parked time included. The idle episode is closed *before* the
+// callback runs so that stolen-work time is never attributed to IdleNs —
+// only genuine waiting is. Each idle step also runs the communication
+// watchdog, so a detector waiting on a dead peer fails with a typed error
+// instead of waiting past the deadline.
 func (q *Queue) stall(progress func() bool) {
 	if progress != nil {
 		q.noteBusy()
@@ -467,7 +467,7 @@ func (q *Queue) stall(progress func() bool) {
 	}
 	q.noteIdle()
 	q.c.checkStalled("drain")
-	runtime.Gosched()
+	q.c.idle()
 }
 
 func (q *Queue) drainCoordinator(progress func() bool) {

@@ -202,8 +202,9 @@ func Guard(pe *PE, body func() error) (err error) {
 }
 
 // ErrAborted tears down PEs that outlive a failed sibling. The communication
-// layer polls its endpoint in a cooperative busy loop, so without this a PE
-// waiting for a frame that its failed peer will never send would spin
+// layer waits for a frame by polling its endpoint (parking in bounded
+// Waiter.Wait steps where the transport can block), so without this a PE
+// waiting for a frame that its failed peer will never send would wait
 // forever; instead the wrapped endpoint panics with this sentinel and the
 // runtime absorbs it. Run treats any PE error wrapping ErrAborted as an echo
 // of the failure, never as its cause — a body that waits outside the
@@ -251,6 +252,33 @@ func (e abortableEndpoint) Health() error {
 	return nil
 }
 
+// abortableWaiter is abortableEndpoint over an inner transport.Waiter. It is
+// a separate type so that an endpoint which cannot block never looks like a
+// Waiter to the comm layer.
+type abortableWaiter struct {
+	abortableEndpoint
+	w transport.Waiter
+}
+
+// Wait parks on the inner endpoint, then checks the abort flag, so a parked
+// PE notices a sibling's failure within one wait.
+func (e abortableWaiter) Wait(d time.Duration) {
+	e.w.Wait(d)
+	if e.aborted.Load() {
+		panic(ErrAborted)
+	}
+}
+
+// abortable wraps ep with the cluster-wide abort flag, keeping its blocking
+// receive when it has one.
+func abortable(ep transport.Endpoint, aborted *atomic.Bool) transport.Endpoint {
+	ae := abortableEndpoint{Endpoint: ep, aborted: aborted}
+	if w, ok := ep.(transport.Waiter); ok {
+		return abortableWaiter{abortableEndpoint: ae, w: w}
+	}
+	return ae
+}
+
 // Run executes body on P goroutine PEs connected by cfg.Network (an
 // in-process channel network by default) and returns each PE's communication
 // metrics, indexed by rank.
@@ -282,7 +310,7 @@ func Run(cfg Config, body func(*PE) error) ([]comm.Metrics, error) {
 			// collectives involving ranks that are never spawned.
 			return nil, fmt.Errorf("dist: network size %d does not match config P %d", ep.Size(), cfg.P)
 		}
-		pes[r] = Attach(abortableEndpoint{Endpoint: ep, aborted: &aborted}, cfg.Threshold, cfg.Indirect)
+		pes[r] = Attach(abortable(ep, &aborted), cfg.Threshold, cfg.Indirect)
 	}
 
 	if cfg.CommDeadline > 0 {

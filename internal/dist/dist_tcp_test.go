@@ -29,14 +29,16 @@ func tcpNet(t *testing.T, p int, opt transport.TCPOptions) *transport.TCPNetwork
 func TestRunTCPBodyErrorAborts(t *testing.T) {
 	leakcheck.Check(t)
 	net := tcpNet(t, 3, transport.TCPOptions{})
+	start := time.Now()
 	_, err := dist.Run(dist.Config{P: 3, Network: net, RunTimeout: 30 * time.Second},
 		func(pe *dist.PE) error {
 			if pe.Rank == 1 {
 				return fmt.Errorf("deliberate failure on rank 1")
 			}
-			pe.C.Barrier() // blocks on the failed rank until the abort unsticks it
+			pe.C.Barrier() // parks on the failed rank until the abort unsticks it
 			return nil
 		})
+	took := time.Since(start)
 	var re *dist.RunError
 	if !errors.As(err, &re) {
 		t.Fatalf("err = %v, want *RunError", err)
@@ -44,14 +46,20 @@ func TestRunTCPBodyErrorAborts(t *testing.T) {
 	if re.Cause != dist.CauseBody || re.Rank != 1 {
 		t.Fatalf("got cause %s on rank %d, want body error on rank 1", re.Cause, re.Rank)
 	}
+	// A parked PE checks the abort flag after every bounded wait, so the
+	// verdict is not held up by the survivors' waits.
+	if took > time.Second {
+		t.Fatalf("verdict took %v, want under 1s", took)
+	}
 }
 
 func TestRunTCPWatchdogAttributesStall(t *testing.T) {
 	leakcheck.Check(t)
 	net := tcpNet(t, 3, transport.TCPOptions{})
+	const deadline = 200 * time.Millisecond
 	_, err := dist.Run(dist.Config{
 		P: 3, Network: net,
-		CommDeadline: 200 * time.Millisecond,
+		CommDeadline: deadline,
 		RunTimeout:   30 * time.Second,
 	}, func(pe *dist.PE) error {
 		// Rank 0 never enters the barrier: the others wait on traffic that
@@ -73,6 +81,11 @@ func TestRunTCPWatchdogAttributesStall(t *testing.T) {
 	var wd *comm.WatchdogError
 	if !errors.As(err, &wd) {
 		t.Fatalf("no WatchdogError in chain: %v", err)
+	}
+	// The stalled PEs are parked, not spinning: the watchdog must still fire
+	// promptly once the deadline passes.
+	if wd.Waited > 2*deadline {
+		t.Fatalf("watchdog fired after %v, want within %v", wd.Waited, 2*deadline)
 	}
 }
 

@@ -120,6 +120,36 @@ func TestBodyErrorDuringCollective(t *testing.T) {
 	}
 }
 
+// TestAbortableKeepsOnlyRealWaiters: the abort wrapper offers blocking
+// receive exactly when the transport has it (the in-process network does
+// not), and a parked PE observes the abort flag when its wait ends.
+func TestAbortableKeepsOnlyRealWaiters(t *testing.T) {
+	var aborted atomic.Bool
+	chanNet := transport.NewChanNetwork(1)
+	defer chanNet.Close()
+	ce, _ := chanNet.Endpoint(0)
+	if _, ok := abortable(ce, &aborted).(transport.Waiter); ok {
+		t.Fatal("a chan endpoint looks like a Waiter through the abort wrapper")
+	}
+	tcpNet, err := transport.NewLoopbackTCPNetwork(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tcpNet.Close()
+	te, _ := tcpNet.Endpoint(0)
+	w, ok := abortable(te, &aborted).(transport.Waiter)
+	if !ok {
+		t.Fatal("the abort wrapper hides the TCP endpoint's Wait")
+	}
+	aborted.Store(true)
+	defer func() {
+		if rec := recover(); rec != ErrAborted {
+			t.Fatalf("Wait under the abort flag recovered %v, want ErrAborted", rec)
+		}
+	}()
+	w.Wait(time.Millisecond)
+}
+
 func TestFirstErrorInRankOrderWins(t *testing.T) {
 	_, err := runWithDeadline(t, Config{P: 5}, func(pe *PE) error {
 		if pe.Rank == 1 || pe.Rank == 4 {

@@ -36,6 +36,9 @@ import (
 //
 // Received frames land in the same unbounded inbox structure the in-process
 // transport uses, so everything above the transport behaves identically.
+// Because they land there from reader goroutines, the endpoint also
+// implements Waiter: a receiver with nothing to do parks in Wait and leaves
+// the CPU to the readers.
 type TCPEndpoint struct {
 	rank  int
 	addrs []string
@@ -45,6 +48,13 @@ type TCPEndpoint struct {
 	queue  []Frame
 	head   int
 	closed bool
+	// notify holds a token when a frame was enqueued (or the endpoint closed)
+	// since Wait last found the inbox empty. It is signalled under inMu, so
+	// a token Wait finds while the inbox is empty is stale.
+	notify chan struct{}
+	// timer bounds Wait; reused across calls, so a wait allocates nothing.
+	// Only the receiving goroutine touches it.
+	timer *time.Timer
 
 	outMu sync.Mutex
 	conns map[int]*tcpConn
@@ -77,9 +87,12 @@ type tcpConn struct {
 	e   *TCPEndpoint
 	dst int
 
-	mu      sync.Mutex
-	cond    *sync.Cond
+	mu   sync.Mutex
+	cond *sync.Cond
+	// outbox[head:] waits for the writer. It is consumed by index, like the
+	// inbox, so a steady stream of sends reuses one backing array.
 	outbox  [][]byte
+	head    int
 	writing bool // a dequeued frame is on the writer, not yet on the wire
 	closed  bool
 	dead    *PeerDownError
@@ -150,6 +163,7 @@ func newTCPEndpoint(rank int, addrs []string, ln net.Listener, opt TCPOptions) *
 		down:      make(map[int]*PeerDownError),
 		reasons:   make(map[int]string),
 		lastHeard: make(map[int]time.Time),
+		notify:    make(chan struct{}, 1),
 		stopHB:    make(chan struct{}),
 		opt:       opt.withDefaults(),
 	}
@@ -398,8 +412,24 @@ func (e *TCPEndpoint) readLoop(c net.Conn) {
 			PutBuf(f.Bytes)
 			return
 		}
-		e.queue = append(e.queue, f)
+		e.enqueueLocked(f)
 		e.inMu.Unlock()
+	}
+}
+
+// enqueueLocked appends f to the inbox and wakes a parked Wait; callers hold
+// inMu.
+func (e *TCPEndpoint) enqueueLocked(f Frame) {
+	e.queue = append(e.queue, f)
+	e.signalLocked()
+}
+
+// signalLocked leaves a wake-up token for Wait (at most one is ever held);
+// callers hold inMu.
+func (e *TCPEndpoint) signalLocked() {
+	select {
+	case e.notify <- struct{}{}:
+	default:
 	}
 }
 
@@ -421,7 +451,7 @@ func (e *TCPEndpoint) Send(dst int, words []uint64) error {
 		if e.closed {
 			return errors.New("transport: endpoint closed")
 		}
-		e.queue = append(e.queue, Frame{Src: e.rank, Words: words})
+		e.enqueueLocked(Frame{Src: e.rank, Words: words})
 		return nil
 	}
 	tc, err := e.conn(dst)
@@ -447,7 +477,7 @@ func (e *TCPEndpoint) SendBytes(dst int, b []byte) error {
 			PutBuf(b) // ownership transferred; nobody will consume it
 			return errors.New("transport: endpoint closed")
 		}
-		e.queue = append(e.queue, Frame{Src: e.rank, Bytes: b})
+		e.enqueueLocked(Frame{Src: e.rank, Bytes: b})
 		return nil
 	}
 	tc, err := e.conn(dst)
@@ -548,7 +578,7 @@ func (tc *tcpConn) writeLoop() {
 	defer e.wg.Done()
 	for {
 		tc.mu.Lock()
-		for len(tc.outbox) == 0 && !tc.closed {
+		for tc.head == len(tc.outbox) && !tc.closed {
 			tc.cond.Wait()
 		}
 		if tc.closed {
@@ -556,9 +586,15 @@ func (tc *tcpConn) writeLoop() {
 			tc.mu.Unlock()
 			return
 		}
-		buf := tc.outbox[0]
-		tc.outbox[0] = nil
-		tc.outbox = tc.outbox[1:]
+		buf := tc.outbox[tc.head]
+		tc.outbox[tc.head] = nil
+		tc.head++
+		if tc.head == len(tc.outbox) {
+			tc.outbox, tc.head = tc.outbox[:0], 0
+		} else if tc.head > 1024 && tc.head*2 > len(tc.outbox) {
+			n := copy(tc.outbox, tc.outbox[tc.head:])
+			tc.outbox, tc.head = tc.outbox[:n], 0
+		}
 		tc.writing = true
 		tc.mu.Unlock()
 
@@ -581,11 +617,11 @@ func (tc *tcpConn) writeLoop() {
 
 // drainLocked recycles every queued wire buffer; callers hold tc.mu.
 func (tc *tcpConn) drainLocked() {
-	for i, b := range tc.outbox {
+	for i, b := range tc.outbox[tc.head:] {
 		PutBuf(b)
-		tc.outbox[i] = nil
+		tc.outbox[tc.head+i] = nil
 	}
-	tc.outbox = nil
+	tc.outbox, tc.head = nil, 0
 	if tc.c != nil {
 		tc.c.Close()
 		tc.c = nil
@@ -682,21 +718,52 @@ func (e *TCPEndpoint) Recv() (Frame, bool) {
 	e.inMu.Lock()
 	defer e.inMu.Unlock()
 	if e.head >= len(e.queue) {
-		if e.head > 0 {
-			e.queue = e.queue[:0]
-			e.head = 0
-		}
 		return Frame{}, false
 	}
 	f := e.queue[e.head]
 	e.queue[e.head] = Frame{}
 	e.head++
-	if e.head > 1024 && e.head*2 > len(e.queue) {
+	if e.head == len(e.queue) {
+		// Rewind as soon as the inbox empties, so a receiver that parks
+		// instead of polling the empty inbox still reuses its array.
+		e.queue, e.head = e.queue[:0], 0
+	} else if e.head > 1024 && e.head*2 > len(e.queue) {
 		n := copy(e.queue, e.queue[e.head:])
 		e.queue = e.queue[:n]
 		e.head = 0
 	}
 	return f, true
+}
+
+// Wait blocks until a frame is enqueued (by a socket reader or a self-send),
+// the endpoint closes, or d elapses. It implements Waiter.
+func (e *TCPEndpoint) Wait(d time.Duration) {
+	e.inMu.Lock()
+	if e.head < len(e.queue) || e.closed {
+		e.inMu.Unlock()
+		return
+	}
+	select {
+	case <-e.notify: // stale: its frame was already taken by Recv
+	default:
+	}
+	e.inMu.Unlock()
+	if e.timer == nil {
+		e.timer = time.NewTimer(d)
+	} else {
+		// Drop a tick that fired after the last wait ended on notify, so
+		// Reset starts from a drained channel.
+		select {
+		case <-e.timer.C:
+		default:
+		}
+		e.timer.Reset(d)
+	}
+	select {
+	case <-e.notify:
+		e.timer.Stop()
+	case <-e.timer.C:
+	}
 }
 
 // closeFlushTimeout bounds how long Close waits for queued frames to reach
@@ -720,7 +787,7 @@ func (e *TCPEndpoint) flushOutboxes() {
 	for _, tc := range conns {
 		for {
 			tc.mu.Lock()
-			pending := tc.dead == nil && !tc.closed && (len(tc.outbox) > 0 || tc.writing)
+			pending := tc.dead == nil && !tc.closed && (len(tc.outbox) > tc.head || tc.writing)
 			tc.mu.Unlock()
 			if !pending || !time.Now().Before(deadline) {
 				break
@@ -745,6 +812,7 @@ func (e *TCPEndpoint) Close() error {
 		PutBuf(f.Bytes)
 	}
 	e.queue, e.head = nil, 0
+	e.signalLocked() // a parked Wait returns
 	e.inMu.Unlock()
 	err := e.ln.Close()
 	e.outMu.Lock()

@@ -16,7 +16,16 @@
 // bytes verbatim — the TCP transport in particular puts them on the wire
 // without any further conversion. Send and SendBytes transfer ownership of
 // the slice to the transport; the caller must not reuse it.
+//
+// Recv is a non-blocking poll. A transport whose frames reach the inbox
+// through goroutines of its own (TCP's socket readers) also implements
+// Waiter, so a PE with nothing to do can block until a frame may be pending
+// instead of spinning and starving those goroutines of CPU. The in-process
+// network deliberately does not: its senders append to the inbox directly,
+// and parking there measured slower than spinning.
 package transport
+
+import "time"
 
 // Frame is one delivered message. Exactly one of Words and Bytes is non-nil,
 // depending on whether the frame was shipped with Send or SendBytes.
@@ -45,6 +54,15 @@ type Endpoint interface {
 	Recv() (f Frame, ok bool)
 	// Close releases resources. Frames already queued may be lost.
 	Close() error
+}
+
+// Waiter is an optional Endpoint extension: blocking receive.
+type Waiter interface {
+	// Wait returns as soon as a frame may be pending (a following Recv can
+	// still come back empty) or once d has elapsed, whichever is first. It
+	// returns at once when the endpoint is closed. Only the goroutine that
+	// calls Recv may call Wait.
+	Wait(d time.Duration)
 }
 
 // Network creates the endpoints of a cluster.
