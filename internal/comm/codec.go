@@ -3,6 +3,8 @@ package comm
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
+	"slices"
 )
 
 // Wire codecs. A Codec turns one record payload (machine words) into wire
@@ -55,11 +57,40 @@ func CodecByName(name string) (Codec, error) {
 	}
 }
 
+// Raw and Varint size their output once: the encoders grow dst to the exact
+// encoded length and the decoders to the value count, so a cold buffer
+// costs one allocation instead of a chain of doublings. Varint, whose sizes
+// take a pass to compute, takes it only when dst might run short, and then
+// over what is left: a buffer that already has room pays nothing. A decoder's
+// count never exceeds len(data), so no frame can make it allocate more than
+// 8 bytes per byte it carries.
+
+// minEncodedLen is a lower bound on the length of words on the wire under c
+// that costs no pass over them: exact for Raw, and one byte per word for the
+// varint codecs, which never encode a word in less. It is a capacity hint;
+// encoding stays correct whatever room dst has.
+func minEncodedLen(c Codec, words []uint64) int {
+	if _, raw := c.(rawCodec); raw {
+		return 8 * len(words)
+	}
+	return len(words)
+}
+
+// uvarintLen is Σ LEB128 lengths over words.
+func uvarintLen(words []uint64) int {
+	n := 0
+	for _, w := range words {
+		n += (bits.Len64(w|1) + 6) / 7
+	}
+	return n
+}
+
 type rawCodec struct{}
 
 func (rawCodec) Name() string { return "raw" }
 
 func (rawCodec) AppendEncoded(dst []byte, words []uint64) []byte {
+	dst = slices.Grow(dst, 8*len(words))
 	for _, w := range words {
 		dst = binary.LittleEndian.AppendUint64(dst, w)
 	}
@@ -70,6 +101,7 @@ func (rawCodec) AppendDecoded(dst []uint64, data []byte) ([]uint64, error) {
 	if len(data)%8 != 0 {
 		return dst, fmt.Errorf("comm: raw payload length %d is not a multiple of 8", len(data))
 	}
+	dst = slices.Grow(dst, len(data)/8)
 	for i := 0; i < len(data); i += 8 {
 		dst = append(dst, binary.LittleEndian.Uint64(data[i:]))
 	}
@@ -81,8 +113,32 @@ type varintCodec struct{}
 func (varintCodec) Name() string { return "varint" }
 
 func (varintCodec) AppendEncoded(dst []byte, words []uint64) []byte {
-	for _, w := range words {
-		dst = binary.AppendUvarint(dst, w)
+	// Room is checked per chunk, so the length pass — a second read of
+	// words — runs at most once, where a chunk might not fit, and then
+	// sizes dst for everything left. Within a chunk that fits the LEB128
+	// bytes are stored by index, which append's per-byte capacity check
+	// would slow.
+	const chunk = 1024
+	sized := false
+	for len(words) > 0 {
+		k := min(len(words), chunk)
+		if !sized && cap(dst)-len(dst) < binary.MaxVarintLen64*k {
+			dst = slices.Grow(dst, uvarintLen(words))
+			sized = true
+		}
+		out := dst[len(dst):cap(dst)]
+		i := 0
+		for _, w := range words[:k] {
+			for w >= 0x80 {
+				out[i] = byte(w) | 0x80
+				w >>= 7
+				i++
+			}
+			out[i] = byte(w)
+			i++
+		}
+		dst = dst[:len(dst)+i]
+		words = words[k:]
 	}
 	return dst
 }
@@ -92,6 +148,15 @@ func (varintCodec) AppendDecoded(dst []uint64, data []byte) ([]uint64, error) {
 		w, n := binary.Uvarint(data)
 		if n <= 0 {
 			return dst, fmt.Errorf("comm: truncated varint payload")
+		}
+		if len(dst) == cap(dst) {
+			// One value ends at every byte with the continuation bit
+			// clear: room for every value left, this one included.
+			left := 0
+			for _, c := range data {
+				left += int(^c >> 7)
+			}
+			dst = slices.Grow(dst, left)
 		}
 		data = data[n:]
 		dst = append(dst, w)

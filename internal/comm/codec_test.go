@@ -12,6 +12,9 @@ import (
 
 func codecs() []Codec { return []Codec{Raw, Varint, DeltaVarint} }
 
+// raceEnabled reports a -race build (set in race_test.go).
+var raceEnabled bool
+
 // codecPayloadCases spans the shapes the queue channels actually ship plus
 // the degenerate corners the wire format must survive.
 func codecPayloadCases() map[string][]uint64 {
@@ -113,8 +116,39 @@ func TestCodecDecodeErrors(t *testing.T) {
 	}
 }
 
+// TestCodecColdBuffersSizedOnce: Raw and Varint encode into and decode into
+// an empty buffer with exactly one allocation each — the output is sized
+// up front, not grown by doubling.
+func TestCodecColdBuffersSizedOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race builds allocate twice per slices.Grow")
+	}
+	words := make([]uint64, 1000)
+	for i := range words {
+		words[i] = uint64(i) << (i % 60) // every varint length from 1 to 10 bytes
+	}
+	for _, c := range []Codec{Raw, Varint} {
+		enc := c.AppendEncoded(nil, words)
+		if got := testing.AllocsPerRun(20, func() { enc = c.AppendEncoded(nil, words) }); got != 1 {
+			t.Errorf("%s: AppendEncoded(nil) made %v allocations, want 1", c.Name(), got)
+		}
+		if exact := cap(slices.Grow([]byte(nil), len(enc))); cap(enc) != exact {
+			t.Errorf("%s: encoded %d bytes into cap %d, want %d", c.Name(), len(enc), cap(enc), exact)
+		}
+		var dec []uint64
+		if got := testing.AllocsPerRun(20, func() { dec, _ = c.AppendDecoded(nil, enc) }); got != 1 {
+			t.Errorf("%s: AppendDecoded(nil) made %v allocations, want 1", c.Name(), got)
+		}
+		if !slices.Equal(dec, words) {
+			t.Errorf("%s: round trip mismatch", c.Name())
+		}
+	}
+}
+
 // FuzzCodecRoundTrip feeds arbitrary byte strings reinterpreted as word
-// payloads through every codec and demands exact reconstruction.
+// payloads through every codec and demands exact reconstruction; the raw
+// bytes themselves, decoded as a frame, yield an error or at most one word
+// per byte.
 func FuzzCodecRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
@@ -136,6 +170,9 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			}
 			if !slices.Equal(dec, words) {
 				t.Fatalf("%s: round trip mismatch", c.Name())
+			}
+			if dec, err := c.AppendDecoded(nil, data); err == nil && len(dec) > len(data) {
+				t.Fatalf("%s: %d bytes decoded to %d words", c.Name(), len(data), len(dec))
 			}
 		}
 	})

@@ -19,13 +19,16 @@ import (
 // collectives on the row and the column group (or early arrivals from the
 // next round) demultiplex through the ordinary stash, never across groups.
 // Every member must call the same sequence of collectives on a group.
+//
+// A sender encodes each payload once, straight into a pooled frame, and
+// copies that frame for the other members; a group keeps no encode buffer
+// of its own.
 type Group struct {
 	c       *Comm
 	gid     uint64
 	members []int
 	idx     int
 	seq     uint64
-	scratch []byte // reusable encode buffer (root side)
 }
 
 // NewGroup builds a sub-communicator. members must be strictly ascending,
@@ -97,27 +100,47 @@ type BcastOp struct {
 // sequence at post in the same SPMD program order. Receivers hand the
 // payload words to Wait; until then arriving frames park in the inbox or
 // the stash. The payload crosses the wire codec-encoded and is metered as
-// data traffic.
+// data traffic. A failed send raises *ErrPeerLost when the transport names
+// a dead peer, like every queue send.
 func (g *Group) IBcast(root int, words []uint64, codec Codec) BcastOp {
 	op := BcastOp{g: g, t: g.nextTag(), codec: codec, words: words, root: root}
 	if g.Size() == 1 || g.idx != root {
 		return op
 	}
-	g.scratch = op.codec.AppendEncoded(g.scratch[:0], words)
+	g.sendToOthers("group bcast", op.t, words, codec)
+	return op
+}
+
+// sendToOthers ships words to every member but the caller, tagged t. The
+// payload is encoded once into the frame for the last recipient and the
+// earlier recipients get copies of that frame, sent before it: a sent frame
+// belongs to the transport. The frame is drawn from the pool at the
+// payload's minimum wire length, which takes no pass over words: a frame
+// recycled from a like-sized broadcast fits, and any other grows once
+// more, when the encoder finds it short. (Sizing it exactly up front would
+// read all of words a second time on every broadcast.)
+func (g *Group) sendToOthers(op string, t uint64, words []uint64, codec Codec) {
+	last := len(g.members) - 1
+	if last == g.idx {
+		last--
+	}
+	frame := transport.GetBuf(8 + minEncodedLen(codec, words))
+	frame = binary.LittleEndian.AppendUint64(frame, t)
+	frame = codec.AppendEncoded(frame, words)
 	rawWords := 1 + len(words)
 	for i, dst := range g.members {
-		if i == root {
+		if i == g.idx {
 			continue
 		}
-		frame := transport.GetBuf(8 + len(g.scratch))
-		frame = binary.LittleEndian.AppendUint64(frame, op.t)
-		frame = append(frame, g.scratch...)
+		out := frame
+		if i != last {
+			out = append(transport.GetBuf(len(frame)), frame...)
+		}
 		g.c.M.PayloadWords += int64(len(words))
-		if err := g.c.sendDataBytes(dst, frame, rawWords); err != nil {
-			panic(fmt.Sprintf("comm: group bcast to %d: %v", dst, err))
+		if err := g.c.sendDataBytes(dst, out, rawWords); err != nil {
+			raiseSendErr(op, dst, err)
 		}
 	}
-	return op
 }
 
 // Wait completes the broadcast: the root (and a size-1 group) gets its own
@@ -156,7 +179,9 @@ func (g *Group) Recycle(buf []uint64) { g.c.recycleWordBuf(buf) }
 
 // Allgather contributes words from every member and returns one slice per
 // member, indexed by member position (the caller's own entry is a copy).
-// Like Bcast the traffic is codec-encoded data.
+// Like Bcast the traffic is codec-encoded data, and failures are typed the
+// same way: *ErrPeerLost for a dead peer, *CorruptFrameError for a frame
+// the codec cannot decode.
 func (g *Group) Allgather(words []uint64, codec Codec) [][]uint64 {
 	t := g.nextTag()
 	out := make([][]uint64, g.Size())
@@ -164,26 +189,13 @@ func (g *Group) Allgather(words []uint64, codec Codec) [][]uint64 {
 	if g.Size() == 1 {
 		return out
 	}
-	g.scratch = codec.AppendEncoded(g.scratch[:0], words)
-	rawWords := 1 + len(words)
-	for i, dst := range g.members {
-		if i == g.idx {
-			continue
-		}
-		frame := transport.GetBuf(8 + len(g.scratch))
-		frame = binary.LittleEndian.AppendUint64(frame, t)
-		frame = append(frame, g.scratch...)
-		g.c.M.PayloadWords += int64(len(words))
-		if err := g.c.sendDataBytes(dst, frame, rawWords); err != nil {
-			panic(fmt.Sprintf("comm: group allgather to %d: %v", dst, err))
-		}
-	}
+	g.sendToOthers("group allgather", t, words, codec)
 	for got := 1; got < g.Size(); got++ {
-		f := g.c.wait(func(x uint64) bool { return x == t })
+		f := g.c.waitTag(t)
 		src := g.memberIndex(f.Src)
 		dec, err := codec.AppendDecoded(nil, f.Bytes[8:])
 		if err != nil {
-			panic(fmt.Sprintf("comm: group allgather decode: %v", err))
+			panic(&CorruptFrameError{Src: f.Src, Reason: fmt.Sprintf("group allgather decode: %v", err)})
 		}
 		g.c.M.RecvFrames++
 		g.c.M.RecvWords += int64(1 + len(dec))

@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"encoding/binary"
 	"slices"
 	"sync"
 	"testing"
@@ -307,11 +308,99 @@ func TestGroupSize1(t *testing.T) {
 	})
 }
 
+// peerDownEndpoint fails every send with the verdict a transport gives for
+// a condemned peer.
+type peerDownEndpoint struct {
+	transport.Endpoint
+	dead int
+}
+
+func (e peerDownEndpoint) Send(int, []uint64) error { return e.down() }
+
+func (e peerDownEndpoint) SendBytes(int, []byte) error { return e.down() }
+
+func (e peerDownEndpoint) down() error {
+	return &transport.PeerDownError{Rank: e.dead, Reason: "test verdict"}
+}
+
+// recovered runs f and returns the value it panicked with, or nil.
+func recovered(f func()) (v any) {
+	defer func() { v = recover() }()
+	f()
+	return nil
+}
+
+// TestGroupSendFailureIsPeerLost: a broadcast or allgather whose send the
+// transport refuses with a peer-down verdict raises *ErrPeerLost naming
+// that peer — the value dist classifies as a lost peer — not a string.
+func TestGroupSendFailureIsPeerLost(t *testing.T) {
+	net := transport.NewChanNetwork(3)
+	defer net.Close()
+	inner, err := net.Endpoint(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := New(peerDownEndpoint{Endpoint: inner, dead: 2})
+	g, err := c.NewGroup(4, []int{0, 1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, op := range map[string]func(){
+		"IBcast":    func() { g.IBcast(0, []uint64{1, 2, 3}, Varint) },
+		"Allgather": func() { g.Allgather([]uint64{1, 2, 3}, Raw) },
+	} {
+		v := recovered(op)
+		lost, ok := v.(*ErrPeerLost)
+		if !ok {
+			t.Fatalf("%s: panic value %T (%v), want *ErrPeerLost", name, v, v)
+		}
+		if lost.Rank != 2 {
+			t.Fatalf("%s: lost rank %d, want 2", name, lost.Rank)
+		}
+	}
+}
+
+// TestGroupAllgatherCorruptFrame: an allgather contribution the codec
+// cannot decode raises *CorruptFrameError naming its sender, like a corrupt
+// broadcast.
+func TestGroupAllgatherCorruptFrame(t *testing.T) {
+	net := transport.NewChanNetwork(2)
+	defer net.Close()
+	ep0, err := net.Endpoint(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep1, err := net.Endpoint(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const gid = 5
+	c := New(ep0)
+	g, err := c.NewGroup(gid, []int{0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Rank 1's contribution to the group's first collective: the tag, then
+	// a lone continuation byte — a truncated varint.
+	frame := binary.LittleEndian.AppendUint64(nil, tag(kindGroup, gid<<32))
+	if err := ep1.SendBytes(0, append(frame, 0x80)); err != nil {
+		t.Fatal(err)
+	}
+	v := recovered(func() { g.Allgather([]uint64{7}, Varint) })
+	cf, ok := v.(*CorruptFrameError)
+	if !ok {
+		t.Fatalf("panic value %T (%v), want *CorruptFrameError", v, v)
+	}
+	if cf.Src != 1 {
+		t.Fatalf("corrupt frame blamed on %d, want 1", cf.Src)
+	}
+}
+
 // BenchmarkGroupBcastSteadyState is the allocation gate for the collective
 // exchange: one op is a root→member block broadcast plus a member→root ack
 // broadcast on the same group (the lock-step keeps the inbox bounded). After
-// warmup grows the root's encode scratch, the pooled decode buffers, and
-// the frame pool, both sides must run at 0 allocs/op.
+// warmup fills the pooled decode buffers and the frame pool, both sides
+// must run at 0 allocs/op.
 func BenchmarkGroupBcastSteadyState(b *testing.B) {
 	net := transport.NewChanNetwork(2)
 	defer net.Close()
@@ -361,7 +450,7 @@ func BenchmarkGroupBcastSteadyState(b *testing.B) {
 		g.Recycle(ackBuf)
 	}
 	for i := 0; i < 16; i++ {
-		round(payload) // warmup: grow scratch, decode buffers, frame pool
+		round(payload) // warmup: fill the decode buffers and the frame pool
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -57,9 +57,12 @@ func groupCodec(policy string) comm.Codec {
 
 // tk2dRound is the double-buffered per-round exchange state: each of the
 // two in-flight rounds owns a posting slot — root-side stripe + wire
-// scratch and the split-phase handles — and a decode slot. Blocking runs
-// only ever populate slot k&1 right before draining it; pipelined runs
-// keep slot (k+1)&1 posted while slot k&1 counts.
+// scratch and the split-phase handles — and a decode slot. Pipelined runs
+// keep slot (k+1)&1 posted while slot k&1 counts; blocking runs drain each
+// round before posting the next, so they use slot 0 throughout. A slot's
+// buffers are sized in one step when it first fills, from counts the block
+// or the frame carries, and later rounds reuse that capacity (growing once
+// more only for a larger stripe).
 type tk2dRound struct {
 	rowOp, colOp         comm.BcastOp
 	rowRoot, colRoot     *graph.Block // operand the PE roots itself this round (own block, transpose, or stripe)
@@ -178,11 +181,18 @@ func tk2dBody(pe *dist.PE, pl *plan, g *graph.Graph, out *peOutcome) error {
 	// exchange wait (control traffic, like the 1D bodies' pre-count barrier).
 	pe.C.Barrier()
 
+	pipelined := cfg.Overlap && rounds > 1
 	var slots [2]tk2dRound
+	slot := func(k int) *tk2dRound {
+		if pipelined {
+			return &slots[k&1]
+		}
+		return &slots[0]
+	}
 	// post ships round k's stripes split-phase from this PE's posting slot.
 	// Root frames leave here; receivers only advance the tag sequence.
 	post := func(k int) {
-		s := &slots[k&1]
+		s := slot(k)
 		rowRoot, colRoot := g2.RootRow(k), g2.RootCol(k)
 		var rowWords, colWords []uint64
 		if b == rowRoot {
@@ -226,7 +236,7 @@ func tk2dBody(pe *dist.PE, pl *plan, g *graph.Graph, out *peOutcome) error {
 	// round-k stripe of block (k mod r, b), both with round-space entries. (A
 	// root's own handle needs no completion: Wait hands its payload back.)
 	acquire := func(k int) (A, B *graph.Block, err error) {
-		s := &slots[k&1]
+		s := slot(k)
 		A, B = s.rowRoot, s.colRoot
 		if root := g2.RootRow(k); b != root {
 			A, err = receive(s.rowOp, rowGrp, g2.Rank(a, root), a, k, own.NRows(), &s.aScr)
@@ -238,7 +248,6 @@ func tk2dBody(pe *dist.PE, pl *plan, g *graph.Graph, out *peOutcome) error {
 	}
 
 	kernel := newTK2DKernel(g2, pe.Rank, ownT, cfg)
-	pipelined := cfg.Overlap && rounds > 1
 	sw.phase(PhaseGlobalExchange)
 	if pipelined {
 		post(0)

@@ -293,15 +293,18 @@ func (b *Block) StripeInto(dst *Block, round, residue, stride, domain int) {
 // the varint wire codec both become delta-varint compression, without the
 // codec needing to know record boundaries.
 
-// AppendWire appends the block's wire words to dst and returns it.
+// AppendWire appends the block's wire words to dst and returns it. dst grows
+// at most once, to its final length: the wire holds 3 + 2·used + NNZ words
+// for used non-empty rows.
 func (b *Block) AppendWire(dst []uint64) []uint64 {
-	used := uint64(0)
+	used := 0
 	for row := 0; row < b.NRows(); row++ {
 		if b.off[row+1] > b.off[row] {
 			used++
 		}
 	}
-	dst = append(dst, uint64(b.bandRow), uint64(b.bandCol), used)
+	dst = slices.Grow(dst, 3+2*used+b.NNZ())
+	dst = append(dst, uint64(b.bandRow), uint64(b.bandCol), uint64(used))
 	prevRow := 0
 	first := true
 	for row := 0; row < b.NRows(); row++ {
@@ -334,14 +337,20 @@ func (b *Block) AppendWire(dst []uint64) []uint64 {
 // against the bands the receiver expects for this round and sizing rows and
 // entries by the caller-supplied dimensions (nRows rows, entries < domain).
 // b's off and col capacity is reused, so the steady-state exchange decodes
-// without allocating. The rows arrive ascending (AppendWire's order), so
-// the CSR assembles in one pass.
+// without allocating; a cold col grows once, to the entry count the wire
+// implies: len(wire) − 3 − 2·used. That count is taken only for
+// 0 ≤ used ≤ (len(wire) − 3)/2, so it never exceeds len(wire) and a hostile
+// used is an error, never a huge allocation. The rows arrive ascending
+// (AppendWire's order), so the CSR assembles in one pass.
 func DecodeBlockInto(wire []uint64, bandRow, bandCol, nRows, domain int, b *Block) error {
 	if len(wire) < 3 {
 		return fmt.Errorf("graph: block wire truncated (%d words)", len(wire))
 	}
 	if int(wire[0]) != bandRow || int(wire[1]) != bandCol {
 		return fmt.Errorf("graph: block wire names bands (%d,%d), expected (%d,%d)", wire[0], wire[1], bandRow, bandCol)
+	}
+	if wire[2] > uint64(len(wire)-3)/2 {
+		return fmt.Errorf("graph: block wire claims %d rows in %d words", wire[2], len(wire))
 	}
 	b.bandRow, b.bandCol, b.domain = bandRow, bandCol, domain
 	used := int(wire[2])
@@ -350,7 +359,7 @@ func DecodeBlockInto(wire []uint64, bandRow, bandCol, nRows, domain int, b *Bloc
 		b.off = make([]int64, nRows+1)
 	}
 	b.off = b.off[:nRows+1]
-	b.col = b.col[:0]
+	b.col = slices.Grow(b.col[:0], len(wire)-2*used)
 	w := int64(0)
 	nextRow := 0
 	for rec := 0; rec < used; rec++ {

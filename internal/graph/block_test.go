@@ -9,6 +9,9 @@ import (
 	"repro/internal/part"
 )
 
+// raceEnabled reports a -race build (set in race_test.go).
+var raceEnabled bool
+
 func block2DEdges(t *testing.T, n uint64, seed uint64) []Edge {
 	t.Helper()
 	// Deterministic scramble: a mix of loops, duplicates, and both
@@ -337,12 +340,104 @@ func TestDecodeBlockIntoRejectsMalformed(t *testing.T) {
 		"entry past domain":                {0, 1, 1, 0, 1, 99},
 		"entries not ascending (zero gap)": {0, 1, 1, 0, 2, 3, 0},
 		"trailing words":                   {0, 1, 1, 0, 1, 0, 7},
+		"used past the wire":               {0, 1, 2, 0, 1, 0},
+		"used 2^63":                        {0, 1, 1 << 63, 0, 1, 0},
+		"used 2^64-1":                      {0, 1, ^uint64(0), 0, 1, 0},
 	} {
 		var b Block
 		if err := DecodeBlockInto(wire, 0, 1, 10, 10, &b); err == nil {
 			t.Errorf("%s: decode accepted %v", name, wire)
 		}
 	}
+}
+
+// TestBlockWireColdBuffersSizedOnce: serializing into and decoding into
+// empty buffers allocates once per output buffer — AppendWire's words,
+// DecodeBlockInto's off and col — instead of growing by doubling.
+func TestBlockWireColdBuffersSizedOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race builds allocate twice per slices.Grow")
+	}
+	g2, err := part.NewGrid2D(400, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	per := ScatterEdges2D(g2, block2DEdges(t, 400, 99), 1)
+	b := BuildBlock2D(g2, 1, per[1], 1)
+	if b.NNZ() < 100 {
+		t.Fatalf("test block too small: %d entries", b.NNZ())
+	}
+	wire := b.AppendWire(nil)
+	if got := testing.AllocsPerRun(20, func() { wire = b.AppendWire(nil) }); got != 1 {
+		t.Errorf("AppendWire(nil) made %v allocations, want 1", got)
+	}
+	if exact := cap(slices.Grow([]uint64(nil), len(wire))); cap(wire) != exact {
+		t.Errorf("AppendWire(nil) left cap %d for %d words, want %d", cap(wire), len(wire), exact)
+	}
+	var rt Block
+	var decErr error
+	got := testing.AllocsPerRun(20, func() {
+		rt = Block{}
+		decErr = DecodeBlockInto(wire, b.BandRow(), b.BandCol(), b.NRows(), b.Domain(), &rt)
+	})
+	if decErr != nil {
+		t.Fatal(decErr)
+	}
+	if got != 2 {
+		t.Errorf("DecodeBlockInto into a zero Block made %v allocations, want 2", got)
+	}
+	if rt.NNZ() != b.NNZ() {
+		t.Errorf("decoded %d entries, want %d", rt.NNZ(), b.NNZ())
+	}
+}
+
+// FuzzDecodeBlockWire feeds arbitrary word strings to DecodeBlockInto
+// (expecting bands (0,1), nRows rows, entries < domain). Each call returns
+// an error or a block whose AppendWire reproduces the input word for word —
+// the wire form is canonical — and col never grows past what len(wire) words
+// would take, whatever the header claims.
+func FuzzDecodeBlockWire(f *testing.F) {
+	seed := func(nRows, domain uint8, words ...uint64) {
+		var data []byte
+		for _, w := range words {
+			data = binary.LittleEndian.AppendUint64(data, w)
+		}
+		f.Add(data, nRows, domain)
+	}
+	seed(8, 16, 0, 1, 0)                      // used 0: an empty block
+	seed(8, 16, 0, 1, 2, 2, 2, 3, 1, 3, 1, 5) // rows 2 and 5: {3, 4} and {5}
+	seed(8, 16, 0, 1, 8, 0, 1, 0, 1, 1)       // used = len(wire) = 8
+	seed(8, 16, 0, 1, 1<<62, 0, 1, 0)
+	seed(8, 16, 0, 1, 1<<63, 0, 1, 0)
+	seed(8, 16, 0, 1, ^uint64(0), 0, 1, 0)
+	f.Fuzz(func(t *testing.T, data []byte, nRows, domain uint8) {
+		wire := make([]uint64, len(data)/8)
+		for i := range wire {
+			wire[i] = binary.LittleEndian.Uint64(data[8*i:])
+		}
+		var b Block
+		err := DecodeBlockInto(wire, 0, 1, int(nRows), int(domain), &b)
+		if limit := cap(slices.Grow([]Vertex(nil), len(wire))); cap(b.col) > limit {
+			t.Fatalf("col grew to %d for a %d-word wire", cap(b.col), len(wire))
+		}
+		if err != nil {
+			return
+		}
+		if b.NRows() != int(nRows) {
+			t.Fatalf("decoded %d rows, want %d", b.NRows(), nRows)
+		}
+		for row := 0; row < b.NRows(); row++ {
+			seg := b.Row(row)
+			for i, v := range seg {
+				if v >= Vertex(domain) || (i > 0 && v <= seg[i-1]) {
+					t.Fatalf("row %d entry %d (%d) out of order or range", row, i, v)
+				}
+			}
+		}
+		if got := b.AppendWire(nil); !slices.Equal(got, wire) {
+			t.Fatalf("re-encoded %v, input %v", got, wire)
+		}
+	})
 }
 
 // FuzzBlockMapping is the satellite fuzz target: for arbitrary edge streams
