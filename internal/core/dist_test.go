@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
+	"repro/internal/comm"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/part"
@@ -119,6 +121,60 @@ func TestSparseDegreeExchange(t *testing.T) {
 		}
 		if res.Count != want {
 			t.Fatalf("%s with sparse degree exchange: %d, want %d", algo, res.Count, want)
+		}
+	}
+}
+
+// TestDegreeExchangeRejectsHostileFrames: a degree request for a vertex the
+// PE does not own, and a degree reply that is shorter or longer than the
+// request or names an impossible degree, are corrupt frames from the peer
+// that sent them — never an index panic, and never a ghost degree left at −1
+// or wrapped from 2^64−1.
+func TestDegreeExchangeRejectsHostileFrames(t *testing.T) {
+	g := gen.RMAT(gen.DefaultRMAT(6, 3))
+	n := uint64(g.NumVertices())
+	pt := part.Uniform(n, 2)
+	lg := graph.BuildLocalCSR(pt, 0, g, 1)
+	ghosts := lg.Ghosts() // every ghost of PE 0 is owned by PE 1
+	if len(ghosts) < 2 {
+		t.Fatalf("fixture has %d ghosts on PE 0, need 2", len(ghosts))
+	}
+	degs := make([]uint64, len(ghosts))
+	for k, gid := range ghosts {
+		degs[k] = uint64(g.Degree(gid))
+	}
+	corrupt := func(what string, src int, fn func()) {
+		t.Helper()
+		defer func() {
+			t.Helper()
+			r := recover()
+			if cf, ok := r.(*comm.CorruptFrameError); !ok || cf.Src != src {
+				t.Fatalf("%s: recovered %#v, want *comm.CorruptFrameError from %d", what, r, src)
+			}
+		}()
+		fn()
+	}
+	corrupt("short reply", 1, func() { applyDegreeReply(lg, 1, ghosts, degs[:len(degs)-1]) })
+	corrupt("long reply", 1, func() { applyDegreeReply(lg, 1, ghosts, append(slices.Clone(degs), 1)) })
+	corrupt("unrequested reply", 1, func() { applyDegreeReply(lg, 1, nil, degs[:1]) })
+	huge := slices.Clone(degs)
+	huge[1] = ^uint64(0)
+	corrupt("degree 2^64-1", 1, func() { applyDegreeReply(lg, 1, ghosts, huge) })
+	huge[1] = n
+	corrupt("degree n", 1, func() { applyDegreeReply(lg, 1, ghosts, huge) })
+	corrupt("request for a ghost", 1, func() { ownedDegree(lg, 1, ghosts[0]) })
+	corrupt("request past n", 1, func() { ownedDegree(lg, 1, n) })
+	corrupt("request for 2^64-1", 1, func() { ownedDegree(lg, 1, ^uint64(0)) })
+
+	applyDegreeReply(lg, 1, ghosts, degs)
+	for _, gid := range ghosts {
+		if row, _ := lg.GhostRow(gid); lg.Degree(row) != g.Degree(gid) {
+			t.Fatalf("ghost %d: degree %d, want %d", gid, lg.Degree(row), g.Degree(gid))
+		}
+	}
+	for v := lg.First; v < lg.Last; v++ {
+		if got := ownedDegree(lg, 1, v); got != uint64(g.Degree(v)) {
+			t.Fatalf("ownedDegree(%d) = %d, want %d", v, got, g.Degree(v))
 		}
 	}
 }

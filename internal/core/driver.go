@@ -14,11 +14,14 @@ import (
 )
 
 // The run drivers. The input of every one-shot entry point (Run, RunRank,
-// RunApproxCetric) is the paper's: the adjacency array, of which PE i reads
-// its own rows (plan.body: the 1D slab [First, Last) or the 2D block). No
-// edge list is materialized and nothing is scattered driver-side, so
-// PhaseScatter reads 0 on these paths. RunStream alone receives edges, and
-// scatters them one batch at a time (plan.scatter).
+// RunApproxCetric) is the adjacency array, read in place (plan.body). A 1D
+// PE reads only its own rows, the slab [First, Last), which is the paper's
+// input; its ghost degrees come over the wire. A TK2D PE is not held to
+// that: it reads every row of its cyclic row band and the degree of every
+// in-band neighbor straight from the shared CSR, and no frame carries
+// either. No edge list is materialized and nothing is scattered
+// driver-side, so PhaseScatter reads 0 on these paths. RunStream alone
+// receives edges, and scatters them one batch at a time (plan.scatter).
 
 // countBody is one 1D algorithm's counting phases on an already-built local
 // view: everything after graph.BuildLocalCSR (one-shot runs) or the
@@ -212,8 +215,10 @@ func maybePartial(err error, cfg Config, outcomes []*peOutcome, metrics []comm.M
 
 // RunRank executes a single rank of a multi-process cluster on an existing
 // transport endpoint (the other ranks run the same code in their own
-// processes). Each process deterministically rebuilds the input and reads
-// only its own rows of it, so no data distribution is needed. Returns the
+// processes). Each process deterministically rebuilds the whole input, so
+// no data distribution is needed. A 1D rank then reads only its own rows of
+// it; a TK2D rank reads its row band and its in-band neighbors' degrees
+// from the whole graph, so every process must hold all of g. Returns the
 // global triangle count (agreed via an allreduce) and this rank's metrics. A
 // failure inside the run — the body's own, a malformed row, a lost peer, the
 // watchdog, a corrupt frame — comes back as the *dist.RunError dist.Run

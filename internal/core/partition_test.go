@@ -10,10 +10,12 @@ import (
 	"repro/internal/testgraph"
 )
 
-// The vertex placement of a 1D run is its partition: which contiguous ID
-// range each PE owns. The suites below hold every engine to the placement
-// invariant — moving vertices between PEs never changes a count, a triangle
-// set or a per-vertex Δ. Two placements are compared throughout:
+// The suites below test the vertex partition of a 1D run: which contiguous
+// ID range each PE owns. They hold every engine to the partition invariant —
+// moving vertices between PEs never changes a count, a triangle set or a
+// per-vertex Δ. (Their TestPlacement* names predate the removal of the hub
+// placement overlay; they test partitions only.) Two partitions are
+// compared throughout:
 //
 //	off   the default uniform ranges (Config.Partition nil)
 //	auto  the cost-balanced ranges cmd/tricount's -partition=wedges builds:
@@ -21,12 +23,12 @@ import (
 //	      that own hubs
 //
 // Runs use HubThreshold 2, so even the tiny fixtures get hub bitmaps and the
-// hub arm of graph.LocalOriented.Probe runs under both placements.
+// hub arm of graph.LocalOriented.Probe runs under both partitions.
 
-// placementPartition returns the partition the named placement gives g over
-// p PEs (nil selects the default uniform ranges).
-func placementPartition(g *graph.Graph, p int, placement string) *part.Partition {
-	if placement == "off" {
+// partitionByName returns the named partition of g over p PEs (nil selects
+// the default uniform ranges).
+func partitionByName(g *graph.Graph, p int, name string) *part.Partition {
+	if name == "off" {
 		return nil
 	}
 	degrees := make([]int, g.NumVertices())
@@ -36,9 +38,9 @@ func placementPartition(g *graph.Graph, p int, placement string) *part.Partition
 	return part.ByCost(degrees, p, part.CostWedges)
 }
 
-// placementConfig is the knob set the placement suites run under.
-func placementConfig(g *graph.Graph, p int, placement string, overlap bool) Config {
-	return Config{P: p, HubThreshold: 2, Overlap: overlap, Partition: placementPartition(g, p, placement)}
+// partitionConfig is the knob set the partition suites run under.
+func partitionConfig(g *graph.Graph, p int, name string, overlap bool) Config {
+	return Config{P: p, HubThreshold: 2, Overlap: overlap, Partition: partitionByName(g, p, name)}
 }
 
 // TestPlacementEquivalence: every fixture × algorithm × P × placement ×
@@ -52,7 +54,7 @@ func TestPlacementEquivalence(t *testing.T) {
 				for _, placement := range []string{"auto", "off"} {
 					for _, overlap := range []bool{false, true} {
 						t.Run(fmt.Sprintf("%s/%s/p=%d/%s/overlap=%v", algo, name, p, placement, overlap), func(t *testing.T) {
-							res, err := Run(algo, g, placementConfig(g, p, placement, overlap))
+							res, err := Run(algo, g, partitionConfig(g, p, placement, overlap))
 							if err != nil {
 								t.Fatal(err)
 							}
@@ -76,7 +78,7 @@ func TestPlacementEngages(t *testing.T) {
 	fix, _ := testgraph.ByName("rmat")
 	g := fix.Build()
 	const p = 8
-	auto, uniform := placementPartition(g, p, "auto"), part.Uniform(uint64(g.NumVertices()), p)
+	auto, uniform := partitionByName(g, p, "auto"), part.Uniform(uint64(g.NumVertices()), p)
 	moved := false
 	for i := 0; i < p; i++ {
 		alo, ahi := auto.Range(i)
@@ -87,11 +89,11 @@ func TestPlacementEngages(t *testing.T) {
 		t.Fatal("cost-balanced placement equals the uniform one — the auto cells are vacuous")
 	}
 	for _, algo := range []Algorithm{AlgoDiTric, AlgoCetric} {
-		placed, err := Run(algo, g, placementConfig(g, p, "auto", false))
+		placed, err := Run(algo, g, partitionConfig(g, p, "auto", false))
 		if err != nil {
 			t.Fatal(err)
 		}
-		home, err := Run(algo, g, placementConfig(g, p, "off", false))
+		home, err := Run(algo, g, partitionConfig(g, p, "off", false))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +123,7 @@ func TestPlacementTriangleSetsIdentical(t *testing.T) {
 	SeqEnumerate(g, func(v, u, w graph.Vertex) { want[CanonTriangle(v, u, w)] = true })
 	for _, algo := range []Algorithm{AlgoDiTric, AlgoCetric} {
 		for _, p := range []int{2, 4, 8} {
-			cfg := placementConfig(g, p, "auto", false)
+			cfg := partitionConfig(g, p, "auto", false)
 			cfg.Collect = true
 			res, err := Run(algo, g, cfg)
 			if err != nil {
@@ -157,7 +159,7 @@ func TestPlacementLCC(t *testing.T) {
 		_, wantDeltas := SeqDeltas(g)
 		for _, algo := range []Algorithm{AlgoDiTric, AlgoCetric} {
 			for _, overlap := range []bool{false, true} {
-				cfg := placementConfig(g, 4, "auto", overlap)
+				cfg := partitionConfig(g, 4, "auto", overlap)
 				cfg.LCC = true
 				res, err := Run(algo, g, cfg)
 				if err != nil {
@@ -182,7 +184,7 @@ func TestPlacementHybridThreads(t *testing.T) {
 	want := SeqCount(g)
 	for _, algo := range []Algorithm{AlgoDiTric, AlgoCetric} {
 		for _, overlap := range []bool{false, true} {
-			cfg := placementConfig(g, 4, "auto", overlap)
+			cfg := partitionConfig(g, 4, "auto", overlap)
 			cfg.Threads = 4
 			res, err := Run(algo, g, cfg)
 			if err != nil {
@@ -202,7 +204,7 @@ func TestPlacementIndirectVariants(t *testing.T) {
 	g := gen.RMAT(gen.DefaultRMAT(8, 11))
 	want := SeqCount(g)
 	for _, algo := range []Algorithm{AlgoDiTric2, AlgoCetric2} {
-		res, err := Run(algo, g, placementConfig(g, 9, "auto", false))
+		res, err := Run(algo, g, partitionConfig(g, 9, "auto", false))
 		if err != nil {
 			t.Fatal(err)
 		}

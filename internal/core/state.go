@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sort"
 	"time"
 
@@ -16,7 +17,7 @@ const (
 	chNeigh  = 0 // (v, A(v)) neighborhood shipments
 	chDelta  = 1 // (gid, Δ) ghost triangle-count aggregation (LCC)
 	chDegReq = 2 // ghost degree requests: [gid...]
-	chDegRep = 3 // ghost degree replies: [gid, deg, ...]
+	chDegRep = 3 // ghost degree replies: [deg...], in request order
 	chWedge  = 4 // HavoqGT-style wedge-check visitors: [a, b, ...]
 	chAMQ    = 5 // (v, |A(v)|, bloom words) approximate shipments
 	chDeltaF = 6 // (gid, Float64bits(Δ̂)) approximate ghost Δ aggregation
@@ -340,46 +341,67 @@ func exchangeGhostDegrees(pe *dist.PE, lg *graph.LocalGraph, sparse bool, thread
 			list, rep := gotReqs[src], replies[src]
 			end := min(hi, base+len(list))
 			for ; i < end; i++ {
-				rep[i-base] = uint64(lg.Degree(lg.Row(list[i-base])))
+				rep[i-base] = ownedDegree(lg, src, list[i-base])
 			}
 		}
 	})
-	gotReps := pe.C.DenseExchange(replies)
-	for owner, list := range gotReps {
-		for k, d := range list {
-			gid := reqs[owner][k]
-			row, _ := lg.GhostRow(gid)
-			lg.SetGhostDegree(row, int(d))
-		}
+	for owner, degs := range pe.C.DenseExchange(replies) {
+		applyDegreeReply(lg, owner, reqs[owner], degs)
 	}
 }
 
+// exchangeGhostDegreesSparse is the exchange over the queue: one request
+// record [gid...] per owner, answered by one reply record [deg...] in
+// request order.
 func exchangeGhostDegreesSparse(pe *dist.PE, lg *graph.LocalGraph) {
-	pe.Q.Handle(chDegReq, func(src int, words []uint64) {
-		rep := make([]uint64, 0, 2*len(words))
-		for _, gid := range words {
-			rep = append(rep, gid, uint64(lg.Degree(lg.Row(gid))))
-		}
-		pe.Q.Send(chDegRep, src, rep)
-	})
-	pe.Q.Handle(chDegRep, func(_ int, words []uint64) {
-		for i := 0; i+1 < len(words); i += 2 {
-			row, ok := lg.GhostRow(words[i])
-			if !ok {
-				panic("core: degree reply for unknown ghost")
-			}
-			lg.SetGhostDegree(row, int(words[i+1]))
-		}
-	})
 	reqs := make(map[int][]uint64)
 	for _, g := range lg.Ghosts() {
 		owner := lg.Part.Rank(g)
 		reqs[owner] = append(reqs[owner], g)
 	}
+	pe.Q.Handle(chDegReq, func(src int, words []uint64) {
+		rep := make([]uint64, len(words))
+		for k, gid := range words {
+			rep[k] = ownedDegree(lg, src, gid)
+		}
+		pe.Q.Send(chDegRep, src, rep)
+	})
+	pe.Q.Handle(chDegRep, func(src int, degs []uint64) {
+		applyDegreeReply(lg, src, reqs[src], degs)
+	})
 	for owner, gids := range reqs {
 		pe.Q.Send(chDegReq, owner, gids)
 	}
 	pe.Q.Drain()
+}
+
+// ownedDegree answers src's request for the degree of gid. A request for a
+// vertex this PE does not own is a corrupt frame: no row here holds its
+// whole neighborhood.
+func ownedDegree(lg *graph.LocalGraph, src int, gid uint64) uint64 {
+	if !lg.IsLocal(gid) {
+		panic(&comm.CorruptFrameError{Src: src, Reason: fmt.Sprintf(
+			"degree request for vertex %d, which PE %d does not own", gid, lg.Rank)})
+	}
+	return uint64(lg.Degree(int32(gid - lg.First)))
+}
+
+// applyDegreeReply records the degrees owner sent back for the ghosts this
+// PE requested from it, gids[k] getting degs[k]. A reply of any other length,
+// or with a degree no vertex can have (≥ n), is a corrupt frame.
+func applyDegreeReply(lg *graph.LocalGraph, owner int, gids, degs []uint64) {
+	if len(degs) != len(gids) {
+		panic(&comm.CorruptFrameError{Src: owner, Reason: fmt.Sprintf(
+			"degree reply holds %d degrees for %d requested ghosts", len(degs), len(gids))})
+	}
+	for k, d := range degs {
+		if d >= lg.Part.N() {
+			panic(&comm.CorruptFrameError{Src: owner, Reason: fmt.Sprintf(
+				"degree reply gives ghost %d degree %d on %d vertices", gids[k], d, lg.Part.N())})
+		}
+		row, _ := lg.GhostRow(gids[k])
+		lg.SetGhostDegree(row, int(d))
+	}
 }
 
 // mergeOutcomes folds per-PE outcomes into a Result.

@@ -155,12 +155,15 @@ func BuildBlock2D(g2 *part.Grid2D, rank int, edges []Edge, threads int) *Block {
 
 // BuildBlockCSR assembles PE rank's block straight from the global CSR: it
 // walks the rows u of its row band once and keeps, of the neighbors in its
-// column band, those with u ≺ v (Less on g's own degrees, tested only once
-// the band matches), as v div c — over all ranks, every edge of g exactly
-// once. Rows arrive sorted and unique (checkRow holds every walked row to
-// that), so there is no scatter, sort, dedup or degree exchange. Each worker
-// appends its contiguous share of the rows to a run of its own and the runs
-// are laid end to end, so the thread count has no effect on the result.
+// column band, those with u ≺ v (degrees read off g itself), as v div c —
+// over all ranks, every edge of g exactly once. The keep is arithmetic, not
+// a branch: every v/c is written to the worker's run and the cursor advances
+// by [v mod c = b]·precedes(u, v), both of them coin flips a branch would
+// mispredict. Rows arrive sorted and unique (checkRow holds every walked row
+// to that), so there is no scatter, sort, dedup or degree exchange. Each
+// worker fills its contiguous share of the rows into a run of its own and
+// the runs are laid end to end, so the thread count has no effect on the
+// result.
 func BuildBlockCSR(g2 *part.Grid2D, rank int, g *Graph, threads int) *Block {
 	a, bc := g2.RowCol(rank)
 	b := &Block{bandRow: a, bandCol: bc, domain: g2.BandSizeCol(bc)}
@@ -171,7 +174,7 @@ func BuildBlockCSR(g2 *part.Grid2D, rank int, g *Graph, threads int) *Block {
 	runs := make([][]Vertex, w)
 	parallelBlocks(w, nRows, func(worker, lo, hi int) {
 		// About 1/(r·c) of the CSR span under the rows is in band, and ≺
-		// keeps half of that; append covers a share that runs over.
+		// keeps half of that; a row that runs over grows the run.
 		span := g.off[g2.GIDRow(a, Vertex(hi-1))+1] - g.off[g2.GIDRow(a, Vertex(lo))]
 		col := make([]Vertex, 0, span/int64(g2.P())*5/8)
 		for rel := lo; rel < hi; rel++ {
@@ -179,12 +182,15 @@ func BuildBlockCSR(g2 *part.Grid2D, rank int, g *Graph, threads int) *Block {
 			nb := g.Neighbors(u)
 			checkRow(nb, u, g2.N(), rank) // before any entry is used as an index
 			kept := len(col)
+			col = slices.Grow(col, len(nb))
+			run := col[kept : kept+len(nb)]
+			k := uint64(0)
 			for _, v := range nb {
-				if v%c == res && Less(len(nb), u, g.Degree(v), v) {
-					col = append(col, v/c)
-				}
+				run[k] = v / c
+				k += b2u(v%c == res) & precedes(len(nb), u, g.Degree(v), v)
 			}
-			b.off[rel+1] = int64(len(col) - kept)
+			col = col[:kept+int(k)]
+			b.off[rel+1] = int64(k)
 		}
 		runs[worker] = col
 	})

@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"math"
+	"math/rand"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -151,6 +153,45 @@ func TestLessIsTotalOrder(t *testing.T) {
 				t.Fatalf("totality/antisymmetry violated for %v %v", a, b)
 			}
 		}
+	}
+}
+
+// TestPrecedesAgreesWithLess holds the 0/1 form of ≺ to its definition —
+// d(u) < d(v), or equal degrees and u < v — and Less to the same, on the
+// boundary degrees and IDs and on random pairs (small degrees, so ties are
+// common).
+func TestPrecedesAgreesWithLess(t *testing.T) {
+	def := func(du int, u Vertex, dv int, v Vertex) bool {
+		if du != dv {
+			return du < dv
+		}
+		return u < v
+	}
+	check := func(du int, u Vertex, dv int, v Vertex) {
+		t.Helper()
+		want := def(du, u, dv, v)
+		if got := precedes(du, u, dv, v); got > 1 || (got == 1) != want {
+			t.Fatalf("precedes(%d, %d, %d, %d) = %d, want %v", du, u, dv, v, got, want)
+		}
+		if got := Less(du, u, dv, v); got != want {
+			t.Fatalf("Less(%d, %d, %d, %d) = %v, want %v", du, u, dv, v, got, want)
+		}
+	}
+	degs := []int{0, 1, 2, math.MaxInt}
+	ids := []Vertex{0, 1, 2, ^Vertex(0)}
+	for _, du := range degs {
+		for _, dv := range degs {
+			for _, u := range ids {
+				for _, v := range ids {
+					check(du, u, dv, v)
+				}
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(28))
+	for i := 0; i < 100000; i++ {
+		check(rng.Intn(4), Vertex(rng.Intn(8)), rng.Intn(4), Vertex(rng.Intn(8)))
+		check(rng.Int(), rng.Uint64(), rng.Int(), rng.Uint64())
 	}
 }
 

@@ -1,5 +1,7 @@
 package graph
 
+import "slices"
+
 // The degree-based total order ≺ from COMPACT-FORWARD (Latapy):
 //
 //	u ≺ v  ⇔  d(u) < d(v), or d(u) == d(v) and u < v.
@@ -7,14 +9,20 @@ package graph
 // Orienting every edge from its ≺-smaller to its ≺-larger endpoint makes the
 // out-degree of high-degree vertices small and lets EDGE ITERATOR count every
 // triangle exactly once.
+//
+// ≺ has one formula, precedes, in 0/1 form. Every pass that filters
+// adjacency by ≺ (Orient, the 1D orientations, BuildBlockCSR) keeps entries
+// by arithmetic with it: each candidate is written unconditionally and the
+// write cursor advances by precedes. Whenever degrees are close, u ≺ v is a
+// coin flip, and as a branch it would mispredict about every other entry.
+
+// precedes is u ≺ v given their degrees, as 1 or 0.
+func precedes(du int, u Vertex, dv int, v Vertex) uint64 {
+	return b2u(du < dv) | (b2u(du == dv) & b2u(u < v))
+}
 
 // Less reports whether u ≺ v given their degrees.
-func Less(du int, u Vertex, dv int, v Vertex) bool {
-	if du != dv {
-		return du < dv
-	}
-	return u < v
-}
+func Less(du int, u Vertex, dv int, v Vertex) bool { return precedes(du, u, dv, v) == 1 }
 
 // OutGraph is a degree-oriented view of an undirected graph: Out(v) holds the
 // outgoing neighborhood N⁺(v) = {u : v ≺ u}, sorted ascending by vertex ID so
@@ -87,59 +95,54 @@ func (o *OutGraph) CountPair(v, u Vertex) uint64 {
 	}
 }
 
-// Orient builds the COMPACT-FORWARD orientation of g.
+// Orient builds the COMPACT-FORWARD orientation of g. The placement pass
+// writes every neighbor and advances by precedes; a write past a row's kept
+// prefix lands on the next row's first slot, which that row overwrites, and
+// out has one slot of slack for the last row's.
 func Orient(g *Graph) *OutGraph {
 	n := g.NumVertices()
 	off := make([]int64, n+1)
 	for v := 0; v < n; v++ {
 		dv := g.Degree(Vertex(v))
-		cnt := int64(0)
+		cnt := uint64(0)
 		for _, u := range g.Neighbors(Vertex(v)) {
-			if Less(dv, Vertex(v), g.Degree(u), u) {
-				cnt++
-			}
+			cnt += precedes(dv, Vertex(v), g.Degree(u), u)
 		}
-		off[v+1] = off[v] + cnt
+		off[v+1] = off[v] + int64(cnt)
 	}
-	out := make([]Vertex, off[n])
+	out := make([]Vertex, off[n]+1)
 	for v := 0; v < n; v++ {
 		dv := g.Degree(Vertex(v))
 		w := off[v]
 		for _, u := range g.Neighbors(Vertex(v)) {
-			if Less(dv, Vertex(v), g.Degree(u), u) {
-				out[w] = u
-				w++
-			}
+			out[w] = u
+			w += int64(precedes(dv, Vertex(v), g.Degree(u), u))
 		}
 	}
-	return &OutGraph{off: off, out: out}
+	return &OutGraph{off: off, out: out[:off[n]]}
 }
 
 // OrientByID orients edges from lower to higher vertex ID, ignoring degrees.
-// TriC-style algorithms that skip the degree orientation use this.
+// TriC-style algorithms that skip the degree orientation use this. In an
+// ascending row the neighbors above v are a suffix, found by one binary
+// search.
 func OrientByID(g *Graph) *OutGraph {
 	n := g.NumVertices()
 	off := make([]int64, n+1)
 	for v := 0; v < n; v++ {
-		cnt := int64(0)
-		for _, u := range g.Neighbors(Vertex(v)) {
-			if u > Vertex(v) {
-				cnt++
-			}
-		}
-		off[v+1] = off[v] + cnt
+		off[v+1] = off[v] + int64(len(aboveID(g.Neighbors(Vertex(v)), Vertex(v))))
 	}
-	out := make([]Vertex, off[n])
+	out := make([]Vertex, 0, off[n])
 	for v := 0; v < n; v++ {
-		w := off[v]
-		for _, u := range g.Neighbors(Vertex(v)) {
-			if u > Vertex(v) {
-				out[w] = u
-				w++
-			}
-		}
+		out = append(out, aboveID(g.Neighbors(Vertex(v)), Vertex(v))...)
 	}
 	return &OutGraph{off: off, out: out}
+}
+
+// aboveID returns the suffix of the ascending list nb that lies above v.
+func aboveID(nb []Vertex, v Vertex) []Vertex {
+	i, _ := slices.BinarySearch(nb, v+1)
+	return nb[i:]
 }
 
 // NumVertices returns n.

@@ -1,0 +1,299 @@
+package graph_test
+
+import (
+	"encoding/binary"
+	"fmt"
+	"slices"
+	"testing"
+
+	"repro/internal/graph"
+	"repro/internal/part"
+	"repro/internal/testgraph"
+)
+
+// The passes that filter adjacency by ≺ keep entries by arithmetic (a write
+// per candidate, a cursor that advances by 0 or 1). The loops below are the
+// same passes with a plain branch on the keep-test: byte-identity oracles
+// for every output array over the 12 fixtures. FuzzOrientation checks the same passes against plain filters on
+// graph.Less over arbitrary graphs.
+
+// flatOriented lays o's rows end to end: offsets, global-ID entries and
+// row-space entries.
+func flatOriented(o *graph.LocalOriented) (off []int64, out, rowOut []graph.Vertex) {
+	off = []int64{0}
+	for r := 0; r < o.L.Rows(); r++ {
+		out = append(out, o.Out(int32(r))...)
+		rowOut = append(rowOut, o.OutRows(int32(r))...)
+		off = append(off, int64(len(out)))
+	}
+	return off, out, rowOut
+}
+
+// branchyOrientLocal orients rows [0, hi) of l with a branch on keep: kept
+// locals go straight to the row-space layout, kept ghost rows to a side
+// buffer appended after them.
+func branchyOrientLocal(l *graph.LocalGraph, hi int, keep func(r int32, xr int32, x graph.Vertex) bool) (off []int64, out, rowOut []graph.Vertex) {
+	off = []int64{0}
+	nLoc := int32(l.NLocal())
+	var ghosts []graph.Vertex
+	for r := int32(0); int(r) < l.Rows(); r++ {
+		if int(r) < hi {
+			adjR := l.RowNeighborRows(r)
+			ghosts = ghosts[:0]
+			for i, x := range l.RowNeighbors(r) {
+				xr := adjR[i]
+				if !keep(r, xr, x) {
+					continue
+				}
+				out = append(out, x)
+				if xr < nLoc {
+					rowOut = append(rowOut, graph.Vertex(xr))
+				} else {
+					ghosts = append(ghosts, graph.Vertex(xr))
+				}
+			}
+			rowOut = append(rowOut, ghosts...)
+		}
+		off = append(off, int64(len(out)))
+	}
+	return off, out, rowOut
+}
+
+// degreeKeep is the degree orientation's keep-test on l: row r ≺ entry x.
+func degreeKeep(l *graph.LocalGraph) func(r, xr int32, x graph.Vertex) bool {
+	return func(r, xr int32, x graph.Vertex) bool {
+		return graph.Less(l.Degree(r), l.GID(r), l.Degree(xr), x)
+	}
+}
+
+// idKeep is the ID orientation's keep-test on l: x above row r's ID.
+func idKeep(l *graph.LocalGraph) func(r, xr int32, x graph.Vertex) bool {
+	return func(r, _ int32, x graph.Vertex) bool { return x > l.GID(r) }
+}
+
+// branchyBlockCSR is BuildBlockCSR's walk with a branch on the band test
+// and then on ≺.
+func branchyBlockCSR(g2 *part.Grid2D, rank int, g *graph.Graph) (off []int64, col []graph.Vertex) {
+	a, bc := g2.RowCol(rank)
+	c, res := graph.Vertex(g2.C()), graph.Vertex(bc)
+	off = []int64{0}
+	for rel := 0; rel < g2.BandSizeRow(a); rel++ {
+		u := g2.GIDRow(a, graph.Vertex(rel))
+		nb := g.Neighbors(u)
+		for _, v := range nb {
+			if v%c == res && graph.Less(len(nb), u, g.Degree(v), v) {
+				col = append(col, v/c)
+			}
+		}
+		off = append(off, int64(len(col)))
+	}
+	return off, col
+}
+
+// flatBlock lays b's rows end to end.
+func flatBlock(b *graph.Block) (off []int64, col []graph.Vertex) {
+	off = []int64{0}
+	for rel := 0; rel < b.NRows(); rel++ {
+		col = append(col, b.Row(rel)...)
+		off = append(off, int64(len(col)))
+	}
+	return off, col
+}
+
+// branchyOrient is Orient's placement with a branch on Less, one out-list
+// per vertex.
+func branchyOrient(g *graph.Graph) [][]graph.Vertex {
+	out := make([][]graph.Vertex, g.NumVertices())
+	for v := range out {
+		dv := g.Degree(graph.Vertex(v))
+		for _, u := range g.Neighbors(graph.Vertex(v)) {
+			if graph.Less(dv, graph.Vertex(v), g.Degree(u), u) {
+				out[v] = append(out[v], u)
+			}
+		}
+	}
+	return out
+}
+
+func requireFlatEqual(t *testing.T, tag string, wantOff, gotOff []int64, want, got [][]graph.Vertex) {
+	t.Helper()
+	if !slices.Equal(wantOff, gotOff) {
+		t.Fatalf("%s: offsets differ", tag)
+	}
+	for i := range want {
+		if !slices.Equal(want[i], got[i]) {
+			t.Fatalf("%s: entry array %d differs", tag, i)
+		}
+	}
+}
+
+// TestOrientationMatchesBranchyLoops: on every fixture, every p, rank and
+// thread count, the branch-free passes produce byte-identical arrays to
+// the branchy loops — OrientLocalPar, OrientLocalOnlyPar and
+// OrientLocalByIDPar (off, out, rowOut), BuildBlockCSR (off, col) and
+// Orient (every out-list).
+func TestOrientationMatchesBranchyLoops(t *testing.T) {
+	for _, fix := range testgraph.All {
+		g := fix.Build()
+		n := uint64(g.NumVertices())
+		want := branchyOrient(g)
+		o := graph.Orient(g)
+		for v := range want {
+			if !slices.Equal(want[v], o.Out(graph.Vertex(v))) {
+				t.Fatalf("%s: Orient row %d = %v, branchy %v", fix.Name, v, o.Out(graph.Vertex(v)), want[v])
+			}
+		}
+		for _, p := range []int{1, 2, 4, 7, 9} {
+			pt := part.Uniform(n, p)
+			g2, err := part.NewGrid2D(n, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for rank := 0; rank < p; rank++ {
+				wantOff, wantCol := branchyBlockCSR(g2, rank, g)
+				for _, threads := range []int{1, 3} {
+					tag := fmt.Sprintf("%s p=%d rank=%d threads=%d", fix.Name, p, rank, threads)
+					gotOff, gotCol := flatBlock(graph.BuildBlockCSR(g2, rank, g, threads))
+					requireFlatEqual(t, tag+" block", wantOff, gotOff, [][]graph.Vertex{wantCol}, [][]graph.Vertex{gotCol})
+
+					lg := graph.BuildLocalCSR(pt, rank, g, threads)
+					setGhostDegrees(lg, g)
+					for _, c := range []struct {
+						name string
+						hi   int
+						keep func(r, xr int32, x graph.Vertex) bool
+						got  *graph.LocalOriented
+					}{
+						{"orient", lg.Rows(), degreeKeep(lg), graph.OrientLocalPar(lg, threads)},
+						{"local-only", lg.NLocal(), degreeKeep(lg), graph.OrientLocalOnlyPar(lg, threads)},
+						{"by-id", lg.Rows(), idKeep(lg), graph.OrientLocalByIDPar(lg, threads)},
+					} {
+						wOff, wOut, wRow := branchyOrientLocal(lg, c.hi, c.keep)
+						gOff, gOut, gRow := flatOriented(c.got)
+						requireFlatEqual(t, tag+" "+c.name, wOff, gOff, [][]graph.Vertex{wOut, wRow}, [][]graph.Vertex{gOut, gRow})
+					}
+				}
+			}
+		}
+	}
+}
+
+// requireFilteredOriented checks o against a plain filter of l's rows: row
+// r < hi holds exactly the x ∈ N(r) with keep(r, x), ascending by ID, and
+// its row-space list is the same set translated by Row, strictly ascending;
+// rows ≥ hi are empty.
+func requireFilteredOriented(t *testing.T, tag string, l *graph.LocalGraph, o *graph.LocalOriented, hi int, keep func(r int32, x graph.Vertex) bool) {
+	t.Helper()
+	for r := int32(0); int(r) < l.Rows(); r++ {
+		var want []graph.Vertex
+		if int(r) < hi {
+			for _, x := range l.RowNeighbors(r) {
+				if keep(r, x) {
+					want = append(want, x)
+				}
+			}
+		}
+		got, rows := o.Out(r), o.OutRows(r)
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s row %d: Out = %v, filter %v", tag, r, got, want)
+		}
+		if len(rows) != len(got) {
+			t.Fatalf("%s row %d: |OutRows| = %d, |Out| = %d", tag, r, len(rows), len(got))
+		}
+		wantRows := make([]graph.Vertex, len(want))
+		for i, x := range want {
+			wantRows[i] = graph.Vertex(l.Row(x))
+		}
+		slices.Sort(wantRows)
+		for i, x := range rows {
+			if x != wantRows[i] || (i > 0 && x <= rows[i-1]) {
+				t.Fatalf("%s row %d: OutRows = %v, want %v ascending", tag, r, rows, wantRows)
+			}
+		}
+	}
+}
+
+// fuzzEdges encodes an edge list the way FuzzOrientation decodes it.
+func fuzzEdges(edges ...[2]uint16) []byte {
+	var data []byte
+	for _, e := range edges {
+		data = binary.LittleEndian.AppendUint16(data, e[0])
+		data = binary.LittleEndian.AppendUint16(data, e[1])
+	}
+	return data
+}
+
+// FuzzOrientation drives every ≺ filter over an arbitrary graph (16-bit
+// endpoint pairs mod n; self-loops and duplicates are FromEdges' to drop),
+// an arbitrary p, rank and thread count: OrientLocalPar, OrientLocalOnlyPar,
+// BuildBlockCSR and Orient must match a filter on graph.Less, and
+// OrientLocalByIDPar a filter on x > v. The seeds cover rank 0 (no ghost
+// below the range), the last rank (none above), a middle rank whose rows
+// reach ghosts on both sides, rows that hold only ghosts, empty rows, and
+// p = 1.
+func FuzzOrientation(f *testing.F) {
+	star := fuzzEdges([2]uint16{0, 5}, [2]uint16{0, 6}, [2]uint16{0, 7}, [2]uint16{1, 2}, [2]uint16{5, 6})
+	both := fuzzEdges([2]uint16{4, 0}, [2]uint16{4, 1}, [2]uint16{4, 8}, [2]uint16{3, 8}, [2]uint16{0, 8}, [2]uint16{3, 4})
+	f.Add(star, uint16(8), uint8(2), uint8(0), uint8(1))     // rank 0; row 0 is all ghosts
+	f.Add(star, uint16(8), uint8(2), uint8(1), uint8(2))     // last rank
+	f.Add(both, uint16(9), uint8(3), uint8(1), uint8(1))     // ghosts below and above
+	f.Add(both, uint16(40), uint8(4), uint8(2), uint8(3))    // mostly empty rows
+	f.Add(both, uint16(9), uint8(1), uint8(0), uint8(2))     // p = 1
+	f.Add([]byte{}, uint16(5), uint8(3), uint8(2), uint8(1)) // no edges
+	f.Fuzz(func(t *testing.T, data []byte, nRaw uint16, pRaw, rankRaw, thRaw uint8) {
+		n := uint64(nRaw%300) + 1
+		p := int(pRaw%9) + 1
+		rank, threads := int(rankRaw)%p, int(thRaw%4)+1
+		var edges []graph.Edge
+		for i := 0; i+3 < len(data); i += 4 {
+			edges = append(edges, graph.Edge{
+				U: uint64(binary.LittleEndian.Uint16(data[i:])) % n,
+				V: uint64(binary.LittleEndian.Uint16(data[i+2:])) % n,
+			})
+		}
+		g := graph.FromEdges(int(n), edges)
+		tag := fmt.Sprintf("n=%d p=%d rank=%d threads=%d", n, p, rank, threads)
+
+		lg := graph.BuildLocalCSR(part.Uniform(n, p), rank, g, threads)
+		setGhostDegrees(lg, g)
+		less := func(r int32, x graph.Vertex) bool {
+			return graph.Less(lg.Degree(r), lg.GID(r), g.Degree(x), x)
+		}
+		requireFilteredOriented(t, tag+" orient", lg, graph.OrientLocalPar(lg, threads), lg.Rows(), less)
+		requireFilteredOriented(t, tag+" local-only", lg, graph.OrientLocalOnlyPar(lg, threads), lg.NLocal(), less)
+		requireFilteredOriented(t, tag+" by-id", lg, graph.OrientLocalByIDPar(lg, threads), lg.Rows(),
+			func(r int32, x graph.Vertex) bool { return x > lg.GID(r) })
+
+		g2, err := part.NewGrid2D(n, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, bc := g2.RowCol(rank)
+		b := graph.BuildBlockCSR(g2, rank, g, threads)
+		for rel := 0; rel < b.NRows(); rel++ {
+			u := g2.GIDRow(a, graph.Vertex(rel))
+			var want []graph.Vertex
+			for _, v := range g.Neighbors(u) {
+				if g2.BandCol(v) == bc && graph.Less(g.Degree(u), u, g.Degree(v), v) {
+					want = append(want, g2.RelCol(v))
+				}
+			}
+			if got := b.Row(rel); !slices.Equal(got, want) {
+				t.Fatalf("%s block row %d: %v, filter %v", tag, rel, got, want)
+			}
+		}
+
+		o := graph.Orient(g)
+		for v := graph.Vertex(0); v < graph.Vertex(n); v++ {
+			var want []graph.Vertex
+			for _, u := range g.Neighbors(v) {
+				if graph.Less(g.Degree(v), v, g.Degree(u), u) {
+					want = append(want, u)
+				}
+			}
+			if got := o.Out(v); !slices.Equal(got, want) {
+				t.Fatalf("%s Orient row %d: %v, filter %v", tag, v, got, want)
+			}
+		}
+	})
+}

@@ -137,12 +137,12 @@ func (o *LocalOriented) NumHubs() int { return o.hubs.hubs }
 // as a closure — an indirect call per adjacency entry is measurable here.
 //
 // Two-pass counting layout, both passes parallel over rows (rows are
-// independent): a count pass fills the per-row out-degrees, a sequential
-// prefix sum turns them into offsets, and a placement pass fills both
-// layouts in one sweep per row — the adjacency is sorted by global ID, local
-// rows translate in place, ghost rows (which sort after all locals and are
-// in ID order already) are buffered per worker and appended, so no
-// comparison sort is needed.
+// independent): a count pass sums precedes into the per-row out-degrees, a
+// sequential prefix sum turns them into offsets, and a placement pass keeps
+// each row's entries branch-free — every candidate is written to the
+// worker's scratch and the cursor advances by precedes, so no write lands in
+// a row another worker owns — then place copies the kept prefix into both
+// layouts.
 func orientDegree(l *LocalGraph, hi, threads int) *LocalOriented {
 	rows := l.Rows()
 	off := make([]int64, rows+1)
@@ -150,50 +150,72 @@ func orientDegree(l *LocalGraph, hi, threads int) *LocalOriented {
 		for r := rlo; r < rhi; r++ {
 			v, dv := l.GID(int32(r)), l.Degree(int32(r))
 			adj := l.RowNeighbors(int32(r))
-			adjR := l.RowNeighborRows(int32(r))
-			cnt := int64(0)
+			adjR := l.RowNeighborRows(int32(r))[:len(adj)]
+			cnt := uint64(0)
 			for i, x := range adj {
-				if Less(dv, v, l.deg[adjR[i]], x) {
-					cnt++
-				}
+				cnt += precedes(dv, v, l.deg[adjR[i]], x)
 			}
-			off[r+1] = cnt
+			off[r+1] = int64(cnt)
 		}
 	})
-	for r := 0; r < rows; r++ {
-		off[r+1] += off[r]
+	o := newLocalOriented(l, off)
+	type scratch struct {
+		ids []Vertex
+		rws []int32
 	}
-	o := &LocalOriented{L: l, off: off,
-		out: make([]Vertex, off[rows]), rowOut: make([]Vertex, off[rows])}
-	scratch := make([][]Vertex, workersFor(threads, hi, orientChunk))
-	nLoc := int32(l.NLocal())
+	scratches := make([]scratch, workersFor(threads, hi, orientChunk))
 	parallelFor(threads, hi, orientChunk, func(worker, rlo, rhi int) {
-		ghosts := scratch[worker] // per-worker scratch for ghost row indices
+		s := &scratches[worker]
 		for r := rlo; r < rhi; r++ {
 			v, dv := l.GID(int32(r)), l.Degree(int32(r))
 			adj := l.RowNeighbors(int32(r))
-			adjR := l.RowNeighborRows(int32(r))
-			w, rw := off[r], off[r]
-			ghosts = ghosts[:0]
+			adjR := l.RowNeighborRows(int32(r))[:len(adj)]
+			s.ids = slices.Grow(s.ids[:0], len(adj))
+			s.rws = slices.Grow(s.rws[:0], len(adj))
+			ids, rws := s.ids[:len(adj)], s.rws[:len(adj)]
+			k := uint64(0)
 			for i, x := range adj {
 				xr := adjR[i]
-				if !Less(dv, v, l.deg[xr], x) {
-					continue
-				}
-				o.out[w] = x
-				w++
-				if xr < nLoc {
-					o.rowOut[rw] = Vertex(xr)
-					rw++
-				} else {
-					ghosts = append(ghosts, Vertex(xr))
-				}
+				ids[k], rws[k] = x, xr
+				k += precedes(dv, v, l.deg[xr], x)
 			}
-			copy(o.rowOut[rw:off[r+1]], ghosts)
+			o.place(r, ids[:k], rws[:k])
 		}
-		scratch[worker] = ghosts
 	})
 	return o
+}
+
+// newLocalOriented prefix-sums the per-row out-degrees in off[1:] into
+// offsets and allocates both layouts to fit.
+func newLocalOriented(l *LocalGraph, off []int64) *LocalOriented {
+	rows := len(off) - 1
+	for r := 0; r < rows; r++ {
+		off[r+1] += off[r]
+	}
+	return &LocalOriented{L: l, off: off,
+		out: make([]Vertex, off[rows]), rowOut: make([]Vertex, off[rows])}
+}
+
+// place fills row r of both layouts from its kept entries: ids ascending,
+// rws their rows. An ID-sorted row is [ghosts < First][locals][ghosts ≥
+// Last], and ghost rows are numbered in ID order, so the row-space layout is
+// locals, low ghosts, high ghosts — two binary searches, three copies.
+func (o *LocalOriented) place(r int, ids []Vertex, rws []int32) {
+	lo, _ := slices.BinarySearch(ids, o.L.First)
+	hi, _ := slices.BinarySearch(ids, o.L.Last)
+	copy(o.out[o.off[r]:], ids)
+	dst := o.rowOut[o.off[r]:o.off[r+1]]
+	dst = widen(dst, rws[lo:hi])
+	dst = widen(dst, rws[:lo])
+	widen(dst, rws[hi:])
+}
+
+// widen copies src into the front of dst and returns the rest of dst.
+func widen(dst []Vertex, src []int32) []Vertex {
+	for i, x := range src {
+		dst[i] = Vertex(x)
+	}
+	return dst[len(src):]
 }
 
 // orientChunk is the number of rows per stolen chunk in the orientation,
@@ -236,55 +258,22 @@ func OrientLocalOnlyPar(l *LocalGraph, threads int) *LocalOriented {
 // It needs no ghost-degree exchange.
 func OrientLocalByID(l *LocalGraph) *LocalOriented { return OrientLocalByIDPar(l, 1) }
 
-// OrientLocalByIDPar is OrientLocalByID over threads workers — the same
-// two-pass parallel structure as orientDegree, specialized for the x > v
-// test.
+// OrientLocalByIDPar is OrientLocalByID over threads workers. In an
+// ascending row the entries above v are a suffix, so each row is one binary
+// search and one place.
 func OrientLocalByIDPar(l *LocalGraph, threads int) *LocalOriented {
 	rows := l.Rows()
 	off := make([]int64, rows+1)
+	for r := 0; r < rows; r++ {
+		off[r+1] = int64(len(aboveID(l.RowNeighbors(int32(r)), l.GID(int32(r)))))
+	}
+	o := newLocalOriented(l, off)
 	parallelFor(threads, rows, orientChunk, func(_, rlo, rhi int) {
 		for r := rlo; r < rhi; r++ {
-			v := l.GID(int32(r))
-			cnt := int64(0)
-			for _, x := range l.RowNeighbors(int32(r)) {
-				if x > v {
-					cnt++
-				}
-			}
-			off[r+1] = cnt
-		}
-	})
-	for r := 0; r < rows; r++ {
-		off[r+1] += off[r]
-	}
-	o := &LocalOriented{L: l, off: off,
-		out: make([]Vertex, off[rows]), rowOut: make([]Vertex, off[rows])}
-	scratch := make([][]Vertex, workersFor(threads, rows, orientChunk))
-	nLoc := int32(l.NLocal())
-	parallelFor(threads, rows, orientChunk, func(worker, rlo, rhi int) {
-		ghosts := scratch[worker]
-		for r := rlo; r < rhi; r++ {
-			v := l.GID(int32(r))
 			adj := l.RowNeighbors(int32(r))
-			adjR := l.RowNeighborRows(int32(r))
-			w, rw := off[r], off[r]
-			ghosts = ghosts[:0]
-			for i, x := range adj {
-				if x <= v {
-					continue
-				}
-				o.out[w] = x
-				w++
-				if xr := adjR[i]; xr < nLoc {
-					o.rowOut[rw] = Vertex(xr)
-					rw++
-				} else {
-					ghosts = append(ghosts, Vertex(xr))
-				}
-			}
-			copy(o.rowOut[rw:off[r+1]], ghosts)
+			i := len(adj) - o.OutDegree(int32(r))
+			o.place(r, adj[i:], l.RowNeighborRows(int32(r))[i:])
 		}
-		scratch[worker] = ghosts
 	})
 	return o
 }
@@ -435,17 +424,13 @@ func (o *LocalOriented) ContractPar(threads int) *LocalOriented {
 			off[r+1] = cnt
 		}
 	})
-	for r := 0; r < rows; r++ {
-		off[r+1] += off[r]
-	}
-	out := make([]Vertex, off[rows])
-	rowOut := make([]Vertex, off[rows])
+	cut := newLocalOriented(l, off)
 	parallelFor(threads, nLocal, orientChunk, func(_, rlo, rhi int) {
 		for r := rlo; r < rhi; r++ {
 			w := off[r]
 			for _, x := range o.Out(int32(r)) {
 				if !l.IsLocal(x) {
-					out[w] = x
+					cut.out[w] = x
 					w++
 				}
 			}
@@ -456,8 +441,8 @@ func (o *LocalOriented) ContractPar(threads int) *LocalOriented {
 			for i > 0 && src[i-1] >= nLoc {
 				i--
 			}
-			copy(rowOut[off[r]:off[r+1]], src[i:])
+			copy(cut.rowOut[off[r]:off[r+1]], src[i:])
 		}
 	})
-	return &LocalOriented{L: l, off: off, out: out, rowOut: rowOut}
+	return cut
 }
