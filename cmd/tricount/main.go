@@ -69,7 +69,7 @@ func run() (err error) {
 		profile   = flag.String("profile", "", "costmodel network profile (supercomputer|cloud|wan|measured): derives the overlapped pipeline's flush watermark; 'measured' starts at the fixed default and re-fits it from the run's own frame latencies as samples arrive; empty keeps the fixed default")
 		hub       = flag.Int("hub", 0, "hub-bitmap threshold, 1D engines only (tk2d keeps no bitmaps): min |A(v)| for a packed bitmap (0 = default, <0 = off)")
 
-		approx  = flag.Bool("approx", false, "AMQ-approximate type-3 counting (CETRIC)")
+		approx  = flag.Bool("approx", false, "AMQ-approximate type-3 counting: the CETRIC pipeline shipping Bloom filters; -threads and -overlap apply")
 		bits    = flag.Float64("bits", 8, "Bloom filter bits per key for -approx")
 		doulion = flag.Float64("doulion", 0, "DOULION edge-sampling probability q ∈ (0,1] (0 = off)")
 		colors  = flag.Int("colors", 0, "colorful-sparsification color count (0 = off)")

@@ -21,7 +21,7 @@ func BenchmarkBloomInsert(b *testing.B) {
 			keys := benchKeys(1024)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				f := NewBloom(len(keys), bits)
+				f := newBloom(len(keys), bits)
 				for _, k := range keys {
 					f.Insert(k)
 				}
@@ -32,7 +32,7 @@ func BenchmarkBloomInsert(b *testing.B) {
 
 func BenchmarkBloomQuery(b *testing.B) {
 	keys := benchKeys(1024)
-	f := NewBloom(len(keys), 8)
+	f := newBloom(len(keys), 8)
 	for _, k := range keys {
 		f.Insert(k)
 	}
@@ -51,7 +51,7 @@ func BenchmarkBloomQuery(b *testing.B) {
 
 func BenchmarkBlockedQuery(b *testing.B) {
 	keys := benchKeys(1024)
-	f := NewBlocked(len(keys), 8)
+	f := newBlocked(len(keys), 8)
 	for _, k := range keys {
 		f.Insert(k)
 	}
@@ -69,7 +69,7 @@ func BenchmarkBlockedQuery(b *testing.B) {
 }
 
 func BenchmarkLoadFPR(b *testing.B) {
-	f := NewBloom(4096, 8)
+	f := newBloom(4096, 8)
 	for _, k := range benchKeys(4096) {
 		f.Insert(k)
 	}

@@ -1,30 +1,26 @@
 // Package amq provides approximate membership query (AMQ) data structures
 // for the paper's approximate triangle counting extension (§IV-E): a
 // standard Bloom filter and a blocked Bloom filter in the spirit of the
-// cache-efficient variants of Putze, Sanders and Singler [42]. Filters
-// serialize to machine words so they can be shipped instead of neighborhood
-// lists.
+// cache-efficient variants of Putze, Sanders and Singler [42]. A filter is a
+// view of machine words — a two-word header followed by the filter words —
+// so it is built straight into an outgoing message buffer (AppendBloom,
+// AppendBlocked) and probed in place in the received one (ViewBloom,
+// ViewBlocked): neither side copies it. The views are values; their methods
+// take pointers, so the per-probe call passes one word, not the view.
 package amq
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 )
 
-// Filter is an approximate set of uint64 keys.
-type Filter interface {
-	Insert(key uint64)
-	// MayContain reports membership; false positives possible, false
-	// negatives not.
-	MayContain(key uint64) bool
-	// FPR estimates the false-positive rate given the number of inserted
-	// keys.
-	FPR(n int) float64
-	// LoadFPR derives the rate from the filter's actual bit load.
-	LoadFPR() float64
-	// Words returns the serialized filter.
-	Words() []uint64
-}
+// Upper bounds on the number of hash functions, as chosen by the
+// constructors; a received header beyond them is malformed.
+const (
+	maxBloomK   = 16
+	maxBlockedK = 8
+)
 
 // mix64 is a strong 64-bit finalizer (splitmix64) used to derive the k
 // probe positions from one key.
@@ -37,39 +33,40 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// Bloom is a standard Bloom filter over m bits with k hash functions.
+// optimalK is the hash count k = bitsPerKey·ln 2, clamped to [1, limit].
+func optimalK(bitsPerKey float64, limit int) int {
+	return min(max(int(math.Round(bitsPerKey*math.Ln2)), 1), limit)
+}
+
+// Bloom is a standard Bloom filter over m bits with k hash functions,
+// serialized as [m, k, bit words...].
 type Bloom struct {
 	bits []uint64
 	m    uint64 // number of bits
 	k    int
 }
 
-// NewBloom creates a filter sized for n keys at bitsPerKey bits each; the
-// number of hash functions is the optimum k = bitsPerKey·ln 2, at least 1.
-func NewBloom(n int, bitsPerKey float64) *Bloom {
-	if n < 1 {
-		n = 1
-	}
-	m := uint64(math.Ceil(float64(n) * bitsPerKey))
-	if m < 64 {
-		m = 64
-	}
-	m = (m + 63) / 64 * 64
-	k := int(math.Round(bitsPerKey * math.Ln2))
-	if k < 1 {
-		k = 1
-	}
-	if k > 16 {
-		k = 16
-	}
-	return &Bloom{bits: make([]uint64, m/64), m: m, k: k}
+// AppendBloom appends an empty filter sized for n keys at bitsPerKey bits
+// each to dst and returns the extended slice and a view of the appended
+// filter (valid until dst is next grown). The number of hash functions is
+// the optimum k = bitsPerKey·ln 2, at least 1.
+func AppendBloom(dst []uint64, n int, bitsPerKey float64) ([]uint64, Bloom) {
+	m := uint64(math.Ceil(float64(max(n, 1)) * bitsPerKey))
+	m = (max(m, 64) + 63) / 64 * 64
+	k := optimalK(bitsPerKey, maxBloomK)
+	dst = append(append(dst, m, uint64(k)), make([]uint64, m/64)...)
+	return dst, Bloom{bits: dst[len(dst)-int(m/64):], m: m, k: k}
 }
 
-// K returns the number of hash functions.
-func (b *Bloom) K() int { return b.k }
-
-// Bits returns the filter size in bits.
-func (b *Bloom) Bits() uint64 { return b.m }
+// ViewBloom views a serialized filter in place. A header that does not
+// describe the words — m not 64 × the number of bit words (at least one), or
+// k outside [1, 16] — is an error, never a filter that probes out of range.
+func ViewBloom(words []uint64) (Bloom, error) {
+	if len(words) < 3 || words[0] != 64*uint64(len(words)-2) || words[1] < 1 || words[1] > maxBloomK {
+		return Bloom{}, fmt.Errorf("bloom header %v does not describe %d bit words", words[:min(len(words), 2)], max(len(words)-2, 0))
+	}
+	return Bloom{bits: words[2:], m: words[0], k: int(words[1])}, nil
+}
 
 // probe returns the i-th probe position for key. The probes are k
 // independent hashes (not the double-hashing shortcut): on the small filters
@@ -88,7 +85,8 @@ func (b *Bloom) Insert(key uint64) {
 	}
 }
 
-// MayContain probes the filter.
+// MayContain probes the filter; false positives possible, false negatives
+// not.
 func (b *Bloom) MayContain(key uint64) bool {
 	for i := 0; i < b.k; i++ {
 		pos := b.probe(key, i)
@@ -99,7 +97,7 @@ func (b *Bloom) MayContain(key uint64) bool {
 	return true
 }
 
-// FPR returns the classic estimate (1 − e^{−kn/m})^k.
+// FPR returns the classic estimate (1 − e^{−kn/m})^k for n inserted keys.
 func (b *Bloom) FPR(n int) float64 {
 	return math.Pow(1-math.Exp(-float64(b.k)*float64(n)/float64(b.m)), float64(b.k))
 }
@@ -116,50 +114,33 @@ func (b *Bloom) LoadFPR() float64 {
 	return math.Pow(float64(ones)/float64(b.m), float64(b.k))
 }
 
-// Words serializes as [m, k, bit words...].
-func (b *Bloom) Words() []uint64 {
-	out := make([]uint64, 2+len(b.bits))
-	out[0] = b.m
-	out[1] = uint64(b.k)
-	copy(out[2:], b.bits)
-	return out
-}
-
-// BloomFromWords deserializes a filter produced by Words.
-func BloomFromWords(words []uint64) *Bloom {
-	m := words[0]
-	k := int(words[1])
-	bits := make([]uint64, len(words)-2)
-	copy(bits, words[2:])
-	return &Bloom{bits: bits, m: m, k: k}
-}
-
 // Blocked is a blocked Bloom filter: each key hashes to one 64-bit block and
 // sets k bits inside it — one cache line (here: one word) per query, the
 // trick of the cache-efficient Bloom filters of [42]. Slightly worse FPR per
-// bit, much cheaper probes, and block-aligned serialization.
+// bit, much cheaper probes. Serialized as [#blocks, k, blocks...].
 type Blocked struct {
 	blocks []uint64
 	k      int
 }
 
-// NewBlocked sizes the filter for n keys at bitsPerKey bits per key.
-func NewBlocked(n int, bitsPerKey float64) *Blocked {
-	if n < 1 {
-		n = 1
+// AppendBlocked appends an empty blocked filter sized for n keys at
+// bitsPerKey bits each to dst and returns the extended slice and a view of
+// the appended filter (valid until dst is next grown).
+func AppendBlocked(dst []uint64, n int, bitsPerKey float64) ([]uint64, Blocked) {
+	nblocks := max(int(math.Ceil(float64(max(n, 1))*bitsPerKey/64)), 1)
+	k := optimalK(bitsPerKey, maxBlockedK)
+	dst = append(append(dst, uint64(nblocks), uint64(k)), make([]uint64, nblocks)...)
+	return dst, Blocked{blocks: dst[len(dst)-nblocks:], k: k}
+}
+
+// ViewBlocked views a serialized blocked filter in place. A header that does
+// not describe the words — a block count other than the number of block
+// words (at least one), or k outside [1, 8] — is an error.
+func ViewBlocked(words []uint64) (Blocked, error) {
+	if len(words) < 3 || words[0] != uint64(len(words)-2) || words[1] < 1 || words[1] > maxBlockedK {
+		return Blocked{}, fmt.Errorf("blocked header %v does not describe %d block words", words[:min(len(words), 2)], max(len(words)-2, 0))
 	}
-	nblocks := int(math.Ceil(float64(n) * bitsPerKey / 64))
-	if nblocks < 1 {
-		nblocks = 1
-	}
-	k := int(math.Round(bitsPerKey * math.Ln2))
-	if k < 1 {
-		k = 1
-	}
-	if k > 8 {
-		k = 8
-	}
-	return &Blocked{blocks: make([]uint64, nblocks), k: k}
+	return Blocked{blocks: words[2:], k: int(words[1])}, nil
 }
 
 func (b *Blocked) mask(key uint64) (int, uint64) {
@@ -205,22 +186,4 @@ func (b *Blocked) FPR(n int) float64 {
 	// is the usual approximation).
 	pBit := 1 - math.Pow(1-float64(b.k)/64, load)
 	return math.Pow(pBit, float64(b.k))
-}
-
-// Words serializes as [#blocks, k, blocks...].
-func (b *Blocked) Words() []uint64 {
-	out := make([]uint64, 2+len(b.blocks))
-	out[0] = uint64(len(b.blocks))
-	out[1] = uint64(b.k)
-	copy(out[2:], b.blocks)
-	return out
-}
-
-// BlockedFromWords deserializes a filter produced by Words.
-func BlockedFromWords(words []uint64) *Blocked {
-	n := int(words[0])
-	k := int(words[1])
-	blocks := make([]uint64, n)
-	copy(blocks, words[2:2+n])
-	return &Blocked{blocks: blocks, k: k}
 }

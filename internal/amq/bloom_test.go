@@ -15,7 +15,24 @@ func insertedKeys(seed uint64, n int) []uint64 {
 	return keys
 }
 
-func testNoFalseNegatives(t *testing.T, mk func(n int) Filter) {
+// filter is what the tests probe: Bloom and Blocked alike.
+type filter interface {
+	Insert(key uint64)
+	MayContain(key uint64) bool
+	FPR(n int) float64
+}
+
+func newBloom(n int, bitsPerKey float64) *Bloom {
+	_, f := AppendBloom(nil, n, bitsPerKey)
+	return &f
+}
+
+func newBlocked(n int, bitsPerKey float64) *Blocked {
+	_, f := AppendBlocked(nil, n, bitsPerKey)
+	return &f
+}
+
+func testNoFalseNegatives(t *testing.T, mk func(n int) filter) {
 	t.Helper()
 	check := func(seed uint64) bool {
 		keys := insertedKeys(seed, 200)
@@ -36,14 +53,14 @@ func testNoFalseNegatives(t *testing.T, mk func(n int) Filter) {
 }
 
 func TestBloomNoFalseNegatives(t *testing.T) {
-	testNoFalseNegatives(t, func(n int) Filter { return NewBloom(n, 8) })
+	testNoFalseNegatives(t, func(n int) filter { return newBloom(n, 8) })
 }
 
 func TestBlockedNoFalseNegatives(t *testing.T) {
-	testNoFalseNegatives(t, func(n int) Filter { return NewBlocked(n, 8) })
+	testNoFalseNegatives(t, func(n int) filter { return newBlocked(n, 8) })
 }
 
-func measureFPR(f Filter, inserted map[uint64]bool, probes int) float64 {
+func measureFPR(f filter, inserted map[uint64]bool, probes int) float64 {
 	fp := 0
 	s := uint64(0xdecafbad)
 	tested := 0
@@ -64,7 +81,7 @@ func TestBloomFPRWithinBudget(t *testing.T) {
 	const n = 2000
 	keys := insertedKeys(99, n)
 	set := make(map[uint64]bool, n)
-	f := NewBloom(n, 10)
+	f := newBloom(n, 10)
 	for _, k := range keys {
 		f.Insert(k)
 		set[k] = true
@@ -85,7 +102,7 @@ func TestBlockedFPRReasonable(t *testing.T) {
 	const n = 2000
 	keys := insertedKeys(7, n)
 	set := make(map[uint64]bool, n)
-	f := NewBlocked(n, 10)
+	f := newBlocked(n, 10)
 	for _, k := range keys {
 		f.Insert(k)
 		set[k] = true
@@ -98,44 +115,56 @@ func TestBlockedFPRReasonable(t *testing.T) {
 }
 
 func TestBloomWordsRoundTrip(t *testing.T) {
-	f := NewBloom(100, 8)
+	words, f := AppendBloom([]uint64{42}, 100, 8)
 	keys := insertedKeys(5, 100)
 	for _, k := range keys {
 		f.Insert(k)
 	}
-	g := BloomFromWords(f.Words())
+	if words[0] != 42 {
+		t.Fatal("appending the filter clobbered the words before it")
+	}
+	g, err := ViewBloom(words[1:])
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, k := range keys {
 		if !g.MayContain(k) {
 			t.Fatal("round trip lost a key")
 		}
 	}
-	if g.K() != f.K() || g.Bits() != f.Bits() {
+	if g.FPR(100) != f.FPR(100) || g.LoadFPR() != f.LoadFPR() {
 		t.Fatal("round trip changed parameters")
 	}
 }
 
 func TestBlockedWordsRoundTrip(t *testing.T) {
-	f := NewBlocked(100, 8)
+	words, f := AppendBlocked(nil, 100, 8)
 	keys := insertedKeys(6, 100)
 	for _, k := range keys {
 		f.Insert(k)
 	}
-	g := BlockedFromWords(f.Words())
+	g, err := ViewBlocked(words)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, k := range keys {
 		if !g.MayContain(k) {
 			t.Fatal("round trip lost a key")
 		}
 	}
+	if g.FPR(100) != f.FPR(100) || g.LoadFPR() != f.LoadFPR() {
+		t.Fatal("round trip changed parameters")
+	}
 }
 
 func TestEmptyFilterRejectsEverything(t *testing.T) {
-	f := NewBloom(100, 8)
+	f := newBloom(100, 8)
 	for _, k := range insertedKeys(11, 1000) {
 		if f.MayContain(k) {
 			t.Fatal("empty bloom filter claimed membership")
 		}
 	}
-	b := NewBlocked(100, 8)
+	b := newBlocked(100, 8)
 	for _, k := range insertedKeys(12, 1000) {
 		if b.MayContain(k) {
 			t.Fatal("empty blocked filter claimed membership")
@@ -144,12 +173,12 @@ func TestEmptyFilterRejectsEverything(t *testing.T) {
 }
 
 func TestTinyFilters(t *testing.T) {
-	f := NewBloom(0, 8)
+	f := newBloom(0, 8)
 	f.Insert(1)
 	if !f.MayContain(1) {
 		t.Fatal("tiny filter lost its key")
 	}
-	b := NewBlocked(0, 8)
+	b := newBlocked(0, 8)
 	b.Insert(1)
 	if !b.MayContain(1) {
 		t.Fatal("tiny blocked filter lost its key")
@@ -165,7 +194,7 @@ func TestMoreBitsFewerFalsePositives(t *testing.T) {
 	}
 	rates := make([]float64, 0, 3)
 	for _, bits := range []float64{4, 8, 16} {
-		f := NewBloom(n, bits)
+		f := newBloom(n, bits)
 		for _, k := range keys {
 			f.Insert(k)
 		}

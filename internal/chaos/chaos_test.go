@@ -157,7 +157,11 @@ type schedule struct {
 	overlap bool
 	threads int  // 0: the default, no workers
 	tcp     bool // loopback TCP under the injector
+	approx  bool // RunApproxCetric (the CETRIC pipeline shipping filters); only for faults that must abort
 }
+
+// approxCetric is the approximate run's cell.
+var approxCetric = schedule{algo: core.AlgoCetric, approx: true}
 
 var barrieredCetric = schedule{algo: core.AlgoCetric}
 
@@ -175,6 +179,9 @@ func (s schedule) String() string {
 	}
 	if s.tcp {
 		name += "+tcp"
+	}
+	if s.approx {
+		name += "+approx"
 	}
 	return name
 }
@@ -206,6 +213,10 @@ func runChaos(t *testing.T, fixture string, plan chaos.Plan, sched schedule, may
 	cfg := chaosCfg(net)
 	cfg.Overlap = sched.overlap
 	cfg.Threads = sched.threads
+	if sched.approx {
+		_, err := core.RunApproxCetric(fx.Build(), cfg, core.AMQConfig{})
+		return net, typedAbort(t, err)
+	}
 	res, err := core.Run(sched.algo, fx.Build(), cfg)
 	if err == nil && mayComplete {
 		if res.Count != fx.Triangles {
@@ -267,8 +278,9 @@ func TestFaultGrid(t *testing.T) {
 				}
 			},
 			// The 2D cells: a block broadcast that does not decode is typed
-			// like a queue frame that does not.
-			schedules: withTK2D,
+			// like a queue frame that does not. So is a frame carrying the
+			// approximate run's filter records.
+			schedules: []schedule{barrieredCetric, {algo: core.AlgoTK2D}, {algo: core.AlgoTK2D, overlap: true}, approxCetric},
 		},
 		{
 			name: "duplicate",
@@ -309,12 +321,13 @@ func TestFaultGrid(t *testing.T) {
 			// how a lost peer surfaces. The worker cells add the leak half of
 			// the contract: an abort must not strand workers on the shipment
 			// channel or the steal deque. The TCP cell has the survivors
-			// parked in Wait, not spinning, when the crash is detected.
+			// parked in Wait, not spinning, when the crash is detected. The
+			// approximate cell is the same pipeline shipping filters.
 			schedules: []schedule{barrieredCetric, {algo: core.AlgoCetric, overlap: true},
 				{algo: core.AlgoDiTric}, {algo: core.AlgoDiTric, overlap: true},
 				{algo: core.AlgoCetric, threads: 2}, {algo: core.AlgoDiTric, overlap: true, threads: 2},
 				{algo: core.AlgoTK2D}, {algo: core.AlgoTK2D, overlap: true},
-				{algo: core.AlgoCetric, tcp: true}},
+				{algo: core.AlgoCetric, tcp: true}, approxCetric},
 			check: func(t *testing.T, re *dist.RunError) {
 				var pl *comm.ErrPeerLost
 				if !errors.As(re, &pl) {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"time"
 
 	"repro/internal/amq"
@@ -10,19 +9,15 @@ import (
 	"repro/internal/graph"
 )
 
-// AMQ-approximate CETRIC (§IV-E): type-1 and type-2 triangles are counted
-// exactly by the local phase; for type-3 triangles, instead of shipping the
-// contracted neighborhood A(v), the PE ships an approximate membership query
-// structure A'(v) (a Bloom filter). The receiver approximates the set
-// intersection A(v) ∩ A(u) by querying every member of A(u) against A'(v).
-// False positives only ever overestimate; subtracting their expectation
-// yields the paper's truthful estimator.
-//
-// With Config.LCC set, per-vertex triangle counts are estimated as well:
-// exact Δ contributions from the local phase plus corrected estimates from
-// the approximate global phase — the use case the paper singles out, since
-// the classic sampling baselines (DOULION, colorful) cannot estimate local
-// clustering coefficients.
+// AMQ-approximate CETRIC (§IV-E) is the CETRIC pipeline plus one record
+// kind: with an AMQConfig on the plan, the global stage ships a Bloom filter
+// A'(v) instead of the contracted neighborhood A(v) (appendAMQ), the handler
+// validates and parks it like any record (checkAMQ), and the receiver
+// approximates A(v) ∩ A(u) by querying every member of A(u) against A'(v),
+// viewed in place in the decode arena (countState.probeAMQ). Type-1/2 triangles stay
+// exact; false positives only overestimate type 3, and subtracting their
+// expectation is the paper's truthful estimator. With Config.LCC, Δ(v) is
+// estimated too — which the sampling baselines (DOULION, colorful) cannot do.
 
 // AMQConfig parameterizes the approximate global phase.
 type AMQConfig struct {
@@ -49,198 +44,144 @@ type ApproxResult struct {
 	Wall  time.Duration
 }
 
-type approxOutcome struct {
-	exact12 uint64
-	raw     uint64
-	est     float64
-	deltas  map[graph.Vertex]float64
-}
-
-// RunApproxCetric runs the AMQ variant of CETRIC.
+// RunApproxCetric runs the AMQ variant of CETRIC: the CETRIC pipeline with
+// acfg on its plan.
 func RunApproxCetric(g *graph.Graph, cfg Config, acfg AMQConfig) (*ApproxResult, error) {
 	pl, err := prepare(AlgoCetric, uint64(g.NumVertices()), g.NumEdges(), cfg)
 	if err != nil {
 		return nil, err
 	}
-	cfg = pl.cfg
 	if acfg.BitsPerKey <= 0 {
 		acfg.BitsPerKey = 8
 	}
-	outcomes := make([]*approxOutcome, cfg.P)
+	pl.amq = &acfg
 	start := time.Now()
-	_, metrics, err := pl.run(func(pe *dist.PE, _ *peOutcome) error {
-		out := &approxOutcome{}
-		outcomes[pe.Rank] = out
-		return approxCetricBody(pe, pl, g, acfg, out)
+	outcomes, metrics, err := pl.run(func(pe *dist.PE, out *peOutcome) error {
+		return pl.body(pe, g, out)
 	})
 	if err != nil {
 		return nil, err
 	}
 	res := &ApproxResult{PerPE: metrics, Agg: comm.AggregateOf(metrics), Wall: time.Since(start)}
 	for _, out := range outcomes {
-		res.Exact12 += out.exact12
-		res.Type3Raw += out.raw
-		res.Type3Estimate += out.est
+		res.Exact12 += out.typeCounts[0] + out.typeCounts[1]
+		res.Type3Raw += out.typeCounts[2]
+		res.Type3Estimate += out.amqEst
 	}
 	res.Estimate = float64(res.Exact12) + res.Type3Estimate
-	if cfg.LCC {
+	if pl.cfg.LCC {
 		res.DeltaEstimates = make([]float64, g.NumVertices())
 		for _, out := range outcomes {
-			for gid, d := range out.deltas {
-				res.DeltaEstimates[gid] = d
-			}
+			copy(res.DeltaEstimates[out.first:], out.deltaEst)
 		}
-		res.LCCEstimates = make([]float64, g.NumVertices())
-		for v := range res.LCCEstimates {
-			d := g.Degree(graph.Vertex(v))
-			if d >= 2 {
-				res.LCCEstimates[v] = 2 * res.DeltaEstimates[v] / (float64(d) * float64(d-1))
-			}
-		}
+		res.LCCEstimates = LCCFromDeltas(g, res.DeltaEstimates)
 	}
 	return res, nil
 }
 
-func approxCetricBody(pe *dist.PE, pl *plan, g *graph.Graph, acfg AMQConfig, out *approxOutcome) error {
-	pt, cfg := pl.pt, pl.cfg
-	lg := graph.BuildLocalCSR(pt, pe.Rank, g, cfg.Threads)
-	exchangeGhostDegrees(pe, lg, cfg.SparseDegreeExchange, cfg.Threads)
-	ori := graph.OrientLocalPar(lg, cfg.Threads)
-	state := newCountState(lg, cfg)
-
-	// Float Δ estimates per row (exact local contributions are merged in at
-	// the end from state.deltaRows).
-	var deltaF []float64
-	if cfg.LCC {
-		deltaF = make([]float64, lg.Rows())
-	}
-
-	var cut *graph.LocalOriented
-	pe.Q.Handle(chAMQ, func(src int, words []uint64) {
-		v := words[0]
-		var filter amq.Filter
-		if acfg.Blocked {
-			filter = amq.BlockedFromWords(words[2:])
-		} else {
-			filter = amq.BloomFromWords(words[2:])
-		}
-		// The load-based rate is far more accurate than the asymptotic
-		// formula on the small filters real neighborhoods produce, which
-		// matters because the truthful correction is only as good as the
-		// rate estimate. words[1] still carries |A(v)| for diagnostics.
-		fpr := filter.LoadFPR()
-		row, ok := lg.GhostRow(v)
-		if !ok {
-			return // v has no local neighbors here; nothing to check
-		}
-		// A(v) ∩ V_i is exactly the expanded ghost row's oriented list.
-		for _, u := range ori.Out(row) {
-			au := cut.Out(lg.Row(u))
-			if len(au) == 0 {
-				continue
-			}
-			pos := 0
-			var posRows []int32
-			for _, w := range au {
-				if filter.MayContain(w) {
-					pos++
-					if cfg.LCC {
-						posRows = append(posRows, lg.Row(w))
-					}
-				}
-			}
-			out.raw += uint64(pos)
-			pairEst := float64(pos)
-			if acfg.Truthful && fpr < 1 {
-				pairEst = (float64(pos) - float64(len(au))*fpr) / (1 - fpr)
-			}
-			out.est += pairEst
-			if cfg.LCC {
-				// Attribute the pair estimate to the wedge endpoints and
-				// spread it over the positive closing vertices.
-				deltaF[row] += pairEst
-				deltaF[lg.Row(u)] += pairEst
-				if pos > 0 {
-					share := pairEst / float64(pos)
-					for _, wr := range posRows {
-						deltaF[wr] += share
-					}
-				}
-			}
-		}
-	})
-	if cfg.LCC {
-		pe.Q.Handle(chDeltaF, func(_ int, words []uint64) {
-			for i := 0; i+1 < len(words); i += 2 {
-				deltaF[lg.Row(words[i])] += math.Float64frombits(words[i+1])
-			}
-		})
-	}
-	pe.C.Barrier()
-
-	// Local phase: exact type-1/2 counting (with exact Δ when LCC is on).
-	cetricLocalPhase(lg, ori, state, 0, lg.Rows())
-	out.exact12 = state.count
-
-	// Contraction + approximate global phase.
-	cut = ori.ContractPar(cfg.Threads)
-	for r := 0; r < lg.NLocal(); r++ {
-		v := lg.GID(int32(r))
-		av := cut.Out(int32(r))
-		if len(av) < 2 {
-			continue
-		}
-		var filter amq.Filter
-		if acfg.Blocked {
-			filter = amq.NewBlocked(len(av), acfg.BitsPerKey)
-		} else {
-			filter = amq.NewBloom(len(av), acfg.BitsPerKey)
-		}
+// appendAMQ appends the chAMQ record of v's cut neighborhood av to dst:
+// [v, |A(v)|, filter header, filter words], with A'(v) built in place.
+func appendAMQ(dst []uint64, v graph.Vertex, av []graph.Vertex, c *AMQConfig) []uint64 {
+	dst = append(dst, v, uint64(len(av)))
+	if c.Blocked {
+		dst, f := amq.AppendBlocked(dst, len(av), c.BitsPerKey)
 		for _, u := range av {
-			filter.Insert(u)
+			f.Insert(u)
 		}
-		words := filter.Words()
-		payload := make([]uint64, 0, 2+len(words))
-		payload = append(payload, v, uint64(len(av)))
-		payload = append(payload, words...)
-		lastRank := -1
-		for _, u := range av {
-			if j := pt.Rank(u); j != lastRank {
-				pe.Q.Send(chAMQ, j, payload)
-				lastRank = j
-			}
-		}
+		return dst
 	}
-	pe.Q.Drain()
-
-	if cfg.LCC {
-		// Merge the exact local-phase Δ and ship ghost estimates home.
-		for r := 0; r < lg.Rows(); r++ {
-			deltaF[r] += float64(state.deltaRows[r])
-		}
-		batch := make(map[int][]uint64)
-		for i, gid := range lg.Ghosts() {
-			row := lg.NLocal() + i
-			if d := deltaF[row]; d != 0 {
-				dst := lg.Part.Rank(gid)
-				batch[dst] = append(batch[dst], gid, math.Float64bits(d))
-			}
-		}
-		for dst, words := range batch {
-			pe.Q.Send(chDeltaF, dst, words)
-		}
-		pe.Q.Drain()
-		out.deltas = make(map[graph.Vertex]float64, lg.NLocal())
-		for r := 0; r < lg.NLocal(); r++ {
-			out.deltas[lg.GID(int32(r))] = deltaF[r]
-		}
+	dst, f := amq.AppendBloom(dst, len(av), c.BitsPerKey)
+	for _, u := range av {
+		f.Insert(u)
 	}
-	return nil
+	return dst
 }
 
-// ExpectedAMQWords estimates the shipped words per neighborhood of size n at
-// the given bits per key (filter payload + 2 header words), for volume
-// accounting in benchmarks.
-func ExpectedAMQWords(n int, bitsPerKey float64) int {
-	return 2 + 2 + int(math.Ceil(float64(n)*bitsPerKey/64))
+// checkAMQ validates a received chAMQ record [v, |A(v)|, filter header,
+// filter words...] before it is parked: a record shorter than its header, or
+// a filter header that does not describe its words, is a corrupt frame.
+func checkAMQ(src int, rec []uint64, blocked bool) {
+	var err error
+	if filter := rec[min(len(rec), 2):]; blocked {
+		_, err = amq.ViewBlocked(filter)
+	} else {
+		_, err = amq.ViewBloom(filter)
+	}
+	if err != nil {
+		panic(&comm.CorruptFrameError{Src: src, Reason: "amq record: " + err.Error()})
+	}
+}
+
+// probeAMQ processes one received filter A'(v) — words, validated by
+// checkAMQ on receipt and viewed in place. A(v) ∩ V_i is v's expanded ghost
+// row; for each u in it, every w in the cut list A(u) is queried against the
+// filter. The positive count is the pair's raw estimate; the truthful
+// estimator corrects it by the filter's load-based false-positive rate — far
+// more accurate than the asymptotic formula on the small filters real
+// neighborhoods produce. Under LCC the pair estimate goes to both wedge
+// endpoints and is spread over the positive closing vertices. Returns the
+// number of positive probes.
+func (s *countState) probeAMQ(v graph.Vertex, words []uint64, cut *graph.LocalOriented) (raw uint64) {
+	lg := s.lg
+	row, ok := lg.GhostRow(v)
+	if !ok {
+		return 0 // v has no local neighbors here; nothing to check
+	}
+	var bloom amq.Bloom
+	var blocked amq.Blocked
+	isBlocked, fpr := s.amq.Blocked, 1.0
+	if isBlocked {
+		blocked, _ = amq.ViewBlocked(words)
+		if s.amq.Truthful {
+			fpr = blocked.LoadFPR()
+		}
+	} else {
+		bloom, _ = amq.ViewBloom(words)
+		if s.amq.Truthful {
+			fpr = bloom.LoadFPR()
+		}
+	}
+	lcc := s.deltaEst != nil
+	hits := s.hits
+	for _, ur := range s.amqOri.OutRows(row) {
+		ru := int32(ur)
+		// A cut list holds only ghosts, whose rows are numbered in ID order:
+		// Out (the probe keys) and OutRows list the same vertices in the same
+		// order, so a hit's index is its row's index too.
+		au := cut.Out(ru)
+		if len(au) == 0 {
+			continue
+		}
+		s.recvWork += uint64(len(au))
+		pos := 0
+		hits = hits[:0]
+		for k, key := range au {
+			if isBlocked && blocked.MayContain(key) || !isBlocked && bloom.MayContain(key) {
+				pos++
+				if lcc {
+					hits = append(hits, int32(k))
+				}
+			}
+		}
+		raw += uint64(pos)
+		est := float64(pos)
+		if fpr < 1 {
+			est = (est - float64(len(au))*fpr) / (1 - fpr)
+		}
+		s.amqEst += est
+		if !lcc {
+			continue
+		}
+		s.deltaEst[row] += est
+		s.deltaEst[ru] += est
+		if pos > 0 {
+			share := est / float64(pos)
+			rows := cut.OutRows(ru)
+			for _, k := range hits {
+				s.deltaEst[rows[k]] += share
+			}
+		}
+	}
+	s.hits = hits
+	return raw
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"repro/internal/dist"
 	"repro/internal/graph"
-	"repro/internal/part"
 )
 
 // cetricFrom is CETRIC (Algorithm 3) on an already-built local view: the
@@ -24,6 +23,7 @@ func cetricFrom(pe *dist.PE, pl *plan, lg *graph.LocalGraph, out *peOutcome, sw 
 	ori.BuildHubsPar(cfg.hubMinDegree(), cfg.Threads)
 	sw.phase(PhasePreprocess) // residual: handler setup + the barrier
 	state := newCountState(lg, cfg)
+	state.useAMQ(pl.amq, ori)
 
 	// Received records intersect with the *contracted* A-lists. cut is
 	// assigned in the contraction phase, strictly before any record can be
@@ -50,7 +50,7 @@ func cetricFrom(pe *dist.PE, pl *plan, lg *graph.LocalGraph, out *peOutcome, sw 
 	// Cut neighborhoods go out as (v, A(v)...) records with A(v) ID-sorted —
 	// the shape the chNeigh delta-varint codec compresses best.
 	op.stage(PhaseGlobal, lg.NLocal(), true, func(_ *countState, lo, hi int, sends chan<- hybridSend) {
-		cetricGlobalRows(pe, pl.pt, lg, cut, lo, hi, sends, cfg.NoSurrogate)
+		cetricGlobalRows(pe, pl, lg, cut, lo, hi, sends)
 	})
 	op.finish()
 	finishBody(pe, sw, state, cfg, out)
@@ -110,12 +110,14 @@ func cetricLocalPhase(lg *graph.LocalGraph, ori *graph.LocalOriented, state *cou
 }
 
 // cetricGlobalRows ships the contracted cut neighborhoods of local rows
-// [lo,hi): (v, A(v)...) records with the surrogate dedup, or per-edge
-// (v, u, A(v)...) records under the no-surrogate ablation. Shipments go
-// through sends (funneled) or directly to the queue when sends is nil —
-// the same contract as ditricLocalRows.
-func cetricGlobalRows(pe *dist.PE, pt *part.Partition, lg *graph.LocalGraph, cut *graph.LocalOriented,
-	lo, hi int, sends chan<- hybridSend, noSurrogate bool) {
+// [lo,hi): (v, A(v)...) records with the surrogate dedup, per-edge
+// (v, u, A(v)...) records under the no-surrogate ablation, or — on an
+// approximate run — the filter A'(v), built once per row and sent with the
+// same dedup. Shipments go through sends (funneled) or directly to the queue
+// when sends is nil — the same contract as ditricLocalRows.
+func cetricGlobalRows(pe *dist.PE, pl *plan, lg *graph.LocalGraph, cut *graph.LocalOriented,
+	lo, hi int, sends chan<- hybridSend) {
+	pt, noSurrogate := pl.pt, pl.cfg.NoSurrogate
 	var hdr [2]uint64 // record header scratch
 	sh := getShipper(pe, sends)
 	defer sh.put()
@@ -126,6 +128,16 @@ func cetricGlobalRows(pe *dist.PE, pt *part.Partition, lg *graph.LocalGraph, cut
 			continue
 		}
 		lastRank := -1
+		if pl.amq != nil {
+			sh.rec = appendAMQ(sh.rec[:0], v, av, pl.amq)
+			for _, u := range av {
+				if j := pt.Rank(u); j != lastRank {
+					sh.ship(chAMQ, j, sh.rec, nil)
+					lastRank = j
+				}
+			}
+			continue
+		}
 		for _, u := range av {
 			if noSurrogate {
 				hdr[0], hdr[1] = v, u

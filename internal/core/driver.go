@@ -57,6 +57,7 @@ type plan struct {
 	family bool
 	codecs [comm.MaxChannels]comm.Codec
 	dist   dist.Config
+	amq    *AMQConfig // RunApproxCetric's filter config; nil on exact runs
 }
 
 // prepare validates cfg for algo on an n-vertex graph and resolves

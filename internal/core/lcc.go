@@ -12,9 +12,10 @@ import (
 // helpers here convert, summarize and compare LCC vectors — the analysis
 // layer applications like web-spam detection (Becchetti et al.) build on.
 
-// LCCFromDeltas converts per-vertex triangle counts to local clustering
-// coefficients; vertices of degree < 2 get 0.
-func LCCFromDeltas(g *graph.Graph, deltas []uint64) []float64 {
+// LCCFromDeltas converts per-vertex triangle counts — exact, or estimated
+// by an approximate run — to local clustering coefficients; vertices of
+// degree < 2 get 0.
+func LCCFromDeltas[T uint64 | float64](g *graph.Graph, deltas []T) []float64 {
 	lcc := make([]float64, g.NumVertices())
 	for v := range lcc {
 		d := g.Degree(graph.Vertex(v))

@@ -43,9 +43,10 @@ import (
 // In every schedule the termination detector (Queue.DrainWith) steals deque
 // batches whenever it would otherwise idle-wait, and meters genuine idle
 // time into Metrics.IdleNs. Counts are identical across schedules: every
-// record is processed by the same recvNeigh/recvNeighEdge code against
-// the same receiver structure, only at a different time and on a different
-// goroutine.
+// record is processed by the same recvRecord code against the same receiver
+// structure, only at a different time and on a different goroutine. An
+// approximate run (RunApproxCetric) is this pipeline too: its records carry
+// Bloom filters instead of neighborhoods (see approx.go).
 
 const hybridChunk = 128 // rows per stolen chunk
 
@@ -102,12 +103,12 @@ const dequeHighWater = 1 << 12
 
 // recvRecord is one received global-phase record parked on the steal deque.
 // list aliases a pinned decode arena; release gives it back after the
-// record has been intersected.
+// record has been processed.
 type recvRecord struct {
 	v, u    graph.Vertex // u is meaningful only for edge records
-	list    []uint64
+	list    []uint64     // A(v), or the filter A'(v) of an AMQ record
 	release func()
-	edge    bool // chNeighEdge shipment (no-surrogate ablation)
+	kind    uint8 // the channel it came on: chNeigh, chNeighEdge or chAMQ
 }
 
 // stealDeque is the per-PE queue of received records awaiting intersection,
@@ -203,9 +204,10 @@ func (dq *stealDeque) close() {
 	dq.nonEmpty.Broadcast()
 }
 
-// globalFn intersects one parked record into ws. DITRIC intersects against
+// globalFn processes one parked record into ws. DITRIC intersects against
 // the full oriented A-lists; CETRIC against the contracted cut graph with
-// type-3 classification.
+// type-3 classification, or, on an approximate run, probes the record's
+// filter with the cut graph's lists.
 type globalFn func(ws *countState, r recvRecord)
 
 // drainBatch steals and processes up to one batch, releasing payload pins.
@@ -222,13 +224,14 @@ func drainBatch(dq *stealDeque, scratch []recvRecord, ws *countState, fn globalF
 	return k
 }
 
-// installHandlers is the one place the neighborhood channels get their
+// installHandlers is the one place the shipment channels get their
 // handlers. With workers, a record is parked on the deque with its decode
 // arena pinned, so the funnel returns to polling immediately and any worker
 // can pick the record up; past the high-water mark — and always without
-// workers — the handler intersects inline instead. Inline processing is
+// workers — the handler processes it inline instead. Inline processing is
 // always legal: handlers only fire inside this PE's own polls, which every
-// algorithm issues strictly after its receiver structure is ready.
+// algorithm issues strictly after its receiver structure is ready. Filter
+// records are validated here, before any worker can see a malformed one.
 func (op *overlapPipeline) installHandlers() {
 	pe := op.pe
 	park := func(r recvRecord) {
@@ -240,12 +243,19 @@ func (op *overlapPipeline) installHandlers() {
 		op.dq.push(r)
 	}
 	pe.Q.Handle(chNeigh, func(_ int, words []uint64) {
-		park(recvRecord{v: words[0], list: words[1:]})
+		park(recvRecord{v: words[0], list: words[1:], kind: chNeigh})
 	})
 	pe.Q.Handle(chNeighEdge, func(_ int, words []uint64) {
-		park(recvRecord{v: words[0], u: words[1], list: words[2:], edge: true})
+		park(recvRecord{v: words[0], u: words[1], list: words[2:], kind: chNeighEdge})
 	})
 	pe.Q.Handle(chDelta, op.state.handleDelta)
+	if a := op.state.amq; a != nil {
+		pe.Q.Handle(chAMQ, func(src int, words []uint64) {
+			checkAMQ(src, words, a.Blocked)
+			park(recvRecord{v: words[0], list: words[2:], kind: chAMQ})
+		})
+		pe.Q.Handle(chDeltaF, op.state.handleDeltaEst)
+	}
 }
 
 // overlapPipeline coordinates one PE's counting phases: one or more
@@ -298,6 +308,7 @@ func newOverlapPipeline(pe *dist.PE, sw *stopwatch, lg *graph.LocalGraph, cfg Co
 		op.scratches = make([][]recvRecord, cfg.Threads)
 		for t := 0; t < cfg.Threads; t++ {
 			op.workers[t] = newCountState(lg, cfg)
+			op.workers[t].useAMQ(state.amq, state.amqOri)
 			op.scratches[t] = make([]recvRecord, dequeBatch)
 		}
 	}
@@ -563,6 +574,7 @@ type shipper struct {
 	pe    *dist.PE
 	sends chan<- hybridSend
 	buf   []uint64 // reused across shipments on the sends == nil path
+	rec   []uint64 // an approximate run's filter record, built once per row
 }
 
 var shipperPool = sync.Pool{New: func() any { return new(shipper) }}

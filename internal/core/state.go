@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -64,6 +65,16 @@ type countState struct {
 	// bitset would blend the two lists. Nothing nests deeper: the receive
 	// path never sends.
 	emitMark, recvMark *graph.RowMark
+
+	// An approximate run's receive side (nil amq on exact runs; positive
+	// filter probes count as t3): the filter config, the expanded orientation
+	// (v's ghost row there is A(v) ∩ V_i), the type-3 estimate, per-row Δ
+	// estimates under LCC, and the positions of the probed pair's hits.
+	amq      *AMQConfig
+	amqOri   *graph.LocalOriented
+	amqEst   float64
+	deltaEst []float64
+	hits     []int32
 }
 
 func newCountState(lg *graph.LocalGraph, cfg Config) *countState {
@@ -72,6 +83,14 @@ func newCountState(lg *graph.LocalGraph, cfg Config) *countState {
 		s.deltaRows = make([]uint64, lg.Rows())
 	}
 	return s
+}
+
+// useAMQ switches s to an approximate run's receive side (a no-op for nil).
+func (s *countState) useAMQ(a *AMQConfig, ori *graph.LocalOriented) {
+	s.amq, s.amqOri = a, ori
+	if a != nil && s.lcc {
+		s.deltaEst = make([]float64, s.lg.Rows())
+	}
 }
 
 // add records one triangle (corners as global IDs, all must be rows).
@@ -210,12 +229,16 @@ func (s *countState) recvNeighEdge(v, u graph.Vertex, list []uint64, o *graph.Lo
 	return c
 }
 
-// recvRecord intersects one received global-phase record against the
-// receiver structure o: a (v, A(v)) neighborhood, or the no-surrogate
-// ablation's per-edge record. Returns the number of triangles found.
+// recvRecord processes one received global-phase record against the
+// receiver structure o: a (v, A(v)) neighborhood, the no-surrogate
+// ablation's per-edge record, or an approximate run's filter A'(v). Returns
+// the number of triangles found — for a filter, of positive probes.
 func (s *countState) recvRecord(r recvRecord, o *graph.LocalOriented) uint64 {
-	if r.edge {
+	switch r.kind {
+	case chNeighEdge:
 		return s.recvNeighEdge(r.v, r.u, r.list, o)
+	case chAMQ:
+		return s.probeAMQ(r.v, r.list, o)
 	}
 	return s.recvNeigh(r.v, r.list, o)
 }
@@ -248,9 +271,13 @@ func (s *countState) merge(w *countState) {
 	s.t2 += w.t2
 	s.t3 += w.t3
 	s.recvWork += w.recvWork
+	s.amqEst += w.amqEst
 	if s.lcc {
 		for i, d := range w.deltaRows {
 			s.deltaRows[i] += d
+		}
+		for i, d := range w.deltaEst {
+			s.deltaEst[i] += d
 		}
 	}
 	s.triangles = append(s.triangles, w.triangles...)
@@ -263,37 +290,66 @@ func (s *countState) handleDelta(_ int, words []uint64) {
 	}
 }
 
-// flushGhostDeltas ships accumulated ghost Δ values to their owners
-// (batched per destination) and merges replies; callers must Drain after.
+// handleDeltaEst processes an approximate run's ghost Δ records
+// [gid, Float64bits(Δ̂), ...].
+func (s *countState) handleDeltaEst(_ int, words []uint64) {
+	for i := 0; i+1 < len(words); i += 2 {
+		s.deltaEst[s.lg.Row(words[i])] += math.Float64frombits(words[i+1])
+	}
+}
+
+// flushGhostDeltas sends each owner one record [gid, Δ, gid, Δ, ...] of its
+// ghosts with a non-zero Δ; callers must Drain after. Ghost rows are
+// numbered in ID order and owners hold contiguous ID ranges, so an owner's
+// ghosts are one run of rows, and its record is complete when the run ends.
+// An approximate run first adds the exact local-stage Δ into its estimates,
+// once, and ships those instead.
 func (s *countState) flushGhostDeltas(pe *dist.PE) {
 	if !s.lcc {
 		return
 	}
+	ch, word := chDelta, func(row int) uint64 { return s.deltaRows[row] }
+	if s.deltaEst != nil {
+		for r, d := range s.deltaRows {
+			s.deltaEst[r] += float64(d)
+		}
+		ch, word = chDeltaF, func(row int) uint64 { return math.Float64bits(s.deltaEst[row]) }
+	}
 	lg := s.lg
-	batch := make(map[int][]uint64)
+	var rec []uint64
+	owner := -1
 	for i, gid := range lg.Ghosts() {
-		row := lg.NLocal() + i
-		if d := s.deltaRows[row]; d > 0 {
-			dst := lg.Part.Rank(gid)
-			batch[dst] = append(batch[dst], gid, d)
+		if o := lg.Part.Rank(gid); o != owner {
+			if len(rec) > 0 {
+				pe.Q.Send(ch, owner, rec)
+				rec = rec[:0]
+			}
+			owner = o
+		}
+		if w := word(lg.NLocal() + i); w != 0 {
+			rec = append(rec, gid, w)
 		}
 	}
-	for dst, words := range batch {
-		pe.Q.Send(chDelta, dst, words)
+	if len(rec) > 0 {
+		pe.Q.Send(ch, owner, rec)
 	}
 }
 
-// finish copies the per-PE result into out. Local Δ values (now complete
-// after the postprocess exchange) are exported keyed by global ID.
+// finish copies the per-PE result into out. The local rows' Δ values (now
+// complete after the postprocess exchange) are exported as one slice: a
+// PE's locals are the contiguous ID range starting at First.
 func (s *countState) finish(out *peOutcome) {
 	out.count = s.count
 	out.finished = true
 	out.typeCounts = [3]uint64{s.t1, s.t2, s.t3}
 	out.triangles = s.triangles
+	out.amqEst = s.amqEst
 	if s.lcc {
-		out.deltas = make(map[graph.Vertex]uint64, s.lg.NLocal())
-		for r := 0; r < s.lg.NLocal(); r++ {
-			out.deltas[s.lg.GID(int32(r))] = s.deltaRows[r]
+		nLoc := s.lg.NLocal()
+		out.first = s.lg.First
+		out.deltas = s.deltaRows[:nLoc]
+		if s.deltaEst != nil {
+			out.deltaEst = s.deltaEst[:nLoc]
 		}
 	}
 }
@@ -446,9 +502,7 @@ func mergeOutcomes(outcomes []*peOutcome, metrics []comm.Metrics, g *graph.Graph
 			if out == nil {
 				continue
 			}
-			for gid, d := range out.deltas {
-				res.Deltas[gid] = d
-			}
+			copy(res.Deltas[out.first:], out.deltas)
 		}
 		res.LCC = LCCFromDeltas(g, res.Deltas)
 	}

@@ -287,10 +287,17 @@ func (p *PartialInfo) Fraction() float64 {
 type peOutcome struct {
 	count      uint64
 	typeCounts [3]uint64
-	deltas     map[graph.Vertex]uint64 // global ID -> Δ contribution (local rows only after postprocess)
 	triangles  [][3]graph.Vertex
 	phases     map[string]time.Duration
 	phaseComm  map[string]comm.Metrics
+
+	// Under LCC, Δ (and an approximate run's Δ estimates) of the local rows,
+	// which are the vertices [first, first+len(deltas)). amqEst is an
+	// approximate run's type-3 estimate (typeCounts[2] its positive probes).
+	first    graph.Vertex
+	deltas   []uint64
+	deltaEst []float64
+	amqEst   float64
 
 	// finished marks a body that ran to completion (countState.finish);
 	// partialCount is the last coherent count snapshot a body published at a
