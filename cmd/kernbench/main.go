@@ -73,7 +73,7 @@ func kernelMatrix() []kernelRow {
 	const large = 4096
 	big := mk(large, 3)
 	bits := graph.NewBitset(large*3 + 1)
-	bits.SetList(big)
+	graph.SetList(bits, big)
 	kernels := []struct {
 		name string
 		run  func(s []graph.Vertex) uint64
@@ -81,7 +81,7 @@ func kernelMatrix() []kernelRow {
 		{"merge", func(s []graph.Vertex) uint64 { return graph.CountMerge(s, big) }},
 		{"branchless", func(s []graph.Vertex) uint64 { return graph.CountMergeBranchless(s, big) }},
 		{"gallop", func(s []graph.Vertex) uint64 { return graph.CountGallop(s, big) }},
-		{"bitmap", func(s []graph.Vertex) uint64 { return bits.CountList(s) }},
+		{"bitmap", func(s []graph.Vertex) uint64 { return graph.CountList(bits, s) }},
 		{"adaptive", func(s []graph.Vertex) uint64 { return graph.CountIntersect(s, big) }},
 	}
 	var rows []kernelRow

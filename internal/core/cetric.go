@@ -90,13 +90,13 @@ func cetricLocalPhase(lg *graph.LocalGraph, ori *graph.LocalOriented, state *cou
 			// Both wedge endpoints local: the closing vertex decides the type.
 			set, probe := ori.Probe(m, ru)
 			if fast {
-				t1, t2 := set.CountListSplit(probe, graph.Vertex(nLoc))
+				t1, t2 := graph.CountListSplit(set, probe, uint32(nLoc))
 				state.count += t1 + t2
 				state.t1 += t1
 				state.t2 += t2
 				continue
 			}
-			set.ForEachCommonList(probe, func(w graph.Vertex) {
+			graph.ForEachCommonList(set, probe, func(w uint32) {
 				state.addRows(rv, ru, int32(w))
 				if int32(w) < nLoc {
 					state.t1++

@@ -52,7 +52,7 @@ func ditricFrom(pe *dist.PE, pl *plan, lg *graph.LocalGraph, out *peOutcome, sw 
 func ditricLocalRows(pe *dist.PE, pt *part.Partition, lg *graph.LocalGraph, ori *graph.LocalOriented,
 	state *countState, lo, hi int, sends chan<- hybridSend, noSurrogate bool) {
 	first := lg.First
-	nLoc := graph.Vertex(lg.NLocal())
+	nLoc := uint32(lg.NLocal())
 	var hdr [2]uint64 // record header scratch, reused across shipments
 	sh := getShipper(pe, sends)
 	defer sh.put()

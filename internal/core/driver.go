@@ -65,7 +65,10 @@ type plan struct {
 // aggregation threshold δ, the indirect bit, the per-channel codec table and
 // the watchdog fields. m is the edge count δ defaults from; a stream does
 // not know it up front and passes a negative m, which leaves an unset δ to
-// each PE (streamThreshold).
+// each PE (streamThreshold). A PE's rows are 4-byte indices, so a 1D part or
+// 2D band of more than graph.MaxRows vertices is an error here, before
+// anything is sized by it; ghosts, which only the build discovers, are
+// checked there.
 func prepare(algo Algorithm, n uint64, m int, cfg Config) (*plan, error) {
 	cfg = cfg.withDefaults()
 	if cfg.P <= 0 {
@@ -95,6 +98,11 @@ func prepare(algo Algorithm, n uint64, m int, cfg Config) (*plan, error) {
 		if err != nil {
 			return nil, err
 		}
+		// Band 0 of the shorter grid side is the largest band of a block.
+		if side := uint64(min(g2.R(), g2.C())); n > 0 && (n-1)/side+1 > graph.MaxRows {
+			return nil, fmt.Errorf("core: %s on a %d×%d grid puts %d vertices in a band; a band holds at most %d",
+				algo, g2.R(), g2.C(), (n-1)/side+1, graph.MaxRows)
+		}
 		pl.g2 = g2
 	} else {
 		indirect = cfg.Indirect || spec.indirect
@@ -104,6 +112,11 @@ func prepare(algo Algorithm, n uint64, m int, cfg Config) (*plan, error) {
 		} else if pl.pt.P() != cfg.P || pl.pt.N() != n {
 			return nil, fmt.Errorf("core: partition shape (p=%d,n=%d) does not match run (p=%d,n=%d)",
 				pl.pt.P(), pl.pt.N(), cfg.P, n)
+		}
+		for r := 0; r < cfg.P; r++ {
+			if first, last := pl.pt.Range(r); last-first > graph.MaxRows {
+				return nil, fmt.Errorf("core: PE %d owns %d vertices; a PE holds at most %d rows", r, last-first, graph.MaxRows)
+			}
 		}
 	}
 	var err error

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/gen"
@@ -116,5 +117,37 @@ func TestWallClockPopulated(t *testing.T) {
 	}
 	if res.Wall <= 0 {
 		t.Fatal("wall time not recorded")
+	}
+}
+
+// TestPrepareRejectsRowSpaceOverflow: a PE's rows are 4-byte indices, so a
+// 1D part or a 2D band of more than graph.MaxRows vertices is a set-up
+// error, reported before anything is sized by n; splitting the same graph
+// over enough PEs is accepted.
+func TestPrepareRejectsRowSpaceOverflow(t *testing.T) {
+	for _, c := range []struct {
+		algo Algorithm
+		n    uint64
+		p    int
+		ok   bool
+	}{
+		{AlgoCetric, 1 << 33, 1, false},
+		{AlgoDiTric, 1<<32 + 1, 2, false}, // parts of 2³¹+1 and 2³¹
+		{AlgoDiTric, 1<<32 - 2, 2, true},  // parts of exactly MaxRows
+		{AlgoCetric, 1 << 33, 8, true},
+		{AlgoTK2D, 1 << 34, 1, false},
+		{AlgoTK2D, 1 << 33, 16, false}, // 4×4 grid: bands of 2³¹
+		{AlgoTK2D, 1 << 34, 256, true},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := prepare(c.algo, c.n, -1, Config{P: c.p})
+		runtime.ReadMemStats(&after)
+		if (err == nil) != c.ok {
+			t.Errorf("%s n=%d p=%d: err = %v, want ok=%v", c.algo, c.n, c.p, err, c.ok)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("%s n=%d p=%d: prepare allocated %d bytes", c.algo, c.n, c.p, grew)
+		}
 	}
 }

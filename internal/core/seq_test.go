@@ -131,13 +131,13 @@ func TestIntersectKernelsAgreeWithMerge(t *testing.T) {
 		name string
 		run  func(a, b []graph.Vertex) uint64
 	}{
-		{"adaptive", graph.CountIntersect},
-		{"branchless", graph.CountMergeBranchless},
-		{"gallop", graph.CountGallop},
+		{"adaptive", graph.CountIntersect[graph.Vertex]},
+		{"branchless", graph.CountMergeBranchless[graph.Vertex]},
+		{"gallop", graph.CountGallop[graph.Vertex]},
 		{"bitmap", func(a, b []graph.Vertex) uint64 {
 			bs := graph.NewBitset(1000)
-			bs.SetList(b)
-			return bs.CountList(a)
+			graph.SetList(bs, b)
+			return graph.CountList(bs, a)
 		}},
 		{"foreach", func(a, b []graph.Vertex) uint64 {
 			var n uint64

@@ -222,7 +222,7 @@ func (s *countState) recvNeighEdge(v, u graph.Vertex, list []uint64, o *graph.Lo
 	rv := s.lg.Row(v)
 	var c uint64
 	s.recvWork += uint64(len(rows) + o.OutDegree(ru))
-	graph.ForEachCommon(rows, o.OutRows(ru), func(w graph.Vertex) {
+	graph.ForEachCommon(rows, o.OutRows(ru), func(w uint32) {
 		s.addRows(rv, ru, int32(w))
 		c++
 	})
@@ -253,11 +253,11 @@ func (s *countState) recvRecord(r recvRecord, o *graph.LocalOriented) uint64 {
 func (s *countState) countWedgeRows(m *graph.RowMark, rv, ru int32, o *graph.LocalOriented) (c uint64, probed int) {
 	set, probe := o.Probe(m, ru)
 	if !s.lcc && !s.collect {
-		c = set.CountList(probe)
+		c = graph.CountList(set, probe)
 		s.count += c
 		return c, len(probe)
 	}
-	set.ForEachCommonList(probe, func(w graph.Vertex) {
+	graph.ForEachCommonList(set, probe, func(w uint32) {
 		s.addRows(rv, ru, int32(w))
 		c++
 	})

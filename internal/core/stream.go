@@ -58,7 +58,7 @@ import (
 //	         sub-run is exactly the set of pairs (v,w) this PE must count.
 //
 // Kernel: the record's old(v) and Δ(v) are stamped once into two global-ID
-// marks (graph.RowMark) and each partner's resident row and staged Δ are
+// marks (a graph.Mark of IDs) and each partner's resident row and staged Δ are
 // probed against them, L + Σ(|old(wᵢ)| + |Δ(wᵢ)|) bit tests for k partners
 // instead of the 2k·L + 2Σ|wᵢ| steps of four merges per pair. A partner
 // whose lists are skewed against the record (graph.Skewed, the intersection
@@ -372,11 +372,11 @@ type streamState struct {
 	// Global-ID marks holding old(v) and Δ(v) of the record being counted.
 	// One pair serves received records and local rows alike: see countStaged
 	// for why the two never nest.
-	old, delta *graph.RowMark
+	old, delta *graph.Mark[graph.Vertex]
 }
 
 func newStreamState(sb *graph.StreamBuilder, n uint64) *streamState {
-	return &streamState{sb: sb, old: graph.NewMark(int(n)), delta: graph.NewMark(int(n))}
+	return &streamState{sb: sb, old: graph.NewMark[graph.Vertex](int(n)), delta: graph.NewMark[graph.Vertex](int(n))}
 }
 
 // pair accumulates the category intersections for one effective-new edge
@@ -456,7 +456,7 @@ func (s *streamState) record(r int32) []uint64 {
 // in that order, which is what lets one pair of marks serve both roles: a
 // Send can overflow δ, flush, poll and run handle inline, and handle stamps
 // the marks — but every Send of a row precedes its local partners, so the
-// row's own stamp is never live across one (RowMark.Stamp panics if that
+// row's own stamp is never live across one (Mark.Stamp panics if that
 // ordering is ever broken). Records still buffered or in flight when
 // the loop ends are the caller's Drain to deliver.
 func (s *streamState) countStaged(pe *dist.PE, pt *part.Partition) {

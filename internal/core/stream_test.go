@@ -203,7 +203,7 @@ func (o *streamOracle) pairTuple(delta [][]graph.Vertex) [3]uint64 {
 // records are received — and stamped into the marks — in the middle of the
 // sending loop. That is safe only because a row ships before it stamps for
 // its own local partners; an engine that stamped first must die in
-// RowMark.Stamp's guard rather than blend two rows into one miscount.
+// Mark.Stamp's guard rather than blend two rows into one miscount.
 func TestStreamDeltaReentrancy(t *testing.T) {
 	for _, name := range []string{"rmat", "K12"} {
 		fx, _ := testgraph.ByName(name)
@@ -274,7 +274,7 @@ func TestStreamDeltaReentrancy(t *testing.T) {
 				})
 				if stampFirst {
 					// The guard must fire inside the inline-dispatched handler.
-					for _, frag := range []string{"RowMark stamped while still holding a list", "(*streamState).handle"} {
+					for _, frag := range []string{"graph: Mark stamped while still holding a list", "(*streamState).handle"} {
 						if err == nil || !strings.Contains(err.Error(), frag) {
 							t.Fatalf("err = %v, want a panic naming %q", err, frag)
 						}

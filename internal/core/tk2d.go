@@ -95,7 +95,7 @@ func newTK2DKernel(g2 *part.Grid2D, rank int, ownT *graph.Block, cfg Config) *tk
 	kn := &tk2dKernel{g2: g2, rank: rank, ownT: ownT, cfg: cfg, workers: make([]tk2dWorker, cfg.Threads)}
 	for w := range kn.workers {
 		// Cyclic bands shrink with their index: round band 0 bounds them all.
-		kn.workers[w].mark = graph.NewMark(g2.BandSizeRound(0))
+		kn.workers[w].mark = graph.NewMark[uint32](g2.BandSizeRound(0))
 	}
 	kn.columns = kn.countColumns
 	return kn
@@ -126,10 +126,10 @@ func (kn *tk2dKernel) countColumns(w, lo, hi int) {
 			ai := kn.A.Row(int(relI))
 			switch {
 			case kn.cfg.Collect:
-				i, j := kn.g2.GIDRow(a, relI), kn.g2.GIDCol(b, graph.Vertex(relJ))
-				ws.mark.ForEachCommonList(ai, func(v graph.Vertex) {
+				i, j := kn.g2.GIDRow(a, graph.Vertex(relI)), kn.g2.GIDCol(b, graph.Vertex(relJ))
+				ws.mark.ForEachCommonList(ai, func(t uint32) {
 					ws.count++
-					ws.tris = append(ws.tris, CanonTriangle(i, kn.g2.GIDRound(kn.k, v), j))
+					ws.tris = append(ws.tris, CanonTriangle(i, kn.g2.GIDRound(kn.k, graph.Vertex(t)), j))
 				})
 			case graph.Skewed(len(bj), len(ai)):
 				ws.count += graph.CountIntersect(bj, ai)

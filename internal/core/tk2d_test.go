@@ -146,9 +146,9 @@ func TestTK2DKernelLeavesMarksClear(t *testing.T) {
 			t.Fatal(err)
 		}
 		blocks, blocksT := tk2dLocalBlocks(g2, g)
-		domain := make([]graph.Vertex, g2.BandSizeRound(0))
+		domain := make([]uint32, g2.BandSizeRound(0))
 		for i := range domain {
-			domain[i] = graph.Vertex(i)
+			domain[i] = uint32(i)
 		}
 		var total uint64
 		for rank := 0; rank < p; rank++ {

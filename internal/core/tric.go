@@ -27,7 +27,7 @@ func tricBody(pe *dist.PE, pl *plan, lg *graph.LocalGraph, out *peOutcome, sw *s
 	sw.phase(PhaseLocal)
 	// Count local wedges and build the complete static send buffers.
 	sendBufs := make([][]uint64, pe.P)
-	nLoc := graph.Vertex(lg.NLocal())
+	nLoc := uint32(lg.NLocal())
 	m := lazyMark(&state.emitMark, ori)
 	for r := 0; r < lg.NLocal(); r++ {
 		rv := int32(r)

@@ -14,7 +14,10 @@ import (
 // edge-list front end of the cmd/bench build probe, cut the ID-oriented
 // matrix). Rows are row-band-relative (rel(u) = u div r) and entries
 // column-band-relative (rel(v) = v div c), which keeps the wire varints and
-// the counting kernel's mark r× resp. c× denser than global IDs. On
+// the counting kernel's mark r× resp. c× denser than global IDs. Entries are
+// 4 bytes in memory (a band holds at most MaxRows vertices) and 64-bit words
+// on the wire, narrowed only after DecodeBlockInto has checked them against
+// the entry domain. On
 // rectangular grids each counting round ships a stripe of a block — the
 // entries in one middle-vertex band mod L = lcm(r, c) — extracted and
 // translated to round space by StripeInto.
@@ -86,7 +89,7 @@ type Block struct {
 	bandRow, bandCol int
 	domain           int      // entry band size: every col value is < domain
 	off              []int64  // len NRows+1
-	col              []Vertex // band-relative entries, ascending per row
+	col              []uint32 // band-relative entries, ascending per row
 }
 
 // BuildBlock2D assembles PE rank's block from its slice of the 2D scatter.
@@ -122,13 +125,13 @@ func BuildBlock2D(g2 *part.Grid2D, rank int, edges []Edge, threads int) *Block {
 		}
 		b.off[row+1] = total
 	}
-	b.col = make([]Vertex, total)
+	b.col = make([]uint32, total)
 	parallelBlocks(w, len(edges), func(worker, lo, hi int) {
 		cur := pos[worker*nRows : (worker+1)*nRows]
 		for i := lo; i < hi; i++ {
 			e := edges[i]
 			row := g2.RelRow(e.U)
-			b.col[cur[row]] = g2.RelCol(e.V)
+			b.col[cur[row]] = uint32(g2.RelCol(e.V))
 			cur[row]++
 		}
 	})
@@ -171,12 +174,12 @@ func BuildBlockCSR(g2 *part.Grid2D, rank int, g *Graph, threads int) *Block {
 	b.off = make([]int64, nRows+1)
 	c, res := Vertex(g2.C()), Vertex(bc)
 	w := workersFor(threads, nRows, parallelChunk)
-	runs := make([][]Vertex, w)
+	runs := make([][]uint32, w)
 	parallelBlocks(w, nRows, func(worker, lo, hi int) {
 		// About 1/(r·c) of the CSR span under the rows is in band, and ≺
 		// keeps half of that; a row that runs over grows the run.
 		span := g.off[g2.GIDRow(a, Vertex(hi-1))+1] - g.off[g2.GIDRow(a, Vertex(lo))]
-		col := make([]Vertex, 0, span/int64(g2.P())*5/8)
+		col := make([]uint32, 0, span/int64(g2.P())*5/8)
 		for rel := lo; rel < hi; rel++ {
 			u := g2.GIDRow(a, Vertex(rel))
 			nb := g.Neighbors(u)
@@ -186,7 +189,7 @@ func BuildBlockCSR(g2 *part.Grid2D, rank int, g *Graph, threads int) *Block {
 			run := col[kept : kept+len(nb)]
 			k := uint64(0)
 			for _, v := range nb {
-				run[k] = v / c
+				run[k] = uint32(v / c)
 				k += b2u(v%c == res) & precedes(len(nb), u, g.Degree(v), v)
 			}
 			col = col[:kept+int(k)]
@@ -197,7 +200,7 @@ func BuildBlockCSR(g2 *part.Grid2D, rank int, g *Graph, threads int) *Block {
 	for rel := 0; rel < nRows; rel++ {
 		b.off[rel+1] += b.off[rel]
 	}
-	b.col = make([]Vertex, 0, b.off[nRows])
+	b.col = make([]uint32, 0, b.off[nRows])
 	for _, col := range runs {
 		b.col = append(b.col, col...)
 	}
@@ -220,7 +223,7 @@ func (b *Block) NRows() int { return len(b.off) - 1 }
 func (b *Block) NNZ() int { return len(b.col) }
 
 // Row returns row rel's entries (band-relative, ascending).
-func (b *Block) Row(rel int) []Vertex { return b.col[b.off[rel]:b.off[rel+1]] }
+func (b *Block) Row(rel int) []uint32 { return b.col[b.off[rel]:b.off[rel+1]] }
 
 // Transpose returns the CSC view as a Block with the bands swapped: row j
 // of the result lists the rel(u) of edges (u, v) with rel(v) = j. Entry
@@ -250,12 +253,12 @@ func (b *Block) Transpose(threads int) *Block {
 		}
 		t.off[row+1] = total
 	}
-	t.col = make([]Vertex, total)
+	t.col = make([]uint32, total)
 	parallelBlocks(w, nRows, func(worker, lo, hi int) {
 		cur := pos[worker*nRowsT : (worker+1)*nRowsT]
 		for row := lo; row < hi; row++ {
 			for _, v := range b.Row(row) {
-				t.col[cur[v]] = Vertex(row)
+				t.col[cur[v]] = uint32(row)
 				cur[v]++
 			}
 		}
@@ -278,7 +281,7 @@ func (b *Block) StripeInto(dst *Block, round, residue, stride, domain int) {
 	}
 	dst.off = dst.off[:nRows+1]
 	dst.col = dst.col[:0]
-	res, str := Vertex(residue), Vertex(stride)
+	res, str := uint32(residue), uint32(stride)
 	w := int64(0)
 	for row := 0; row < nRows; row++ {
 		dst.off[row] = w
@@ -326,12 +329,12 @@ func (b *Block) AppendWire(dst []uint64) []uint64 {
 		}
 		prevRow = row
 		dst = append(dst, uint64(len(seg)))
-		prev := Vertex(0)
+		prev := uint32(0)
 		for i, v := range seg {
 			if i == 0 {
-				dst = append(dst, v)
+				dst = append(dst, uint64(v))
 			} else {
-				dst = append(dst, v-prev)
+				dst = append(dst, uint64(v-prev))
 			}
 			prev = v
 		}
@@ -346,8 +349,11 @@ func (b *Block) AppendWire(dst []uint64) []uint64 {
 // without allocating; a cold col grows once, to the entry count the wire
 // implies: len(wire) − 3 − 2·used. That count is taken only for
 // 0 ≤ used ≤ (len(wire) − 3)/2, so it never exceeds len(wire) and a hostile
-// used is an error, never a huge allocation. The rows arrive ascending
-// (AppendWire's order), so the CSR assembles in one pass.
+// used is an error, never a huge allocation. Every entry is reconstructed
+// and range-checked as a 64-bit word and narrowed to its 4-byte slot only
+// once it is known to be below domain, so no wire value wraps into range.
+// The rows arrive ascending (AppendWire's order), so the CSR assembles in
+// one pass.
 func DecodeBlockInto(wire []uint64, bandRow, bandCol, nRows, domain int, b *Block) error {
 	if len(wire) < 3 {
 		return fmt.Errorf("graph: block wire truncated (%d words)", len(wire))
@@ -394,7 +400,7 @@ func DecodeBlockInto(wire []uint64, bandRow, bandCol, nRows, domain int, b *Bloc
 			if v >= Vertex(domain) || (i > 0 && v <= prev) {
 				return fmt.Errorf("graph: block wire record %d entry %d out of order or range", rec, i)
 			}
-			b.col = append(b.col, v)
+			b.col = append(b.col, uint32(v))
 			prev = v
 		}
 		wire = wire[ln:]

@@ -100,12 +100,18 @@ func blockOracle(g2 *part.Grid2D, rank int, edges []Edge) map[int][]Vertex {
 	return out
 }
 
+// sameValues reports whether a 4-byte row list holds exactly the values of
+// a 64-bit oracle list, in order.
+func sameValues(got []uint32, want []Vertex) bool {
+	return slices.EqualFunc(got, want, func(g uint32, w Vertex) bool { return Vertex(g) == w })
+}
+
 func checkBlockAgainstOracle(t *testing.T, b *Block, oracle map[int][]Vertex, label string) {
 	t.Helper()
 	nnz := 0
 	for row := 0; row < b.NRows(); row++ {
 		want := oracle[row]
-		if got := b.Row(row); !slices.Equal(got, want) {
+		if got := b.Row(row); !sameValues(got, want) {
 			t.Fatalf("%s row %d: got %v, want %v", label, row, got, want)
 		}
 		nnz += len(want)
@@ -184,10 +190,10 @@ func TestBuildBlockCSRCutsDegreeOrientedGraph(t *testing.T) {
 						row := b.Row(rel)
 						outDeg[u] += len(row)
 						for i, e := range row {
-							if e >= Vertex(b.Domain()) || (i > 0 && e <= row[i-1]) {
+							if int(e) >= b.Domain() || (i > 0 && e <= row[i-1]) {
 								t.Fatalf("%s p=%d rank %d threads=%d: row %d = %v not ascending below %d", name, p, rank, threads, rel, row, b.Domain())
 							}
-							v := g2.GIDCol(bc, e)
+							v := g2.GIDCol(bc, Vertex(e))
 							if !g.HasEdge(u, v) || !Less(g.Degree(u), u, g.Degree(v), v) {
 								t.Fatalf("%s p=%d rank %d threads=%d: (%d,%d) is not an edge directed by ≺", name, p, rank, threads, u, v)
 							}
@@ -271,10 +277,10 @@ func TestBlockStripe(t *testing.T) {
 				var want []Vertex
 				for _, v := range b.Row(row) {
 					if int(v)%stride == res {
-						want = append(want, (v-Vertex(res))/Vertex(stride))
+						want = append(want, (Vertex(v)-Vertex(res))/Vertex(stride))
 					}
 				}
-				if !slices.Equal(stripe.Row(row), want) {
+				if !sameValues(stripe.Row(row), want) {
 					t.Fatalf("rank %d round %d row %d: stripe %v, want %v", rank, k, row, stripe.Row(row), want)
 				}
 				for _, tt := range stripe.Row(row) {
@@ -343,6 +349,8 @@ func TestDecodeBlockIntoRejectsMalformed(t *testing.T) {
 		"used past the wire":               {0, 1, 2, 0, 1, 0},
 		"used 2^63":                        {0, 1, 1 << 63, 0, 1, 0},
 		"used 2^64-1":                      {0, 1, ^uint64(0), 0, 1, 0},
+		"entry 2^32+3 (narrows to 3)":      {0, 1, 1, 0, 1, 1<<32 + 3},
+		"gap to 2^32+1 (narrows to 1)":     {0, 1, 1, 0, 2, 0, 1<<32 + 1},
 	} {
 		var b Block
 		if err := DecodeBlockInto(wire, 0, 1, 10, 10, &b); err == nil {
@@ -410,6 +418,7 @@ func FuzzDecodeBlockWire(f *testing.F) {
 	seed(8, 16, 0, 1, 1<<62, 0, 1, 0)
 	seed(8, 16, 0, 1, 1<<63, 0, 1, 0)
 	seed(8, 16, 0, 1, ^uint64(0), 0, 1, 0)
+	seed(8, 16, 0, 1, 1, 0, 1, 1<<32+3) // narrowed to 4 bytes, 3 would be in range
 	f.Fuzz(func(t *testing.T, data []byte, nRows, domain uint8) {
 		wire := make([]uint64, len(data)/8)
 		for i := range wire {
@@ -417,7 +426,7 @@ func FuzzDecodeBlockWire(f *testing.F) {
 		}
 		var b Block
 		err := DecodeBlockInto(wire, 0, 1, int(nRows), int(domain), &b)
-		if limit := cap(slices.Grow([]Vertex(nil), len(wire))); cap(b.col) > limit {
+		if limit := cap(slices.Grow([]uint32(nil), len(wire))); cap(b.col) > limit {
 			t.Fatalf("col grew to %d for a %d-word wire", cap(b.col), len(wire))
 		}
 		if err != nil {
@@ -429,7 +438,7 @@ func FuzzDecodeBlockWire(f *testing.F) {
 		for row := 0; row < b.NRows(); row++ {
 			seg := b.Row(row)
 			for i, v := range seg {
-				if v >= Vertex(domain) || (i > 0 && v <= seg[i-1]) {
+				if v >= uint32(domain) || (i > 0 && v <= seg[i-1]) {
 					t.Fatalf("row %d entry %d (%d) out of order or range", row, i, v)
 				}
 			}

@@ -30,27 +30,53 @@ func orient(g *graph.Graph) [][]graph.Vertex {
 // oriented edge (v,u) contributes |A(v) ∩ A(u)| triangles, and the total
 // must equal the fixture's precomputed count. This pins CountIntersect,
 // CountMerge, and ForEachCommon against an external ground truth instead of
-// only against each other.
+// only against each other, in both instantiations: 8-byte global IDs and
+// the same lists as 4-byte indices.
 func TestIntersectionCountsMatchFixtures(t *testing.T) {
 	for _, fix := range testgraph.All {
 		g := fix.Build()
 		out := orient(g)
-		var viaGallop, viaMerge, viaBranchless, viaCommon uint64
-		for _, av := range out {
-			for _, u := range av {
-				au := out[u]
-				viaGallop += graph.CountIntersect(av, au)
-				viaMerge += graph.CountMerge(av, au)
-				viaBranchless += graph.CountMergeBranchless(av, au)
-				graph.ForEachCommon(av, au, func(graph.Vertex) { viaCommon++ })
-			}
+		narrow := make([][]uint32, len(out))
+		for v, av := range out {
+			narrow[v] = narrowList(av)
 		}
-		if viaGallop != fix.Triangles || viaMerge != fix.Triangles ||
-			viaBranchless != fix.Triangles || viaCommon != fix.Triangles {
-			t.Errorf("%s: gallop=%d merge=%d branchless=%d common=%d, want %d",
-				fix.Name, viaGallop, viaMerge, viaBranchless, viaCommon, fix.Triangles)
+		if got := fixtureCounts(out); got != [4]uint64{fix.Triangles, fix.Triangles, fix.Triangles, fix.Triangles} {
+			t.Errorf("%s uint64: gallop, merge, branchless, common = %v, want %d", fix.Name, got, fix.Triangles)
+		}
+		if got := fixtureCounts(narrow); got != [4]uint64{fix.Triangles, fix.Triangles, fix.Triangles, fix.Triangles} {
+			t.Errorf("%s uint32: gallop, merge, branchless, common = %v, want %d", fix.Name, got, fix.Triangles)
 		}
 	}
+}
+
+// fixtureCounts sums |A(v) ∩ A(u)| over every oriented edge through the
+// adaptive, merge, branchless and for-each kernels.
+func fixtureCounts[T graph.Index](out [][]T) (sums [4]uint64) {
+	for _, av := range out {
+		for _, u := range av {
+			au := out[u]
+			sums[0] += graph.CountIntersect(av, au)
+			sums[1] += graph.CountMerge(av, au)
+			sums[2] += graph.CountMergeBranchless(av, au)
+			graph.ForEachCommon(av, au, func(T) { sums[3]++ })
+		}
+	}
+	return sums
+}
+
+// narrowList copies a list of small IDs into 4-byte indices.
+func narrowList(list []graph.Vertex) []uint32 {
+	out := make([]uint32, len(list))
+	for i, x := range list {
+		out[i] = uint32(x)
+	}
+	return out
+}
+
+// sameValues reports whether a 4-byte row list holds exactly the values of
+// a 64-bit oracle list, in order.
+func sameValues(got []uint32, want []uint64) bool {
+	return slices.EqualFunc(got, want, func(g uint32, w uint64) bool { return uint64(g) == w })
 }
 
 // TestHubBitmapCountsMatchFixtures drives the packed hub-bitmap engine
@@ -84,8 +110,8 @@ func TestHubBitmapCountsMatchFixtures(t *testing.T) {
 
 // TestRowSpaceCountsMatchFixtures distributes every fixture over 4 PEs and
 // recounts type-1/2 triangles per PE through the row-translated layout
-// (OutRows + the stamped wedge kernel: RowMark, Probe and the three Bitset
-// shapes), checking it against the global-ID layout pair by pair — the
+// (OutRows + the stamped wedge kernel: RowMark, Probe and the three set
+// kernels), checking it against the global-ID layout pair by pair — the
 // translation must be an exact relabeling of every A-list.
 func TestRowSpaceCountsMatchFixtures(t *testing.T) {
 	for _, fix := range testgraph.All {
@@ -103,7 +129,7 @@ func TestRowSpaceCountsMatchFixtures(t *testing.T) {
 			ori := graph.OrientLocal(lg)
 			ori.BuildHubs(1) // force bitmaps everywhere they fit
 			mark := ori.NewRowMark()
-			nLoc := graph.Vertex(lg.NLocal())
+			nLoc := uint32(lg.NLocal())
 			for r := 0; r < lg.Rows(); r++ {
 				rv := int32(r)
 				// Row-space lists must be exact relabelings of the global ones.
@@ -134,15 +160,15 @@ func TestRowSpaceCountsMatchFixtures(t *testing.T) {
 						}
 					})
 					set, probe := ori.Probe(mark, ru)
-					if got := set.CountList(probe); got != want {
+					if got := graph.CountList(set, probe); got != want {
 						t.Fatalf("%s rank %d (%d,%d): stamped count=%d, want %d", fix.Name, rank, r, ru, got, want)
 					}
-					if below, rest := set.CountListSplit(probe, nLoc); below != wantLocal || below+rest != want {
+					if below, rest := graph.CountListSplit(set, probe, nLoc); below != wantLocal || below+rest != want {
 						t.Fatalf("%s rank %d (%d,%d): stamped split=%d+%d, want %d+%d",
 							fix.Name, rank, r, ru, below, rest, wantLocal, want-wantLocal)
 					}
 					var each uint64
-					set.ForEachCommonList(probe, func(graph.Vertex) { each++ })
+					graph.ForEachCommonList(set, probe, func(uint32) { each++ })
 					if each != want {
 						t.Fatalf("%s rank %d (%d,%d): stamped for-each=%d, want %d", fix.Name, rank, r, ru, each, want)
 					}
@@ -185,7 +211,8 @@ func oracleTranslate(lg *graph.LocalGraph, list []graph.Vertex) (rows []uint64, 
 
 // requireGhostIndex checks lg's ghost index against the oracle: every ghost
 // resolves to its row, every other probe (locals, IDs that are no row here,
-// IDs past n, the extreme values) is absent, and TranslateRows agrees with
+// IDs past n, the extreme values, First and every ghost plus 2³² — which a
+// 32-bit narrowing would wrap onto a row) is absent, and TranslateRows agrees with
 // oracleTranslate on every row's neighborhood, on the whole ID range, and on
 // the reversed range (out of order: nothing may be dropped).
 func requireGhostIndex(t *testing.T, tag string, lg *graph.LocalGraph) {
@@ -204,7 +231,10 @@ func requireGhostIndex(t *testing.T, tag string, lg *graph.LocalGraph) {
 	for x := graph.Vertex(0); x < n+2; x++ {
 		all = append(all, x)
 	}
-	all = append(all, 1<<32, 1<<63, ^graph.Vertex(0)-1, ^graph.Vertex(0))
+	all = append(all, 1<<32, 1<<63, ^graph.Vertex(0)-1, ^graph.Vertex(0), lg.First+1<<32)
+	for _, g := range lg.Ghosts() {
+		all = append(all, g+1<<32)
+	}
 	for _, x := range all {
 		if _, isGhost := slices.BinarySearch(lg.Ghosts(), x); isGhost {
 			continue
@@ -218,7 +248,7 @@ func requireGhostIndex(t *testing.T, tag string, lg *graph.LocalGraph) {
 		t.Helper()
 		got, gotLoc := lg.TranslateRows(&tr, list)
 		want, wantLoc := oracleTranslate(lg, list)
-		if gotLoc != wantLoc || !slices.Equal(got, want) {
+		if gotLoc != wantLoc || !sameValues(got, want) {
 			t.Fatalf("%s: TranslateRows(%s) = %v (nLocal %d), oracle %v (nLocal %d)",
 				tag, what, got, gotLoc, want, wantLoc)
 		}

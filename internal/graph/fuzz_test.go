@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -79,77 +80,101 @@ func FuzzBinaryGraphFormat(f *testing.F) {
 }
 
 // FuzzIntersectKernels feeds arbitrary byte strings, turned into sorted
-// deduplicated vertex slices, through every intersection kernel — the
-// stamped wedge kernel included, with either slice as the stamped list and
-// the partner with and without a hub bitmap; all must agree with the
-// CountMerge oracle, in both argument orders.
+// deduplicated index slices, through every intersection kernel in both
+// instantiations — 8-byte global IDs and 4-byte row indices — and through
+// the stamped wedge kernel, with either slice as the stamped list and the
+// partner with and without a hub bitmap; all must agree with the CountMerge
+// oracle over the 8-byte lists, in both argument orders.
 func FuzzIntersectKernels(f *testing.F) {
 	f.Add([]byte{1, 2, 3}, []byte{2, 3, 4})
 	f.Add([]byte{}, []byte{0})
 	f.Add([]byte{255, 0, 255}, []byte{1})
 	f.Add([]byte{7, 7, 7, 7, 7, 7, 7, 7, 9}, []byte{7})
 	f.Fuzz(func(t *testing.T, rawA, rawB []byte) {
-		a := sortedFromBytes(rawA)
-		b := sortedFromBytes(rawB)
+		a, b := sortedFromBytes[Vertex](rawA), sortedFromBytes[Vertex](rawB)
 		want := CountMerge(a, b)
-		if got := CountMergeBranchless(a, b); got != want {
-			t.Fatalf("branchless = %d, merge = %d (a=%v b=%v)", got, want, a, b)
-		}
-		if got := CountGallop(a, b); got != want {
-			t.Fatalf("gallop = %d, merge = %d (a=%v b=%v)", got, want, a, b)
-		}
-		if got := CountIntersect(a, b); got != want {
-			t.Fatalf("adaptive = %d, merge = %d (a=%v b=%v)", got, want, a, b)
-		}
-		if got := CountIntersect(b, a); got != want {
-			t.Fatalf("adaptive reversed = %d, merge = %d (a=%v b=%v)", got, want, a, b)
-		}
-		var each uint64
-		ForEachCommon(a, b, func(Vertex) { each++ })
-		if each != want {
-			t.Fatalf("ForEachCommon = %d, merge = %d", each, want)
-		}
-		// Bitmap kernel: index b, probe with a (domain = max value + 1).
-		var domain Vertex = 1
-		for _, x := range b {
-			if x >= domain {
-				domain = x + 1
-			}
-		}
-		for _, x := range a {
-			if x >= domain {
-				domain = x + 1
-			}
-		}
-		bs := NewBitset(int(domain))
-		bs.SetList(b)
-		if got := bs.CountList(a); got != want {
-			t.Fatalf("bitmap = %d, merge = %d (a=%v b=%v)", got, want, a, b)
-		}
-		var bits uint64
-		bs.ForEachCommonList(a, func(Vertex) { bits++ })
-		if bits != want {
-			t.Fatalf("bitmap ForEach = %d, merge = %d", bits, want)
-		}
-		// Bitset ∩ Bitset via AND + popcount.
-		ba := NewBitset(int(domain))
-		ba.SetList(a)
-		if got := ba.CountAnd(bs); got != want {
-			t.Fatalf("bitmap AND = %d, merge = %d (a=%v b=%v)", got, want, a, b)
-		}
-		var and uint64
-		ba.ForEachAnd(bs, func(Vertex) { and++ })
-		if and != want {
-			t.Fatalf("bitmap ForEachAnd = %d, merge = %d", and, want)
-		}
+		domain := checkKernels(t, a, b, want)
+		ra, rb := sortedFromBytes[uint32](rawA), sortedFromBytes[uint32](rawB)
+		checkKernels(t, ra, rb, want)
 		// Stamped kernel: both role assignments (so the stamped list is the
 		// shorter side in one of them and the longer in the other, empty lists
 		// included), partner with and without a hub bitmap.
 		for _, hub := range []bool{false, true} {
-			checkStamped(t, a, b, int(domain), hub)
-			checkStamped(t, b, a, int(domain), hub)
+			checkStamped(t, ra, rb, domain, hub)
+			checkStamped(t, rb, ra, domain, hub)
 		}
 	})
+}
+
+// checkKernels runs every pairwise and set kernel of one instantiation on
+// a ∩ b against want, and returns the smallest domain holding both lists.
+func checkKernels[T Index](t *testing.T, a, b []T, want uint64) int {
+	t.Helper()
+	if got := CountMerge(a, b); got != want {
+		t.Fatalf("merge = %d, want %d (a=%v b=%v)", got, want, a, b)
+	}
+	if got := CountMergeBranchless(a, b); got != want {
+		t.Fatalf("branchless = %d, merge = %d (a=%v b=%v)", got, want, a, b)
+	}
+	if got := CountGallop(a, b); got != want {
+		t.Fatalf("gallop = %d, merge = %d (a=%v b=%v)", got, want, a, b)
+	}
+	if got := CountIntersect(a, b); got != want {
+		t.Fatalf("adaptive = %d, merge = %d (a=%v b=%v)", got, want, a, b)
+	}
+	if got := CountIntersect(b, a); got != want {
+		t.Fatalf("adaptive reversed = %d, merge = %d (a=%v b=%v)", got, want, a, b)
+	}
+	var each uint64
+	ForEachCommon(a, b, func(T) { each++ })
+	if each != want {
+		t.Fatalf("ForEachCommon = %d, merge = %d", each, want)
+	}
+	// Bitmap kernel: index b, probe with a (domain = max value + 1).
+	domain := 1
+	for _, l := range [][]T{a, b} {
+		if len(l) > 0 {
+			domain = max(domain, int(l[len(l)-1])+1)
+		}
+	}
+	bs := NewBitset(domain)
+	SetList(bs, b)
+	if got := CountList(bs, a); got != want {
+		t.Fatalf("bitmap = %d, merge = %d (a=%v b=%v)", got, want, a, b)
+	}
+	var bits uint64
+	ForEachCommonList(bs, a, func(T) { bits++ })
+	if bits != want {
+		t.Fatalf("bitmap ForEach = %d, merge = %d", bits, want)
+	}
+	// Bitset ∩ Bitset via AND + popcount.
+	ba := NewBitset(domain)
+	SetList(ba, a)
+	if got := ba.CountAnd(bs); got != want {
+		t.Fatalf("bitmap AND = %d, merge = %d (a=%v b=%v)", got, want, a, b)
+	}
+	var and uint64
+	ba.ForEachAnd(bs, func(Vertex) { and++ })
+	if and != want {
+		t.Fatalf("bitmap ForEachAnd = %d, merge = %d", and, want)
+	}
+	// A bare Mark of this instantiation (the streaming engine's global-ID
+	// marks are Mark[Vertex]): stamp b, probe with a, leave it all-zero.
+	m := NewMark[T](domain)
+	m.Stamp(b)
+	if got := m.CountList(a); got != want {
+		t.Fatalf("mark = %d, merge = %d (a=%v b=%v)", got, want, a, b)
+	}
+	var marked uint64
+	m.ForEachCommonList(a, func(T) { marked++ })
+	if marked != want {
+		t.Fatalf("mark ForEach = %d, merge = %d", marked, want)
+	}
+	m.Unstamp()
+	if got := m.bits.CountAnd(m.bits); got != 0 {
+		t.Fatalf("mark holds %d bits after Unstamp", got)
+	}
+	return domain
 }
 
 // checkStamped runs all three shapes of the stamped wedge kernel for
@@ -157,7 +182,7 @@ func FuzzIntersectKernels(f *testing.F) {
 // oriented view over [0, domain), against the merge oracle: count, split at
 // 0, at Rows, and at a value inside the partner, and for-each (ascending).
 // The mark must be all-zero again after every Unstamp.
-func checkStamped(t *testing.T, list, partner []Vertex, domain int, hub bool) {
+func checkStamped(t *testing.T, list, partner []uint32, domain int, hub bool) {
 	t.Helper()
 	off := make([]int64, domain+1)
 	for r := 1; r <= domain; r++ {
@@ -166,11 +191,11 @@ func checkStamped(t *testing.T, list, partner []Vertex, domain int, hub bool) {
 	o := &LocalOriented{L: &LocalGraph{nLocal: domain}, off: off, rowOut: partner}
 	if hub {
 		bs := NewBitset(domain)
-		bs.SetList(partner)
+		SetList(bs, partner)
 		o.hubs = hubIndex{stride: BitsetWords(domain), perRow: make([]Bitset, domain), hubs: 1}
 		o.hubs.perRow[0] = bs
 	}
-	splits := []Vertex{0, Vertex(domain)}
+	splits := []uint32{0, uint32(domain)}
 	if len(partner) > 0 {
 		splits = append(splits, partner[len(partner)/2])
 	}
@@ -193,49 +218,44 @@ func checkStamped(t *testing.T, list, partner []Vertex, domain int, hub bool) {
 			t.Fatalf("Probe swapped=%v with hub=%v |list|=%d |partner|=%d", swapped, hub, len(list), len(partner))
 		}
 	}
-	if got := set.CountList(probe); got != want {
+	if got := CountList(set, probe); got != want {
 		t.Fatalf("stamped count = %d, merge = %d (hub=%v list=%v partner=%v)", got, want, hub, list, partner)
 	}
 	clear()
 	for _, split := range splits {
 		var wantBelow uint64
-		ForEachCommon(list, partner, func(w Vertex) {
+		ForEachCommon(list, partner, func(w uint32) {
 			if w < split {
 				wantBelow++
 			}
 		})
 		m.Stamp(list)
 		set, probe = o.Probe(m, 0)
-		below, rest := set.CountListSplit(probe, split)
+		below, rest := CountListSplit(set, probe, split)
 		if below != wantBelow || below+rest != want {
 			t.Fatalf("stamped split at %d = %d+%d, want %d+%d (hub=%v list=%v partner=%v)",
 				split, below, rest, wantBelow, want-wantBelow, hub, list, partner)
 		}
 		clear()
 	}
-	var common, got []Vertex
-	ForEachCommon(list, partner, func(w Vertex) { common = append(common, w) })
+	var common, got []uint32
+	ForEachCommon(list, partner, func(w uint32) { common = append(common, w) })
 	m.Stamp(list)
 	set, probe = o.Probe(m, 0)
-	set.ForEachCommonList(probe, func(w Vertex) { got = append(got, w) })
+	ForEachCommonList(set, probe, func(w uint32) { got = append(got, w) })
 	clear()
-	if len(got) != len(common) {
+	if !slices.Equal(got, common) {
 		t.Fatalf("stamped for-each = %v, merge = %v (hub=%v)", got, common, hub)
-	}
-	for i := range got {
-		if got[i] != common[i] {
-			t.Fatalf("stamped for-each = %v, merge = %v (hub=%v)", got, common, hub)
-		}
 	}
 }
 
-// sortedFromBytes maps fuzz bytes to a strictly ascending vertex slice
+// sortedFromBytes maps fuzz bytes to a strictly ascending index slice
 // (cumulative gaps, so adjacent duplicates become distinct values).
-func sortedFromBytes(raw []byte) []Vertex {
-	out := make([]Vertex, 0, len(raw))
-	cur := Vertex(0)
+func sortedFromBytes[T Index](raw []byte) []T {
+	out := make([]T, 0, len(raw))
+	cur := T(0)
 	for _, b := range raw {
-		cur += Vertex(b) + 1
+		cur += T(b) + 1
 		out = append(out, cur-1)
 	}
 	return out

@@ -110,7 +110,7 @@ func TestLocalGraphHostileLookups(t *testing.T) {
 		}
 	}
 	var tr RowTranslator
-	if rows, nLoc := solo.TranslateRows(&tr, hostile); nLoc != 2 || !slices.Equal(rows, []uint64{0, 1}) {
+	if rows, nLoc := solo.TranslateRows(&tr, hostile); nLoc != 2 || !slices.Equal(rows, []uint32{0, 1}) {
 		t.Fatalf("p=1: TranslateRows = %v (nLocal %d), want [0 1] (2)", rows, nLoc)
 	}
 
@@ -138,11 +138,11 @@ func TestLocalGraphHostileLookups(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		list []Vertex
-		want []uint64
+		want []uint32
 	}{
-		{[]Vertex{0, 2, 3}, []uint64{0, 2, 3}},
-		{[]Vertex{3, 2, 0}, []uint64{0, 3, 2}},
-		{[]Vertex{3, ^Vertex(0), 4, 2, 2}, []uint64{3, 2, 2}},
+		{[]Vertex{0, 2, 3}, []uint32{0, 2, 3}},
+		{[]Vertex{3, 2, 0}, []uint32{0, 3, 2}},
+		{[]Vertex{3, ^Vertex(0), 4, 2, 2}, []uint32{3, 2, 2}},
 	} {
 		if rows, _ := lg.TranslateRows(&tr, tc.list); !slices.Equal(rows, tc.want) {
 			t.Fatalf("TranslateRows(%v) = %v, want %v", tc.list, rows, tc.want)

@@ -130,7 +130,7 @@ func BenchmarkLocalOrientedCount(b *testing.B) {
 					mark.Stamp(av)
 					for _, ur := range av {
 						set, probe := ori.Probe(mark, int32(ur))
-						sink += set.CountList(probe)
+						sink += graph.CountList(set, probe)
 					}
 					mark.Unstamp()
 				}

@@ -2,9 +2,12 @@ package graph
 
 import "math/bits"
 
-// Set intersection of sorted vertex slices — the inner loop of every EDGE
-// ITERATOR variant. Two families of kernels are provided. Pairwise, for a
-// single intersection with nothing to amortise:
+// Set intersection of sorted index lists — the inner loop of every EDGE
+// ITERATOR variant. Every kernel has one generic body over Index: 4-byte
+// row indices (every row-translated A-list, 2D block entry and row mark)
+// and 8-byte global IDs (the OutGraph of SeqCount, received records, the
+// streaming engine's marks). Two families of kernels are provided.
+// Pairwise, for a single intersection with nothing to amortise:
 //
 //   - CountMerge: the textbook two-pointer merge (branchy; fast when the
 //     comparison outcome is predictable, i.e. very clustered inputs).
@@ -17,12 +20,17 @@ import "math/bits"
 // galloping. Set-based, where one side is a Bitset and the other a list
 // tested against it — one bit test per list entry whatever the set's size:
 //
-//   - Bitset.CountList / CountListSplit / ForEachCommonList (and CountAnd /
+//   - CountList / CountListSplit / ForEachCommonList (and Bitset.CountAnd /
 //     ForEachAnd for bitset ∩ bitset). The set is either a build-time hub
-//     bitmap (the hub index in oriented.go / order.go / block.go) or a
-//     RowMark stamped at run time with a source list that several partner
-//     lists are then probed against — the stamped wedge kernel every 1D
-//     row-space wedge goes through; LocalOriented.Probe picks the sides.
+//     bitmap (the hub index in oriented.go / order.go) or a Mark stamped at
+//     run time with a source list that several partner lists are then
+//     probed against — the stamped wedge kernel every 1D row-space wedge and
+//     every TK2D round goes through; LocalOriented.Probe picks the sides.
+
+// Index is the element type of the sorted lists the kernels run on: uint32
+// for row indices (row space is bounded to 2³¹−1 rows per PE, see
+// MaxRows), Vertex for global IDs.
+type Index interface{ uint32 | uint64 }
 
 // gallopRatio is the size skew |b|/|a| beyond which galloping beats merging:
 // merge is O(|a|+|b|), galloping O(|a|·log|b|).
@@ -43,7 +51,7 @@ func Skewed(short, long int) bool { return short*gallopRatio < long }
 // execution of the predictable-enough branchy loop is ~2–3x faster even on
 // random interleavings (see BenchmarkIntersect). The branchless kernel stays
 // available for targets where the trade goes the other way.
-func CountIntersect(a, b []Vertex) uint64 {
+func CountIntersect[T Index](a, b []T) uint64 {
 	if len(a) == 0 || len(b) == 0 {
 		return 0
 	}
@@ -54,7 +62,7 @@ func CountIntersect(a, b []Vertex) uint64 {
 }
 
 // ForEachCommon calls fn for every element of a ∩ b, in ascending order.
-func ForEachCommon(a, b []Vertex, fn func(Vertex)) {
+func ForEachCommon[T Index](a, b []T, fn func(T)) {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		x, y := a[i], b[j]
@@ -72,7 +80,7 @@ func ForEachCommon(a, b []Vertex, fn func(Vertex)) {
 
 // CountGallop intersects by exponential + binary search of each element of
 // the smaller slice in the larger one.
-func CountGallop(a, b []Vertex) uint64 {
+func CountGallop[T Index](a, b []T) uint64 {
 	if len(a) > len(b) {
 		a, b = b, a
 	}
@@ -109,7 +117,7 @@ func CountGallop(a, b []Vertex) uint64 {
 
 // CountMerge is the plain branchy two-pointer merge intersection, the oracle
 // kernel every other kernel is tested and benchmarked against.
-func CountMerge(a, b []Vertex) uint64 {
+func CountMerge[T Index](a, b []T) uint64 {
 	var cnt uint64
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
@@ -141,7 +149,7 @@ func b2u(b bool) uint64 {
 // instead of data-dependent branches: every iteration executes the same
 // instruction sequence, so random interleavings cost no branch
 // mispredictions.
-func CountMergeBranchless(a, b []Vertex) uint64 {
+func CountMergeBranchless[T Index](a, b []T) uint64 {
 	var cnt uint64
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
@@ -164,9 +172,6 @@ func BitsetWords(n int) int { return (n + 63) / 64 }
 // NewBitset returns an empty bitset over [0, n).
 func NewBitset(n int) Bitset { return make(Bitset, BitsetWords(n)) }
 
-// Set marks x as a member. x must be inside the domain.
-func (bs Bitset) Set(x Vertex) { bs[x>>6] |= 1 << (x & 63) }
-
 // Clear resets every bit.
 func (bs Bitset) Clear() {
 	for i := range bs {
@@ -178,16 +183,16 @@ func (bs Bitset) Clear() {
 func (bs Bitset) Has(x Vertex) bool { return bs[x>>6]>>(x&63)&1 != 0 }
 
 // SetList marks every element of list (elements must be inside the domain).
-func (bs Bitset) SetList(list []Vertex) {
+func SetList[T Index](bs Bitset, list []T) {
 	for _, x := range list {
-		bs.Set(x)
+		bs[x>>6] |= 1 << (x & 63)
 	}
 }
 
 // CountList returns |list ∩ bs| by one branchless membership test per list
 // element: O(len(list)) independent of the indexed set's size. Every list
 // element must lie inside the bitset's domain.
-func (bs Bitset) CountList(list []Vertex) uint64 {
+func CountList[T Index](bs Bitset, list []T) uint64 {
 	var cnt uint64
 	for _, x := range list {
 		cnt += bs[x>>6] >> (x & 63) & 1
@@ -199,13 +204,23 @@ func (bs Bitset) CountList(list []Vertex) uint64 {
 // list that are < split, rest those ≥ split. list must be ascending, so the
 // members below split are a prefix and the split test costs one predictable
 // branch flip per call, not one per element.
-func (bs Bitset) CountListSplit(list []Vertex, split Vertex) (below, rest uint64) {
+func CountListSplit[T Index](bs Bitset, list []T, split T) (below, rest uint64) {
 	i := 0
 	for ; i < len(list) && list[i] < split; i++ {
 		x := list[i]
 		below += bs[x>>6] >> (x & 63) & 1
 	}
-	return below, bs.CountList(list[i:])
+	return below, CountList(bs, list[i:])
+}
+
+// ForEachCommonList calls fn for every element of list that is a member of
+// bs, in list order (ascending for sorted lists).
+func ForEachCommonList[T Index](bs Bitset, list []T, fn func(T)) {
+	for _, x := range list {
+		if bs[x>>6]>>(x&63)&1 != 0 {
+			fn(x)
+		}
+	}
 }
 
 // CountAnd returns |bs ∩ other| by word-AND + popcount. Both bitsets must
@@ -218,16 +233,6 @@ func (bs Bitset) CountAnd(other Bitset) uint64 {
 	return uint64(cnt)
 }
 
-// ForEachCommonList calls fn for every element of list that is a member, in
-// list order (ascending for sorted lists).
-func (bs Bitset) ForEachCommonList(list []Vertex, fn func(Vertex)) {
-	for _, x := range list {
-		if bs[x>>6]>>(x&63)&1 != 0 {
-			fn(x)
-		}
-	}
-}
-
 // ForEachAnd calls fn for every common member of bs and other, ascending.
 func (bs Bitset) ForEachAnd(other Bitset, fn func(Vertex)) {
 	for i, w := range bs {
@@ -238,4 +243,57 @@ func (bs Bitset) ForEachAnd(other Bitset, fn func(Vertex)) {
 			w &= w - 1
 		}
 	}
+}
+
+// Mark is the reusable "mark once" half of the stamped wedge kernel: a
+// bitset over a dense domain — row indices in the static engines (RowMark),
+// global IDs in the streaming delta engine, which never builds a row space —
+// holding one ascending list (a source neighborhood A(v)), against which any
+// number of partner lists A(u) are then probed. Stamp sets the list's L
+// bits, Unstamp zeroes exactly the words those L entries touched — never the
+// whole domain — so a mark costs 2·L word writes however large the domain
+// is, and between stampings the bitset is all-zero.
+//
+// A mark holds one list at a time. Code that can be re-entered while its
+// list is stamped (a queue handler dispatched from inside a send, see
+// core.countState) needs a mark per nesting level; Stamp panics on a mark
+// that is still stamped rather than let two lists blend into one miscount.
+type Mark[T Index] struct {
+	bits Bitset
+	list []T // the stamped list (aliased, not copied); nil when clear
+}
+
+// RowMark is a Mark over row indices.
+type RowMark = Mark[uint32]
+
+// NewMark returns a clear mark over the dense domain [0, n) (n/8 bytes).
+func NewMark[T Index](n int) *Mark[T] { return &Mark[T]{bits: NewBitset(n)} }
+
+// Stamp marks list, which must hold in-domain indices, ascending (every
+// OutRows slice and every TranslateRows result qualifies). The slice is
+// aliased until Unstamp.
+func (m *Mark[T]) Stamp(list []T) {
+	if m.list != nil {
+		panic("graph: Mark stamped while still holding a list")
+	}
+	m.list = list
+	SetList(m.bits, list)
+}
+
+// Unstamp clears the stamped list's words, leaving the mark all-zero.
+func (m *Mark[T]) Unstamp() {
+	for _, x := range m.list {
+		m.bits[x>>6] = 0
+	}
+	m.list = nil
+}
+
+// CountList returns |list ∩ stamped list|: one bit test per element of list,
+// which must lie inside the mark's domain.
+func (m *Mark[T]) CountList(list []T) uint64 { return CountList(m.bits, list) }
+
+// ForEachCommonList calls fn for every element of list ∩ stamped list, in
+// list order.
+func (m *Mark[T]) ForEachCommonList(list []T, fn func(T)) {
+	ForEachCommonList(m.bits, list, fn)
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/part"
@@ -36,7 +37,7 @@ type LocalGraph struct {
 	ghosts  ghostIndex // global ID -> i, the inverse of ghostID
 	off     []int64    // CSR offsets, len = rows+1
 	adj     []Vertex   // global IDs, each row sorted ascending
-	adjRow  []int32    // adj translated to row indices (same layout)
+	adjRow  []uint32   // adj translated to row indices (same layout)
 	deg     []int      // global degree per row; ghost entries -1 until set
 }
 
@@ -104,6 +105,18 @@ func BuildLocalCSR(pt *part.Partition, rank int, g *Graph, threads int) *LocalGr
 	return buildRows(pt, rank, func(r int) []Vertex { return g.Neighbors(first + Vertex(r)) }, nil, threads)
 }
 
+// MaxRows is the most rows one PE's row space holds: the local vertices and
+// ghosts of a 1D view, or the vertices of a 2D band. Rows are int32 in the
+// API and 4-byte entries in every row list, block and mark.
+const MaxRows = math.MaxInt32
+
+// checkRowSpace panics unless rows fit a row space (MaxRows).
+func checkRowSpace(rank int, rows uint64) {
+	if rows > MaxRows {
+		panic(fmt.Sprintf("graph: PE %d holds %d rows, more than the %d a row space indexes", rank, rows, MaxRows))
+	}
+}
+
 // slabRowChunk is the fewest rows worth a builder worker of their own.
 const slabRowChunk = 64
 
@@ -115,7 +128,7 @@ type slabWorker struct {
 	cutRows []int32    // the rows of the block that hold them, ascending
 	set     ghostIndex // provisional ordinal <-> ghost ID
 	cnt     []int32    // per provisional ordinal: cut entries naming it
-	final   []int32    // per provisional ordinal: the ghost's row
+	final   []uint32   // per provisional ordinal: the ghost's row
 	pos     []int64    // per provisional ordinal: write cursor into that row
 }
 
@@ -144,16 +157,19 @@ func checkRow(nb []Vertex, v, n Vertex, rank int) {
 //     entries through the worker's growable ghost set, which hands out
 //     provisional ordinals in first-appearance order and counts each
 //     ghost's incidence — the only hash probe a cut entry ever pays;
-//  3. sort the distinct ghosts only, build the final ghost index over them
-//     and map every provisional ordinal to its ghost row (one probe per
-//     ghost per worker); incidences size the ghost rows, and worker-major
-//     cursors into them keep the fill deterministic;
+//  3. sort the distinct ghosts only — a PE whose locals and ghosts together
+//     pass MaxRows panics here, naming the PE, before a provisional ordinal
+//     is read back — build the final ghost index over them and map every
+//     provisional ordinal to its ghost row (one probe per ghost per
+//     worker); incidences size the ghost rows, and worker-major cursors into
+//     them keep the fill deterministic;
 //  4. fill: copy each local row into adj; then, in the rows that hold cut
 //     entries, rewrite provisional to final in adjRow and transpose every
 //     cut entry into its ghost row. Rows are visited ascending, so ghost
 //     rows come out sorted, and translated.
 func buildRows(pt *part.Partition, rank int, row func(r int) []Vertex, release func(r int), threads int) *LocalGraph {
 	first, last := pt.Range(rank)
+	checkRowSpace(rank, last-first)
 	nl := int(last - first)
 	l := &LocalGraph{Part: pt, Rank: rank, First: first, Last: last, nLocal: nl}
 	w := workersFor(threads, nl, slabRowChunk)
@@ -182,7 +198,7 @@ func buildRows(pt *part.Partition, rank int, row func(r int) []Vertex, release f
 		total += ws[i].cut
 	}
 
-	adjRow := make([]int32, total)
+	adjRow := make([]uint32, total)
 	parallelBlocks(w, nl, func(worker, lo, hi int) {
 		s := &ws[worker]
 		s.set = newGhostIndex(nil)
@@ -191,7 +207,7 @@ func buildRows(pt *part.Partition, rank int, row func(r int) []Vertex, release f
 			cut := false
 			for k, x := range row(r) {
 				if d := x - first; d < Vertex(nl) {
-					dst[k] = int32(d)
+					dst[k] = uint32(d)
 					continue
 				}
 				o := s.set.insert(x)
@@ -199,7 +215,7 @@ func buildRows(pt *part.Partition, rank int, row func(r int) []Vertex, release f
 					s.cnt = append(s.cnt, 0)
 				}
 				s.cnt[o]++
-				dst[k], cut = int32(nl+o), true
+				dst[k], cut = uint32(nl+o), true
 			}
 			if cut {
 				s.cutRows = append(s.cutRows, int32(r))
@@ -212,16 +228,17 @@ func buildRows(pt *part.Partition, rank int, row func(r int) []Vertex, release f
 	}
 	slices.Sort(l.ghostID)
 	l.ghostID = slices.Compact(l.ghostID)
+	checkRowSpace(rank, uint64(nl)+uint64(len(l.ghostID)))
 	l.ghosts = newGhostIndex(l.ghostID)
 	rows := nl + len(l.ghostID)
 	off := make([]int64, rows+1)
 	copy(off, localOff)
 	for i := range ws {
 		s := &ws[i]
-		s.final = make([]int32, len(s.cnt))
+		s.final = make([]uint32, len(s.cnt))
 		for o, x := range s.set.ids {
 			g, _ := l.ghosts.find(x)
-			s.final[o] = int32(nl + g)
+			s.final[o] = uint32(nl + g)
 			off[nl+g+1] += int64(s.cnt[o])
 		}
 	}
@@ -254,7 +271,7 @@ func buildRows(pt *part.Partition, rank int, row func(r int) []Vertex, release f
 					tr[k] = s.final[o]
 					p := s.pos[o]
 					s.pos[o] = p + 1
-					adj[p], adjRow[p] = first+Vertex(r), r
+					adj[p], adjRow[p] = first+Vertex(r), uint32(r)
 				}
 			}
 		}
@@ -279,8 +296,8 @@ func (l *LocalGraph) isLocal(v Vertex) bool { return v >= l.First && v < l.Last 
 // ready to use. It grows to the largest list translated through it and then
 // allocates nothing.
 type RowTranslator struct {
-	loc []uint64
-	gho []uint64
+	loc []uint32
+	gho []uint32
 }
 
 // TranslateRows maps a global-ID list to row indices using tr's scratch,
@@ -292,16 +309,16 @@ type RowTranslator struct {
 // out-of-order list comes back out of order, never short. The returned slice
 // aliases tr's scratch and is valid until the next call; nLocal is the
 // length of the local-row prefix.
-func (l *LocalGraph) TranslateRows(tr *RowTranslator, list []Vertex) (rows []uint64, nLocal int) {
+func (l *LocalGraph) TranslateRows(tr *RowTranslator, list []Vertex) (rows []uint32, nLocal int) {
 	loc, gho := tr.loc[:0], tr.gho[:0]
 	first := l.First
 	for _, x := range list {
 		if l.isLocal(x) {
-			loc = append(loc, x-first)
+			loc = append(loc, uint32(x-first))
 			continue
 		}
 		if g, ok := l.ghosts.find(x); ok {
-			gho = append(gho, uint64(l.nLocal+g))
+			gho = append(gho, uint32(l.nLocal+g))
 		}
 	}
 	nLocal = len(loc)
@@ -367,7 +384,7 @@ func (l *LocalGraph) RowNeighbors(row int32) []Vertex { return l.adj[l.off[row]:
 // RowNeighborRows returns the same neighborhood as RowNeighbors but
 // translated to row indices (aligned element-for-element with the global-ID
 // slice, i.e. ordered by global ID, not by row).
-func (l *LocalGraph) RowNeighborRows(row int32) []int32 { return l.adjRow[l.off[row]:l.off[row+1]] }
+func (l *LocalGraph) RowNeighborRows(row int32) []uint32 { return l.adjRow[l.off[row]:l.off[row+1]] }
 
 // Degree returns the global degree of a row; -1 for ghosts before the
 // ghost-degree exchange has run.

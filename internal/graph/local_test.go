@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/part"
@@ -217,4 +219,29 @@ func TestBuildLocalRejectsForeignEdge(t *testing.T) {
 		}
 	}()
 	BuildLocal(pt, 0, []Edge{{7, 8}}) // both endpoints on PE 1
+}
+
+// TestRowSpaceBoundNamesPE: rows are 4-byte indices, so a PE whose locals
+// (or, once the build has discovered them, locals plus ghosts) pass
+// MaxRows panics with a message naming it — the slab builder before it
+// reads a row or sizes an array.
+func TestRowSpaceBoundNamesPE(t *testing.T) {
+	wantPanic := func(frag string, f func()) {
+		t.Helper()
+		defer func() {
+			t.Helper()
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), frag) {
+				t.Fatalf("panic %v, want one naming %q", r, frag)
+			}
+		}()
+		f()
+	}
+	checkRowSpace(5, MaxRows) // exactly full: fine
+	wantPanic("PE 5 holds 2147483648 rows", func() { checkRowSpace(5, MaxRows+1) })
+	wantPanic("PE 3 holds 2147483648 rows", func() {
+		buildRows(part.Uniform(1<<33, 4), 3, func(int) []Vertex {
+			t.Fatal("row read before the bound was checked")
+			return nil
+		}, nil, 1)
+	})
 }

@@ -57,7 +57,7 @@ func (o *OutGraph) HubBitset(v Vertex) Bitset { return o.hubs.bitset(int(v)) }
 // one hub lookup per pair.
 func (o *OutGraph) CountListWith(list []Vertex, u Vertex) uint64 {
 	if bu := o.hubs.bitset(int(u)); bu != nil {
-		return bu.CountList(list)
+		return CountList(bu, list)
 	}
 	return CountIntersect(list, o.Out(u))
 }
@@ -66,7 +66,7 @@ func (o *OutGraph) CountListWith(list []Vertex, u Vertex) uint64 {
 // ascending.
 func (o *OutGraph) ForEachCommonListWith(list []Vertex, u Vertex, fn func(Vertex)) {
 	if bu := o.hubs.bitset(int(u)); bu != nil {
-		bu.ForEachCommonList(list, fn)
+		ForEachCommonList(bu, list, fn)
 		return
 	}
 	ForEachCommon(list, o.Out(u), fn)
@@ -81,15 +81,15 @@ func (o *OutGraph) CountPair(v, u Vertex) uint64 {
 		lv, lu := o.OutDegree(v), o.OutDegree(u)
 		if min(lv, lu) < o.hubs.stride {
 			if lv <= lu {
-				return bu.CountList(o.Out(v))
+				return CountList(bu, o.Out(v))
 			}
-			return bv.CountList(o.Out(u))
+			return CountList(bv, o.Out(u))
 		}
 		return bv.CountAnd(bu)
 	case bu != nil:
-		return bu.CountList(o.Out(v))
+		return CountList(bu, o.Out(v))
 	case bv != nil:
-		return bv.CountList(o.Out(u))
+		return CountList(bv, o.Out(u))
 	default:
 		return CountIntersect(o.Out(v), o.Out(u))
 	}

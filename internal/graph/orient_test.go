@@ -19,7 +19,7 @@ import (
 
 // flatOriented lays o's rows end to end: offsets, global-ID entries and
 // row-space entries.
-func flatOriented(o *graph.LocalOriented) (off []int64, out, rowOut []graph.Vertex) {
+func flatOriented(o *graph.LocalOriented) (off []int64, out []graph.Vertex, rowOut []uint32) {
 	off = []int64{0}
 	for r := 0; r < o.L.Rows(); r++ {
 		out = append(out, o.Out(int32(r))...)
@@ -42,11 +42,11 @@ func branchyOrientLocal(l *graph.LocalGraph, hi int, keep func(r int32, xr int32
 			ghosts = ghosts[:0]
 			for i, x := range l.RowNeighbors(r) {
 				xr := adjR[i]
-				if !keep(r, xr, x) {
+				if !keep(r, int32(xr), x) {
 					continue
 				}
 				out = append(out, x)
-				if xr < nLoc {
+				if int32(xr) < nLoc {
 					rowOut = append(rowOut, graph.Vertex(xr))
 				} else {
 					ghosts = append(ghosts, graph.Vertex(xr))
@@ -91,7 +91,7 @@ func branchyBlockCSR(g2 *part.Grid2D, rank int, g *graph.Graph) (off []int64, co
 }
 
 // flatBlock lays b's rows end to end.
-func flatBlock(b *graph.Block) (off []int64, col []graph.Vertex) {
+func flatBlock(b *graph.Block) (off []int64, col []uint32) {
 	off = []int64{0}
 	for rel := 0; rel < b.NRows(); rel++ {
 		col = append(col, b.Row(rel)...)
@@ -115,15 +115,19 @@ func branchyOrient(g *graph.Graph) [][]graph.Vertex {
 	return out
 }
 
-func requireFlatEqual(t *testing.T, tag string, wantOff, gotOff []int64, want, got [][]graph.Vertex) {
+// requireFlatEqual compares a flat layout with its branchy oracle: offsets
+// and global IDs exactly, the 4-byte row entries value for value against
+// the oracle's 64-bit ones.
+func requireFlatEqual(t *testing.T, tag string, wantOff, gotOff []int64, wantIDs, gotIDs, wantRows []graph.Vertex, gotRows []uint32) {
 	t.Helper()
 	if !slices.Equal(wantOff, gotOff) {
 		t.Fatalf("%s: offsets differ", tag)
 	}
-	for i := range want {
-		if !slices.Equal(want[i], got[i]) {
-			t.Fatalf("%s: entry array %d differs", tag, i)
-		}
+	if !slices.Equal(wantIDs, gotIDs) {
+		t.Fatalf("%s: global-ID entries differ", tag)
+	}
+	if !sameValues(gotRows, wantRows) {
+		t.Fatalf("%s: row entries differ", tag)
 	}
 }
 
@@ -154,7 +158,7 @@ func TestOrientationMatchesBranchyLoops(t *testing.T) {
 				for _, threads := range []int{1, 3} {
 					tag := fmt.Sprintf("%s p=%d rank=%d threads=%d", fix.Name, p, rank, threads)
 					gotOff, gotCol := flatBlock(graph.BuildBlockCSR(g2, rank, g, threads))
-					requireFlatEqual(t, tag+" block", wantOff, gotOff, [][]graph.Vertex{wantCol}, [][]graph.Vertex{gotCol})
+					requireFlatEqual(t, tag+" block", wantOff, gotOff, nil, nil, wantCol, gotCol)
 
 					lg := graph.BuildLocalCSR(pt, rank, g, threads)
 					setGhostDegrees(lg, g)
@@ -170,7 +174,7 @@ func TestOrientationMatchesBranchyLoops(t *testing.T) {
 					} {
 						wOff, wOut, wRow := branchyOrientLocal(lg, c.hi, c.keep)
 						gOff, gOut, gRow := flatOriented(c.got)
-						requireFlatEqual(t, tag+" "+c.name, wOff, gOff, [][]graph.Vertex{wOut, wRow}, [][]graph.Vertex{gOut, gRow})
+						requireFlatEqual(t, tag+" "+c.name, wOff, gOff, wOut, gOut, wRow, gRow)
 					}
 				}
 			}
@@ -206,7 +210,7 @@ func requireFilteredOriented(t *testing.T, tag string, l *graph.LocalGraph, o *g
 		}
 		slices.Sort(wantRows)
 		for i, x := range rows {
-			if x != wantRows[i] || (i > 0 && x <= rows[i-1]) {
+			if graph.Vertex(x) != wantRows[i] || (i > 0 && x <= rows[i-1]) {
 				t.Fatalf("%s row %d: OutRows = %v, want %v ascending", tag, r, rows, wantRows)
 			}
 		}
@@ -278,7 +282,7 @@ func FuzzOrientation(f *testing.F) {
 					want = append(want, g2.RelCol(v))
 				}
 			}
-			if got := b.Row(rel); !slices.Equal(got, want) {
+			if got := b.Row(rel); !sameValues(got, want) {
 				t.Fatalf("%s block row %d: %v, filter %v", tag, rel, got, want)
 			}
 		}

@@ -19,7 +19,9 @@ import (
 //   - OutRows(row): the same set translated to row indices, sorted ascending
 //     by row — the shape every local intersection runs on, so the hot loops
 //     never touch the ghost index and can use bitsets over the row domain:
-//     the per-hub bitmaps and the stamped RowMark (see Probe).
+//     the per-hub bitmaps and the stamped RowMark (see Probe). Row indices
+//     are 4 bytes (a PE holds at most MaxRows rows), so this layout and
+//     every kernel pass over it stream half the bytes of the ID layout.
 //
 // Building either requires ghost degrees, i.e. exchange_ghost_degree must
 // have run (except for the by-ID orientation).
@@ -27,7 +29,7 @@ type LocalOriented struct {
 	L      *LocalGraph
 	off    []int64
 	out    []Vertex // global IDs, ascending per row
-	rowOut []Vertex // row indices, ascending per row
+	rowOut []uint32 // row indices, ascending per row
 	hubs   hubIndex
 }
 
@@ -38,8 +40,8 @@ type LocalOriented struct {
 // low: the bitmap kernel already beats the merge at equal operand sizes
 // (BenchmarkIntersect), rows this heavy are intersected once per in-edge so
 // the O(stride) build cost amortizes, and the memory cap in BuildHubs
-// bounds the total bitmap footprint to the size of the A-lists themselves
-// regardless of the threshold.
+// bounds the total bitmap footprint to one word per A-list entry regardless
+// of the threshold.
 const DefaultHubMinDegree = 32
 
 // hubIndex maps heavy rows to packed bitsets over the row domain, so
@@ -61,15 +63,14 @@ func (h *hubIndex) bitset(row int) Bitset {
 }
 
 // buildHubs indexes rows with list length ≥ minDeg, capping total bitmap
-// memory at the memory of the lists themselves (one word per entry): with
-// stride words per bitmap, at most len(entries)/stride rows get one, largest
-// rows first. minDeg ≤ 0 disables the index. The bitset domain is the entry
-// value range — for the row-translated 1D layouts that equals the row
-// count, while 2D blocks index one band's rows with entries from another
-// band. Candidate selection is sequential (cheap); the bitmap fills fan out
-// over threads workers — each hub owns a disjoint stride of the backing
-// word array.
-func buildHubs(rows, domain int, off []int64, entries []Vertex, minDeg, threads int) hubIndex {
+// memory at one bitmap word per list entry: with stride words per bitmap,
+// at most len(entries)/stride rows get one, largest rows first. minDeg ≤ 0
+// disables the index. The bitset domain is the entry value range: the row
+// count for the 4-byte row-translated 1D layouts, the vertex count for the
+// 8-byte OutGraph lists. Candidate selection is sequential (cheap); the
+// bitmap fills fan out over threads workers — each hub owns a disjoint
+// stride of the backing word array.
+func buildHubs[T Index](rows, domain int, off []int64, entries []T, minDeg, threads int) hubIndex {
 	var h hubIndex
 	if minDeg <= 0 || rows == 0 || domain == 0 || len(entries) == 0 {
 		return h
@@ -106,9 +107,7 @@ func buildHubs(rows, domain int, off []int64, entries []Vertex, minDeg, threads 
 		for i := lo; i < hi; i++ {
 			r := cand[i]
 			bs := Bitset(h.bits[i*h.stride : (i+1)*h.stride])
-			for _, x := range entries[off[r]:off[r+1]] {
-				bs.Set(x)
-			}
+			SetList(bs, entries[off[r]:off[r+1]])
 			h.perRow[r] = bs
 		}
 	})
@@ -161,7 +160,7 @@ func orientDegree(l *LocalGraph, hi, threads int) *LocalOriented {
 	o := newLocalOriented(l, off)
 	type scratch struct {
 		ids []Vertex
-		rws []int32
+		rws []uint32
 	}
 	scratches := make([]scratch, workersFor(threads, hi, orientChunk))
 	parallelFor(threads, hi, orientChunk, func(worker, rlo, rhi int) {
@@ -193,29 +192,21 @@ func newLocalOriented(l *LocalGraph, off []int64) *LocalOriented {
 		off[r+1] += off[r]
 	}
 	return &LocalOriented{L: l, off: off,
-		out: make([]Vertex, off[rows]), rowOut: make([]Vertex, off[rows])}
+		out: make([]Vertex, off[rows]), rowOut: make([]uint32, off[rows])}
 }
 
 // place fills row r of both layouts from its kept entries: ids ascending,
 // rws their rows. An ID-sorted row is [ghosts < First][locals][ghosts ≥
 // Last], and ghost rows are numbered in ID order, so the row-space layout is
-// locals, low ghosts, high ghosts — two binary searches, three copies.
-func (o *LocalOriented) place(r int, ids []Vertex, rws []int32) {
+// locals, low ghosts, high ghosts — two binary searches, four copies.
+func (o *LocalOriented) place(r int, ids []Vertex, rws []uint32) {
 	lo, _ := slices.BinarySearch(ids, o.L.First)
 	hi, _ := slices.BinarySearch(ids, o.L.Last)
 	copy(o.out[o.off[r]:], ids)
 	dst := o.rowOut[o.off[r]:o.off[r+1]]
-	dst = widen(dst, rws[lo:hi])
-	dst = widen(dst, rws[:lo])
-	widen(dst, rws[hi:])
-}
-
-// widen copies src into the front of dst and returns the rest of dst.
-func widen(dst []Vertex, src []int32) []Vertex {
-	for i, x := range src {
-		dst[i] = Vertex(x)
-	}
-	return dst[len(src):]
+	n := copy(dst, rws[lo:hi])
+	n += copy(dst[n:], rws[:lo])
+	copy(dst[n:], rws[hi:])
 }
 
 // orientChunk is the number of rows per stolen chunk in the orientation,
@@ -283,7 +274,7 @@ func (o *LocalOriented) Out(row int32) []Vertex { return o.out[o.off[row]:o.off[
 
 // OutRows returns A(row) translated to row indices, sorted ascending by row.
 // Aliases internal storage.
-func (o *LocalOriented) OutRows(row int32) []Vertex { return o.rowOut[o.off[row]:o.off[row+1]] }
+func (o *LocalOriented) OutRows(row int32) []uint32 { return o.rowOut[o.off[row]:o.off[row+1]] }
 
 // OutDegree returns |A(row)|.
 func (o *LocalOriented) OutDegree(row int32) int { return int(o.off[row+1] - o.off[row]) }
@@ -294,60 +285,8 @@ func (o *LocalOriented) TotalOut() int { return len(o.out) }
 // HubBitset returns the packed bitmap of a hub row, or nil.
 func (o *LocalOriented) HubBitset(row int32) Bitset { return o.hubs.bitset(int(row)) }
 
-// RowMark is the reusable "mark once" half of the stamped wedge kernel: a
-// bitset over a dense domain — row indices in the static engine, global IDs
-// in the streaming delta engine — holding one ascending list (a source
-// neighborhood A(v)), against which any number of partner lists A(u) are
-// then probed. Stamp sets the list's L bits, Unstamp zeroes exactly the
-// words those L entries touched — never the whole domain — so a mark costs
-// 2·L word writes however large the row space is, and between stampings the
-// bitset is all-zero.
-//
-// A mark holds one list at a time. Code that can be re-entered while its
-// list is stamped (a queue handler dispatched from inside a send, see
-// core.countState) needs a mark per nesting level; Stamp panics on a mark
-// that is still stamped rather than let two lists blend into one miscount.
-type RowMark struct {
-	bits Bitset
-	list []Vertex // the stamped list (aliased, not copied); nil when clear
-}
-
-// NewMark returns a clear mark over the dense domain [0, n) (n/8 bytes). The
-// static engine marks row indices (NewRowMark); the streaming delta engine,
-// which never builds a row space, marks global vertex IDs.
-func NewMark(n int) *RowMark { return &RowMark{bits: NewBitset(n)} }
-
 // NewRowMark returns a clear mark over o's row domain (Rows/8 bytes).
-func (o *LocalOriented) NewRowMark() *RowMark { return NewMark(o.L.Rows()) }
-
-// Stamp marks list, which must hold in-domain indices, ascending (every
-// OutRows slice and every TranslateRows result qualifies). The slice is
-// aliased until Unstamp.
-func (m *RowMark) Stamp(list []Vertex) {
-	if m.list != nil {
-		panic("graph: RowMark stamped while still holding a list")
-	}
-	m.list = list
-	m.bits.SetList(list)
-}
-
-// Unstamp clears the stamped list's words, leaving the mark all-zero.
-func (m *RowMark) Unstamp() {
-	for _, x := range m.list {
-		m.bits[x>>6] = 0
-	}
-	m.list = nil
-}
-
-// CountList returns |list ∩ stamped list|: one bit test per element of list,
-// which must lie inside the mark's domain.
-func (m *RowMark) CountList(list []Vertex) uint64 { return m.bits.CountList(list) }
-
-// ForEachCommonList calls fn for every element of list ∩ stamped list, in
-// list order.
-func (m *RowMark) ForEachCommonList(list []Vertex, fn func(Vertex)) {
-	m.bits.ForEachCommonList(list, fn)
-}
+func (o *LocalOriented) NewRowMark() *RowMark { return NewMark[uint32](o.L.Rows()) }
 
 // Probe is the stamped wedge kernel's one dispatch: for the list stamped in
 // m and the partner row, it returns a membership set and the ascending list
@@ -359,12 +298,12 @@ func (m *RowMark) ForEachCommonList(list []Vertex, fn func(Vertex)) {
 // u₁…u_k costs L + Σ min(|A(uᵢ)|, L·[uᵢ is a hub]) bit tests, not the
 // k·L + Σ|A(uᵢ)| steps of k independent merges.
 //
-// The kernel's three shapes are the Bitset methods applied to the result:
+// The kernel's three shapes are the set kernels applied to the result:
 // CountList (count), CountListSplit (count split at a row index — CETRIC's
 // type-1/type-2 classification) and ForEachCommonList (enumerate, ascending:
 // the LCC / Collect path). len(probe) is the work the pair costs, which is
 // what the receive-side work meter charges.
-func (o *LocalOriented) Probe(m *RowMark, row int32) (set Bitset, probe []Vertex) {
+func (o *LocalOriented) Probe(m *RowMark, row int32) (set Bitset, probe []uint32) {
 	au := o.OutRows(row)
 	if hub := o.hubs.bitset(int(row)); hub != nil && len(m.list) < len(au) {
 		return hub, m.list
@@ -383,15 +322,15 @@ func (o *LocalOriented) CountRowPair(a, b int32) uint64 {
 		la, lb := o.OutDegree(a), o.OutDegree(b)
 		if min(la, lb) < o.hubs.stride {
 			if la <= lb {
-				return bb.CountList(o.OutRows(a))
+				return CountList(bb, o.OutRows(a))
 			}
-			return ba.CountList(o.OutRows(b))
+			return CountList(ba, o.OutRows(b))
 		}
 		return ba.CountAnd(bb)
 	case bb != nil:
-		return bb.CountList(o.OutRows(a))
+		return CountList(bb, o.OutRows(a))
 	case ba != nil:
-		return ba.CountList(o.OutRows(b))
+		return CountList(ba, o.OutRows(b))
 	default:
 		return CountIntersect(o.OutRows(a), o.OutRows(b))
 	}
@@ -411,7 +350,7 @@ func (o *LocalOriented) ContractPar(threads int) *LocalOriented {
 	l := o.L
 	rows := l.Rows()
 	nLocal := l.NLocal()
-	nLoc := Vertex(nLocal)
+	nLoc := uint32(nLocal)
 	off := make([]int64, rows+1)
 	parallelFor(threads, nLocal, orientChunk, func(_, rlo, rhi int) {
 		for r := rlo; r < rhi; r++ {

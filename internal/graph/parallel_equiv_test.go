@@ -132,7 +132,7 @@ func TestParallelPreprocessEquivalence(t *testing.T) {
 					for r := 0; r < base.Rows(); r++ {
 						rows := base.RowNeighborRows(int32(r))
 						for k, x := range base.RowNeighbors(int32(r)) {
-							if want, ok := oracleRow(base, x); !ok || rows[k] != want {
+							if want, ok := oracleRow(base, x); !ok || int64(rows[k]) != int64(want) {
 								t.Fatalf("p=%d rank=%d row %d: entry %d translated to row %d, oracle (%d,%v)", p, rank, r, x, rows[k], want, ok)
 							}
 						}

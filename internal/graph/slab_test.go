@@ -85,7 +85,7 @@ func requireMatchesNaive(t *testing.T, tag string, got *graph.LocalGraph, want n
 		if !slices.Equal(got.RowNeighbors(int32(r)), want.rows[r]) {
 			t.Fatalf("%s: row %d = %v, oracle %v", tag, r, got.RowNeighbors(int32(r)), want.rows[r])
 		}
-		if !slices.Equal(got.RowNeighborRows(int32(r)), want.rowIdx[r]) {
+		if !slices.EqualFunc(got.RowNeighborRows(int32(r)), want.rowIdx[r], func(g uint32, w int32) bool { return int64(g) == int64(w) }) {
 			t.Fatalf("%s: row %d translates to %v, oracle %v", tag, r, got.RowNeighborRows(int32(r)), want.rowIdx[r])
 		}
 		if got.Degree(int32(r)) != want.deg[r] {
