@@ -240,7 +240,6 @@ func BenchmarkIntersect(b *testing.B) {
 		run  func(small []graph.Vertex) uint64
 	}{
 		{"merge", func(s []graph.Vertex) uint64 { return graph.CountMerge(s, big) }},
-		{"branchless", func(s []graph.Vertex) uint64 { return graph.CountMergeBranchless(s, big) }},
 		{"gallop", func(s []graph.Vertex) uint64 { return graph.CountGallop(s, big) }},
 		{"bitmap", func(s []graph.Vertex) uint64 { return graph.CountList(bits, s) }},
 		{"adaptive", func(s []graph.Vertex) uint64 { return graph.CountIntersect(s, big) }},
@@ -295,20 +294,6 @@ func BenchmarkAblationSurrogate(b *testing.B) {
 				res = mustRun(b, core.AlgoDiTric, g, core.Config{P: 8, NoSurrogate: noSurrogate})
 			}
 			b.ReportMetric(float64(res.Agg.TotalPayload), "payload-words")
-		})
-	}
-}
-
-// BenchmarkSharedMemory: the single-node parallel counter across worker
-// counts (the paper's future-work direction of scaling the shared-memory
-// part).
-func BenchmarkSharedMemory(b *testing.B) {
-	g := gen.RMAT(gen.DefaultRMAT(12, 17))
-	for _, threads := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				core.SharedCount(g, core.SharedConfig{Threads: threads})
-			}
 		})
 	}
 }

@@ -59,7 +59,7 @@ func run() error {
 		fmt.Printf("n=%d m=%d avgdeg=%.2f maxdeg=%d wedges=%d\n",
 			s.N, s.M, s.AvgDegree, s.MaxDegree, s.Wedges)
 		if *triangles {
-			fmt.Printf("triangles=%d\n", core.SharedCount(g, core.SharedConfig{}).Count)
+			fmt.Printf("triangles=%d\n", core.SeqCount(g))
 		}
 	}
 

@@ -69,7 +69,7 @@ func run() (err error) {
 		profile   = flag.String("profile", "", "costmodel network profile (supercomputer|cloud|wan|measured): derives the overlapped pipeline's flush watermark; 'measured' starts at the fixed default and re-fits it from the run's own frame latencies as samples arrive; empty keeps the fixed default")
 		hub       = flag.Int("hub", 0, "hub-bitmap threshold, 1D engines only (tk2d keeps no bitmaps): min |A(v)| for a packed bitmap (0 = default, <0 = off)")
 
-		approx  = flag.Bool("approx", false, "AMQ-approximate type-3 counting: the CETRIC pipeline shipping Bloom filters; -threads and -overlap apply")
+		approx  = flag.Bool("approx", false, "AMQ-approximate type-3 counting: the CETRIC pipeline shipping Bloom filters (-algo cetric or cetric2); -threads and -overlap apply")
 		bits    = flag.Float64("bits", 8, "Bloom filter bits per key for -approx")
 		doulion = flag.Float64("doulion", 0, "DOULION edge-sampling probability q ∈ (0,1] (0 = off)")
 		colors  = flag.Int("colors", 0, "colorful-sparsification color count (0 = off)")
@@ -222,7 +222,11 @@ func run() (err error) {
 	}
 
 	if *approx {
-		res, err := core.RunApproxCetric(g, cfg, core.AMQConfig{BitsPerKey: *bits, Truthful: true})
+		acfg, err := approxConfig(core.Algorithm(*algoName), cfg)
+		if err != nil {
+			return err
+		}
+		res, err := core.RunApproxCetric(g, acfg, core.AMQConfig{BitsPerKey: *bits, Truthful: true})
 		if err != nil {
 			return err
 		}
@@ -272,6 +276,20 @@ func run() (err error) {
 // runStream feeds the graph's edges through the streaming driver: the first
 // batch seeds the incrementally built initial graph, the rest are inserted
 // and delta-counted. The final count matches the one-shot run exactly.
+// approxConfig maps -algo onto an -approx run. AMQ-approximate counting is
+// the CETRIC pipeline, so it takes cetric and cetric2 (indirect delivery)
+// and rejects every other algorithm instead of running CETRIC in its place.
+func approxConfig(algo core.Algorithm, cfg core.Config) (core.Config, error) {
+	switch algo {
+	case core.AlgoCetric:
+	case core.AlgoCetric2:
+		cfg.Indirect = true
+	default:
+		return cfg, fmt.Errorf("-approx runs the CETRIC pipeline: -algo %s is not cetric or cetric2", algo)
+	}
+	return cfg, nil
+}
+
 func runStream(g *graph.Graph, algo core.Algorithm, cfg core.Config, batch int, verbose bool) error {
 	edges := g.Edges()
 	if batch <= 0 {

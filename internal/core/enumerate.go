@@ -26,14 +26,3 @@ func EnumerateDist(algo Algorithm, g *graph.Graph, cfg Config, fn TriangleFunc) 
 	}
 	return res, nil
 }
-
-// compressedCount counts triangles on the compressed out-adjacency; exposed
-// for tests and the memory-footprint benchmark.
-func compressedCount(g *graph.Graph) uint64 {
-	return graph.CompressOriented(g).CountTriangles()
-}
-
-// CompressedSeqCount counts triangles entirely on delta-varint compressed
-// adjacency arrays (the representation of Dhulipala et al.); it trades
-// decode work for a much smaller memory footprint.
-func CompressedSeqCount(g *graph.Graph) uint64 { return compressedCount(g) }

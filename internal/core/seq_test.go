@@ -132,7 +132,7 @@ func TestIntersectKernelsAgreeWithMerge(t *testing.T) {
 		run  func(a, b []graph.Vertex) uint64
 	}{
 		{"adaptive", graph.CountIntersect[graph.Vertex]},
-		{"branchless", graph.CountMergeBranchless[graph.Vertex]},
+		{"merge", graph.CountMerge[graph.Vertex]}, // the oracle, in both argument orders
 		{"gallop", graph.CountGallop[graph.Vertex]},
 		{"bitmap", func(a, b []graph.Vertex) uint64 {
 			bs := graph.NewBitset(1000)

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/comm"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/part"
@@ -11,11 +12,12 @@ import (
 )
 
 // TestTK2DEquivalence pins TK2D to the sequential oracle on every fixture
-// across the full p × Threads grid — square and rectangular PE counts, both
-// the blocking and the pipelined (Overlap) exchange schedule.
+// across the full p × Threads grid — square and rectangular PE counts (p = 2
+// is the 1×2, row-fast grid), both the blocking and the pipelined (Overlap)
+// exchange schedule.
 func TestTK2DEquivalence(t *testing.T) {
 	for _, tg := range testgraph.All {
-		for _, p := range []int{1, 4, 6, 8, 9, 16} {
+		for _, p := range []int{1, 2, 4, 6, 8, 9, 16} {
 			for _, threads := range []int{1, 4} {
 				for _, overlap := range []bool{false, true} {
 					res, err := Run(AlgoTK2D, tg.Build(),
@@ -50,6 +52,45 @@ func TestTK2DMatches1DCounters(t *testing.T) {
 			if res.Count != tk.Count {
 				t.Errorf("%s: tk2d=%d %s=%d", tg.Name, tk.Count, algo, res.Count)
 			}
+		}
+	}
+}
+
+// TestTK2DWireBytesBelowDITRIC pins Tom & Karypis' volume argument: the 2D
+// exchange ships O(|E|/√p) words per PE, so on skewed graphs at p ≥ 16 the
+// bytes TK2D puts on the wire must undercut what DITRIC ships for the cut
+// neighborhoods. Both graphs are dense or skewed enough for the crossover
+// to lie below p = 16; traffic is deterministic under the barriered
+// schedule with one thread, so the comparison is exact, not a timing.
+func TestTK2DWireBytesBelowDITRIC(t *testing.T) {
+	graphs := []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"rmat-2^13", gen.RMAT(gen.DefaultRMAT(13, 7))},
+		{"rhg-dense-2^12", gen.RHG(gen.RHGConfig{N: 1 << 12, AvgDegree: 128, Gamma: 2.2, Seed: 42})},
+	}
+	for _, tc := range graphs {
+		for _, p := range []int{16, 25} {
+			cfg := Config{P: p, Threads: 1}
+			tk, err := Run(AlgoTK2D, tc.g, cfg)
+			if err != nil {
+				t.Fatalf("%s p=%d tk2d: %v", tc.name, p, err)
+			}
+			di, err := Run(AlgoDiTric, tc.g, cfg)
+			if err != nil {
+				t.Fatalf("%s p=%d ditric: %v", tc.name, p, err)
+			}
+			if tk.Count != di.Count {
+				t.Fatalf("%s p=%d: tk2d counts %d, ditric %d", tc.name, p, tk.Count, di.Count)
+			}
+			tkBytes := comm.AggregateOf(tk.PerPE).TotalEncodedBytes
+			diBytes := comm.AggregateOf(di.PerPE).TotalEncodedBytes
+			if tkBytes >= diBytes {
+				t.Errorf("%s p=%d: tk2d wire bytes %d not below ditric %d", tc.name, p, tkBytes, diBytes)
+			}
+			t.Logf("%s p=%d: tk2d %d vs ditric %d wire bytes (×%.2f)",
+				tc.name, p, tkBytes, diBytes, float64(tkBytes)/float64(diBytes))
 		}
 	}
 }

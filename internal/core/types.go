@@ -206,22 +206,19 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// resolveHubMinDegree maps a HubThreshold knob value to the minimum
-// out-degree passed to BuildHubs (0 disables the hub index there): negative
-// disables, zero picks the engine default. Shared by the distributed Config
-// and SharedConfig so the two paths cannot drift.
-func resolveHubMinDegree(v int) int {
+// hubMinDegree maps the HubThreshold knob to the minimum out-degree passed
+// to BuildHubs (0 disables the hub index there): negative disables, zero
+// picks the engine default.
+func (c Config) hubMinDegree() int {
 	switch {
-	case v < 0:
+	case c.HubThreshold < 0:
 		return 0
-	case v == 0:
+	case c.HubThreshold == 0:
 		return graph.DefaultHubMinDegree
 	default:
-		return v
+		return c.HubThreshold
 	}
 }
-
-func (c Config) hubMinDegree() int { return resolveHubMinDegree(c.HubThreshold) }
 
 // Result reports one distributed run.
 type Result struct {

@@ -8,7 +8,8 @@ import "repro/internal/comm"
 // starts at the pipeline's fixed default and re-fits from the run's own
 // frame-latency samples (Calibrate) once enough have arrived; the
 // t_model(measured) lens of cmd/tricount fits the pooled samples after the
-// run. Resolve is the one place that substitutes Cloud for a failed fit.
+// run. A failed fit substitutes nothing: the watermark keeps its default and
+// the lens is left out.
 const MeasuredName = "measured"
 
 // MinCalibrationSamples is the smallest number of timed data frames a fit
@@ -87,20 +88,4 @@ func MeasuredProfile(per []comm.Metrics) (Profile, bool) {
 		all.Add(m)
 	}
 	return Calibrate(all)
-}
-
-// Resolve maps a profile name to parameters usable right now: static names
-// resolve from the built-in table, MeasuredName fits m's samples and falls
-// back to Cloud (the conservative middle profile) when calibration cannot
-// succeed yet. The boolean reports whether the result is a genuine
-// measurement (always true for static names, false on the fallback).
-func Resolve(name string, m comm.Metrics) (Profile, bool, error) {
-	if name == MeasuredName {
-		if p, ok := Calibrate(m); ok {
-			return p, true, nil
-		}
-		return Cloud, false, nil
-	}
-	p, err := ByName(name)
-	return p, true, err
 }

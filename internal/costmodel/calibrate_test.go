@@ -146,25 +146,3 @@ func TestMeasuredProfilePoolsRanks(t *testing.T) {
 			pooled.Alpha, pooled.Beta, whole.Alpha, whole.Beta)
 	}
 }
-
-// TestResolveMeasuredFallsBack pins Resolve's contract for the measured
-// profile name: a genuine fit when samples allow, the Cloud fallback (with
-// measured=false) when they do not, and static names untouched.
-func TestResolveMeasuredFallsBack(t *testing.T) {
-	p, measured, err := Resolve(MeasuredName, comm.Metrics{})
-	if err != nil || measured || p.Name != Cloud.Name {
-		t.Fatalf("empty metrics: got (%v, %v, %v), want Cloud fallback", p.Name, measured, err)
-	}
-	var samples [][2]float64
-	for i := 0; i < 2*MinCalibrationSamples; i++ {
-		bytes := float64(64 * (i + 1))
-		samples = append(samples, [2]float64{bytes, 10e3 + bytes})
-	}
-	p, measured, err = Resolve(MeasuredName, sampleMetrics(samples))
-	if err != nil || !measured || p.Name != MeasuredName {
-		t.Fatalf("clean samples: got (%v, %v, %v), want a measured fit", p.Name, measured, err)
-	}
-	if _, _, err := Resolve("no-such-profile", comm.Metrics{}); err == nil {
-		t.Fatal("Resolve accepted an unknown static profile name")
-	}
-}

@@ -130,76 +130,6 @@ func BottleneckWire2D(per []comm.Metrics, p Profile) time.Duration {
 	return worst
 }
 
-// TimeOverlapped returns the modeled completion time of one PE whose
-// computation overlaps its communication: max(compute, comm) instead of the
-// barriered compute + comm. compute is the PE's measured busy time (its
-// phase walls minus idle waits); the communication term is the α+β time of
-// its traffic. The gap between Time+compute and TimeOverlapped is the α+β
-// value of the overlapped pipeline on that profile — by construction it
-// grows with the profile's latency, the paper's own prediction for slower
-// interconnects.
-func (p Profile) TimeOverlapped(m comm.Metrics, compute time.Duration) time.Duration {
-	if c := p.Time(m); c > compute {
-		return c
-	}
-	return compute
-}
-
-// BottleneckOverlapped is the completion-time proxy of a fully overlapped
-// run: the maximum over PEs of max(compute, comm). compute must be indexed
-// by rank like per; missing entries model a communication-only rank.
-func BottleneckOverlapped(per []comm.Metrics, compute []time.Duration, p Profile) time.Duration {
-	var worst time.Duration
-	for i, m := range per {
-		var c time.Duration
-		if i < len(compute) {
-			c = compute[i]
-		}
-		if t := p.TimeOverlapped(m, c); t > worst {
-			worst = t
-		}
-	}
-	return worst
-}
-
-// TimeOverlapped2D models one PE of the pipelined 2D exchange: round 0's
-// broadcasts cannot be hidden (nothing to compute against yet), the middle
-// rounds each cost max(comm, compute) — round k+1's broadcasts are in
-// flight while round k counts — and the last round's counting runs with
-// nothing left to post. With per-round comm time C = TimeWire2D/rounds and
-// compute time W = compute/rounds the pipeline's critical path is
-// C + (rounds−1)·max(C, W) + W, against the blocking schedule's
-// rounds·(C + W). Rounds is lcm(r,c) of the (possibly rectangular) grid;
-// rounds ≤ 1 degenerates to the unpipelined sum.
-func (p Profile) TimeOverlapped2D(m comm.Metrics, compute time.Duration, rounds int) time.Duration {
-	comm2d := p.TimeWire2D(m)
-	if rounds <= 1 {
-		return comm2d + compute
-	}
-	c := comm2d / time.Duration(rounds)
-	w := compute / time.Duration(rounds)
-	return c + time.Duration(rounds-1)*max(c, w) + w
-}
-
-// BottleneckOverlapped2D is the completion-time proxy of the pipelined 2D
-// exchange: the maximum TimeOverlapped2D over PEs. compute is indexed by
-// rank like per; missing entries model a communication-only rank. Comparing
-// it against BottleneckWire2D + the compute bottleneck prices what the
-// split-phase pipeline buys on a given profile.
-func BottleneckOverlapped2D(per []comm.Metrics, compute []time.Duration, rounds int, p Profile) time.Duration {
-	var worst time.Duration
-	for i, m := range per {
-		var c time.Duration
-		if i < len(compute) {
-			c = compute[i]
-		}
-		if t := p.TimeOverlapped2D(m, c, rounds); t > worst {
-			worst = t
-		}
-	}
-	return worst
-}
-
 // Total returns the summed modeled time (useful for energy-style accounting
 // rather than makespan).
 func Total(per []comm.Metrics, p Profile) time.Duration {

@@ -43,38 +43,6 @@ func TestLatencyDominatedRegimeFavorsAggregation(t *testing.T) {
 	}
 }
 
-func TestTimeOverlappedIsMaxOfComputeAndComm(t *testing.T) {
-	p := Profile{Alpha: 1, Beta: 0}
-	m := comm.Metrics{SentFrames: 4} // comm = 4s
-	if got := p.TimeOverlapped(m, 10*time.Second); got != 10*time.Second {
-		t.Fatalf("compute-bound: %v, want 10s", got)
-	}
-	if got := p.TimeOverlapped(m, time.Second); got != 4*time.Second {
-		t.Fatalf("comm-bound: %v, want 4s", got)
-	}
-	// Overlap can never be slower than the barriered sum, and never faster
-	// than the larger term.
-	for _, compute := range []time.Duration{0, time.Second, 10 * time.Second} {
-		ov := p.TimeOverlapped(m, compute)
-		if sum := p.Time(m) + compute; ov > sum {
-			t.Fatalf("overlapped %v exceeds barriered sum %v", ov, sum)
-		}
-	}
-}
-
-func TestBottleneckOverlappedPicksWorstPE(t *testing.T) {
-	p := Profile{Alpha: 1, Beta: 0}
-	per := []comm.Metrics{{SentFrames: 1}, {SentFrames: 5}, {SentFrames: 3}}
-	compute := []time.Duration{8 * time.Second, time.Second} // rank 2 compute missing => 0
-	if got := BottleneckOverlapped(per, compute, p); got != 8*time.Second {
-		t.Fatalf("BottleneckOverlapped = %v, want 8s", got)
-	}
-	// Fully comm-bound ranks reduce to the plain bottleneck.
-	if got := BottleneckOverlapped(per, nil, p); got != Bottleneck(per, p) {
-		t.Fatalf("nil compute: %v, want %v", got, Bottleneck(per, p))
-	}
-}
-
 func TestByName(t *testing.T) {
 	for _, want := range Profiles() {
 		got, err := ByName(want.Name)
@@ -139,58 +107,6 @@ func TestBottleneckWire2DPicksWorstPE(t *testing.T) {
 	}
 	if got := BottleneckWire2D(per, p); got != 6*time.Second {
 		t.Fatalf("BottleneckWire2D = %v, want 6s", got)
-	}
-}
-
-// TestTimeOverlapped2DPipelineShape pins the pipelined round model
-// C + (rounds−1)·max(C, W) + W against hand-computed cases, its blocking
-// upper bound, and its max(comm, compute) lower bound.
-func TestTimeOverlapped2DPipelineShape(t *testing.T) {
-	p := Profile{Alpha: 1, Beta: 0}
-	m := comm.Metrics{SentFrames: 6, RecvFrames: 6} // TimeWire2D = 12s
-	// 3 rounds, C = 4s per round.
-	// Compute-bound: W = 8s/round → 4 + 2·8 + 8 = 28s.
-	if got := p.TimeOverlapped2D(m, 24*time.Second, 3); got != 28*time.Second {
-		t.Fatalf("compute-bound: %v, want 28s", got)
-	}
-	// Comm-bound: W = 1s/round → 4 + 2·4 + 1 = 13s.
-	if got := p.TimeOverlapped2D(m, 3*time.Second, 3); got != 13*time.Second {
-		t.Fatalf("comm-bound: %v, want 13s", got)
-	}
-	// One round cannot pipeline: plain sum.
-	if got := p.TimeOverlapped2D(m, 5*time.Second, 1); got != 17*time.Second {
-		t.Fatalf("rounds=1: %v, want 17s", got)
-	}
-	// Bounds: never above blocking comm+compute, never below max of either.
-	for _, compute := range []time.Duration{0, 3 * time.Second, 24 * time.Second} {
-		for _, rounds := range []int{1, 2, 3, 4, 6} {
-			ov := p.TimeOverlapped2D(m, compute, rounds)
-			if sum := p.TimeWire2D(m) + compute; ov > sum {
-				t.Fatalf("rounds=%d compute=%v: pipelined %v exceeds blocking %v",
-					rounds, compute, ov, sum)
-			}
-			if lo := max(p.TimeWire2D(m), compute); ov < lo {
-				t.Fatalf("rounds=%d compute=%v: pipelined %v below floor %v",
-					rounds, compute, ov, lo)
-			}
-		}
-	}
-}
-
-func TestBottleneckOverlapped2DPicksWorstPE(t *testing.T) {
-	p := Profile{Alpha: 1, Beta: 0}
-	per := []comm.Metrics{
-		{SentFrames: 2, RecvFrames: 2}, // C_total = 4s
-		{SentFrames: 4, RecvFrames: 4}, // C_total = 8s
-	}
-	compute := []time.Duration{20 * time.Second} // rank 1 compute missing => 0
-	// rank 0: rounds=2, C=2, W=10 → 2 + 10 + 10 = 22s; rank 1: 8s comm only.
-	if got := BottleneckOverlapped2D(per, compute, 2, p); got != 22*time.Second {
-		t.Fatalf("BottleneckOverlapped2D = %v, want 22s", got)
-	}
-	// Comm-only ranks reduce to the 2D wire bottleneck.
-	if got := BottleneckOverlapped2D(per, nil, 2, p); got != BottleneckWire2D(per, p) {
-		t.Fatalf("nil compute: %v, want %v", got, BottleneckWire2D(per, p))
 	}
 }
 

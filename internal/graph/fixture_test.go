@@ -40,25 +40,25 @@ func TestIntersectionCountsMatchFixtures(t *testing.T) {
 		for v, av := range out {
 			narrow[v] = narrowList(av)
 		}
-		if got := fixtureCounts(out); got != [4]uint64{fix.Triangles, fix.Triangles, fix.Triangles, fix.Triangles} {
-			t.Errorf("%s uint64: gallop, merge, branchless, common = %v, want %d", fix.Name, got, fix.Triangles)
+		want := [3]uint64{fix.Triangles, fix.Triangles, fix.Triangles}
+		if got := fixtureCounts(out); got != want {
+			t.Errorf("%s uint64: adaptive, merge, common = %v, want %d", fix.Name, got, fix.Triangles)
 		}
-		if got := fixtureCounts(narrow); got != [4]uint64{fix.Triangles, fix.Triangles, fix.Triangles, fix.Triangles} {
-			t.Errorf("%s uint32: gallop, merge, branchless, common = %v, want %d", fix.Name, got, fix.Triangles)
+		if got := fixtureCounts(narrow); got != want {
+			t.Errorf("%s uint32: adaptive, merge, common = %v, want %d", fix.Name, got, fix.Triangles)
 		}
 	}
 }
 
 // fixtureCounts sums |A(v) ∩ A(u)| over every oriented edge through the
-// adaptive, merge, branchless and for-each kernels.
-func fixtureCounts[T graph.Index](out [][]T) (sums [4]uint64) {
+// adaptive, merge and for-each kernels.
+func fixtureCounts[T graph.Index](out [][]T) (sums [3]uint64) {
 	for _, av := range out {
 		for _, u := range av {
 			au := out[u]
 			sums[0] += graph.CountIntersect(av, au)
 			sums[1] += graph.CountMerge(av, au)
-			sums[2] += graph.CountMergeBranchless(av, au)
-			graph.ForEachCommon(av, au, func(T) { sums[3]++ })
+			graph.ForEachCommon(av, au, func(T) { sums[2]++ })
 		}
 	}
 	return sums

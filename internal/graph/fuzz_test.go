@@ -113,9 +113,6 @@ func checkKernels[T Index](t *testing.T, a, b []T, want uint64) int {
 	if got := CountMerge(a, b); got != want {
 		t.Fatalf("merge = %d, want %d (a=%v b=%v)", got, want, a, b)
 	}
-	if got := CountMergeBranchless(a, b); got != want {
-		t.Fatalf("branchless = %d, merge = %d (a=%v b=%v)", got, want, a, b)
-	}
 	if got := CountGallop(a, b); got != want {
 		t.Fatalf("gallop = %d, merge = %d (a=%v b=%v)", got, want, a, b)
 	}
@@ -259,22 +256,4 @@ func sortedFromBytes[T Index](raw []byte) []T {
 		out = append(out, cur-1)
 	}
 	return out
-}
-
-func FuzzVarint(f *testing.F) {
-	f.Add(uint64(0))
-	f.Add(uint64(127))
-	f.Add(uint64(128))
-	f.Add(uint64(1) << 63)
-	f.Fuzz(func(t *testing.T, x uint64) {
-		buf := appendUvarint(nil, x)
-		nc := neighborCursor{buf: buf}
-		got, ok := nc.next()
-		if !ok || got != x {
-			t.Fatalf("varint round trip: %d -> %d (%v)", x, got, ok)
-		}
-		if _, ok := nc.next(); ok {
-			t.Fatal("cursor should be exhausted")
-		}
-	})
 }

@@ -225,23 +225,6 @@ func TestOrientedWedgesCompleteGraph(t *testing.T) {
 	}
 }
 
-func TestOrientByID(t *testing.T) {
-	g := randomGraph(11, 40, 200)
-	o := OrientByID(g)
-	total := 0
-	for v := 0; v < g.NumVertices(); v++ {
-		for _, u := range o.Out(Vertex(v)) {
-			if u <= Vertex(v) {
-				t.Fatalf("ID orientation violated: %d -> %d", v, u)
-			}
-			total++
-		}
-	}
-	if total != g.NumEdges() {
-		t.Fatalf("oriented %d edges, want %d", total, g.NumEdges())
-	}
-}
-
 func TestRemoveIsolated(t *testing.T) {
 	g := FromEdges(6, []Edge{{0, 2}, {2, 4}})
 	g2, remap := RemoveIsolated(g)

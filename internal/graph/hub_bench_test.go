@@ -10,8 +10,7 @@ import (
 
 // Hub-row benchmarks on the RHG/RGG stand-ins: intersections against the
 // heaviest real rows, adaptive engine (hub bitmaps built) vs the plain merge
-// oracle. The by-ID orientation is the hub-preserving case (TriC-style rows
-// and ghost rows keep large lists); the degree orientation is the
+// oracle, on the degree orientation the counters run on — the
 // everything-small case the dispatcher must not regress.
 func hubBenchGraphs() []struct {
 	name string
@@ -29,11 +28,11 @@ func hubBenchGraphs() []struct {
 var hubSink uint64
 
 // BenchmarkHubRows measures Σ_u |N⁺(hub) ∩ N⁺(u)| over every in-pair of the
-// heaviest by-ID-oriented row — exactly the work a hub row generates, once
+// heaviest degree-oriented row — exactly the work a hub row generates, once
 // per in-edge.
 func BenchmarkHubRows(b *testing.B) {
 	for _, spec := range hubBenchGraphs() {
-		o := graph.OrientByID(spec.g)
+		o := graph.Orient(spec.g)
 		hub := graph.Vertex(0)
 		for v := 0; v < spec.g.NumVertices(); v++ {
 			if o.OutDegree(graph.Vertex(v)) > o.OutDegree(hub) {

@@ -11,8 +11,6 @@ import "math/bits"
 //
 //   - CountMerge: the textbook two-pointer merge (branchy; fast when the
 //     comparison outcome is predictable, i.e. very clustered inputs).
-//   - CountMergeBranchless: the same merge with conditional-move advances
-//     instead of branches, so random interleavings pay no mispredictions.
 //   - CountGallop: exponential + binary search of each element of the
 //     smaller slice in the larger one — wins on skewed operand sizes.
 //
@@ -131,32 +129,6 @@ func CountMerge[T Index](a, b []T) uint64 {
 			i++
 			j++
 		}
-	}
-	return cnt
-}
-
-// b2u converts a comparison result to 0/1; the compiler lowers this to a
-// flag-set instruction, keeping the merge loop free of data-dependent
-// branches.
-func b2u(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// CountMergeBranchless is the two-pointer merge with conditional advances
-// instead of data-dependent branches: every iteration executes the same
-// instruction sequence, so random interleavings cost no branch
-// mispredictions.
-func CountMergeBranchless[T Index](a, b []T) uint64 {
-	var cnt uint64
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		x, y := a[i], b[j]
-		cnt += b2u(x == y)
-		i += int(b2u(x <= y))
-		j += int(b2u(y <= x))
 	}
 	return cnt
 }

@@ -21,6 +21,16 @@ func precedes(du int, u Vertex, dv int, v Vertex) uint64 {
 	return b2u(du < dv) | (b2u(du == dv) & b2u(u < v))
 }
 
+// b2u converts a comparison result to 0/1; the compiler lowers this to a
+// flag-set instruction, so precedes and the passes built on it carry no
+// data-dependent branch.
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // Less reports whether u ≺ v given their degrees.
 func Less(du int, u Vertex, dv int, v Vertex) bool { return precedes(du, u, dv, v) == 1 }
 
@@ -120,23 +130,6 @@ func Orient(g *Graph) *OutGraph {
 		}
 	}
 	return &OutGraph{off: off, out: out[:off[n]]}
-}
-
-// OrientByID orients edges from lower to higher vertex ID, ignoring degrees.
-// TriC-style algorithms that skip the degree orientation use this. In an
-// ascending row the neighbors above v are a suffix, found by one binary
-// search.
-func OrientByID(g *Graph) *OutGraph {
-	n := g.NumVertices()
-	off := make([]int64, n+1)
-	for v := 0; v < n; v++ {
-		off[v+1] = off[v] + int64(len(aboveID(g.Neighbors(Vertex(v)), Vertex(v))))
-	}
-	out := make([]Vertex, 0, off[n])
-	for v := 0; v < n; v++ {
-		out = append(out, aboveID(g.Neighbors(Vertex(v)), Vertex(v))...)
-	}
-	return &OutGraph{off: off, out: out}
 }
 
 // aboveID returns the suffix of the ascending list nb that lies above v.
