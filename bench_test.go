@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/exp"
 	"repro/internal/gen"
 	"repro/internal/graph"
 )
@@ -25,6 +26,15 @@ func reportComm(b *testing.B, res *core.Result) {
 func mustRun(b *testing.B, algo core.Algorithm, g *graph.Graph, cfg core.Config) *core.Result {
 	b.Helper()
 	res, err := core.Run(algo, g, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res
+}
+
+func mustRunVariant(b *testing.B, v exp.Variant, g *graph.Graph, cfg core.Config) *core.Result {
+	b.Helper()
+	res, err := v.Run(g, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -60,13 +70,13 @@ func BenchmarkFig2Aggregation(b *testing.B) {
 		b.Fatal(err)
 	}
 	for _, v := range []struct {
-		name string
-		algo core.Algorithm
-	}{{"buffering", core.AlgoDiTric}, {"no-buffering", core.AlgoNoAgg}} {
+		name      string
+		threshold int // 1: DITRIC without aggregation
+	}{{"buffering", 0}, {"no-buffering", 1}} {
 		b.Run(v.name, func(b *testing.B) {
 			var res *core.Result
 			for i := 0; i < b.N; i++ {
-				res = mustRun(b, v.algo, g, core.Config{P: 8})
+				res = mustRun(b, core.AlgoDiTric, g, core.Config{P: 8, Threshold: v.threshold})
 			}
 			reportComm(b, res)
 		})
@@ -84,11 +94,11 @@ func BenchmarkFig5WeakScaling(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			for _, algo := range core.Algorithms() {
-				b.Run(fmt.Sprintf("%s/p=%d/%s", family, p, algo), func(b *testing.B) {
+			for _, v := range exp.PaperSeries {
+				b.Run(fmt.Sprintf("%s/p=%d/%s", family, p, v.Name), func(b *testing.B) {
 					var res *core.Result
 					for i := 0; i < b.N; i++ {
-						res = mustRun(b, algo, g, core.Config{P: p})
+						res = mustRunVariant(b, v, g, core.Config{P: p})
 					}
 					reportComm(b, res)
 				})
@@ -106,11 +116,11 @@ func BenchmarkFig6StrongScaling(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, p := range []int{4, 16} {
-			for _, algo := range []core.Algorithm{core.AlgoDiTric, core.AlgoDiTric2, core.AlgoCetric, core.AlgoCetric2} {
-				b.Run(fmt.Sprintf("%s/p=%d/%s", name, p, algo), func(b *testing.B) {
+			for _, v := range exp.Variants("ditric", "ditric2", "cetric", "cetric2") {
+				b.Run(fmt.Sprintf("%s/p=%d/%s", name, p, v.Name), func(b *testing.B) {
 					var res *core.Result
 					for i := 0; i < b.N; i++ {
-						res = mustRun(b, algo, g, core.Config{P: p})
+						res = mustRunVariant(b, v, g, core.Config{P: p})
 					}
 					reportComm(b, res)
 				})
@@ -155,7 +165,7 @@ func BenchmarkFig8Hybrid(b *testing.B) {
 		b.Run(fmt.Sprintf("threads=%d/ranks=%d", threads, ranks), func(b *testing.B) {
 			var res *core.Result
 			for i := 0; i < b.N; i++ {
-				res = mustRun(b, core.AlgoDiTric2, g, core.Config{P: ranks, Threads: threads})
+				res = mustRun(b, core.AlgoDiTric, g, core.Config{P: ranks, Threads: threads, Indirect: true})
 			}
 			b.ReportMetric(float64(res.Phases[core.PhaseLocal].Microseconds()), "local-µs")
 			b.ReportMetric(float64(res.Agg.TotalPayload), "total-words")

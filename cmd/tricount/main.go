@@ -5,7 +5,7 @@
 // Examples:
 //
 //	tricount -gen rmat -n 65536 -algo cetric -p 16
-//	tricount -instance friendster -algo ditric2 -p 32 -lcc
+//	tricount -instance friendster -algo ditric2 -p 32 -lcc   # ditric2/cetric2: indirect delivery
 //	tricount -input graph.txt -algo cetric2 -p 8 -threads 4
 //	tricount -gen rhg -n 16384 -algo cetric -p 4 -approx -bits 8
 //	tricount -gen rgg2d -n 4096 -algo ditric -p 8 -codec raw   # vs default auto
@@ -34,6 +34,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/costmodel"
 	"repro/internal/dist"
+	"repro/internal/exp"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/part"
@@ -57,7 +58,7 @@ func run() (err error) {
 		seed       = flag.Uint64("seed", 42, "generator seed")
 		scale      = flag.Int("scale", 0, "instance size shift (powers of two)")
 
-		algoName  = flag.String("algo", "cetric", "algorithm: seq|ditric|ditric2|cetric|cetric2|tk2d|tric|havoq|noagg (tk2d factors any -p into an r×c grid)")
+		algoName  = flag.String("algo", "cetric", "algorithm: seq|ditric|ditric2|cetric|cetric2|tk2d|tric|havoq|noagg (ditric2/cetric2: indirect delivery; noagg: ditric with -delta 1; tk2d factors any -p into an r×c grid)")
 		p         = flag.Int("p", 8, "number of PEs")
 		threshold = flag.Int("delta", 0, "aggregation threshold δ in words (0 = O(|E_i|))")
 		threads   = flag.Int("threads", 1, "threads per PE (hybrid counting + parallel preprocessing)")
@@ -66,7 +67,6 @@ func run() (err error) {
 		sparse    = flag.Bool("sparse-degree", false, "sparse ghost degree exchange")
 		partBy    = flag.String("partition", "uniform", "1D partitioner: uniform|degree|wedges")
 		codec     = flag.String("codec", "auto", "wire codec policy: auto|raw|varint|deltavarint")
-		profile   = flag.String("profile", "", "costmodel network profile (supercomputer|cloud|wan|measured): derives the overlapped pipeline's flush watermark; 'measured' starts at the fixed default and re-fits it from the run's own frame latencies as samples arrive; empty keeps the fixed default")
 		hub       = flag.Int("hub", 0, "hub-bitmap threshold, 1D engines only (tk2d keeps no bitmaps): min |A(v)| for a packed bitmap (0 = default, <0 = off)")
 
 		approx  = flag.Bool("approx", false, "AMQ-approximate type-3 counting: the CETRIC pipeline shipping Bloom filters (-algo cetric or cetric2); -threads and -overlap apply")
@@ -175,7 +175,11 @@ func run() (err error) {
 	cfg := core.Config{
 		P: *p, Threshold: *threshold, Threads: *threads, Overlap: *overlap,
 		LCC: *lcc, SparseDegreeExchange: *sparse, Codec: *codec,
-		HubThreshold: *hub, Profile: *profile,
+		HubThreshold: *hub,
+	}
+	algo, err := resolveAlgo(*algoName, *approx, &cfg)
+	if err != nil {
+		return err
 	}
 	switch *partBy {
 	case "uniform":
@@ -190,18 +194,23 @@ func run() (err error) {
 	}
 
 	if *tcpRank >= 0 {
-		return runTCPRank(g, core.Algorithm(*algoName), cfg, *tcpRank, *peers)
+		if err := checkTCPRank(map[string]bool{
+			"approx": *approx, "stream": *stream, "doulion": *doulion != 0, "colors": *colors != 0, "lcc": *lcc,
+		}); err != nil {
+			return err
+		}
+		return runTCPRank(g, algo, cfg, *tcpRank, *peers)
 	}
 
 	if *stream {
 		if *lcc || *approx || *doulion != 0 || *colors != 0 {
 			return fmt.Errorf("-stream is incompatible with -lcc, -approx, -doulion, and -colors")
 		}
-		return runStream(g, core.Algorithm(*algoName), cfg, *batch, *verbose)
+		return runStream(g, *algoName, algo, cfg, *batch, *verbose)
 	}
 
 	if *doulion != 0 {
-		est, res, err := core.RunDoulion(core.Algorithm(*algoName), g, cfg, *doulion, *seed)
+		est, res, err := core.RunDoulion(algo, g, cfg, *doulion, *seed)
 		if err != nil {
 			return err
 		}
@@ -211,7 +220,7 @@ func run() (err error) {
 		return nil
 	}
 	if *colors != 0 {
-		est, res, err := core.RunColorful(core.Algorithm(*algoName), g, cfg, *colors, *seed)
+		est, res, err := core.RunColorful(algo, g, cfg, *colors, *seed)
 		if err != nil {
 			return err
 		}
@@ -222,11 +231,7 @@ func run() (err error) {
 	}
 
 	if *approx {
-		acfg, err := approxConfig(core.Algorithm(*algoName), cfg)
-		if err != nil {
-			return err
-		}
-		res, err := core.RunApproxCetric(g, acfg, core.AMQConfig{BitsPerKey: *bits, Truthful: true})
+		res, err := core.RunApproxCetric(g, cfg, core.AMQConfig{BitsPerKey: *bits, Truthful: true})
 		if err != nil {
 			return err
 		}
@@ -236,7 +241,7 @@ func run() (err error) {
 		return nil
 	}
 
-	res, err := core.Run(core.Algorithm(*algoName), g, cfg)
+	res, err := core.Run(algo, g, cfg)
 	if err != nil {
 		return err
 	}
@@ -245,7 +250,7 @@ func run() (err error) {
 		fmt.Printf("types: local=%d two-PE=%d three-PE=%d\n", res.TypeCounts[0], res.TypeCounts[1], res.TypeCounts[2])
 	}
 	printComm(res.Agg, res.PerPE)
-	if core.Algorithm(*algoName) == core.AlgoTK2D {
+	if algo == core.AlgoTK2D {
 		if g2, err := part.NewGrid2D(uint64(g.NumVertices()), *p); err == nil {
 			fmt.Printf("grid: %d×%d (%d rounds)\n", g2.R(), g2.C(), g2.Rounds())
 		}
@@ -255,12 +260,6 @@ func run() (err error) {
 		for _, prof := range costmodel.Profiles() {
 			fmt.Printf("  t_model2d(%s): wire %v\n", prof.Name,
 				costmodel.BottleneckWire2D(res.PerPE, prof).Round(time.Microsecond))
-		}
-	}
-	if *profile == costmodel.MeasuredName {
-		if _, ok := costmodel.MeasuredProfile(res.PerPE); !ok && *verbose {
-			fmt.Printf("measured: too few latency samples (< %d per fit); the overlapped flush watermark stayed at its fixed default\n",
-				costmodel.MinCalibrationSamples)
 		}
 	}
 	if *verbose {
@@ -273,37 +272,51 @@ func run() (err error) {
 	return nil
 }
 
-// runStream feeds the graph's edges through the streaming driver: the first
-// batch seeds the incrementally built initial graph, the rest are inserted
-// and delta-counted. The final count matches the one-shot run exactly.
-// approxConfig maps -algo onto an -approx run. AMQ-approximate counting is
-// the CETRIC pipeline, so it takes cetric and cetric2 (indirect delivery)
-// and rejects every other algorithm instead of running CETRIC in its place.
-func approxConfig(algo core.Algorithm, cfg core.Config) (core.Config, error) {
-	switch algo {
-	case core.AlgoCetric:
-	case core.AlgoCetric2:
-		cfg.Indirect = true
-	default:
-		return cfg, fmt.Errorf("-approx runs the CETRIC pipeline: -algo %s is not cetric or cetric2", algo)
+// resolveAlgo looks -algo up in exp's variant table (every name but seq)
+// and sets its config bits on cfg: ditric2 and cetric2 are indirect
+// delivery, noagg is ditric with -delta 1. AMQ-approximate counting is the
+// CETRIC pipeline, so with approx set only cetric and cetric2 resolve; any
+// other name is an error naming it rather than a silent CETRIC run.
+func resolveAlgo(name string, approx bool, cfg *core.Config) (core.Algorithm, error) {
+	v, err := exp.LookupVariant(name)
+	if err != nil {
+		return "", err
 	}
-	return cfg, nil
+	if approx && v.Algo != core.AlgoCetric {
+		return "", fmt.Errorf("-approx runs the CETRIC pipeline: -algo %s is not cetric or cetric2", name)
+	}
+	c, err := v.Apply(*cfg)
+	if err != nil {
+		return "", fmt.Errorf("-algo %s -delta %d: %w", name, cfg.Threshold, err)
+	}
+	*cfg = c
+	return v.Algo, nil
 }
 
-func runStream(g *graph.Graph, algo core.Algorithm, cfg core.Config, batch int, verbose bool) error {
-	edges := g.Edges()
-	if batch <= 0 {
-		batch = max(1024, len(edges)/8)
+// checkTCPRank rejects the set flags a -tcp-rank process cannot honour:
+// core.RunRank counts exactly and returns only the global count.
+func checkTCPRank(set map[string]bool) error {
+	for _, name := range []string{"approx", "stream", "doulion", "colors", "lcc"} {
+		if set[name] {
+			return fmt.Errorf("-tcp-rank does not support -%s", name)
+		}
 	}
-	split := min(batch, len(edges))
+	return nil
+}
+
+// runStream feeds the graph's edges through the streaming driver: the first
+// batch seeds the incrementally built initial graph, the rest are inserted
+// and delta-counted. The final count matches the one-shot run exactly. name
+// is the -algo the run reports.
+func runStream(g *graph.Graph, name string, algo core.Algorithm, cfg core.Config, batch int, verbose bool) error {
+	initial, inserts, batch := core.SplitStream(g.Edges(), batch)
 	start := time.Now()
-	sres, err := core.RunStream(algo, uint64(g.NumVertices()),
-		core.SliceBatches(edges[:split], batch), core.SliceBatches(edges[split:], batch), cfg)
+	sres, err := core.RunStream(algo, uint64(g.NumVertices()), initial, inserts, cfg)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("triangles: %d in %v (streamed: initial %d + %d batches of ≤%d edges, algo=%s)\n",
-		sres.Count, time.Since(start).Round(time.Microsecond), sres.Initial, len(sres.Deltas), batch, algo)
+		sres.Count, time.Since(start).Round(time.Microsecond), sres.Initial, len(sres.Deltas), batch, name)
 	printComm(sres.Res.Agg, sres.Res.PerPE)
 	if verbose {
 		for b, d := range sres.Deltas {

@@ -12,22 +12,24 @@ import (
 // error naming it rather than a silent CETRIC run.
 func TestApproxConfig(t *testing.T) {
 	for _, tc := range []struct {
-		algo     core.Algorithm
+		algo     string
 		ok       bool
 		indirect bool
 	}{
-		{core.AlgoCetric, true, false},
-		{core.AlgoCetric2, true, true},
-		{core.AlgoDiTric, false, false},
-		{core.AlgoDiTric2, false, false},
-		{core.AlgoTK2D, false, false},
-		{core.AlgoTriC, false, false},
-		{core.AlgoHavoq, false, false},
+		{"cetric", true, false},
+		{"cetric2", true, true},
+		{"ditric", false, false},
+		{"ditric2", false, false},
+		{"noagg", false, false},
+		{"tk2d", false, false},
+		{"tric", false, false},
+		{"havoq", false, false},
 		{"seq", false, false},
 	} {
-		cfg, err := approxConfig(tc.algo, core.Config{P: 4, Threads: 2})
+		cfg := core.Config{P: 4, Threads: 2}
+		algo, err := resolveAlgo(tc.algo, true, &cfg)
 		if !tc.ok {
-			if err == nil || !strings.Contains(err.Error(), string(tc.algo)) {
+			if err == nil || !strings.Contains(err.Error(), tc.algo) {
 				t.Errorf("-algo %s -approx: err %v, want an error naming %s", tc.algo, err, tc.algo)
 			}
 			continue
@@ -36,9 +38,68 @@ func TestApproxConfig(t *testing.T) {
 			t.Errorf("-algo %s -approx: %v", tc.algo, err)
 			continue
 		}
-		if cfg.Indirect != tc.indirect || cfg.P != 4 || cfg.Threads != 2 {
-			t.Errorf("-algo %s -approx: cfg %+v, want Indirect=%v with P and Threads kept",
-				tc.algo, cfg, tc.indirect)
+		if algo != core.AlgoCetric || cfg.Indirect != tc.indirect || cfg.P != 4 || cfg.Threads != 2 {
+			t.Errorf("-algo %s -approx: %s %+v, want cetric with Indirect=%v and P, Threads kept",
+				tc.algo, algo, cfg, tc.indirect)
+		}
+	}
+}
+
+// TestResolveAlgo pins the -algo table every distributed path reads: the
+// names ditric2, cetric2 and noagg are config bits on DITRIC and CETRIC, and
+// a name or -delta the table cannot honour is an error.
+func TestResolveAlgo(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		delta     int
+		algo      core.Algorithm
+		indirect  bool
+		threshold int
+		err       string // non-empty: the error must contain it
+	}{
+		{name: "ditric", algo: core.AlgoDiTric},
+		{name: "ditric2", algo: core.AlgoDiTric, indirect: true},
+		{name: "cetric", delta: 64, algo: core.AlgoCetric, threshold: 64},
+		{name: "cetric2", algo: core.AlgoCetric, indirect: true},
+		{name: "noagg", algo: core.AlgoDiTric, threshold: 1},
+		{name: "noagg", delta: 1, algo: core.AlgoDiTric, threshold: 1},
+		{name: "noagg", delta: 5, err: "-delta 5"},
+		{name: "tk2d", algo: core.AlgoTK2D},
+		{name: "tric", algo: core.AlgoTriC},
+		{name: "havoq", algo: core.AlgoHavoq},
+		{name: "ditric3", err: `"ditric3"`},
+		{name: "seq", err: `"seq"`},
+	} {
+		cfg := core.Config{P: 4, Threshold: tc.delta}
+		algo, err := resolveAlgo(tc.name, false, &cfg)
+		if tc.err != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.err) {
+				t.Errorf("-algo %s -delta %d: err %v, want one containing %s", tc.name, tc.delta, err, tc.err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("-algo %s -delta %d: %v", tc.name, tc.delta, err)
+			continue
+		}
+		if algo != tc.algo || cfg.Indirect != tc.indirect || cfg.Threshold != tc.threshold || cfg.P != 4 {
+			t.Errorf("-algo %s -delta %d: %s with Indirect=%v Threshold=%d, want %s with Indirect=%v Threshold=%d",
+				tc.name, tc.delta, algo, cfg.Indirect, cfg.Threshold, tc.algo, tc.indirect, tc.threshold)
+		}
+	}
+}
+
+// TestCheckTCPRank: a -tcp-rank process counts exactly and returns only the
+// global count, so each flag it cannot honour is an error naming the flag,
+// and a plain exact run passes.
+func TestCheckTCPRank(t *testing.T) {
+	if err := checkTCPRank(map[string]bool{}); err != nil {
+		t.Fatalf("plain run: %v", err)
+	}
+	for _, name := range []string{"approx", "stream", "doulion", "colors", "lcc"} {
+		err := checkTCPRank(map[string]bool{name: true})
+		if err == nil || !strings.Contains(err.Error(), "-"+name) {
+			t.Errorf("-tcp-rank -%s: err %v, want an error naming -%s", name, err, name)
 		}
 	}
 }

@@ -12,7 +12,7 @@ import (
 // snippet stops compiling or the count changes, this test fails.
 func Example_quickstart() {
 	g := tricount.GenerateRGG2D(1<<12, 16, 42)
-	res, err := tricount.Count(g, tricount.AlgoCetric, tricount.Options{PEs: 8})
+	res, err := tricount.Count(g, tricount.AlgoCetric, tricount.Options{P: 8})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -23,7 +23,7 @@ func Example_quickstart() {
 // Counting triangles on a generated graph with CETRIC on four PEs.
 func ExampleCount() {
 	g := tricount.GenerateRMAT(10, 16, 42)
-	res, err := tricount.Count(g, tricount.AlgoCetric, tricount.Options{PEs: 4})
+	res, err := tricount.Count(g, tricount.AlgoCetric, tricount.Options{P: 4})
 	if err != nil {
 		panic(err)
 	}
@@ -34,7 +34,7 @@ func ExampleCount() {
 // Exact local clustering coefficients, computed distributedly.
 func ExampleLCC() {
 	g := tricount.GenerateRHG(1<<10, 16, 2.8, 7)
-	lcc, _, err := tricount.LCC(g, tricount.AlgoCetric2, tricount.Options{PEs: 4})
+	lcc, _, err := tricount.LCC(g, tricount.AlgoCetric, tricount.Options{P: 4, Indirect: true})
 	if err != nil {
 		panic(err)
 	}
@@ -61,7 +61,7 @@ func ExampleEnumerate() {
 // Approximate counting with Bloom-filter neighborhoods.
 func ExampleCountApprox() {
 	g := tricount.GenerateGNM(1<<10, 16<<10, 9)
-	res, err := tricount.CountApprox(g, tricount.Options{PEs: 4},
+	res, err := tricount.CountApprox(g, tricount.Options{P: 4},
 		tricount.ApproxOptions{BitsPerKey: 16, Truthful: true})
 	if err != nil {
 		panic(err)

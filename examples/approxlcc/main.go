@@ -19,7 +19,7 @@ import (
 
 func main() {
 	g := tricount.GenerateGNM(1<<13, 16<<13, 21) // no locality: many type-3 triangles
-	opt := tricount.Options{PEs: 16}
+	opt := tricount.Options{P: 16}
 
 	exact, err := tricount.Count(g, tricount.AlgoCetric, opt)
 	if err != nil {

@@ -24,7 +24,7 @@ func main() {
 
 	// Sanity: the distributed count agrees with the sequential one before we
 	// trust its structure for recommendations.
-	res, err := tricount.Count(g, tricount.AlgoCetric, tricount.Options{PEs: 8})
+	res, err := tricount.Count(g, tricount.AlgoCetric, tricount.Options{P: 8})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func main() {
 	top := recs[0]
 	edges := append(g.Edges(), graph.Edge{U: user, V: top.who})
 	g2 := graph.FromEdges(g.NumVertices(), edges)
-	after, err := tricount.Count(g2, tricount.AlgoCetric, tricount.Options{PEs: 8})
+	after, err := tricount.Count(g2, tricount.AlgoCetric, tricount.Options{P: 8})
 	if err != nil {
 		log.Fatal(err)
 	}

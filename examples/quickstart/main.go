@@ -15,7 +15,7 @@ func main() {
 	g := tricount.GenerateRHG(1<<13, 32, 2.8, 42)
 	fmt.Printf("graph: %d vertices, %d edges\n", g.NumVertices(), g.NumEdges())
 
-	res, err := tricount.Count(g, tricount.AlgoCetric, tricount.Options{PEs: 8})
+	res, err := tricount.Count(g, tricount.AlgoCetric, tricount.Options{P: 8})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -48,7 +48,7 @@ func main() {
 		g.NumVertices(), g.NumEdges(), farmSize)
 
 	// Distributed exact LCC with CETRIC2 (indirect communication).
-	lcc, res, err := tricount.LCC(g, tricount.AlgoCetric2, tricount.Options{PEs: 16})
+	lcc, res, err := tricount.LCC(g, tricount.AlgoCetric, tricount.Options{P: 16, Indirect: true})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -58,46 +58,6 @@ func (c *Comm) AllreduceSum(vec []uint64) []uint64 {
 	return acc
 }
 
-// Gather collects each PE's vector at rank 0 (indexed by rank); other ranks
-// receive nil.
-func (c *Comm) Gather(vec []uint64) [][]uint64 {
-	e := c.nextEpoch(kindGather)
-	p := c.Size()
-	if c.Rank() != 0 {
-		msg := make([]uint64, 1+len(vec))
-		msg[0] = tag(kindGather, e)
-		copy(msg[1:], vec)
-		c.mustControl(0, msg)
-		return nil
-	}
-	out := make([][]uint64, p)
-	out[0] = append([]uint64(nil), vec...)
-	for got := 1; got < p; got++ {
-		f := c.wait(func(t uint64) bool { return t == tag(kindGather, e) })
-		out[f.Src] = append([]uint64(nil), f.Words[1:]...)
-	}
-	return out
-}
-
-// Broadcast sends vec from rank 0 to everyone and returns it (rank 0's input
-// is passed through).
-func (c *Comm) Broadcast(vec []uint64) []uint64 {
-	e := c.nextEpoch(kindBcast)
-	if c.Rank() == 0 {
-		msg := make([]uint64, 1+len(vec))
-		msg[0] = tag(kindBcast, e)
-		copy(msg[1:], vec)
-		for dst := 1; dst < c.Size(); dst++ {
-			c.mustControl(dst, msg)
-		}
-		return vec
-	}
-	f := c.waitTag(tag(kindBcast, e))
-	out := make([]uint64, len(f.Words)-1)
-	copy(out, f.Words[1:])
-	return out
-}
-
 // DenseExchange performs a dense irregular all-to-all: data[j] goes to PE j
 // (may be empty or nil), and the result holds one slice per source PE. This
 // is the "simple dense all-to-all" the paper uses for the ghost degree

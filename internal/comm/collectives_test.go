@@ -68,41 +68,6 @@ func TestAllreduceSum(t *testing.T) {
 	}
 }
 
-func TestGather(t *testing.T) {
-	const p = 4
-	var got [][]uint64
-	runComms(t, p, func(rank int, c *Comm) {
-		res := c.Gather([]uint64{uint64(rank * 10)})
-		if rank == 0 {
-			got = res
-		} else if res != nil {
-			t.Errorf("non-root PE %d got non-nil gather result", rank)
-		}
-	})
-	for rank := 0; rank < p; rank++ {
-		if len(got[rank]) != 1 || got[rank][0] != uint64(rank*10) {
-			t.Fatalf("gather[%d] = %v", rank, got[rank])
-		}
-	}
-}
-
-func TestBroadcast(t *testing.T) {
-	const p = 5
-	results := make([][]uint64, p)
-	runComms(t, p, func(rank int, c *Comm) {
-		var in []uint64
-		if rank == 0 {
-			in = []uint64{7, 8, 9}
-		}
-		results[rank] = c.Broadcast(in)
-	})
-	for rank, got := range results {
-		if len(got) != 3 || got[0] != 7 || got[2] != 9 {
-			t.Fatalf("PE %d broadcast = %v", rank, got)
-		}
-	}
-}
-
 func TestDenseExchange(t *testing.T) {
 	const p = 5
 	results := make([][][]uint64, p)

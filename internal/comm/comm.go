@@ -21,7 +21,6 @@ const (
 	kindRelease
 	kindReduce
 	kindBcast
-	kindGather
 	kindDense
 	kindGroup
 )

@@ -2,6 +2,7 @@ package comm
 
 import (
 	"encoding/binary"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -519,6 +520,13 @@ func BenchmarkIBcastSteadyState(b *testing.B) {
 	for i := 0; i < 16; i++ {
 		round(payload)
 	}
+	// End the warm-up on a collection. While it runs the peer finishes its
+	// last round, so the frame pool and the inbox are at their high water,
+	// and its stop-the-world restarts start any OS thread the scheduler
+	// still wants. Without it, a single timed iteration can catch either:
+	// the slice growth of a new high water, or the runtime's allocations
+	// for a fresh thread when ResetTimer's ReadMemStats restarts the world.
+	runtime.GC()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

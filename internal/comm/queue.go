@@ -193,9 +193,6 @@ func (q *Queue) SetCodec(ch int, codec Codec) {
 	q.codecs[ch] = codec
 }
 
-// CodecOf returns the codec installed on a channel.
-func (q *Queue) CodecOf(ch int) Codec { return q.codecs[ch] }
-
 // Send enqueues a record for dst on the given channel. Local destinations
 // are delivered immediately without touching the network. The payload is
 // copied into the aggregation buffer, so the caller may reuse it.
@@ -548,6 +545,3 @@ func (q *Queue) drainWorker(progress func() bool) {
 		}
 	}
 }
-
-// Buffered returns the number of words currently buffered (for tests).
-func (q *Queue) Buffered() int { return q.buffered }

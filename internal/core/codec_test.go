@@ -22,10 +22,10 @@ func TestCodecPoliciesMatchSequential(t *testing.T) {
 	for _, fix := range testgraph.All {
 		g, want := fix.Build(), fix.Triangles
 		for _, policy := range codecPolicies() {
-			for _, algo := range Algorithms() {
+			for _, algo := range paperVariants {
 				for _, p := range []int{4, 7} {
 					t.Run(fmt.Sprintf("%s/%s/%s/p=%d", policy, fix.Name, algo, p), func(t *testing.T) {
-						res, err := Run(algo, g, Config{P: p, Codec: policy})
+						res, err := algo.run(g, Config{P: p, Codec: policy})
 						if err != nil {
 							t.Fatal(err)
 						}

@@ -21,16 +21,56 @@ func testGraphs() map[string]*graph.Graph {
 
 var testPEs = []int{1, 2, 3, 4, 7, 8}
 
+// variant labels a test cell: an engine plus the config bits the paper's
+// other algorithm names stand for — ditric2 and cetric2 are DITRIC and
+// CETRIC with Indirect, noagg is DITRIC with δ = 1.
+type variant struct {
+	name     string
+	algo     Algorithm
+	indirect bool
+	noAgg    bool
+}
+
+var (
+	vDiTric  = variant{name: "ditric", algo: AlgoDiTric}
+	vDiTric2 = variant{name: "ditric2", algo: AlgoDiTric, indirect: true}
+	vCetric  = variant{name: "cetric", algo: AlgoCetric}
+	vCetric2 = variant{name: "cetric2", algo: AlgoCetric, indirect: true}
+	vNoAgg   = variant{name: "noagg", algo: AlgoDiTric, noAgg: true}
+	vHavoq   = variant{name: "havoq", algo: AlgoHavoq}
+	vTriC    = variant{name: "tric", algo: AlgoTriC}
+	vTK2D    = variant{name: "tk2d", algo: AlgoTK2D}
+)
+
+// paperVariants are the six algorithms of the paper's figures, in order.
+var paperVariants = []variant{vDiTric, vDiTric2, vCetric, vCetric2, vHavoq, vTriC}
+
+func (v variant) String() string { return v.name }
+
+// config sets the variant's bits on cfg.
+func (v variant) config(cfg Config) Config {
+	cfg.Indirect = cfg.Indirect || v.indirect
+	if v.noAgg {
+		cfg.Threshold = 1
+	}
+	return cfg
+}
+
+// run is Run under the variant's bits.
+func (v variant) run(g *graph.Graph, cfg Config) (*Result, error) {
+	return Run(v.algo, g, v.config(cfg))
+}
+
 func TestDistributedAlgorithmsMatchSequential(t *testing.T) {
 	for _, fix := range testgraph.All {
 		name, g, want := fix.Name, fix.Build(), fix.Triangles
 		if got := SeqCount(g); got != want {
 			t.Fatalf("SeqCount(%s) = %d, fixture says %d", name, got, want)
 		}
-		for _, algo := range Algorithms() {
+		for _, algo := range paperVariants {
 			for _, p := range testPEs {
 				t.Run(fmt.Sprintf("%s/%s/p=%d", algo, name, p), func(t *testing.T) {
-					res, err := Run(algo, g, Config{P: p})
+					res, err := algo.run(g, Config{P: p})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -65,9 +105,9 @@ func TestCetricTypeCountsSumToTotal(t *testing.T) {
 func TestDistributedLCCMatchesSequential(t *testing.T) {
 	for name, g := range testGraphs() {
 		wantCount, wantDeltas := SeqDeltas(g)
-		for _, algo := range []Algorithm{AlgoDiTric, AlgoDiTric2, AlgoCetric, AlgoCetric2} {
+		for _, algo := range []variant{vDiTric, vDiTric2, vCetric, vCetric2} {
 			for _, p := range []int{1, 3, 4, 8} {
-				res, err := Run(algo, g, Config{P: p, LCC: true})
+				res, err := algo.run(g, Config{P: p, LCC: true})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -88,9 +128,9 @@ func TestDistributedEnumerationMatchesSequential(t *testing.T) {
 	g := gen.RMAT(gen.DefaultRMAT(7, 3))
 	want := make(map[[3]graph.Vertex]bool)
 	SeqEnumerate(g, func(v, u, w graph.Vertex) { want[CanonTriangle(v, u, w)] = true })
-	for _, algo := range []Algorithm{AlgoDiTric, AlgoCetric, AlgoCetric2} {
+	for _, algo := range []variant{vDiTric, vCetric, vCetric2} {
 		for _, p := range []int{2, 5} {
-			res, err := Run(algo, g, Config{P: p, Collect: true})
+			res, err := algo.run(g, Config{P: p, Collect: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -203,9 +243,9 @@ func TestNonUniformPartitions(t *testing.T) {
 func TestHybridThreadsMatchSequential(t *testing.T) {
 	g := gen.RMAT(gen.DefaultRMAT(9, 31))
 	want := SeqCount(g)
-	for _, algo := range []Algorithm{AlgoDiTric, AlgoDiTric2, AlgoCetric} {
+	for _, algo := range []variant{vDiTric, vDiTric2, vCetric} {
 		for _, threads := range []int{2, 4} {
-			res, err := Run(algo, g, Config{P: 4, Threads: threads})
+			res, err := algo.run(g, Config{P: 4, Threads: threads})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -234,8 +274,8 @@ func TestTinyThresholdStillCorrect(t *testing.T) {
 	// Aggressive flushing (δ=1 word) must not change results, only costs.
 	g := gen.GNM(150, 900, 77)
 	want := SeqCount(g)
-	for _, algo := range []Algorithm{AlgoDiTric, AlgoDiTric2, AlgoCetric2, AlgoHavoq} {
-		res, err := Run(algo, g, Config{P: 7, Threshold: 1})
+	for _, algo := range []variant{vDiTric, vDiTric2, vCetric2, vHavoq} {
+		res, err := algo.run(g, Config{P: 7, Threshold: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -251,7 +291,7 @@ func TestNoAggSendsMoreMessages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	unbuffered, err := Run(AlgoNoAgg, g, Config{P: 8})
+	unbuffered, err := vNoAgg.run(g, Config{P: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +314,7 @@ func TestIndirectionReducesPeers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	indirect, err := Run(AlgoDiTric2, g, Config{P: 16})
+	indirect, err := vDiTric2.run(g, Config{P: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

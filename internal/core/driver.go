@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/comm"
-	"repro/internal/costmodel"
 	"repro/internal/dist"
 	"repro/internal/graph"
 	"repro/internal/part"
@@ -31,18 +30,14 @@ type countBody func(pe *dist.PE, pl *plan, lg *graph.LocalGraph, out *peOutcome,
 // algoSpecs resolves an algorithm name. TK2D has no 1D count body: its
 // geometry (plan.g2) selects tk2dBody instead.
 var algoSpecs = map[Algorithm]struct {
-	count    countBody
-	indirect bool // the "2" variants force grid-indirect delivery
-	family   bool // DITRIC/CETRIC proper: the algorithms that support LCC and streaming
+	count  countBody
+	family bool // DITRIC/CETRIC proper: the algorithms that support LCC and streaming
 }{
-	AlgoDiTric:  {count: ditricFrom, family: true},
-	AlgoDiTric2: {count: ditricFrom, family: true, indirect: true},
-	AlgoCetric:  {count: cetricFrom, family: true},
-	AlgoCetric2: {count: cetricFrom, family: true, indirect: true},
-	AlgoTriC:    {count: tricBody},
-	AlgoHavoq:   {count: havoqBody},
-	AlgoNoAgg:   {count: ditricFrom},
-	AlgoTK2D:    {},
+	AlgoDiTric: {count: ditricFrom, family: true},
+	AlgoCetric: {count: cetricFrom, family: true},
+	AlgoTriC:   {count: tricBody},
+	AlgoHavoq:  {count: havoqBody},
+	AlgoTK2D:   {},
 }
 
 // plan is a validated, fully resolved run set-up. Every entry point — Run,
@@ -74,11 +69,6 @@ func prepare(algo Algorithm, n uint64, m int, cfg Config) (*plan, error) {
 	if cfg.P <= 0 {
 		return nil, fmt.Errorf("core: config needs P > 0")
 	}
-	if cfg.Profile != "" && cfg.Profile != costmodel.MeasuredName {
-		if _, err := costmodel.ByName(cfg.Profile); err != nil {
-			return nil, err
-		}
-	}
 	spec, ok := algoSpecs[algo]
 	if !ok {
 		return nil, fmt.Errorf("core: unknown algorithm %q", algo)
@@ -86,8 +76,10 @@ func prepare(algo Algorithm, n uint64, m int, cfg Config) (*plan, error) {
 	if cfg.LCC && !spec.family {
 		return nil, fmt.Errorf("core: LCC is only supported by DITRIC/CETRIC, not %s", algo)
 	}
+	if cfg.Collect && !spec.family && algo != AlgoTK2D {
+		return nil, fmt.Errorf("core: triangle collection is only supported by DITRIC/CETRIC/TK2D, not %s", algo)
+	}
 	pl := &plan{cfg: cfg, count: spec.count, family: spec.family}
-	indirect := false
 	if algo == AlgoTK2D {
 		// The 2D geometry has its own block build and partition math; it shares
 		// everything else — validation, δ, the outcome merge, phase accounting.
@@ -105,7 +97,6 @@ func prepare(algo Algorithm, n uint64, m int, cfg Config) (*plan, error) {
 		}
 		pl.g2 = g2
 	} else {
-		indirect = cfg.Indirect || spec.indirect
 		pl.pt = cfg.Partition
 		if pl.pt == nil {
 			pl.pt = part.Uniform(n, cfg.P)
@@ -128,11 +119,9 @@ func prepare(algo Algorithm, n uint64, m int, cfg Config) (*plan, error) {
 		// δ ∈ O(|E_i|): memory per PE stays linear in the local input.
 		threshold = DefaultThreshold(m, cfg.P)
 	}
-	if algo == AlgoNoAgg {
-		threshold = 1 // flush after every record: no aggregation
-	}
 	pl.dist = dist.Config{
-		P: cfg.P, Threshold: threshold, Indirect: indirect, Network: cfg.Network,
+		// Indirect routes the 1D queue; TK2D's rounds keep direct delivery.
+		P: cfg.P, Threshold: threshold, Indirect: cfg.Indirect && pl.g2 == nil, Network: cfg.Network,
 		CommDeadline: cfg.CommDeadline, RunTimeout: cfg.RunTimeout,
 	}
 	return pl, nil

@@ -1,11 +1,15 @@
 package core
 
 import (
+	"errors"
 	"runtime"
 	"testing"
+	"time"
 
+	"repro/internal/dist"
 	"repro/internal/gen"
 	"repro/internal/part"
+	"repro/internal/testgraph"
 )
 
 func TestRunRejectsUnknownAlgorithm(t *testing.T) {
@@ -45,10 +49,10 @@ func TestRunRejectsLCCOnBaselines(t *testing.T) {
 
 func TestAlgorithmsListStable(t *testing.T) {
 	algos := Algorithms()
-	if len(algos) != 6 {
-		t.Fatalf("expected 6 algorithms, got %d", len(algos))
+	if len(algos) != 4 {
+		t.Fatalf("expected 4 algorithms, got %d", len(algos))
 	}
-	if algos[0] != AlgoDiTric || algos[5] != AlgoTriC {
+	if algos[0] != AlgoDiTric || algos[3] != AlgoTriC {
 		t.Fatalf("unexpected order: %v", algos)
 	}
 }
@@ -98,8 +102,8 @@ func TestPhaseCommAttribution(t *testing.T) {
 
 func TestSinglePEHasNoCommunication(t *testing.T) {
 	g := gen.RMAT(gen.DefaultRMAT(8, 97))
-	for _, algo := range Algorithms() {
-		res, err := Run(algo, g, Config{P: 1})
+	for _, algo := range paperVariants {
+		res, err := algo.run(g, Config{P: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,4 +154,75 @@ func TestPrepareRejectsRowSpaceOverflow(t *testing.T) {
 			t.Errorf("%s n=%d p=%d: prepare allocated %d bytes", c.algo, c.n, c.p, grew)
 		}
 	}
+}
+
+// FuzzRunConfig runs a fixture under a random Config: any algorithm, 1–10
+// PEs, δ, 0–3 threads, the Indirect, Overlap, LCC, Collect, NoSurrogate and
+// SparseDegreeExchange bits, a codec policy and a hub threshold. An input
+// either fails set-up — exactly when it asks LCC of an algorithm other than
+// DITRIC/CETRIC or Collect of TriC/HavoqGT — or counts the fixture's
+// triangles exactly, with one collected triangle per triangle and Δ summing
+// to three per triangle. RunTimeout turns a hang into a failure.
+func FuzzRunConfig(f *testing.F) {
+	const (
+		bitIndirect = 1 << iota
+		bitOverlap
+		bitLCC
+		bitCollect
+		bitNoSurrogate
+		bitSparse
+	)
+	algos := []Algorithm{AlgoDiTric, AlgoCetric, AlgoHavoq, AlgoTriC, AlgoTK2D}
+	// The first seed is rgg on 8 PEs with HavoqGT and Collect: a counter
+	// that ignores Collect returns the count with 0 of 6,310 triangles.
+	f.Add(uint8(7), uint8(2), uint8(7), uint16(0), uint8(0), uint8(bitCollect), uint8(0), int8(0))
+	f.Add(uint8(6), uint8(0), uint8(3), uint16(1), uint8(2), uint8(bitIndirect|bitOverlap|bitLCC), uint8(1), int8(-1))
+	f.Add(uint8(2), uint8(4), uint8(5), uint16(64), uint8(3), uint8(bitOverlap|bitCollect), uint8(3), int8(2))
+	f.Add(uint8(8), uint8(1), uint8(8), uint16(7), uint8(1), uint8(bitNoSurrogate|bitSparse|bitCollect), uint8(2), int8(5))
+	f.Fuzz(func(t *testing.T, fxSel, algoSel, pSel uint8, threshold uint16, threads, flags, codecSel uint8, hub int8) {
+		fx := testgraph.All[int(fxSel)%len(testgraph.All)]
+		algo := algos[int(algoSel)%len(algos)]
+		cfg := Config{
+			P:                    int(pSel)%10 + 1,
+			Threshold:            int(threshold),
+			Threads:              int(threads) % 4,
+			Indirect:             flags&bitIndirect != 0,
+			Overlap:              flags&bitOverlap != 0,
+			LCC:                  flags&bitLCC != 0,
+			Collect:              flags&bitCollect != 0,
+			NoSurrogate:          flags&bitNoSurrogate != 0,
+			SparseDegreeExchange: flags&bitSparse != 0,
+			Codec:                codecPolicies()[int(codecSel)%len(codecPolicies())],
+			HubThreshold:         int(hub),
+			RunTimeout:           30 * time.Second,
+		}
+		family := algo == AlgoDiTric || algo == AlgoCetric
+		invalid := (cfg.LCC && !family) || (cfg.Collect && (algo == AlgoHavoq || algo == AlgoTriC))
+		res, err := Run(algo, fx.Build(), cfg)
+		if invalid {
+			var re *dist.RunError
+			if err == nil || errors.As(err, &re) {
+				t.Fatalf("%s %s %+v: err %v, want a set-up error", fx.Name, algo, cfg, err)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("%s %s %+v: %v", fx.Name, algo, cfg, err)
+		}
+		if res.Count != fx.Triangles {
+			t.Fatalf("%s %s %+v: count %d, want %d", fx.Name, algo, cfg, res.Count, fx.Triangles)
+		}
+		if cfg.Collect && uint64(len(res.Triangles)) != fx.Triangles {
+			t.Fatalf("%s %s %+v: collected %d triangles, want %d", fx.Name, algo, cfg, len(res.Triangles), fx.Triangles)
+		}
+		if cfg.LCC {
+			var sum uint64
+			for _, d := range res.Deltas {
+				sum += d
+			}
+			if sum != 3*fx.Triangles {
+				t.Fatalf("%s %s %+v: Δ sums to %d, want %d", fx.Name, algo, cfg, sum, 3*fx.Triangles)
+			}
+		}
+	})
 }

@@ -70,7 +70,7 @@ func TestLCCErrorMetrics(t *testing.T) {
 func TestTransitivityConsistentAcrossAlgorithms(t *testing.T) {
 	g := gen.RHG(gen.RHGConfig{N: 512, AvgDegree: 16, Gamma: 2.8, Seed: 5})
 	want := GlobalClusteringCoefficient(g, SeqCount(g))
-	res, err := Run(AlgoCetric2, g, Config{P: 4})
+	res, err := vCetric2.run(g, Config{P: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,9 +62,9 @@ func TestOverlapMatchesBarrieredOracle(t *testing.T) {
 func TestOverlapIndirectVariants(t *testing.T) {
 	g := gen.RMAT(gen.DefaultRMAT(8, 11))
 	want := SeqCount(g)
-	for _, algo := range []Algorithm{AlgoDiTric2, AlgoCetric2} {
+	for _, algo := range []variant{vDiTric2, vCetric2} {
 		for _, threads := range []int{1, 4} {
-			res, err := Run(algo, g, Config{P: 9, Threads: threads, Overlap: true})
+			res, err := algo.run(g, Config{P: 9, Threads: threads, Overlap: true})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -203,8 +203,8 @@ func TestPlacementHybridThreads(t *testing.T) {
 func TestPlacementIndirectVariants(t *testing.T) {
 	g := gen.RMAT(gen.DefaultRMAT(8, 11))
 	want := SeqCount(g)
-	for _, algo := range []Algorithm{AlgoDiTric2, AlgoCetric2} {
-		res, err := Run(algo, g, partitionConfig(g, 9, "auto", false))
+	for _, algo := range []variant{vDiTric2, vCetric2} {
+		res, err := algo.run(g, partitionConfig(g, 9, "auto", false))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,9 +220,9 @@ func TestPlacementIndirectVariants(t *testing.T) {
 func TestPlacementValidation(t *testing.T) {
 	g := gen.Complete(8)
 	n := uint64(g.NumVertices())
-	for _, algo := range []Algorithm{AlgoDiTric, AlgoCetric, AlgoDiTric2, AlgoCetric2, AlgoTriC, AlgoHavoq} {
+	for _, algo := range paperVariants {
 		for _, pt := range []*part.Partition{part.Uniform(n, 3), part.Uniform(n-1, 2)} {
-			if _, err := Run(algo, g, Config{P: 2, Partition: pt}); err == nil {
+			if _, err := algo.run(g, Config{P: 2, Partition: pt}); err == nil {
 				t.Fatalf("%s accepted a placement over %d PEs and %d vertices for a 2-PE run on %d", algo, pt.P(), pt.N(), n)
 			}
 		}

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/costmodel"
 	"repro/internal/dist"
 	"repro/internal/graph"
 )
@@ -57,15 +56,7 @@ const hybridChunk = 128 // rows per stolen chunk
 const overlapFlushWords = 1 << 10
 
 // overlapWatermark resolves the eager-flush watermark for aggregation
-// threshold δ: min(profileWatermark, δ/2). The profile watermark is the
-// configured costmodel profile's α/β break-even frame size
-// (Profile.FlushWatermark) — frames below it cost more in startup latency
-// than overlapping can hide, which is why the old fixed 1024-word constant
-// lost to the barriered schedule on high-α (cloud/WAN) parameterizations: it
-// sliced shipments into frames an order of magnitude below those profiles'
-// break-even. With no profile configured the historical constant stands
-// (it is within a factor of two of the supercomputer profile's break-even,
-// the machine the paper measured on).
+// threshold δ: min(overlapFlushWords, δ/2), floored at 1.
 //
 // The δ/2 clamp is load-bearing: DefaultThreshold floors δ
 // at 1024 — exactly overlapFlushWords — so on tiny graphs (and explicit
@@ -73,17 +64,8 @@ const overlapFlushWords = 1 << 10
 // eager flushing would silently never fire before the overflow flush.
 // Clamping to half of δ keeps the watermark strictly below the overflow
 // boundary for every δ > 1.
-func overlapWatermark(threshold int, profile string) int {
-	wm := overlapFlushWords
-	if profile != "" {
-		if p, err := costmodel.ByName(profile); err == nil {
-			wm = p.FlushWatermark()
-		}
-	}
-	if half := threshold / 2; half < wm {
-		wm = half
-	}
-	return max(wm, 1)
+func overlapWatermark(threshold int) int {
+	return max(min(overlapFlushWords, threshold/2), 1)
 }
 
 // dequeBatch is how many parked records a worker steals per deque lock
@@ -271,16 +253,10 @@ type overlapPipeline struct {
 	fn    globalFn
 
 	// overlap selects the overlapped schedule; flushWords is its eager-flush
-	// watermark (overlapWatermark), resolved once per run — except under
-	// -profile=measured, where maybeRecalibrate re-fits it from the live α/β
-	// estimate as samples accumulate. The barriered schedule never flushes
-	// eagerly: its watermark is ∞.
+	// watermark (overlapWatermark), resolved once per run. The barriered
+	// schedule never flushes eagerly: its watermark is ∞.
 	overlap    bool
 	flushWords int
-	// measured marks an overlapped -profile=measured run; recalTick spaces
-	// the re-fits.
-	measured  bool
-	recalTick int
 
 	workers   []*countState  // private per-worker states (threads > 1)
 	scratches [][]recvRecord // per-worker steal scratch
@@ -300,8 +276,7 @@ func newOverlapPipeline(pe *dist.PE, sw *stopwatch, lg *graph.LocalGraph, cfg Co
 		fscratch:   make([]recvRecord, dequeBatch),
 	}
 	if cfg.Overlap {
-		op.flushWords = overlapWatermark(pe.Q.Threshold(), cfg.Profile)
-		op.measured = cfg.Profile == costmodel.MeasuredName
+		op.flushWords = overlapWatermark(pe.Q.Threshold())
 	}
 	if cfg.Threads > 1 {
 		op.workers = make([]*countState, cfg.Threads)
@@ -314,32 +289,6 @@ func newOverlapPipeline(pe *dist.PE, sw *stopwatch, lg *graph.LocalGraph, cfg Co
 	}
 	op.installHandlers()
 	return op
-}
-
-// maybeRecalibrate re-fits the eager-flush watermark from the live α/β
-// estimate under -profile=measured. The static profile tables guess the
-// break-even frame size; the measured profile recovers it from this run's
-// own frame-latency samples (costmodel.Calibrate over pe.C.M), so the
-// watermark tracks the transport actually underneath. Called only from the
-// goroutine that owns flushWords — stageSeq's single timeline or the
-// stagePar funnel, which are also the only writers of pe.C.M's latency
-// sums — every 64 flush checks, with the same δ/2 clamp as
-// overlapWatermark.
-func (op *overlapPipeline) maybeRecalibrate() {
-	if !op.measured {
-		return
-	}
-	op.recalTick++
-	if op.recalTick&63 != 0 {
-		return
-	}
-	if p, ok := costmodel.Calibrate(op.pe.C.M); ok {
-		wm := p.FlushWatermark()
-		if half := op.pe.Q.Threshold() / 2; half < wm {
-			wm = half
-		}
-		op.flushWords = max(wm, 1)
-	}
 }
 
 // stage runs one emission stage over rows [0, rows) under the named
@@ -387,7 +336,6 @@ func (op *overlapPipeline) stageSeq(phase string, rows int, steal bool,
 			continue
 		}
 		pe.Q.FlushIfOver(op.flushWords)
-		op.maybeRecalibrate()
 		op.sw.phase(PhaseGlobalRecv)
 		t0 := time.Now()
 		if pe.Q.Poll() {
@@ -462,7 +410,6 @@ func (op *overlapPipeline) stagePar(rows int, steal bool,
 		pe.Q.Send(s.ch, s.dst, *s.payload)
 		payloadPool.Put(s.payload)
 		pe.Q.FlushIfOver(op.flushWords)
-		op.maybeRecalibrate()
 	}
 	if !steal {
 		for s := range sends {

@@ -82,16 +82,16 @@ func TestRunRankMatchesSequential(t *testing.T) {
 		if want := SeqCount(g); want != fx.Triangles {
 			t.Fatalf("%s: SeqCount %d, fixture says %d", name, want, fx.Triangles)
 		}
-		for _, algo := range []Algorithm{AlgoDiTric, AlgoCetric2, AlgoNoAgg, AlgoTK2D} {
+		for _, algo := range []variant{vDiTric, vCetric2, vNoAgg, vTK2D} {
 			for _, p := range []int{1, 4, 6} {
 				t.Run(fmt.Sprintf("%s/%s/p=%d", name, algo, p), func(t *testing.T) {
-					counts, metrics := runRanks(t, algo, g, Config{}, p)
+					counts, metrics := runRanks(t, algo.algo, g, algo.config(Config{}), p)
 					for r, c := range counts {
 						if c != fx.Triangles {
 							t.Fatalf("rank %d returned %d, want %d", r, c, fx.Triangles)
 						}
 					}
-					if algo != AlgoNoAgg {
+					if algo != vNoAgg {
 						return
 					}
 					pt := part.Uniform(uint64(g.NumVertices()), p)
@@ -229,11 +229,11 @@ func TestEntryPointsRejectAlike(t *testing.T) {
 		algo Algorithm
 		cfg  Config
 	}{
-		{"unknown profile", AlgoCetric, Config{Profile: "nope"}},
 		{"unknown placement", AlgoCetric, Config{Partition: part.Uniform(n, p+1)}},
 		{"unknown codec", AlgoCetric, Config{Codec: "nope"}},
 		{"partition shape", AlgoCetric, Config{Partition: part.Uniform(n+1, p)}},
 		{"LCC on a baseline", AlgoTriC, Config{LCC: true}},
+		{"Collect on a baseline", AlgoHavoq, Config{Collect: true}},
 		{"LCC on tk2d", AlgoTK2D, Config{LCC: true}},
 		{"1D partition on tk2d", AlgoTK2D, Config{Partition: part.Uniform(n, p)}},
 	} {

@@ -93,6 +93,18 @@ func SliceBatches(edges []graph.Edge, batch int) BatchSource {
 	}
 }
 
+// SplitStream turns an edge list into a RunStream's two sources: the first
+// batch seeds the initial graph and the rest arrive as inserts, batch edges
+// at a time. batch ≤ 0 picks max(1024, m/8); the size used is returned with
+// the sources.
+func SplitStream(edges []graph.Edge, batch int) (initial, inserts BatchSource, size int) {
+	if batch <= 0 {
+		batch = max(1024, len(edges)/8)
+	}
+	split := min(batch, len(edges))
+	return SliceBatches(edges[:split], batch), SliceBatches(edges[split:], batch), batch
+}
+
 // StreamResult reports a streaming run.
 type StreamResult struct {
 	// Initial is the triangle count of the sealed initial graph.
@@ -143,7 +155,7 @@ func RunStream(algo Algorithm, n uint64, initial, inserts BatchSource, cfg Confi
 		return nil, err
 	}
 	if !pl.family {
-		return nil, fmt.Errorf("core: streaming supports the DITRIC/CETRIC variants, not %s", algo)
+		return nil, fmt.Errorf("core: streaming supports DITRIC/CETRIC, not %s", algo)
 	}
 	cfg = pl.cfg
 

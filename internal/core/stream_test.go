@@ -140,8 +140,8 @@ func TestRunStreamVariants(t *testing.T) {
 			{P: 4, Partition: part.ByCost(degrees, 4, part.CostWedges)},
 			{P: 5, Threshold: 1, Partition: part.ByCost(degrees, 5, part.CostDegree)},
 		} {
-			for _, algo := range []Algorithm{AlgoDiTric2, AlgoCetric2, AlgoDiTric, AlgoCetric} {
-				sres := runStreamSplit(t, algo, g.NumVertices(), edges, len(edges)/2, 5+len(edges)/50, cfg)
+			for _, algo := range []variant{vDiTric2, vCetric2, vDiTric, vCetric} {
+				sres := runStreamSplit(t, algo.algo, g.NumVertices(), edges, len(edges)/2, 5+len(edges)/50, algo.config(cfg))
 				if sres.Count != fx.Triangles {
 					t.Errorf("%s %s %+v: count %d, want %d", name, algo, cfg, sres.Count, fx.Triangles)
 				}
@@ -488,7 +488,7 @@ func FuzzStreamBatches(f *testing.F) {
 // silently disabling it.
 func TestOverlapWatermarkClamp(t *testing.T) {
 	for delta := 1; delta <= 1024; delta++ {
-		wm := overlapWatermark(delta, "")
+		wm := overlapWatermark(delta)
 		if wm < 1 {
 			t.Fatalf("δ=%d: watermark %d < 1", delta, wm)
 		}
@@ -499,59 +499,21 @@ func TestOverlapWatermarkClamp(t *testing.T) {
 			t.Fatalf("δ=%d: watermark %d above overlapFlushWords", delta, wm)
 		}
 	}
-	if wm := overlapWatermark(1<<20, ""); wm != overlapFlushWords {
+	if wm := overlapWatermark(1 << 20); wm != overlapFlushWords {
 		t.Fatalf("large δ: watermark %d, want %d", wm, overlapFlushWords)
 	}
 }
 
-// TestOverlapWatermarkProfileTable pins wm = min(profileWatermark, δ/2)
-// with floor 1 across the δ×profile grid: the profile watermark is the α/β
-// break-even frame size (supercomputer 1563, cloud 7813, WAN 31250 words),
-// the empty or unknown profile keeps the historical 1024-word constant, and
-// the δ/2 clamp always wins below it.
+// TestOverlapWatermarkProfileTable pins the watermark's profile over δ:
+// wm = min(overlapFlushWords, δ/2) with floor 1, so the δ/2 clamp wins
+// below 2048 words and the 1024-word constant above.
 func TestOverlapWatermarkProfileTable(t *testing.T) {
-	for _, tc := range []struct {
-		delta   int
-		profile string
-		want    int
-	}{
-		// No profile: the historical constant, δ/2-clamped.
-		{1, "", 1}, {2, "", 1}, {100, "", 50}, {1024, "", 512},
-		{2048, "", 1024}, {1 << 20, "", 1024},
-		// Unknown profile names behave like no profile (counts never depend
-		// on the profile string, so a typo must not change the schedule
-		// beyond the documented default).
-		{1 << 20, "nope", 1024},
-		// Supercomputer: ⌈1µs/(64B/100Gbit)⌉ = 1563.
-		{2000, "supercomputer", 1000}, {4096, "supercomputer", 1563},
-		{1 << 20, "supercomputer", 1563},
-		// Cloud: ⌈50µs/(64B/10Gbit)⌉ = 7813.
-		{4096, "cloud", 2048}, {20000, "cloud", 7813}, {1 << 20, "cloud", 7813},
-		// WAN: 2ms/(64B/1Gbit) = 31250 exactly.
-		{20000, "wan", 10000}, {70000, "wan", 31250}, {1 << 20, "wan", 31250},
-		// The floor survives every profile.
-		{1, "wan", 1}, {1, "cloud", 1},
+	for _, tc := range []struct{ delta, want int }{
+		{1, 1}, {2, 1}, {3, 1}, {100, 50}, {1024, 512}, {2047, 1023},
+		{2048, 1024}, {4096, 1024}, {1 << 20, 1024},
 	} {
-		if got := overlapWatermark(tc.delta, tc.profile); got != tc.want {
-			t.Errorf("δ=%d profile=%q: watermark %d, want %d", tc.delta, tc.profile, got, tc.want)
-		}
-	}
-}
-
-// TestOverlapProfileWatermarkCountsUnchanged: configuring a profile moves
-// flush timing only — counts stay exact on every overlapped algorithm.
-func TestOverlapProfileWatermarkCountsUnchanged(t *testing.T) {
-	fx := testgraph.All[0]
-	g := fx.Build()
-	for _, profile := range []string{"supercomputer", "cloud", "wan"} {
-		for _, algo := range streamAlgos {
-			res, err := Run(algo, g, Config{P: 4, Overlap: true, Profile: profile, Threads: 2})
-			if err != nil {
-				t.Fatalf("%s %s: %v", algo, profile, err)
-			}
-			if res.Count != fx.Triangles {
-				t.Errorf("%s %s: count %d, want %d", algo, profile, res.Count, fx.Triangles)
-			}
+		if got := overlapWatermark(tc.delta); got != tc.want {
+			t.Errorf("δ=%d: watermark %d, want %d", tc.delta, got, tc.want)
 		}
 	}
 }

@@ -24,12 +24,12 @@ func TestAlgorithmsOverTCP(t *testing.T) {
 	}
 	g := gen.RMAT(gen.DefaultRMAT(8, 51))
 	want := SeqCount(g)
-	for _, algo := range []Algorithm{AlgoDiTric, AlgoDiTric2, AlgoCetric, AlgoCetric2, AlgoHavoq, AlgoTriC} {
+	for _, algo := range paperVariants {
 		net, err := transport.NewLoopbackTCPNetwork(4)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Run(algo, g, Config{P: 4, Network: net})
+		res, err := algo.run(g, Config{P: 4, Network: net})
 		net.Close()
 		if err != nil {
 			t.Fatalf("%s over TCP: %v", algo, err)
@@ -51,7 +51,7 @@ func TestLCCOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer net.Close()
-	res, err := Run(AlgoCetric2, g, Config{P: 3, Network: net, LCC: true})
+	res, err := vCetric2.run(g, Config{P: 3, Network: net, LCC: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,8 +62,9 @@ func TestLCCOverTCP(t *testing.T) {
 	}
 }
 
-// TestMeasuredProfileAgreesWithProbe runs Profile: measured end to end over
-// loopback TCP and holds the α/β fitted from the runs' own frame latencies
+// TestMeasuredProfileAgreesWithProbe runs DITRIC end to end over loopback
+// TCP, where every data frame is latency-sampled, and holds the α/β fitted
+// from the runs' own frame latencies
 // (costmodel.MeasuredProfile) to a direct probe of isolated sends on the same
 // transport: α and β must each agree within 10×. A run fit whose β sits at
 // BetaFloor is the pure-latency model — frame latency did not grow with
@@ -111,13 +112,13 @@ func measuredRunFit(t *testing.T, g *graph.Graph, want uint64) costmodel.Profile
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Run(AlgoDiTric, g, Config{P: 4, Network: net, Profile: costmodel.MeasuredName})
+		res, err := Run(AlgoDiTric, g, Config{P: 4, Network: net})
 		net.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Count != want {
-			t.Fatalf("measured-profile run counted %d, want %d", res.Count, want)
+			t.Fatalf("measured run counted %d, want %d", res.Count, want)
 		}
 		for _, m := range res.PerPE {
 			if m.LatSamples > 0 {

@@ -1,8 +1,8 @@
 // Package core implements the paper's triangle counting algorithms: the
 // sequential EDGE ITERATOR base, the distributed DITRIC and CETRIC (with and
-// without grid-indirect communication), the competitor baselines TriC and a
-// HavoqGT-style vertex-centric counter, the unbuffered baseline of Fig. 2,
-// and the extensions of §IV-E (local clustering coefficients, triangle
+// without grid-indirect communication, Config.Indirect), the competitor
+// baselines TriC and a HavoqGT-style vertex-centric counter, the unbuffered
+// baseline of Fig. 2 (DITRIC with Config.Threshold = 1), and the extensions of §IV-E (local clustering coefficients, triangle
 // enumeration, AMQ-approximate counting) plus the classic approximation
 // baselines DOULION and colorful sparsification.
 package core
@@ -20,15 +20,14 @@ import (
 // Algorithm names an exact distributed counting algorithm.
 type Algorithm string
 
-// The implemented algorithms. The "2" variants use grid-indirect delivery.
+// The implemented algorithms. The paper's DITRIC2 and CETRIC2 are DITRIC
+// and CETRIC with Config.Indirect; its unbuffered baseline is DITRIC with
+// Config.Threshold = 1.
 const (
-	AlgoDiTric  Algorithm = "ditric"
-	AlgoDiTric2 Algorithm = "ditric2"
-	AlgoCetric  Algorithm = "cetric"
-	AlgoCetric2 Algorithm = "cetric2"
-	AlgoTriC    Algorithm = "tric"
-	AlgoHavoq   Algorithm = "havoq"
-	AlgoNoAgg   Algorithm = "noagg"
+	AlgoDiTric Algorithm = "ditric"
+	AlgoCetric Algorithm = "cetric"
+	AlgoTriC   Algorithm = "tric"
+	AlgoHavoq  Algorithm = "havoq"
 	// AlgoTK2D is the 2D grid-partitioned counter à la Tom & Karypis: the
 	// oriented adjacency matrix is cut into an r×c block grid (any P ≥ 1;
 	// square P gives the classic √p×√p grid) and counting proceeds in
@@ -37,10 +36,10 @@ const (
 	AlgoTK2D Algorithm = "tk2d"
 )
 
-// Algorithms lists all distributed algorithms in the order used by the
+// Algorithms lists the 1D distributed algorithms in the order used by the
 // paper's figures.
 func Algorithms() []Algorithm {
-	return []Algorithm{AlgoDiTric, AlgoDiTric2, AlgoCetric, AlgoCetric2, AlgoHavoq, AlgoTriC}
+	return []Algorithm{AlgoDiTric, AlgoCetric, AlgoHavoq, AlgoTriC}
 }
 
 // Phase names used in Result.Phases, matching Fig. 7's breakdown.
@@ -103,9 +102,14 @@ const (
 
 // Config controls a distributed run.
 type Config struct {
-	P         int  // number of PEs (required)
-	Threshold int  // aggregation threshold δ in words; ≤0 chooses O(|E_i|)
-	Indirect  bool // grid-based indirect delivery (the "2" variants)
+	P int // number of PEs (required)
+	// Threshold is the aggregation threshold δ in words; ≤ 0 chooses
+	// O(|E_i|), the paper's linear-memory setting. 1 flushes every record on
+	// its own: DITRIC with δ = 1 is Fig. 2's unbuffered baseline.
+	Threshold int
+	// Indirect routes queue traffic over a logical 2D PE grid (§IV-B):
+	// DITRIC and CETRIC with it are the paper's DITRIC2 and CETRIC2.
+	Indirect bool
 	// Threads is the worker count per PE. It parallelizes preprocessing for
 	// every algorithm and selects the thread schedule of the DITRIC/CETRIC
 	// counting pipeline: 1 (or less) runs the row sweeps on the PE goroutine
@@ -126,16 +130,15 @@ type Config struct {
 	HubThreshold int
 
 	// Overlap selects the overlapped schedule of the DITRIC/CETRIC counting
-	// pipeline (and their indirect variants; the baselines ignore it). The
-	// default, barriered schedule ships frames only when δ overflows and in
-	// the final drain, and polls or steals nothing between row chunks, so
-	// local and global work stay separated as in the paper's measured
-	// configuration. With Overlap the same pipeline flushes shipments
-	// eagerly at a watermark far below δ as row chunks complete, polls the
-	// network between chunks, and (with Threads > 1) lets workers steal
-	// parked records between chunks — DITRIC's global intersections start
-	// before its local phase finishes; CETRIC's interleave with its cut send
-	// sweep. It is one pipeline with two schedules, not two code paths:
+	// pipeline (the baselines ignore it). The default, barriered schedule
+	// ships frames only when δ overflows and in the final drain, and polls or
+	// steals nothing between row chunks, so local and global work stay
+	// separated as in the paper's measured configuration. With Overlap the
+	// same pipeline flushes shipments eagerly at a watermark far below δ as
+	// row chunks complete, polls the network between chunks, and (with
+	// Threads > 1) lets workers steal parked records between chunks —
+	// DITRIC's global intersections start before its local phase finishes;
+	// CETRIC's interleave with its cut send sweep. It is one pipeline with two schedules, not two code paths:
 	// counts, triangle sets and LCC are identical under both.
 	//
 	// For TK2D the same knob pipelines the round loop: round k+1's row and
@@ -151,16 +154,6 @@ type Config struct {
 	// everywhere. See codec.go for the per-channel rationale. The choice
 	// never changes any count — only Metrics.EncodedBytes.
 	Codec string
-
-	// Profile names a costmodel network profile ("supercomputer", "cloud",
-	// "wan"; empty for none), or "measured". When set, the overlapped
-	// pipeline derives its eager-flush watermark from the profile's α/β
-	// break-even frame size instead of the fixed default, so high-latency
-	// parameterizations flush in frames large enough to be worth their α.
-	// "measured" starts at the fixed default and re-fits the watermark from
-	// the run's own frame latencies as samples arrive. Never changes any
-	// count.
-	Profile string
 
 	// Partition overrides the default uniform 1D partition.
 	Partition *part.Partition
@@ -178,6 +171,7 @@ type Config struct {
 	// clustering coefficients (DITRIC/CETRIC only).
 	LCC bool
 	// Collect gathers every triangle (testing aid; memory O(#triangles)).
+	// DITRIC, CETRIC and TK2D only.
 	Collect bool
 
 	// Network overrides the in-process transport (e.g. loopback TCP).

@@ -2,14 +2,10 @@ package costmodel
 
 import "repro/internal/comm"
 
-// MeasuredName is the profile name that selects online calibration instead
-// of a static parameter table: Config.Profile / -profile accept it. Its one
-// engine consumer is the overlapped pipeline's eager-flush watermark, which
-// starts at the pipeline's fixed default and re-fits from the run's own
-// frame-latency samples (Calibrate) once enough have arrived; the
-// t_model(measured) lens of cmd/tricount fits the pooled samples after the
-// run. A failed fit substitutes nothing: the watermark keeps its default and
-// the lens is left out.
+// MeasuredName names the profiles Calibrate fits from a run's own
+// frame-latency samples. Every data frame is sampled; the t_model(measured)
+// lens of cmd/tricount fits the pooled samples after the run, and a failed
+// fit leaves the lens out.
 const MeasuredName = "measured"
 
 // MinCalibrationSamples is the smallest number of timed data frames a fit
@@ -20,8 +16,7 @@ const MinCalibrationSamples = 32
 
 // BetaFloor is the smallest per-word transfer cost Calibrate reports (in
 // seconds per word). A fit that collapses to the pure-latency model still
-// needs a positive β so downstream α/β ratios (FlushWatermark) stay
-// defined.
+// needs a positive β so downstream α/β ratios stay defined.
 const BetaFloor = 1e-12
 
 // Calibrate fits a live α+β profile to the frame-latency samples metered in
@@ -36,8 +31,8 @@ const BetaFloor = 1e-12
 // model instead of failing: α is the mean frame latency and β sits at
 // BetaFloor, which keeps the measured profile usable (and its α/β pricing
 // stable) on fast transports. α from a genuine sloped fit is clamped
-// non-negative, with a degenerate 0 floored at one nanosecond so
-// FlushWatermark stays meaningful.
+// non-negative, with a degenerate 0 floored at one nanosecond so the α/β
+// ratio stays positive.
 func Calibrate(m comm.Metrics) (Profile, bool) {
 	n := float64(m.LatSamples)
 	if m.LatSamples < MinCalibrationSamples {
@@ -73,7 +68,7 @@ func Calibrate(m comm.Metrics) (Profile, bool) {
 		Beta:  slope * 8 / nsPerSec, // per-byte slope → per-word Beta
 	}
 	if p.Alpha == 0 {
-		p.Alpha = 1e-9 // floor: keep FlushWatermark ≥ 1 well-defined
+		p.Alpha = 1e-9 // floor: keep α/β positive
 	}
 	return p, true
 }

@@ -7,7 +7,6 @@
 package costmodel
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/comm"
@@ -34,31 +33,6 @@ var (
 
 // Profiles lists the built-in profiles.
 func Profiles() []Profile { return []Profile{Supercomputer, Cloud, WAN} }
-
-// ByName resolves a built-in profile by its Name.
-func ByName(name string) (Profile, error) {
-	for _, p := range Profiles() {
-		if p.Name == name {
-			return p, nil
-		}
-	}
-	return Profile{}, fmt.Errorf("costmodel: unknown profile %q (want supercomputer, cloud, or wan)", name)
-}
-
-// FlushWatermark returns the profile's break-even frame size in words: the
-// payload at which a frame's βℓ transfer time equals its α startup —
-// ⌈α/β⌉. Frames below it are latency-dominated; an eager-flush policy that
-// emits smaller frames pays more in added startups than it can hide by
-// overlapping. The overlapped pipeline derives its flush watermark from
-// this instead of a fixed constant when a profile is configured, which is
-// what makes it competitive on high-α (cloud/WAN) parameterizations.
-func (p Profile) FlushWatermark() int {
-	if p.Beta <= 0 || p.Alpha <= 0 {
-		return 1
-	}
-	w := int(p.Alpha/p.Beta + 0.999999)
-	return max(w, 1)
-}
 
 // Time returns the modeled communication time of one PE's traffic:
 // α·messages + β·words. Words are the pre-encoding volume, so this is the
@@ -128,14 +102,4 @@ func BottleneckWire2D(per []comm.Metrics, p Profile) time.Duration {
 		}
 	}
 	return worst
-}
-
-// Total returns the summed modeled time (useful for energy-style accounting
-// rather than makespan).
-func Total(per []comm.Metrics, p Profile) time.Duration {
-	var sum time.Duration
-	for _, m := range per {
-		sum += p.Time(m)
-	}
-	return sum
 }

@@ -22,9 +22,6 @@ func TestBottleneckPicksWorstPE(t *testing.T) {
 	if got := Bottleneck(per, p); got != 5*time.Second {
 		t.Fatalf("Bottleneck = %v", got)
 	}
-	if got := Total(per, p); got != 9*time.Second {
-		t.Fatalf("Total = %v", got)
-	}
 }
 
 func TestLatencyDominatedRegimeFavorsAggregation(t *testing.T) {
@@ -40,42 +37,6 @@ func TestLatencyDominatedRegimeFavorsAggregation(t *testing.T) {
 	}
 	if hpcRatio >= wanRatio {
 		t.Fatalf("supercomputer ratio %.1f should be below WAN ratio %.1f", hpcRatio, wanRatio)
-	}
-}
-
-func TestByName(t *testing.T) {
-	for _, want := range Profiles() {
-		got, err := ByName(want.Name)
-		if err != nil || got != want {
-			t.Fatalf("ByName(%q) = %+v, %v", want.Name, got, err)
-		}
-	}
-	if _, err := ByName("dialup"); err == nil {
-		t.Fatal("want error for unknown profile")
-	}
-	if _, err := ByName(""); err == nil {
-		t.Fatal("want error for empty profile name")
-	}
-}
-
-// TestFlushWatermark pins the break-even frame size ⌈α/β⌉ of every built-in
-// profile — the values the overlapped pipeline derives its eager-flush
-// watermark from (core.overlapWatermark's table test covers the δ clamp).
-func TestFlushWatermark(t *testing.T) {
-	for _, tc := range []struct {
-		p    Profile
-		want int
-	}{
-		{Supercomputer, 1563}, // 1µs / (64B/100Gbit) = 1562.5, rounded up
-		{Cloud, 7813},         // 50µs / (64B/10Gbit) = 7812.5
-		{WAN, 31250},          // 2ms / (64B/1Gbit) = 31250 exactly
-		{Profile{Alpha: 0, Beta: 1}, 1},
-		{Profile{Alpha: 1, Beta: 0}, 1},
-		{Profile{Alpha: 1e-9, Beta: 1}, 1}, // sub-word break-even floors at 1
-	} {
-		if got := tc.p.FlushWatermark(); got != tc.want {
-			t.Errorf("%s: FlushWatermark = %d, want %d", tc.p.Name, got, tc.want)
-		}
 	}
 }
 

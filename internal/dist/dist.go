@@ -468,15 +468,3 @@ func ActivitySkew(per []comm.Metrics) SkewSummary {
 	}
 	return s
 }
-
-// ModeledWire is Modeled over the codec-encoded wire bytes instead of the
-// raw machine words: the α+β time the same run would take once the codec
-// layer's compression is accounted for. Comparing the two maps per profile
-// shows how much of the interconnect bill the wire codecs pay.
-func ModeledWire(per []comm.Metrics) map[string]time.Duration {
-	out := make(map[string]time.Duration, len(costmodel.Profiles()))
-	for _, prof := range costmodel.Profiles() {
-		out[prof.Name] = costmodel.BottleneckWire(per, prof)
-	}
-	return out
-}

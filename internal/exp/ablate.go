@@ -89,12 +89,12 @@ func AblateIndirection(w io.Writer, opt Options) error {
 		return err
 	}
 	for _, p := range pSweep(opt.MaxP) {
-		for _, algo := range []core.Algorithm{core.AlgoDiTric, core.AlgoDiTric2} {
-			res, err := core.Run(algo, g, core.Config{P: p})
+		for _, v := range Variants("ditric", "ditric2") {
+			res, err := v.Run(g, core.Config{P: p})
 			if err != nil {
 				return err
 			}
-			t.Row(p, string(algo), res.Agg.MaxPeers,
+			t.Row(p, v.Name, res.Agg.MaxPeers,
 				humanCount(res.Agg.MaxSentFrames), humanCount(res.Agg.MaxSentWords),
 				costmodel.Bottleneck(res.PerPE, costmodel.Cloud),
 				costmodel.Bottleneck(res.PerPE, costmodel.WAN))

@@ -67,10 +67,10 @@ func Fig2(w io.Writer, opt Options) error {
 		"p", "variant", "wall", "frames(max)", "volume(max words)", "t_model(cloud)", "t_model(wan)")
 	for _, p := range pSweep(opt.MaxP) {
 		for _, variant := range []struct {
-			name string
-			algo core.Algorithm
-		}{{"buffering", core.AlgoDiTric}, {"no buffering", core.AlgoNoAgg}} {
-			res, err := core.Run(variant.algo, g, core.Config{P: p})
+			name      string
+			threshold int // 0: δ ∈ O(|E_i|); 1: every record its own frame
+		}{{"buffering", 0}, {"no buffering", 1}} {
+			res, err := core.Run(core.AlgoDiTric, g, core.Config{P: p, Threshold: variant.threshold})
 			if err != nil {
 				return err
 			}
@@ -112,12 +112,12 @@ func Fig5(w io.Writer, opt Options) error {
 			if err != nil {
 				return err
 			}
-			for _, algo := range core.Algorithms() {
-				res, err := core.Run(algo, g, core.Config{P: p})
+			for _, v := range PaperSeries {
+				res, err := v.Run(g, core.Config{P: p})
 				if err != nil {
 					return err
 				}
-				t.Row(p, humanCount(int64(g.NumVertices())), string(algo), res.Wall,
+				t.Row(p, humanCount(int64(g.NumVertices())), v.Name, res.Wall,
 					humanCount(res.Agg.MaxSentFrames), humanCount(res.Agg.MaxPayloadWords),
 					costmodel.Bottleneck(res.PerPE, costmodel.Cloud),
 					humanCount(res.Agg.MaxPeakBuffered), res.Count)
@@ -137,12 +137,12 @@ func Fig6(w io.Writer, opt Options) error {
 			inst.Name, humanCount(int64(g.NumVertices())), humanCount(int64(g.NumEdges()))),
 			"p", "algo", "wall", "msgs(max)", "volume(max)", "t_model(cloud)", "triangles")
 		for _, p := range pSweep(opt.MaxP) {
-			for _, algo := range core.Algorithms() {
-				res, err := core.Run(algo, g, core.Config{P: p})
+			for _, v := range PaperSeries {
+				res, err := v.Run(g, core.Config{P: p})
 				if err != nil {
 					return err
 				}
-				t.Row(p, string(algo), res.Wall,
+				t.Row(p, v.Name, res.Wall,
 					humanCount(res.Agg.MaxSentFrames), humanCount(res.Agg.MaxPayloadWords),
 					costmodel.Bottleneck(res.PerPE, costmodel.Cloud), res.Count)
 			}
@@ -209,7 +209,7 @@ func Fig8(w io.Writer, opt Options) error {
 		if ranks < 1 {
 			break
 		}
-		res, err := core.Run(core.AlgoDiTric2, g, core.Config{P: ranks, Threads: threads})
+		res, err := core.Run(core.AlgoDiTric, g, core.Config{P: ranks, Threads: threads, Indirect: true})
 		if err != nil {
 			return err
 		}

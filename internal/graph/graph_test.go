@@ -225,22 +225,6 @@ func TestOrientedWedgesCompleteGraph(t *testing.T) {
 	}
 }
 
-func TestRemoveIsolated(t *testing.T) {
-	g := FromEdges(6, []Edge{{0, 2}, {2, 4}})
-	g2, remap := RemoveIsolated(g)
-	if g2.NumVertices() != 3 {
-		t.Fatalf("n = %d, want 3", g2.NumVertices())
-	}
-	if g2.NumEdges() != 2 {
-		t.Fatalf("m = %d, want 2", g2.NumEdges())
-	}
-	for _, iso := range []int{1, 3, 5} {
-		if remap[iso] != -1 {
-			t.Fatalf("isolated vertex %d not removed", iso)
-		}
-	}
-}
-
 func TestComputeStats(t *testing.T) {
 	g := FromEdges(3, triangleEdges())
 	s := ComputeStats(g)
@@ -249,14 +233,6 @@ func TestComputeStats(t *testing.T) {
 	}
 	if s.AvgDegree != 2 {
 		t.Fatalf("avg degree %v, want 2", s.AvgDegree)
-	}
-}
-
-func TestDegreeHistogram(t *testing.T) {
-	g := FromEdges(4, []Edge{{0, 1}, {0, 2}, {0, 3}})
-	h := DegreeHistogram(g)
-	if h[1] != 3 || h[3] != 1 {
-		t.Fatalf("unexpected histogram %v", h)
 	}
 }
 

@@ -144,16 +144,6 @@ func BitsetWords(n int) int { return (n + 63) / 64 }
 // NewBitset returns an empty bitset over [0, n).
 func NewBitset(n int) Bitset { return make(Bitset, BitsetWords(n)) }
 
-// Clear resets every bit.
-func (bs Bitset) Clear() {
-	for i := range bs {
-		bs[i] = 0
-	}
-}
-
-// Has reports membership of x.
-func (bs Bitset) Has(x Vertex) bool { return bs[x>>6]>>(x&63)&1 != 0 }
-
 // SetList marks every element of list (elements must be inside the domain).
 func SetList[T Index](bs Bitset, list []T) {
 	for _, x := range list {

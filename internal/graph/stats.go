@@ -24,35 +24,3 @@ func ComputeStats(g *Graph) Stats {
 	}
 	return s
 }
-
-// DegreeHistogram returns counts of vertices per degree, up to the maximum
-// degree.
-func DegreeHistogram(g *Graph) []int {
-	h := make([]int, g.MaxDegree()+1)
-	for v := 0; v < g.NumVertices(); v++ {
-		h[g.Degree(Vertex(v))]++
-	}
-	return h
-}
-
-// RemoveIsolated relabels the graph without degree-0 vertices, as the paper
-// does for its inputs ("we remove vertices with no neighbors"). It returns
-// the new graph and the mapping old ID -> new ID (or -1 if removed).
-func RemoveIsolated(g *Graph) (*Graph, []int64) {
-	n := g.NumVertices()
-	remap := make([]int64, n)
-	next := int64(0)
-	for v := 0; v < n; v++ {
-		if g.Degree(Vertex(v)) > 0 {
-			remap[v] = next
-			next++
-		} else {
-			remap[v] = -1
-		}
-	}
-	edges := make([]Edge, 0, g.NumEdges())
-	g.ForEachEdge(func(u, v Vertex) {
-		edges = append(edges, Edge{Vertex(remap[u]), Vertex(remap[v])})
-	})
-	return FromEdges(int(next), edges), remap
-}

@@ -10,13 +10,15 @@
 //
 //   - DITRIC: distributed EDGE ITERATOR with degree orientation, dynamic
 //     message aggregation with linear memory (an asynchronous sparse
-//     all-to-all), and optional grid-based indirect routing (DITRIC2).
+//     all-to-all), and optional grid-based indirect routing
+//     (Options.Indirect; the paper's DITRIC2).
 //   - CETRIC: a contraction-based two-phase variant that finds every
 //     triangle with at most one remote corner locally and communicates only
-//     the cut graph (CETRIC2 with indirection).
+//     the cut graph (CETRIC2 with Options.Indirect).
 //
 // The package also ships the baselines the paper compares against (TriC,
-// a HavoqGT-style vertex-centric counter, an unbuffered edge iterator), the
+// a HavoqGT-style vertex-centric counter, and the unbuffered edge iterator,
+// which is DITRIC with Options.Threshold = 1), the
 // approximate extensions (Bloom-filter neighborhoods, DOULION, colorful
 // sparsification), KAGEN-style graph generators, and an α+β network cost
 // model. PEs run as goroutines over an in-process transport by default; a
@@ -25,7 +27,7 @@
 // Quick start (compiles verbatim; covered by Example_quickstart):
 //
 //	g := tricount.GenerateRGG2D(1<<12, 16, 42)
-//	res, err := tricount.Count(g, tricount.AlgoCetric, tricount.Options{PEs: 8})
+//	res, err := tricount.Count(g, tricount.AlgoCetric, tricount.Options{P: 8})
 //	if err != nil {
 //		log.Fatal(err)
 //	}
@@ -56,16 +58,13 @@ func FromEdges(n int, edges []Edge) *Graph { return graph.FromEdges(n, edges) }
 // Algorithm selects a distributed counting algorithm.
 type Algorithm = core.Algorithm
 
-// The available algorithms. The "2" variants route messages indirectly over
-// a logical 2D PE grid.
+// The available algorithms. The paper's DITRIC2 and CETRIC2 are AlgoDiTric
+// and AlgoCetric with Options.Indirect.
 const (
-	AlgoDiTric  = core.AlgoDiTric
-	AlgoDiTric2 = core.AlgoDiTric2
-	AlgoCetric  = core.AlgoCetric
-	AlgoCetric2 = core.AlgoCetric2
-	AlgoTriC    = core.AlgoTriC  // baseline: static buffers, no orientation
-	AlgoHavoq   = core.AlgoHavoq // baseline: vertex-centric wedge visitors
-	AlgoNoAgg   = core.AlgoNoAgg // baseline: no message aggregation (Fig. 2)
+	AlgoDiTric = core.AlgoDiTric
+	AlgoCetric = core.AlgoCetric
+	AlgoTriC   = core.AlgoTriC  // baseline: static buffers, no orientation
+	AlgoHavoq  = core.AlgoHavoq // baseline: vertex-centric wedge visitors
 	// AlgoTK2D is the 2D grid-partitioned backend (Tom & Karypis): the
 	// oriented adjacency matrix is cut into an r×c block grid and counted in
 	// lcm(r,c) broadcast rounds along grid rows and columns. Any number of
@@ -75,74 +74,9 @@ const (
 	AlgoTK2D = core.AlgoTK2D
 )
 
-// Options configures a run.
-type Options struct {
-	// PEs is the number of processing elements (required, ≥ 1).
-	PEs int
-	// Threshold is the aggregation threshold δ in machine words; ≤ 0 picks
-	// O(|E_i|), the paper's linear-memory setting.
-	Threshold int
-	// Indirect forces grid-based indirect delivery even for the non-"2"
-	// algorithm names.
-	Indirect bool
-	// Threads is the number of worker goroutines per PE. It parallelizes
-	// the whole preprocessing pipeline (scatter, local CSR build,
-	// orientation, contraction, hub bitmaps) for every algorithm, and picks
-	// the thread schedule of the DITRIC/CETRIC counting pipeline: ≤ 1 counts
-	// on the PE goroutine and intersects received records inline; > 1 is the
-	// paper's hybrid mode (chunk-stealing workers, funneled communication,
-	// received records drained off a steal deque).
-	Threads int
-	// Overlap selects the overlapped schedule of the DITRIC/CETRIC counting
-	// pipeline (and their indirect variants; the baselines ignore it)
-	// instead of the default barriered one: cut-neighborhood shipments flush
-	// eagerly as row chunks complete, the network is polled between chunks,
-	// and with Threads > 1 the workers steal received records between chunks
-	// — global-phase intersections start while the PE is still shipping and
-	// stragglers get stolen instead of serialized. Both schedules run the
-	// same pipeline, so counts are exactly identical. Per-rank overlap and
-	// idle time land in Result.PerPE (OverlapNs/IdleNs) and the overlap/idle
-	// sub-phase. For AlgoTK2D the knob pipelines the broadcast rounds.
-	Overlap bool
-	// LCC additionally computes per-vertex triangle counts Δ(v) and local
-	// clustering coefficients (DITRIC/CETRIC only).
-	LCC bool
-	// Partition overrides the default uniform 1D partition.
-	Partition *part.Partition
-	// SparseDegreeExchange uses the asynchronous sparse all-to-all for the
-	// ghost-degree exchange.
-	SparseDegreeExchange bool
-	// HubThreshold tunes the adaptive intersection engine: rows whose
-	// oriented neighborhood A(v) has at least this many entries carry a
-	// packed hub bitmap, turning intersections against them into bit tests
-	// (hub ∩ hub into word-AND + popcount). 0 picks the engine default,
-	// negative disables the bitmaps; total bitmap memory is always capped at
-	// the size of the A-lists themselves. See the README's "hot path &
-	// kernel selection" section for tuning guidance. 1D engines only: the 2D
-	// backend (TK2D) keeps no hub bitmaps and ignores it.
-	HubThreshold int
-	// BatchSize is the edge batch granularity of the streaming entry points
-	// (Stream); ≤ 0 picks max(1024, m/8). Count ignores it.
-	BatchSize int
-	// Codec selects the wire codec policy for message payloads. The empty
-	// string (or CodecAuto) picks tuned per-channel codecs: sorted
-	// adjacency shipments travel delta+varint compressed, small-integer
-	// records as varints, high-entropy Bloom/float words raw. CodecRaw
-	// restores the uncompressed seed wire format; CodecVarint and
-	// CodecDeltaVarint force one codec onto every channel. The policy only
-	// changes bytes on the wire (Result.Agg.TotalEncodedBytes vs
-	// TotalRawBytes), never any count.
-	Codec string
-	// Profile names a costmodel network profile ("supercomputer", "cloud",
-	// "wan"), or "measured" to calibrate α/β live from the run's own
-	// frame-latency samples. When set, the overlapped pipeline derives its
-	// eager-flush watermark from the profile's α/β break-even frame size
-	// instead of the fixed 1024-word constant (clamped to δ/2 either way).
-	// Under "measured" the watermark starts at that fixed constant and
-	// re-fits periodically as samples accumulate. It never changes any
-	// count, only flush timing.
-	Profile string
-}
+// Options configures a run; see core.Config for the field documentation.
+// P, the number of PEs, is required.
+type Options = core.Config
 
 // Wire codec policies for Options.Codec.
 const (
@@ -187,25 +121,9 @@ func PartitionByCost(g *Graph, pes int, cost CostFunc) *Partition {
 	return part.ByCost(degrees, pes, cost)
 }
 
-func (o Options) toConfig() core.Config {
-	return core.Config{
-		P:                    o.PEs,
-		Threshold:            o.Threshold,
-		Indirect:             o.Indirect,
-		Threads:              o.Threads,
-		Overlap:              o.Overlap,
-		LCC:                  o.LCC,
-		Partition:            o.Partition,
-		SparseDegreeExchange: o.SparseDegreeExchange,
-		HubThreshold:         o.HubThreshold,
-		Codec:                o.Codec,
-		Profile:              o.Profile,
-	}
-}
-
 // Count runs algo on g with opt and returns the merged result.
 func Count(g *Graph, algo Algorithm, opt Options) (*Result, error) {
-	return core.Run(algo, g, opt.toConfig())
+	return core.Run(algo, g, opt)
 }
 
 // BatchSource yields successive edge batches of a stream; returning nil or
@@ -216,21 +134,16 @@ type BatchSource = core.BatchSource
 // triangle deltas, and the final count.
 type StreamResult = core.StreamResult
 
-// Stream counts g's triangles through the streaming driver: the first
-// batches of g's edges (opt.BatchSize each) seed the incrementally built
-// initial graph, the remaining batches are inserted one by one and
-// delta-counted as tri(G+Δ) − tri(G) without recounting. The final count is
-// identical to Count; per-PE memory stays O(|E_i| + batch) end to end.
-// DITRIC/CETRIC variants only; LCC is not supported while streaming.
-func Stream(g *Graph, algo Algorithm, opt Options) (*StreamResult, error) {
-	edges := g.Edges()
-	batch := opt.BatchSize
-	if batch <= 0 {
-		batch = max(1024, len(edges)/8)
-	}
-	split := min(batch, len(edges))
-	return core.RunStream(algo, uint64(g.NumVertices()), core.SliceBatches(edges[:split], batch),
-		core.SliceBatches(edges[split:], batch), opt.toConfig())
+// Stream counts g's triangles through the streaming driver: the first batch
+// of g's edges seeds the incrementally built initial graph, the remaining
+// batches are inserted one by one and delta-counted as tri(G+Δ) − tri(G)
+// without recounting. batch is the edge batch size; ≤ 0 picks
+// max(1024, m/8). The final count is identical to Count; per-PE memory
+// stays O(|E_i| + batch) end to end. DITRIC/CETRIC only; LCC is not
+// supported while streaming.
+func Stream(g *Graph, algo Algorithm, opt Options, batch int) (*StreamResult, error) {
+	initial, inserts, _ := core.SplitStream(g.Edges(), batch)
+	return core.RunStream(algo, uint64(g.NumVertices()), initial, inserts, opt)
 }
 
 // StreamEdges counts triangles of a streamed edge list on n vertices:
@@ -238,7 +151,7 @@ func Stream(g *Graph, algo Algorithm, opt Options) (*StreamResult, error) {
 // delta-counted. Either source may be nil. Duplicate edges and self-loops
 // are dropped exactly like FromEdges drops them.
 func StreamEdges(n int, algo Algorithm, initial, inserts BatchSource, opt Options) (*StreamResult, error) {
-	return core.RunStream(algo, uint64(n), initial, inserts, opt.toConfig())
+	return core.RunStream(algo, uint64(n), initial, inserts, opt)
 }
 
 // CountSeq counts triangles sequentially (EDGE ITERATOR / COMPACT-FORWARD).
@@ -249,7 +162,7 @@ func CountSeq(g *Graph) uint64 { return core.SeqCount(g) }
 func LCCSeq(g *Graph) []float64 { return core.SeqLCC(g) }
 
 // LCC computes local clustering coefficients distributedly with algo
-// (DITRIC/CETRIC variants only).
+// (DITRIC/CETRIC only).
 func LCC(g *Graph, algo Algorithm, opt Options) ([]float64, *Result, error) {
 	opt.LCC = true
 	res, err := Count(g, algo, opt)
@@ -268,12 +181,10 @@ func Enumerate(g *Graph, fn func(a, b, c Vertex)) {
 	})
 }
 
-// ApproxOptions configures the Bloom-filter approximate global phase.
-type ApproxOptions struct {
-	BitsPerKey float64 // filter bits per neighbor (default 8)
-	Blocked    bool    // cache-efficient blocked filter
-	Truthful   bool    // subtract expected false positives
-}
+// ApproxOptions configures the Bloom-filter approximate global phase:
+// filter bits per neighbor (default 8), the cache-efficient blocked filter,
+// and the truthful estimator that subtracts expected false positives.
+type ApproxOptions = core.AMQConfig
 
 // ApproxResult is re-exported from the core engine.
 type ApproxResult = core.ApproxResult
@@ -284,24 +195,20 @@ type ApproxResult = core.ApproxResult
 // Options.Threads and Options.Overlap select its schedule as they do for
 // Count, and Options.LCC adds per-vertex estimates.
 func CountApprox(g *Graph, opt Options, aopt ApproxOptions) (*ApproxResult, error) {
-	return core.RunApproxCetric(g, opt.toConfig(), core.AMQConfig{
-		BitsPerKey: aopt.BitsPerKey,
-		Blocked:    aopt.Blocked,
-		Truthful:   aopt.Truthful,
-	})
+	return core.RunApproxCetric(g, opt, aopt)
 }
 
 // CountDoulion estimates the triangle count with DOULION edge sampling at
 // probability q on top of algo.
 func CountDoulion(g *Graph, algo Algorithm, opt Options, q float64, seed uint64) (float64, error) {
-	est, _, err := core.RunDoulion(algo, g, opt.toConfig(), q, seed)
+	est, _, err := core.RunDoulion(algo, g, opt, q, seed)
 	return est, err
 }
 
 // CountColorful estimates the triangle count with colorful sparsification
 // (ncolors colors) on top of algo.
 func CountColorful(g *Graph, algo Algorithm, opt Options, ncolors int, seed uint64) (float64, error) {
-	est, _, err := core.RunColorful(algo, g, opt.toConfig(), ncolors, seed)
+	est, _, err := core.RunColorful(algo, g, opt, ncolors, seed)
 	return est, err
 }
 

@@ -11,13 +11,18 @@ import (
 func TestCountFacade(t *testing.T) {
 	g := GenerateRMAT(10, 16, 42)
 	want := CountSeq(g)
-	for _, algo := range []Algorithm{AlgoDiTric, AlgoDiTric2, AlgoCetric, AlgoCetric2, AlgoTriC, AlgoHavoq} {
-		res, err := Count(g, algo, Options{PEs: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Count != want {
-			t.Fatalf("%s: %d, want %d", algo, res.Count, want)
+	for _, algo := range []Algorithm{AlgoDiTric, AlgoCetric, AlgoTriC, AlgoHavoq} {
+		for _, indirect := range []bool{false, true} {
+			if indirect && (algo == AlgoTriC || algo == AlgoHavoq) {
+				continue // the paper's indirect variants are DITRIC2 and CETRIC2
+			}
+			res, err := Count(g, algo, Options{P: 4, Indirect: indirect})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Count != want {
+				t.Fatalf("%s indirect=%v: %d, want %d", algo, indirect, res.Count, want)
+			}
 		}
 	}
 }
@@ -32,7 +37,7 @@ func TestCountRejectsZeroPEs(t *testing.T) {
 func TestLCCFacade(t *testing.T) {
 	g := GenerateRHG(1<<10, 16, 2.8, 7)
 	want := LCCSeq(g)
-	lcc, res, err := LCC(g, AlgoCetric2, Options{PEs: 4})
+	lcc, res, err := LCC(g, AlgoCetric, Options{P: 4, Indirect: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +71,7 @@ func TestEnumerateFacade(t *testing.T) {
 func TestApproxFacade(t *testing.T) {
 	g := GenerateGNM(1<<10, 16<<10, 9)
 	exact := CountSeq(g)
-	res, err := CountApprox(g, Options{PEs: 4}, ApproxOptions{BitsPerKey: 16, Truthful: true})
+	res, err := CountApprox(g, Options{P: 4}, ApproxOptions{BitsPerKey: 16, Truthful: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,14 +84,14 @@ func TestApproxFacade(t *testing.T) {
 func TestDoulionColorfulFacades(t *testing.T) {
 	g := GenerateRMAT(9, 16, 3)
 	exact := float64(CountSeq(g))
-	est, err := CountDoulion(g, AlgoCetric, Options{PEs: 4}, 1.0, 1)
+	est, err := CountDoulion(g, AlgoCetric, Options{P: 4}, 1.0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if est != exact {
 		t.Fatalf("doulion q=1: %f, want %f", est, exact)
 	}
-	est, err = CountColorful(g, AlgoCetric, Options{PEs: 4}, 1, 1)
+	est, err = CountColorful(g, AlgoCetric, Options{P: 4}, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +131,7 @@ func TestGeneratorFacades(t *testing.T) {
 func TestOptionsThreadsAndThreshold(t *testing.T) {
 	g := GenerateRMAT(9, 16, 11)
 	want := CountSeq(g)
-	res, err := Count(g, AlgoCetric, Options{PEs: 3, Threads: 4, Threshold: 128})
+	res, err := Count(g, AlgoCetric, Options{P: 3, Threads: 4, Threshold: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +139,7 @@ func TestOptionsThreadsAndThreshold(t *testing.T) {
 		t.Fatalf("hybrid with tiny threshold: %d, want %d", res.Count, want)
 	}
 	// Indirect option forces grid routing on the plain algorithm name.
-	res2, err := Count(g, AlgoDiTric, Options{PEs: 9, Indirect: true})
+	res2, err := Count(g, AlgoDiTric, Options{P: 9, Indirect: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +156,7 @@ func TestPartitionByCost(t *testing.T) {
 		if pt.P() != 4 || pt.N() != uint64(g.NumVertices()) {
 			t.Fatalf("partition shape (p=%d, n=%d) wrong", pt.P(), pt.N())
 		}
-		res, err := Count(g, AlgoCetric, Options{PEs: 4, Partition: pt})
+		res, err := Count(g, AlgoCetric, Options{P: 4, Partition: pt})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,7 +177,7 @@ func TestStreamFacade(t *testing.T) {
 	g := GenerateRMAT(9, 8, 3)
 	want := CountSeq(g)
 	for _, algo := range []Algorithm{AlgoDiTric, AlgoCetric} {
-		sres, err := Stream(g, algo, Options{PEs: 4, BatchSize: 500})
+		sres, err := Stream(g, algo, Options{P: 4}, 500)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,7 +208,7 @@ func TestStreamEdgesFacade(t *testing.T) {
 		i = j
 		return b
 	}
-	sres, err := StreamEdges(g.NumVertices(), AlgoCetric, nil, pull, Options{PEs: 3})
+	sres, err := StreamEdges(g.NumVertices(), AlgoCetric, nil, pull, Options{P: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
