@@ -468,8 +468,8 @@ func BenchmarkApproxRecvSteadyState(b *testing.B) {
 		for i, gid := range lg.Ghosts() {
 			lg.SetGhostDegree(int32(lg.NLocal()+i), g.Degree(gid))
 		}
-		ori := graph.OrientLocal(lg)
-		return lg, ori, ori.Contract()
+		ori := graph.OrientLocalPar(lg, 1)
+		return lg, ori, ori.ContractPar(1)
 	}
 	acfg := AMQConfig{BitsPerKey: 4, Truthful: true}
 	// PE 1's filters as its global stage builds them; at p = 2 every cut

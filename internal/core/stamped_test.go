@@ -82,7 +82,7 @@ func BenchmarkMarkedRecvSteadyState(b *testing.B) {
 	for i, gid := range lg.Ghosts() {
 		lg.SetGhostDegree(int32(lg.NLocal()+i), g.Degree(gid))
 	}
-	ori := graph.OrientLocalOnly(lg)
+	ori := graph.OrientLocalOnlyPar(lg, 1)
 	ori.BuildHubs(8) // low threshold: most probed endpoints carry a bitmap
 
 	// Records replay ghost rows' visible neighborhoods — sorted lists of
@@ -95,9 +95,13 @@ func BenchmarkMarkedRecvSteadyState(b *testing.B) {
 	var recs []rec
 	hubProbes := 0
 	for r := lg.NLocal(); r < lg.Rows() && len(recs) < 64; r++ {
-		list := lg.RowNeighbors(int32(r))
-		if len(list) < 2 {
+		nb := lg.RowNeighborRows(int32(r))
+		if len(nb) < 2 {
 			continue
+		}
+		list := make([]uint64, len(nb))
+		for k, xr := range nb {
+			list[k] = lg.GID(int32(xr))
 		}
 		hubs := 0
 		for _, x := range list {

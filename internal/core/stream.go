@@ -143,7 +143,8 @@ func streamThreshold(localEdges int) int { return max(localEdges, 1024) }
 // counted once, then each batch of the inserts source is delta-counted.
 // Either source may be nil. Counts are identical to Run on the union of all
 // batches — duplicate edges and self-loops are dropped exactly like
-// graph.FromEdges drops them.
+// graph.FromEdges drops them. An edge with an endpoint ≥ n, in any batch,
+// fails the run with an error naming the vertex.
 func RunStream(algo Algorithm, n uint64, initial, inserts BatchSource, cfg Config) (*StreamResult, error) {
 	if cfg.LCC || cfg.Collect {
 		return nil, fmt.Errorf("core: streaming does not support LCC or triangle collection")
@@ -164,7 +165,10 @@ func RunStream(algo Algorithm, n uint64, initial, inserts BatchSource, cfg Confi
 	// slices are live), so driver-side memory stays O(batch), not O(|E|).
 	// abortCh breaks the feed loop on both sides when any PE fails: a PE
 	// blocked on its feed channel sits outside the transport, where the
-	// runtime's abort flag could never reach it.
+	// runtime's abort flag could never reach it. A batch the feeder rejects
+	// (feedErr) releases the PEs the same way; fed closes once the feeder
+	// has returned, so RunStream leaves no goroutine behind and reads
+	// feedErr after its last write.
 	feeds := make([]chan feedItem, cfg.P)
 	for i := range feeds {
 		feeds[i] = make(chan feedItem, 1)
@@ -172,7 +176,10 @@ func RunStream(algo Algorithm, n uint64, initial, inserts BatchSource, cfg Confi
 	abortCh := make(chan struct{})
 	var abortOnce sync.Once
 	abort := func() { abortOnce.Do(func() { close(abortCh) }) }
+	var feedErr error
+	fed := make(chan struct{})
 	go func() {
+		defer close(fed)
 		defer func() {
 			for _, ch := range feeds {
 				close(ch)
@@ -186,6 +193,10 @@ func RunStream(algo Algorithm, n uint64, initial, inserts BatchSource, cfg Confi
 				batch := src()
 				if len(batch) == 0 {
 					return true
+				}
+				if feedErr = checkBatch(batch, n); feedErr != nil {
+					abort()
+					return false
 				}
 				slices := pl.scatter(batch)
 				for i, ch := range feeds {
@@ -219,6 +230,10 @@ func RunStream(algo Algorithm, n uint64, initial, inserts BatchSource, cfg Confi
 		return streamBody(pe, pl, feeds[pe.Rank], abortCh, out, so)
 	})
 	abort() // normal completion: release the feeder if it is still blocked
+	<-fed
+	if feedErr != nil {
+		return nil, feedErr
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -252,6 +267,18 @@ func RunStream(algo Algorithm, n uint64, initial, inserts BatchSource, cfg Confi
 	}
 	res.Count = sr.Count
 	return sr, nil
+}
+
+// checkBatch rejects a batch with an endpoint outside [0, n), naming the
+// first such vertex: the scatter would panic on it in the feeder goroutine,
+// where nothing could recover.
+func checkBatch(batch []graph.Edge, n uint64) error {
+	for _, e := range batch {
+		if e.U >= n || e.V >= n {
+			return fmt.Errorf("core: stream edge (%d,%d): vertex %d out of range n=%d", e.U, e.V, max(e.U, e.V), n)
+		}
+	}
+	return nil
 }
 
 // recvFeed receives the next batch slice, aborting cleanly when a sibling
@@ -302,7 +329,7 @@ func streamBody(pe *dist.PE, pl *plan, feed <-chan feedItem, abortCh <-chan stru
 		// to every PE (batches go to all PEs in order, the channels close
 		// last), so a closed feed with no insert item means no PE will ever
 		// see one. The resident rows are dead weight beside the sealed CSR;
-		// SealRelease frees each one as it is copied, keeping the streaming
+		// SealRelease frees each one as it is translated, keeping the streaming
 		// loader's peak below the one-shot driver's.
 		lg = sb.SealRelease(cfg.Threads)
 		sb = nil

@@ -14,6 +14,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/leakcheck"
 	"repro/internal/part"
 	"repro/internal/testgraph"
 )
@@ -417,6 +418,39 @@ func TestRunStreamValidation(t *testing.T) {
 	sres, err := RunStream(AlgoCetric, 8, nil, nil, Config{P: 2})
 	if err != nil || sres.Count != 0 || len(sres.Deltas) != 0 {
 		t.Errorf("empty stream: %v %+v", err, sres)
+	}
+}
+
+// TestRunStreamRejectsOutOfRangeVertex: an endpoint ≥ n, in an initial or
+// an insert batch and at any P, fails the run with an error naming the
+// vertex and n; the PEs are released and no goroutine survives.
+func TestRunStreamRejectsOutOfRangeVertex(t *testing.T) {
+	leakcheck.Check(t)
+	good := []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}}
+	bad := []graph.Edge{{U: 0, V: 7}}
+	for _, c := range []struct {
+		name             string
+		initial, inserts []graph.Edge
+		p                int
+	}{
+		{"initial p=2", bad, nil, 2},
+		{"initial p=1", bad, nil, 1},
+		{"insert p=2", good, bad, 2},
+		{"insert p=1", good, bad, 1},
+		{"second insert p=3", good, append(slices.Clone(good), bad...), 3},
+	} {
+		for _, algo := range streamAlgos {
+			t.Run(fmt.Sprintf("%s/%s", c.name, algo), func(t *testing.T) {
+				var inserts BatchSource
+				if c.inserts != nil {
+					inserts = SliceBatches(c.inserts, 2)
+				}
+				_, err := RunStream(algo, 3, SliceBatches(c.initial, 2), inserts, Config{P: c.p})
+				if err == nil || !strings.Contains(err.Error(), "vertex 7") || !strings.Contains(err.Error(), "n=3") {
+					t.Fatalf("err = %v, want one naming vertex 7 and n=3", err)
+				}
+			})
+		}
 	}
 }
 

@@ -185,7 +185,7 @@ func checkStamped(t *testing.T, list, partner []uint32, domain int, hub bool) {
 	for r := 1; r <= domain; r++ {
 		off[r] = int64(len(partner))
 	}
-	o := &LocalOriented{L: &LocalGraph{nLocal: domain}, off: off, rowOut: partner}
+	o := &LocalOriented{L: &LocalGraph{nLocal: domain, gid: make([]Vertex, domain)}, off: off, rowOut: partner}
 	if hub {
 		bs := NewBitset(domain)
 		SetList(bs, partner)

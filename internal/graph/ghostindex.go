@@ -18,7 +18,7 @@ import "math/bits"
 // absent unless it is a ghost. The load factor is at most 1/2, so a probe
 // sequence always ends at an empty slot.
 type ghostIndex struct {
-	ids   []Vertex // the sorted ghost array (LocalGraph.ghostID) ord points into
+	ids   []Vertex // the sorted ghost array (LocalGraph.Ghosts) ord points into
 	ord   []int32  // ordinal+1; 0 = empty slot
 	shift uint     // 64 − log2(len(ord))
 }

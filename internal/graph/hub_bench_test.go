@@ -90,30 +90,14 @@ func BenchmarkAdaptiveIntersectSteadyState(b *testing.B) {
 	}
 }
 
-// BenchmarkLocalOrientedCount compares the row-translated local phase (the
-// stamped wedge kernel: each A(v) marked once, every A(u) probed against it)
-// against the global-ID layout it replaced (CountMerge over Out with a Row
-// lookup per element) on one PE of a p=8 partition — the hot loop of
-// CETRIC's local phase.
+// BenchmarkLocalOrientedCount times the row-space local phase (the stamped
+// wedge kernel: each A(v) marked once, every A(u) probed against it) on one
+// PE of a p=8 partition — the hot loop of CETRIC's local phase.
 func BenchmarkLocalOrientedCount(b *testing.B) {
 	for _, spec := range hubBenchGraphs() {
-		pt, lg := buildLocalForBench(spec.g, 8, 3)
-		_ = pt
-		ori := graph.OrientLocal(lg)
+		_, lg := buildLocalForBench(spec.g, 8, 3)
+		ori := graph.OrientLocalPar(lg, 1)
 		rows := lg.Rows()
-		b.Run(spec.name+"/global-ids", func(b *testing.B) {
-			b.ReportAllocs()
-			var sink uint64
-			for i := 0; i < b.N; i++ {
-				for r := 0; r < rows; r++ {
-					av := ori.Out(int32(r))
-					for _, u := range av {
-						sink += graph.CountMerge(av, ori.Out(lg.Row(u)))
-					}
-				}
-			}
-			hubSink = sink
-		})
 		b.Run(spec.name+"/row-space", func(b *testing.B) {
 			ori.BuildHubs(graph.DefaultHubMinDegree)
 			mark := ori.NewRowMark()

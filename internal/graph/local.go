@@ -15,9 +15,11 @@ import (
 //
 // Rows are indexed by a compact local index: rows 0..NLocal-1 are the local
 // vertices in ID order (global ID = First + row), rows NLocal.. are ghosts
-// sorted ascending by global ID. Adjacency entries store global IDs, sorted
-// ascending, so neighborhoods can be merged and shipped as message payloads
-// without translation.
+// sorted ascending by global ID. Adjacency entries are rows (4 bytes each),
+// kept in the order of their global IDs: [low ghosts][locals][high ghosts],
+// low ghosts being those below First. The view holds no global-ID
+// adjacency; one ID per row (GID) maps any entry back, and the oriented
+// lists that ship carry their own IDs (LocalOriented.Out).
 //
 // Every LocalGraph comes out of one builder, buildRows, whose input is the
 // PE's row slab — what the paper's algorithms are handed (§III: the 1D-
@@ -32,13 +34,13 @@ type LocalGraph struct {
 	First Vertex // first local global ID
 	Last  Vertex // one past the last local global ID
 
-	nLocal  int
-	ghostID []Vertex   // row NLocal+i has global ID ghostID[i]
-	ghosts  ghostIndex // global ID -> i, the inverse of ghostID
-	off     []int64    // CSR offsets, len = rows+1
-	adj     []Vertex   // global IDs, each row sorted ascending
-	adjRow  []uint32   // adj translated to row indices (same layout)
-	deg     []int      // global degree per row; ghost entries -1 until set
+	nLocal int
+	nLow   int        // ghosts below First: rows [nLocal, nLocal+nLow)
+	gid    []Vertex   // global ID per row: First+r for locals, then the ghosts ascending
+	ghosts ghostIndex // ghost ID -> i, the inverse of gid[nLocal:]
+	off    []int64    // CSR offsets, len = rows+1
+	adjRow []uint32   // neighbor rows, each row in global-ID order
+	deg    []int      // global degree per row; ghost entries -1 until set
 }
 
 // BuildLocal is BuildLocalPar on one thread.
@@ -149,24 +151,29 @@ func checkRow(nb []Vertex, v, n Vertex, rank int) {
 // sorted, duplicate-free global-ID rows of rank's vertices, row(r) being the
 // neighborhood of vertex First+r. release, when set, is told once row r
 // will not be read again. Workers own static contiguous blocks of rows; the
-// result does not depend on how many there are. Four passes:
+// result does not depend on how many there are. A row is read in full once
+// (twice if it reaches past [First, Last)) and never copied; what the view
+// keeps is row indices and one ID per row. Four passes:
 //
-//  1. check (checkRow) and size every row, counting the cut entries, which
-//     fixes the local half of the CSR and the length of the whole;
-//  2. translate every entry to its row, once: locals by subtraction, cut
-//     entries through the worker's growable ghost set, which hands out
-//     provisional ordinals in first-appearance order and counts each
-//     ghost's incidence — the only hash probe a cut entry ever pays;
+//  1. size every row and count the cut entries, which fixes the local half
+//     of the CSR and the length of the whole; a row whose first and last
+//     entries lie in [First, Last) holds no cut entry and is not scanned;
+//  2. check each row (checkRow, which panics on a malformed one before its
+//     cut count is used) and translate every entry to its row, once:
+//     locals by subtraction, cut entries through the worker's growable
+//     ghost set, which hands out provisional ordinals in first-appearance
+//     order and counts each ghost's incidence — the only hash probe a cut
+//     entry ever pays; row r is released here, after its last read;
 //  3. sort the distinct ghosts only — a PE whose locals and ghosts together
 //     pass MaxRows panics here, naming the PE, before a provisional ordinal
-//     is read back — build the final ghost index over them and map every
-//     provisional ordinal to its ghost row (one probe per ghost per
+//     is read back — lay out the per-row ID table (locals, then the sorted
+//     ghosts), build the final ghost index over its ghost part and map
+//     every provisional ordinal to its ghost row (one probe per ghost per
 //     worker); incidences size the ghost rows, and worker-major cursors into
 //     them keep the fill deterministic;
-//  4. fill: copy each local row into adj; then, in the rows that hold cut
-//     entries, rewrite provisional to final in adjRow and transpose every
-//     cut entry into its ghost row. Rows are visited ascending, so ghost
-//     rows come out sorted, and translated.
+//  4. fill: in the rows that hold cut entries, rewrite provisional to final
+//     and transpose every cut entry into its ghost row. Rows are visited
+//     ascending, so ghost rows come out in ID order.
 func buildRows(pt *part.Partition, rank int, row func(r int) []Vertex, release func(r int), threads int) *LocalGraph {
 	first, last := pt.Range(rank)
 	checkRowSpace(rank, last-first)
@@ -180,10 +187,11 @@ func buildRows(pt *part.Partition, rank int, row func(r int) []Vertex, release f
 		cut := int64(0)
 		for r := lo; r < hi; r++ {
 			nb := row(r)
-			checkRow(nb, first+Vertex(r), pt.N(), rank)
-			for _, x := range nb {
-				if x-first >= Vertex(nl) {
-					cut++
+			if k := len(nb); k > 0 && (nb[0] < first || nb[k-1] >= last) {
+				for _, x := range nb {
+					if x-first >= Vertex(nl) {
+						cut++
+					}
 				}
 			}
 			localOff[r+1] = int64(len(nb))
@@ -203,9 +211,11 @@ func buildRows(pt *part.Partition, rank int, row func(r int) []Vertex, release f
 		s := &ws[worker]
 		s.set = newGhostIndex(nil)
 		for r := lo; r < hi; r++ {
+			nb := row(r)
+			checkRow(nb, first+Vertex(r), pt.N(), rank)
 			dst := adjRow[localOff[r]:localOff[r+1]]
 			cut := false
-			for k, x := range row(r) {
+			for k, x := range nb {
 				if d := x - first; d < Vertex(nl) {
 					dst[k] = uint32(d)
 					continue
@@ -220,17 +230,30 @@ func buildRows(pt *part.Partition, rank int, row func(r int) []Vertex, release f
 			if cut {
 				s.cutRows = append(s.cutRows, int32(r))
 			}
+			if release != nil {
+				release(r)
+			}
 		}
 	})
 
+	found := 0 // distinct per worker, so an upper bound on the ghosts
 	for i := range ws {
-		l.ghostID = append(l.ghostID, ws[i].set.ids...)
+		found += len(ws[i].set.ids)
 	}
-	slices.Sort(l.ghostID)
-	l.ghostID = slices.Compact(l.ghostID)
-	checkRowSpace(rank, uint64(nl)+uint64(len(l.ghostID)))
-	l.ghosts = newGhostIndex(l.ghostID)
-	rows := nl + len(l.ghostID)
+	gid := make([]Vertex, nl, nl+found)
+	for r := range gid {
+		gid[r] = first + Vertex(r)
+	}
+	for i := range ws {
+		gid = append(gid, ws[i].set.ids...)
+	}
+	slices.Sort(gid[nl:])
+	gid = gid[:nl+len(slices.Compact(gid[nl:]))]
+	checkRowSpace(rank, uint64(len(gid)))
+	l.gid = gid
+	l.nLow, _ = slices.BinarySearch(gid[nl:], first)
+	l.ghosts = newGhostIndex(gid[nl:])
+	rows := len(gid)
 	off := make([]int64, rows+1)
 	copy(off, localOff)
 	for i := range ws {
@@ -255,15 +278,8 @@ func buildRows(pt *part.Partition, rank int, row func(r int) []Vertex, release f
 		}
 	}
 
-	adj := make([]Vertex, total)
-	parallelBlocks(w, nl, func(worker, lo, hi int) {
+	parallelBlocks(w, nl, func(worker, _, _ int) {
 		s := &ws[worker]
-		for r := lo; r < hi; r++ {
-			copy(adj[off[r]:], row(r))
-			if release != nil {
-				release(r)
-			}
-		}
 		for _, r := range s.cutRows {
 			tr := adjRow[off[r]:off[r+1]]
 			for k, t := range tr {
@@ -271,12 +287,12 @@ func buildRows(pt *part.Partition, rank int, row func(r int) []Vertex, release f
 					tr[k] = s.final[o]
 					p := s.pos[o]
 					s.pos[o] = p + 1
-					adj[p], adjRow[p] = first+Vertex(r), uint32(r)
+					adjRow[p] = uint32(r)
 				}
 			}
 		}
 	})
-	l.off, l.adj, l.adjRow = off, adj, adjRow
+	l.off, l.adjRow = off, adjRow
 
 	// Local degrees are exact (1D partition: every incident edge is visible);
 	// ghost degrees are unknown until the degree exchange.
@@ -334,10 +350,10 @@ func (l *LocalGraph) IsLocal(v Vertex) bool { return l.isLocal(v) }
 func (l *LocalGraph) NLocal() int { return l.nLocal }
 
 // NGhost returns the number of ghost vertices.
-func (l *LocalGraph) NGhost() int { return len(l.ghostID) }
+func (l *LocalGraph) NGhost() int { return len(l.gid) - l.nLocal }
 
 // Rows returns the total number of rows (locals + ghosts).
-func (l *LocalGraph) Rows() int { return l.nLocal + len(l.ghostID) }
+func (l *LocalGraph) Rows() int { return len(l.gid) }
 
 // Row maps a global ID (local vertex or known ghost) to its row index.
 func (l *LocalGraph) Row(v Vertex) int32 {
@@ -367,23 +383,15 @@ func (l *LocalGraph) GhostRow(v Vertex) (int32, bool) {
 }
 
 // GID returns the global ID of a row.
-func (l *LocalGraph) GID(row int32) Vertex {
-	if int(row) < l.nLocal {
-		return l.First + Vertex(row)
-	}
-	return l.ghostID[int(row)-l.nLocal]
-}
+func (l *LocalGraph) GID(row int32) Vertex { return l.gid[row] }
 
-// Ghosts returns the global IDs of all ghost vertices, ascending.
-func (l *LocalGraph) Ghosts() []Vertex { return l.ghostID }
+// Ghosts returns the global IDs of all ghost vertices, ascending: the ghost
+// rows' part of the per-row ID table. Aliases internal storage.
+func (l *LocalGraph) Ghosts() []Vertex { return l.gid[l.nLocal:] }
 
-// RowNeighbors returns the visible neighborhood of a row (global IDs,
-// ascending). For ghost rows this contains only local vertices.
-func (l *LocalGraph) RowNeighbors(row int32) []Vertex { return l.adj[l.off[row]:l.off[row+1]] }
-
-// RowNeighborRows returns the same neighborhood as RowNeighbors but
-// translated to row indices (aligned element-for-element with the global-ID
-// slice, i.e. ordered by global ID, not by row).
+// RowNeighborRows returns the visible neighborhood of a row as row indices,
+// ordered by global ID, not by row: [low ghosts][locals][high ghosts]. For
+// ghost rows it holds only locals. GID maps an entry to its ID.
 func (l *LocalGraph) RowNeighborRows(row int32) []uint32 { return l.adjRow[l.off[row]:l.off[row+1]] }
 
 // Degree returns the global degree of a row; -1 for ghosts before the
@@ -397,35 +405,7 @@ func (l *LocalGraph) SetGhostDegree(row int32, d int) { l.deg[row] = d }
 // local-local edge counted twice, cut edges once per side plus once in the
 // ghost row). This is the quantity the buffering threshold δ = O(|E_i|) is
 // tied to.
-func (l *LocalGraph) LocalEdges() int { return len(l.adj) }
-
-// CutEdges returns the number of cut edges incident to this PE.
-func (l *LocalGraph) CutEdges() int {
-	cut := 0
-	for r := 0; r < l.nLocal; r++ {
-		for _, u := range l.RowNeighbors(int32(r)) {
-			if !l.isLocal(u) {
-				cut++
-			}
-		}
-	}
-	return cut
-}
-
-// InterfaceVertices returns the number of local vertices adjacent to at
-// least one ghost.
-func (l *LocalGraph) InterfaceVertices() int {
-	cnt := 0
-	for r := 0; r < l.nLocal; r++ {
-		for _, u := range l.RowNeighbors(int32(r)) {
-			if !l.isLocal(u) {
-				cnt++
-				break
-			}
-		}
-	}
-	return cnt
-}
+func (l *LocalGraph) LocalEdges() int { return len(l.adjRow) }
 
 // ScatterEdges splits a global edge list into one slice per PE, giving each
 // edge to the owners of both endpoints (once if they coincide). It mirrors

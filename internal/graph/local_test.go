@@ -21,6 +21,29 @@ func buildScattered(g *Graph, p int) (*part.Partition, []*LocalGraph) {
 	return pt, locals
 }
 
+// rowIDs maps row r's neighbor rows back to global IDs, in their stored
+// (ID) order.
+func rowIDs(l *LocalGraph, r int32) []Vertex {
+	var ids []Vertex
+	for _, xr := range l.RowNeighborRows(r) {
+		ids = append(ids, l.GID(int32(xr)))
+	}
+	return ids
+}
+
+// cutRows returns, per local row, how many of its neighbors are ghosts.
+func cutRows(l *LocalGraph) []int {
+	cut := make([]int, l.NLocal())
+	for r := range cut {
+		for _, xr := range l.RowNeighborRows(int32(r)) {
+			if int(xr) >= l.NLocal() {
+				cut[r]++
+			}
+		}
+	}
+	return cut
+}
+
 func TestLocalGraphCoversAllEdges(t *testing.T) {
 	g := randomGraph(5, 64, 400)
 	for _, p := range []int{1, 2, 3, 5, 8} {
@@ -29,7 +52,7 @@ func TestLocalGraphCoversAllEdges(t *testing.T) {
 		for _, lg := range locals {
 			for r := 0; r < lg.NLocal(); r++ {
 				v := lg.GID(int32(r))
-				if !slices.Equal(lg.RowNeighbors(int32(r)), g.Neighbors(v)) {
+				if !slices.Equal(rowIDs(lg, int32(r)), g.Neighbors(v)) {
 					t.Fatalf("p=%d: neighborhood of %d differs on PE %d", p, v, lg.Rank)
 				}
 			}
@@ -65,7 +88,7 @@ func TestLocalGraphGhosts(t *testing.T) {
 			if !ok {
 				t.Fatal("ghost row lookup failed")
 			}
-			for _, u := range lg.RowNeighbors(row) {
+			for _, u := range rowIDs(lg, row) {
 				if !lg.IsLocal(u) {
 					t.Fatalf("ghost row of %d contains non-local %d", gid, u)
 				}
@@ -94,7 +117,9 @@ func TestCutEdgesSymmetric(t *testing.T) {
 	pt, locals := buildScattered(g, 5)
 	total := 0
 	for _, lg := range locals {
-		total += lg.CutEdges()
+		for _, c := range cutRows(lg) {
+			total += c
+		}
 	}
 	// Each cut edge is counted once per side.
 	want := 0
@@ -112,7 +137,12 @@ func TestInterfaceVerticesBound(t *testing.T) {
 	g := randomGraph(31, 50, 250)
 	_, locals := buildScattered(g, 4)
 	for _, lg := range locals {
-		iv := lg.InterfaceVertices()
+		iv := 0
+		for _, c := range cutRows(lg) {
+			if c > 0 {
+				iv++
+			}
+		}
 		if iv > lg.NLocal() {
 			t.Fatalf("interface %d > locals %d", iv, lg.NLocal())
 		}
@@ -122,6 +152,9 @@ func TestInterfaceVerticesBound(t *testing.T) {
 	}
 }
 
+// TestGhostDegreesAndOrientation checks CETRIC's expansion (rows only,
+// read back through GID) and its contraction (both layouts) against the
+// global orientation.
 func TestGhostDegreesAndOrientation(t *testing.T) {
 	g := randomGraph(17, 64, 320)
 	_, locals := buildScattered(g, 4)
@@ -134,13 +167,22 @@ func TestGhostDegreesAndOrientation(t *testing.T) {
 		}
 	}
 	globalOri := Orient(g)
+	// outIDs is A(row) of o read back through GID, sorted by ID.
+	outIDs := func(lg *LocalGraph, o *LocalOriented, row int32) []Vertex {
+		var ids []Vertex
+		for _, xr := range o.OutRows(row) {
+			ids = append(ids, lg.GID(int32(xr)))
+		}
+		slices.Sort(ids)
+		return ids
+	}
 	for _, lg := range locals {
-		ori := OrientLocal(lg)
+		ori := OrientLocalPar(lg, 1)
 		// Local rows must match the global orientation exactly.
 		for r := 0; r < lg.NLocal(); r++ {
 			v := lg.GID(int32(r))
-			if !slices.Equal(ori.Out(int32(r)), globalOri.Out(v)) {
-				t.Fatalf("PE %d: A(%d) = %v, want %v", lg.Rank, v, ori.Out(int32(r)), globalOri.Out(v))
+			if got, want := outIDs(lg, ori, int32(r)), globalOri.Out(v); !slices.Equal(got, want) {
+				t.Fatalf("PE %d: A(%d) = %v, want %v", lg.Rank, v, got, want)
 			}
 		}
 		// Ghost rows must be the local restriction of the global A-list.
@@ -152,27 +194,29 @@ func TestGhostDegreesAndOrientation(t *testing.T) {
 					want = append(want, x)
 				}
 			}
-			got := ori.Out(row)
-			if len(got) != len(want) || (len(want) > 0 && !slices.Equal(got, want)) {
+			if got := outIDs(lg, ori, row); !slices.Equal(got, want) {
 				t.Fatalf("PE %d: ghost A(%d) = %v, want %v", lg.Rank, gid, got, want)
 			}
 		}
-		// Contraction keeps exactly the ghost out-neighbors of local rows.
-		cut := ori.Contract()
+		// Contraction keeps exactly the ghost out-neighbors of local rows,
+		// ID-sorted in Out and the same entries, in the same order, in
+		// OutRows.
+		cut := ori.ContractPar(1)
 		for r := 0; r < lg.NLocal(); r++ {
-			for _, x := range cut.Out(int32(r)) {
-				if lg.IsLocal(x) {
-					t.Fatal("contracted list contains a local vertex")
-				}
-			}
-			var want int
-			for _, x := range ori.Out(int32(r)) {
+			var want []Vertex
+			for _, x := range globalOri.Out(lg.GID(int32(r))) {
 				if !lg.IsLocal(x) {
-					want++
+					want = append(want, x)
 				}
 			}
-			if cut.OutDegree(int32(r)) != want {
-				t.Fatalf("contracted degree %d, want %d", cut.OutDegree(int32(r)), want)
+			got := cut.Out(int32(r))
+			if !slices.Equal(got, want) {
+				t.Fatalf("PE %d row %d: contracted Out = %v, want %v", lg.Rank, r, got, want)
+			}
+			for k, xr := range cut.OutRows(int32(r)) {
+				if lg.GID(int32(xr)) != got[k] {
+					t.Fatalf("PE %d row %d: contracted OutRows %v not aligned with Out %v", lg.Rank, r, cut.OutRows(int32(r)), got)
+				}
 			}
 		}
 		for r := lg.NLocal(); r < lg.Rows(); r++ {
@@ -181,6 +225,25 @@ func TestGhostDegreesAndOrientation(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestOutPanicsOnRowsOnlyOrientation: the expansion keeps no global IDs, and
+// asking it for them names the cause instead of failing on a slice bound.
+func TestOutPanicsOnRowsOnlyOrientation(t *testing.T) {
+	g := randomGraph(3, 20, 60)
+	_, locals := buildScattered(g, 2)
+	lg := locals[0]
+	for _, gid := range lg.Ghosts() {
+		row, _ := lg.GhostRow(gid)
+		lg.SetGhostDegree(row, g.Degree(gid))
+	}
+	ori := OrientLocalPar(lg, 1)
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "rows-only orientation") {
+			t.Fatalf("Out on a rows-only orientation: panic %v, want one naming it", r)
+		}
+	}()
+	ori.Out(0)
 }
 
 func TestOrientLocalPanicsWithoutGhostDegrees(t *testing.T) {
@@ -193,7 +256,7 @@ func TestOrientLocalPanicsWithoutGhostDegrees(t *testing.T) {
 			t.Fatal("expected panic: ghost degrees unknown")
 		}
 	}()
-	OrientLocal(lg)
+	OrientLocalPar(lg, 1)
 }
 
 func TestScatterEdgesGivesEdgeToBothOwners(t *testing.T) {

@@ -1,7 +1,5 @@
 package graph
 
-import "slices"
-
 // The degree-based total order ≺ from COMPACT-FORWARD (Latapy):
 //
 //	u ≺ v  ⇔  d(u) < d(v), or d(u) == d(v) and u < v.
@@ -130,12 +128,6 @@ func Orient(g *Graph) *OutGraph {
 		}
 	}
 	return &OutGraph{off: off, out: out[:off[n]]}
-}
-
-// aboveID returns the suffix of the ascending list nb that lies above v.
-func aboveID(nb []Vertex, v Vertex) []Vertex {
-	i, _ := slices.BinarySearch(nb, v+1)
-	return nb[i:]
 }
 
 // NumVertices returns n.

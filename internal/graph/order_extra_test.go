@@ -36,17 +36,26 @@ func TestOrientLocalOnlyGhostRowsEmpty(t *testing.T) {
 			row, _ := lg.GhostRow(gid)
 			lg.SetGhostDegree(row, g.Degree(gid))
 		}
-		ori := OrientLocalOnly(lg)
+		ori := OrientLocalOnlyPar(lg, 1)
 		for r := lg.NLocal(); r < lg.Rows(); r++ {
 			if ori.OutDegree(int32(r)) != 0 {
-				t.Fatal("OrientLocalOnly must leave ghost rows empty")
+				t.Fatal("OrientLocalOnlyPar must leave ghost rows empty")
 			}
 		}
-		// Local rows must match the full orientation.
-		full := OrientLocal(lg)
+		// Local rows must match the full orientation, and Out must be
+		// their IDs, ascending.
+		full := OrientLocalPar(lg, 1)
 		for r := 0; r < lg.NLocal(); r++ {
-			if !slices.Equal(ori.Out(int32(r)), full.Out(int32(r))) {
-				t.Fatal("local rows differ between OrientLocalOnly and OrientLocal")
+			if !slices.Equal(ori.OutRows(int32(r)), full.OutRows(int32(r))) {
+				t.Fatal("local rows differ between OrientLocalOnlyPar and OrientLocalPar")
+			}
+			var ids []Vertex
+			for _, xr := range full.OutRows(int32(r)) {
+				ids = append(ids, lg.GID(int32(xr)))
+			}
+			slices.Sort(ids)
+			if !slices.Equal(ori.Out(int32(r)), ids) {
+				t.Fatalf("row %d: Out = %v, IDs of OutRows %v", r, ori.Out(int32(r)), ids)
 			}
 		}
 	}
@@ -57,7 +66,7 @@ func TestOrientLocalByIDNoDegreesNeeded(t *testing.T) {
 	g := randomGraph(23, 40, 200)
 	_, locals := buildScattered(g, 3)
 	for _, lg := range locals {
-		ori := OrientLocalByID(lg) // no SetGhostDegree calls
+		ori := OrientLocalByIDPar(lg, 1) // no SetGhostDegree calls
 		for r := 0; r < lg.Rows(); r++ {
 			v := lg.GID(int32(r))
 			for _, u := range ori.Out(int32(r)) {
@@ -78,8 +87,10 @@ func TestLocalOrientedTotalOut(t *testing.T) {
 			row, _ := lg.GhostRow(gid)
 			lg.SetGhostDegree(row, g.Degree(gid))
 		}
-		ori := OrientLocalOnly(lg)
-		total += ori.TotalOut()
+		ori := OrientLocalOnlyPar(lg, 1)
+		for r := 0; r < lg.Rows(); r++ {
+			total += ori.OutDegree(int32(r))
+		}
 	}
 	// Each undirected edge is oriented exactly once from its ≺-smaller
 	// endpoint, which lives on exactly one PE's local rows — except cut

@@ -14,39 +14,67 @@ import (
 // The passes that filter adjacency by ≺ keep entries by arithmetic (a write
 // per candidate, a cursor that advances by 0 or 1). The loops below are the
 // same passes with a plain branch on the keep-test: byte-identity oracles
-// for every output array over the 12 fixtures. FuzzOrientation checks the same passes against plain filters on
-// graph.Less over arbitrary graphs.
+// for every output array over the 12 fixtures. FuzzOrientation checks the
+// same passes against plain filters on graph.Less over arbitrary graphs.
+// Every oracle reads the global graph (through naiveLocal), never the local
+// view under test.
 
-// flatOriented lays o's rows end to end: offsets, global-ID entries and
-// row-space entries.
-func flatOriented(o *graph.LocalOriented) (off []int64, out []graph.Vertex, rowOut []uint32) {
+// flatOriented lays o's rows end to end: offsets, global-ID entries (when
+// ids is set, i.e. o keeps Out) and row-space entries.
+func flatOriented(o *graph.LocalOriented, ids bool) (off []int64, out []graph.Vertex, rowOut []uint32) {
 	off = []int64{0}
 	for r := 0; r < o.L.Rows(); r++ {
-		out = append(out, o.Out(int32(r))...)
+		if ids {
+			out = append(out, o.Out(int32(r))...)
+		}
 		rowOut = append(rowOut, o.OutRows(int32(r))...)
-		off = append(off, int64(len(out)))
+		off = append(off, int64(len(rowOut)))
 	}
 	return off, out, rowOut
 }
 
-// branchyOrientLocal orients rows [0, hi) of l with a branch on keep: kept
-// locals go straight to the row-space layout, kept ghost rows to a side
-// buffer appended after them.
-func branchyOrientLocal(l *graph.LocalGraph, hi int, keep func(r int32, xr int32, x graph.Vertex) bool) (off []int64, out, rowOut []graph.Vertex) {
+// naiveIDs is the global ID of every row of a naiveView: rank's vertices,
+// then its ghosts.
+func naiveIDs(pt *part.Partition, rank int, nv naiveView) []graph.Vertex {
+	lo, hi := pt.Range(rank)
+	var ids []graph.Vertex
+	for v := lo; v < hi; v++ {
+		ids = append(ids, v)
+	}
+	return append(ids, nv.ghosts...)
+}
+
+// requireRowIDs checks that l numbers its rows as the oracle does, so that
+// row-space entries equal to the oracle's carry the oracle's IDs.
+func requireRowIDs(t *testing.T, tag string, l *graph.LocalGraph, ids []graph.Vertex) {
+	t.Helper()
+	if l.Rows() != len(ids) {
+		t.Fatalf("%s: %d rows, oracle %d", tag, l.Rows(), len(ids))
+	}
+	for r, v := range ids {
+		if l.GID(int32(r)) != v {
+			t.Fatalf("%s: GID(%d) = %d, oracle %d", tag, r, l.GID(int32(r)), v)
+		}
+	}
+}
+
+// branchyOrientLocal orients rows [0, hi) of the oracle view with a branch
+// on keep(v, x) (v the row's ID): kept locals go straight to the row-space
+// layout, kept ghost rows to a side buffer appended after them.
+func branchyOrientLocal(nv naiveView, ids []graph.Vertex, hi int, keep func(v, x graph.Vertex) bool) (off []int64, out, rowOut []graph.Vertex) {
 	off = []int64{0}
-	nLoc := int32(l.NLocal())
+	nLoc := int32(len(ids) - len(nv.ghosts))
 	var ghosts []graph.Vertex
-	for r := int32(0); int(r) < l.Rows(); r++ {
-		if int(r) < hi {
-			adjR := l.RowNeighborRows(r)
+	for r := range nv.rows {
+		if r < hi {
 			ghosts = ghosts[:0]
-			for i, x := range l.RowNeighbors(r) {
-				xr := adjR[i]
-				if !keep(r, int32(xr), x) {
+			for i, x := range nv.rows[r] {
+				xr := nv.rowIdx[r][i]
+				if !keep(ids[r], x) {
 					continue
 				}
 				out = append(out, x)
-				if int32(xr) < nLoc {
+				if xr < nLoc {
 					rowOut = append(rowOut, graph.Vertex(xr))
 				} else {
 					ghosts = append(ghosts, graph.Vertex(xr))
@@ -59,17 +87,13 @@ func branchyOrientLocal(l *graph.LocalGraph, hi int, keep func(r int32, xr int32
 	return off, out, rowOut
 }
 
-// degreeKeep is the degree orientation's keep-test on l: row r ≺ entry x.
-func degreeKeep(l *graph.LocalGraph) func(r, xr int32, x graph.Vertex) bool {
-	return func(r, xr int32, x graph.Vertex) bool {
-		return graph.Less(l.Degree(r), l.GID(r), l.Degree(xr), x)
-	}
+// degreeKeep is the degree orientation's keep-test on g: v ≺ x.
+func degreeKeep(g *graph.Graph) func(v, x graph.Vertex) bool {
+	return func(v, x graph.Vertex) bool { return graph.Less(g.Degree(v), v, g.Degree(x), x) }
 }
 
-// idKeep is the ID orientation's keep-test on l: x above row r's ID.
-func idKeep(l *graph.LocalGraph) func(r, xr int32, x graph.Vertex) bool {
-	return func(r, _ int32, x graph.Vertex) bool { return x > l.GID(r) }
-}
+// idKeep is the ID orientation's keep-test: x above v.
+func idKeep(v, x graph.Vertex) bool { return x > v }
 
 // branchyBlockCSR is BuildBlockCSR's walk with a branch on the band test
 // and then on ≺.
@@ -133,7 +157,7 @@ func requireFlatEqual(t *testing.T, tag string, wantOff, gotOff []int64, wantIDs
 
 // TestOrientationMatchesBranchyLoops: on every fixture, every p, rank and
 // thread count, the branch-free passes produce byte-identical arrays to
-// the branchy loops — OrientLocalPar, OrientLocalOnlyPar and
+// the branchy loops — OrientLocalPar (off, rowOut), OrientLocalOnlyPar and
 // OrientLocalByIDPar (off, out, rowOut), BuildBlockCSR (off, col) and
 // Orient (every out-list).
 func TestOrientationMatchesBranchyLoops(t *testing.T) {
@@ -147,6 +171,7 @@ func TestOrientationMatchesBranchyLoops(t *testing.T) {
 				t.Fatalf("%s: Orient row %d = %v, branchy %v", fix.Name, v, o.Out(graph.Vertex(v)), want[v])
 			}
 		}
+		edges := g.Edges()
 		for _, p := range []int{1, 2, 4, 7, 9} {
 			pt := part.Uniform(n, p)
 			g2, err := part.NewGrid2D(n, p)
@@ -154,6 +179,8 @@ func TestOrientationMatchesBranchyLoops(t *testing.T) {
 				t.Fatal(err)
 			}
 			for rank := 0; rank < p; rank++ {
+				nv := naiveLocal(pt, rank, edges)
+				ids := naiveIDs(pt, rank, nv)
 				wantOff, wantCol := branchyBlockCSR(g2, rank, g)
 				for _, threads := range []int{1, 3} {
 					tag := fmt.Sprintf("%s p=%d rank=%d threads=%d", fix.Name, p, rank, threads)
@@ -162,18 +189,23 @@ func TestOrientationMatchesBranchyLoops(t *testing.T) {
 
 					lg := graph.BuildLocalCSR(pt, rank, g, threads)
 					setGhostDegrees(lg, g)
+					requireRowIDs(t, tag, lg, ids)
 					for _, c := range []struct {
 						name string
 						hi   int
-						keep func(r, xr int32, x graph.Vertex) bool
+						keep func(v, x graph.Vertex) bool
 						got  *graph.LocalOriented
+						ids  bool
 					}{
-						{"orient", lg.Rows(), degreeKeep(lg), graph.OrientLocalPar(lg, threads)},
-						{"local-only", lg.NLocal(), degreeKeep(lg), graph.OrientLocalOnlyPar(lg, threads)},
-						{"by-id", lg.Rows(), idKeep(lg), graph.OrientLocalByIDPar(lg, threads)},
+						{"orient", lg.Rows(), degreeKeep(g), graph.OrientLocalPar(lg, threads), false},
+						{"local-only", lg.NLocal(), degreeKeep(g), graph.OrientLocalOnlyPar(lg, threads), true},
+						{"by-id", lg.Rows(), idKeep, graph.OrientLocalByIDPar(lg, threads), true},
 					} {
-						wOff, wOut, wRow := branchyOrientLocal(lg, c.hi, c.keep)
-						gOff, gOut, gRow := flatOriented(c.got)
+						wOff, wOut, wRow := branchyOrientLocal(nv, ids, c.hi, c.keep)
+						gOff, gOut, gRow := flatOriented(c.got, c.ids)
+						if !c.ids {
+							wOut = nil
+						}
 						requireFlatEqual(t, tag+" "+c.name, wOff, gOff, wOut, gOut, wRow, gRow)
 					}
 				}
@@ -182,37 +214,72 @@ func TestOrientationMatchesBranchyLoops(t *testing.T) {
 	}
 }
 
-// requireFilteredOriented checks o against a plain filter of l's rows: row
-// r < hi holds exactly the x ∈ N(r) with keep(r, x), ascending by ID, and
-// its row-space list is the same set translated by Row, strictly ascending;
-// rows ≥ hi are empty.
-func requireFilteredOriented(t *testing.T, tag string, l *graph.LocalGraph, o *graph.LocalOriented, hi int, keep func(r int32, x graph.Vertex) bool) {
+// requireFilteredOriented checks o against a plain filter of the oracle
+// view's rows: row r < hi holds exactly the x ∈ N(r) with keep(v, x), v the
+// row's ID, and its row-space list is the oracle's rows of that set,
+// strictly ascending; rows ≥ hi are empty. Out, when ids is set, is the set
+// ascending by ID; otherwise the row-space list is read back through GID.
+func requireFilteredOriented(t *testing.T, tag string, nv naiveView, ids []graph.Vertex, l *graph.LocalGraph, o *graph.LocalOriented, hi int, keep func(v, x graph.Vertex) bool, withIDs bool) {
 	t.Helper()
+	requireRowIDs(t, tag, l, ids)
 	for r := int32(0); int(r) < l.Rows(); r++ {
 		var want []graph.Vertex
+		var wantRows []int32
 		if int(r) < hi {
-			for _, x := range l.RowNeighbors(r) {
-				if keep(r, x) {
+			for i, x := range nv.rows[r] {
+				if keep(ids[r], x) {
 					want = append(want, x)
+					wantRows = append(wantRows, nv.rowIdx[r][i])
 				}
 			}
 		}
-		got, rows := o.Out(r), o.OutRows(r)
+		slices.Sort(wantRows)
+		rows := o.OutRows(r)
+		if !slices.EqualFunc(rows, wantRows, func(a uint32, b int32) bool { return int64(a) == int64(b) }) {
+			t.Fatalf("%s row %d: OutRows = %v, want %v", tag, r, rows, wantRows)
+		}
+		for i := 1; i < len(rows); i++ {
+			if rows[i] <= rows[i-1] {
+				t.Fatalf("%s row %d: OutRows = %v not strictly ascending", tag, r, rows)
+			}
+		}
+		var got []graph.Vertex
+		if withIDs {
+			got = o.Out(r)
+		} else {
+			for _, xr := range rows {
+				got = append(got, l.GID(int32(xr)))
+			}
+			slices.Sort(got)
+		}
 		if !slices.Equal(got, want) {
 			t.Fatalf("%s row %d: Out = %v, filter %v", tag, r, got, want)
 		}
-		if len(rows) != len(got) {
-			t.Fatalf("%s row %d: |OutRows| = %d, |Out| = %d", tag, r, len(rows), len(got))
-		}
-		wantRows := make([]graph.Vertex, len(want))
-		for i, x := range want {
-			wantRows[i] = graph.Vertex(l.Row(x))
-		}
-		slices.Sort(wantRows)
-		for i, x := range rows {
-			if graph.Vertex(x) != wantRows[i] || (i > 0 && x <= rows[i-1]) {
-				t.Fatalf("%s row %d: OutRows = %v, want %v ascending", tag, r, rows, wantRows)
+	}
+}
+
+// requireContracted checks ContractPar's result against the oracle: a local
+// row keeps the ghosts of its degree-oriented list, ascending by ID in Out
+// and aligned with them in OutRows; ghost rows are empty.
+func requireContracted(t *testing.T, tag string, nv naiveView, ids []graph.Vertex, cut *graph.LocalOriented, keep func(v, x graph.Vertex) bool) {
+	t.Helper()
+	nLoc := len(ids) - len(nv.ghosts)
+	for r := range nv.rows {
+		var want []graph.Vertex
+		var wantRows []uint32
+		if r < nLoc {
+			for i, x := range nv.rows[r] {
+				if xr := nv.rowIdx[r][i]; int(xr) >= nLoc && keep(ids[r], x) {
+					want = append(want, x)
+					wantRows = append(wantRows, uint32(xr))
+				}
 			}
+		}
+		if got := cut.Out(int32(r)); !slices.Equal(got, want) {
+			t.Fatalf("%s row %d: contracted Out = %v, want %v", tag, r, got, want)
+		}
+		if got := cut.OutRows(int32(r)); !slices.Equal(got, wantRows) {
+			t.Fatalf("%s row %d: contracted OutRows = %v, want %v", tag, r, got, wantRows)
 		}
 	}
 }
@@ -229,9 +296,9 @@ func fuzzEdges(edges ...[2]uint16) []byte {
 
 // FuzzOrientation drives every ≺ filter over an arbitrary graph (16-bit
 // endpoint pairs mod n; self-loops and duplicates are FromEdges' to drop),
-// an arbitrary p, rank and thread count: OrientLocalPar, OrientLocalOnlyPar,
-// BuildBlockCSR and Orient must match a filter on graph.Less, and
-// OrientLocalByIDPar a filter on x > v. The seeds cover rank 0 (no ghost
+// an arbitrary p, rank and thread count: OrientLocalPar (and its
+// contraction), OrientLocalOnlyPar, BuildBlockCSR and Orient must match a
+// filter on graph.Less, and OrientLocalByIDPar a filter on x > v. The seeds cover rank 0 (no ghost
 // below the range), the last rank (none above), a middle rank whose rows
 // reach ghosts on both sides, rows that hold only ghosts, empty rows, and
 // p = 1.
@@ -258,15 +325,17 @@ func FuzzOrientation(f *testing.F) {
 		g := graph.FromEdges(int(n), edges)
 		tag := fmt.Sprintf("n=%d p=%d rank=%d threads=%d", n, p, rank, threads)
 
-		lg := graph.BuildLocalCSR(part.Uniform(n, p), rank, g, threads)
+		pt := part.Uniform(n, p)
+		nv := naiveLocal(pt, rank, g.Edges())
+		ids := naiveIDs(pt, rank, nv)
+		lg := graph.BuildLocalCSR(pt, rank, g, threads)
 		setGhostDegrees(lg, g)
-		less := func(r int32, x graph.Vertex) bool {
-			return graph.Less(lg.Degree(r), lg.GID(r), g.Degree(x), x)
-		}
-		requireFilteredOriented(t, tag+" orient", lg, graph.OrientLocalPar(lg, threads), lg.Rows(), less)
-		requireFilteredOriented(t, tag+" local-only", lg, graph.OrientLocalOnlyPar(lg, threads), lg.NLocal(), less)
-		requireFilteredOriented(t, tag+" by-id", lg, graph.OrientLocalByIDPar(lg, threads), lg.Rows(),
-			func(r int32, x graph.Vertex) bool { return x > lg.GID(r) })
+		less := degreeKeep(g)
+		ori := graph.OrientLocalPar(lg, threads)
+		requireFilteredOriented(t, tag+" orient", nv, ids, lg, ori, lg.Rows(), less, false)
+		requireContracted(t, tag+" contract", nv, ids, ori.ContractPar(threads), less)
+		requireFilteredOriented(t, tag+" local-only", nv, ids, lg, graph.OrientLocalOnlyPar(lg, threads), lg.NLocal(), less, true)
+		requireFilteredOriented(t, tag+" by-id", nv, ids, lg, graph.OrientLocalByIDPar(lg, threads), lg.Rows(), idKeep, true)
 
 		g2, err := part.NewGrid2D(n, p)
 		if err != nil {

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 )
@@ -11,24 +12,25 @@ import (
 //	local v: A(v) = {x ∈ N(v) | v ≺ x}
 //	ghost v: A(v) = {x ∈ N(v) | v ≺ x ∧ x local}   (only local edges visible)
 //
-// Two aligned layouts are kept per row:
+// Every orientation keeps OutRows(row): A(row) as row indices, sorted
+// ascending by row — the shape every local intersection runs on, so the hot
+// loops never touch the ghost index and can use bitsets over the row domain:
+// the per-hub bitmaps and the stamped RowMark (see Probe). Row indices are 4
+// bytes (a PE holds at most MaxRows rows).
 //
-//   - Out(row): global IDs sorted ascending — the shape neighborhoods are
-//     shipped in (message payloads need no translation, and the sorted IDs
-//     are what the delta-varint wire codec compresses).
-//   - OutRows(row): the same set translated to row indices, sorted ascending
-//     by row — the shape every local intersection runs on, so the hot loops
-//     never touch the ghost index and can use bitsets over the row domain:
-//     the per-hub bitmaps and the stamped RowMark (see Probe). Row indices
-//     are 4 bytes (a PE holds at most MaxRows rows), so this layout and
-//     every kernel pass over it stream half the bytes of the ID layout.
+// Out(row), the same set as global IDs sorted ascending, is kept only where
+// lists ship or meet received ID lists: the shipped shape needs no
+// translation, and sorted IDs are what the delta-varint wire codec
+// compresses. OrientLocalOnlyPar (DITRIC, HavoqGT), OrientLocalByIDPar
+// (TriC) and ContractPar (CETRIC's cut) keep it; OrientLocalPar (CETRIC's
+// expansion, whose lists never leave the PE) does not, and Out panics there.
 //
-// Building either requires ghost degrees, i.e. exchange_ghost_degree must
-// have run (except for the by-ID orientation).
+// The degree orientations require ghost degrees, i.e. the degree exchange
+// must have run.
 type LocalOriented struct {
 	L      *LocalGraph
 	off    []int64
-	out    []Vertex // global IDs, ascending per row
+	out    []Vertex // global IDs, ascending per row; nil when rows-only
 	rowOut []uint32 // row indices, ascending per row
 	hubs   hubIndex
 }
@@ -130,34 +132,41 @@ func (o *LocalOriented) BuildHubsPar(minDeg, threads int) {
 // NumHubs returns the number of rows carrying a hub bitmap.
 func (o *LocalOriented) NumHubs() int { return o.hubs.hubs }
 
-// orientDegree builds both layouts for the degree orientation over rows
-// [0,hi); rows [hi,Rows) stay empty. The ≺ test runs on the row-translated
-// adjacency (l.deg[xr], no ghost-index probes) and is written out, not passed
-// as a closure — an indirect call per adjacency entry is measurable here.
+// orientDegree orients rows [0,hi) by degree; rows [hi,Rows) stay empty.
+// withIDs keeps Out beside OutRows. The ≺ test reads rows, degrees and the
+// per-row ID table only (no ghost-index probe) and is written out, not
+// passed as a closure — an indirect call per adjacency entry is measurable
+// here.
 //
 // Two-pass counting layout, both passes parallel over rows (rows are
-// independent): a count pass sums precedes into the per-row out-degrees, a
-// sequential prefix sum turns them into offsets, and a placement pass keeps
-// each row's entries branch-free — every candidate is written to the
-// worker's scratch and the cursor advances by precedes, so no write lands in
-// a row another worker owns — then place copies the kept prefix into both
-// layouts.
-func orientDegree(l *LocalGraph, hi, threads int) *LocalOriented {
+// independent): a count pass evaluates precedes once per entry, records it
+// in keep and sums it into the per-row out-degrees, a sequential prefix sum
+// turns them into offsets, and a placement pass keeps each row's entries
+// branch-free — every candidate is written to the worker's scratch and the
+// cursor advances by its keep byte, so no write lands in a row another
+// worker owns and no degree or ID is loaded twice — then place moves the
+// kept entries into row order.
+func orientDegree(l *LocalGraph, hi, threads int, withIDs bool) *LocalOriented {
 	rows := l.Rows()
+	gid, deg := l.gid, l.deg
 	off := make([]int64, rows+1)
+	keep := make([]uint8, l.off[hi]) // precedes(row, entry), per entry of rows [0,hi)
 	parallelFor(threads, hi, orientChunk, func(_, rlo, rhi int) {
 		for r := rlo; r < rhi; r++ {
-			v, dv := l.GID(int32(r)), l.Degree(int32(r))
-			adj := l.RowNeighbors(int32(r))
-			adjR := l.RowNeighborRows(int32(r))[:len(adj)]
+			v, dv := gid[r], deg[r]
+			adjR := l.RowNeighborRows(int32(r))
+			kr := keep[l.off[r]:l.off[r+1]]
+			kr = kr[:len(adjR)]
 			cnt := uint64(0)
-			for i, x := range adj {
-				cnt += precedes(dv, v, l.deg[adjR[i]], x)
+			for i, xr := range adjR {
+				p := precedes(dv, v, deg[xr], gid[xr])
+				kr[i] = uint8(p)
+				cnt += p
 			}
 			off[r+1] = int64(cnt)
 		}
 	})
-	o := newLocalOriented(l, off)
+	o := newLocalOriented(l, off, withIDs)
 	type scratch struct {
 		ids []Vertex
 		rws []uint32
@@ -166,43 +175,63 @@ func orientDegree(l *LocalGraph, hi, threads int) *LocalOriented {
 	parallelFor(threads, hi, orientChunk, func(worker, rlo, rhi int) {
 		s := &scratches[worker]
 		for r := rlo; r < rhi; r++ {
-			v, dv := l.GID(int32(r)), l.Degree(int32(r))
-			adj := l.RowNeighbors(int32(r))
-			adjR := l.RowNeighborRows(int32(r))[:len(adj)]
-			s.ids = slices.Grow(s.ids[:0], len(adj))
-			s.rws = slices.Grow(s.rws[:0], len(adj))
-			ids, rws := s.ids[:len(adj)], s.rws[:len(adj)]
+			adjR := l.RowNeighborRows(int32(r))
+			kr := keep[l.off[r]:l.off[r+1]]
+			kr = kr[:len(adjR)]
+			s.rws = slices.Grow(s.rws[:0], len(adjR))
+			rws := s.rws[:len(adjR)]
 			k := uint64(0)
-			for i, x := range adj {
-				xr := adjR[i]
-				ids[k], rws[k] = x, xr
-				k += precedes(dv, v, l.deg[xr], x)
+			if withIDs {
+				s.ids = slices.Grow(s.ids[:0], len(adjR))
+				ids := s.ids[:len(adjR)]
+				for i, xr := range adjR {
+					ids[k], rws[k] = gid[xr], xr
+					k += uint64(kr[i])
+				}
+				copy(o.out[o.off[r]:], ids[:k])
+			} else {
+				for i, xr := range adjR {
+					rws[k] = xr
+					k += uint64(kr[i])
+				}
 			}
-			o.place(r, ids[:k], rws[:k])
+			o.place(r, rws[:k])
 		}
 	})
 	return o
 }
 
 // newLocalOriented prefix-sums the per-row out-degrees in off[1:] into
-// offsets and allocates both layouts to fit.
-func newLocalOriented(l *LocalGraph, off []int64) *LocalOriented {
+// offsets and allocates the row-space layout to fit, and the ID layout
+// beside it when withIDs is set.
+func newLocalOriented(l *LocalGraph, off []int64, withIDs bool) *LocalOriented {
 	rows := len(off) - 1
 	for r := 0; r < rows; r++ {
 		off[r+1] += off[r]
 	}
-	return &LocalOriented{L: l, off: off,
-		out: make([]Vertex, off[rows]), rowOut: make([]uint32, off[rows])}
+	o := &LocalOriented{L: l, off: off, rowOut: make([]uint32, off[rows])}
+	if withIDs {
+		o.out = make([]Vertex, off[rows])
+	}
+	return o
 }
 
-// place fills row r of both layouts from its kept entries: ids ascending,
-// rws their rows. An ID-sorted row is [ghosts < First][locals][ghosts ≥
-// Last], and ghost rows are numbered in ID order, so the row-space layout is
-// locals, low ghosts, high ghosts — two binary searches, four copies.
-func (o *LocalOriented) place(r int, ids []Vertex, rws []uint32) {
-	lo, _ := slices.BinarySearch(ids, o.L.First)
-	hi, _ := slices.BinarySearch(ids, o.L.Last)
-	copy(o.out[o.off[r]:], ids)
+// place fills row r's row-space list from its kept entries rws, which are
+// in ID order: [low ghosts][locals][high ghosts]. Ghost rows are numbered in
+// ID order after the locals, so row order is locals, low ghosts, high
+// ghosts. The low ghosts are the prefix whose rows fall in [nLoc,
+// nLoc+nLow), the high ghosts the suffix at or above nLoc+nLow; both scans
+// pass over ghost entries only.
+func (o *LocalOriented) place(r int, rws []uint32) {
+	nLoc, nLow := uint32(o.L.nLocal), uint32(o.L.nLow)
+	lo := 0
+	for lo < len(rws) && rws[lo]-nLoc < nLow {
+		lo++
+	}
+	hi := len(rws)
+	for hi > lo && rws[hi-1] >= nLoc+nLow {
+		hi--
+	}
 	dst := o.rowOut[o.off[r]:o.off[r+1]]
 	n := copy(dst, rws[lo:hi])
 	n += copy(dst[n:], rws[:lo])
@@ -224,53 +253,66 @@ func requireDegrees(l *LocalGraph) {
 	}
 }
 
-// OrientLocal computes the A-lists for every row (locals and ghosts).
-func OrientLocal(l *LocalGraph) *LocalOriented { return OrientLocalPar(l, 1) }
-
-// OrientLocalPar is OrientLocal over threads workers.
+// OrientLocalPar computes the A-lists of every row (locals and ghosts) over
+// threads workers, in row space only: CETRIC's expansion, whose lists are
+// intersected on this PE and never shipped. Its result has no Out.
 func OrientLocalPar(l *LocalGraph, threads int) *LocalOriented {
 	requireDegrees(l)
-	return orientDegree(l, l.Rows(), threads)
+	return orientDegree(l, l.Rows(), threads, false)
 }
 
-// OrientLocalOnly computes A-lists for local rows only, leaving ghost rows
-// empty. DITRIC uses this: it never expands ghost neighborhoods, which is
-// exactly the preprocessing work it saves compared to CETRIC.
-func OrientLocalOnly(l *LocalGraph) *LocalOriented { return OrientLocalOnlyPar(l, 1) }
-
-// OrientLocalOnlyPar is OrientLocalOnly over threads workers.
+// OrientLocalOnlyPar computes A-lists for local rows only, leaving ghost
+// rows empty, over threads workers, with Out beside OutRows. DITRIC uses
+// this: it never expands ghost neighborhoods, which is exactly the
+// preprocessing work it saves compared to CETRIC, and it ships A(v).
 func OrientLocalOnlyPar(l *LocalGraph, threads int) *LocalOriented {
 	requireDegrees(l)
-	return orientDegree(l, l.NLocal(), threads)
+	return orientDegree(l, l.NLocal(), threads, true)
 }
 
-// OrientLocalByID orients the expanded local graph by vertex ID only (no
-// degrees), used by the TriC baseline which skips the degree orientation.
-// It needs no ghost-degree exchange.
-func OrientLocalByID(l *LocalGraph) *LocalOriented { return OrientLocalByIDPar(l, 1) }
-
-// OrientLocalByIDPar is OrientLocalByID over threads workers. In an
-// ascending row the entries above v are a suffix, so each row is one binary
-// search and one place.
+// OrientLocalByIDPar orients the expanded local graph by vertex ID only (no
+// degrees) over threads workers, with Out beside OutRows: the TriC
+// baseline, which skips the degree orientation and needs no ghost-degree
+// exchange. A row is in ID order, so the entries above its own ID are a
+// suffix: one binary search per row.
 func OrientLocalByIDPar(l *LocalGraph, threads int) *LocalOriented {
 	rows := l.Rows()
 	off := make([]int64, rows+1)
 	for r := 0; r < rows; r++ {
-		off[r+1] = int64(len(aboveID(l.RowNeighbors(int32(r)), l.GID(int32(r)))))
+		adjR := l.RowNeighborRows(int32(r))
+		i, _ := slices.BinarySearchFunc(adjR, l.gid[r]+1, func(xr uint32, v Vertex) int {
+			return cmp.Compare(l.gid[xr], v)
+		})
+		off[r+1] = int64(len(adjR) - i)
 	}
-	o := newLocalOriented(l, off)
+	o := newLocalOriented(l, off, true)
 	parallelFor(threads, rows, orientChunk, func(_, rlo, rhi int) {
 		for r := rlo; r < rhi; r++ {
-			adj := l.RowNeighbors(int32(r))
-			i := len(adj) - o.OutDegree(int32(r))
-			o.place(r, adj[i:], l.RowNeighborRows(int32(r))[i:])
+			adjR := l.RowNeighborRows(int32(r))
+			kept := adjR[len(adjR)-o.OutDegree(int32(r)):]
+			ids := o.out[o.off[r]:o.off[r+1]]
+			for k, xr := range kept {
+				ids[k] = l.gid[xr]
+			}
+			o.place(r, kept)
 		}
 	})
 	return o
 }
 
 // Out returns A(row), global IDs sorted ascending. Aliases internal storage.
-func (o *LocalOriented) Out(row int32) []Vertex { return o.out[o.off[row]:o.off[row+1]] }
+// It panics on a rows-only orientation (OrientLocalPar).
+func (o *LocalOriented) Out(row int32) []Vertex {
+	if o.out == nil {
+		panicRowsOnly()
+	}
+	return o.out[o.off[row]:o.off[row+1]]
+}
+
+// panicRowsOnly is Out's failure, kept out of line so that Out inlines.
+func panicRowsOnly() {
+	panic("graph: LocalOriented.Out on a rows-only orientation (OrientLocalPar keeps no global IDs); use OutRows and LocalGraph.GID")
+}
 
 // OutRows returns A(row) translated to row indices, sorted ascending by row.
 // Aliases internal storage.
@@ -278,9 +320,6 @@ func (o *LocalOriented) OutRows(row int32) []uint32 { return o.rowOut[o.off[row]
 
 // OutDegree returns |A(row)|.
 func (o *LocalOriented) OutDegree(row int32) int { return int(o.off[row+1] - o.off[row]) }
-
-// TotalOut returns the total number of A-list entries across all rows.
-func (o *LocalOriented) TotalOut() int { return len(o.out) }
 
 // HubBitset returns the packed bitmap of a hub row, or nil.
 func (o *LocalOriented) HubBitset(row int32) Bitset { return o.hubs.bitset(int(row)) }
@@ -336,52 +375,45 @@ func (o *LocalOriented) CountRowPair(a, b int32) uint64 {
 	}
 }
 
-// Contract applies the contraction step (Algorithm 3, line 8): for every
-// local vertex, keep only the out-neighbors that are ghosts (cut out-edges);
-// ghost rows become empty. The result is the PE's part of the cut graph ∂G,
-// restricted to outgoing edges. Hub bitmaps are not carried over; call
-// BuildHubs on the result if the cut lists warrant them. Sequential;
-// ContractPar is the threaded variant.
-func (o *LocalOriented) Contract() *LocalOriented { return o.ContractPar(1) }
-
-// ContractPar is Contract with the count and placement passes fanned out
-// over threads workers (rows are independent).
+// ContractPar applies the contraction step (Algorithm 3, line 8) over
+// threads workers: for every local vertex, keep only the out-neighbors that
+// are ghosts (cut out-edges); ghost rows become empty. The result is the
+// PE's part of the cut graph ∂G, restricted to outgoing edges, with Out
+// beside OutRows: these are the lists CETRIC ships. In row space a row's
+// ghosts are the suffix ≥ NLocal of its ascending list, and ghost rows are
+// numbered in ID order, so that suffix is also the ID-sorted cut list. Hub
+// bitmaps are not carried over; call BuildHubsPar on the result if the cut
+// lists warrant them.
 func (o *LocalOriented) ContractPar(threads int) *LocalOriented {
 	l := o.L
-	rows := l.Rows()
 	nLocal := l.NLocal()
-	nLoc := uint32(nLocal)
-	off := make([]int64, rows+1)
+	off := make([]int64, l.Rows()+1)
 	parallelFor(threads, nLocal, orientChunk, func(_, rlo, rhi int) {
 		for r := rlo; r < rhi; r++ {
-			cnt := int64(0)
-			for _, x := range o.Out(int32(r)) {
-				if !l.IsLocal(x) {
-					cnt++
-				}
-			}
-			off[r+1] = cnt
+			off[r+1] = int64(len(o.ghostSuffix(int32(r))))
 		}
 	})
-	cut := newLocalOriented(l, off)
+	cut := newLocalOriented(l, off, true)
 	parallelFor(threads, nLocal, orientChunk, func(_, rlo, rhi int) {
 		for r := rlo; r < rhi; r++ {
-			w := off[r]
-			for _, x := range o.Out(int32(r)) {
-				if !l.IsLocal(x) {
-					cut.out[w] = x
-					w++
-				}
+			src := o.ghostSuffix(int32(r))
+			copy(cut.rowOut[off[r]:], src)
+			ids := cut.out[off[r]:off[r+1]]
+			for k, xr := range src {
+				ids[k] = l.gid[xr]
 			}
-			// In row space the ghost entries are exactly the suffix ≥ NLocal
-			// of the ascending row list.
-			src := o.OutRows(int32(r))
-			i := len(src)
-			for i > 0 && src[i-1] >= nLoc {
-				i--
-			}
-			copy(cut.rowOut[off[r]:off[r+1]], src[i:])
 		}
 	})
 	return cut
+}
+
+// ghostSuffix returns the ghost entries of A(row): the suffix ≥ NLocal of
+// the ascending row list.
+func (o *LocalOriented) ghostSuffix(row int32) []uint32 {
+	src, nLoc := o.OutRows(row), uint32(o.L.nLocal)
+	i := len(src)
+	for i > 0 && src[i-1] >= nLoc {
+		i--
+	}
+	return src[i:]
 }

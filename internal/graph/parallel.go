@@ -6,7 +6,7 @@ import (
 )
 
 // Hybrid-threaded preprocessing support: the builders in this package
-// (ScatterEdgesPar, buildRows, the orientations, Contract, BuildHubs)
+// (ScatterEdgesPar, buildRows, the orientations, ContractPar, BuildHubs)
 // are all structured as fused two-pass counting layouts — a parallel count
 // pass, a sequential prefix sum over the counts, and a parallel placement
 // pass into the exact-size output. The passes run over the same

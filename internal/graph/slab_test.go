@@ -82,8 +82,8 @@ func requireMatchesNaive(t *testing.T, tag string, got *graph.LocalGraph, want n
 		t.Fatalf("%s: %d rows, oracle %d", tag, got.Rows(), len(want.rows))
 	}
 	for r := range want.rows {
-		if !slices.Equal(got.RowNeighbors(int32(r)), want.rows[r]) {
-			t.Fatalf("%s: row %d = %v, oracle %v", tag, r, got.RowNeighbors(int32(r)), want.rows[r])
+		if ids := rowIDs(got, int32(r)); !slices.Equal(ids, want.rows[r]) {
+			t.Fatalf("%s: row %d = %v, oracle %v", tag, r, ids, want.rows[r])
 		}
 		if !slices.EqualFunc(got.RowNeighborRows(int32(r)), want.rowIdx[r], func(g uint32, w int32) bool { return int64(g) == int64(w) }) {
 			t.Fatalf("%s: row %d translates to %v, oracle %v", tag, r, got.RowNeighborRows(int32(r)), want.rowIdx[r])

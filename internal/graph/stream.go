@@ -334,8 +334,8 @@ func (b *StreamBuilder) Seal(threads int) *LocalGraph {
 }
 
 // SealRelease is Seal for a builder that will take no further batches: each
-// resident row is dropped the moment buildRows has copied it into the view,
-// so the construction holds roughly ONE copy of the adjacency (shrinking
+// resident row is dropped the moment buildRows has translated it into the
+// view, so the construction holds roughly ONE copy of the adjacency (shrinking
 // rows + filling view) rather than two. The builder is spent afterwards;
 // any further use panics.
 func (b *StreamBuilder) SealRelease(threads int) *LocalGraph {

@@ -34,16 +34,13 @@ func requireLocalGraphsEqual(t *testing.T, tag string, got, want *graph.LocalGra
 		}
 	}
 	for r := 0; r < want.Rows(); r++ {
-		gr, wr := got.RowNeighbors(int32(r)), want.RowNeighbors(int32(r))
-		if len(gr) != len(wr) {
-			t.Fatalf("%s: row %d has %d entries, want %d", tag, r, len(gr), len(wr))
-		}
-		for i := range wr {
-			if gr[i] != wr[i] {
-				t.Fatalf("%s: row %d entry %d = %d, want %d", tag, r, i, gr[i], wr[i])
-			}
+		if got.GID(int32(r)) != want.GID(int32(r)) {
+			t.Fatalf("%s: row %d ID = %d, want %d", tag, r, got.GID(int32(r)), want.GID(int32(r)))
 		}
 		grr, wrr := got.RowNeighborRows(int32(r)), want.RowNeighborRows(int32(r))
+		if len(grr) != len(wrr) {
+			t.Fatalf("%s: row %d has %d entries, want %d", tag, r, len(grr), len(wrr))
+		}
 		for i := range wrr {
 			if grr[i] != wrr[i] {
 				t.Fatalf("%s: row %d row-entry %d = %d, want %d", tag, r, i, grr[i], wrr[i])
