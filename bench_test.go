@@ -211,22 +211,6 @@ func BenchmarkAblationThreshold(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationDegreeExchange: dense vs sparse ghost degree exchange.
-func BenchmarkAblationDegreeExchange(b *testing.B) {
-	g := gen.RMAT(gen.DefaultRMAT(11, 9))
-	for _, sparse := range []bool{false, true} {
-		name := "dense"
-		if sparse {
-			name = "sparse"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				mustRun(b, core.AlgoCetric, g, core.Config{P: 8, SparseDegreeExchange: sparse})
-			}
-		})
-	}
-}
-
 // BenchmarkIntersect: every set-intersection kernel (plain merge, branchless
 // merge, galloping, hub bitmap, and the adaptive dispatcher) across operand
 // skew ratios from 1:1 to 1:1024 — the innermost loop of every algorithm.

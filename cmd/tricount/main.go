@@ -8,7 +8,7 @@
 //	tricount -instance friendster -algo ditric2 -p 32 -lcc   # ditric2/cetric2: indirect delivery
 //	tricount -input graph.txt -algo cetric2 -p 8 -threads 4
 //	tricount -gen rhg -n 16384 -algo cetric -p 4 -approx -bits 8
-//	tricount -gen rgg2d -n 4096 -algo ditric -p 8 -codec raw   # vs default auto
+//	tricount -gen rgg2d -n 4096 -algo ditric -p 8   # the wire: line gives raw vs encoded bytes
 //	tricount -gen rmat -n 65536 -algo ditric -p 4 -cpuprofile cpu.pprof
 //	tricount -gen rmat -n 16384 -algo cetric -p 4 -stream -memprofile mem.pprof -trace run.trace
 //
@@ -29,7 +29,6 @@ import (
 	"strings"
 	"time"
 
-	tricount "repro"
 	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/costmodel"
@@ -64,9 +63,6 @@ func run() (err error) {
 		threads   = flag.Int("threads", 1, "threads per PE (hybrid counting + parallel preprocessing)")
 		overlap   = flag.Bool("overlap", false, "overlapped schedule of the DITRIC/CETRIC counting pipeline: eager shipments + polling/stealing between row chunks instead of the barriered schedule")
 		lcc       = flag.Bool("lcc", false, "compute local clustering coefficients")
-		sparse    = flag.Bool("sparse-degree", false, "sparse ghost degree exchange")
-		partBy    = flag.String("partition", "uniform", "1D partitioner: uniform|degree|wedges")
-		codec     = flag.String("codec", "auto", "wire codec policy: auto|raw|varint|deltavarint")
 		hub       = flag.Int("hub", 0, "hub-bitmap threshold, 1D engines only (tk2d keeps no bitmaps): min |A(v)| for a packed bitmap (0 = default, <0 = off)")
 
 		approx  = flag.Bool("approx", false, "AMQ-approximate type-3 counting: the CETRIC pipeline shipping Bloom filters (-algo cetric or cetric2); -threads and -overlap apply")
@@ -176,23 +172,11 @@ func run() (err error) {
 
 	cfg := core.Config{
 		P: *p, Threshold: *threshold, Threads: *threads, Overlap: *overlap,
-		LCC: *lcc, SparseDegreeExchange: *sparse, Codec: *codec,
-		HubThreshold: *hub,
+		LCC: *lcc, HubThreshold: *hub,
 	}
 	algo, err := resolveAlgo(*algoName, *approx, &cfg)
 	if err != nil {
 		return err
-	}
-	switch *partBy {
-	case "uniform":
-	case "degree", "wedges":
-		cost := tricount.CostDegree
-		if *partBy == "wedges" {
-			cost = tricount.CostWedges
-		}
-		cfg.Partition = tricount.PartitionByCost(g, *p, cost)
-	default:
-		return fmt.Errorf("unknown partitioner %q", *partBy)
 	}
 
 	if *tcpRank >= 0 {

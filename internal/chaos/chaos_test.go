@@ -400,15 +400,15 @@ func TestFaultGrid(t *testing.T) {
 	}
 }
 
-// TestTK2DCorruptBlockIsTyped: under the raw codec a corrupted broadcast
-// still decodes to words, so it is the block decoder that rejects it (the
-// frame no longer names the bands this round expects) — and that rejection
-// must surface as the same typed corrupt-frame cause, blaming a sender.
+// TestTK2DCorruptBlockIsTyped: a corrupted broadcast is rejected by the
+// varint decoder or, when it still decodes to words, by the block decoder
+// (the frame no longer names the bands this round expects) — and either
+// rejection must surface as the same typed corrupt-frame cause, blaming a
+// sender.
 func TestTK2DCorruptBlockIsTyped(t *testing.T) {
 	leakcheck.Check(t)
 	fx, _ := testgraph.ByName("rgg")
 	cfg := chaosCfg(chaos.Wrap(transport.NewChanNetwork(chaosP), chaos.Plan{Seed: 13, CorruptProb: 1}))
-	cfg.Codec = core.CodecRaw
 	_, err := core.Run(core.AlgoTK2D, fx.Build(), cfg)
 	re := typedAbort(t, err)
 	var cf *comm.CorruptFrameError

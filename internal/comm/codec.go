@@ -27,7 +27,7 @@ import (
 //     clustered sequences like adjacency rows, and stays correct (just not
 //     smaller) on arbitrary payloads because the deltas wrap mod 2^64.
 type Codec interface {
-	// Name returns the codec's stable wire-policy name.
+	// Name returns the codec's stable name.
 	Name() string
 	// AppendEncoded appends the encoding of words to dst and returns it.
 	AppendEncoded(dst []byte, words []uint64) []byte
@@ -42,20 +42,6 @@ var (
 	Varint      Codec = varintCodec{}
 	DeltaVarint Codec = deltaVarintCodec{}
 )
-
-// CodecByName resolves "raw", "varint", or "deltavarint".
-func CodecByName(name string) (Codec, error) {
-	switch name {
-	case "raw":
-		return Raw, nil
-	case "varint":
-		return Varint, nil
-	case "deltavarint":
-		return DeltaVarint, nil
-	default:
-		return nil, fmt.Errorf("comm: unknown codec %q (want raw, varint, or deltavarint)", name)
-	}
-}
 
 // Raw and Varint size their output once: the encoders grow dst to the exact
 // encoded length and the decoders to the value count, so a cold buffer

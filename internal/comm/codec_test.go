@@ -67,18 +67,6 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCodecByName(t *testing.T) {
-	for _, c := range codecs() {
-		got, err := CodecByName(c.Name())
-		if err != nil || got.Name() != c.Name() {
-			t.Fatalf("CodecByName(%q) = %v, %v", c.Name(), got, err)
-		}
-	}
-	if _, err := CodecByName("zstd"); err == nil {
-		t.Fatal("expected error for unknown codec name")
-	}
-}
-
 func TestDeltaVarintCompressesSortedRows(t *testing.T) {
 	// A clustered sorted adjacency row must shrink well below raw and below
 	// plain varint (the whole point of the codec layer).

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/amq"
@@ -19,11 +21,18 @@ import (
 // expectation is the paper's truthful estimator. With Config.LCC, Δ(v) is
 // estimated too — which the sampling baselines (DOULION, colorful) cannot do.
 
+// MaxBitsPerKey caps AMQConfig.BitsPerKey: at 64 bits per key a filter is
+// as large as the 8-byte neighbor IDs it stands for, so a larger one ships
+// more than the exact record would.
+const MaxBitsPerKey = 64
+
 // AMQConfig parameterizes the approximate global phase.
 type AMQConfig struct {
-	BitsPerKey float64 // Bloom filter size per inserted neighbor (e.g. 8)
-	Blocked    bool    // use the cache-efficient blocked filter [42]
-	Truthful   bool    // subtract the expected false positives
+	// BitsPerKey is the Bloom filter size per inserted neighbor, at most
+	// MaxBitsPerKey; ≤ 0 selects 8.
+	BitsPerKey float64
+	Blocked    bool // use the cache-efficient blocked filter [42]
+	Truthful   bool // subtract the expected false positives
 }
 
 // ApproxResult reports an approximate run.
@@ -47,6 +56,10 @@ type ApproxResult struct {
 // RunApproxCetric runs the AMQ variant of CETRIC: the CETRIC pipeline with
 // acfg on its plan.
 func RunApproxCetric(g *graph.Graph, cfg Config, acfg AMQConfig) (*ApproxResult, error) {
+	// The !(b ≤ max) form rejects NaN and +Inf too; -Inf needs IsInf.
+	if b := acfg.BitsPerKey; !(b <= MaxBitsPerKey) || math.IsInf(b, -1) {
+		return nil, fmt.Errorf("core: Bloom filter bits per key %v, want at most %d (≤ 0 selects 8)", b, MaxBitsPerKey)
+	}
 	pl, err := prepare(AlgoCetric, uint64(g.NumVertices()), g.NumEdges(), cfg)
 	if err != nil {
 		return nil, err

@@ -212,6 +212,36 @@ func TestDoulionQ1IsExact(t *testing.T) {
 	}
 }
 
+// TestApproxRejectsBadBits: a filter size that is NaN, infinite or above
+// MaxBitsPerKey is a set-up error before any PE spawns (NaN and +Inf used to
+// abort a PE body in growslice, 1e9 to exhaust memory), while ≤ 0 selects
+// the default 8 and the cap itself is accepted.
+func TestApproxRejectsBadBits(t *testing.T) {
+	g := gen.GNM(1<<8, 1<<11, 5)
+	for _, bits := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), MaxBitsPerKey + 0.5, 1e9} {
+		if _, err := RunApproxCetric(g, Config{P: 4}, AMQConfig{BitsPerKey: bits}); err == nil {
+			t.Errorf("BitsPerKey %v accepted", bits)
+		}
+	}
+	want, err := RunApproxCetric(g, Config{P: 4}, AMQConfig{BitsPerKey: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bits := range []float64{0, -3} {
+		res, err := RunApproxCetric(g, Config{P: 4}, AMQConfig{BitsPerKey: bits})
+		if err != nil {
+			t.Fatalf("BitsPerKey %v: %v", bits, err)
+		}
+		if res.Exact12 != want.Exact12 || res.Type3Raw != want.Type3Raw || res.Agg.TotalWords != want.Agg.TotalWords {
+			t.Errorf("BitsPerKey %v: exact %d raw %d words %d, want the default 8's %d %d %d", bits,
+				res.Exact12, res.Type3Raw, res.Agg.TotalWords, want.Exact12, want.Type3Raw, want.Agg.TotalWords)
+		}
+	}
+	if _, err := RunApproxCetric(g, Config{P: 4}, AMQConfig{BitsPerKey: MaxBitsPerKey}); err != nil {
+		t.Errorf("BitsPerKey %d (the cap): %v", MaxBitsPerKey, err)
+	}
+}
+
 func TestDoulionRejectsBadQ(t *testing.T) {
 	g := gen.Complete(5)
 	if _, _, err := RunDoulion(AlgoDiTric, g, Config{P: 2}, 0, 1); err == nil {

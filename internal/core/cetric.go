@@ -15,7 +15,7 @@ import (
 func cetricFrom(pe *dist.PE, pl *plan, lg *graph.LocalGraph, out *peOutcome, sw *stopwatch) error {
 	cfg := pl.cfg
 	sw.phase(PhaseDegrees)
-	exchangeGhostDegrees(pe, lg, cfg.SparseDegreeExchange, cfg.Threads)
+	exchangeGhostDegrees(pe, lg, cfg.Threads)
 	sw.phase(PhaseOrient)
 	// Expansion: orient every row, including ghosts (their visible
 	// neighborhoods are the rewired incoming cut edges).

@@ -151,20 +151,6 @@ func TestDistributedEnumerationMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestSparseDegreeExchange(t *testing.T) {
-	g := gen.RMAT(gen.DefaultRMAT(8, 5))
-	want := SeqCount(g)
-	for _, algo := range []Algorithm{AlgoDiTric, AlgoCetric} {
-		res, err := Run(algo, g, Config{P: 6, SparseDegreeExchange: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Count != want {
-			t.Fatalf("%s with sparse degree exchange: %d, want %d", algo, res.Count, want)
-		}
-	}
-}
-
 // TestDegreeExchangeRejectsHostileFrames: a degree request for a vertex the
 // PE does not own, and a degree reply that is shorter or longer than the
 // request or names an impossible degree, are corrupt frames from the peer
@@ -222,19 +208,15 @@ func TestDegreeExchangeRejectsHostileFrames(t *testing.T) {
 func TestNonUniformPartitions(t *testing.T) {
 	g := gen.RMAT(gen.DefaultRMAT(8, 21))
 	want := SeqCount(g)
-	degrees := make([]int, g.NumVertices())
-	for v := range degrees {
-		degrees[v] = g.Degree(graph.Vertex(v))
-	}
-	for _, cost := range []part.CostFunc{part.CostDegree, part.CostDegreeSq, part.CostWedges} {
-		pt := part.ByCost(degrees, 5, cost)
+	for _, reverse := range []bool{false, true} {
+		pt := skewedPartition(uint64(g.NumVertices()), 5, reverse)
 		for _, algo := range []Algorithm{AlgoDiTric, AlgoCetric, AlgoHavoq, AlgoTriC} {
 			res, err := Run(algo, g, Config{P: 5, Partition: pt})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if res.Count != want {
-				t.Fatalf("%s with cost partition: %d, want %d", algo, res.Count, want)
+				t.Fatalf("%s with skewed partition (reverse=%v): %d, want %d", algo, reverse, res.Count, want)
 			}
 		}
 	}

@@ -19,7 +19,7 @@ import (
 func ditricFrom(pe *dist.PE, pl *plan, lg *graph.LocalGraph, out *peOutcome, sw *stopwatch) error {
 	cfg := pl.cfg
 	sw.phase(PhaseDegrees)
-	exchangeGhostDegrees(pe, lg, cfg.SparseDegreeExchange, cfg.Threads)
+	exchangeGhostDegrees(pe, lg, cfg.Threads)
 	sw.phase(PhaseOrient)
 	ori := graph.OrientLocalOnlyPar(lg, cfg.Threads)
 	ori.BuildHubsPar(cfg.hubMinDegree(), cfg.Threads)

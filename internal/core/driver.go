@@ -50,17 +50,16 @@ type plan struct {
 	g2     *part.Grid2D    // 2D block grid (TK2D only)
 	count  countBody
 	family bool
-	codecs [comm.MaxChannels]comm.Codec
 	dist   dist.Config
 	amq    *AMQConfig // RunApproxCetric's filter config; nil on exact runs
 }
 
 // prepare validates cfg for algo on an n-vertex graph and resolves
 // everything a run derives from it: the partition or block grid, the
-// aggregation threshold δ, the indirect bit, the per-channel codec table and
-// the watchdog fields. m is the edge count δ defaults from; a stream does
-// not know it up front and passes a negative m, which leaves an unset δ to
-// each PE (streamThreshold). A PE's rows are 4-byte indices, so a 1D part or
+// aggregation threshold δ, the indirect bit and the watchdog fields. m is
+// the edge count δ defaults from; a stream does not know it up front and
+// passes a negative m, which leaves an unset δ to each PE
+// (streamThreshold). A PE's rows are 4-byte indices, so a 1D part or
 // 2D band of more than graph.MaxRows vertices is an error here, before
 // anything is sized by it; ghosts, which only the build discovers, are
 // checked there.
@@ -110,10 +109,6 @@ func prepare(algo Algorithm, n uint64, m int, cfg Config) (*plan, error) {
 			}
 		}
 	}
-	var err error
-	if pl.codecs, err = channelCodecs(cfg.Codec); err != nil {
-		return nil, err
-	}
 	threshold := cfg.Threshold
 	if threshold <= 0 && m >= 0 {
 		// δ ∈ O(|E_i|): memory per PE stays linear in the local input.
@@ -133,7 +128,7 @@ func prepare(algo Algorithm, n uint64, m int, cfg Config) (*plan, error) {
 // first record is in flight, and arms the same comm watchdog.
 func (pl *plan) enter(pe *dist.PE) *peOutcome {
 	pe.C.SetDeadline(pl.cfg.CommDeadline)
-	for ch, c := range pl.codecs {
+	for ch, c := range channelCodecs {
 		pe.Q.SetCodec(ch, c)
 	}
 	return newPEOutcome()

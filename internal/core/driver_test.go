@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -156,13 +157,23 @@ func TestPrepareRejectsRowSpaceOverflow(t *testing.T) {
 	}
 }
 
-// FuzzRunConfig runs a fixture under a random Config: any algorithm, 1–10
-// PEs, δ, 0–3 threads, the Indirect, Overlap, LCC, Collect, NoSurrogate and
-// SparseDegreeExchange bits, a codec policy and a hub threshold. An input
-// either fails set-up — exactly when it asks LCC of an algorithm other than
-// DITRIC/CETRIC or Collect of TriC/HavoqGT — or counts the fixture's
-// triangles exactly, with one collected triangle per triangle and Δ summing
-// to three per triangle. RunTimeout turns a hang into a failure.
+// FuzzRunConfig runs a fixture under a random Config — any algorithm, 1–10
+// PEs, δ, 0–3 threads, the Indirect, Overlap, LCC, Collect and NoSurrogate
+// bits and a hub threshold — through one of three entry points:
+//
+//   - Run: the input either fails set-up — exactly when it asks LCC of an
+//     algorithm other than DITRIC/CETRIC or Collect of TriC/HavoqGT — or
+//     counts the fixture's triangles exactly, with one collected triangle per
+//     triangle and Δ summing to three per triangle.
+//   - RunStream over SplitStream(g.Edges(), …) in 1–8 batches: a set-up
+//     error exactly for LCC, Collect or an algorithm other than
+//     DITRIC/CETRIC, else the exact count.
+//   - RunApproxCetric with a fuzzed BitsPerKey and Truthful off: a set-up
+//     error exactly for a NaN, infinite or above-MaxBitsPerKey size, else
+//     Exact12 ≤ T ≤ Exact12 + Type3Raw, because the filters have no false
+//     negatives.
+//
+// RunTimeout turns a hang into a failure.
 func FuzzRunConfig(f *testing.F) {
 	const (
 		bitIndirect = 1 << iota
@@ -170,58 +181,96 @@ func FuzzRunConfig(f *testing.F) {
 		bitLCC
 		bitCollect
 		bitNoSurrogate
-		bitSparse
+		bitBlocked // RunApproxCetric's blocked filter
+	)
+	const (
+		entryRun = iota
+		entryStream
+		entryApprox
+		entries
 	)
 	algos := []Algorithm{AlgoDiTric, AlgoCetric, AlgoHavoq, AlgoTriC, AlgoTK2D}
 	// The first seed is rgg on 8 PEs with HavoqGT and Collect: a counter
 	// that ignores Collect returns the count with 0 of 6,310 triangles.
-	f.Add(uint8(7), uint8(2), uint8(7), uint16(0), uint8(0), uint8(bitCollect), uint8(0), int8(0))
-	f.Add(uint8(6), uint8(0), uint8(3), uint16(1), uint8(2), uint8(bitIndirect|bitOverlap|bitLCC), uint8(1), int8(-1))
-	f.Add(uint8(2), uint8(4), uint8(5), uint16(64), uint8(3), uint8(bitOverlap|bitCollect), uint8(3), int8(2))
-	f.Add(uint8(8), uint8(1), uint8(8), uint16(7), uint8(1), uint8(bitNoSurrogate|bitSparse|bitCollect), uint8(2), int8(5))
-	f.Fuzz(func(t *testing.T, fxSel, algoSel, pSel uint8, threshold uint16, threads, flags, codecSel uint8, hub int8) {
+	f.Add(uint8(7), uint8(2), uint8(7), uint16(0), uint8(0), uint8(bitCollect), uint8(entryRun), int8(0), 0.0)
+	f.Add(uint8(6), uint8(0), uint8(3), uint16(1), uint8(2), uint8(bitIndirect|bitOverlap|bitLCC), uint8(entryRun), int8(-1), 0.0)
+	f.Add(uint8(2), uint8(4), uint8(5), uint16(64), uint8(3), uint8(bitOverlap|bitCollect), uint8(entryRun), int8(2), 0.0)
+	f.Add(uint8(8), uint8(1), uint8(8), uint16(7), uint8(1), uint8(bitNoSurrogate|bitCollect), uint8(entryRun), int8(5), 0.0)
+	// A NaN filter size used to abort a PE body in growslice.
+	f.Add(uint8(3), uint8(1), uint8(3), uint16(0), uint8(1), uint8(0), uint8(entryApprox), int8(0), math.NaN())
+	f.Add(uint8(5), uint8(0), uint8(4), uint16(3), uint8(2), uint8(bitIndirect|bitOverlap), uint8(entryStream), int8(0), 0.0)
+	f.Add(uint8(1), uint8(1), uint8(6), uint16(0), uint8(0), uint8(bitLCC|bitBlocked), uint8(entryApprox), int8(1), 3.5)
+	f.Fuzz(func(t *testing.T, fxSel, algoSel, pSel uint8, threshold uint16, threads, flags, entrySel uint8, hub int8, bits float64) {
 		fx := testgraph.All[int(fxSel)%len(testgraph.All)]
 		algo := algos[int(algoSel)%len(algos)]
 		cfg := Config{
-			P:                    int(pSel)%10 + 1,
-			Threshold:            int(threshold),
-			Threads:              int(threads) % 4,
-			Indirect:             flags&bitIndirect != 0,
-			Overlap:              flags&bitOverlap != 0,
-			LCC:                  flags&bitLCC != 0,
-			Collect:              flags&bitCollect != 0,
-			NoSurrogate:          flags&bitNoSurrogate != 0,
-			SparseDegreeExchange: flags&bitSparse != 0,
-			Codec:                codecPolicies()[int(codecSel)%len(codecPolicies())],
-			HubThreshold:         int(hub),
-			RunTimeout:           30 * time.Second,
+			P:            int(pSel)%10 + 1,
+			Threshold:    int(threshold),
+			Threads:      int(threads) % 4,
+			Indirect:     flags&bitIndirect != 0,
+			Overlap:      flags&bitOverlap != 0,
+			LCC:          flags&bitLCC != 0,
+			Collect:      flags&bitCollect != 0,
+			NoSurrogate:  flags&bitNoSurrogate != 0,
+			HubThreshold: int(hub),
+			RunTimeout:   30 * time.Second,
 		}
+		g := fx.Build()
 		family := algo == AlgoDiTric || algo == AlgoCetric
-		invalid := (cfg.LCC && !family) || (cfg.Collect && (algo == AlgoHavoq || algo == AlgoTriC))
-		res, err := Run(algo, fx.Build(), cfg)
-		if invalid {
-			var re *dist.RunError
-			if err == nil || errors.As(err, &re) {
-				t.Fatalf("%s %s %+v: err %v, want a set-up error", fx.Name, algo, cfg, err)
+		wantSetupErr := func(err error, invalid bool) bool {
+			t.Helper()
+			if invalid {
+				var re *dist.RunError
+				if err == nil || errors.As(err, &re) {
+					t.Fatalf("%s %s %+v: err %v, want a set-up error", fx.Name, algo, cfg, err)
+				}
+				return true
 			}
-			return
-		}
-		if err != nil {
-			t.Fatalf("%s %s %+v: %v", fx.Name, algo, cfg, err)
-		}
-		if res.Count != fx.Triangles {
-			t.Fatalf("%s %s %+v: count %d, want %d", fx.Name, algo, cfg, res.Count, fx.Triangles)
-		}
-		if cfg.Collect && uint64(len(res.Triangles)) != fx.Triangles {
-			t.Fatalf("%s %s %+v: collected %d triangles, want %d", fx.Name, algo, cfg, len(res.Triangles), fx.Triangles)
-		}
-		if cfg.LCC {
-			var sum uint64
-			for _, d := range res.Deltas {
-				sum += d
+			if err != nil {
+				t.Fatalf("%s %s %+v: %v", fx.Name, algo, cfg, err)
 			}
-			if sum != 3*fx.Triangles {
-				t.Fatalf("%s %s %+v: Δ sums to %d, want %d", fx.Name, algo, cfg, sum, 3*fx.Triangles)
+			return false
+		}
+		switch int(entrySel) % entries {
+		case entryStream:
+			edges := g.Edges()
+			initial, inserts, _ := SplitStream(edges, len(edges)/(int(threshold)%8+1)+1)
+			sres, err := RunStream(algo, uint64(g.NumVertices()), initial, inserts, cfg)
+			if wantSetupErr(err, cfg.LCC || cfg.Collect || !family) {
+				return
+			}
+			if sres.Count != fx.Triangles {
+				t.Fatalf("%s stream %s %+v: count %d, want %d", fx.Name, algo, cfg, sres.Count, fx.Triangles)
+			}
+		case entryApprox:
+			acfg := AMQConfig{BitsPerKey: bits, Blocked: flags&bitBlocked != 0}
+			res, err := RunApproxCetric(g, cfg, acfg)
+			if wantSetupErr(err, math.IsNaN(bits) || math.IsInf(bits, 0) || bits > MaxBitsPerKey) {
+				return
+			}
+			if res.Exact12 > fx.Triangles || res.Exact12+res.Type3Raw < fx.Triangles {
+				t.Fatalf("%s approx %+v %+v: exact %d + raw type-3 %d does not bracket %d",
+					fx.Name, cfg, acfg, res.Exact12, res.Type3Raw, fx.Triangles)
+			}
+		default:
+			res, err := Run(algo, g, cfg)
+			if wantSetupErr(err, (cfg.LCC && !family) || (cfg.Collect && (algo == AlgoHavoq || algo == AlgoTriC))) {
+				return
+			}
+			if res.Count != fx.Triangles {
+				t.Fatalf("%s %s %+v: count %d, want %d", fx.Name, algo, cfg, res.Count, fx.Triangles)
+			}
+			if cfg.Collect && uint64(len(res.Triangles)) != fx.Triangles {
+				t.Fatalf("%s %s %+v: collected %d triangles, want %d", fx.Name, algo, cfg, len(res.Triangles), fx.Triangles)
+			}
+			if cfg.LCC {
+				var sum uint64
+				for _, d := range res.Deltas {
+					sum += d
+				}
+				if sum != 3*fx.Triangles {
+					t.Fatalf("%s %s %+v: Δ sums to %d, want %d", fx.Name, algo, cfg, sum, 3*fx.Triangles)
+				}
 			}
 		}
 	})

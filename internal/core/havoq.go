@@ -22,7 +22,7 @@ import (
 func havoqBody(pe *dist.PE, pl *plan, lg *graph.LocalGraph, out *peOutcome, sw *stopwatch) error {
 	pt, cfg := pl.pt, pl.cfg
 	sw.phase(PhaseDegrees)
-	exchangeGhostDegrees(pe, lg, cfg.SparseDegreeExchange, cfg.Threads)
+	exchangeGhostDegrees(pe, lg, cfg.Threads)
 	sw.phase(PhaseOrient)
 	ori := graph.OrientLocalOnlyPar(lg, cfg.Threads)
 	sw.phase(PhasePreprocess) // residual: handler setup + the barrier

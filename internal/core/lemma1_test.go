@@ -35,11 +35,7 @@ func TestLemma1(t *testing.T) {
 // TestLemma1NonUniformPartition repeats the check for a skewed partition.
 func TestLemma1NonUniformPartition(t *testing.T) {
 	g := gen.RMAT(gen.DefaultRMAT(8, 101))
-	degrees := make([]int, g.NumVertices())
-	for v := range degrees {
-		degrees[v] = g.Degree(graph.Vertex(v))
-	}
-	pt := part.ByCost(degrees, 6, part.CostWedges)
+	pt := skewedPartition(uint64(g.NumVertices()), 6, false)
 	cut := graph.CutGraph(g, pt)
 	wantType3 := SeqCount(cut)
 	res, err := Run(AlgoCetric, g, Config{P: 6, Partition: pt})

@@ -18,12 +18,33 @@ import (
 // compared throughout:
 //
 //	off   the default uniform ranges (Config.Partition nil)
-//	auto  the cost-balanced ranges cmd/tricount's -partition=wedges builds:
-//	      part.ByCost under part.CostWedges, which shrinks the ranges of PEs
-//	      that own hubs
+//	auto  skewedPartition's quadratic ranges, which leave the low ranks
+//	      tiny or empty ranges
 //
 // Runs use HubThreshold 2, so even the tiny fixtures get hub bitmaps and the
 // hub arm of graph.LocalOriented.Probe runs under both partitions.
+
+// skewedPartition splits n vertices over p PEs at the quadratic boundaries
+// n·i²/p², so range widths grow with rank: the low ranks get tiny or empty
+// ranges and the last rank nearly half the vertices. With reverse the widths
+// shrink with rank instead.
+func skewedPartition(n uint64, p int, reverse bool) *part.Partition {
+	starts := make([]uint64, p+1)
+	pp := uint64(p * p)
+	for i := range starts {
+		if reverse {
+			k := uint64(p - i)
+			starts[i] = n - n*k*k/pp
+		} else {
+			starts[i] = n * uint64(i*i) / pp
+		}
+	}
+	pt, err := part.New(starts)
+	if err != nil {
+		panic(err)
+	}
+	return pt
+}
 
 // partitionByName returns the named partition of g over p PEs (nil selects
 // the default uniform ranges).
@@ -31,11 +52,7 @@ func partitionByName(g *graph.Graph, p int, name string) *part.Partition {
 	if name == "off" {
 		return nil
 	}
-	degrees := make([]int, g.NumVertices())
-	for v := range degrees {
-		degrees[v] = g.Degree(graph.Vertex(v))
-	}
-	return part.ByCost(degrees, p, part.CostWedges)
+	return skewedPartition(uint64(g.NumVertices()), p, false)
 }
 
 // partitionConfig is the knob set the partition suites run under.
@@ -71,7 +88,7 @@ func TestPlacementEquivalence(t *testing.T) {
 }
 
 // TestPlacementEngages guards the suites against passing vacuously: on the
-// skewed fixture the cost-balanced placement must actually move vertices off
+// rmat fixture the skewed placement must actually move vertices off
 // their uniform owners — otherwise the auto cells repeat the off cells — and
 // the per-PE work it yields must differ from the uniform run's.
 func TestPlacementEngages(t *testing.T) {
@@ -86,7 +103,7 @@ func TestPlacementEngages(t *testing.T) {
 		moved = moved || alo != ulo || ahi != uhi
 	}
 	if !moved {
-		t.Fatal("cost-balanced placement equals the uniform one — the auto cells are vacuous")
+		t.Fatal("skewed placement equals the uniform one — the auto cells are vacuous")
 	}
 	for _, algo := range []Algorithm{AlgoDiTric, AlgoCetric} {
 		placed, err := Run(algo, g, partitionConfig(g, p, "auto", false))
@@ -176,7 +193,7 @@ func TestPlacementLCC(t *testing.T) {
 	}
 }
 
-// TestPlacementHybridThreads runs the cost-balanced placement through the
+// TestPlacementHybridThreads runs the skewed placement through the
 // funneled worker pool (barriered) and the chunk-stealing workers
 // (overlapped), whose row chunks follow the uneven ranges.
 func TestPlacementHybridThreads(t *testing.T) {
@@ -229,57 +246,5 @@ func TestPlacementValidation(t *testing.T) {
 	}
 	if _, err := Run(AlgoTK2D, g, Config{P: 4, Partition: part.Uniform(n, 4)}); err == nil {
 		t.Fatal("tk2d accepted a 1D placement")
-	}
-}
-
-// TestComputePlacementProperties exercises the cost-balanced placement on a
-// pathological skew: every heavy hub sits in the ID range the uniform split
-// hands PE 0. The balanced ranges must move vertices off PE 0, lower the
-// most loaded PE's wedge cost, cover every vertex exactly once, and be a
-// pure function of their inputs.
-func TestComputePlacementProperties(t *testing.T) {
-	const p, n = 4, 400
-	degrees := make([]int, n)
-	for v := range degrees {
-		degrees[v] = 2
-		if v < 8 {
-			degrees[v] = 40
-		}
-	}
-	pt := part.ByCost(degrees, p, part.CostWedges)
-	uniform := part.Uniform(n, p)
-	if pt.Size(0) >= uniform.Size(0) {
-		t.Fatalf("PE 0 keeps %d vertices, uniform gives it %d: nothing moved off the overloaded PE", pt.Size(0), uniform.Size(0))
-	}
-	maxCost := func(pt *part.Partition) float64 {
-		worst := 0.0
-		for i := 0; i < p; i++ {
-			lo, hi := pt.Range(i)
-			c := 0.0
-			for v := lo; v < hi; v++ {
-				c += part.CostWedges(degrees[v])
-			}
-			worst = max(worst, c)
-		}
-		return worst
-	}
-	if maxCost(pt) >= maxCost(uniform) {
-		t.Fatalf("balanced max PE cost %.0f not below uniform's %.0f", maxCost(pt), maxCost(uniform))
-	}
-	if pt.P() != p || pt.N() != n {
-		t.Fatalf("placement over %d PEs and %d vertices, want %d and %d", pt.P(), pt.N(), p, n)
-	}
-	for v := uint64(0); v < n; v++ {
-		if r := pt.Rank(v); r < 0 || r >= p || !pt.Owns(r, v) {
-			t.Fatalf("vertex %d placed on PE %d that does not own it", v, r)
-		}
-	}
-	again := part.ByCost(degrees, p, part.CostWedges)
-	for i := 0; i < p; i++ {
-		lo1, hi1 := pt.Range(i)
-		lo2, hi2 := again.Range(i)
-		if lo1 != lo2 || hi1 != hi2 {
-			t.Fatalf("placement is not deterministic at PE %d: [%d,%d) vs [%d,%d)", i, lo1, hi1, lo2, hi2)
-		}
 	}
 }

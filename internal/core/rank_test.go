@@ -230,7 +230,6 @@ func TestEntryPointsRejectAlike(t *testing.T) {
 		cfg  Config
 	}{
 		{"unknown placement", AlgoCetric, Config{Partition: part.Uniform(n, p+1)}},
-		{"unknown codec", AlgoCetric, Config{Codec: "nope"}},
 		{"partition shape", AlgoCetric, Config{Partition: part.Uniform(n+1, p)}},
 		{"LCC on a baseline", AlgoTriC, Config{LCC: true}},
 		{"Collect on a baseline", AlgoHavoq, Config{Collect: true}},

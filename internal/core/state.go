@@ -12,13 +12,11 @@ import (
 )
 
 // Queue channels used by the distributed algorithms. Each channel's record
-// shape determines its tuned wire codec under the "auto" policy — see
-// channelCodecs in codec.go for the assignment and rationale.
+// shape determines its wire codec — see channelCodecs in codec.go for the
+// assignment and rationale.
 const (
 	chNeigh  = 0 // (v, A(v)) neighborhood shipments
 	chDelta  = 1 // (gid, Δ) ghost triangle-count aggregation (LCC)
-	chDegReq = 2 // ghost degree requests: [gid...]
-	chDegRep = 3 // ghost degree replies: [deg...], in request order
 	chWedge  = 4 // HavoqGT-style wedge-check visitors: [a, b, ...]
 	chAMQ    = 5 // (v, |A(v)|, bloom words) approximate shipments
 	chDeltaF = 6 // (gid, Float64bits(Δ̂)) approximate ghost Δ aggregation
@@ -355,19 +353,13 @@ func (s *countState) finish(out *peOutcome) {
 }
 
 // exchangeGhostDegrees implements exchange_ghost_degree (Algorithm 3 line 1)
-// either with the dense all-to-all the paper defaults to, or with the
-// asynchronous sparse all-to-all (NBX style: direct messages to actual
-// communication partners + termination detection). Reply construction — the
+// with the dense all-to-all the paper defaults to. Reply construction — the
 // degree lookup per requested ghost, previously the last single-threaded
 // per-PE preprocess sub-phase — fans out over the same chunk-stealing
 // workers as the rest of the pipeline (graph.ParallelFor), flattened across
 // the per-source request lists so a few large requesters cannot serialize
 // the stage.
-func exchangeGhostDegrees(pe *dist.PE, lg *graph.LocalGraph, sparse bool, threads int) {
-	if sparse {
-		exchangeGhostDegreesSparse(pe, lg)
-		return
-	}
+func exchangeGhostDegrees(pe *dist.PE, lg *graph.LocalGraph, threads int) {
 	p := pe.P
 	reqs := make([][]uint64, p)
 	for _, g := range lg.Ghosts() {
@@ -404,31 +396,6 @@ func exchangeGhostDegrees(pe *dist.PE, lg *graph.LocalGraph, sparse bool, thread
 	for owner, degs := range pe.C.DenseExchange(replies) {
 		applyDegreeReply(lg, owner, reqs[owner], degs)
 	}
-}
-
-// exchangeGhostDegreesSparse is the exchange over the queue: one request
-// record [gid...] per owner, answered by one reply record [deg...] in
-// request order.
-func exchangeGhostDegreesSparse(pe *dist.PE, lg *graph.LocalGraph) {
-	reqs := make(map[int][]uint64)
-	for _, g := range lg.Ghosts() {
-		owner := lg.Part.Rank(g)
-		reqs[owner] = append(reqs[owner], g)
-	}
-	pe.Q.Handle(chDegReq, func(src int, words []uint64) {
-		rep := make([]uint64, len(words))
-		for k, gid := range words {
-			rep[k] = ownedDegree(lg, src, gid)
-		}
-		pe.Q.Send(chDegRep, src, rep)
-	})
-	pe.Q.Handle(chDegRep, func(src int, degs []uint64) {
-		applyDegreeReply(lg, src, reqs[src], degs)
-	})
-	for owner, gids := range reqs {
-		pe.Q.Send(chDegReq, owner, gids)
-	}
-	pe.Q.Drain()
 }
 
 // ownedDegree answers src's request for the degree of gid. A request for a

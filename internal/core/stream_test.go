@@ -118,28 +118,25 @@ func TestRunStreamDuplicateInsertBatch(t *testing.T) {
 	}
 }
 
-// TestRunStreamVariants covers indirection, explicit δ, threads, and codec
-// policies on the streamed path.
+// TestRunStreamVariants covers indirection, explicit δ, threads, and
+// non-uniform ranges on the streamed path.
 func TestRunStreamVariants(t *testing.T) {
 	for _, name := range []string{"bipartite", "rmat"} {
 		fx, _ := testgraph.ByName(name)
 		g := fx.Build()
 		edges := g.Edges()
-		degrees := make([]int, g.NumVertices())
-		for v := range degrees {
-			degrees[v] = g.Degree(graph.Vertex(v))
-		}
+		n := uint64(g.NumVertices())
 		for _, cfg := range []Config{
 			{P: 4, Threads: 3},
 			{P: 4, Threshold: 1},
-			{P: 4, Threshold: 64, Codec: CodecRaw},
-			{P: 4, Codec: CodecDeltaVarint},
+			{P: 4, Threshold: 64},
+			{P: 4},
 			{P: 3, Indirect: true},
 			// Ranges of very different widths: the sender's one-run-per-
 			// destination walk and the receiver's partner search both lean on
 			// contiguous ownership, not on equal-sized ranges.
-			{P: 4, Partition: part.ByCost(degrees, 4, part.CostWedges)},
-			{P: 5, Threshold: 1, Partition: part.ByCost(degrees, 5, part.CostDegree)},
+			{P: 4, Partition: skewedPartition(n, 4, false)},
+			{P: 5, Threshold: 1, Partition: skewedPartition(n, 5, true)},
 		} {
 			for _, algo := range []variant{vDiTric2, vCetric2, vDiTric, vCetric} {
 				sres := runStreamSplit(t, algo.algo, g.NumVertices(), edges, len(edges)/2, 5+len(edges)/50, algo.config(cfg))

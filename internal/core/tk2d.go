@@ -43,18 +43,6 @@ import (
 // round in flight into Metrics.OverlapNs. Counts are identical to the
 // blocking schedule.
 
-// groupCodec maps the run's codec policy to the block-broadcast codec. Raw
-// stays raw; every other policy uses varint: block wire words are already
-// gap-differenced per adjacency row (graph.Block.AppendWire), so varint on
-// top yields delta-varint compression without a stateful codec
-// re-differencing across record boundaries.
-func groupCodec(policy string) comm.Codec {
-	if policy == CodecRaw {
-		return comm.Raw
-	}
-	return comm.Varint
-}
-
 // tk2dRound is the double-buffered per-round exchange state: each of the
 // two in-flight rounds owns a posting slot — root-side stripe + wire
 // scratch and the split-phase handles — and a decode slot. Pipelined runs
@@ -166,7 +154,6 @@ func tk2dBody(pe *dist.PE, pl *plan, g *graph.Graph, out *peOutcome) error {
 	}
 
 	sw.phase(PhasePreprocess)
-	codec := groupCodec(cfg.Codec)
 	// Group IDs: rows take 0..r-1, columns r..r+c-1 — unique per run, so
 	// interleaved row/column broadcasts never share a tag.
 	rowGrp, err := pe.C.NewGroup(uint64(a), g2.RowRanks(a))
@@ -217,8 +204,12 @@ func tk2dBody(pe *dist.PE, pl *plan, g *graph.Graph, out *peOutcome) error {
 				colWords = s.colWire
 			}
 		}
-		s.rowOp = rowGrp.IBcast(rowRoot, rowWords, codec)
-		s.colOp = colGrp.IBcast(colRoot, colWords, codec)
+		// Block wire words are already gap-differenced per adjacency row
+		// (graph.Block.AppendWire), so varint on top yields delta-varint
+		// compression without a stateful codec re-differencing across record
+		// boundaries.
+		s.rowOp = rowGrp.IBcast(rowRoot, rowWords, comm.Varint)
+		s.colOp = colGrp.IBcast(colRoot, colWords, comm.Varint)
 	}
 	// receive completes a broadcast into scr. A payload that is not the block
 	// this round expects is a transport fault, typed like the queue path's.

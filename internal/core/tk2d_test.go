@@ -248,7 +248,7 @@ func BenchmarkTK2DRoundKernelSteadyState(b *testing.B) {
 
 // TestTK2DConfigValidation pins what is accepted and what is rejected:
 // every P ≥ 1 now factors into a rectangular grid (non-square counts
-// included), while LCC, 1D partition overrides, and unknown codecs error.
+// included), while LCC and 1D partition overrides error.
 func TestTK2DConfigValidation(t *testing.T) {
 	g := gen.Complete(10)
 	const wantTris = 120 // C(10,3)
@@ -267,9 +267,6 @@ func TestTK2DConfigValidation(t *testing.T) {
 	}
 	if _, err := Run(AlgoTK2D, g, Config{P: 4, Partition: part.Uniform(10, 4)}); err == nil {
 		t.Error("want error for 1D partition override under tk2d")
-	}
-	if _, err := Run(AlgoTK2D, g, Config{P: 4, Codec: "nope"}); err == nil {
-		t.Error("want error for unknown codec policy")
 	}
 }
 

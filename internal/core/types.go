@@ -148,19 +148,10 @@ type Config struct {
 	// identical to the blocking schedule.
 	Overlap bool
 
-	// Codec selects the wire codec policy for the queue channels: "auto"
-	// (or empty — tuned per-channel codecs, delta-varint on adjacency
-	// shipments), or "raw" / "varint" / "deltavarint" to force one codec
-	// everywhere. See codec.go for the per-channel rationale. The choice
-	// never changes any count — only Metrics.EncodedBytes.
-	Codec string
-
-	// Partition overrides the default uniform 1D partition.
+	// Partition overrides the default uniform 1D partition. Only code inside
+	// the module can build one (part.New); the placement tests use it to run
+	// every schedule on non-uniform, tiny and empty ranges.
 	Partition *part.Partition
-	// SparseDegreeExchange uses the asynchronous sparse all-to-all for the
-	// ghost degree exchange instead of the dense exchange the paper defaults
-	// to in its evaluation.
-	SparseDegreeExchange bool
 
 	// NoSurrogate disables the surrogate dedup of Arifuzzaman et al., so a
 	// neighborhood is shipped once per *cut edge* instead of once per

@@ -10,13 +10,11 @@ import (
 	"repro/internal/core"
 	"repro/internal/costmodel"
 	"repro/internal/gen"
-	"repro/internal/graph"
-	"repro/internal/part"
 )
 
 // Ablations for the engineering choices of the paper's §IV (aggregation,
-// contraction, indirection, degree exchange, surrogate dedup) and of the
-// extensions and baselines around them.
+// contraction, indirection, surrogate dedup) and of the extensions and
+// baselines around them.
 
 // AblateThreshold sweeps the aggregation threshold δ: smaller δ means more,
 // smaller messages and a lower memory peak.
@@ -99,71 +97,6 @@ func AblateIndirection(w io.Writer, opt Options) error {
 				costmodel.Bottleneck(res.PerPE, costmodel.Cloud),
 				costmodel.Bottleneck(res.PerPE, costmodel.WAN))
 		}
-	}
-	t.Write(w)
-	return nil
-}
-
-// AblateDegreeExchange compares the dense and sparse (NBX-style) ghost
-// degree exchanges, including on a skewed instance where the paper observed
-// the sparse exchange can lose.
-func AblateDegreeExchange(w io.Writer, opt Options) error {
-	opt = opt.withDefaults()
-	t := NewTable("Ablation — ghost degree exchange: dense vs sparse all-to-all (p=16)",
-		"family", "mode", "preprocess wall", "preprocess frames", "preprocess volume")
-	for _, fam := range []string{"rgg2d", "rmat"} {
-		g, err := gen.ByFamily(fam, 1<<12, 16, opt.Seed)
-		if err != nil {
-			return err
-		}
-		for _, sparse := range []bool{false, true} {
-			res, err := core.Run(core.AlgoCetric, g, core.Config{P: 16, SparseDegreeExchange: sparse})
-			if err != nil {
-				return err
-			}
-			mode := "dense"
-			if sparse {
-				mode = "sparse"
-			}
-			pm := res.PhaseComm[core.PhasePreprocess]
-			t.Row(fam, mode, res.Phases[core.PhasePreprocess],
-				humanCount(pm.TotalFrames), humanCount(pm.TotalPayload))
-		}
-	}
-	t.Write(w)
-	return nil
-}
-
-// AblatePartitioners compares the degree-based cost functions of
-// Arifuzzaman et al. against the uniform 1D partition.
-func AblatePartitioners(w io.Writer, opt Options) error {
-	opt = opt.withDefaults()
-	g, err := gen.ByFamily("rmat", 1<<12, 16, opt.Seed)
-	if err != nil {
-		return err
-	}
-	degrees := make([]int, g.NumVertices())
-	for v := range degrees {
-		degrees[v] = g.Degree(graph.Vertex(v))
-	}
-	p := 8
-	t := NewTable("Ablation — 1D partitioners on skewed RMAT (CETRIC, p=8)",
-		"partitioner", "wall", "volume(max)", "msgs(max)", "local wall")
-	parts := []struct {
-		name string
-		pt   *part.Partition
-	}{
-		{"uniform-vertex", part.Uniform(uint64(g.NumVertices()), p)},
-		{"balanced-degree", part.ByCost(degrees, p, part.CostDegree)},
-		{"balanced-wedges", part.ByCost(degrees, p, part.CostWedges)},
-	}
-	for _, pc := range parts {
-		res, err := core.Run(core.AlgoCetric, g, core.Config{P: p, Partition: pc.pt})
-		if err != nil {
-			return err
-		}
-		t.Row(pc.name, res.Wall, humanCount(res.Agg.MaxPayloadWords),
-			humanCount(res.Agg.MaxSentFrames), res.Phases[core.PhaseLocal])
 	}
 	t.Write(w)
 	return nil
@@ -350,8 +283,7 @@ func AblateNetworkCrossover(w io.Writer, opt Options) error {
 // Ablate runs every ablation.
 func Ablate(w io.Writer, opt Options) error {
 	for _, fn := range []func(io.Writer, Options) error{
-		AblateThreshold, AblateContraction, AblateIndirection,
-		AblateDegreeExchange, AblatePartitioners, AblateSurrogate,
+		AblateThreshold, AblateContraction, AblateIndirection, AblateSurrogate,
 		AblateAMQ, AblateApproxBaselines, AblateNetworkCrossover,
 	} {
 		if err := fn(w, opt); err != nil {

@@ -134,7 +134,7 @@ func TestAblationsRun(t *testing.T) {
 	if err := Ablate(&sb, tinyOpts()); err != nil {
 		t.Fatal(err)
 	}
-	for _, marker := range []string{"threshold", "contraction", "indirection", "degree exchange", "partitioners", "AMQ", "baselines"} {
+	for _, marker := range []string{"threshold", "contraction", "indirection", "AMQ", "baselines"} {
 		if !strings.Contains(sb.String(), marker) {
 			t.Fatalf("ablations missing %q section", marker)
 		}

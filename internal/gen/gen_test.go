@@ -287,6 +287,40 @@ func TestByFamily(t *testing.T) {
 	}
 }
 
+// TestByFamilyHostileSizes: every family rejects a negative vertex count or
+// edge factor with an error (they used to panic in makeslice, index out of
+// range, or run on for minutes), and edge factor 0 gives the edgeless graph
+// on n vertices (rhg used to index out of range).
+func TestByFamilyHostileSizes(t *testing.T) {
+	for _, fam := range Families() {
+		for _, tc := range []struct {
+			name  string
+			n, ef int
+			ok    bool
+		}{
+			{"n<0", -5, 16, false},
+			{"ef<0", 64, -2, false},
+			{"ef=0", 64, 0, true},
+		} {
+			t.Run(fam+"/"+tc.name, func(t *testing.T) {
+				g, err := ByFamily(fam, tc.n, tc.ef, 3)
+				if !tc.ok {
+					if err == nil {
+						t.Fatalf("n=%d ef=%d accepted", tc.n, tc.ef)
+					}
+					return
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if g.NumVertices() < tc.n || g.NumEdges() != 0 {
+					t.Fatalf("n=%d ef=0: %d vertices, %d edges, want ≥ %d and 0", tc.n, g.NumVertices(), g.NumEdges(), tc.n)
+				}
+			})
+		}
+	}
+}
+
 func TestDeterministicGraphShapes(t *testing.T) {
 	if g := Complete(8); g.NumEdges() != 28 {
 		t.Fatalf("K8 m = %d", g.NumEdges())

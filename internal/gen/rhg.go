@@ -29,8 +29,9 @@ type RHGConfig struct {
 // experiments probe.
 func RHG(cfg RHGConfig) *graph.Graph {
 	n := cfg.N
-	if n == 0 {
-		return graph.FromEdges(0, nil)
+	if n == 0 || cfg.AvgDegree <= 0 {
+		// No target degree leaves no radius to solve for: the edgeless graph.
+		return graph.FromEdges(n, nil)
 	}
 	alpha := (cfg.Gamma - 1) / 2
 	// Average degree ≈ (2/π)·ξ²·n·e^{−R/2} with ξ = α/(α−1/2) for α > 1/2

@@ -94,27 +94,45 @@ func requireMatchesNaive(t *testing.T, tag string, got *graph.LocalGraph, want n
 	}
 }
 
+// quadraticPartition splits n vertices over p PEs at the boundaries
+// n·i²/p², so range widths grow with rank and the low ranks get tiny or
+// empty ranges; with reverse the widths shrink with rank instead.
+func quadraticPartition(t *testing.T, n uint64, p int, reverse bool) *part.Partition {
+	t.Helper()
+	starts := make([]uint64, p+1)
+	pp := uint64(p * p)
+	for i := range starts {
+		if reverse {
+			k := uint64(p - i)
+			starts[i] = n - n*k*k/pp
+		} else {
+			starts[i] = n * uint64(i*i) / pp
+		}
+	}
+	pt, err := part.New(starts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pt
+}
+
 // TestLocalBuildersAgree is the builder matrix: on every fixture × p ×
 // partition × rank, the CSR-slab build is checked against the map oracle,
 // and at every thread count the from-edges front end, Seal and SealRelease
-// must reproduce it entry for entry with a sound ghost index. Cost-balanced
-// partitions of the skewed fixtures give PEs with no rows at all; p = 1 and
-// the sparse fixture give PEs with no ghosts.
+// must reproduce it entry for entry with a sound ghost index. Quadratic
+// boundaries give PEs with no rows at all; p = 1 and the sparse fixture give
+// PEs with no ghosts.
 func TestLocalBuildersAgree(t *testing.T) {
 	emptyPEs, ghostlessPEs := 0, 0
 	for _, fx := range testgraph.All {
 		g := fx.Build()
 		edges := g.Edges()
 		n := g.NumVertices()
-		degrees := make([]int, n)
-		for v := range degrees {
-			degrees[v] = g.Degree(graph.Vertex(v))
-		}
 		for _, p := range []int{1, 2, 3, 5, 8} {
 			for pname, pt := range map[string]*part.Partition{
-				"uniform": part.Uniform(uint64(n), p),
-				"degree":  part.ByCost(degrees, p, part.CostDegree),
-				"wedges":  part.ByCost(degrees, p, part.CostWedges),
+				"uniform":   part.Uniform(uint64(n), p),
+				"quadratic": quadraticPartition(t, uint64(n), p, false),
+				"reversed":  quadraticPartition(t, uint64(n), p, true),
 			} {
 				per := graph.ScatterEdges(pt, edges)
 				for rank := 0; rank < p; rank++ {

@@ -1,8 +1,8 @@
 // Package part implements the 1D vertex partitioning the paper assumes: each
 // PE owns a contiguous range of vertex IDs, ranges are ordered by rank, and
-// every vertex belongs to exactly one PE. It also provides the degree-based
-// cost-function partitioners evaluated by Arifuzzaman et al. for load
-// balancing.
+// every vertex belongs to exactly one PE. Runs use the uniform split; New
+// builds arbitrary monotone ranges. It also provides the 2D block grid of the
+// TK2D backend.
 package part
 
 import (
@@ -43,57 +43,6 @@ func Uniform(n uint64, p int) *Partition {
 			starts[i+1]++
 		}
 	}
-	return &Partition{starts: starts}
-}
-
-// CostFunc estimates the work charged to a vertex of degree d. The classic
-// choices from Arifuzzaman et al. are provided as predefined functions.
-type CostFunc func(d int) float64
-
-// Predefined cost functions for ByCost.
-var (
-	// CostDegree charges d, balancing edges.
-	CostDegree CostFunc = func(d int) float64 { return float64(d) }
-	// CostDegreeSq charges d², a proxy for intersection work at hubs.
-	CostDegreeSq CostFunc = func(d int) float64 { return float64(d) * float64(d) }
-	// CostWedges charges C(d,2), the open wedge count of the vertex.
-	CostWedges CostFunc = func(d int) float64 { return float64(d) * float64(d-1) / 2 }
-	// CostUnit charges 1, reducing ByCost to Uniform.
-	CostUnit CostFunc = func(d int) float64 { return 1 }
-)
-
-// ByCost partitions by the prefix-sum method: vertex v goes to PE
-// floor(p * prefix(v) / total) where prefix is the running cost sum. Ranges
-// stay contiguous and ordered, which the distributed algorithms require.
-func ByCost(degrees []int, p int, cost CostFunc) *Partition {
-	n := len(degrees)
-	starts := make([]uint64, p+1)
-	total := 0.0
-	for _, d := range degrees {
-		total += cost(d)
-	}
-	if total == 0 {
-		return Uniform(uint64(n), p)
-	}
-	prefix := 0.0
-	next := 1 // next boundary to place
-	for v := 0; v < n; v++ {
-		prefix += cost(degrees[v])
-		for next < p && prefix >= total*float64(next)/float64(p) {
-			starts[next] = uint64(v + 1)
-			next++
-		}
-	}
-	for ; next <= p; next++ {
-		starts[next] = uint64(n)
-	}
-	// Boundaries can only move forward, keep monotone.
-	for i := 1; i <= p; i++ {
-		if starts[i] < starts[i-1] {
-			starts[i] = starts[i-1]
-		}
-	}
-	starts[p] = uint64(n)
 	return &Partition{starts: starts}
 }
 

@@ -1,7 +1,6 @@
 package part
 
 import (
-	"encoding/binary"
 	"testing"
 	"testing/quick"
 )
@@ -95,79 +94,6 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-func TestByCostBalancesSkewedDegrees(t *testing.T) {
-	// One hub with huge cost, many unit vertices: with CostDegree the hub's
-	// PE should receive few other vertices.
-	degrees := make([]int, 101)
-	degrees[0] = 1000
-	for i := 1; i <= 100; i++ {
-		degrees[i] = 1
-	}
-	pt := ByCost(degrees, 4, CostDegree)
-	if pt.Size(0) > 20 {
-		t.Fatalf("hub PE got %d vertices, want few", pt.Size(0))
-	}
-	total := 0
-	for i := 0; i < 4; i++ {
-		total += pt.Size(i)
-	}
-	if total != 101 {
-		t.Fatalf("total %d, want 101", total)
-	}
-}
-
-func TestByCostUniformDegrees(t *testing.T) {
-	degrees := make([]int, 100)
-	for i := range degrees {
-		degrees[i] = 5
-	}
-	pt := ByCost(degrees, 4, CostDegree)
-	for i := 0; i < 4; i++ {
-		if pt.Size(i) != 25 {
-			t.Fatalf("size(%d) = %d, want 25", i, pt.Size(i))
-		}
-	}
-}
-
-func TestByCostZeroTotal(t *testing.T) {
-	degrees := make([]int, 10)
-	pt := ByCost(degrees, 3, CostDegree)
-	if pt.N() != 10 || pt.P() != 3 {
-		t.Fatal("zero-cost fallback broken")
-	}
-}
-
-func TestCostFunctions(t *testing.T) {
-	if CostDegree(4) != 4 || CostDegreeSq(4) != 16 || CostWedges(4) != 6 || CostUnit(4) != 1 {
-		t.Fatal("cost function values wrong")
-	}
-}
-
-func TestByCostMonotoneBoundaries(t *testing.T) {
-	check := func(seed uint64, pRaw uint8) bool {
-		p := int(pRaw%16) + 1
-		degrees := make([]int, 200)
-		s := seed
-		for i := range degrees {
-			s = s*6364136223846793005 + 1442695040888963407
-			degrees[i] = int(s % 50)
-		}
-		pt := ByCost(degrees, p, CostWedges)
-		prev := uint64(0)
-		for i := 0; i < p; i++ {
-			lo, hi := pt.Range(i)
-			if lo != prev || hi < lo {
-				return false
-			}
-			prev = hi
-		}
-		return prev == 200
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
 // starts returns pt's range boundaries, the form a partition is broadcast in.
 func starts(pt *Partition) []uint64 {
 	s := []uint64{0}
@@ -183,14 +109,22 @@ func starts(pt *Partition) []uint64 {
 // exactly where the original does, empty ranges included, while malformed
 // boundary lists are rejected.
 func TestNewPlacementValidation(t *testing.T) {
-	degrees := []int{90, 0, 0, 1, 2, 3, 40, 40, 0, 0, 5, 1}
-	for _, p := range []int{1, 3, 7, 16} {
-		orig := ByCost(degrees, p, CostWedges)
+	for _, bounds := range [][]uint64{
+		{0, 12},
+		{0, 1, 1, 6, 12},
+		{0, 0, 0, 2, 2, 3, 9, 12},
+		{0, 5, 5, 5, 5, 5, 6, 6, 7, 7, 8, 8, 9, 10, 11, 12, 12},
+	} {
+		p := len(bounds) - 1
+		orig, err := New(bounds)
+		if err != nil {
+			t.Fatalf("p=%d: New(%v): %v", p, bounds, err)
+		}
 		rebuilt, err := New(starts(orig))
 		if err != nil {
 			t.Fatalf("p=%d: rebuilding from %v: %v", p, starts(orig), err)
 		}
-		if rebuilt.P() != p || rebuilt.N() != uint64(len(degrees)) {
+		if rebuilt.P() != p || rebuilt.N() != 12 {
 			t.Fatalf("p=%d: rebuilt over %d PEs and %d vertices", p, rebuilt.P(), rebuilt.N())
 		}
 		for v := uint64(0); v < rebuilt.N(); v++ {
@@ -207,87 +141,58 @@ func TestNewPlacementValidation(t *testing.T) {
 	}
 }
 
-// TestComputePlacementNeverDrops: the cost-balanced placement hands every
-// vertex to exactly one PE, even when the prefix sum reaches the total long
-// before the last vertex (a cost-free tail) and when PEs outnumber the
-// vertices that carry any cost.
-func TestComputePlacementNeverDrops(t *testing.T) {
-	degrees := make([]int, 64)
-	for i := 0; i < 16; i++ {
-		degrees[i] = 100
-	}
-	for _, p := range []int{4, 16, 80} {
-		for _, cost := range []CostFunc{CostDegree, CostDegreeSq, CostWedges} {
-			pt := ByCost(degrees, p, cost)
-			if pt.N() != uint64(len(degrees)) {
-				t.Fatalf("p=%d: placement covers %d vertices, want %d", p, pt.N(), len(degrees))
-			}
-			total := 0
-			for i := 0; i < p; i++ {
-				total += pt.Size(i)
-			}
-			if total != len(degrees) {
-				t.Fatalf("p=%d: ranges hold %d vertices, want %d", p, total, len(degrees))
-			}
-			for v := uint64(0); v < pt.N(); v++ {
-				if r := pt.Rank(v); !pt.Owns(r, v) {
-					t.Fatalf("p=%d: vertex %d dropped (Rank %d does not own it)", p, v, r)
-				}
-			}
-		}
-	}
-}
-
-// FuzzPlacement pins the cost-balanced placement's structural invariants on
-// arbitrary degree sequences: p contiguous ranges in rank order that cover
-// 0..n-1 exactly, a Rank that agrees with Owns on every vertex, boundaries
-// New accepts back, and a result that is a pure function of its inputs.
+// FuzzPlacement pins New on arbitrary boundary lists: a list is accepted iff
+// it has at least two entries, starts at 0 and is monotone, and an accepted
+// list yields contiguous ranges in rank order that tile 0..n-1 exactly and a
+// Rank that agrees with Owns on every vertex. Each byte is one value, at most
+// 256 of them; with gaps set, the list is their prefix sums (so monotone
+// lists are common), otherwise the values are the boundaries.
 func FuzzPlacement(f *testing.F) {
-	mk := func(vals ...uint32) []byte {
-		b := make([]byte, 4*len(vals))
-		for i, v := range vals {
-			binary.LittleEndian.PutUint32(b[4*i:], v)
+	f.Add(true, []byte{0, 7, 0, 200, 40, 9, 1, 255, 60, 12, 0, 30, 20})
+	f.Add(false, []byte{0, 1, 1, 4})
+	f.Add(false, []byte{0, 100, 5, 90})
+	f.Add(true, []byte{})
+	f.Fuzz(func(t *testing.T, gaps bool, data []byte) {
+		if len(data) > 256 {
+			data = data[:256]
 		}
-		return b
-	}
-	f.Add(uint8(4), mk(7, 0, 500, 40, 9, 1, 800, 60, 12, 0, 300, 20))
-	f.Add(uint8(2), mk(1, 0, 1, 1))
-	f.Add(uint8(13), mk(100, 5, 1<<18, 1<<12, 101, 5, 1<<18, 1<<12, 102, 5, 9, 3))
-	f.Add(uint8(1), []byte{})
-	costs := []CostFunc{CostDegree, CostDegreeSq, CostWedges, CostUnit}
-	f.Fuzz(func(t *testing.T, pRaw uint8, data []byte) {
-		p := int(pRaw%16) + 1
-		cost := costs[int(pRaw>>4)%len(costs)]
-		var degrees []int
-		for ; len(data) >= 4; data = data[4:] {
-			degrees = append(degrees, int(binary.LittleEndian.Uint32(data)%(1<<16)))
+		var bounds []uint64
+		for _, b := range data {
+			v := uint64(b)
+			if gaps && len(bounds) > 0 {
+				v += bounds[len(bounds)-1]
+			}
+			bounds = append(bounds, v)
 		}
-		pt := ByCost(degrees, p, cost)
-		if pt.P() != p || pt.N() != uint64(len(degrees)) {
-			t.Fatalf("placement over %d PEs and %d vertices, want %d and %d", pt.P(), pt.N(), p, len(degrees))
+		valid := len(bounds) >= 2 && bounds[0] == 0
+		for i := 1; valid && i < len(bounds); i++ {
+			valid = bounds[i] >= bounds[i-1]
+		}
+		pt, err := New(bounds)
+		if (err == nil) != valid {
+			t.Fatalf("New(%v): err = %v, want accepted = %v", bounds, err, valid)
+		}
+		if !valid {
+			return
+		}
+		p := len(bounds) - 1
+		if pt.P() != p || pt.N() != bounds[p] {
+			t.Fatalf("placement over %d PEs and %d vertices, want %d and %d", pt.P(), pt.N(), p, bounds[p])
 		}
 		var prev uint64
 		for i := 0; i < p; i++ {
 			lo, hi := pt.Range(i)
-			if lo != prev || hi < lo {
-				t.Fatalf("PE %d owns [%d,%d) after a range ending at %d", i, lo, hi, prev)
+			if lo != prev || hi < lo || pt.Size(i) != int(hi-lo) {
+				t.Fatalf("PE %d owns [%d,%d) (size %d) after a range ending at %d", i, lo, hi, pt.Size(i), prev)
 			}
 			prev = hi
+		}
+		if prev != pt.N() {
+			t.Fatalf("ranges end at %d, want %d", prev, pt.N())
 		}
 		for v := uint64(0); v < pt.N(); v++ {
 			if r := pt.Rank(v); r < 0 || r >= p || !pt.Owns(r, v) {
 				t.Fatalf("vertex %d: Rank %d does not own it", v, r)
-			}
-		}
-		if _, err := New(starts(pt)); err != nil {
-			t.Fatalf("New rejects the placement's own boundaries %v: %v", starts(pt), err)
-		}
-		again := ByCost(degrees, p, cost)
-		for i := 0; i < p; i++ {
-			lo1, hi1 := pt.Range(i)
-			lo2, hi2 := again.Range(i)
-			if lo1 != lo2 || hi1 != hi2 {
-				t.Fatalf("placement not deterministic at PE %d: [%d,%d) vs [%d,%d)", i, lo1, hi1, lo2, hi2)
 			}
 		}
 	})

@@ -39,7 +39,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/part"
 )
 
 // Graph is an undirected graph in adjacency-array form.
@@ -78,48 +77,10 @@ const (
 // P, the number of PEs, is required.
 type Options = core.Config
 
-// Wire codec policies for Options.Codec.
-const (
-	CodecAuto        = core.CodecAuto
-	CodecRaw         = core.CodecRaw
-	CodecVarint      = core.CodecVarint
-	CodecDeltaVarint = core.CodecDeltaVarint
-)
-
 // Result is re-exported from the core engine; see core.Result for the full
 // field documentation (count, per-type counts, Δ/LCC vectors, per-PE
 // communication metrics, per-phase times).
 type Result = core.Result
-
-// Partition is a contiguous 1D vertex partition (each PE owns an ID range).
-// Build one with PartitionByCost and pass it via Options.Partition.
-type Partition = part.Partition
-
-// CostFunc estimates the preprocessing/counting work charged to a vertex of
-// degree d; PartitionByCost balances its prefix sums across PEs.
-type CostFunc = part.CostFunc
-
-// The cost functions of Arifuzzaman et al., re-exported for PartitionByCost.
-var (
-	CostDegree   = part.CostDegree   // charge d: balances edges
-	CostDegreeSq = part.CostDegreeSq // charge d²: proxy for hub intersection work
-	CostWedges   = part.CostWedges   // charge C(d,2): open wedge count
-	CostUnit     = part.CostUnit     // charge 1: reduces to the uniform partition
-)
-
-// PartitionByCost builds a cost-balanced contiguous 1D partition of g's
-// vertices over pes PEs: vertex v goes to the PE whose share of the total
-// cost (prefix-sum method) covers it, so ranges stay contiguous and ordered
-// as the distributed algorithms require. It wraps the degree scan plus
-// part.ByCost that cmd/tricount's -partition flag performs, so library
-// users don't have to reimplement it.
-func PartitionByCost(g *Graph, pes int, cost CostFunc) *Partition {
-	degrees := make([]int, g.NumVertices())
-	for v := range degrees {
-		degrees[v] = g.Degree(Vertex(v))
-	}
-	return part.ByCost(degrees, pes, cost)
-}
 
 // Count runs algo on g with opt and returns the merged result.
 func Count(g *Graph, algo Algorithm, opt Options) (*Result, error) {

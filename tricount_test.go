@@ -148,31 +148,6 @@ func TestOptionsThreadsAndThreshold(t *testing.T) {
 	}
 }
 
-func TestPartitionByCost(t *testing.T) {
-	g := GenerateRMAT(9, 16, 11)
-	want := CountSeq(g)
-	for _, cost := range []CostFunc{CostDegree, CostDegreeSq, CostWedges, CostUnit} {
-		pt := PartitionByCost(g, 4, cost)
-		if pt.P() != 4 || pt.N() != uint64(g.NumVertices()) {
-			t.Fatalf("partition shape (p=%d, n=%d) wrong", pt.P(), pt.N())
-		}
-		res, err := Count(g, AlgoCetric, Options{P: 4, Partition: pt})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Count != want {
-			t.Fatalf("cost partition changed the count: %d, want %d", res.Count, want)
-		}
-	}
-	// CostUnit reduces to the uniform split.
-	pt := PartitionByCost(g, 4, CostUnit)
-	for i := 0; i < 4; i++ {
-		if pt.Size(i) != g.NumVertices()/4 {
-			t.Fatalf("unit cost should split uniformly, PE %d owns %d", i, pt.Size(i))
-		}
-	}
-}
-
 func TestStreamFacade(t *testing.T) {
 	g := GenerateRMAT(9, 8, 3)
 	want := CountSeq(g)
