@@ -129,6 +129,9 @@ func prepare(algo Algorithm, n uint64, m int, cfg Config) (*plan, error) {
 func (pl *plan) enter(pe *dist.PE) *peOutcome {
 	pe.C.SetDeadline(pl.cfg.CommDeadline)
 	for ch, c := range channelCodecs {
+		if pl.cfg.wire != nil {
+			c = pl.cfg.wire
+		}
 		pe.Q.SetCodec(ch, c)
 	}
 	return newPEOutcome()

@@ -153,6 +153,12 @@ type Config struct {
 	// every schedule on non-uniform, tiny and empty ranges.
 	Partition *part.Partition
 
+	// wire, when set, replaces the codec of every queue channel in
+	// channelCodecs. Being unexported, only this package's tests set it:
+	// they run every algorithm with each codec forced onto every channel to
+	// show that no count depends on the codec table.
+	wire comm.Codec
+
 	// NoSurrogate disables the surrogate dedup of Arifuzzaman et al., so a
 	// neighborhood is shipped once per *cut edge* instead of once per
 	// destination PE (an ablation of §IV-D "avoiding redundant messages").

@@ -141,6 +141,60 @@ func TestNewPlacementValidation(t *testing.T) {
 	}
 }
 
+// TestComputePlacementNeverDrops: a placement hands every vertex to exactly
+// one PE, also when the ranges run out long before the last PE (an empty
+// tail), when the first PEs own nothing, and when PEs outnumber vertices.
+func TestComputePlacementNeverDrops(t *testing.T) {
+	const n = 64
+	for _, p := range []int{4, 16, 80} {
+		shapes := map[string][]uint64{}
+		// Empty tail: the first k = ⌈p/2⌉ ranges hold everything.
+		head, tail := make([]uint64, p+1), make([]uint64, p+1)
+		k := (p + 1) / 2
+		for i := range head {
+			head[i] = n * uint64(min(i, k)) / uint64(k)
+			// Empty head: the last k ranges hold everything.
+			tail[i] = n * uint64(max(0, i-(p-k))) / uint64(k)
+		}
+		shapes["empty tail"], shapes["empty head"] = head, tail
+		for name, bounds := range shapes {
+			pt, err := New(bounds)
+			if err != nil {
+				t.Fatalf("p=%d %s: New(%v): %v", p, name, bounds, err)
+			}
+			checkNeverDrops(t, pt, p, n)
+		}
+		checkNeverDrops(t, Uniform(n, p), p, n)
+	}
+}
+
+// checkNeverDrops fails unless pt spans p PEs and n vertices with every
+// vertex owned by exactly one PE, the one Rank names.
+func checkNeverDrops(t *testing.T, pt *Partition, p int, n uint64) {
+	t.Helper()
+	if pt.P() != p || pt.N() != n {
+		t.Fatalf("placement over %d PEs and %d vertices, want %d and %d", pt.P(), pt.N(), p, n)
+	}
+	total := 0
+	for i := 0; i < p; i++ {
+		total += pt.Size(i)
+	}
+	if total != int(n) {
+		t.Fatalf("p=%d: ranges hold %d vertices, want %d (%v)", p, total, n, starts(pt))
+	}
+	for v := uint64(0); v < n; v++ {
+		owners := 0
+		for i := 0; i < p; i++ {
+			if pt.Owns(i, v) {
+				owners++
+			}
+		}
+		if r := pt.Rank(v); owners != 1 || !pt.Owns(r, v) {
+			t.Fatalf("p=%d: vertex %d has %d owners, Rank %d (%v)", p, v, owners, r, starts(pt))
+		}
+	}
+}
+
 // FuzzPlacement pins New on arbitrary boundary lists: a list is accepted iff
 // it has at least two entries, starts at 0 and is monotone, and an accepted
 // list yields contiguous ranges in rank order that tile 0..n-1 exactly and a
