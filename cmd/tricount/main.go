@@ -25,6 +25,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"runtime/trace"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -33,7 +34,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/costmodel"
 	"repro/internal/dist"
-	"repro/internal/exp"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/part"
@@ -258,25 +258,49 @@ func run() (err error) {
 	return nil
 }
 
-// resolveAlgo looks -algo up in exp's variant table (every name but seq)
-// and sets its config bits on cfg: ditric2 and cetric2 are indirect
-// delivery, noagg is ditric with -delta 1. AMQ-approximate counting is the
-// CETRIC pipeline, so with approx set only cetric and cetric2 resolve; any
-// other name is an error naming it rather than a silent CETRIC run.
+// algoVariant is one -algo name: an engine plus the config bits the name
+// stands for. ditric2 and cetric2 are DITRIC and CETRIC with indirect
+// delivery; noagg is DITRIC with δ = 1, Fig. 2's unbuffered baseline.
+type algoVariant struct {
+	name     string
+	algo     core.Algorithm
+	indirect bool
+	noAgg    bool
+}
+
+var algoVariants = []algoVariant{
+	{name: "ditric", algo: core.AlgoDiTric},
+	{name: "ditric2", algo: core.AlgoDiTric, indirect: true},
+	{name: "cetric", algo: core.AlgoCetric},
+	{name: "cetric2", algo: core.AlgoCetric, indirect: true},
+	{name: "havoq", algo: core.AlgoHavoq},
+	{name: "tric", algo: core.AlgoTriC},
+	{name: "noagg", algo: core.AlgoDiTric, noAgg: true},
+	{name: "tk2d", algo: core.AlgoTK2D},
+}
+
+// resolveAlgo looks -algo up in algoVariants (every name but seq) and sets
+// its config bits on cfg: ditric2 and cetric2 are indirect delivery, noagg
+// is ditric with -delta 1. AMQ-approximate counting is the CETRIC pipeline,
+// so with approx set only cetric and cetric2 resolve; any other name is an
+// error naming it rather than a silent CETRIC run.
 func resolveAlgo(name string, approx bool, cfg *core.Config) (core.Algorithm, error) {
-	v, err := exp.LookupVariant(name)
-	if err != nil {
-		return "", err
+	i := slices.IndexFunc(algoVariants, func(v algoVariant) bool { return v.name == name })
+	if i < 0 {
+		return "", fmt.Errorf("unknown algorithm %q", name)
 	}
-	if approx && v.Algo != core.AlgoCetric {
+	v := algoVariants[i]
+	if approx && v.algo != core.AlgoCetric {
 		return "", fmt.Errorf("-approx runs the CETRIC pipeline: -algo %s is not cetric or cetric2", name)
 	}
-	c, err := v.Apply(*cfg)
-	if err != nil {
-		return "", fmt.Errorf("-algo %s -delta %d: %w", name, cfg.Threshold, err)
+	if v.noAgg {
+		if cfg.Threshold != 0 && cfg.Threshold != 1 {
+			return "", fmt.Errorf("-algo %s -delta %d: noagg is ditric with δ = 1", name, cfg.Threshold)
+		}
+		cfg.Threshold = 1
 	}
-	*cfg = c
-	return v.Algo, nil
+	cfg.Indirect = v.indirect
+	return v.algo, nil
 }
 
 // checkTCPRank rejects the set flags a -tcp-rank process cannot honour:

@@ -117,7 +117,7 @@ func cetricLocalPhase(lg *graph.LocalGraph, ori *graph.LocalOriented, state *cou
 // when sends is nil — the same contract as ditricLocalRows.
 func cetricGlobalRows(pe *dist.PE, pl *plan, lg *graph.LocalGraph, cut *graph.LocalOriented,
 	lo, hi int, sends chan<- hybridSend) {
-	pt, noSurrogate := pl.pt, pl.cfg.NoSurrogate
+	pt, noSurrogate := pl.pt, pl.cfg.noSurrogate
 	var hdr [2]uint64 // record header scratch
 	sh := getShipper(pe, sends)
 	defer sh.put()

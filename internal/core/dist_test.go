@@ -267,85 +267,10 @@ func TestTinyThresholdStillCorrect(t *testing.T) {
 	}
 }
 
-func TestNoAggSendsMoreMessages(t *testing.T) {
-	g := gen.GNM(300, 2400, 5)
-	buffered, err := Run(AlgoDiTric, g, Config{P: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	unbuffered, err := vNoAgg.run(g, Config{P: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if unbuffered.Count != buffered.Count {
-		t.Fatalf("count mismatch: %d vs %d", unbuffered.Count, buffered.Count)
-	}
-	if unbuffered.Agg.TotalFrames <= 2*buffered.Agg.TotalFrames {
-		t.Errorf("expected unbuffered to send many more frames: %d vs %d",
-			unbuffered.Agg.TotalFrames, buffered.Agg.TotalFrames)
-	}
-}
-
-func TestIndirectionReducesPeers(t *testing.T) {
-	// On GNM with p=16, every PE talks to every other PE directly; with the
-	// grid it talks to O(√p) peers. Frame counts shift accordingly, and the
-	// result must not change.
-	g := gen.GNM(400, 6400, 9)
-	want := SeqCount(g)
-	direct, err := Run(AlgoDiTric, g, Config{P: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	indirect, err := vDiTric2.run(g, Config{P: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if direct.Count != want || indirect.Count != want {
-		t.Fatalf("counts: direct %d, indirect %d, want %d", direct.Count, indirect.Count, want)
-	}
-	// Indirection roughly doubles total words (two hops per record).
-	if indirect.Agg.TotalWords <= direct.Agg.TotalWords {
-		t.Errorf("indirect routing should increase total transported words: %d vs %d",
-			indirect.Agg.TotalWords, direct.Agg.TotalWords)
-	}
-	// On GNM every PE has traffic for every other PE, so direct routing uses
-	// p-1 peers while the grid caps first-hop fan-out near 2√p.
-	if direct.Agg.MaxPeers < 15 {
-		t.Errorf("direct DITRIC should talk to all peers, got %d", direct.Agg.MaxPeers)
-	}
-	if indirect.Agg.MaxPeers > 10 {
-		t.Errorf("grid routing should cap peers near 2√p = 8, got %d", indirect.Agg.MaxPeers)
-	}
-}
-
-func TestNoSurrogateStillCorrectButRedundant(t *testing.T) {
-	// Without Arifuzzaman's dedup each neighborhood ships once per cut edge
-	// instead of once per destination PE: same count, more volume.
-	g := gen.RMAT(gen.DefaultRMAT(9, 61))
-	want := SeqCount(g)
-	for _, algo := range []Algorithm{AlgoDiTric, AlgoCetric} {
-		dedup, err := Run(algo, g, Config{P: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
-		redundant, err := Run(algo, g, Config{P: 8, NoSurrogate: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if dedup.Count != want || redundant.Count != want {
-			t.Fatalf("%s: counts %d/%d, want %d", algo, dedup.Count, redundant.Count, want)
-		}
-		if redundant.Agg.TotalPayload <= dedup.Agg.TotalPayload {
-			t.Errorf("%s: redundant sends should increase volume: %d vs %d",
-				algo, redundant.Agg.TotalPayload, dedup.Agg.TotalPayload)
-		}
-	}
-}
-
 func TestNoSurrogateHybrid(t *testing.T) {
 	g := gen.RMAT(gen.DefaultRMAT(8, 67))
 	want := SeqCount(g)
-	res, err := Run(AlgoDiTric, g, Config{P: 4, Threads: 3, NoSurrogate: true})
+	res, err := Run(AlgoDiTric, g, Config{P: 4, Threads: 3, noSurrogate: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +282,7 @@ func TestNoSurrogateHybrid(t *testing.T) {
 func TestNoSurrogateLCC(t *testing.T) {
 	g := gen.GNM(300, 2400, 71)
 	_, wantDeltas := SeqDeltas(g)
-	res, err := Run(AlgoCetric, g, Config{P: 5, NoSurrogate: true, LCC: true})
+	res, err := Run(AlgoCetric, g, Config{P: 5, noSurrogate: true, LCC: true})
 	if err != nil {
 		t.Fatal(err)
 	}

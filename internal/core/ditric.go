@@ -35,7 +35,7 @@ func ditricFrom(pe *dist.PE, pl *plan, lg *graph.LocalGraph, out *peOutcome, sw 
 	// One emission stage over the local rows — local-local wedges counted in
 	// place, cut neighborhoods shipped — then the drain.
 	op.stage(PhaseLocal, lg.NLocal(), true, func(ws *countState, lo, hi int, sends chan<- hybridSend) {
-		ditricLocalRows(pe, pl.pt, lg, ori, ws, lo, hi, sends, cfg.NoSurrogate)
+		ditricLocalRows(pe, pl.pt, lg, ori, ws, lo, hi, sends, cfg.noSurrogate)
 	})
 	op.finish()
 	finishBody(pe, sw, state, cfg, out)

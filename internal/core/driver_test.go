@@ -158,7 +158,7 @@ func TestPrepareRejectsRowSpaceOverflow(t *testing.T) {
 }
 
 // FuzzRunConfig runs a fixture under a random Config — any algorithm, 1–10
-// PEs, δ, 0–3 threads, the Indirect, Overlap, LCC, Collect and NoSurrogate
+// PEs, δ, 0–3 threads, the Indirect, Overlap, LCC, Collect and noSurrogate
 // bits and a hub threshold — through one of three entry points:
 //
 //   - Run: the input either fails set-up — exactly when it asks LCC of an
@@ -211,7 +211,7 @@ func FuzzRunConfig(f *testing.F) {
 			Overlap:      flags&bitOverlap != 0,
 			LCC:          flags&bitLCC != 0,
 			Collect:      flags&bitCollect != 0,
-			NoSurrogate:  flags&bitNoSurrogate != 0,
+			noSurrogate:  flags&bitNoSurrogate != 0,
 			HubThreshold: int(hub),
 			RunTimeout:   30 * time.Second,
 		}

@@ -99,7 +99,7 @@ func TestOverlapNoSurrogate(t *testing.T) {
 	want := SeqCount(g)
 	for _, algo := range []Algorithm{AlgoDiTric, AlgoCetric} {
 		for _, threads := range []int{1, 3} {
-			res, err := Run(algo, g, Config{P: 5, Threads: threads, Overlap: true, NoSurrogate: true})
+			res, err := Run(algo, g, Config{P: 5, Threads: threads, Overlap: true, noSurrogate: true})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -159,10 +159,11 @@ type Config struct {
 	// show that no count depends on the codec table.
 	wire comm.Codec
 
-	// NoSurrogate disables the surrogate dedup of Arifuzzaman et al., so a
+	// noSurrogate disables the surrogate dedup of Arifuzzaman et al., so a
 	// neighborhood is shipped once per *cut edge* instead of once per
-	// destination PE (an ablation of §IV-D "avoiding redundant messages").
-	NoSurrogate bool
+	// destination PE. Like wire it is set only by this package's tests:
+	// they show the dedup changes volume, never a count.
+	noSurrogate bool
 
 	// LCC additionally computes per-vertex triangle counts and local
 	// clustering coefficients (DITRIC/CETRIC only).

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"repro/internal/comm"
-	"repro/internal/costmodel"
 	"repro/internal/transport"
 )
 
@@ -393,19 +392,6 @@ func Run(cfg Config, body func(*PE) error) ([]comm.Metrics, error) {
 		metrics[r] = pe.C.M
 	}
 	return metrics, nil
-}
-
-// Modeled evaluates a run's per-PE metrics under the α+β network cost model:
-// for each built-in costmodel profile it reports the bottleneck (max over
-// PEs) modeled communication time. This is the paper's "what would the same
-// traffic cost on a slower interconnect" lens, available directly on the
-// runtime's return value.
-func Modeled(per []comm.Metrics) map[string]time.Duration {
-	out := make(map[string]time.Duration, len(costmodel.Profiles()))
-	for _, prof := range costmodel.Profiles() {
-		out[prof.Name] = costmodel.Bottleneck(per, prof)
-	}
-	return out
 }
 
 // RankActivity is one rank's overlapped-work vs idle-wait split: Overlap is

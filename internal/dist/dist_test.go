@@ -268,16 +268,3 @@ func TestIndirectRunRoutesViaGrid(t *testing.T) {
 		t.Errorf("no proxy forwarded the corner-to-corner record: %+v", metrics)
 	}
 }
-
-func TestModeled(t *testing.T) {
-	zero := Modeled([]comm.Metrics{{}})
-	for name, d := range zero {
-		if d != 0 {
-			t.Errorf("%s: zero traffic modeled as %v", name, d)
-		}
-	}
-	loaded := Modeled([]comm.Metrics{{SentFrames: 1000, SentWords: 1 << 20}})
-	if !(loaded["supercomputer"] < loaded["cloud"] && loaded["cloud"] < loaded["wan"]) {
-		t.Errorf("profiles out of order: %v", loaded)
-	}
-}

@@ -2,7 +2,6 @@ package gen
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/graph"
 )
@@ -24,85 +23,108 @@ type Instance struct {
 	Name  string
 	Class string // social | web | road
 	Notes string
-	Build func(scaleShift int, seed uint64) *graph.Graph
+	// logN is the size exponent at scaleShift 0: the stand-in has about
+	// 2^logN vertices, and build(logN+scaleShift, seed) about
+	// 2^(logN+scaleShift).
+	logN  int
+	build func(logN int, seed uint64) *graph.Graph
 }
 
-// Instances is the catalog, in Table I order. scaleShift shrinks (negative)
-// or grows (positive) the default size by powers of two.
+// The size exponents logN+scaleShift that ByInstance builds. Below 0 the
+// generators' shifts go negative; above 30 a stand-in outgrows any single
+// machine long before its sizes overflow.
+const (
+	minLogN = 0
+	maxLogN = 30
+)
+
+// Instances is the catalog, in Table I order. A scaleShift shrinks
+// (negative) or grows (positive) the default size by powers of two.
 var Instances = []Instance{
 	{
-		Name: "live-journal", Class: "social",
+		Name: "live-journal", Class: "social", logN: 13,
 		Notes: "R-MAT scale 13, edge factor 9 (LJ avg degree ≈ 17)",
-		Build: func(s int, seed uint64) *graph.Graph {
-			cfg := DefaultRMAT(13+s, seed)
+		build: func(e int, seed uint64) *graph.Graph {
+			cfg := DefaultRMAT(e, seed)
 			cfg.EdgeFactor = 9
 			return RMAT(cfg)
 		},
 	},
 	{
-		Name: "orkut", Class: "social",
+		Name: "orkut", Class: "social", logN: 12,
 		Notes: "R-MAT scale 12, edge factor 38 (orkut avg degree ≈ 76)",
-		Build: func(s int, seed uint64) *graph.Graph {
-			cfg := DefaultRMAT(12+s, seed)
+		build: func(e int, seed uint64) *graph.Graph {
+			cfg := DefaultRMAT(e, seed)
 			cfg.EdgeFactor = 38
 			return RMAT(cfg)
 		},
 	},
 	{
-		Name: "twitter", Class: "social",
+		Name: "twitter", Class: "social", logN: 14,
 		Notes: "R-MAT scale 14, edge factor 28, stronger skew (a=0.65)",
-		Build: func(s int, seed uint64) *graph.Graph {
-			cfg := DefaultRMAT(14+s, seed)
+		build: func(e int, seed uint64) *graph.Graph {
+			cfg := DefaultRMAT(e, seed)
 			cfg.EdgeFactor = 28
 			cfg.A, cfg.B, cfg.C, cfg.D = 0.65, 0.15, 0.15, 0.05
 			return RMAT(cfg)
 		},
 	},
 	{
-		Name: "friendster", Class: "social",
+		Name: "friendster", Class: "social", logN: 14,
 		Notes: "RHG γ=2.8, avg degree 26 (friendster m/n ≈ 26.6)",
-		Build: func(s int, seed uint64) *graph.Graph {
-			return RHG(RHGConfig{N: 1 << (14 + s), AvgDegree: 26, Gamma: 2.8, Seed: seed})
+		build: func(e int, seed uint64) *graph.Graph {
+			return RHG(RHGConfig{N: 1 << e, AvgDegree: 26, Gamma: 2.8, Seed: seed})
 		},
 	},
 	{
-		Name: "uk-2007-05", Class: "web",
+		Name: "uk-2007-05", Class: "web", logN: 14,
 		Notes: "clustered web model: host near-cliques + R-MAT long links, high triangle density",
-		Build: func(s int, seed uint64) *graph.Graph {
-			return WebGraph(WebConfig{N: 1 << (14 + s), HostSize: 48, IntraP: 0.55, LongFactor: 4, Seed: seed})
+		build: func(e int, seed uint64) *graph.Graph {
+			return WebGraph(WebConfig{N: 1 << e, HostSize: 48, IntraP: 0.55, LongFactor: 4, Seed: seed})
 		},
 	},
 	{
-		Name: "webbase-2001", Class: "web",
+		Name: "webbase-2001", Class: "web", logN: 14,
 		Notes: "clustered web model, sparser (webbase m/n ≈ 7.2)",
-		Build: func(s int, seed uint64) *graph.Graph {
-			return WebGraph(WebConfig{N: 1 << (14 + s), HostSize: 24, IntraP: 0.35, LongFactor: 2, Seed: seed})
+		build: func(e int, seed uint64) *graph.Graph {
+			return WebGraph(WebConfig{N: 1 << e, HostSize: 24, IntraP: 0.35, LongFactor: 2, Seed: seed})
 		},
 	},
 	{
-		Name: "usa", Class: "road",
+		Name: "usa", Class: "road", logN: 14,
 		Notes: "road model: 2D grid + 5% diagonals (avg degree ≈ 2.4, few triangles)",
-		Build: func(s int, seed uint64) *graph.Graph {
-			side := 1 << (7 + (s+1)/2) // keep roughly square growth
-			return RoadNetwork(side, side, 0.05, seed)
-		},
+		build: roadBuild(0.05),
 	},
 	{
-		Name: "europe", Class: "road",
+		Name: "europe", Class: "road", logN: 14,
 		Notes: "road model, slightly denser diagonals",
-		Build: func(s int, seed uint64) *graph.Graph {
-			side := 1 << (7 + (s+1)/2)
-			return RoadNetwork(side, side, 0.08, seed)
-		},
+		build: roadBuild(0.08),
 	},
 }
 
-// ByInstance returns the stand-in named name.
+// roadBuild is the road stand-in with diagonal probability diagP: a square
+// grid of about 2^e vertices. Its side is 2^(7+(e−13)/2) under Go's
+// truncating division, so e = 14 is the 128×128 default.
+func roadBuild(diagP float64) func(e int, seed uint64) *graph.Graph {
+	return func(e int, seed uint64) *graph.Graph {
+		side := 1 << (7 + (e-13)/2)
+		return RoadNetwork(side, side, diagP, seed)
+	}
+}
+
+// ByInstance returns the stand-in named name, shifted by scaleShift. A
+// shift that takes the stand-in outside 2^0..2^30 vertices is an error.
 func ByInstance(name string, scaleShift int, seed uint64) (*graph.Graph, error) {
 	for _, inst := range Instances {
-		if inst.Name == name {
-			return inst.Build(scaleShift, seed), nil
+		if inst.Name != name {
+			continue
 		}
+		e := inst.logN + scaleShift
+		if e < minLogN || e > maxLogN {
+			return nil, fmt.Errorf("gen: %s has 2^%d vertices at scale 0; scale %d puts it at 2^%d, outside 2^%d..2^%d (scale %d..%d)",
+				name, inst.logN, scaleShift, e, minLogN, maxLogN, minLogN-inst.logN, maxLogN-inst.logN)
+		}
+		return inst.build(e, seed), nil
 	}
 	return nil, fmt.Errorf("gen: unknown instance %q", name)
 }
@@ -175,20 +197,4 @@ func RoadNetwork(w, h int, diagP float64, seed uint64) *graph.Graph {
 		}
 	}
 	return graph.FromEdges(w*h, edges)
-}
-
-// InstanceNames returns the catalog names in Table I order.
-func InstanceNames() []string {
-	names := make([]string, len(Instances))
-	for i, inst := range Instances {
-		names[i] = inst.Name
-	}
-	return names
-}
-
-// SortedInstanceNames returns the catalog names sorted alphabetically.
-func SortedInstanceNames() []string {
-	names := InstanceNames()
-	sort.Strings(names)
-	return names
 }

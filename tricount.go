@@ -196,7 +196,8 @@ func GenerateRHG(n int, avgDegree, gamma float64, seed uint64) *Graph {
 // Instance builds one of the paper's real-world stand-in instances by name
 // (live-journal, orkut, twitter, friendster, uk-2007-05, webbase-2001, usa,
 // europe). scaleShift shrinks (<0) or grows (>0) the default size by powers
-// of two.
+// of two; a shift that takes the size outside 2^0..2^30 vertices is an
+// error.
 func Instance(name string, scaleShift int, seed uint64) (*Graph, error) {
 	return gen.ByInstance(name, scaleShift, seed)
 }
