@@ -65,10 +65,8 @@ func run() (err error) {
 		lcc       = flag.Bool("lcc", false, "compute local clustering coefficients")
 		hub       = flag.Int("hub", 0, "hub-bitmap threshold, 1D engines only (tk2d keeps no bitmaps): min |A(v)| for a packed bitmap (0 = default, <0 = off)")
 
-		approx  = flag.Bool("approx", false, "AMQ-approximate type-3 counting: the CETRIC pipeline shipping Bloom filters (-algo cetric or cetric2); -threads and -overlap apply")
-		bits    = flag.Float64("bits", 8, "Bloom filter bits per key for -approx")
-		doulion = flag.Float64("doulion", 0, "DOULION edge-sampling probability q ∈ (0,1] (0 = off)")
-		colors  = flag.Int("colors", 0, "colorful-sparsification color count (0 = off)")
+		approx = flag.Bool("approx", false, "AMQ-approximate counting: the CETRIC pipeline shipping Bloom filters (-algo cetric or cetric2), printing exact type-1/2 plus a type-3 estimate with the expected false positives subtracted; -threads and -overlap apply")
+		bits   = flag.Float64("bits", 8, "Bloom filter bits per neighbor for -approx, at most 64 (≤ 0 = 8): more bits ship more words for a closer type-3 estimate")
 
 		stream = flag.Bool("stream", false, "streaming ingestion + incremental delta-counting (DITRIC/CETRIC)")
 		batch  = flag.Int("batch", 0, "edge batch size for -stream (0 = max(1024, m/8))")
@@ -140,24 +138,9 @@ func run() (err error) {
 		}()
 	}
 
-	// Flag validation up front: a NaN or out-of-range probability must die
-	// here, not as a scaled-by-1/NaN³ estimate 20 minutes into a run. The
-	// !(q > 0 && q ≤ 1) form rejects NaN too (both comparisons are false).
-	// It also runs before the seq fast path, which would otherwise silently
-	// ignore the flag and print an exact count dressed as an estimate run.
-	if q := *doulion; q != 0 && !(q > 0 && q <= 1) {
-		return fmt.Errorf("-doulion probability %v out of (0,1]", q)
-	}
-	if *colors < 0 {
-		return fmt.Errorf("-colors needs a positive color count, got %d", *colors)
-	}
-	if *doulion != 0 && *colors != 0 {
-		return fmt.Errorf("-doulion and -colors are mutually exclusive")
-	}
-
 	if *algoName == "seq" {
-		if *doulion != 0 || *colors != 0 || *approx || *stream {
-			return fmt.Errorf("-doulion, -colors, -approx, and -stream need a distributed algorithm, not seq")
+		if *approx || *stream {
+			return fmt.Errorf("-approx and -stream need a distributed algorithm, not seq")
 		}
 		start := time.Now()
 		count := core.SeqCount(g)
@@ -181,7 +164,7 @@ func run() (err error) {
 
 	if *tcpRank >= 0 {
 		if err := checkTCPRank(map[string]bool{
-			"approx": *approx, "stream": *stream, "doulion": *doulion != 0, "colors": *colors != 0, "lcc": *lcc,
+			"approx": *approx, "stream": *stream, "lcc": *lcc,
 		}); err != nil {
 			return err
 		}
@@ -189,35 +172,14 @@ func run() (err error) {
 	}
 
 	if *stream {
-		if *lcc || *approx || *doulion != 0 || *colors != 0 {
-			return fmt.Errorf("-stream is incompatible with -lcc, -approx, -doulion, and -colors")
+		if *lcc || *approx {
+			return fmt.Errorf("-stream is incompatible with -lcc and -approx")
 		}
 		return runStream(g, *algoName, algo, cfg, *batch, *verbose)
 	}
 
-	if *doulion != 0 {
-		est, res, err := core.RunDoulion(algo, g, cfg, *doulion, *seed)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("estimate: %.0f (DOULION q=%g, sparse count %d) in %v\n",
-			est, *doulion, res.Count, res.Wall.Round(time.Microsecond))
-		printComm(res.Agg, res.PerPE)
-		return nil
-	}
-	if *colors != 0 {
-		est, res, err := core.RunColorful(algo, g, cfg, *colors, *seed)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("estimate: %.0f (colorful ncolors=%d, monochrome count %d) in %v\n",
-			est, *colors, res.Count, res.Wall.Round(time.Microsecond))
-		printComm(res.Agg, res.PerPE)
-		return nil
-	}
-
 	if *approx {
-		res, err := core.RunApproxCetric(g, cfg, core.AMQConfig{BitsPerKey: *bits, Truthful: true})
+		res, err := core.RunApproxCetric(g, cfg, core.AMQConfig{BitsPerKey: *bits})
 		if err != nil {
 			return err
 		}
@@ -306,7 +268,7 @@ func resolveAlgo(name string, approx bool, cfg *core.Config) (core.Algorithm, er
 // checkTCPRank rejects the set flags a -tcp-rank process cannot honour:
 // core.RunRank counts exactly and returns only the global count.
 func checkTCPRank(set map[string]bool) error {
-	for _, name := range []string{"approx", "stream", "doulion", "colors", "lcc"} {
+	for _, name := range []string{"approx", "stream", "lcc"} {
 		if set[name] {
 			return fmt.Errorf("-tcp-rank does not support -%s", name)
 		}

@@ -96,7 +96,7 @@ func TestCheckTCPRank(t *testing.T) {
 	if err := checkTCPRank(map[string]bool{}); err != nil {
 		t.Fatalf("plain run: %v", err)
 	}
-	for _, name := range []string{"approx", "stream", "doulion", "colors", "lcc"} {
+	for _, name := range []string{"approx", "stream", "lcc"} {
 		err := checkTCPRank(map[string]bool{name: true})
 		if err == nil || !strings.Contains(err.Error(), "-"+name) {
 			t.Errorf("-tcp-rank -%s: err %v, want an error naming -%s", name, err, name)

@@ -62,7 +62,7 @@ func ExampleEnumerate() {
 func ExampleCountApprox() {
 	g := tricount.GenerateGNM(1<<10, 16<<10, 9)
 	res, err := tricount.CountApprox(g, tricount.Options{P: 4},
-		tricount.ApproxOptions{BitsPerKey: 16, Truthful: true})
+		tricount.ApproxOptions{BitsPerKey: 16})
 	if err != nil {
 		panic(err)
 	}

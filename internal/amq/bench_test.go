@@ -49,25 +49,6 @@ func BenchmarkBloomQuery(b *testing.B) {
 	_ = hits
 }
 
-func BenchmarkBlockedQuery(b *testing.B) {
-	keys := benchKeys(1024)
-	f := newBlocked(len(keys), 8)
-	for _, k := range keys {
-		f.Insert(k)
-	}
-	probes := benchKeys(4096)
-	b.ResetTimer()
-	hits := 0
-	for i := 0; i < b.N; i++ {
-		for _, k := range probes {
-			if f.MayContain(k) {
-				hits++
-			}
-		}
-	}
-	_ = hits
-}
-
 func BenchmarkLoadFPR(b *testing.B) {
 	f := newBloom(4096, 8)
 	for _, k := range benchKeys(4096) {

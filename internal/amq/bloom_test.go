@@ -15,28 +15,15 @@ func insertedKeys(seed uint64, n int) []uint64 {
 	return keys
 }
 
-// filter is what the tests probe: Bloom and Blocked alike.
-type filter interface {
-	Insert(key uint64)
-	MayContain(key uint64) bool
-	FPR(n int) float64
-}
-
 func newBloom(n int, bitsPerKey float64) *Bloom {
 	_, f := AppendBloom(nil, n, bitsPerKey)
 	return &f
 }
 
-func newBlocked(n int, bitsPerKey float64) *Blocked {
-	_, f := AppendBlocked(nil, n, bitsPerKey)
-	return &f
-}
-
-func testNoFalseNegatives(t *testing.T, mk func(n int) filter) {
-	t.Helper()
+func TestBloomNoFalseNegatives(t *testing.T) {
 	check := func(seed uint64) bool {
 		keys := insertedKeys(seed, 200)
-		f := mk(len(keys))
+		f := newBloom(len(keys), 8)
 		for _, k := range keys {
 			f.Insert(k)
 		}
@@ -52,15 +39,7 @@ func testNoFalseNegatives(t *testing.T, mk func(n int) filter) {
 	}
 }
 
-func TestBloomNoFalseNegatives(t *testing.T) {
-	testNoFalseNegatives(t, func(n int) filter { return newBloom(n, 8) })
-}
-
-func TestBlockedNoFalseNegatives(t *testing.T) {
-	testNoFalseNegatives(t, func(n int) filter { return newBlocked(n, 8) })
-}
-
-func measureFPR(f filter, inserted map[uint64]bool, probes int) float64 {
+func measureFPR(f *Bloom, inserted map[uint64]bool, probes int) float64 {
 	fp := 0
 	s := uint64(0xdecafbad)
 	tested := 0
@@ -98,22 +77,6 @@ func TestBloomFPRWithinBudget(t *testing.T) {
 	}
 }
 
-func TestBlockedFPRReasonable(t *testing.T) {
-	const n = 2000
-	keys := insertedKeys(7, n)
-	set := make(map[uint64]bool, n)
-	f := newBlocked(n, 10)
-	for _, k := range keys {
-		f.Insert(k)
-		set[k] = true
-	}
-	measured := measureFPR(f, set, 200000)
-	predicted := f.FPR(n)
-	if measured > 3*predicted+0.01 {
-		t.Fatalf("measured FPR %.4f far above predicted %.4f", measured, predicted)
-	}
-}
-
 func TestBloomWordsRoundTrip(t *testing.T) {
 	words, f := AppendBloom([]uint64{42}, 100, 8)
 	keys := insertedKeys(5, 100)
@@ -137,37 +100,11 @@ func TestBloomWordsRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBlockedWordsRoundTrip(t *testing.T) {
-	words, f := AppendBlocked(nil, 100, 8)
-	keys := insertedKeys(6, 100)
-	for _, k := range keys {
-		f.Insert(k)
-	}
-	g, err := ViewBlocked(words)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range keys {
-		if !g.MayContain(k) {
-			t.Fatal("round trip lost a key")
-		}
-	}
-	if g.FPR(100) != f.FPR(100) || g.LoadFPR() != f.LoadFPR() {
-		t.Fatal("round trip changed parameters")
-	}
-}
-
 func TestEmptyFilterRejectsEverything(t *testing.T) {
 	f := newBloom(100, 8)
 	for _, k := range insertedKeys(11, 1000) {
 		if f.MayContain(k) {
 			t.Fatal("empty bloom filter claimed membership")
-		}
-	}
-	b := newBlocked(100, 8)
-	for _, k := range insertedKeys(12, 1000) {
-		if b.MayContain(k) {
-			t.Fatal("empty blocked filter claimed membership")
 		}
 	}
 }
@@ -177,11 +114,6 @@ func TestTinyFilters(t *testing.T) {
 	f.Insert(1)
 	if !f.MayContain(1) {
 		t.Fatal("tiny filter lost its key")
-	}
-	b := newBlocked(0, 8)
-	b.Insert(1)
-	if !b.MayContain(1) {
-		t.Fatal("tiny blocked filter lost its key")
 	}
 }
 

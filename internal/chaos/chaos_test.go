@@ -279,8 +279,10 @@ func TestFaultGrid(t *testing.T) {
 			},
 			// The 2D cells: a block broadcast that does not decode is typed
 			// like a queue frame that does not. So is a frame carrying the
-			// approximate run's filter records.
-			schedules: []schedule{barrieredCetric, {algo: core.AlgoTK2D}, {algo: core.AlgoTK2D, overlap: true}, approxCetric},
+			// approximate run's filter records, and one that reaches
+			// overlapped CETRIC while its local stage is still shipping.
+			schedules: []schedule{barrieredCetric, {algo: core.AlgoCetric, overlap: true},
+				{algo: core.AlgoTK2D}, {algo: core.AlgoTK2D, overlap: true}, approxCetric},
 		},
 		{
 			name: "duplicate",
@@ -456,89 +458,10 @@ func TestCrashSilentStats(t *testing.T) {
 	}
 }
 
-// TestGracefulDegradation: with AllowPartial set, an approximate run that
-// loses a peer returns the survivors' partial estimate annotated with the
-// abort instead of failing.
-func TestGracefulDegradation(t *testing.T) {
-	leakcheck.Check(t)
-	fx, _ := testgraph.ByName("rgg")
-	net := chaos.Wrap(transport.NewChanNetwork(chaosP), chaos.Plan{
-		Seed: 41, CrashRank: 3, CrashAfter: 10, DetectAfter: 30 * time.Millisecond,
-	})
-	cfg := chaosCfg(net)
-	cfg.AllowPartial = true
-	est, res, err := core.RunDoulion(core.AlgoCetric, fx.Build(), cfg, 0.8, 5)
-	if err != nil {
-		t.Fatalf("degraded run failed outright: %v", err)
-	}
-	if res.Partial == nil {
-		t.Fatal("peer loss with AllowPartial produced no Partial annotation")
-	}
-	var re *dist.RunError
-	if !errors.As(res.Partial.Err, &re) || re.Cause != dist.CausePeerLoss {
-		t.Fatalf("Partial.Err = %v, want a peer-loss RunError", res.Partial.Err)
-	}
-	if f := res.Partial.Fraction(); f < 0 || f >= 1 {
-		t.Fatalf("completion fraction = %v, want [0,1) for a crashed cluster", f)
-	}
-	if est < 0 {
-		t.Fatalf("estimate = %v, want a non-negative lower bound", est)
-	}
-	// A fault-free run under the same config must not be annotated.
-	clean := chaosCfg(chaos.Wrap(transport.NewChanNetwork(chaosP), chaos.Plan{}))
-	clean.AllowPartial = true
-	_, res2, err := core.RunDoulion(core.AlgoCetric, fx.Build(), clean, 0.8, 5)
-	if err != nil {
-		t.Fatalf("clean run failed: %v", err)
-	}
-	if res2.Partial != nil {
-		t.Fatalf("clean run annotated as partial: %+v", res2.Partial)
-	}
-}
-
-// TestPartialCountIsLowerBound: every queue frame arrives corrupt, so the
-// run can only abort from a PE's global phase — after that PE's
-// communication-free local stage published its snapshot — and no type-3
-// triangle is ever counted. The degraded merge must therefore be > 0 and at
-// most the type-1 + type-2 total (siblings still leaving the pre-count
-// barrier when the abort lands contribute nothing), under both schedules of
-// the pipeline.
-func TestPartialCountIsLowerBound(t *testing.T) {
-	leakcheck.Check(t)
-	fx, _ := testgraph.ByName("rmat")
-	g := fx.Build()
-	clean, err := core.Run(core.AlgoCetric, g, core.Config{P: chaosP})
-	if err != nil {
-		t.Fatal(err)
-	}
-	local := clean.TypeCounts[0] + clean.TypeCounts[1]
-	if local == 0 || local >= fx.Triangles {
-		t.Fatalf("fixture has %d of %d triangles local; the scenario needs some of each", local, fx.Triangles)
-	}
-	for _, overlap := range []bool{false, true} {
-		t.Run(schedule{algo: core.AlgoCetric, overlap: overlap}.String(), func(t *testing.T) {
-			net := chaos.Wrap(transport.NewChanNetwork(chaosP), chaos.Plan{Seed: 47, CorruptProb: 1})
-			cfg := chaosCfg(net)
-			cfg.AllowPartial = true
-			cfg.Overlap = overlap
-			res, err := core.Run(core.AlgoCetric, g, cfg)
-			if err != nil {
-				t.Fatalf("degraded run failed outright: %v", err)
-			}
-			var re *dist.RunError
-			if res.Partial == nil || !errors.As(res.Partial.Err, &re) || re.Cause != dist.CauseCorrupt {
-				t.Fatalf("Partial = %+v, want a corrupt-frame annotation", res.Partial)
-			}
-			if res.Count == 0 || res.Count > local {
-				t.Fatalf("partial count = %d, want in (0, %d] (local-stage triangles; %d in total)", res.Count, local, fx.Triangles)
-			}
-		})
-	}
-}
-
-// TestBodyErrorNotDegraded: AllowPartial must never swallow the body's own
-// failure — only infrastructure causes degrade.
-func TestBodyErrorNotDegraded(t *testing.T) {
+// TestBodyErrorIsBodyCause: a body that returns its own error aborts the run
+// with CauseBody — the failure is the body's, not the infrastructure's —
+// and the sibling waiting for it in a barrier is released, not hung.
+func TestBodyErrorIsBodyCause(t *testing.T) {
 	leakcheck.Check(t)
 	_, err := dist.Run(dist.Config{P: 2}, func(pe *dist.PE) error {
 		if pe.Rank == 1 {

@@ -72,16 +72,6 @@ func (g *Group) nextTag() uint64 {
 	return t
 }
 
-// memberIndex maps a global rank to its position in the member list.
-func (g *Group) memberIndex(rank int) int {
-	for i, r := range g.members {
-		if r == rank {
-			return i
-		}
-	}
-	panic(fmt.Sprintf("comm: rank %d is not a member of group %d", rank, g.gid))
-}
-
 // BcastOp is an in-flight split-phase broadcast handle (a value: posting
 // and completing allocate nothing). Obtained from IBcast, resolved by Wait.
 type BcastOp struct {
@@ -107,7 +97,7 @@ func (g *Group) IBcast(root int, words []uint64, codec Codec) BcastOp {
 	if g.Size() == 1 || g.idx != root {
 		return op
 	}
-	g.sendToOthers("group bcast", op.t, words, codec)
+	g.sendToOthers(op.t, words, codec)
 	return op
 }
 
@@ -119,7 +109,7 @@ func (g *Group) IBcast(root int, words []uint64, codec Codec) BcastOp {
 // recycled from a like-sized broadcast fits, and any other grows once
 // more, when the encoder finds it short. (Sizing it exactly up front would
 // read all of words a second time on every broadcast.)
-func (g *Group) sendToOthers(op string, t uint64, words []uint64, codec Codec) {
+func (g *Group) sendToOthers(t uint64, words []uint64, codec Codec) {
 	last := len(g.members) - 1
 	if last == g.idx {
 		last--
@@ -138,7 +128,7 @@ func (g *Group) sendToOthers(op string, t uint64, words []uint64, codec Codec) {
 		}
 		g.c.M.PayloadWords += int64(len(words))
 		if err := g.c.sendDataBytes(dst, out, rawWords); err != nil {
-			raiseSendErr(op, dst, err)
+			raiseSendErr("group bcast", dst, err)
 		}
 	}
 }
@@ -176,32 +166,3 @@ func (g *Group) Bcast(root int, words []uint64, codec Codec) []uint64 {
 // Recycle returns a buffer obtained from a non-root Wait/Bcast to the
 // communicator-wide free list (shared across this Comm's groups).
 func (g *Group) Recycle(buf []uint64) { g.c.recycleWordBuf(buf) }
-
-// Allgather contributes words from every member and returns one slice per
-// member, indexed by member position (the caller's own entry is a copy).
-// Like Bcast the traffic is codec-encoded data, and failures are typed the
-// same way: *ErrPeerLost for a dead peer, *CorruptFrameError for a frame
-// the codec cannot decode.
-func (g *Group) Allgather(words []uint64, codec Codec) [][]uint64 {
-	t := g.nextTag()
-	out := make([][]uint64, g.Size())
-	out[g.idx] = append([]uint64(nil), words...)
-	if g.Size() == 1 {
-		return out
-	}
-	g.sendToOthers("group allgather", t, words, codec)
-	for got := 1; got < g.Size(); got++ {
-		f := g.c.waitTag(t)
-		src := g.memberIndex(f.Src)
-		dec, err := codec.AppendDecoded(nil, f.Bytes[8:])
-		if err != nil {
-			panic(&CorruptFrameError{Src: f.Src, Reason: fmt.Sprintf("group allgather decode: %v", err)})
-		}
-		g.c.M.RecvFrames++
-		g.c.M.RecvWords += int64(1 + len(dec))
-		g.c.M.RecvEncodedBytes += int64(len(f.Bytes))
-		transport.PutBuf(f.Bytes)
-		out[src] = dec
-	}
-	return out
-}

@@ -1,7 +1,6 @@
 package comm
 
 import (
-	"encoding/binary"
 	"runtime"
 	"slices"
 	"sync"
@@ -107,27 +106,6 @@ func TestGroupBcastMeteredAsData(t *testing.T) {
 		}
 		if m.RecvEncodedBytes != root.EncodedBytes/2 {
 			t.Fatalf("rank %d recv encoded %d, root sent %d per dst", rank, m.RecvEncodedBytes, root.EncodedBytes/2)
-		}
-	}
-}
-
-func TestGroupAllgather(t *testing.T) {
-	const p = 4
-	results := make([][][]uint64, p)
-	runComms(t, p, func(rank int, c *Comm) {
-		g, err := c.NewGroup(9, []int{0, 1, 2, 3})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		results[rank] = g.Allgather([]uint64{uint64(rank), uint64(rank * rank)}, Varint)
-	})
-	for rank := 0; rank < p; rank++ {
-		for src := 0; src < p; src++ {
-			want := []uint64{uint64(src), uint64(src * src)}
-			if !slices.Equal(results[rank][src], want) {
-				t.Fatalf("rank %d from %d: %v, want %v", rank, src, results[rank][src], want)
-			}
 		}
 	}
 }
@@ -299,10 +277,6 @@ func TestGroupSize1(t *testing.T) {
 		if got := op.Wait(); !slices.Equal(got, words) {
 			t.Errorf("size-1 ibcast: %v", got)
 		}
-		all := g.Allgather(words, Varint)
-		if len(all) != 1 || !slices.Equal(all[0], words) {
-			t.Errorf("size-1 allgather: %v", all)
-		}
 		if c.M.SentFrames != 0 {
 			t.Errorf("size-1 group communicated: %+v", c.M)
 		}
@@ -331,9 +305,9 @@ func recovered(f func()) (v any) {
 	return nil
 }
 
-// TestGroupSendFailureIsPeerLost: a broadcast or allgather whose send the
-// transport refuses with a peer-down verdict raises *ErrPeerLost naming
-// that peer — the value dist classifies as a lost peer — not a string.
+// TestGroupSendFailureIsPeerLost: a broadcast whose send the transport
+// refuses with a peer-down verdict raises *ErrPeerLost naming that peer —
+// the value dist classifies as a lost peer — not a string.
 func TestGroupSendFailureIsPeerLost(t *testing.T) {
 	net := transport.NewChanNetwork(3)
 	defer net.Close()
@@ -346,54 +320,13 @@ func TestGroupSendFailureIsPeerLost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, op := range map[string]func(){
-		"IBcast":    func() { g.IBcast(0, []uint64{1, 2, 3}, Varint) },
-		"Allgather": func() { g.Allgather([]uint64{1, 2, 3}, Raw) },
-	} {
-		v := recovered(op)
-		lost, ok := v.(*ErrPeerLost)
-		if !ok {
-			t.Fatalf("%s: panic value %T (%v), want *ErrPeerLost", name, v, v)
-		}
-		if lost.Rank != 2 {
-			t.Fatalf("%s: lost rank %d, want 2", name, lost.Rank)
-		}
-	}
-}
-
-// TestGroupAllgatherCorruptFrame: an allgather contribution the codec
-// cannot decode raises *CorruptFrameError naming its sender, like a corrupt
-// broadcast.
-func TestGroupAllgatherCorruptFrame(t *testing.T) {
-	net := transport.NewChanNetwork(2)
-	defer net.Close()
-	ep0, err := net.Endpoint(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ep1, err := net.Endpoint(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const gid = 5
-	c := New(ep0)
-	g, err := c.NewGroup(gid, []int{0, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Rank 1's contribution to the group's first collective: the tag, then
-	// a lone continuation byte — a truncated varint.
-	frame := binary.LittleEndian.AppendUint64(nil, tag(kindGroup, gid<<32))
-	if err := ep1.SendBytes(0, append(frame, 0x80)); err != nil {
-		t.Fatal(err)
-	}
-	v := recovered(func() { g.Allgather([]uint64{7}, Varint) })
-	cf, ok := v.(*CorruptFrameError)
+	v := recovered(func() { g.IBcast(0, []uint64{1, 2, 3}, Varint) })
+	lost, ok := v.(*ErrPeerLost)
 	if !ok {
-		t.Fatalf("panic value %T (%v), want *CorruptFrameError", v, v)
+		t.Fatalf("panic value %T (%v), want *ErrPeerLost", v, v)
 	}
-	if cf.Src != 1 {
-		t.Fatalf("corrupt frame blamed on %d, want 1", cf.Src)
+	if lost.Rank != 2 {
+		t.Fatalf("lost rank %d, want 2", lost.Rank)
 	}
 }
 

@@ -16,10 +16,10 @@ import (
 // A'(v) instead of the contracted neighborhood A(v) (appendAMQ), the handler
 // validates and parks it like any record (checkAMQ), and the receiver
 // approximates A(v) ∩ A(u) by querying every member of A(u) against A'(v),
-// viewed in place in the decode arena (countState.probeAMQ). Type-1/2 triangles stay
-// exact; false positives only overestimate type 3, and subtracting their
-// expectation is the paper's truthful estimator. With Config.LCC, Δ(v) is
-// estimated too — which the sampling baselines (DOULION, colorful) cannot do.
+// viewed in place in the decode arena (countState.probeAMQ). Type-1/2
+// triangles stay exact; false positives only overestimate type 3, and the
+// receiver subtracts their expectation (the paper's truthful estimator).
+// With Config.LCC, Δ(v) is estimated too.
 
 // MaxBitsPerKey caps AMQConfig.BitsPerKey: at 64 bits per key a filter is
 // as large as the 8-byte neighbor IDs it stands for, so a larger one ships
@@ -31,15 +31,19 @@ type AMQConfig struct {
 	// BitsPerKey is the Bloom filter size per inserted neighbor, at most
 	// MaxBitsPerKey; ≤ 0 selects 8.
 	BitsPerKey float64
-	Blocked    bool // use the cache-efficient blocked filter [42]
-	Truthful   bool // subtract the expected false positives
+
+	// uncorrected, when set, takes the raw positive probes as the type-3
+	// estimate instead of subtracting the expected false positives. Like
+	// Config.wire it is set only by this package's tests: raw estimates are
+	// integer sums, so they can be compared bit for bit across schedules.
+	uncorrected bool
 }
 
 // ApproxResult reports an approximate run.
 type ApproxResult struct {
 	Exact12       uint64  // type-1 + type-2, exact
 	Type3Raw      uint64  // raw positive queries (overestimate)
-	Type3Estimate float64 // corrected type-3 estimate (== raw when !Truthful)
+	Type3Estimate float64 // Type3Raw less the expected false positives
 	Estimate      float64 // Exact12 + Type3Estimate
 
 	// DeltaEstimates and LCCEstimates are filled when Config.LCC is set:
@@ -96,13 +100,6 @@ func RunApproxCetric(g *graph.Graph, cfg Config, acfg AMQConfig) (*ApproxResult,
 // [v, |A(v)|, filter header, filter words], with A'(v) built in place.
 func appendAMQ(dst []uint64, v graph.Vertex, av []graph.Vertex, c *AMQConfig) []uint64 {
 	dst = append(dst, v, uint64(len(av)))
-	if c.Blocked {
-		dst, f := amq.AppendBlocked(dst, len(av), c.BitsPerKey)
-		for _, u := range av {
-			f.Insert(u)
-		}
-		return dst
-	}
 	dst, f := amq.AppendBloom(dst, len(av), c.BitsPerKey)
 	for _, u := range av {
 		f.Insert(u)
@@ -113,14 +110,8 @@ func appendAMQ(dst []uint64, v graph.Vertex, av []graph.Vertex, c *AMQConfig) []
 // checkAMQ validates a received chAMQ record [v, |A(v)|, filter header,
 // filter words...] before it is parked: a record shorter than its header, or
 // a filter header that does not describe its words, is a corrupt frame.
-func checkAMQ(src int, rec []uint64, blocked bool) {
-	var err error
-	if filter := rec[min(len(rec), 2):]; blocked {
-		_, err = amq.ViewBlocked(filter)
-	} else {
-		_, err = amq.ViewBloom(filter)
-	}
-	if err != nil {
+func checkAMQ(src int, rec []uint64) {
+	if _, err := amq.ViewBloom(rec[min(len(rec), 2):]); err != nil {
 		panic(&comm.CorruptFrameError{Src: src, Reason: "amq record: " + err.Error()})
 	}
 }
@@ -128,9 +119,9 @@ func checkAMQ(src int, rec []uint64, blocked bool) {
 // probeAMQ processes one received filter A'(v) — words, validated by
 // checkAMQ on receipt and viewed in place. A(v) ∩ V_i is v's expanded ghost
 // row; for each u in it, every w in the cut list A(u) is queried against the
-// filter. The positive count is the pair's raw estimate; the truthful
-// estimator corrects it by the filter's load-based false-positive rate — far
-// more accurate than the asymptotic formula on the small filters real
+// filter. The positive count is the pair's raw estimate; the pair's estimate
+// subtracts the false positives expected at the filter's load-based rate —
+// far more accurate than the asymptotic formula on the small filters real
 // neighborhoods produce. Under LCC the pair estimate goes to both wedge
 // endpoints and is spread over the positive closing vertices. Returns the
 // number of positive probes.
@@ -140,19 +131,10 @@ func (s *countState) probeAMQ(v graph.Vertex, words []uint64, cut *graph.LocalOr
 	if !ok {
 		return 0 // v has no local neighbors here; nothing to check
 	}
-	var bloom amq.Bloom
-	var blocked amq.Blocked
-	isBlocked, fpr := s.amq.Blocked, 1.0
-	if isBlocked {
-		blocked, _ = amq.ViewBlocked(words)
-		if s.amq.Truthful {
-			fpr = blocked.LoadFPR()
-		}
-	} else {
-		bloom, _ = amq.ViewBloom(words)
-		if s.amq.Truthful {
-			fpr = bloom.LoadFPR()
-		}
+	bloom, _ := amq.ViewBloom(words)
+	fpr := 1.0
+	if !s.amq.uncorrected {
+		fpr = bloom.LoadFPR()
 	}
 	lcc := s.deltaEst != nil
 	hits := s.hits
@@ -169,7 +151,7 @@ func (s *countState) probeAMQ(v graph.Vertex, words []uint64, cut *graph.LocalOr
 		pos := 0
 		hits = hits[:0]
 		for k, key := range au {
-			if isBlocked && blocked.MayContain(key) || !isBlocked && bloom.MayContain(key) {
+			if bloom.MayContain(key) {
 				pos++
 				if lcc {
 					hits = append(hits, int32(k))

@@ -62,7 +62,7 @@ func TestApproxCetricAccuracyImprovesWithBits(t *testing.T) {
 	var prevErr float64 = math.Inf(1)
 	improved := 0
 	for _, bits := range []float64{2, 6, 16} {
-		approx, err := RunApproxCetric(g, Config{P: p}, AMQConfig{BitsPerKey: bits, Truthful: true})
+		approx, err := RunApproxCetric(g, Config{P: p}, AMQConfig{BitsPerKey: bits})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,11 +88,11 @@ func TestApproxCetricTruthfulCorrectionHelps(t *testing.T) {
 		t.Fatal(err)
 	}
 	truth := float64(exact.Count)
-	raw, err := RunApproxCetric(g, Config{P: p}, AMQConfig{BitsPerKey: 3, Truthful: false})
+	raw, err := RunApproxCetric(g, Config{P: p}, AMQConfig{BitsPerKey: 3, uncorrected: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	corr, err := RunApproxCetric(g, Config{P: p}, AMQConfig{BitsPerKey: 3, Truthful: true})
+	corr, err := RunApproxCetric(g, Config{P: p}, AMQConfig{BitsPerKey: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,22 +101,6 @@ func TestApproxCetricTruthfulCorrectionHelps(t *testing.T) {
 	if errCorr > errRaw {
 		t.Fatalf("truthful correction made it worse: |%f-%f| vs |%f-%f|",
 			corr.Estimate, truth, raw.Estimate, truth)
-	}
-}
-
-func TestApproxCetricBlockedFilter(t *testing.T) {
-	g := gen.GNM(400, 4000, 17)
-	approx, err := RunApproxCetric(g, Config{P: 4}, AMQConfig{BitsPerKey: 12, Blocked: true, Truthful: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact, err := Run(AlgoCetric, g, Config{P: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	relErr := math.Abs(approx.Estimate-float64(exact.Count)) / float64(exact.Count)
-	if relErr > 0.1 {
-		t.Fatalf("blocked filter estimate off by %.2f%%", relErr*100)
 	}
 }
 
@@ -142,7 +126,7 @@ func TestApproxVolumeBelowExactOnWideNeighborhoods(t *testing.T) {
 func TestApproxLCCTracksExact(t *testing.T) {
 	g := gen.WebGraph(gen.WebConfig{N: 512, HostSize: 16, IntraP: 0.5, LongFactor: 3, Seed: 7})
 	exactLCC := SeqLCC(g)
-	res, err := RunApproxCetric(g, Config{P: 6, LCC: true}, AMQConfig{BitsPerKey: 12, Truthful: true})
+	res, err := RunApproxCetric(g, Config{P: 6, LCC: true}, AMQConfig{BitsPerKey: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +156,7 @@ func TestApproxLCCExactWhenNoType3(t *testing.T) {
 	// two PEs: the estimate must be exact.
 	g := gen.CliqueChain(8, 6)
 	_, wantDeltas := SeqDeltas(g)
-	res, err := RunApproxCetric(g, Config{P: 4, LCC: true}, AMQConfig{BitsPerKey: 8, Truthful: true})
+	res, err := RunApproxCetric(g, Config{P: 4, LCC: true}, AMQConfig{BitsPerKey: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,35 +164,6 @@ func TestApproxLCCExactWhenNoType3(t *testing.T) {
 		if math.Abs(res.DeltaEstimates[v]-float64(want)) > 1e-9 {
 			t.Fatalf("Δ̂(%d) = %f, want %d", v, res.DeltaEstimates[v], want)
 		}
-	}
-}
-
-func TestDoulionUnbiasedish(t *testing.T) {
-	g := gen.GNM(300, 3000, 23)
-	truth := float64(SeqCount(g))
-	var sum float64
-	const trials = 30
-	for i := 0; i < trials; i++ {
-		est, _, err := RunDoulion(AlgoDiTric, g, Config{P: 3}, 0.6, uint64(1000+i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sum += est
-	}
-	mean := sum / trials
-	if math.Abs(mean-truth)/truth > 0.25 {
-		t.Fatalf("DOULION mean %f too far from truth %f", mean, truth)
-	}
-}
-
-func TestDoulionQ1IsExact(t *testing.T) {
-	g := gen.RMAT(gen.DefaultRMAT(8, 29))
-	est, res, err := RunDoulion(AlgoCetric, g, Config{P: 4}, 1.0, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if uint64(est) != SeqCount(g) || res.Count != SeqCount(g) {
-		t.Fatalf("q=1 must be exact: est %f, want %d", est, SeqCount(g))
 	}
 }
 
@@ -242,79 +197,21 @@ func TestApproxRejectsBadBits(t *testing.T) {
 	}
 }
 
-func TestDoulionRejectsBadQ(t *testing.T) {
-	g := gen.Complete(5)
-	if _, _, err := RunDoulion(AlgoDiTric, g, Config{P: 2}, 0, 1); err == nil {
-		t.Fatal("want error for q=0")
-	}
-	if _, _, err := RunDoulion(AlgoDiTric, g, Config{P: 2}, 1.5, 1); err == nil {
-		t.Fatal("want error for q>1")
-	}
-}
-
-func TestColorfulUnbiasedish(t *testing.T) {
-	g := gen.GNM(300, 3000, 31)
-	truth := float64(SeqCount(g))
-	var sum float64
-	const trials = 40
-	for i := 0; i < trials; i++ {
-		est, _, err := RunColorful(AlgoDiTric, g, Config{P: 3}, 2, uint64(2000+i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sum += est
-	}
-	mean := sum / trials
-	if math.Abs(mean-truth)/truth > 0.3 {
-		t.Fatalf("colorful mean %f too far from truth %f", mean, truth)
-	}
-}
-
-func TestColorfulOneColorIsExact(t *testing.T) {
-	g := gen.RMAT(gen.DefaultRMAT(8, 37))
-	est, _, err := RunColorful(AlgoCetric, g, Config{P: 4}, 1, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if uint64(est) != SeqCount(g) {
-		t.Fatalf("1 color must be exact: %f vs %d", est, SeqCount(g))
-	}
-	if _, _, err := RunColorful(AlgoDiTric, g, Config{P: 2}, 0, 1); err == nil {
-		t.Fatal("want error for 0 colors")
-	}
-}
-
-func TestColorfulSparsifierKeepsMonochromaticEdgesOnly(t *testing.T) {
-	g := gen.GNM(200, 2000, 41)
-	mono := SparsifyColorful(g, 3, 5)
-	if mono.NumEdges() >= g.NumEdges() {
-		t.Fatal("sparsifier did not remove edges")
-	}
-	color := func(v uint64) uint64 { return gen.Hash64(5, v) % 3 }
-	mono.ForEachEdge(func(u, v uint64) {
-		if color(u) != color(v) {
-			t.Fatalf("non-monochromatic edge (%d,%d) kept", u, v)
-		}
-	})
-}
-
 // TestApproxMatchesAcrossSchedules: the approximate run is the CETRIC
 // pipeline with one record kind changed, so every schedule of that pipeline
-// must produce the same estimates. With Truthful off they are sums of
-// integers — exact in float64 whatever the summation order — and must equal
-// the barriered Threads = 1 cell bit for bit; the truthful estimates are
-// sums of fractions, so they get a relative tolerance. Exact12 is exact
-// CETRIC's type-1 + type-2 count, and at 64 bits per key (k = 16, a false
-// positive rate near 1e-10) standard filters make no false positive on these
-// fixtures, so the raw type-3 count is exact too. In the schedule cells
-// odd-numbered fixtures ship blocked filters, even ones standard filters.
+// must produce the same estimates. Uncorrected they are sums of integers —
+// exact in float64 whatever the summation order — and must equal the
+// barriered Threads = 1 cell bit for bit; the corrected estimates are sums
+// of fractions, so they get a relative tolerance. Exact12 is exact CETRIC's
+// type-1 + type-2 count, and at 64 bits per key (k = 16, a false positive
+// rate near 1e-10) the filters make no false positive on these fixtures, so
+// the raw type-3 count is exact too.
 func TestApproxMatchesAcrossSchedules(t *testing.T) {
 	near := func(a, b float64) bool {
 		return math.Abs(a-b) <= 1e-9*max(1, math.Abs(a), math.Abs(b))
 	}
-	for i, fix := range testgraph.All {
+	for _, fix := range testgraph.All {
 		g := fix.Build()
-		blocked := i%2 == 1
 		for _, p := range []int{1, 2, 4, 8} {
 			exact, err := Run(AlgoCetric, g, Config{P: p})
 			if err != nil {
@@ -332,11 +229,11 @@ func TestApproxMatchesAcrossSchedules(t *testing.T) {
 				for _, overlap := range []bool{false, true} {
 					cell := fmt.Sprintf("%s p=%d threads=%d overlap=%v", fix.Name, p, threads, overlap)
 					cfg := Config{P: p, Threads: threads, Overlap: overlap, LCC: true}
-					raw, err := RunApproxCetric(g, cfg, AMQConfig{BitsPerKey: 4, Blocked: blocked})
+					raw, err := RunApproxCetric(g, cfg, AMQConfig{BitsPerKey: 4, uncorrected: true})
 					if err != nil {
 						t.Fatal(err)
 					}
-					tru, err := RunApproxCetric(g, cfg, AMQConfig{BitsPerKey: 4, Blocked: blocked, Truthful: true})
+					tru, err := RunApproxCetric(g, cfg, AMQConfig{BitsPerKey: 4})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -356,12 +253,12 @@ func TestApproxMatchesAcrossSchedules(t *testing.T) {
 							cell, raw.Type3Raw, raw.Type3Estimate, base.Type3Raw, base.Type3Estimate)
 					}
 					if tru.Type3Raw != baseT.Type3Raw || !near(tru.Estimate, baseT.Estimate) {
-						t.Errorf("%s: truthful %d/%v, barriered threads=1 cell %d/%v",
+						t.Errorf("%s: corrected %d/%v, barriered threads=1 cell %d/%v",
 							cell, tru.Type3Raw, tru.Estimate, baseT.Type3Raw, baseT.Estimate)
 					}
 					for v, d := range tru.DeltaEstimates {
 						if !near(d, baseT.DeltaEstimates[v]) {
-							t.Fatalf("%s: truthful Δ̂(%d) = %v, barriered threads=1 cell %v", cell, v, d, baseT.DeltaEstimates[v])
+							t.Fatalf("%s: corrected Δ̂(%d) = %v, barriered threads=1 cell %v", cell, v, d, baseT.DeltaEstimates[v])
 						}
 					}
 				}
@@ -390,36 +287,28 @@ func corruptFrom(fn func()) (cf *comm.CorruptFrameError) {
 // by zero or an index out of range on the receiving PE.
 func TestAMQRecordRejectsHostileFrames(t *testing.T) {
 	for _, tc := range []struct {
-		name    string
-		rec     []uint64
-		blocked bool
+		name string
+		rec  []uint64
 	}{
-		{"empty record", nil, false},
-		{"record shorter than its header", []uint64{7}, false},
-		{"bloom without filter words", []uint64{7, 3}, false},
-		{"bloom without bit words", []uint64{7, 3, 64, 4}, false},
-		{"bloom m=0", []uint64{7, 3, 0, 4, 0}, false},
-		{"bloom m past its words", []uint64{7, 3, 128, 4, 0}, false},
-		{"bloom m short of its words", []uint64{7, 3, 64, 4, 0, 0}, false},
-		{"bloom k=0", []uint64{7, 3, 64, 0, 0}, false},
-		{"bloom k=17", []uint64{7, 3, 64, 17, 0}, false},
-		{"blocked without filter words", []uint64{7, 3}, true},
-		{"blocked 0 blocks", []uint64{7, 3, 0, 4}, true},
-		{"blocked 0 blocks over a word", []uint64{7, 3, 0, 4, 0}, true},
-		{"blocked more blocks than words", []uint64{7, 3, 5, 4, 0, 0}, true},
-		{"blocked k=9", []uint64{7, 3, 1, 9, 0}, true},
+		{"empty record", nil},
+		{"record shorter than its header", []uint64{7}},
+		{"bloom without filter words", []uint64{7, 3}},
+		{"bloom without bit words", []uint64{7, 3, 64, 4}},
+		{"bloom m=0", []uint64{7, 3, 0, 4, 0}},
+		{"bloom m past its words", []uint64{7, 3, 128, 4, 0}},
+		{"bloom m short of its words", []uint64{7, 3, 64, 4, 0, 0}},
+		{"bloom k=0", []uint64{7, 3, 64, 0, 0}},
+		{"bloom k=17", []uint64{7, 3, 64, 17, 0}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			if cf := corruptFrom(func() { checkAMQ(2, tc.rec, tc.blocked) }); cf == nil || cf.Src != 2 {
+			if cf := corruptFrom(func() { checkAMQ(2, tc.rec) }); cf == nil || cf.Src != 2 {
 				t.Fatalf("checkAMQ(%v) raised %v, want a *comm.CorruptFrameError from 2", tc.rec, cf)
 			}
 		})
 	}
-	for _, blocked := range []bool{false, true} {
-		rec := appendAMQ([]uint64{99}, 7, []graph.Vertex{1, 5, 9}, &AMQConfig{BitsPerKey: 8, Blocked: blocked})[1:]
-		if cf := corruptFrom(func() { checkAMQ(2, rec, blocked) }); cf != nil {
-			t.Fatalf("blocked=%v: a record appendAMQ built was rejected: %v", blocked, cf)
-		}
+	rec := appendAMQ([]uint64{99}, 7, []graph.Vertex{1, 5, 9}, &AMQConfig{BitsPerKey: 8})[1:]
+	if cf := corruptFrom(func() { checkAMQ(2, rec) }); cf != nil {
+		t.Fatalf("a record appendAMQ built was rejected: %v", cf)
 	}
 }
 
@@ -435,18 +324,16 @@ func FuzzAMQRecord(f *testing.F) {
 		}
 		return b
 	}
-	for _, blocked := range []bool{false, true} {
-		c := AMQConfig{BitsPerKey: 8, Blocked: blocked}
-		f.Add(bytesOf(appendAMQ(nil, 7, []graph.Vertex{1, 5, 9}, &c)), blocked)
-		f.Add(bytesOf(appendAMQ(nil, 1<<40, make([]graph.Vertex, 100), &c)), blocked)
-	}
-	f.Add([]byte{}, false)
-	f.Fuzz(func(t *testing.T, data []byte, blocked bool) {
+	c := AMQConfig{BitsPerKey: 8}
+	f.Add(bytesOf(appendAMQ(nil, 7, []graph.Vertex{1, 5, 9}, &c)))
+	f.Add(bytesOf(appendAMQ(nil, 1<<40, make([]graph.Vertex, 100), &c)))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
 		rec := make([]uint64, len(data)/8)
 		for i := range rec {
 			rec[i] = binary.LittleEndian.Uint64(data[8*i:])
 		}
-		if cf := corruptFrom(func() { checkAMQ(3, rec, blocked) }); cf != nil {
+		if cf := corruptFrom(func() { checkAMQ(3, rec) }); cf != nil {
 			if cf.Src != 3 {
 				t.Fatalf("corrupt record blamed on %d, want 3", cf.Src)
 			}
@@ -456,25 +343,13 @@ func FuzzAMQRecord(f *testing.F) {
 		// view of the same words reads the header and the write back.
 		filter := slices.Clone(rec[2:])
 		key := rec[0]
-		var again bool
-		var fpr float64
-		if blocked {
-			fl, _ := amq.ViewBlocked(filter)
-			fl.Insert(key)
-			fl2, err := amq.ViewBlocked(filter)
-			if err != nil {
-				t.Fatalf("filter no longer views after an insert: %v", err)
-			}
-			again, fpr = fl2.MayContain(key), fl2.LoadFPR()
-		} else {
-			fl, _ := amq.ViewBloom(filter)
-			fl.Insert(key)
-			fl2, err := amq.ViewBloom(filter)
-			if err != nil {
-				t.Fatalf("filter no longer views after an insert: %v", err)
-			}
-			again, fpr = fl2.MayContain(key), fl2.LoadFPR()
+		fl, _ := amq.ViewBloom(filter)
+		fl.Insert(key)
+		fl2, err := amq.ViewBloom(filter)
+		if err != nil {
+			t.Fatalf("filter no longer views after an insert: %v", err)
 		}
+		again, fpr := fl2.MayContain(key), fl2.LoadFPR()
 		if !slices.Equal(filter[:2], rec[2:4]) || !again {
 			t.Fatalf("header %v → %v, inserted key found again: %v", rec[2:4], filter[:2], again)
 		}
@@ -501,7 +376,7 @@ func BenchmarkApproxRecvSteadyState(b *testing.B) {
 		ori := graph.OrientLocalPar(lg, 1)
 		return lg, ori, ori.ContractPar(1)
 	}
-	acfg := AMQConfig{BitsPerKey: 4, Truthful: true}
+	acfg := AMQConfig{BitsPerKey: 4}
 	// PE 1's filters as its global stage builds them; at p = 2 every cut
 	// neighbor is PE 0's.
 	lg1, _, cut1 := view(1)

@@ -30,7 +30,7 @@ func cetricFrom(pe *dist.PE, pl *plan, lg *graph.LocalGraph, out *peOutcome, sw 
 	// dispatched: dispatch only happens inside this PE's own polls, and the
 	// local stage issues none.
 	var cut *graph.LocalOriented
-	op := newOverlapPipeline(pe, sw, lg, cfg, state, out, func(ws *countState, r recvRecord) {
+	op := newOverlapPipeline(pe, sw, lg, cfg, state, func(ws *countState, r recvRecord) {
 		ws.t3 += ws.recvRecord(r, cut)
 	})
 	pe.C.Barrier()

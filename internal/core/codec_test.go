@@ -124,7 +124,7 @@ func TestApproxCodecPolicies(t *testing.T) {
 	var first *ApproxResult
 	for _, policy := range codecPolicies() {
 		res, err := RunApproxCetric(g, Config{P: 4, wire: policy.wire},
-			AMQConfig{BitsPerKey: 8, Truthful: true})
+			AMQConfig{BitsPerKey: 8})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,15 +1,19 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/comm"
+	"repro/internal/dist"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/part"
 	"repro/internal/testgraph"
+	"repro/internal/transport"
 )
 
 // testGraphs returns the shared fixture catalog: a diverse set of instances
@@ -202,6 +206,63 @@ func TestDegreeExchangeRejectsHostileFrames(t *testing.T) {
 		if got := ownedDegree(lg, 1, v); got != uint64(g.Degree(v)) {
 			t.Fatalf("ownedDegree(%d) = %d, want %d", v, got, g.Degree(v))
 		}
+	}
+}
+
+// tamperNet hands out endpoints of inner whose rank-0 side passes the first
+// word frame longer than three words — under TriC on two PEs, rank 0's
+// frame of the one dense exchange; no control frame is that long — through
+// tamper before sending it.
+type tamperNet struct {
+	transport.Network
+	tamper   func([]uint64) []uint64
+	tampered atomic.Int32
+}
+
+func (n *tamperNet) Endpoint(rank int) (transport.Endpoint, error) {
+	ep, err := n.Network.Endpoint(rank)
+	if err != nil || rank != 0 {
+		return ep, err
+	}
+	return tamperEndpoint{Endpoint: ep, n: n}, nil
+}
+
+type tamperEndpoint struct {
+	transport.Endpoint
+	n *tamperNet
+}
+
+func (e tamperEndpoint) Send(dst int, words []uint64) error {
+	if len(words) > 3 && e.n.tampered.CompareAndSwap(0, 1) {
+		words = e.n.tamper(words)
+	}
+	return e.Endpoint.Send(dst, words)
+}
+
+// TestTriCRejectsHostileRecords: a TriC exchange record whose length runs
+// past its frame, or a frame that ends inside a record header, is a corrupt
+// frame from its sender — never a slice out of range in the receiver's body.
+func TestTriCRejectsHostileRecords(t *testing.T) {
+	fx, _ := testgraph.ByName("gnm")
+	g := fx.Build()
+	for name, tamper := range map[string]func([]uint64) []uint64{
+		// words[0] is the frame tag, words[1] the first record's vertex.
+		"length 2^40":      func(w []uint64) []uint64 { w[2] = 1 << 40; return w },
+		"truncated header": func(w []uint64) []uint64 { return append(w, 7) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			net := &tamperNet{Network: transport.NewChanNetwork(2), tamper: tamper}
+			defer net.Close()
+			_, err := Run(AlgoTriC, g, Config{P: 2, Network: net})
+			if net.tampered.Load() != 1 {
+				t.Fatal("rank 0 sent no exchange frame to tamper with")
+			}
+			var re *dist.RunError
+			var cf *comm.CorruptFrameError
+			if !errors.As(err, &re) || re.Cause != dist.CauseCorrupt || !errors.As(err, &cf) || cf.Src != 0 {
+				t.Fatalf("err = %v, want a corrupt-frame RunError blaming rank 0", err)
+			}
+		})
 	}
 }
 

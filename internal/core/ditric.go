@@ -27,7 +27,7 @@ func ditricFrom(pe *dist.PE, pl *plan, lg *graph.LocalGraph, out *peOutcome, sw 
 	state := newCountState(lg, cfg)
 	// The receiver structure is the already-built oriented graph, so received
 	// records can be intersected from the first poll on.
-	op := newOverlapPipeline(pe, sw, lg, cfg, state, out, func(ws *countState, r recvRecord) {
+	op := newOverlapPipeline(pe, sw, lg, cfg, state, func(ws *countState, r recvRecord) {
 		ws.recvRecord(r, ori)
 	})
 	pe.C.Barrier() // everyone finished preprocessing; handlers are live

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -179,39 +178,12 @@ func Run(algo Algorithm, g *graph.Graph, cfg Config) (*Result, error) {
 	outcomes, metrics, err := pl.run(func(pe *dist.PE, out *peOutcome) error {
 		return pl.body(pe, g, out)
 	})
-	var res *Result
 	if err != nil {
-		if res = maybePartial(err, pl.cfg, outcomes, metrics, g); res == nil {
-			return nil, err
-		}
-	} else {
-		res = mergeOutcomes(outcomes, metrics, g, pl.cfg)
+		return nil, err
 	}
+	res := mergeOutcomes(outcomes, metrics, g, pl.cfg)
 	res.Wall = time.Since(start)
 	return res, nil
-}
-
-// maybePartial turns an infrastructure abort into a degraded merge when the
-// config allows it: completed PEs contribute their full totals, aborted ones
-// their last phase-boundary snapshot. Returns nil when the error must
-// propagate — degradation is opt-in and never hides the body's own errors.
-func maybePartial(err error, cfg Config, outcomes []*peOutcome, metrics []comm.Metrics, g *graph.Graph) *Result {
-	if !cfg.AllowPartial {
-		return nil
-	}
-	var re *dist.RunError
-	if !errors.As(err, &re) || re.Cause == dist.CauseBody {
-		return nil
-	}
-	res := mergeOutcomes(outcomes, metrics, g, cfg)
-	completed := 0
-	for _, out := range outcomes {
-		if out != nil && out.finished {
-			completed++
-		}
-	}
-	res.Partial = &PartialInfo{Err: re, Completed: completed, P: cfg.P}
-	return res
 }
 
 // RunRank executes a single rank of a multi-process cluster on an existing

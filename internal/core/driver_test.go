@@ -168,8 +168,8 @@ func TestPrepareRejectsRowSpaceOverflow(t *testing.T) {
 //   - RunStream over SplitStream(g.Edges(), …) in 1–8 batches: a set-up
 //     error exactly for LCC, Collect or an algorithm other than
 //     DITRIC/CETRIC, else the exact count.
-//   - RunApproxCetric with a fuzzed BitsPerKey and Truthful off: a set-up
-//     error exactly for a NaN, infinite or above-MaxBitsPerKey size, else
+//   - RunApproxCetric with a fuzzed BitsPerKey: a set-up error exactly for
+//     a NaN, infinite or above-MaxBitsPerKey size, else
 //     Exact12 ≤ T ≤ Exact12 + Type3Raw, because the filters have no false
 //     negatives.
 //
@@ -181,7 +181,6 @@ func FuzzRunConfig(f *testing.F) {
 		bitLCC
 		bitCollect
 		bitNoSurrogate
-		bitBlocked // RunApproxCetric's blocked filter
 	)
 	const (
 		entryRun = iota
@@ -199,7 +198,7 @@ func FuzzRunConfig(f *testing.F) {
 	// A NaN filter size used to abort a PE body in growslice.
 	f.Add(uint8(3), uint8(1), uint8(3), uint16(0), uint8(1), uint8(0), uint8(entryApprox), int8(0), math.NaN())
 	f.Add(uint8(5), uint8(0), uint8(4), uint16(3), uint8(2), uint8(bitIndirect|bitOverlap), uint8(entryStream), int8(0), 0.0)
-	f.Add(uint8(1), uint8(1), uint8(6), uint16(0), uint8(0), uint8(bitLCC|bitBlocked), uint8(entryApprox), int8(1), 3.5)
+	f.Add(uint8(1), uint8(1), uint8(6), uint16(0), uint8(0), uint8(bitLCC), uint8(entryApprox), int8(1), 3.5)
 	f.Fuzz(func(t *testing.T, fxSel, algoSel, pSel uint8, threshold uint16, threads, flags, entrySel uint8, hub int8, bits float64) {
 		fx := testgraph.All[int(fxSel)%len(testgraph.All)]
 		algo := algos[int(algoSel)%len(algos)]
@@ -243,7 +242,7 @@ func FuzzRunConfig(f *testing.F) {
 				t.Fatalf("%s stream %s %+v: count %d, want %d", fx.Name, algo, cfg, sres.Count, fx.Triangles)
 			}
 		case entryApprox:
-			acfg := AMQConfig{BitsPerKey: bits, Blocked: flags&bitBlocked != 0}
+			acfg := AMQConfig{BitsPerKey: bits}
 			res, err := RunApproxCetric(g, cfg, acfg)
 			if wantSetupErr(err, math.IsNaN(bits) || math.IsInf(bits, 0) || bits > MaxBitsPerKey) {
 				return

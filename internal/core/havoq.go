@@ -81,7 +81,6 @@ func havoqBody(pe *dist.PE, pl *plan, lg *graph.LocalGraph, out *peOutcome, sw *
 		flush(dst)
 	}
 
-	out.partialCount = state.count // coherent local-phase snapshot for degraded merges
 	sw.phase(PhaseGlobal)
 	pe.Q.Drain()
 	sw.stop()

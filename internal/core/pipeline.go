@@ -231,9 +231,9 @@ func (op *overlapPipeline) installHandlers() {
 		park(recvRecord{v: words[0], u: words[1], list: words[2:], kind: chNeighEdge})
 	})
 	pe.Q.Handle(chDelta, op.state.handleDelta)
-	if a := op.state.amq; a != nil {
+	if op.state.amq != nil {
 		pe.Q.Handle(chAMQ, func(src int, words []uint64) {
-			checkAMQ(src, words, a.Blocked)
+			checkAMQ(src, words)
 			park(recvRecord{v: words[0], list: words[2:], kind: chAMQ})
 		})
 		pe.Q.Handle(chDeltaF, op.state.handleDeltaEst)
@@ -248,7 +248,6 @@ type overlapPipeline struct {
 	pe    *dist.PE
 	sw    *stopwatch
 	state *countState // funnel/main-goroutine state
-	out   *peOutcome  // receives the stage-boundary partial-count snapshots
 	dq    *stealDeque
 	fn    globalFn
 
@@ -268,9 +267,9 @@ type overlapPipeline struct {
 // newOverlapPipeline builds the pipeline for one counting run and installs
 // its handlers. fn intersects one received record.
 func newOverlapPipeline(pe *dist.PE, sw *stopwatch, lg *graph.LocalGraph, cfg Config,
-	state *countState, out *peOutcome, fn globalFn) *overlapPipeline {
+	state *countState, fn globalFn) *overlapPipeline {
 	op := &overlapPipeline{
-		pe: pe, sw: sw, state: state, out: out, dq: newStealDeque(), fn: fn,
+		pe: pe, sw: sw, state: state, dq: newStealDeque(), fn: fn,
 		overlap:    cfg.Overlap,
 		flushWords: math.MaxInt,
 		fscratch:   make([]recvRecord, dequeBatch),
@@ -300,11 +299,6 @@ func newOverlapPipeline(pe *dist.PE, sw *stopwatch, lg *graph.LocalGraph, cfg Co
 // transport, so deferring costs no decoded-arena memory and the queue's
 // O(δ) profile is untouched. Only the overlapped schedule acts on it; the
 // barriered one never polls or steals between chunks anyway.
-//
-// Each stage boundary publishes the count found so far as the PE's partial
-// snapshot: every triangle is found exactly once cluster-wide, so whatever
-// an aborted PE had counted by its last boundary is a true lower bound for
-// a degraded merge (Config.AllowPartial).
 func (op *overlapPipeline) stage(phase string, rows int, canSteal bool,
 	work func(ws *countState, lo, hi int, sends chan<- hybridSend)) {
 	op.sw.phase(phase)
@@ -314,11 +308,6 @@ func (op *overlapPipeline) stage(phase string, rows int, canSteal bool,
 	} else {
 		op.stagePar(rows, steal, work)
 	}
-	snapshot := op.state.count
-	for _, ws := range op.workers {
-		snapshot += ws.count
-	}
-	op.out.partialCount = snapshot
 }
 
 // stageSeq runs the chunks on the PE's only goroutine; with steal set it

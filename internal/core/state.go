@@ -119,24 +119,6 @@ func (s *countState) addRows(rv, ru, rw int32) {
 	}
 }
 
-// countEdge intersects av = A(v) with au = A(u) for the directed edge (v,u),
-// recording every triangle. Fast path without LCC/collection. This is the
-// global-ID path kept for the baselines (TriC); DITRIC/CETRIC run the
-// row-space path below.
-func (s *countState) countEdge(v, u graph.Vertex, av, au []graph.Vertex) uint64 {
-	if !s.lcc && !s.collect {
-		c := graph.CountIntersect(av, au)
-		s.count += c
-		return c
-	}
-	var c uint64
-	graph.ForEachCommon(av, au, func(w graph.Vertex) {
-		s.add(v, u, w)
-		c++
-	})
-	return c
-}
-
 // lazyMark returns *slot, allocating the mark over o's row domain on first
 // use.
 func lazyMark(slot **graph.RowMark, o *graph.LocalOriented) *graph.RowMark {
@@ -338,7 +320,6 @@ func (s *countState) flushGhostDeltas(pe *dist.PE) {
 // PE's locals are the contiguous ID range starting at First.
 func (s *countState) finish(out *peOutcome) {
 	out.count = s.count
-	out.finished = true
 	out.typeCounts = [3]uint64{s.t1, s.t2, s.t3}
 	out.triangles = s.triangles
 	out.amqEst = s.amqEst
@@ -437,15 +418,6 @@ func mergeOutcomes(outcomes []*peOutcome, metrics []comm.Metrics, g *graph.Graph
 	}
 	phaseMetrics := make(map[string][]comm.Metrics)
 	for _, out := range outcomes {
-		if out == nil {
-			continue // PE aborted before its body allocated an outcome
-		}
-		if !out.finished {
-			// Degraded merge: the body aborted mid-run, count what its last
-			// phase-boundary snapshot had.
-			res.Count += out.partialCount
-			continue
-		}
 		res.Count += out.count
 		for i := 0; i < 3; i++ {
 			res.TypeCounts[i] += out.typeCounts[i]
@@ -466,9 +438,6 @@ func mergeOutcomes(outcomes []*peOutcome, metrics []comm.Metrics, g *graph.Graph
 	if cfg.LCC {
 		res.Deltas = make([]uint64, g.NumVertices())
 		for _, out := range outcomes {
-			if out == nil {
-				continue
-			}
 			copy(res.Deltas[out.first:], out.deltas)
 		}
 		res.LCC = LCCFromDeltas(g, res.Deltas)

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -565,30 +564,6 @@ func TestOverlapTinyThresholds(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestRunDoulionRejectsNaN pins the NaN-proof validation: NaN compares
-// false against every bound, so the old two-clause check accepted it.
-func TestRunDoulionRejectsNaN(t *testing.T) {
-	g := testgraph.All[0].Build()
-	for _, q := range []float64{math.NaN(), 0, -0.5, 1.5, math.Inf(1), math.Inf(-1)} {
-		if _, _, err := RunDoulion(AlgoDiTric, g, Config{P: 2}, q, 1); err == nil {
-			t.Errorf("q=%v: expected error", q)
-		}
-	}
-	if _, _, err := RunDoulion(AlgoDiTric, g, Config{P: 2}, 1, 1); err != nil {
-		t.Errorf("q=1: %v", err)
-	}
-}
-
-func TestSparsifyColorfulRejectsZeroColors(t *testing.T) {
-	g := testgraph.All[0].Build()
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for ncolors=0")
-		}
-	}()
-	SparsifyColorful(g, 0, 1)
 }
 
 // TestStreamFeedReleaseIsAnAbortEcho: a PE parked on its batch feed sits

@@ -274,7 +274,5 @@ func tk2dBody(pe *dist.PE, pl *plan, g *graph.Graph, out *peOutcome) error {
 		out.count += kernel.workers[i].count
 		out.triangles = append(out.triangles, kernel.workers[i].tris...)
 	}
-	out.partialCount = out.count
-	out.finished = true
 	return nil
 }

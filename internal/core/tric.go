@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+
+	"repro/internal/comm"
 	"repro/internal/dist"
 	"repro/internal/graph"
 )
@@ -68,7 +71,6 @@ func tricBody(pe *dist.PE, pl *plan, lg *graph.LocalGraph, out *peOutcome, sw *s
 		pe.C.M.PeakBuffered = buffered
 	}
 
-	out.partialCount = state.count // coherent local-phase snapshot for degraded merges
 	sw.phase(PhaseGlobal)
 	received := pe.C.DenseExchange(sendBufs)
 	for src, words := range received {
@@ -76,11 +78,16 @@ func tricBody(pe *dist.PE, pl *plan, lg *graph.LocalGraph, out *peOutcome, sw *s
 			continue
 		}
 		for i := 0; i < len(words); {
-			v := words[i]
-			n := int(words[i+1])
-			list := words[i+2 : i+2+n]
+			// A record is [v, |A(v)|, A(v)...]; a header or a list that runs
+			// past the frame is a corrupt frame, never a slice out of range.
+			rest := words[i:]
+			if len(rest) < 2 || rest[1] > uint64(len(rest)-2) {
+				panic(&comm.CorruptFrameError{Src: src, Reason: fmt.Sprintf(
+					"tric record at word %d overruns the %d-word frame", i, len(words))})
+			}
+			n := int(rest[1])
+			state.recvNeigh(rest[0], rest[2:2+n], ori)
 			i += 2 + n
-			state.recvNeigh(v, list, ori)
 		}
 	}
 	sw.stop()

@@ -2,9 +2,9 @@
 // sequential EDGE ITERATOR base, the distributed DITRIC and CETRIC (with and
 // without grid-indirect communication, Config.Indirect), the competitor
 // baselines TriC and a HavoqGT-style vertex-centric counter, the unbuffered
-// baseline of Fig. 2 (DITRIC with Config.Threshold = 1), and the extensions of §IV-E (local clustering coefficients, triangle
-// enumeration, AMQ-approximate counting) plus the classic approximation
-// baselines DOULION and colorful sparsification.
+// baseline of Fig. 2 (DITRIC with Config.Threshold = 1), and the extensions
+// of §IV-E: local clustering coefficients, triangle enumeration and
+// AMQ-approximate counting (RunApproxCetric, the one approximate counter).
 package core
 
 import (
@@ -180,14 +180,6 @@ type Config struct {
 	// runtime (see dist.Config). Zero disables each.
 	CommDeadline time.Duration
 	RunTimeout   time.Duration
-	// AllowPartial degrades instead of failing when the run aborts for an
-	// infrastructure cause (peer loss, watchdog, run timeout — never a body
-	// error): Run returns the merged count over what the surviving PEs got
-	// done, annotated in Result.Partial. The count is a lower bound on the
-	// fault-free result — meant for the approximate pipelines
-	// (DOULION/colorful), where a degraded run still yields a usable
-	// estimate with a widened error bound.
-	AllowPartial bool
 }
 
 // withDefaults fills derived defaults given the local input size estimate.
@@ -242,34 +234,7 @@ type Result struct {
 	Phases    map[string]time.Duration
 	PhaseComm map[string]comm.Aggregate
 
-	// Partial is non-nil when the run degraded under Config.AllowPartial:
-	// Count then merges completed PEs' totals with the mid-run snapshots of
-	// the PEs that aborted, making it a lower bound on the fault-free count.
-	Partial *PartialInfo
-
 	Wall time.Duration
-}
-
-// PartialInfo annotates a degraded run: what killed it and how much of the
-// cluster finished, so estimator callers can widen their error bounds.
-type PartialInfo struct {
-	// Err is the abort the run survived — a *dist.RunError whose Unwrap
-	// chain reaches the typed comm/transport failure.
-	Err error
-	// Completed counts PEs whose bodies ran to completion; Count includes
-	// their full totals plus only phase-boundary snapshots from the rest.
-	Completed int
-	// P is the cluster size Completed is out of.
-	P int
-}
-
-// Fraction is the share of PEs that ran to completion — the crudest usable
-// completeness estimate for widening an estimator's error bound.
-func (p *PartialInfo) Fraction() float64 {
-	if p.P <= 0 {
-		return 0
-	}
-	return float64(p.Completed) / float64(p.P)
 }
 
 // peOutcome is what each PE's body produces for the driver to merge.
@@ -287,13 +252,6 @@ type peOutcome struct {
 	deltas   []uint64
 	deltaEst []float64
 	amqEst   float64
-
-	// finished marks a body that ran to completion (countState.finish);
-	// partialCount is the last coherent count snapshot a body published at a
-	// phase boundary before aborting. The driver reads both only after
-	// dist.Run has joined every PE goroutine, so plain fields suffice.
-	finished     bool
-	partialCount uint64
 }
 
 func newPEOutcome() *peOutcome {

@@ -150,11 +150,6 @@ func checkKernels[T Index](t *testing.T, a, b []T, want uint64) int {
 	if got := ba.CountAnd(bs); got != want {
 		t.Fatalf("bitmap AND = %d, merge = %d (a=%v b=%v)", got, want, a, b)
 	}
-	var and uint64
-	ba.ForEachAnd(bs, func(Vertex) { and++ })
-	if and != want {
-		t.Fatalf("bitmap ForEachAnd = %d, merge = %d", and, want)
-	}
 	// A bare Mark of this instantiation (the streaming engine's global-ID
 	// marks are Mark[Vertex]): stamp b, probe with a, leave it all-zero.
 	m := NewMark[T](domain)

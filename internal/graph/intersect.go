@@ -18,8 +18,8 @@ import "math/bits"
 // galloping. Set-based, where one side is a Bitset and the other a list
 // tested against it — one bit test per list entry whatever the set's size:
 //
-//   - CountList / CountListSplit / ForEachCommonList (and Bitset.CountAnd /
-//     ForEachAnd for bitset ∩ bitset). The set is either a build-time hub
+//   - CountList / CountListSplit / ForEachCommonList (and Bitset.CountAnd
+//     for bitset ∩ bitset). The set is either a build-time hub
 //     bitmap (the hub index in oriented.go / order.go) or a Mark stamped at
 //     run time with a source list that several partner lists are then
 //     probed against — the stamped wedge kernel every 1D row-space wedge and
@@ -193,18 +193,6 @@ func (bs Bitset) CountAnd(other Bitset) uint64 {
 		cnt += bits.OnesCount64(w & other[i])
 	}
 	return uint64(cnt)
-}
-
-// ForEachAnd calls fn for every common member of bs and other, ascending.
-func (bs Bitset) ForEachAnd(other Bitset, fn func(Vertex)) {
-	for i, w := range bs {
-		w &= other[i]
-		base := Vertex(i) << 6
-		for w != 0 {
-			fn(base + Vertex(bits.TrailingZeros64(w)))
-			w &= w - 1
-		}
-	}
 }
 
 // Mark is the reusable "mark once" half of the stamped wedge kernel: a

@@ -19,9 +19,8 @@
 // The package also ships the baselines the paper compares against (TriC,
 // a HavoqGT-style vertex-centric counter, and the unbuffered edge iterator,
 // which is DITRIC with Options.Threshold = 1), the
-// approximate extensions (Bloom-filter neighborhoods, DOULION, colorful
-// sparsification), KAGEN-style graph generators, and an α+β network cost
-// model. PEs run as goroutines over an in-process transport by default; a
+// approximate extension (CETRIC shipping Bloom-filter neighborhoods),
+// KAGEN-style graph generators, and an α+β network cost model. PEs run as goroutines over an in-process transport by default; a
 // TCP transport (see internal/transport) runs real multi-process clusters.
 //
 // Quick start (compiles verbatim; covered by Example_quickstart):
@@ -142,9 +141,9 @@ func Enumerate(g *Graph, fn func(a, b, c Vertex)) {
 	})
 }
 
-// ApproxOptions configures the Bloom-filter approximate global phase:
-// filter bits per neighbor (default 8), the cache-efficient blocked filter,
-// and the truthful estimator that subtracts expected false positives.
+// ApproxOptions configures the Bloom-filter approximate global phase: its
+// one field is the filter size in bits per neighbor (default 8). The
+// estimate always subtracts the expected false positives.
 type ApproxOptions = core.AMQConfig
 
 // ApproxResult is re-exported from the core engine.
@@ -157,20 +156,6 @@ type ApproxResult = core.ApproxResult
 // Count, and Options.LCC adds per-vertex estimates.
 func CountApprox(g *Graph, opt Options, aopt ApproxOptions) (*ApproxResult, error) {
 	return core.RunApproxCetric(g, opt, aopt)
-}
-
-// CountDoulion estimates the triangle count with DOULION edge sampling at
-// probability q on top of algo.
-func CountDoulion(g *Graph, algo Algorithm, opt Options, q float64, seed uint64) (float64, error) {
-	est, _, err := core.RunDoulion(algo, g, opt, q, seed)
-	return est, err
-}
-
-// CountColorful estimates the triangle count with colorful sparsification
-// (ncolors colors) on top of algo.
-func CountColorful(g *Graph, algo Algorithm, opt Options, ncolors int, seed uint64) (float64, error) {
-	est, _, err := core.RunColorful(algo, g, opt, ncolors, seed)
-	return est, err
 }
 
 // Generator conveniences (see internal/gen for the full catalog).

@@ -71,32 +71,13 @@ func TestEnumerateFacade(t *testing.T) {
 func TestApproxFacade(t *testing.T) {
 	g := GenerateGNM(1<<10, 16<<10, 9)
 	exact := CountSeq(g)
-	res, err := CountApprox(g, Options{P: 4}, ApproxOptions{BitsPerKey: 16, Truthful: true})
+	res, err := CountApprox(g, Options{P: 4}, ApproxOptions{BitsPerKey: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rel := math.Abs(res.Estimate-float64(exact)) / float64(exact)
 	if rel > 0.05 {
 		t.Fatalf("estimate %f too far from %d (rel %f)", res.Estimate, exact, rel)
-	}
-}
-
-func TestDoulionColorfulFacades(t *testing.T) {
-	g := GenerateRMAT(9, 16, 3)
-	exact := float64(CountSeq(g))
-	est, err := CountDoulion(g, AlgoCetric, Options{P: 4}, 1.0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if est != exact {
-		t.Fatalf("doulion q=1: %f, want %f", est, exact)
-	}
-	est, err = CountColorful(g, AlgoCetric, Options{P: 4}, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if est != exact {
-		t.Fatalf("colorful N=1: %f, want %f", est, exact)
 	}
 }
 
