@@ -88,6 +88,11 @@ func run() (err error) {
 		}
 		return nil
 	}
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if err := checkModeFlags(set, *stream, *approx, *batch); err != nil {
+		return err
+	}
 
 	g, err := buildGraph(*genFamily, *instance, *input, *n, *edgeFactor, *scale, *seed)
 	if err != nil {
@@ -272,6 +277,22 @@ func checkTCPRank(set map[string]bool) error {
 		if set[name] {
 			return fmt.Errorf("-tcp-rank does not support -%s", name)
 		}
+	}
+	return nil
+}
+
+// checkModeFlags rejects the set flags the chosen mode would ignore or
+// misread: -batch without -stream, -bits without -approx, and a negative
+// -batch (0 already picks the default size).
+func checkModeFlags(set map[string]bool, stream, approx bool, batch int) error {
+	if set["batch"] && !stream {
+		return fmt.Errorf("-batch needs -stream")
+	}
+	if set["bits"] && !approx {
+		return fmt.Errorf("-bits needs -approx")
+	}
+	if batch < 0 {
+		return fmt.Errorf("-batch %d is negative (0 picks the default size)", batch)
 	}
 	return nil
 }

@@ -103,3 +103,38 @@ func TestCheckTCPRank(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckModeFlags: a flag the chosen mode would ignore — -batch without
+// -stream, -bits without -approx — or a negative -batch is an error naming
+// the flag; each flag in its own mode, and no flag at all, passes.
+func TestCheckModeFlags(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		set            []string
+		stream, approx bool
+		batch          int
+		err            string // non-empty: the error must contain it
+	}{
+		{name: "plain run"},
+		{name: "-stream -batch 10", set: []string{"stream", "batch"}, stream: true, batch: 10},
+		{name: "-stream -batch 0", set: []string{"stream", "batch"}, stream: true},
+		{name: "-approx -bits 4", set: []string{"approx", "bits"}, approx: true},
+		{name: "-batch 10", set: []string{"batch"}, batch: 10, err: "-batch"},
+		{name: "-approx -batch 10", set: []string{"approx", "batch"}, approx: true, batch: 10, err: "-batch"},
+		{name: "-bits 4", set: []string{"bits"}, err: "-bits"},
+		{name: "-stream -bits 4", set: []string{"stream", "bits"}, stream: true, err: "-bits"},
+		{name: "-stream -batch -5", set: []string{"stream", "batch"}, stream: true, batch: -5, err: "-batch -5"},
+	} {
+		set := map[string]bool{}
+		for _, name := range tc.set {
+			set[name] = true
+		}
+		err := checkModeFlags(set, tc.stream, tc.approx, tc.batch)
+		if tc.err == "" && err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
+		if tc.err != "" && (err == nil || !strings.Contains(err.Error(), tc.err)) {
+			t.Errorf("%s: err %v, want an error naming %s", tc.name, err, tc.err)
+		}
+	}
+}

@@ -15,7 +15,7 @@ import (
 // threshold of one word every shipment overflows, flushes and polls — so
 // records are received (and stamped into the receive mark) while the
 // emission row that is shipping is still stamped. Sharing one mark between
-// the two would trip RowMark.Stamp's guard; blending the lists silently
+// the two would trip Mark.Stamp's guard; blending the lists silently
 // would miscount. TriC ships through one static exchange after its local
 // loop and must come out the same.
 func TestStampedKernelReentrancy(t *testing.T) {

@@ -55,14 +55,14 @@ type countState struct {
 	// across records so steady-state receive processing allocates nothing.
 	tr graph.RowTranslator
 
-	// The stamped wedge kernel's marks (graph.RowMark), allocated on first
+	// The stamped wedge kernel's marks (graph.Mark), allocated on first
 	// use: emitMark holds the A(v) of the emission row being swept, recvMark
 	// a received record's translated list. Two, not one, because at
 	// Threads == 1 queue handlers run inline inside shipper.ship — a record
 	// can be received while an emission row is still stamped, and one shared
 	// bitset would blend the two lists. Nothing nests deeper: the receive
 	// path never sends.
-	emitMark, recvMark *graph.RowMark
+	emitMark, recvMark *graph.Mark
 
 	// An approximate run's receive side (nil amq on exact runs; positive
 	// filter probes count as t3): the filter config, the expanded orientation
@@ -121,7 +121,7 @@ func (s *countState) addRows(rv, ru, rw int32) {
 
 // lazyMark returns *slot, allocating the mark over o's row domain on first
 // use.
-func lazyMark(slot **graph.RowMark, o *graph.LocalOriented) *graph.RowMark {
+func lazyMark(slot **graph.Mark, o *graph.LocalOriented) *graph.Mark {
 	if *slot == nil {
 		*slot = o.NewRowMark()
 	}
@@ -230,7 +230,7 @@ func (s *countState) recvRecord(r recvRecord, o *graph.LocalOriented) uint64 {
 // bitmap probed with the shorter stamped list), then the count shape of the
 // kernel, or the for-each shape when LCC/collection need every closing
 // vertex. Returns the triangles found and the words probed for them.
-func (s *countState) countWedgeRows(m *graph.RowMark, rv, ru int32, o *graph.LocalOriented) (c uint64, probed int) {
+func (s *countState) countWedgeRows(m *graph.Mark, rv, ru int32, o *graph.LocalOriented) (c uint64, probed int) {
 	set, probe := o.Probe(m, ru)
 	if !s.lcc && !s.collect {
 		c = graph.CountList(set, probe)

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/comm"
 	"repro/internal/dist"
 	"repro/internal/graph"
 	"repro/internal/part"
@@ -57,16 +58,23 @@ import (
 //	         resident rows stay symmetric across PEs by induction), so that
 //	         sub-run is exactly the set of pairs (v,w) this PE must count.
 //
-// Kernel: the record's old(v) and Δ(v) are stamped once into two global-ID
-// marks (a graph.Mark of IDs) and each partner's resident row and staged Δ are
-// probed against them, L + Σ(|old(wᵢ)| + |Δ(wᵢ)|) bit tests for k partners
-// instead of the 2k·L + 2Σ|wᵢ| steps of four merges per pair. A partner
-// whose lists are skewed against the record (graph.Skewed, the intersection
-// kernels' own gallop ratio) goes through the pairwise merge/gallop kernels
-// instead (pair), so a short row meeting a hub does not scan the hub. The
-// two marks cost n/4 bytes per PE — what the StreamBuilder's own row
-// headers cost at p ≈ 112 — and are allocated with the engine at the first
-// insert batch: a pure-ingestion stream never pays for them.
+// Kernel: each pair probes the shorter side, and reads each probed entry
+// once. The record's old(v) and Δ(v), L entries, are stamped once into one
+// two-bit mark over global IDs (graph.SplitMark: bit 0 old(v), bit 1 Δ(v)),
+// so one load per entry of a partner's old(w) or Δ(w) yields both of that
+// entry's category hits. A partner w whose old(w) is longer than the record
+// and carries a row bitmap (the StreamBuilder keeps one over [0, n) for
+// every row of at least BitsetWords(n) entries) turns the probe around:
+// old(v) and Δ(v) are tested against w's bitmap and only Δ(w) against the
+// mark, L + |Δ(w)| bit tests instead of |old(w)| + |Δ(w)|. Any other
+// partner is probed against the mark, unless its lists are skewed against
+// the record (graph.Skewed, the intersection kernels' own gallop ratio):
+// then the pairwise merge/gallop kernels (pair) keep a short record meeting
+// an unindexed long row from scanning that row. The mark costs n/4 bytes
+// per PE — what the StreamBuilder's own row headers cost at p ≈ 112 — and
+// the row bitmaps at most one word per resident entry; both come with the
+// engine at the first insert batch, so a pure-ingestion stream pays for
+// neither.
 
 // BatchSource yields successive edge batches of a stream. Returning nil or
 // an empty batch ends the source. Batches may be any size; the driver
@@ -406,16 +414,17 @@ func streamBody(pe *dist.PE, pl *plan, feed <-chan feedItem, abortCh <-chan stru
 // the per-batch parallelism living in Stage/Commit instead.
 type streamState struct {
 	sb         *graph.StreamBuilder
+	n          uint64 // vertices: every ID in a record is below it
 	n0, n1, n2 uint64
 	ship       []uint64 // record scratch, reused across rows
-	// Global-ID marks holding old(v) and Δ(v) of the record being counted.
-	// One pair serves received records and local rows alike: see countStaged
-	// for why the two never nest.
-	old, delta *graph.Mark[graph.Vertex]
+	// The two-bit global-ID mark holding old(v) (bit 0) and Δ(v) (bit 1) of
+	// the record being counted. One mark serves received records and local
+	// rows alike: see countStaged for why the two never nest.
+	mark *graph.SplitMark
 }
 
 func newStreamState(sb *graph.StreamBuilder, n uint64) *streamState {
-	return &streamState{sb: sb, old: graph.NewMark[graph.Vertex](int(n)), delta: graph.NewMark[graph.Vertex](int(n))}
+	return &streamState{sb: sb, n: n, mark: graph.NewSplitMark(int(n))}
 }
 
 // pair accumulates the category intersections for one effective-new edge
@@ -429,31 +438,48 @@ func (s *streamState) pair(oa, da, ob, db []graph.Vertex) {
 	s.n2 += graph.CountIntersect(da, db)
 }
 
+// rowBitmap returns local row r's bitmap when a record of lv entries should
+// be probed against it: the row has one and its old(r) is the longer side.
+func (s *streamState) rowBitmap(r int32, lv int) graph.Bitset {
+	if bm := s.sb.RowBitmap(r); bm != nil && lv < len(s.sb.Row(r)) {
+		return bm
+	}
+	return nil
+}
+
 // countPartners counts the new edges (v,w), w ∈ ws, for a row v with
-// neighborhood split (ov=old, dv=Δ); every w is a local vertex. The marks
-// are stamped at the first partner that probes them and cleared on return,
-// so a row whose partners all gallop (or that has none) never touches them.
+// neighborhood split (ov=old, dv=Δ); every w is a local vertex. The mark is
+// stamped at the first partner that probes it and cleared on return, so a
+// row whose partners all gallop (or that has none) never touches it.
 func (s *streamState) countPartners(ov, dv, ws []graph.Vertex) {
 	stamped := false
+	lv := len(ov) + len(dv)
 	for _, w := range ws {
 		r := int32(w - s.sb.First())
 		ow, dw := s.sb.Row(r), s.sb.StagedRowOf(r)
-		if graph.Skewed(len(ov)+len(dv), len(ow)+len(dw)) {
+		if bm := s.rowBitmap(r, lv); bm != nil {
+			// old(w) is the longer side: the record probes its bitmap, and
+			// only Δ(w) is left to probe the mark.
+			s.n0 += graph.CountList(bm, ov)
+			s.n1 += graph.CountList(bm, dv)
+			ow = nil
+		} else if graph.Skewed(lv, len(ow)+len(dw)) {
 			s.pair(ov, dv, ow, dw)
 			continue
 		}
 		if !stamped {
-			s.old.Stamp(ov)
-			s.delta.Stamp(dv)
+			s.mark.Stamp(ov, dv)
 			stamped = true
 		}
-		s.n0 += s.old.CountList(ow)
-		s.n1 += s.delta.CountList(ow) + s.old.CountList(dw)
-		s.n2 += s.delta.CountList(dw)
+		o, d := s.mark.CountList(ow)
+		s.n0 += o
+		s.n1 += d
+		o, d = s.mark.CountList(dw)
+		s.n1 += o
+		s.n2 += d
 	}
 	if stamped {
-		s.old.Unstamp()
-		s.delta.Unstamp()
+		s.mark.Unstamp()
 	}
 }
 
@@ -470,10 +496,41 @@ func span(list []graph.Vertex, lo, hi graph.Vertex) []graph.Vertex {
 // handle processes one shipped record [v, |Δ(v)|, Δ(v)..., old(v)...]. The
 // partners are the entries of Δ(v) this PE owns; the sender only ships here
 // when one of them is below v, and then the whole range is (v is not in it).
-func (s *streamState) handle(_ int, words []uint64) {
-	k := int(words[1])
-	dv, ov := words[2:2+k], words[2+k:]
+func (s *streamState) handle(src int, words []uint64) {
+	dv, ov := s.checkRecord(src, words)
 	s.countPartners(ov, dv, span(dv, s.sb.First(), s.sb.Last()))
+}
+
+// checkRecord splits a received record into Δ(v) and old(v) after checking,
+// before anything is stamped or probed, what the kernels take on trust: a
+// header that fits the record, IDs below n, and two strictly ascending
+// lists. A record that fails is a corrupt frame from src.
+func (s *streamState) checkRecord(src int, words []uint64) (dv, ov []graph.Vertex) {
+	if len(words) < 2 || words[1] > uint64(len(words)-2) {
+		panic(&comm.CorruptFrameError{Src: src, Reason: fmt.Sprintf(
+			"stream record of %d words does not hold its header and Δ(v)", len(words))})
+	}
+	k := int(words[1])
+	dv, ov = words[2:2+k], words[2+k:]
+	if words[0] >= s.n || !ascendingBelow(dv, s.n) || !ascendingBelow(ov, s.n) {
+		panic(&comm.CorruptFrameError{Src: src, Reason: fmt.Sprintf(
+			"stream record of vertex %d: an ID out of range n=%d or lists not strictly ascending", words[0], s.n)})
+	}
+	return dv, ov
+}
+
+// ascendingBelow reports whether list is strictly ascending with every
+// entry below n.
+func ascendingBelow(list []graph.Vertex, n uint64) bool {
+	if len(list) > 0 && list[len(list)-1] >= n {
+		return false
+	}
+	for i := 1; i < len(list); i++ {
+		if list[i] <= list[i-1] {
+			return false
+		}
+	}
+	return true
 }
 
 // record assembles row r's shipment in the send scratch.
@@ -492,11 +549,11 @@ func (s *streamState) record(r int32) []uint64 {
 //	v < w < Last   local: count here (all four lists are resident)
 //	Last ≤ w       remote, above v: skip, w's owner ships its row to us
 //
-// in that order, which is what lets one pair of marks serve both roles: a
-// Send can overflow δ, flush, poll and run handle inline, and handle stamps
-// the marks — but every Send of a row precedes its local partners, so the
-// row's own stamp is never live across one (Mark.Stamp panics if that
-// ordering is ever broken). Records still buffered or in flight when
+// in that order, which is what lets one mark serve both roles: a Send can
+// overflow δ, flush, poll and run handle inline, and handle stamps the mark
+// — but every Send of a row precedes its local partners, so the row's own
+// stamp is never live across one (SplitMark.Stamp panics if that ordering
+// is ever broken). Records still buffered or in flight when
 // the loop ends are the caller's Drain to deliver.
 func (s *streamState) countStaged(pe *dist.PE, pt *part.Partition) {
 	sb := s.sb

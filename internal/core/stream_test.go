@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -195,12 +196,12 @@ func (o *streamOracle) pairTuple(delta [][]graph.Vertex) [3]uint64 {
 	return [3]uint64{ref.n0, ref.n1, ref.n2}
 }
 
-// TestStreamDeltaReentrancy pins the one-pair-of-marks rule of the delta
-// engine. At Threads == 1 with δ = 1 every Send flushes and polls, so
-// records are received — and stamped into the marks — in the middle of the
-// sending loop. That is safe only because a row ships before it stamps for
-// its own local partners; an engine that stamped first must die in
-// Mark.Stamp's guard rather than blend two rows into one miscount.
+// TestStreamDeltaReentrancy pins the one-mark rule of the delta engine. At
+// Threads == 1 with δ = 1 every Send flushes and polls, so records are
+// received — and stamped into the mark — in the middle of the sending loop.
+// That is safe only because a row ships before it stamps for its own local
+// partners; an engine that stamped first must die in SplitMark.Stamp's
+// guard rather than blend two rows into one miscount.
 func TestStreamDeltaReentrancy(t *testing.T) {
 	for _, name := range []string{"rmat", "K12"} {
 		fx, _ := testgraph.ByName(name)
@@ -254,8 +255,7 @@ func TestStreamDeltaReentrancy(t *testing.T) {
 							// One row of countStaged with the two steps swapped.
 							for _, r := range sb.Staged() {
 								if dv := sb.StagedRowOf(r); len(dv) > 0 && dv[0] < sb.First() {
-									ss.old.Stamp(sb.Row(r))
-									ss.delta.Stamp(dv)
+									ss.mark.Stamp(sb.Row(r), dv)
 									pe.Q.Send(chNeighEdge, pl.pt.Rank(dv[0]), ss.record(r))
 								}
 							}
@@ -357,30 +357,279 @@ func TestStreamShipsOncePerDestination(t *testing.T) {
 	}
 }
 
-// BenchmarkStreamDeltaSteadyState measures allocs/op of the delta engine's
-// record path on a staged batch: rank 1 assembles every record it would ship
-// to rank 0 (send scratch) and rank 0 handles it — partner search, stamping
-// both marks, probing, un-stamping, and the gallop fallback for skewed
-// partners. Marks and scratch are sized on the warm-up pass, so the steady
-// state must report zero allocations (CI allocation gate).
-func BenchmarkStreamDeltaSteadyState(b *testing.B) {
-	g := gen.RMAT(gen.DefaultRMAT(10, 42))
+// TestStreamBitmapRowTuples follows one hub row through its row bitmap's
+// life cycle: it stays below BitsetWords(n) entries at Seal, crosses it in a
+// middle batch's Commit, and gains entries in every later batch, while short
+// rows keep closing triangles with it. At every p the hub is the partner of
+// some of those new edges, on both sides of a range boundary once p > 1, so a
+// bitmap that missed a Commit shows up as a per-batch (n0, n1, n2) off the
+// pairwise kernels.
+func TestStreamBitmapRowTuples(t *testing.T) {
+	const n = 2048
+	const hub = graph.Vertex(n/2 - 1) // the last ID of a range at p = 2 and 4
+	stride := graph.BitsetWords(n)
+	rng := rand.New(rand.NewSource(9))
+	// Thirty hub neighbors below the hub inside its range at p ≤ 4, thirty
+	// above it in the next ranges.
+	var nbrs []graph.Vertex
+	for _, x := range rng.Perm(n/4 - 1)[:30] {
+		nbrs = append(nbrs, graph.Vertex(n/4+x))
+	}
+	for _, x := range rng.Perm(n / 2)[:30] {
+		nbrs = append(nbrs, graph.Vertex(n/2+x))
+	}
+	// batches[0] is the initial graph and holds 20 hub edges; each insert
+	// batch brings 10 more, so the hub row ends batch 0 at 30 entries, crosses
+	// 32 = BitsetWords(n) in batch 1's Commit and grows in batches 2 and 3.
+	batches := make([][]graph.Edge, 5)
+	for i, x := range nbrs {
+		b := max(0, (i-10)/10)
+		batches[b] = append(batches[b], graph.Edge{U: hub, V: x})
+	}
+	for i, x := range nbrs {
+		for _, y := range nbrs[i+1:] {
+			if rng.Intn(7) == 0 {
+				b := rng.Intn(len(batches))
+				batches[b] = append(batches[b], graph.Edge{U: x, V: y})
+			}
+		}
+	}
+	for i := 0; i < 2000; i++ {
+		b := rng.Intn(len(batches))
+		batches[b] = append(batches[b], graph.Edge{U: graph.Vertex(rng.Intn(n)), V: graph.Vertex(rng.Intn(n))})
+	}
+
+	oracle := streamOracle{adj: make([][]graph.Vertex, n)}
+	oracle.commit(oracle.stage(batches[0]))
+	var want [][3]uint64
+	for b, batch := range batches[1:] {
+		before := len(oracle.adj[hub])
+		delta := oracle.stage(batch)
+		want = append(want, oracle.pairTuple(delta))
+		oracle.commit(delta)
+		if after := len(oracle.adj[hub]); after <= before || (before >= stride) != (b >= 2) {
+			t.Fatalf("insert batch %d takes the hub row from %d to %d entries; the fixture must cross %d in batch 1 and grow in every batch",
+				b, before, after, stride)
+		}
+	}
+
+	for _, algo := range streamAlgos {
+		for _, p := range []int{1, 2, 4} {
+			next := 1
+			inserts := func() []graph.Edge {
+				if next == len(batches) {
+					return nil
+				}
+				next++
+				return batches[next-1]
+			}
+			sres, err := RunStream(algo, n, SliceBatches(batches[0], 0), inserts, Config{P: p})
+			if err != nil {
+				t.Fatalf("%s p=%d: %v", algo, p, err)
+			}
+			if !slices.Equal(sres.tuples, want) {
+				t.Errorf("%s p=%d: per-batch (n0,n1,n2) = %v, pairwise kernels give %v", algo, p, sres.tuples, want)
+			}
+		}
+	}
+}
+
+// hostileStream is a two-PE stream on 256 vertices whose rank 0 holds a row
+// far longer than any record: vertex 0, adjacent to 1..200. Unsealed, a
+// short record meets it through the pairwise gallop; sealed, through its
+// row bitmap. The batch gives rank 1's row 210 a new edge to 0, closing
+// triangles with 0 through 3 (old) and 211 (new).
+func hostileStream(seal bool) [2]*streamState {
+	const n = 256
+	pt := part.Uniform(n, 2)
+	var initial []graph.Edge
+	for x := graph.Vertex(1); x <= 200; x++ {
+		initial = append(initial, graph.Edge{U: 0, V: x})
+	}
+	initial = append(initial, graph.Edge{U: 210, V: 211}, graph.Edge{U: 210, V: 3})
+	inserts := []graph.Edge{{U: 210, V: 0}, {U: 211, V: 0}, {U: 3, V: 211}}
+	var ss [2]*streamState
+	for r := range ss {
+		sb := graph.NewStreamBuilder(pt, r)
+		sb.Fold(graph.ScatterEdges(pt, initial)[r], 1)
+		if seal {
+			sb.Seal(1)
+		}
+		sb.Stage(graph.ScatterEdges(pt, inserts)[r], 1)
+		ss[r] = newStreamState(sb, n)
+	}
+	return ss
+}
+
+// pairRecord is the pairwise-kernel oracle for one received record: one
+// pair call per partner the record has on ss's PE.
+func pairRecord(ss *streamState, rec []uint64) [3]uint64 {
+	dv, ov := rec[2:2+rec[1]], rec[2+rec[1]:]
+	var ref streamState
+	for _, w := range span(dv, ss.sb.First(), ss.sb.Last()) {
+		r := int32(w - ss.sb.First())
+		ref.pair(ov, dv, ss.sb.Row(r), ss.sb.StagedRowOf(r))
+	}
+	return [3]uint64{ref.n0, ref.n1, ref.n2}
+}
+
+// TestStreamRecordRejectsHostileFrames: a delta record whose header does not
+// describe its words, or whose lists are out of range or out of order, is a
+// corrupt frame from its sender — never an index out of range, and never a
+// count of garbage — whether its partner meets it through the gallop, the
+// mark or a row bitmap. A record record() built passes and counts what the
+// pairwise kernels count.
+func TestStreamRecordRejectsHostileFrames(t *testing.T) {
+	for _, seal := range []bool{false, true} {
+		ss := hostileStream(seal)
+		for _, tc := range []struct {
+			name string
+			rec  []uint64
+		}{
+			{"empty record", nil},
+			{"header-only record", []uint64{210}},
+			{"record shorter than its Δ", []uint64{210, 3, 0, 3}},
+			{"Δ length 2^40", []uint64{210, 1 << 40, 0, 3}},
+			{"Δ entry ≥ n", []uint64{210, 2, 0, 256, 211}},
+			{"old entry ≥ n", []uint64{210, 1, 0, 211, 1 << 40}},
+			{"vertex ≥ n", []uint64{256, 1, 0, 211}},
+			{"Δ descending", []uint64{210, 2, 3, 0, 211}},
+			{"Δ repeated", []uint64{210, 2, 0, 0, 211}},
+			{"old descending", []uint64{210, 1, 0, 212, 211}},
+			{"old repeated", []uint64{210, 1, 0, 211, 211}},
+		} {
+			t.Run(fmt.Sprintf("seal=%v/%s", seal, tc.name), func(t *testing.T) {
+				if cf := corruptFrom(func() { ss[0].handle(1, tc.rec) }); cf == nil || cf.Src != 1 {
+					t.Fatalf("handle(%v) raised %v, want a *comm.CorruptFrameError from 1", tc.rec, cf)
+				}
+				if !ss[0].mark.IsClear() {
+					t.Fatal("a rejected record left bits in the mark")
+				}
+			})
+		}
+		rec := slices.Clone(ss[1].record(210 - int32(ss[1].sb.First())))
+		ss[0].n0, ss[0].n1, ss[0].n2 = 0, 0, 0
+		if cf := corruptFrom(func() { ss[0].handle(1, rec) }); cf != nil {
+			t.Fatalf("seal=%v: a record record() built was rejected: %v", seal, cf)
+		}
+		if got, want := [3]uint64{ss[0].n0, ss[0].n1, ss[0].n2}, pairRecord(ss[0], rec); got != want || got == [3]uint64{} {
+			t.Fatalf("seal=%v: record %v counts %v, pairwise kernels give %v (must be non-zero)", seal, rec, got, want)
+		}
+	}
+}
+
+// FuzzStreamRecord hands random words to a fixed two-PE stream as a record
+// from rank 1. The handler either rejects them as a corrupt frame from 1 or
+// counts what the pairwise kernels count on the same lists; either way the
+// two-bit mark is all-zero afterwards and a record record() built still
+// counts exactly.
+func FuzzStreamRecord(f *testing.F) {
+	fx, _ := testgraph.ByName("rmat")
+	ss := stagedPair(fx.Build(), 7)
+	rows := shippedRows(ss)
+	var valid [][]uint64
+	for _, r := range rows[:min(len(rows), 4)] {
+		valid = append(valid, slices.Clone(ss[1].record(r)))
+	}
+	bytesOf := func(words []uint64) []byte {
+		b := make([]byte, 8*len(words))
+		for i, w := range words {
+			binary.LittleEndian.PutUint64(b[8*i:], w)
+		}
+		return b
+	}
+	for _, rec := range valid {
+		f.Add(bytesOf(rec))
+	}
+	f.Add([]byte{})
+	f.Add(bytesOf([]uint64{300, 1 << 40, 1}))
+	handle := func(t *testing.T, rec []uint64) (tuple [3]uint64, cf *comm.CorruptFrameError) {
+		ss[0].n0, ss[0].n1, ss[0].n2 = 0, 0, 0
+		cf = corruptFrom(func() { ss[0].handle(1, rec) })
+		if !ss[0].mark.IsClear() {
+			t.Fatalf("record %v left bits in the mark", rec)
+		}
+		return [3]uint64{ss[0].n0, ss[0].n1, ss[0].n2}, cf
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rec := make([]uint64, len(data)/8)
+		for i := range rec {
+			rec[i] = binary.LittleEndian.Uint64(data[8*i:])
+		}
+		if got, cf := handle(t, rec); cf != nil {
+			if cf.Src != 1 {
+				t.Fatalf("corrupt record blamed on %d, want 1", cf.Src)
+			}
+		} else if want := pairRecord(ss[0], rec); got != want {
+			t.Fatalf("record %v counts %v, pairwise kernels give %v", rec, got, want)
+		}
+		for _, v := range valid {
+			if got, cf := handle(t, v); cf != nil || got != pairRecord(ss[0], v) {
+				t.Fatalf("after %v: valid record %v counts %v (%v), pairwise kernels give %v", rec, v, got, cf, pairRecord(ss[0], v))
+			}
+		}
+	})
+}
+
+// stagedPair builds both PEs of a two-way stream over g's edges, shuffled
+// by seed: the first half folded and sealed — so long rows carry bitmaps —
+// and the second half staged.
+func stagedPair(g *graph.Graph, seed int64) [2]*streamState {
 	edges := g.Edges()
-	rand.New(rand.NewSource(42)).Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+	rand.New(rand.NewSource(seed)).Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
 	n := uint64(g.NumVertices())
 	pt := part.Uniform(n, 2)
 	var ss [2]*streamState
 	for r := range ss {
 		sb := graph.NewStreamBuilder(pt, r)
 		sb.Fold(graph.ScatterEdges(pt, edges[:len(edges)/2])[r], 1)
+		sb.Seal(1)
 		sb.Stage(graph.ScatterEdges(pt, edges[len(edges)/2:])[r], 1)
 		ss[r] = newStreamState(sb, n)
 	}
-	var rows []int32 // rank 1's touched rows with a new neighbor on rank 0
+	return ss
+}
+
+// shippedRows returns rank 1's touched rows with a new neighbor on rank 0:
+// the rows whose records rank 1 ships to rank 0.
+func shippedRows(ss [2]*streamState) []int32 {
+	var rows []int32
 	for _, r := range ss[1].sb.Staged() {
 		if dv := ss[1].sb.StagedRowOf(r); len(dv) > 0 && dv[0] < ss[1].sb.First() {
 			rows = append(rows, r)
 		}
+	}
+	return rows
+}
+
+// BenchmarkStreamDeltaSteadyState measures allocs/op of the delta engine's
+// record path on a staged batch: rank 1 assembles every record it would ship
+// to rank 0 (send scratch) and rank 0 handles it — record checks, partner
+// search, stamping the two-bit mark, probing it or a long partner's row
+// bitmap, un-stamping, and the gallop fallback for skewed partners. Mark,
+// bitmaps and scratch are sized before the timed loop, so the steady state
+// must report zero allocations (CI allocation gate).
+func BenchmarkStreamDeltaSteadyState(b *testing.B) {
+	ss := stagedPair(gen.RMAT(gen.DefaultRMAT(10, 42)), 42)
+	rows := shippedRows(ss)
+	// The replay must reach both probe directions, or the gate above covers
+	// only one of them.
+	sb0 := ss[0].sb
+	viaBitmap, viaMark := 0, 0
+	for _, r := range rows {
+		dv := ss[1].sb.StagedRowOf(r)
+		lv := len(ss[1].sb.Row(r)) + len(dv)
+		for _, w := range span(dv, sb0.First(), sb0.Last()) {
+			pr := int32(w - sb0.First())
+			if ss[0].rowBitmap(pr, lv) != nil {
+				viaBitmap++
+			} else if !graph.Skewed(lv, len(sb0.Row(pr))+len(sb0.StagedRowOf(pr))) {
+				viaMark++
+			}
+		}
+	}
+	if viaBitmap == 0 || viaMark == 0 {
+		b.Fatalf("%d partners probe a row bitmap, %d the mark; the benchmark must exercise both", viaBitmap, viaMark)
 	}
 	replay := func() {
 		for _, r := range rows {

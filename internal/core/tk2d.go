@@ -63,7 +63,7 @@ type tk2dRound struct {
 type tk2dWorker struct {
 	count uint64
 	tris  [][3]graph.Vertex
-	mark  *graph.RowMark
+	mark  *graph.Mark
 }
 
 // tk2dKernel is a PE's block-local counting: the transposed own block whose
@@ -83,7 +83,7 @@ func newTK2DKernel(g2 *part.Grid2D, rank int, ownT *graph.Block, cfg Config) *tk
 	kn := &tk2dKernel{g2: g2, rank: rank, ownT: ownT, cfg: cfg, workers: make([]tk2dWorker, cfg.Threads)}
 	for w := range kn.workers {
 		// Cyclic bands shrink with their index: round band 0 bounds them all.
-		kn.workers[w].mark = graph.NewMark[uint32](g2.BandSizeRound(0))
+		kn.workers[w].mark = graph.NewMark(g2.BandSizeRound(0))
 	}
 	kn.columns = kn.countColumns
 	return kn

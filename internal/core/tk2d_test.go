@@ -172,7 +172,7 @@ func tk2dLocalBlocks(g2 *part.Grid2D, g *graph.Graph) (blocks, blocksT []*graph.
 	return blocks, blocksT
 }
 
-// TestTK2DKernelLeavesMarksClear is the RowMark guard cell of the 2D
+// TestTK2DKernelLeavesMarksClear is the Mark guard cell of the 2D
 // kernel: driven round by round without a communicator, every worker's
 // mark is all-zero and holds no list after every round — a column that left
 // bits behind would be counted into the next one — and the rounds of all

@@ -110,7 +110,7 @@ func TestHubBitmapCountsMatchFixtures(t *testing.T) {
 
 // TestRowSpaceCountsMatchFixtures distributes every fixture over 4 PEs and
 // recounts type-1/2 triangles per PE through the row-translated layout
-// (OutRows + the stamped wedge kernel: RowMark, Probe and the three set
+// (OutRows + the stamped wedge kernel: Mark, Probe and the three set
 // kernels), checking it pair by pair against the global orientation's ID
 // lists, restricted to what the PE sees — the row-space lists must be an
 // exact relabeling of those.

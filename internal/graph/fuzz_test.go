@@ -81,7 +81,8 @@ func FuzzBinaryGraphFormat(f *testing.F) {
 
 // FuzzIntersectKernels feeds arbitrary byte strings, turned into sorted
 // deduplicated index slices, through every intersection kernel in both
-// instantiations — 8-byte global IDs and 4-byte row indices — and through
+// instantiations — 8-byte global IDs and 4-byte row indices — through the
+// bare marks (a Mark of row indices, a two-bit SplitMark of IDs), and through
 // the stamped wedge kernel, with either slice as the stamped list and the
 // partner with and without a hub bitmap; all must agree with the CountMerge
 // oracle over the 8-byte lists, in both argument orders.
@@ -94,8 +95,10 @@ func FuzzIntersectKernels(f *testing.F) {
 		a, b := sortedFromBytes[Vertex](rawA), sortedFromBytes[Vertex](rawB)
 		want := CountMerge(a, b)
 		domain := checkKernels(t, a, b, want)
+		checkSplitMark(t, a, b, want, domain)
 		ra, rb := sortedFromBytes[uint32](rawA), sortedFromBytes[uint32](rawB)
 		checkKernels(t, ra, rb, want)
+		checkMark(t, ra, rb, want, domain)
 		// Stamped kernel: both role assignments (so the stamped list is the
 		// shorter side in one of them and the longer in the other, empty lists
 		// included), partner with and without a hub bitmap.
@@ -150,15 +153,20 @@ func checkKernels[T Index](t *testing.T, a, b []T, want uint64) int {
 	if got := ba.CountAnd(bs); got != want {
 		t.Fatalf("bitmap AND = %d, merge = %d (a=%v b=%v)", got, want, a, b)
 	}
-	// A bare Mark of this instantiation (the streaming engine's global-ID
-	// marks are Mark[Vertex]): stamp b, probe with a, leave it all-zero.
-	m := NewMark[T](domain)
+	return domain
+}
+
+// checkMark probes a bare Mark (row indices) stamped with b with a, and
+// leaves it all-zero.
+func checkMark(t *testing.T, a, b []uint32, want uint64, domain int) {
+	t.Helper()
+	m := NewMark(domain)
 	m.Stamp(b)
 	if got := m.CountList(a); got != want {
 		t.Fatalf("mark = %d, merge = %d (a=%v b=%v)", got, want, a, b)
 	}
 	var marked uint64
-	m.ForEachCommonList(a, func(T) { marked++ })
+	m.ForEachCommonList(a, func(uint32) { marked++ })
 	if marked != want {
 		t.Fatalf("mark ForEach = %d, merge = %d", marked, want)
 	}
@@ -166,7 +174,31 @@ func checkKernels[T Index](t *testing.T, a, b []T, want uint64) int {
 	if got := m.bits.CountAnd(m.bits); got != 0 {
 		t.Fatalf("mark holds %d bits after Unstamp", got)
 	}
-	return domain
+}
+
+// checkSplitMark stamps b, split into its even- and odd-position entries,
+// into a two-bit SplitMark over global IDs and probes it with a: each bit
+// must count its own half, and Unstamp must leave the mark all-zero.
+func checkSplitMark(t *testing.T, a, b []Vertex, want uint64, domain int) {
+	t.Helper()
+	var even, odd []Vertex
+	for i, x := range b {
+		if i%2 == 0 {
+			even = append(even, x)
+		} else {
+			odd = append(odd, x)
+		}
+	}
+	m := NewSplitMark(domain)
+	m.Stamp(even, odd)
+	inA, inB := m.CountList(a)
+	if wantA, wantB := CountMerge(a, even), CountMerge(a, odd); inA != wantA || inB != wantB || inA+inB != want {
+		t.Fatalf("split mark = (%d, %d), merge = (%d, %d) of %d (a=%v b=%v)", inA, inB, wantA, wantB, want, a, b)
+	}
+	m.Unstamp()
+	if !m.IsClear() {
+		t.Fatalf("split mark holds bits after Unstamp (a=%v b=%v)", a, b)
+	}
 }
 
 // checkStamped runs all three shapes of the stamped wedge kernel for

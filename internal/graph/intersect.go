@@ -6,7 +6,7 @@ import "math/bits"
 // ITERATOR variant. Every kernel has one generic body over Index: 4-byte
 // row indices (every row-translated A-list, 2D block entry and row mark)
 // and 8-byte global IDs (the OutGraph of SeqCount, received records, the
-// streaming engine's marks). Two families of kernels are provided.
+// streaming engine's record lists). Two families of kernels are provided.
 // Pairwise, for a single intersection with nothing to amortise:
 //
 //   - CountMerge: the textbook two-pointer merge (branchy; fast when the
@@ -20,10 +20,12 @@ import "math/bits"
 //
 //   - CountList / CountListSplit / ForEachCommonList (and Bitset.CountAnd
 //     for bitset ∩ bitset). The set is either a build-time hub
-//     bitmap (the hub index in oriented.go / order.go) or a Mark stamped at
-//     run time with a source list that several partner lists are then
-//     probed against — the stamped wedge kernel every 1D row-space wedge and
-//     every TK2D round goes through; LocalOriented.Probe picks the sides.
+//     bitmap (the hub index in oriented.go / order.go, a StreamBuilder row
+//     bitmap) or a Mark stamped at run time with a source list that several
+//     partner lists are then probed against — the stamped wedge kernel every
+//     1D row-space wedge and every TK2D round goes through;
+//     LocalOriented.Probe picks the sides. SplitMark is the streaming delta
+//     engine's two-list Mark over global IDs.
 
 // Index is the element type of the sorted lists the kernels run on: uint32
 // for row indices (row space is bounded to 2³¹−1 rows per PE, see
@@ -196,42 +198,42 @@ func (bs Bitset) CountAnd(other Bitset) uint64 {
 }
 
 // Mark is the reusable "mark once" half of the stamped wedge kernel: a
-// bitset over a dense domain — row indices in the static engines (RowMark),
-// global IDs in the streaming delta engine, which never builds a row space —
-// holding one ascending list (a source neighborhood A(v)), against which any
-// number of partner lists A(u) are then probed. Stamp sets the list's L
-// bits, Unstamp zeroes exactly the words those L entries touched — never the
-// whole domain — so a mark costs 2·L word writes however large the domain
-// is, and between stampings the bitset is all-zero.
+// bitset over a dense domain of row indices — the 1D engines' row space
+// (LocalOriented.NewRowMark) or a TK2D band — holding one ascending list (a
+// source neighborhood A(v)), against which any number of partner lists A(u)
+// are then probed. Stamp sets the list's L bits, Unstamp zeroes exactly the
+// words those L entries touched — never the whole domain — so a mark costs
+// 2·L word writes however large the domain is, and between stampings the
+// bitset is all-zero.
 //
 // A mark holds one list at a time. Code that can be re-entered while its
 // list is stamped (a queue handler dispatched from inside a send, see
 // core.countState) needs a mark per nesting level; Stamp panics on a mark
 // that is still stamped rather than let two lists blend into one miscount.
-type Mark[T Index] struct {
+type Mark struct {
 	bits Bitset
-	list []T // the stamped list (aliased, not copied); nil when clear
+	list []uint32 // the stamped list (aliased, not copied); nil when clear
 }
 
-// RowMark is a Mark over row indices.
-type RowMark = Mark[uint32]
-
 // NewMark returns a clear mark over the dense domain [0, n) (n/8 bytes).
-func NewMark[T Index](n int) *Mark[T] { return &Mark[T]{bits: NewBitset(n)} }
+func NewMark(n int) *Mark { return &Mark{bits: NewBitset(n)} }
+
+// markHeld is the nesting guard's panic, shared by Mark and SplitMark.
+const markHeld = "graph: Mark stamped while still holding a list"
 
 // Stamp marks list, which must hold in-domain indices, ascending (every
 // OutRows slice and every TranslateRows result qualifies). The slice is
 // aliased until Unstamp.
-func (m *Mark[T]) Stamp(list []T) {
+func (m *Mark) Stamp(list []uint32) {
 	if m.list != nil {
-		panic("graph: Mark stamped while still holding a list")
+		panic(markHeld)
 	}
 	m.list = list
 	SetList(m.bits, list)
 }
 
 // Unstamp clears the stamped list's words, leaving the mark all-zero.
-func (m *Mark[T]) Unstamp() {
+func (m *Mark) Unstamp() {
 	for _, x := range m.list {
 		m.bits[x>>6] = 0
 	}
@@ -240,10 +242,73 @@ func (m *Mark[T]) Unstamp() {
 
 // CountList returns |list ∩ stamped list|: one bit test per element of list,
 // which must lie inside the mark's domain.
-func (m *Mark[T]) CountList(list []T) uint64 { return CountList(m.bits, list) }
+func (m *Mark) CountList(list []uint32) uint64 { return CountList(m.bits, list) }
 
 // ForEachCommonList calls fn for every element of list ∩ stamped list, in
 // list order.
-func (m *Mark[T]) ForEachCommonList(list []T, fn func(T)) {
+func (m *Mark) ForEachCommonList(list []uint32, fn func(uint32)) {
 	ForEachCommonList(m.bits, list, fn)
+}
+
+// SplitMark is a Mark over global IDs with two bits per ID: it holds one
+// neighborhood split into two lists, a in bit 0 and b in bit 1 — the
+// streaming delta engine stamps a record's old(v) and Δ(v) — so one load per
+// probed entry yields the entry's membership in both. Over [0, n) it costs
+// n/4 bytes, what two Marks over the same domain would. It keeps Mark's
+// contract: Unstamp zeroes only the words the two lists touched, and
+// stamping a mark that still holds its lists panics.
+type SplitMark struct {
+	words []uint64 // 32 IDs per word, ID x at bits 2(x mod 32) and 2(x mod 32)+1
+	a, b  []Vertex // the stamped lists (aliased, not copied)
+	held  bool
+}
+
+// NewSplitMark returns a clear two-bit mark over the IDs [0, n).
+func NewSplitMark(n int) *SplitMark { return &SplitMark{words: make([]uint64, (n+31)/32)} }
+
+// Stamp marks a in bit 0 and b in bit 1. Both lists must hold in-domain IDs;
+// they are aliased until Unstamp.
+func (m *SplitMark) Stamp(a, b []Vertex) {
+	if m.held {
+		panic(markHeld)
+	}
+	m.a, m.b, m.held = a, b, true
+	for _, x := range a {
+		m.words[x>>5] |= 1 << ((x & 31) << 1)
+	}
+	for _, x := range b {
+		m.words[x>>5] |= 2 << ((x & 31) << 1)
+	}
+}
+
+// Unstamp clears the stamped lists' words, leaving the mark all-zero.
+func (m *SplitMark) Unstamp() {
+	for _, x := range m.a {
+		m.words[x>>5] = 0
+	}
+	for _, x := range m.b {
+		m.words[x>>5] = 0
+	}
+	m.a, m.b, m.held = nil, nil, false
+}
+
+// CountList returns |list ∩ a| and |list ∩ b| by one load per element of
+// list, which must lie inside the mark's domain.
+func (m *SplitMark) CountList(list []Vertex) (inA, inB uint64) {
+	for _, x := range list {
+		w := m.words[x>>5] >> ((x & 31) << 1)
+		inA += w & 1
+		inB += w & 2
+	}
+	return inA, inB >> 1
+}
+
+// IsClear reports whether no bit is set: the state between stampings.
+func (m *SplitMark) IsClear() bool {
+	for _, w := range m.words {
+		if w != 0 {
+			return false
+		}
+	}
+	return true
 }

@@ -15,7 +15,7 @@ import (
 // Every orientation keeps OutRows(row): A(row) as row indices, sorted
 // ascending by row — the shape every local intersection runs on, so the hot
 // loops never touch the ghost index and can use bitsets over the row domain:
-// the per-hub bitmaps and the stamped RowMark (see Probe). Row indices are 4
+// the per-hub bitmaps and the stamped Mark (see Probe). Row indices are 4
 // bytes (a PE holds at most MaxRows rows).
 //
 // Out(row), the same set as global IDs sorted ascending, is kept only where
@@ -325,7 +325,7 @@ func (o *LocalOriented) OutDegree(row int32) int { return int(o.off[row+1] - o.o
 func (o *LocalOriented) HubBitset(row int32) Bitset { return o.hubs.bitset(int(row)) }
 
 // NewRowMark returns a clear mark over o's row domain (Rows/8 bytes).
-func (o *LocalOriented) NewRowMark() *RowMark { return NewMark[uint32](o.L.Rows()) }
+func (o *LocalOriented) NewRowMark() *Mark { return NewMark(o.L.Rows()) }
 
 // Probe is the stamped wedge kernel's one dispatch: for the list stamped in
 // m and the partner row, it returns a membership set and the ascending list
@@ -342,7 +342,7 @@ func (o *LocalOriented) NewRowMark() *RowMark { return NewMark[uint32](o.L.Rows(
 // type-1/type-2 classification) and ForEachCommonList (enumerate, ascending:
 // the LCC / Collect path). len(probe) is the work the pair costs, which is
 // what the receive-side work meter charges.
-func (o *LocalOriented) Probe(m *RowMark, row int32) (set Bitset, probe []uint32) {
+func (o *LocalOriented) Probe(m *Mark, row int32) (set Bitset, probe []uint32) {
 	au := o.OutRows(row)
 	if hub := o.hubs.bitset(int(row)); hub != nil && len(m.list) < len(au) {
 		return hub, m.list

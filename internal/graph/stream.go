@@ -27,6 +27,15 @@ import (
 // exactly a row slab — sorted, duplicate-free global IDs per local vertex —
 // so Seal hands them to buildRows as they are, and a sealed streamed build
 // is byte-identical to BuildLocalCSR on the graph of the same edges.
+//
+// Row bitmaps. Once Seal has run (inserts follow), every resident row with
+// at least BitsetWords(n) entries also keeps a Bitset of its IDs over
+// [0, n), so the delta counter can test a short list against a long row bit
+// by bit instead of scanning the row. Seal builds them, and Commit sets the
+// bits of every merged Δ entry and gives a row its bitmap when it crosses
+// the threshold. A bitmap's words never exceed its row's entries, so all
+// bitmap words of a PE stay at most Entries(): the one-word-per-entry cap of
+// the static hub index (buildHubs).
 
 // StreamBuilder accumulates one PE's scattered edge batches into a resident
 // per-local-row adjacency (sorted global IDs, duplicates removed). Ghost
@@ -40,6 +49,11 @@ type StreamBuilder struct {
 	first, last Vertex
 	rows        [][]Vertex // per local row: sorted, deduplicated global IDs
 	entries     int        // total resident adjacency entries
+
+	// Row bitmaps (nil until Seal): per row, the row's IDs over [0, n) once
+	// it holds at least stride entries, nil below that.
+	stride  int
+	bitmaps []Bitset
 
 	// Staged batch (valid between Stage and Commit).
 	staged      bool
@@ -89,6 +103,16 @@ func (b *StreamBuilder) Entries() int { return b.entries }
 // staged batch this is still the pre-batch state ("old" in the delta
 // counting identities); Commit folds the staged Δ in.
 func (b *StreamBuilder) Row(r int32) []Vertex { return b.rows[r] }
+
+// RowBitmap returns the bitmap of Row(r) over [0, n), or nil when the row
+// has none (fewer than BitsetWords(n) entries, or the builder is not sealed).
+// Like Row, it holds the pre-batch state until Commit.
+func (b *StreamBuilder) RowBitmap(r int32) Bitset {
+	if b.bitmaps == nil {
+		return nil
+	}
+	return b.bitmaps[r]
+}
 
 // Staged returns the rows touched by the staged batch (first-appearance
 // order; some may have an empty Δ if every candidate was a duplicate).
@@ -269,7 +293,8 @@ func searchFrom(s []Vertex, x Vertex, from int) (int, bool) {
 
 // Commit merges the staged Δ into the resident rows and clears the staged
 // state. Each touched row grows once and merges backward in place (write
-// cursor always ahead of both read cursors), parallelized over rows.
+// cursor always ahead of both read cursors), parallelized over rows; a
+// sealed builder's row bitmaps follow their rows.
 func (b *StreamBuilder) Commit(threads int) {
 	if !b.staged {
 		panic("graph: Commit without a staged batch")
@@ -316,6 +341,22 @@ func (b *StreamBuilder) commitMerge(lo, hi int) {
 			}
 		}
 		b.rows[r] = merged
+		if b.bitmaps != nil {
+			b.index(r, s)
+		}
+	}
+}
+
+// index brings row r's bitmap up to date after added joined the row: it sets
+// added's bits, or builds the bitmap from the whole row when the row has just
+// reached stride entries.
+func (b *StreamBuilder) index(r int32, added []Vertex) {
+	if bm := b.bitmaps[r]; bm != nil {
+		SetList(bm, added)
+	} else if row := b.rows[r]; len(row) >= b.stride {
+		bm = make(Bitset, b.stride)
+		SetList(bm, row)
+		b.bitmaps[r] = bm
 	}
 }
 
@@ -328,16 +369,26 @@ func (b *StreamBuilder) Fold(edges []Edge, threads int) {
 
 // Seal builds the local view of the resident adjacency: buildRows over the
 // resident rows, read in place. The builder stays usable; further batches
-// can be staged after sealing.
+// can be staged after sealing, and from here on it keeps the row bitmaps.
 func (b *StreamBuilder) Seal(threads int) *LocalGraph {
-	return b.seal(threads, false)
+	lg := b.seal(threads, false)
+	if b.bitmaps == nil {
+		b.stride = BitsetWords(int(b.pt.N()))
+		b.bitmaps = make([]Bitset, len(b.rows))
+		parallelFor(threads, len(b.rows), 1024, func(_, lo, hi int) {
+			for r := lo; r < hi; r++ {
+				b.index(int32(r), nil)
+			}
+		})
+	}
+	return lg
 }
 
 // SealRelease is Seal for a builder that will take no further batches: each
 // resident row is dropped the moment buildRows has translated it into the
 // view, so the construction holds roughly ONE copy of the adjacency (shrinking
-// rows + filling view) rather than two. The builder is spent afterwards;
-// any further use panics.
+// rows + filling view) rather than two, and it builds no row bitmaps. The
+// builder is spent afterwards; any further use panics.
 func (b *StreamBuilder) SealRelease(threads int) *LocalGraph {
 	return b.seal(threads, true)
 }

@@ -1,6 +1,7 @@
 package graph_test
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -188,6 +189,65 @@ func TestStreamBuilderMisuse(t *testing.T) {
 	sb.Commit(1)
 	requirePanic("commit without stage", func() { sb.Commit(1) })
 	requirePanic("foreign edge", func() { sb.Stage([]graph.Edge{{U: 5, V: 6}}, 1) })
+}
+
+// TestStreamBuilderRowBitmaps: a builder keeps no row bitmaps before Seal;
+// from Seal on, after every Commit, exactly the rows of at least
+// BitsetWords(n) entries have one, each holds exactly its row's IDs, and a
+// PE's bitmap words stay within its resident entries.
+func TestStreamBuilderRowBitmaps(t *testing.T) {
+	g := gen.RMAT(gen.DefaultRMAT(10, 3))
+	edges := g.Edges()
+	rand.New(rand.NewSource(4)).Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+	n := g.NumVertices()
+	stride := graph.BitsetWords(n)
+	for _, p := range []int{1, 2, 4} {
+		pt := part.Uniform(uint64(n), p)
+		for rank := 0; rank < p; rank++ {
+			for _, threads := range []int{1, 3} {
+				sb := graph.NewStreamBuilder(pt, rank)
+				check := func(when string, sealed bool) {
+					t.Helper()
+					words := 0
+					for r := int32(0); r < int32(sb.NLocal()); r++ {
+						row, bm := sb.Row(r), sb.RowBitmap(r)
+						if want := sealed && len(row) >= stride; (bm != nil) != want {
+							t.Fatalf("p=%d rank=%d %s: row %d of %d entries has bitmap=%v, want %v", p, rank, when, r, len(row), bm != nil, want)
+						}
+						if bm == nil {
+							continue
+						}
+						words += len(bm)
+						set := uint64(0)
+						for _, w := range bm {
+							set += uint64(bits.OnesCount64(w))
+						}
+						if set != uint64(len(row)) || graph.CountList(bm, row) != set {
+							t.Fatalf("p=%d rank=%d %s: row %d bitmap holds %d bits, %d of its %d entries", p, rank, when, r, set, graph.CountList(bm, row), len(row))
+						}
+					}
+					if words > sb.Entries() {
+						t.Fatalf("p=%d rank=%d %s: %d bitmap words over %d resident entries", p, rank, when, words, sb.Entries())
+					}
+				}
+				mine := graph.ScatterEdges(pt, edges)[rank]
+				const batch = 97
+				split := len(mine) / 4
+				for lo := 0; lo < split; lo += batch {
+					sb.Fold(mine[lo:min(lo+batch, split)], threads)
+					check("before Seal", false)
+				}
+				sb.Seal(threads)
+				check("after Seal", true)
+				for lo := split; lo < len(mine); lo += batch {
+					sb.Stage(mine[lo:min(lo+batch, len(mine))], threads)
+					check("staged", true) // the bitmaps still hold the pre-batch rows
+					sb.Commit(threads)
+					check("after Commit", true)
+				}
+			}
+		}
+	}
 }
 
 // BenchmarkStreamInsertSteadyState pins the per-batch insert path: staging
