@@ -43,7 +43,11 @@ var claimPEs = []int{2, 4, 8, 16, 32}
 //     lowers MaxPayloadWords, for both engines;
 //   - (v) queue memory: no PE ever buffers more than δ + 5 + maxdeg words —
 //     δ plus one record (4 envelope words, a header word and at most maxdeg
-//     neighbors).
+//     neighbors);
+//   - (x) static aggregation: TriC, the pipeline at δ = ∞, sends at most
+//     p−1 frames per PE and holds its whole volume at once — PeakBuffered
+//     is SentWords less the one tag word per frame — which is the paper's
+//     explanation for TriC's out-of-memory crashes. (v) does not bound it.
 //
 // The -v log lists each cell's ratios; README's "Paper claims" reports them.
 func TestPaperClaims(t *testing.T) {
@@ -66,7 +70,7 @@ func paperClaimsCell(t *testing.T, family string, n, p int) {
 	delta := int64(DefaultThreshold(g.NumEdges(), p))
 	grid := comm.NewGrid(p)
 
-	run := func(name string, v variant, cfg Config) *Result {
+	count := func(name string, v variant, cfg Config) *Result {
 		t.Helper()
 		cfg.P = p
 		res, err := v.run(g, cfg)
@@ -76,6 +80,11 @@ func paperClaimsCell(t *testing.T, family string, n, p int) {
 		if res.Count != want {
 			t.Fatalf("%s: count %d, want %d", name, res.Count, want)
 		}
+		return res
+	}
+	run := func(name string, v variant, cfg Config) *Result {
+		t.Helper()
+		res := count(name, v, cfg)
 		// (v) queue memory is O(δ): the buffer tops out one record past δ.
 		d := delta
 		if v.noAgg {
@@ -151,13 +160,24 @@ func paperClaimsCell(t *testing.T, family string, n, p int) {
 		}
 	}
 
+	// (x) TriC's static buffers: one frame per peer, the whole volume
+	// buffered at once.
+	tric := count("tric", vTriC, Config{})
+	for r, m := range tric.PerPE {
+		if m.SentFrames > int64(p-1) || m.PeakBuffered != m.SentWords-m.SentFrames {
+			t.Errorf("(x) tric PE %d: %d frames (want ≤ p−1 = %d), peak buffer %d words (want SentWords − SentFrames = %d)",
+				r, m.SentFrames, p-1, m.PeakBuffered, m.SentWords-m.SentFrames)
+		}
+	}
+
 	t.Logf("frames δ=1/ditric %.1f× | peers %d direct, %d indirect (r+c−2 = %d) | frames direct/indirect %d/%d |"+
-		" cetric/ditric volume %.2f | no-surrogate volume ditric %.2f× cetric %.2f× | peak−δ %d, maxdeg %d",
+		" cetric/ditric volume %.2f | no-surrogate volume ditric %.2f× cetric %.2f× | peak−δ %d, maxdeg %d | tric peak/δ %.1f",
 		float64(noagg.Agg.MaxSentFrames)/float64(ditric.Agg.MaxSentFrames),
 		ditric.Agg.MaxPeers, ditric2.Agg.MaxPeers, rc,
 		ditric.Agg.MaxSentFrames, ditric2.Agg.MaxSentFrames,
 		contraction,
 		float64(ditricNS.Agg.MaxPayloadWords)/float64(ditric.Agg.MaxPayloadWords),
 		float64(cetricNS.Agg.MaxPayloadWords)/float64(cetric.Agg.MaxPayloadWords),
-		ditric.Agg.MaxPeakBuffered-delta, maxdeg)
+		ditric.Agg.MaxPeakBuffered-delta, maxdeg,
+		float64(tric.Agg.MaxPeakBuffered)/float64(delta))
 }

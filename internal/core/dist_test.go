@@ -210,9 +210,10 @@ func TestDegreeExchangeRejectsHostileFrames(t *testing.T) {
 }
 
 // tamperNet hands out endpoints of inner whose rank-0 side passes the first
-// word frame longer than three words — under TriC on two PEs, rank 0's
-// frame of the one dense exchange; no control frame is that long — through
-// tamper before sending it.
+// word frame longer than three words through tamper before sending it.
+// Under DITRIC on two PEs that is rank 0's degree-request frame, the first
+// half of the degree exchange: queue frames travel as bytes, and no control
+// frame is that long.
 type tamperNet struct {
 	transport.Network
 	tamper   func([]uint64) []uint64
@@ -239,23 +240,25 @@ func (e tamperEndpoint) Send(dst int, words []uint64) error {
 	return e.Endpoint.Send(dst, words)
 }
 
-// TestTriCRejectsHostileRecords: a TriC exchange record whose length runs
-// past its frame, or a frame that ends inside a record header, is a corrupt
-// frame from its sender — never a slice out of range in the receiver's body.
-func TestTriCRejectsHostileRecords(t *testing.T) {
+// TestDegreeRequestRejectedEndToEnd: a degree request that names a vertex
+// past n, or one its receiver does not own, fails the whole run as a
+// corrupt frame blaming its sender — the direct table in
+// TestDegreeExchangeRejectsHostileFrames, driven through Run over the wire.
+func TestDegreeRequestRejectedEndToEnd(t *testing.T) {
 	fx, _ := testgraph.ByName("gnm")
 	g := fx.Build()
+	n := uint64(g.NumVertices())
 	for name, tamper := range map[string]func([]uint64) []uint64{
-		// words[0] is the frame tag, words[1] the first record's vertex.
-		"length 2^40":      func(w []uint64) []uint64 { w[2] = 1 << 40; return w },
-		"truncated header": func(w []uint64) []uint64 { return append(w, 7) },
+		// words[0] is the frame tag, words[1] the first requested ghost.
+		"vertex n":         func(w []uint64) []uint64 { w[1] = n; return w },
+		"vertex of rank 0": func(w []uint64) []uint64 { w[1] = 0; return w },
 	} {
 		t.Run(name, func(t *testing.T) {
 			net := &tamperNet{Network: transport.NewChanNetwork(2), tamper: tamper}
 			defer net.Close()
-			_, err := Run(AlgoTriC, g, Config{P: 2, Network: net})
+			_, err := Run(AlgoDiTric, g, Config{P: 2, Network: net})
 			if net.tampered.Load() != 1 {
-				t.Fatal("rank 0 sent no exchange frame to tamper with")
+				t.Fatal("rank 0 sent no degree request to tamper with")
 			}
 			var re *dist.RunError
 			var cf *comm.CorruptFrameError

@@ -23,6 +23,13 @@ func ditricFrom(pe *dist.PE, pl *plan, lg *graph.LocalGraph, out *peOutcome, sw 
 	sw.phase(PhaseOrient)
 	ori := graph.OrientLocalOnlyPar(lg, cfg.Threads)
 	ori.BuildHubsPar(cfg.hubMinDegree(), cfg.Threads)
+	return ditricCount(pe, pl, cfg, lg, ori, out, sw)
+}
+
+// ditricCount is DITRIC's counting tail on any orientation ori of lg (TriC
+// passes the ID orientation), run under cfg's schedule.
+func ditricCount(pe *dist.PE, pl *plan, cfg Config, lg *graph.LocalGraph, ori *graph.LocalOriented,
+	out *peOutcome, sw *stopwatch) error {
 	sw.phase(PhasePreprocess) // residual: handler setup + the barrier
 	state := newCountState(lg, cfg)
 	// The receiver structure is the already-built oriented graph, so received
@@ -98,9 +105,9 @@ func ditricLocalRows(pe *dist.PE, pt *part.Partition, lg *graph.LocalGraph, ori 
 	}
 }
 
-// finishBody is the shared tail of the DITRIC/CETRIC bodies: the optional
-// LCC ghost-Δ postprocess exchange, closing the stopwatch, and exporting
-// the per-PE outcome.
+// finishBody is the shared tail of the DITRIC, CETRIC and TriC bodies: the
+// optional LCC ghost-Δ postprocess exchange, closing the stopwatch, and
+// exporting the per-PE outcome.
 func finishBody(pe *dist.PE, sw *stopwatch, state *countState, cfg Config, out *peOutcome) {
 	if cfg.LCC {
 		sw.phase(PhasePostprocess)

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/gen"
+	"repro/internal/graph"
 	"repro/internal/part"
 	"repro/internal/testgraph"
 )
@@ -157,9 +158,55 @@ func TestPrepareRejectsRowSpaceOverflow(t *testing.T) {
 	}
 }
 
+// TestEdgeInputsEveryEntryPoint: the empty graph at p ∈ {1, 3} and a
+// triangle on more PEs than vertices (most ranges empty) count exactly
+// through every entry point — Run with each algorithm, RunRank with each,
+// RunStream with each streaming algorithm and RunApproxCetric — with no
+// panic and, under the deadlines, no hang.
+func TestEdgeInputsEveryEntryPoint(t *testing.T) {
+	algos := append(Algorithms(), AlgoTK2D)
+	for _, c := range []struct {
+		name string
+		g    *graph.Graph
+		p    int
+		want uint64
+	}{
+		{"empty/p=1", graph.FromEdges(0, nil), 1, 0},
+		{"empty/p=3", graph.FromEdges(0, nil), 3, 0},
+		{"K3/p=7", gen.Complete(3), 7, 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := Config{P: c.p, RunTimeout: 30 * time.Second, CommDeadline: 30 * time.Second}
+			for _, algo := range algos {
+				res, err := Run(algo, c.g, cfg)
+				if err != nil || res.Count != c.want {
+					t.Fatalf("Run %s: %v, err %v, want %d", algo, res, err, c.want)
+				}
+				counts, _, errs := tryRanks(t, algo, c.g, cfg, c.p)
+				for r := range counts {
+					if errs[r] != nil || counts[r] != c.want {
+						t.Fatalf("RunRank %s rank %d: count %d, err %v, want %d", algo, r, counts[r], errs[r], c.want)
+					}
+				}
+			}
+			for _, algo := range []Algorithm{AlgoDiTric, AlgoCetric} {
+				initial, inserts, _ := SplitStream(c.g.Edges(), 1)
+				res, err := RunStream(algo, uint64(c.g.NumVertices()), initial, inserts, cfg)
+				if err != nil || res.Count != c.want {
+					t.Fatalf("RunStream %s: %v, err %v, want %d", algo, res, err, c.want)
+				}
+			}
+			res, err := RunApproxCetric(c.g, cfg, AMQConfig{})
+			if err != nil || res.Exact12+res.Type3Raw != c.want {
+				t.Fatalf("RunApproxCetric: %+v, err %v, want exact %d", res, err, c.want)
+			}
+		})
+	}
+}
+
 // FuzzRunConfig runs a fixture under a random Config — any algorithm, 1–10
 // PEs, δ, 0–3 threads, the Indirect, Overlap, LCC, Collect and noSurrogate
-// bits and a hub threshold — through one of three entry points:
+// bits and a hub threshold — through one of four entry points:
 //
 //   - Run: the input either fails set-up — exactly when it asks LCC of an
 //     algorithm other than DITRIC/CETRIC or Collect of TriC/HavoqGT — or
@@ -172,8 +219,11 @@ func TestPrepareRejectsRowSpaceOverflow(t *testing.T) {
 //     a NaN, infinite or above-MaxBitsPerKey size, else
 //     Exact12 ≤ T ≤ Exact12 + Type3Raw, because the filters have no false
 //     negatives.
+//   - RunRank on P goroutine ranks over one ChanNetwork: either every rank
+//     returns the set-up error Run gives for the same config, or every rank
+//     returns the fixture's count.
 //
-// RunTimeout turns a hang into a failure.
+// RunTimeout, and for RunRank CommDeadline, turns a hang into a failure.
 func FuzzRunConfig(f *testing.F) {
 	const (
 		bitIndirect = 1 << iota
@@ -186,6 +236,7 @@ func FuzzRunConfig(f *testing.F) {
 		entryRun = iota
 		entryStream
 		entryApprox
+		entryRank
 		entries
 	)
 	algos := []Algorithm{AlgoDiTric, AlgoCetric, AlgoHavoq, AlgoTriC, AlgoTK2D}
@@ -199,6 +250,8 @@ func FuzzRunConfig(f *testing.F) {
 	f.Add(uint8(3), uint8(1), uint8(3), uint16(0), uint8(1), uint8(0), uint8(entryApprox), int8(0), math.NaN())
 	f.Add(uint8(5), uint8(0), uint8(4), uint16(3), uint8(2), uint8(bitIndirect|bitOverlap), uint8(entryStream), int8(0), 0.0)
 	f.Add(uint8(1), uint8(1), uint8(6), uint16(0), uint8(0), uint8(bitLCC), uint8(entryApprox), int8(1), 3.5)
+	// TriC's empty and static queue routed over the grid, with workers.
+	f.Add(uint8(4), uint8(3), uint8(5), uint16(0), uint8(2), uint8(bitIndirect|bitOverlap), uint8(entryRank), int8(0), 0.0)
 	f.Fuzz(func(t *testing.T, fxSel, algoSel, pSel uint8, threshold uint16, threads, flags, entrySel uint8, hub int8, bits float64) {
 		fx := testgraph.All[int(fxSel)%len(testgraph.All)]
 		algo := algos[int(algoSel)%len(algos)]
@@ -250,6 +303,24 @@ func FuzzRunConfig(f *testing.F) {
 			if res.Exact12 > fx.Triangles || res.Exact12+res.Type3Raw < fx.Triangles {
 				t.Fatalf("%s approx %+v %+v: exact %d + raw type-3 %d does not bracket %d",
 					fx.Name, cfg, acfg, res.Exact12, res.Type3Raw, fx.Triangles)
+			}
+		case entryRank:
+			var setupErr error
+			if invalid := (cfg.LCC && !family) || (cfg.Collect && (algo == AlgoHavoq || algo == AlgoTriC)); invalid {
+				_, setupErr = Run(algo, g, cfg)
+				wantSetupErr(setupErr, true)
+			}
+			cfg.CommDeadline = 30 * time.Second
+			counts, _, errs := tryRanks(t, algo, g, cfg, cfg.P)
+			for r, err := range errs {
+				switch {
+				case setupErr != nil && (err == nil || err.Error() != setupErr.Error()):
+					t.Fatalf("%s rank %d %s %+v: err %v, want Run's set-up error %v", fx.Name, r, algo, cfg, err, setupErr)
+				case setupErr == nil && err != nil:
+					t.Fatalf("%s rank %d %s %+v: %v", fx.Name, r, algo, cfg, err)
+				case setupErr == nil && counts[r] != fx.Triangles:
+					t.Fatalf("%s rank %d %s %+v: count %d, want %d", fx.Name, r, algo, cfg, counts[r], fx.Triangles)
+				}
 			}
 		default:
 			res, err := Run(algo, g, cfg)

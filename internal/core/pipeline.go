@@ -11,8 +11,8 @@ import (
 	"repro/internal/graph"
 )
 
-// The counting pipeline. Every DITRIC/CETRIC body counts through one
-// overlapPipeline: emission stages (chunked row sweeps that may ship cut
+// The counting pipeline. Every DITRIC, CETRIC and TriC body counts through
+// one overlapPipeline: emission stages (chunked row sweeps that may ship cut
 // neighborhoods) followed by finish (drain to global quiescence), with the
 // receive side — intersecting shipped neighborhoods against the receiver's
 // A-lists — running wherever the schedule puts it. Config.Threads and

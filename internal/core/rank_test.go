@@ -18,8 +18,21 @@ import (
 )
 
 // runRanks drives every rank of an in-process ChanNetwork through RunRank,
-// one goroutine per rank the way a real cluster runs one process per rank.
+// one goroutine per rank the way a real cluster runs one process per rank,
+// and fails t on any rank's error.
 func runRanks(t *testing.T, algo Algorithm, g *graph.Graph, cfg Config, p int) ([]uint64, []comm.Metrics) {
+	t.Helper()
+	counts, metrics, errs := tryRanks(t, algo, g, cfg, p)
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v", r, err)
+		}
+	}
+	return counts, metrics
+}
+
+// tryRanks is runRanks returning each rank's error instead of failing on it.
+func tryRanks(t *testing.T, algo Algorithm, g *graph.Graph, cfg Config, p int) ([]uint64, []comm.Metrics, []error) {
 	t.Helper()
 	net := transport.NewChanNetwork(p)
 	defer net.Close()
@@ -39,12 +52,7 @@ func runRanks(t *testing.T, algo Algorithm, g *graph.Graph, cfg Config, p int) (
 		}(r)
 	}
 	wg.Wait()
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: %v", r, err)
-		}
-	}
-	return counts, metrics
+	return counts, metrics, errs
 }
 
 // ditricRecords counts the (v, A(v)) records rank ships under DITRIC's

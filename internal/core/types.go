@@ -5,6 +5,8 @@
 // baseline of Fig. 2 (DITRIC with Config.Threshold = 1), and the extensions
 // of §IV-E: local clustering coefficients, triangle enumeration and
 // AMQ-approximate counting (RunApproxCetric, the one approximate counter).
+// TriC and the unbuffered baseline are the counting pipeline's two δ
+// extremes, ∞ and 1; HavoqGT keeps its own body.
 package core
 
 import (
@@ -105,14 +107,16 @@ type Config struct {
 	P int // number of PEs (required)
 	// Threshold is the aggregation threshold δ in words; ≤ 0 chooses
 	// O(|E_i|), the paper's linear-memory setting. 1 flushes every record on
-	// its own: DITRIC with δ = 1 is Fig. 2's unbuffered baseline.
+	// its own: DITRIC with δ = 1 is Fig. 2's unbuffered baseline. TriC
+	// ignores it: its static buffers are δ = ∞.
 	Threshold int
 	// Indirect routes queue traffic over a logical 2D PE grid (§IV-B):
 	// DITRIC and CETRIC with it are the paper's DITRIC2 and CETRIC2.
 	Indirect bool
 	// Threads is the worker count per PE. It parallelizes preprocessing for
-	// every algorithm and selects the thread schedule of the DITRIC/CETRIC
-	// counting pipeline: 1 (or less) runs the row sweeps on the PE goroutine
+	// every algorithm and selects the thread schedule of the DITRIC, CETRIC
+	// and TriC counting pipeline (HavoqGT counts on the PE goroutine
+	// regardless): 1 (or less) runs the row sweeps on the PE goroutine
 	// and intersects received records inline in the queue handlers; more runs
 	// the paper's hybrid mode — workers steal row chunks, ship through the PE
 	// goroutine (funneled communication) and drain received records off a
@@ -130,16 +134,17 @@ type Config struct {
 	HubThreshold int
 
 	// Overlap selects the overlapped schedule of the DITRIC/CETRIC counting
-	// pipeline (the baselines ignore it). The default, barriered schedule
-	// ships frames only when δ overflows and in the final drain, and polls or
-	// steals nothing between row chunks, so local and global work stay
-	// separated as in the paper's measured configuration. With Overlap the
-	// same pipeline flushes shipments eagerly at a watermark far below δ as
-	// row chunks complete, polls the network between chunks, and (with
-	// Threads > 1) lets workers steal parked records between chunks —
-	// DITRIC's global intersections start before its local phase finishes;
-	// CETRIC's interleave with its cut send sweep. It is one pipeline with two schedules, not two code paths:
-	// counts, triangle sets and LCC are identical under both.
+	// pipeline (HavoqGT ignores it; TriC always runs barriered). The default,
+	// barriered schedule ships frames only when δ overflows and in the final
+	// drain, and polls or steals nothing between row chunks, so local and
+	// global work stay separated as in the paper's measured configuration.
+	// With Overlap the same pipeline flushes shipments eagerly at a watermark
+	// far below δ as row chunks complete, polls the network between chunks,
+	// and (with Threads > 1) lets workers steal parked records between
+	// chunks — DITRIC's global intersections start before its local phase
+	// finishes; CETRIC's interleave with its cut send sweep. It is one
+	// pipeline with two schedules, not two code paths: counts, triangle sets
+	// and LCC are identical under both.
 	//
 	// For TK2D the same knob pipelines the round loop: round k+1's row and
 	// column broadcasts are posted split-phase (comm.Group.IBcast) before

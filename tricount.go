@@ -61,7 +61,7 @@ type Algorithm = core.Algorithm
 const (
 	AlgoDiTric = core.AlgoDiTric
 	AlgoCetric = core.AlgoCetric
-	AlgoTriC   = core.AlgoTriC  // baseline: static buffers, no orientation
+	AlgoTriC   = core.AlgoTriC  // baseline: ID orientation, static buffers (δ = ∞)
 	AlgoHavoq  = core.AlgoHavoq // baseline: vertex-centric wedge visitors
 	// AlgoTK2D is the 2D grid-partitioned backend (Tom & Karypis): the
 	// oriented adjacency matrix is cut into an r×c block grid and counted in
