@@ -1,11 +1,9 @@
-// Command gengraph generates instances from the synthetic families or the
-// real-world stand-in catalog and writes them to disk (text or binary edge
-// lists), printing Table-I-style statistics. Saved instances can be fed back
-// to `tricount -input`.
+// Command gengraph generates instances from the synthetic families and
+// writes them to disk (text or binary edge lists), printing Table-I-style
+// statistics. Saved instances can be fed back to `tricount -input`.
 //
 //	gengraph -gen rgg2d -n 65536 -o rgg.bin -format binary
-//	gengraph -instance uk-2007-05 -scale -2 -o uk.txt
-//	gengraph -instance orkut -stats
+//	gengraph -gen rmat -n 4096 -o rmat.txt -triangles
 package main
 
 import (
@@ -28,11 +26,9 @@ func main() {
 func run() error {
 	var (
 		family     = flag.String("gen", "", "generator family: gnm|rmat|rgg2d|rhg")
-		instance   = flag.String("instance", "", "stand-in instance name")
 		n          = flag.Int("n", 1<<14, "vertices for -gen")
 		edgeFactor = flag.Int("ef", 16, "edge factor for -gen")
 		seed       = flag.Uint64("seed", 42, "generator seed")
-		scale      = flag.Int("scale", 0, "instance size shift")
 		out        = flag.String("o", "", "output file (omit to only print stats)")
 		format     = flag.String("format", "text", "output format: text|binary")
 		stats      = flag.Bool("stats", true, "print instance statistics")
@@ -40,16 +36,10 @@ func run() error {
 	)
 	flag.Parse()
 
-	var g *graph.Graph
-	var err error
-	switch {
-	case *instance != "":
-		g, err = gen.ByInstance(*instance, *scale, *seed)
-	case *family != "":
-		g, err = gen.ByFamily(*family, *n, *edgeFactor, *seed)
-	default:
-		return fmt.Errorf("need -gen or -instance")
+	if *family == "" {
+		return fmt.Errorf("need -gen")
 	}
+	g, err := gen.ByFamily(*family, *n, *edgeFactor, *seed)
 	if err != nil {
 		return err
 	}

@@ -5,7 +5,6 @@
 // Examples:
 //
 //	tricount -gen rmat -n 65536 -algo cetric -p 16
-//	tricount -instance friendster -algo ditric2 -p 32 -lcc   # ditric2/cetric2: indirect delivery
 //	tricount -input graph.txt -algo cetric2 -p 8 -threads 4
 //	tricount -gen rhg -n 16384 -algo cetric -p 4 -approx -bits 8
 //	tricount -gen rgg2d -n 4096 -algo ditric -p 8   # the wire: line gives raw vs encoded bytes
@@ -32,7 +31,6 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/core"
-	"repro/internal/costmodel"
 	"repro/internal/dist"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -50,12 +48,10 @@ func main() {
 func run() (err error) {
 	var (
 		genFamily  = flag.String("gen", "", "generator family: gnm|rmat|rgg2d|rhg")
-		instance   = flag.String("instance", "", "real-world stand-in instance (see -list)")
 		input      = flag.String("input", "", "edge list file (text: 'u v' per line)")
 		n          = flag.Int("n", 1<<14, "vertices for -gen")
 		edgeFactor = flag.Int("ef", 16, "edge factor m/n for -gen")
 		seed       = flag.Uint64("seed", 42, "generator seed")
-		scale      = flag.Int("scale", 0, "instance size shift (powers of two)")
 
 		algoName  = flag.String("algo", "cetric", "algorithm: seq (the SeqCount oracle, not a baseline)|ditric|ditric2|cetric|cetric2|tk2d|tric|havoq|noagg (ditric2/cetric2: indirect delivery; noagg: ditric with -delta 1; tk2d factors any -p into an r×c grid)")
 		p         = flag.Int("p", 8, "number of PEs")
@@ -74,7 +70,6 @@ func run() (err error) {
 		tcpRank = flag.Int("tcp-rank", -1, "run as one rank of a TCP cluster (multi-process mode)")
 		peers   = flag.String("peers", "", "comma-separated listen addresses of all ranks")
 
-		list       = flag.Bool("list", false, "list instances and exit")
 		verbose    = flag.Bool("v", false, "print per-phase and per-PE details")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the count (graph construction excluded) to this file; read it with 'go tool pprof -top'")
 		memProfile = flag.String("memprofile", "", "write an allocation profile of the count (every allocation since process start, graph construction included) to this file; read it with 'go tool pprof -sample_index=alloc_space -top' (or inuse_space for what is still live)")
@@ -82,19 +77,13 @@ func run() (err error) {
 	)
 	flag.Parse()
 
-	if *list {
-		for _, inst := range gen.Instances {
-			fmt.Printf("%-14s %-7s %s\n", inst.Name, inst.Class, inst.Notes)
-		}
-		return nil
-	}
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	if err := checkModeFlags(set, *stream, *approx, *batch); err != nil {
 		return err
 	}
 
-	g, err := buildGraph(*genFamily, *instance, *input, *n, *edgeFactor, *scale, *seed)
+	g, err := buildGraph(*genFamily, *input, *n, *edgeFactor, *seed)
 	if err != nil {
 		return err
 	}
@@ -190,7 +179,7 @@ func run() (err error) {
 		}
 		fmt.Printf("estimate: %.0f (exact type-1/2: %d, corrected type-3: %.0f) in %v\n",
 			res.Estimate, res.Exact12, res.Type3Estimate, res.Wall.Round(time.Microsecond))
-		printComm(res.Agg, res.PerPE)
+		printComm(res.Agg)
 		return nil
 	}
 
@@ -202,17 +191,10 @@ func run() (err error) {
 	if res.TypeCounts != [3]uint64{} {
 		fmt.Printf("types: local=%d two-PE=%d three-PE=%d\n", res.TypeCounts[0], res.TypeCounts[1], res.TypeCounts[2])
 	}
-	printComm(res.Agg, res.PerPE)
+	printComm(res.Agg)
 	if algo == core.AlgoTK2D {
 		if g2, err := part.NewGrid2D(uint64(g.NumVertices()), *p); err == nil {
 			fmt.Printf("grid: %d×%d (%d rounds)\n", g2.R(), g2.C(), g2.Rounds())
-		}
-		// The collective exchange blocks on receives, so the 2D completion
-		// proxy charges both directions — comparable against the 1D runs'
-		// wire column above.
-		for _, prof := range costmodel.Profiles() {
-			fmt.Printf("  t_model2d(%s): wire %v\n", prof.Name,
-				costmodel.BottleneckWire2D(res.PerPE, prof).Round(time.Microsecond))
 		}
 	}
 	if *verbose {
@@ -310,7 +292,7 @@ func runStream(g *graph.Graph, name string, algo core.Algorithm, cfg core.Config
 	}
 	fmt.Printf("triangles: %d in %v (streamed: initial %d + %d batches of ≤%d edges, algo=%s)\n",
 		sres.Count, time.Since(start).Round(time.Microsecond), sres.Initial, len(sres.Deltas), batch, name)
-	printComm(sres.Res.Agg, sres.Res.PerPE)
+	printComm(sres.Res.Agg)
 	if verbose {
 		for b, d := range sres.Deltas {
 			fmt.Printf("  batch %-4d Δtriangles=%d\n", b, d)
@@ -320,7 +302,7 @@ func runStream(g *graph.Graph, name string, algo core.Algorithm, cfg core.Config
 	return nil
 }
 
-func buildGraph(family, instance, input string, n, ef, scale int, seed uint64) (*graph.Graph, error) {
+func buildGraph(family, input string, n, ef int, seed uint64) (*graph.Graph, error) {
 	switch {
 	case input != "":
 		f, err := os.Open(input)
@@ -329,35 +311,19 @@ func buildGraph(family, instance, input string, n, ef, scale int, seed uint64) (
 		}
 		defer f.Close()
 		return graph.ReadEdgeListText(f)
-	case instance != "":
-		return gen.ByInstance(instance, scale, seed)
 	case family != "":
 		return gen.ByFamily(family, n, ef, seed)
 	default:
-		return nil, fmt.Errorf("need one of -gen, -instance, or -input")
+		return nil, fmt.Errorf("need one of -gen or -input")
 	}
 }
 
-func printComm(agg comm.Aggregate, per []comm.Metrics) {
+func printComm(agg comm.Aggregate) {
 	fmt.Printf("comm: frames(max/total)=%s/%s volume(max/total words)=%s/%s peak-buffer(max)=%s\n",
 		human(agg.MaxSentFrames), human(agg.TotalFrames),
 		human(agg.MaxPayloadWords), human(agg.TotalPayload), human(agg.MaxPeakBuffered))
 	fmt.Printf("wire: bytes(raw/encoded)=%s/%s compression=%.2fx\n",
 		human(agg.TotalRawBytes), human(agg.TotalEncodedBytes), agg.CompressionRatio())
-	for _, prof := range costmodel.Profiles() {
-		fmt.Printf("  t_model(%s): words %v, wire %v\n", prof.Name,
-			costmodel.Bottleneck(per, prof).Round(time.Microsecond),
-			costmodel.BottleneckWire(per, prof).Round(time.Microsecond))
-	}
-	// The live-calibrated lens: α/β least-squares fitted to this very run's
-	// pooled frame-latency samples (costmodel.Calibrate), next to the static
-	// tables. Absent when the run produced too few samples for a fit.
-	if mp, ok := costmodel.MeasuredProfile(per); ok {
-		fmt.Printf("  t_model(measured): words %v, wire %v (fitted α=%.1fµs, β=%.2fns/word)\n",
-			costmodel.Bottleneck(per, mp).Round(time.Microsecond),
-			costmodel.BottleneckWire(per, mp).Round(time.Microsecond),
-			mp.Alpha*1e6, mp.Beta*1e9)
-	}
 }
 
 func human(v int64) string {

@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -134,18 +135,40 @@ func TestCollectivesInterleavedWithQueueTraffic(t *testing.T) {
 	}
 }
 
+// TestMetricsSubAndAdd gives every field of Metrics its own value in a and
+// b, so a field that Sub or Add leaves out fails here: Sub subtracts and Add
+// sums every monotone counter, and both keep the larger value of the two
+// high-water marks PeakBuffered and Peers.
 func TestMetricsSubAndAdd(t *testing.T) {
-	a := Metrics{SentFrames: 10, SentWords: 100, PayloadWords: 80, RecvFrames: 9, RecvWords: 90, Flushes: 3, PeakBuffered: 50, ControlSent: 2}
-	b := Metrics{SentFrames: 4, SentWords: 40, PayloadWords: 30, RecvFrames: 4, RecvWords: 40, Flushes: 1, PeakBuffered: 20, ControlSent: 1}
-	d := a.Sub(b)
-	if d.SentFrames != 6 || d.SentWords != 60 || d.PayloadWords != 50 || d.Flushes != 2 {
-		t.Fatalf("Sub wrong: %+v", d)
+	highWater := map[string]bool{"PeakBuffered": true, "Peers": true}
+	var a, b Metrics
+	va, vb := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	typ := va.Type()
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i); f.Type.Kind() != reflect.Int64 {
+			t.Fatalf("Metrics.%s is %s; this test assigns int64 counters only", f.Name, f.Type)
+		}
+		va.Field(i).SetInt(int64(1000 + 100*i)) // a > b in every field
+		vb.Field(i).SetInt(int64(1 + i))
 	}
+	d := a.Sub(b)
 	var acc Metrics
 	acc.Add(a)
 	acc.Add(b)
-	if acc.SentFrames != 14 || acc.PeakBuffered != 50 {
-		t.Fatalf("Add wrong: %+v", acc)
+	vd, vacc := reflect.ValueOf(d), reflect.ValueOf(acc)
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		x, y := va.Field(i).Int(), vb.Field(i).Int()
+		wantSub, wantAdd := x-y, x+y
+		if highWater[name] {
+			wantSub, wantAdd = x, x
+		}
+		if got := vd.Field(i).Int(); got != wantSub {
+			t.Errorf("Sub: %s = %d, want %d", name, got, wantSub)
+		}
+		if got := vacc.Field(i).Int(); got != wantAdd {
+			t.Errorf("Add: %s = %d, want %d", name, got, wantAdd)
+		}
 	}
 }
 

@@ -155,10 +155,7 @@ func (c *Comm) sendData(dst int, words []uint64) error {
 	c.M.SentWords += int64(len(words))
 	c.M.RawBytes += int64(8 * len(words))
 	c.M.EncodedBytes += int64(8 * len(words))
-	t0 := time.Now()
-	err := c.ep.Send(dst, words)
-	c.noteLatency(8*len(words), time.Since(t0))
-	return err
+	return c.ep.Send(dst, words)
 }
 
 // sendDataBytes ships a codec-encoded data frame. rawWords is the frame's
@@ -170,26 +167,7 @@ func (c *Comm) sendDataBytes(dst int, frame []byte, rawWords int) error {
 	c.M.SentWords += int64(rawWords)
 	c.M.RawBytes += int64(8 * rawWords)
 	c.M.EncodedBytes += int64(len(frame))
-	t0 := time.Now()
-	err := c.ep.SendBytes(dst, frame)
-	c.noteLatency(len(frame), time.Since(t0))
-	return err
-}
-
-// noteLatency folds one timed frame send into the calibration accumulators:
-// the per-frame latency the transport exposed to this PE (enqueue, framing,
-// backpressure) against the frame's wire size, the raw material of
-// costmodel.Calibrate's least-squares α+β fit. One sample per flush-level
-// frame, so the two clock reads amortize over the δ-sized aggregation
-// buffer they time.
-func (c *Comm) noteLatency(bytes int, d time.Duration) {
-	ns := float64(d.Nanoseconds())
-	b := float64(bytes)
-	c.M.LatSamples++
-	c.M.LatSumNs += ns
-	c.M.LatSumBytes += b
-	c.M.LatSumNsB += ns * b
-	c.M.LatSumBytes2 += b * b
+	return c.ep.SendBytes(dst, frame)
 }
 
 // notePeer records a distinct queue-level destination. Only aggregated

@@ -152,7 +152,6 @@ func (op BcastOp) Wait() []uint64 {
 	}
 	g.c.M.RecvFrames++
 	g.c.M.RecvWords += int64(1 + len(out))
-	g.c.M.RecvEncodedBytes += int64(len(f.Bytes))
 	transport.PutBuf(f.Bytes)
 	return out
 }

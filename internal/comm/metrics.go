@@ -21,16 +21,10 @@ type Metrics struct {
 	EncodedBytes int64 // data frame bytes as shipped on the wire (after codec)
 	RecvFrames   int64
 	RecvWords    int64
-	// RecvEncodedBytes is the wire size of data frames received (the receive
-	// side of EncodedBytes). In the asynchronous 1D queue receives overlap
-	// with compute and only the send side models time; in the 2D collective
-	// exchange a PE blocks on its receives, so the cost model's 2D lens
-	// (costmodel.TimeWire2D) charges both directions.
-	RecvEncodedBytes int64
-	Flushes          int64 // buffer flush events
-	PeakBuffered     int64 // max words ever buffered at once (queue memory)
-	ControlSent      int64 // control frames (probes, collective traffic)
-	Peers            int64 // distinct data-frame destinations (O(√p) under grid routing)
+	Flushes      int64 // buffer flush events
+	PeakBuffered int64 // max words ever buffered at once (queue memory)
+	ControlSent  int64 // control frames (probes, collective traffic)
+	Peers        int64 // distinct data-frame destinations (O(√p) under grid routing)
 
 	// RecvWorkWords is the receive-side intersection work this PE performed,
 	// in words scanned, charged the way the kernels scan: a received
@@ -44,17 +38,6 @@ type Metrics struct {
 	// the 1D partition skews the global phase (dist.ActivitySkew, the
 	// bench's core.recv_work_words_max).
 	RecvWorkWords int64
-
-	// Frame-latency calibration samples (costmodel.Calibrate). Every data
-	// frame send is timed around the transport call and folded in as one
-	// (encoded bytes, ns) sample plus the running sums a closed-form
-	// least-squares α+β fit needs. Scalars survive Add/Sub like the other
-	// monotone counters, so per-phase deltas calibrate too.
-	LatSamples   int64
-	LatSumNs     float64 // Σ latency (ns)
-	LatSumBytes  float64 // Σ frame size (bytes)
-	LatSumNsB    float64 // Σ latency·size
-	LatSumBytes2 float64 // Σ size²
 
 	// IdleNs is the time (ns) this PE spent waiting inside Drain/DrainWith
 	// with no frame to process and no progress work to steal — the
@@ -81,15 +64,9 @@ func (m *Metrics) Add(other Metrics) {
 	m.EncodedBytes += other.EncodedBytes
 	m.RecvFrames += other.RecvFrames
 	m.RecvWords += other.RecvWords
-	m.RecvEncodedBytes += other.RecvEncodedBytes
 	m.Flushes += other.Flushes
 	m.ControlSent += other.ControlSent
 	m.RecvWorkWords += other.RecvWorkWords
-	m.LatSamples += other.LatSamples
-	m.LatSumNs += other.LatSumNs
-	m.LatSumBytes += other.LatSumBytes
-	m.LatSumNsB += other.LatSumNsB
-	m.LatSumBytes2 += other.LatSumBytes2
 	m.IdleNs += other.IdleNs
 	m.OverlapNs += other.OverlapNs
 	if other.PeakBuffered > m.PeakBuffered {
@@ -100,30 +77,24 @@ func (m *Metrics) Add(other Metrics) {
 	}
 }
 
-// Sub returns m - start for the monotone counters; PeakBuffered keeps m's
-// value. Used for per-phase accounting.
+// Sub returns m - start for the monotone counters; the high-water marks
+// PeakBuffered and Peers keep m's value. Used for per-phase accounting.
 func (m Metrics) Sub(start Metrics) Metrics {
 	return Metrics{
-		SentFrames:       m.SentFrames - start.SentFrames,
-		SentWords:        m.SentWords - start.SentWords,
-		PayloadWords:     m.PayloadWords - start.PayloadWords,
-		RawBytes:         m.RawBytes - start.RawBytes,
-		EncodedBytes:     m.EncodedBytes - start.EncodedBytes,
-		RecvFrames:       m.RecvFrames - start.RecvFrames,
-		RecvWords:        m.RecvWords - start.RecvWords,
-		RecvEncodedBytes: m.RecvEncodedBytes - start.RecvEncodedBytes,
-		Flushes:          m.Flushes - start.Flushes,
-		PeakBuffered:     m.PeakBuffered,
-		ControlSent:      m.ControlSent - start.ControlSent,
-		Peers:            m.Peers,
-		RecvWorkWords:    m.RecvWorkWords - start.RecvWorkWords,
-		LatSamples:       m.LatSamples - start.LatSamples,
-		LatSumNs:         m.LatSumNs - start.LatSumNs,
-		LatSumBytes:      m.LatSumBytes - start.LatSumBytes,
-		LatSumNsB:        m.LatSumNsB - start.LatSumNsB,
-		LatSumBytes2:     m.LatSumBytes2 - start.LatSumBytes2,
-		IdleNs:           m.IdleNs - start.IdleNs,
-		OverlapNs:        m.OverlapNs - start.OverlapNs,
+		SentFrames:    m.SentFrames - start.SentFrames,
+		SentWords:     m.SentWords - start.SentWords,
+		PayloadWords:  m.PayloadWords - start.PayloadWords,
+		RawBytes:      m.RawBytes - start.RawBytes,
+		EncodedBytes:  m.EncodedBytes - start.EncodedBytes,
+		RecvFrames:    m.RecvFrames - start.RecvFrames,
+		RecvWords:     m.RecvWords - start.RecvWords,
+		Flushes:       m.Flushes - start.Flushes,
+		PeakBuffered:  m.PeakBuffered,
+		ControlSent:   m.ControlSent - start.ControlSent,
+		Peers:         m.Peers,
+		RecvWorkWords: m.RecvWorkWords - start.RecvWorkWords,
+		IdleNs:        m.IdleNs - start.IdleNs,
+		OverlapNs:     m.OverlapNs - start.OverlapNs,
 	}
 }
 

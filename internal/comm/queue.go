@@ -338,7 +338,6 @@ func (q *Queue) processData(f transport.Frame) {
 	if b == nil {
 		panic("comm: data frame without byte framing")
 	}
-	q.c.M.RecvEncodedBytes += int64(len(b))
 	me := q.c.Rank()
 	rawWords := int64(1) // tag word
 	ar := q.getArena()

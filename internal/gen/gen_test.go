@@ -254,42 +254,6 @@ func TestRoadNetworkProfile(t *testing.T) {
 	}
 }
 
-func TestInstanceCatalog(t *testing.T) {
-	for _, inst := range Instances {
-		g, err := ByInstance(inst.Name, -4, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if g.NumVertices() == 0 || g.NumEdges() == 0 {
-			t.Fatalf("instance %s degenerate", inst.Name)
-		}
-	}
-	if _, err := ByInstance("nope", 0, 1); err == nil {
-		t.Fatal("want error for unknown instance")
-	}
-}
-
-// TestByInstanceScaleRange: a shift that takes a stand-in's size exponent
-// below minLogN or above maxLogN is an error (it used to panic in makeslice
-// or on a negative shift, or silently build an empty graph), and the
-// smallest valid shift builds. The largest valid shift is 2^30 vertices,
-// beyond a test's budget.
-func TestByInstanceScaleRange(t *testing.T) {
-	for _, inst := range Instances {
-		for _, shift := range []int{minLogN - inst.logN - 1, maxLogN - inst.logN + 1, -40, 40, 60} {
-			if g, err := ByInstance(inst.Name, shift, 1); err == nil {
-				t.Errorf("%s scale %d: built n=%d, want an error", inst.Name, shift, g.NumVertices())
-			}
-		}
-		g, err := ByInstance(inst.Name, minLogN-inst.logN, 1)
-		if err != nil {
-			t.Errorf("%s scale %d: %v", inst.Name, minLogN-inst.logN, err)
-		} else if g.NumVertices() == 0 {
-			t.Errorf("%s scale %d: empty graph", inst.Name, minLogN-inst.logN)
-		}
-	}
-}
-
 func TestByFamily(t *testing.T) {
 	for _, fam := range Families() {
 		g, err := ByFamily(fam, 256, 8, 5)

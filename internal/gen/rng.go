@@ -1,9 +1,8 @@
 // Package gen provides deterministic, seedable graph generators covering the
 // families the paper evaluates: Erdős–Rényi G(n,m), R-MAT with Graph 500
 // probabilities, 2D random geometric graphs, and random hyperbolic graphs
-// (KAGEN's models), plus deterministic graphs with closed-form triangle
-// counts for testing and a catalog of scaled-down stand-ins for the paper's
-// real-world instances.
+// (KAGEN's models), plus a clustered web model, a road-network model and
+// deterministic graphs with closed-form triangle counts for testing.
 package gen
 
 import "math"

@@ -18,10 +18,11 @@
 //
 // The package also ships the baselines the paper compares against (TriC,
 // a HavoqGT-style vertex-centric counter, and the unbuffered edge iterator,
-// which is DITRIC with Options.Threshold = 1), the
-// approximate extension (CETRIC shipping Bloom-filter neighborhoods),
-// KAGEN-style graph generators, and an α+β network cost model. PEs run as goroutines over an in-process transport by default; a
-// TCP transport (see internal/transport) runs real multi-process clusters.
+// which is DITRIC with Options.Threshold = 1), the approximate extension
+// (CETRIC shipping Bloom-filter neighborhoods) and KAGEN-style graph
+// generators. PEs run as goroutines over an in-process transport by
+// default; a TCP transport (see internal/transport) runs real multi-process
+// clusters.
 //
 // Quick start (compiles verbatim; covered by Example_quickstart):
 //
@@ -176,13 +177,4 @@ func GenerateRGG2D(n, edgeFactor int, seed uint64) *Graph { return gen.RGG2D(n, 
 // GenerateRHG samples a random hyperbolic graph (power-law exponent gamma).
 func GenerateRHG(n int, avgDegree, gamma float64, seed uint64) *Graph {
 	return gen.RHG(gen.RHGConfig{N: n, AvgDegree: avgDegree, Gamma: gamma, Seed: seed})
-}
-
-// Instance builds one of the paper's real-world stand-in instances by name
-// (live-journal, orkut, twitter, friendster, uk-2007-05, webbase-2001, usa,
-// europe). scaleShift shrinks (<0) or grows (>0) the default size by powers
-// of two; a shift that takes the size outside 2^0..2^30 vertices is an
-// error.
-func Instance(name string, scaleShift int, seed uint64) (*Graph, error) {
-	return gen.ByInstance(name, scaleShift, seed)
 }

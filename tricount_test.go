@@ -81,19 +81,6 @@ func TestApproxFacade(t *testing.T) {
 	}
 }
 
-func TestInstanceFacade(t *testing.T) {
-	g, err := Instance("orkut", -4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumVertices() != 256 {
-		t.Fatalf("orkut at shift -4: n=%d, want 256", g.NumVertices())
-	}
-	if _, err := Instance("bogus", 0, 1); err == nil {
-		t.Fatal("want error for unknown instance")
-	}
-}
-
 func TestGeneratorFacades(t *testing.T) {
 	if g := GenerateGNM(100, 400, 1); g.NumEdges() != 400 {
 		t.Fatal("GNM size wrong")
