@@ -59,7 +59,6 @@ func run() (err error) {
 		threads   = flag.Int("threads", 1, "threads per PE (hybrid counting + parallel preprocessing)")
 		overlap   = flag.Bool("overlap", false, "overlapped schedule of the DITRIC/CETRIC counting pipeline: eager shipments + polling/stealing between row chunks instead of the barriered schedule")
 		lcc       = flag.Bool("lcc", false, "compute local clustering coefficients")
-		hub       = flag.Int("hub", 0, "hub-bitmap threshold, 1D engines only (tk2d keeps no bitmaps): min |A(v)| for a packed bitmap (0 = default, <0 = off)")
 
 		approx = flag.Bool("approx", false, "AMQ-approximate counting: the CETRIC pipeline shipping Bloom filters (-algo cetric or cetric2), printing exact type-1/2 plus a type-3 estimate with the expected false positives subtracted; -threads and -overlap apply")
 		bits   = flag.Float64("bits", 8, "Bloom filter bits per neighbor for -approx, at most 64 (≤ 0 = 8): more bits ship more words for a closer type-3 estimate")
@@ -149,7 +148,7 @@ func run() (err error) {
 
 	cfg := core.Config{
 		P: *p, Threshold: *threshold, Threads: *threads, Overlap: *overlap,
-		LCC: *lcc, HubThreshold: *hub,
+		LCC: *lcc,
 	}
 	algo, err := resolveAlgo(*algoName, *approx, &cfg)
 	if err != nil {

@@ -20,7 +20,6 @@ func cetricFrom(pe *dist.PE, pl *plan, lg *graph.LocalGraph, out *peOutcome, sw 
 	// Expansion: orient every row, including ghosts (their visible
 	// neighborhoods are the rewired incoming cut edges).
 	ori := graph.OrientLocalPar(lg, cfg.Threads)
-	ori.BuildHubsPar(cfg.hubMinDegree(), cfg.Threads)
 	sw.phase(PhasePreprocess) // residual: handler setup + the barrier
 	state := newCountState(lg, cfg)
 	state.useAMQ(pl.amq, ori)
@@ -45,7 +44,6 @@ func cetricFrom(pe *dist.PE, pl *plan, lg *graph.LocalGraph, out *peOutcome, sw 
 
 	sw.phase(PhaseContraction)
 	cut = ori.ContractPar(cfg.Threads)
-	cut.BuildHubsPar(cfg.hubMinDegree(), cfg.Threads)
 
 	// Cut neighborhoods go out as (v, A(v)...) records with A(v) ID-sorted —
 	// the shape the chNeigh delta-varint codec compresses best.

@@ -22,7 +22,6 @@ func ditricFrom(pe *dist.PE, pl *plan, lg *graph.LocalGraph, out *peOutcome, sw 
 	exchangeGhostDegrees(pe, lg, cfg.Threads)
 	sw.phase(PhaseOrient)
 	ori := graph.OrientLocalOnlyPar(lg, cfg.Threads)
-	ori.BuildHubsPar(cfg.hubMinDegree(), cfg.Threads)
 	return ditricCount(pe, pl, cfg, lg, ori, out, sw)
 }
 

@@ -2,14 +2,18 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/dist"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/leakcheck"
 	"repro/internal/part"
 	"repro/internal/testgraph"
 )
@@ -162,7 +166,9 @@ func TestPrepareRejectsRowSpaceOverflow(t *testing.T) {
 // triangle on more PEs than vertices (most ranges empty) count exactly
 // through every entry point — Run with each algorithm, RunRank with each,
 // RunStream with each streaming algorithm and RunApproxCetric — with no
-// panic and, under the deadlines, no hang.
+// panic and, under the deadlines, no hang. A stream edge with an endpoint
+// ≥ n, in the initial source or in the inserts, fails RunStream with an
+// error naming the vertex, with no panic and no leaked goroutine.
 func TestEdgeInputsEveryEntryPoint(t *testing.T) {
 	algos := append(Algorithms(), AlgoTK2D)
 	for _, c := range []struct {
@@ -202,11 +208,32 @@ func TestEdgeInputsEveryEntryPoint(t *testing.T) {
 			}
 		})
 	}
+	k3, bad := gen.Complete(3).Edges(), []graph.Edge{{U: 1, V: 9}}
+	for _, c := range []struct {
+		where            string
+		initial, inserts []graph.Edge
+	}{
+		{"initial", append(slices.Clone(k3), bad...), nil},
+		{"inserts", k3, bad},
+	} {
+		for _, p := range []int{1, 4} {
+			t.Run(fmt.Sprintf("stream-vertex-out-of-range/%s/p=%d", c.where, p), func(t *testing.T) {
+				leakcheck.Check(t)
+				cfg := Config{P: p, RunTimeout: 30 * time.Second, CommDeadline: 30 * time.Second}
+				for _, algo := range []Algorithm{AlgoDiTric, AlgoCetric} {
+					_, err := RunStream(algo, 3, SliceBatches(c.initial, 0), SliceBatches(c.inserts, 0), cfg)
+					if err == nil || !strings.Contains(err.Error(), "vertex 9") {
+						t.Fatalf("RunStream %s: err %v, want one naming vertex 9", algo, err)
+					}
+				}
+			})
+		}
+	}
 }
 
 // FuzzRunConfig runs a fixture under a random Config — any algorithm, 1–10
 // PEs, δ, 0–3 threads, the Indirect, Overlap, LCC, Collect and noSurrogate
-// bits and a hub threshold — through one of four entry points:
+// bits — through one of four entry points:
 //
 //   - Run: the input either fails set-up — exactly when it asks LCC of an
 //     algorithm other than DITRIC/CETRIC or Collect of TriC/HavoqGT — or
@@ -242,30 +269,29 @@ func FuzzRunConfig(f *testing.F) {
 	algos := []Algorithm{AlgoDiTric, AlgoCetric, AlgoHavoq, AlgoTriC, AlgoTK2D}
 	// The first seed is rgg on 8 PEs with HavoqGT and Collect: a counter
 	// that ignores Collect returns the count with 0 of 6,310 triangles.
-	f.Add(uint8(7), uint8(2), uint8(7), uint16(0), uint8(0), uint8(bitCollect), uint8(entryRun), int8(0), 0.0)
-	f.Add(uint8(6), uint8(0), uint8(3), uint16(1), uint8(2), uint8(bitIndirect|bitOverlap|bitLCC), uint8(entryRun), int8(-1), 0.0)
-	f.Add(uint8(2), uint8(4), uint8(5), uint16(64), uint8(3), uint8(bitOverlap|bitCollect), uint8(entryRun), int8(2), 0.0)
-	f.Add(uint8(8), uint8(1), uint8(8), uint16(7), uint8(1), uint8(bitNoSurrogate|bitCollect), uint8(entryRun), int8(5), 0.0)
+	f.Add(uint8(7), uint8(2), uint8(7), uint16(0), uint8(0), uint8(bitCollect), uint8(entryRun), 0.0)
+	f.Add(uint8(6), uint8(0), uint8(3), uint16(1), uint8(2), uint8(bitIndirect|bitOverlap|bitLCC), uint8(entryRun), 0.0)
+	f.Add(uint8(2), uint8(4), uint8(5), uint16(64), uint8(3), uint8(bitOverlap|bitCollect), uint8(entryRun), 0.0)
+	f.Add(uint8(8), uint8(1), uint8(8), uint16(7), uint8(1), uint8(bitNoSurrogate|bitCollect), uint8(entryRun), 0.0)
 	// A NaN filter size used to abort a PE body in growslice.
-	f.Add(uint8(3), uint8(1), uint8(3), uint16(0), uint8(1), uint8(0), uint8(entryApprox), int8(0), math.NaN())
-	f.Add(uint8(5), uint8(0), uint8(4), uint16(3), uint8(2), uint8(bitIndirect|bitOverlap), uint8(entryStream), int8(0), 0.0)
-	f.Add(uint8(1), uint8(1), uint8(6), uint16(0), uint8(0), uint8(bitLCC), uint8(entryApprox), int8(1), 3.5)
+	f.Add(uint8(3), uint8(1), uint8(3), uint16(0), uint8(1), uint8(0), uint8(entryApprox), math.NaN())
+	f.Add(uint8(5), uint8(0), uint8(4), uint16(3), uint8(2), uint8(bitIndirect|bitOverlap), uint8(entryStream), 0.0)
+	f.Add(uint8(1), uint8(1), uint8(6), uint16(0), uint8(0), uint8(bitLCC), uint8(entryApprox), 3.5)
 	// TriC's empty and static queue routed over the grid, with workers.
-	f.Add(uint8(4), uint8(3), uint8(5), uint16(0), uint8(2), uint8(bitIndirect|bitOverlap), uint8(entryRank), int8(0), 0.0)
-	f.Fuzz(func(t *testing.T, fxSel, algoSel, pSel uint8, threshold uint16, threads, flags, entrySel uint8, hub int8, bits float64) {
+	f.Add(uint8(4), uint8(3), uint8(5), uint16(0), uint8(2), uint8(bitIndirect|bitOverlap), uint8(entryRank), 0.0)
+	f.Fuzz(func(t *testing.T, fxSel, algoSel, pSel uint8, threshold uint16, threads, flags, entrySel uint8, bits float64) {
 		fx := testgraph.All[int(fxSel)%len(testgraph.All)]
 		algo := algos[int(algoSel)%len(algos)]
 		cfg := Config{
-			P:            int(pSel)%10 + 1,
-			Threshold:    int(threshold),
-			Threads:      int(threads) % 4,
-			Indirect:     flags&bitIndirect != 0,
-			Overlap:      flags&bitOverlap != 0,
-			LCC:          flags&bitLCC != 0,
-			Collect:      flags&bitCollect != 0,
-			noSurrogate:  flags&bitNoSurrogate != 0,
-			HubThreshold: int(hub),
-			RunTimeout:   30 * time.Second,
+			P:           int(pSel)%10 + 1,
+			Threshold:   int(threshold),
+			Threads:     int(threads) % 4,
+			Indirect:    flags&bitIndirect != 0,
+			Overlap:     flags&bitOverlap != 0,
+			LCC:         flags&bitLCC != 0,
+			Collect:     flags&bitCollect != 0,
+			noSurrogate: flags&bitNoSurrogate != 0,
+			RunTimeout:  30 * time.Second,
 		}
 		g := fx.Build()
 		family := algo == AlgoDiTric || algo == AlgoCetric

@@ -16,43 +16,33 @@ import (
 // against the barriered oracle (the seed semantics), exactly as the
 // acceptance criteria demand.
 
-// TestOverlapMatchesBarrieredOracle also runs every cell at HubThreshold 2,
-// which gives even the tiny fixtures hub bitmaps, so the hub arm of
-// graph.LocalOriented.Probe is exercised on both schedules. The default
-// threshold keeps the historical cell names; hub=2 cells carry a suffix.
 func TestOverlapMatchesBarrieredOracle(t *testing.T) {
 	for _, fix := range testgraph.All {
 		g := fix.Build()
 		for _, algo := range []Algorithm{AlgoDiTric, AlgoCetric} {
 			for _, p := range []int{1, 2, 4, 8} {
-				for _, hub := range []int{0, 2} {
-					oracle, err := Run(algo, g, Config{P: p, HubThreshold: hub})
-					if err != nil {
-						t.Fatalf("%s/%s p=%d hub=%d barriered oracle: %v", algo, fix.Name, p, hub, err)
-					}
-					if oracle.Count != fix.Triangles {
-						t.Fatalf("%s/%s p=%d hub=%d: barriered oracle counts %d, fixture says %d",
-							algo, fix.Name, p, hub, oracle.Count, fix.Triangles)
-					}
-					for _, threads := range []int{1, 4} {
-						cell := fmt.Sprintf("%s/%s/p=%d/t=%d", algo, fix.Name, p, threads)
-						if hub != 0 {
-							cell += fmt.Sprintf("/hub=%d", hub)
+				oracle, err := Run(algo, g, Config{P: p})
+				if err != nil {
+					t.Fatalf("%s/%s p=%d barriered oracle: %v", algo, fix.Name, p, err)
+				}
+				if oracle.Count != fix.Triangles {
+					t.Fatalf("%s/%s p=%d: barriered oracle counts %d, fixture says %d",
+						algo, fix.Name, p, oracle.Count, fix.Triangles)
+				}
+				for _, threads := range []int{1, 4} {
+					t.Run(fmt.Sprintf("%s/%s/p=%d/t=%d", algo, fix.Name, p, threads), func(t *testing.T) {
+						res, err := Run(algo, g, Config{P: p, Threads: threads, Overlap: true})
+						if err != nil {
+							t.Fatal(err)
 						}
-						t.Run(cell, func(t *testing.T) {
-							res, err := Run(algo, g, Config{P: p, Threads: threads, Overlap: true, HubThreshold: hub})
-							if err != nil {
-								t.Fatal(err)
-							}
-							if res.Count != oracle.Count {
-								t.Fatalf("overlapped count %d, barriered oracle %d", res.Count, oracle.Count)
-							}
-							if algo == AlgoCetric && res.TypeCounts != oracle.TypeCounts {
-								t.Fatalf("overlapped type counts %v, barriered oracle %v",
-									res.TypeCounts, oracle.TypeCounts)
-							}
-						})
-					}
+						if res.Count != oracle.Count {
+							t.Fatalf("overlapped count %d, barriered oracle %d", res.Count, oracle.Count)
+						}
+						if algo == AlgoCetric && res.TypeCounts != oracle.TypeCounts {
+							t.Fatalf("overlapped type counts %v, barriered oracle %v",
+								res.TypeCounts, oracle.TypeCounts)
+						}
+					})
 				}
 			}
 		}

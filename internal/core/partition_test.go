@@ -20,9 +20,6 @@ import (
 //	off   the default uniform ranges (Config.Partition nil)
 //	auto  skewedPartition's quadratic ranges, which leave the low ranks
 //	      tiny or empty ranges
-//
-// Runs use HubThreshold 2, so even the tiny fixtures get hub bitmaps and the
-// hub arm of graph.LocalOriented.Probe runs under both partitions.
 
 // skewedPartition splits n vertices over p PEs at the quadratic boundaries
 // n·i²/p², so range widths grow with rank: the low ranks get tiny or empty
@@ -57,7 +54,7 @@ func partitionByName(g *graph.Graph, p int, name string) *part.Partition {
 
 // partitionConfig is the knob set the partition suites run under.
 func partitionConfig(g *graph.Graph, p int, name string, overlap bool) Config {
-	return Config{P: p, HubThreshold: 2, Overlap: overlap, Partition: partitionByName(g, p, name)}
+	return Config{P: p, Overlap: overlap, Partition: partitionByName(g, p, name)}
 }
 
 // TestPlacementEquivalence: every fixture × algorithm × P × placement ×

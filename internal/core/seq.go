@@ -11,17 +11,28 @@ import (
 // wedge-checking counter used as an independent oracle in tests.
 
 // SeqCount counts triangles with the sequential EDGE ITERATOR on the
-// degree-oriented graph: T = Σ_{(v,u)} |N⁺(v) ∩ N⁺(u)|, every intersection
-// going through the adaptive kernel engine (hub bitmaps, galloping,
-// branchless merge).
+// degree-oriented graph (COMPACT-FORWARD): for every v, N⁺(v) is marked in
+// a flag per vertex, each N⁺(u) with u ∈ N⁺(v) is scanned for marked
+// members, and the marks are cleared again, so T = Σ_{(v,u)} |N⁺(v) ∩ N⁺(u)|.
+// It shares no kernel with the distributed engines it checks.
 func SeqCount(g *graph.Graph) uint64 {
 	o := graph.Orient(g)
-	o.BuildHubs(graph.DefaultHubMinDegree)
+	mark := make([]bool, g.NumVertices())
 	var count uint64
 	for v := 0; v < g.NumVertices(); v++ {
 		nv := o.Out(graph.Vertex(v))
 		for _, u := range nv {
-			count += o.CountListWith(nv, u)
+			mark[u] = true
+		}
+		for _, u := range nv {
+			for _, w := range o.Out(u) {
+				if mark[w] {
+					count++
+				}
+			}
+		}
+		for _, u := range nv {
+			mark[u] = false
 		}
 	}
 	return count
@@ -30,35 +41,37 @@ func SeqCount(g *graph.Graph) uint64 {
 // SeqDeltas counts triangles and the per-vertex incidence counts Δ(v); every
 // triangle increments Δ of all three corners.
 func SeqDeltas(g *graph.Graph) (uint64, []uint64) {
-	o := graph.Orient(g)
-	o.BuildHubs(graph.DefaultHubMinDegree)
 	deltas := make([]uint64, g.NumVertices())
 	var count uint64
-	for v := 0; v < g.NumVertices(); v++ {
-		nv := o.Out(graph.Vertex(v))
-		for _, u := range nv {
-			o.ForEachCommonListWith(nv, u, func(w graph.Vertex) {
-				count++
-				deltas[v]++
-				deltas[u]++
-				deltas[w]++
-			})
-		}
-	}
+	SeqEnumerate(g, func(v, u, w graph.Vertex) {
+		count++
+		deltas[v]++
+		deltas[u]++
+		deltas[w]++
+	})
 	return count, deltas
 }
 
-// SeqEnumerate calls fn for every triangle exactly once. The corner order
-// within a call follows the degree orientation (v ≺ u ≺ w).
+// SeqEnumerate calls fn for every triangle exactly once: SeqCount's loop
+// with a callback per closed wedge. The corner order within a call follows
+// the degree orientation (v ≺ u ≺ w).
 func SeqEnumerate(g *graph.Graph, fn func(v, u, w graph.Vertex)) {
 	o := graph.Orient(g)
-	o.BuildHubs(graph.DefaultHubMinDegree)
+	mark := make([]bool, g.NumVertices())
 	for v := 0; v < g.NumVertices(); v++ {
 		nv := o.Out(graph.Vertex(v))
 		for _, u := range nv {
-			o.ForEachCommonListWith(nv, u, func(w graph.Vertex) {
-				fn(graph.Vertex(v), u, w)
-			})
+			mark[u] = true
+		}
+		for _, u := range nv {
+			for _, w := range o.Out(u) {
+				if mark[w] {
+					fn(graph.Vertex(v), u, w)
+				}
+			}
+		}
+		for _, u := range nv {
+			mark[u] = false
 		}
 	}
 }

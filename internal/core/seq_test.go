@@ -6,14 +6,22 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/testgraph"
 )
 
+// TestSeqCountClosedForms checks the sequential oracles on closed-form
+// graphs and on every testgraph fixture: SeqCount and NaiveCount agree with
+// the known count, SeqDeltas sums to three per triangle, and SeqEnumerate
+// emits each triangle exactly once. A mark that SeqCount or SeqEnumerate
+// failed to clear after one vertex would count a wedge of a later vertex
+// closed by that earlier out-neighborhood.
 func TestSeqCountClosedForms(t *testing.T) {
-	cases := []struct {
+	type row struct {
 		name string
 		g    *graph.Graph
 		want uint64
-	}{
+	}
+	cases := []row{
 		{"K4", gen.Complete(4), 4},
 		{"K5", gen.Complete(5), 10},
 		{"K10", gen.Complete(10), 120},
@@ -36,6 +44,9 @@ func TestSeqCountClosedForms(t *testing.T) {
 		{"Empty", graph.FromEdges(0, nil), 0},
 		{"Singleton", graph.FromEdges(1, nil), 0},
 	}
+	for _, fix := range testgraph.All {
+		cases = append(cases, row{fix.Name, fix.Build(), fix.Triangles})
+	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			if got := SeqCount(tc.g); got != tc.want {
@@ -43,6 +54,24 @@ func TestSeqCountClosedForms(t *testing.T) {
 			}
 			if got := NaiveCount(tc.g); got != tc.want {
 				t.Errorf("NaiveCount = %d, want %d", got, tc.want)
+			}
+			count, deltas := SeqDeltas(tc.g)
+			var sum uint64
+			for _, d := range deltas {
+				sum += d
+			}
+			if count != tc.want || sum != 3*tc.want {
+				t.Errorf("SeqDeltas = %d with ΣΔ = %d, want %d and %d", count, sum, tc.want, 3*tc.want)
+			}
+			seen := make(map[[3]graph.Vertex]int)
+			SeqEnumerate(tc.g, func(v, u, w graph.Vertex) { seen[CanonTriangle(v, u, w)]++ })
+			if uint64(len(seen)) != tc.want {
+				t.Errorf("SeqEnumerate emitted %d distinct triangles, want %d", len(seen), tc.want)
+			}
+			for tri, n := range seen {
+				if n != 1 {
+					t.Errorf("SeqEnumerate emitted %v %d times", tri, n)
+				}
 			}
 		})
 	}

@@ -226,10 +226,10 @@ func (s *countState) recvRecord(r recvRecord, o *graph.LocalOriented) uint64 {
 // countWedgeRows records the triangles closing the wedge rooted at the
 // oriented edge (rv, ru), where A(rv) in row space is the list the caller
 // stamped into m once for all of rv's partners: one dispatch
-// (graph.LocalOriented.Probe: the mark probed with A(ru), or a hub ru's
-// bitmap probed with the shorter stamped list), then the count shape of the
-// kernel, or the for-each shape when LCC/collection need every closing
-// vertex. Returns the triangles found and the words probed for them.
+// (graph.LocalOriented.Probe: the mark probed with A(ru), or under TriC a
+// hub ru's bitmap probed with the shorter stamped list), then the count
+// shape of the kernel, or the for-each shape when LCC/collection need every
+// closing vertex. Returns the triangles found and the words probed for them.
 func (s *countState) countWedgeRows(m *graph.Mark, rv, ru int32, o *graph.LocalOriented) (c uint64, probed int) {
 	set, probe := o.Probe(m, ru)
 	if !s.lcc && !s.collect {

@@ -22,7 +22,8 @@ func tricBody(pe *dist.PE, pl *plan, lg *graph.LocalGraph, out *peOutcome, sw *s
 	sw.phase(PhaseOrient)
 	ori := graph.OrientLocalByIDPar(lg, cfg.Threads)
 	// Without the degree orientation, hub rows keep their full
-	// out-neighborhoods — exactly what the packed hub bitmaps are for.
-	ori.BuildHubsPar(cfg.hubMinDegree(), cfg.Threads)
+	// out-neighborhoods — exactly what the packed hub bitmaps are for. The
+	// threshold is fixed; the degree-oriented engines build no hub index.
+	ori.BuildHubsPar(graph.DefaultHubMinDegree, cfg.Threads)
 	return ditricCount(pe, pl, cfg, lg, ori, out, sw)
 }

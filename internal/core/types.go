@@ -123,16 +123,6 @@ type Config struct {
 	// steal deque.
 	Threads int
 
-	// HubThreshold tunes the adaptive intersection engine: rows whose
-	// oriented neighborhood A(v) has at least this many entries get a packed
-	// hub bitmap, turning intersections against them into bit tests (and
-	// hub ∩ hub into word-AND + popcount). 0 picks
-	// graph.DefaultHubMinDegree; negative disables the bitmaps, leaving the
-	// branchless-merge and galloping kernels. Total bitmap memory is capped
-	// at the size of the A-lists themselves regardless of the threshold.
-	// 1D engines only: TK2D stamps a mark per column instead and ignores it.
-	HubThreshold int
-
 	// Overlap selects the overlapped schedule of the DITRIC/CETRIC counting
 	// pipeline (HavoqGT ignores it; TriC always runs barriered). The default,
 	// barriered schedule ships frames only when δ overflows and in the final
@@ -193,20 +183,6 @@ func (c Config) withDefaults() Config {
 		c.Threads = 1
 	}
 	return c
-}
-
-// hubMinDegree maps the HubThreshold knob to the minimum out-degree passed
-// to BuildHubs (0 disables the hub index there): negative disables, zero
-// picks the engine default.
-func (c Config) hubMinDegree() int {
-	switch {
-	case c.HubThreshold < 0:
-		return 0
-	case c.HubThreshold == 0:
-		return graph.DefaultHubMinDegree
-	default:
-		return c.HubThreshold
-	}
 }
 
 // Result reports one distributed run.

@@ -79,31 +79,20 @@ func sameValues(got []uint32, want []uint64) bool {
 	return slices.EqualFunc(got, want, func(g uint32, w uint64) bool { return uint64(g) == w })
 }
 
-// TestHubBitmapCountsMatchFixtures drives the packed hub-bitmap engine
-// through a whole-graph count on every fixture: with the hub threshold
-// forced to 1 every vertex carries a bitmap (pure bitmap kernel), with the
-// default threshold the dispatcher mixes kernels — both totals must equal
-// the fixture's precomputed count.
-func TestHubBitmapCountsMatchFixtures(t *testing.T) {
+// TestIDOrientationHubRows pins which fixtures reach the hub arm of Probe
+// through TriC, the one engine that builds a hub index: on a one-PE view,
+// the ID orientation at DefaultHubMinDegree gives rmat, rhg and web hub rows
+// and every other fixture none.
+func TestIDOrientationHubRows(t *testing.T) {
+	want := map[string]int{"rmat": 18, "rhg": 4, "web": 1}
 	for _, fix := range testgraph.All {
 		g := fix.Build()
-		for _, minDeg := range []int{1, graph.DefaultHubMinDegree, -1} {
-			o := graph.Orient(g)
-			if minDeg >= 0 {
-				o.BuildHubs(minDeg)
-			}
-			var viaCount, viaEach uint64
-			for v := 0; v < g.NumVertices(); v++ {
-				nv := o.Out(graph.Vertex(v))
-				for _, u := range nv {
-					viaCount += o.CountListWith(nv, u)
-					viaEach += o.CountPair(graph.Vertex(v), u)
-				}
-			}
-			if viaCount != fix.Triangles || viaEach != fix.Triangles {
-				t.Errorf("%s minDeg=%d: CountListWith=%d CountPair=%d, want %d",
-					fix.Name, minDeg, viaCount, viaEach, fix.Triangles)
-			}
+		pt := part.Uniform(uint64(g.NumVertices()), 1)
+		lg := graph.BuildLocal(pt, 0, graph.ScatterEdges(pt, g.Edges())[0])
+		ori := graph.OrientLocalByIDPar(lg, 1)
+		ori.BuildHubs(graph.DefaultHubMinDegree)
+		if got := ori.NumHubs(); got != want[fix.Name] {
+			t.Errorf("%s: %d hub rows, want %d", fix.Name, got, want[fix.Name])
 		}
 	}
 }

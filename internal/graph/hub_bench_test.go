@@ -9,9 +9,10 @@ import (
 )
 
 // Hub-row benchmarks on the RHG/RGG stand-ins: intersections against the
-// heaviest real rows, adaptive engine (hub bitmaps built) vs the plain merge
-// oracle, on the degree orientation the counters run on — the
-// everything-small case the dispatcher must not regress.
+// heaviest real rows, the hub-bitmap pair kernel (LocalOriented.CountRowPair
+// with TriC's hub index built) vs the plain merge oracle, on the degree
+// orientation of a one-PE view — the everything-small case the dispatcher
+// must not regress.
 func hubBenchGraphs() []struct {
 	name string
 	g    *graph.Graph
@@ -27,37 +28,44 @@ func hubBenchGraphs() []struct {
 
 var hubSink uint64
 
-// BenchmarkHubRows measures Σ_u |N⁺(hub) ∩ N⁺(u)| over every in-pair of the
+// onePEOriented is the degree orientation of g's one-PE view: every vertex
+// is a local row and row r is vertex r.
+func onePEOriented(g *graph.Graph) *graph.LocalOriented {
+	_, lg := buildLocalForBench(g, 1, 0)
+	return graph.OrientLocalPar(lg, 1)
+}
+
+// BenchmarkHubRows measures Σ_u |A(hub) ∩ A(u)| over every in-pair of the
 // heaviest degree-oriented row — exactly the work a hub row generates, once
 // per in-edge.
 func BenchmarkHubRows(b *testing.B) {
 	for _, spec := range hubBenchGraphs() {
-		o := graph.Orient(spec.g)
-		hub := graph.Vertex(0)
-		for v := 0; v < spec.g.NumVertices(); v++ {
-			if o.OutDegree(graph.Vertex(v)) > o.OutDegree(hub) {
-				hub = graph.Vertex(v)
+		ori := onePEOriented(spec.g)
+		hub := int32(0)
+		for r := 0; r < ori.L.Rows(); r++ {
+			if ori.OutDegree(int32(r)) > ori.OutDegree(hub) {
+				hub = int32(r)
 			}
 		}
-		probes := spec.g.Neighbors(hub)
+		probes := spec.g.Neighbors(graph.Vertex(hub))
 		b.Run(spec.name+"/merge", func(b *testing.B) {
 			b.ReportAllocs()
 			var sink uint64
 			for i := 0; i < b.N; i++ {
 				for _, u := range probes {
-					sink += graph.CountMerge(o.Out(u), o.Out(hub))
+					sink += graph.CountMerge(ori.OutRows(int32(u)), ori.OutRows(hub))
 				}
 			}
 			hubSink = sink
 		})
 		b.Run(spec.name+"/adaptive", func(b *testing.B) {
-			o.BuildHubs(graph.DefaultHubMinDegree)
+			ori.BuildHubs(graph.DefaultHubMinDegree)
 			b.ResetTimer()
 			b.ReportAllocs()
 			var sink uint64
 			for i := 0; i < b.N; i++ {
 				for _, u := range probes {
-					sink += o.CountPair(u, hub)
+					sink += ori.CountRowPair(int32(u), hub)
 				}
 			}
 			hubSink = sink
@@ -66,22 +74,22 @@ func BenchmarkHubRows(b *testing.B) {
 }
 
 // BenchmarkAdaptiveIntersectSteadyState is the allocation-regression gate
-// for the compute side: a full adaptive EDGE ITERATOR pass (hub bitmaps,
-// galloping, merge) over a degree-oriented graph must report 0 allocs/op.
-// The index is built before the timer starts; the counting loop itself owns
-// no memory.
+// for the pair kernel: a full EDGE ITERATOR pass through CountRowPair (hub
+// bitmaps, galloping, merge) over a one-PE degree orientation must report
+// 0 allocs/op. The hub index is built before the timer starts; the counting
+// loop itself owns no memory.
 func BenchmarkAdaptiveIntersectSteadyState(b *testing.B) {
 	for _, spec := range hubBenchGraphs() {
-		o := graph.Orient(spec.g)
-		o.BuildHubs(graph.DefaultHubMinDegree)
-		n := spec.g.NumVertices()
+		ori := onePEOriented(spec.g)
+		ori.BuildHubs(graph.DefaultHubMinDegree)
+		rows := ori.L.Rows()
 		b.Run(spec.name, func(b *testing.B) {
 			b.ReportAllocs()
 			var sink uint64
 			for i := 0; i < b.N; i++ {
-				for v := 0; v < n; v++ {
-					for _, u := range o.Out(graph.Vertex(v)) {
-						sink += o.CountPair(graph.Vertex(v), u)
+				for r := 0; r < rows; r++ {
+					for _, ur := range ori.OutRows(int32(r)) {
+						sink += ori.CountRowPair(int32(r), int32(ur))
 					}
 				}
 			}

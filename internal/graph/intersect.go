@@ -5,8 +5,8 @@ import "math/bits"
 // Set intersection of sorted index lists — the inner loop of every EDGE
 // ITERATOR variant. Every kernel has one generic body over Index: 4-byte
 // row indices (every row-translated A-list, 2D block entry and row mark)
-// and 8-byte global IDs (the OutGraph of SeqCount, received records, the
-// streaming engine's record lists). Two families of kernels are provided.
+// and 8-byte global IDs (received records, the streaming engine's record
+// lists). Two families of kernels are provided.
 // Pairwise, for a single intersection with nothing to amortise:
 //
 //   - CountMerge: the textbook two-pointer merge (branchy; fast when the
@@ -19,13 +19,13 @@ import "math/bits"
 // tested against it — one bit test per list entry whatever the set's size:
 //
 //   - CountList / CountListSplit / ForEachCommonList (and Bitset.CountAnd
-//     for bitset ∩ bitset). The set is either a build-time hub
-//     bitmap (the hub index in oriented.go / order.go, a StreamBuilder row
-//     bitmap) or a Mark stamped at run time with a source list that several
-//     partner lists are then probed against — the stamped wedge kernel every
-//     1D row-space wedge and every TK2D round goes through;
-//     LocalOriented.Probe picks the sides. SplitMark is the streaming delta
-//     engine's two-list Mark over global IDs.
+//     for bitset ∩ bitset). The set is usually a Mark stamped at run time
+//     with a source list that several partner lists are then probed
+//     against — the stamped wedge kernel every 1D row-space wedge and every
+//     TK2D round goes through; LocalOriented.Probe picks the sides. The
+//     build-time bitmaps are TriC's hub index (oriented.go) and the
+//     StreamBuilder's row bitmaps. SplitMark is the streaming delta engine's
+//     two-list Mark over global IDs.
 
 // Index is the element type of the sorted lists the kernels run on: uint32
 // for row indices (row space is bounded to 2³¹−1 rows per PE, see

@@ -33,74 +33,13 @@ func b2u(b bool) uint64 {
 func Less(du int, u Vertex, dv int, v Vertex) bool { return precedes(du, u, dv, v) == 1 }
 
 // OutGraph is a degree-oriented view of an undirected graph: Out(v) holds the
-// outgoing neighborhood N⁺(v) = {u : v ≺ u}, sorted ascending by vertex ID so
-// two out-neighborhoods can be intersected by a merge. BuildHubs additionally
-// indexes heavy out-lists as packed bitmaps (the vertex domain is already
-// dense), turning hub intersections into bit tests / word-AND + popcount.
+// outgoing neighborhood N⁺(v) = {u : v ≺ u}, sorted ascending by vertex ID.
+// It is the sequential oracle's orientation (core.SeqCount) and the one
+// Stats reports wedges on; the distributed engines orient their local views
+// with LocalOriented instead.
 type OutGraph struct {
-	off  []int64
-	out  []Vertex
-	hubs hubIndex
-}
-
-// BuildHubs builds the packed hub-bitmap index: vertices with |N⁺(v)| ≥
-// minDeg get a bitset over the vertex domain, memory-capped at the size of
-// the out-lists themselves (largest rows first). minDeg ≤ 0 disables it.
-func (o *OutGraph) BuildHubs(minDeg int) { o.BuildHubsPar(minDeg, 1) }
-
-// BuildHubsPar is BuildHubs with the bitmap fills fanned out over threads
-// workers.
-func (o *OutGraph) BuildHubsPar(minDeg, threads int) {
-	o.hubs = buildHubs(o.NumVertices(), o.NumVertices(), o.off, o.out, minDeg, threads)
-}
-
-// NumHubs returns the number of vertices carrying a hub bitmap.
-func (o *OutGraph) NumHubs() int { return o.hubs.hubs }
-
-// HubBitset returns the packed bitmap of a hub vertex, or nil.
-func (o *OutGraph) HubBitset(v Vertex) Bitset { return o.hubs.bitset(int(v)) }
-
-// CountListWith returns |list ∩ N⁺(u)| for an ascending vertex list — the
-// hoisted-first-operand hot path: callers slice N⁺(v) once per row and pay
-// one hub lookup per pair.
-func (o *OutGraph) CountListWith(list []Vertex, u Vertex) uint64 {
-	if bu := o.hubs.bitset(int(u)); bu != nil {
-		return CountList(bu, list)
-	}
-	return CountIntersect(list, o.Out(u))
-}
-
-// ForEachCommonListWith calls fn for every element of list ∩ N⁺(u),
-// ascending.
-func (o *OutGraph) ForEachCommonListWith(list []Vertex, u Vertex, fn func(Vertex)) {
-	if bu := o.hubs.bitset(int(u)); bu != nil {
-		ForEachCommonList(bu, list, fn)
-		return
-	}
-	ForEachCommon(list, o.Out(u), fn)
-}
-
-// CountPair returns |N⁺(v) ∩ N⁺(u)|, dispatching between the hub-bitmap,
-// galloping, and branchless-merge kernels per pair.
-func (o *OutGraph) CountPair(v, u Vertex) uint64 {
-	bv, bu := o.hubs.bitset(int(v)), o.hubs.bitset(int(u))
-	switch {
-	case bv != nil && bu != nil:
-		lv, lu := o.OutDegree(v), o.OutDegree(u)
-		if min(lv, lu) < o.hubs.stride {
-			if lv <= lu {
-				return CountList(bu, o.Out(v))
-			}
-			return CountList(bv, o.Out(u))
-		}
-		return bv.CountAnd(bu)
-	case bu != nil:
-		return CountList(bu, o.Out(v))
-	case bv != nil:
-		return CountList(bv, o.Out(u))
-	default:
-		return CountIntersect(o.Out(v), o.Out(u))
-	}
+	off []int64
+	out []Vertex
 }
 
 // Orient builds the COMPACT-FORWARD orientation of g. The placement pass

@@ -15,8 +15,8 @@ import (
 // Every orientation keeps OutRows(row): A(row) as row indices, sorted
 // ascending by row — the shape every local intersection runs on, so the hot
 // loops never touch the ghost index and can use bitsets over the row domain:
-// the per-hub bitmaps and the stamped Mark (see Probe). Row indices are 4
-// bytes (a PE holds at most MaxRows rows).
+// the stamped Mark (see Probe) and, on TriC's ID orientation, the per-hub
+// bitmaps. Row indices are 4 bytes (a PE holds at most MaxRows rows).
 //
 // Out(row), the same set as global IDs sorted ascending, is kept only where
 // lists ship or meet received ID lists: the shipped shape needs no
@@ -35,15 +35,14 @@ type LocalOriented struct {
 	hubs   hubIndex
 }
 
-// DefaultHubMinDegree is the out-degree above which a row gets a packed
-// bitmap in BuildHubs when the caller does not tune the threshold. Degree
-// orientation keeps out-lists short (the top A-lists of the RGG/RHG
-// fixtures are in the tens, not hundreds), so the default is deliberately
-// low: the bitmap kernel already beats the merge at equal operand sizes
-// (BenchmarkIntersect), rows this heavy are intersected once per in-edge so
-// the O(stride) build cost amortizes, and the memory cap in BuildHubs
-// bounds the total bitmap footprint to one word per A-list entry regardless
-// of the threshold.
+// DefaultHubMinDegree is TriC's fixed hub threshold: the out-degree from
+// which a row gets a packed bitmap in BuildHubs. TriC orients by ID, so hub
+// rows keep their full neighborhoods and are probed once per in-edge; the
+// bitmap kernel already beats the merge at equal operand sizes
+// (BenchmarkIntersect), so the O(stride) build cost amortizes, and the
+// memory cap in BuildHubs bounds the total bitmap footprint to one word per
+// A-list entry. The degree orientations (DITRIC, CETRIC) keep out-lists
+// short and build no hub index.
 const DefaultHubMinDegree = 32
 
 // hubIndex maps heavy rows to packed bitsets over the row domain, so
@@ -67,17 +66,16 @@ func (h *hubIndex) bitset(row int) Bitset {
 // buildHubs indexes rows with list length ≥ minDeg, capping total bitmap
 // memory at one bitmap word per list entry: with stride words per bitmap,
 // at most len(entries)/stride rows get one, largest rows first. minDeg ≤ 0
-// disables the index. The bitset domain is the entry value range: the row
-// count for the 4-byte row-translated 1D layouts, the vertex count for the
-// 8-byte OutGraph lists. Candidate selection is sequential (cheap); the
-// bitmap fills fan out over threads workers — each hub owns a disjoint
-// stride of the backing word array.
-func buildHubs[T Index](rows, domain int, off []int64, entries []T, minDeg, threads int) hubIndex {
+// disables the index. The bitset domain is the row domain [0, rows).
+// Candidate selection is sequential (cheap); the bitmap fills fan out over
+// threads workers — each hub owns a disjoint stride of the backing word
+// array.
+func buildHubs(rows int, off []int64, entries []uint32, minDeg, threads int) hubIndex {
 	var h hubIndex
-	if minDeg <= 0 || rows == 0 || domain == 0 || len(entries) == 0 {
+	if minDeg <= 0 || rows == 0 || len(entries) == 0 {
 		return h
 	}
-	h.stride = BitsetWords(domain)
+	h.stride = BitsetWords(rows)
 	maxHubs := len(entries) / h.stride
 	if maxHubs == 0 {
 		return h
@@ -119,14 +117,15 @@ func buildHubs[T Index](rows, domain int, off []int64, entries []T, minDeg, thre
 // BuildHubs builds the packed hub-bitmap index over the row-translated
 // A-lists: rows with |A(v)| ≥ minDeg get a bitset over the row domain
 // (memory-capped; see buildHubs). minDeg ≤ 0 disables the index, leaving
-// every intersection on the merge/gallop kernels. Sequential; BuildHubsPar
-// is the threaded variant.
+// Probe on the stamped mark and CountRowPair on the merge/gallop kernels.
+// TriC is the one engine that builds it. Sequential; BuildHubsPar is the
+// threaded variant.
 func (o *LocalOriented) BuildHubs(minDeg int) { o.BuildHubsPar(minDeg, 1) }
 
 // BuildHubsPar is BuildHubs with the bitmap fills fanned out over threads
 // workers (hubs own disjoint strides of the backing array).
 func (o *LocalOriented) BuildHubsPar(minDeg, threads int) {
-	o.hubs = buildHubs(o.L.Rows(), o.L.Rows(), o.off, o.rowOut, minDeg, threads)
+	o.hubs = buildHubs(o.L.Rows(), o.off, o.rowOut, minDeg, threads)
 }
 
 // NumHubs returns the number of rows carrying a hub bitmap.
@@ -331,11 +330,11 @@ func (o *LocalOriented) NewRowMark() *Mark { return NewMark(o.L.Rows()) }
 // m and the partner row, it returns a membership set and the ascending list
 // to test against it such that set ∩ probe = list ∩ A(row). Normally that is
 // the mark itself probed with A(row) — |A(row)| bit tests, the stamped list
-// is not scanned again; when row carries a hub bitmap and the stamped list
-// is the shorter side, the roles swap and the list is tested against the
-// hub's bitmap instead. Either way a source list of length L with partners
-// u₁…u_k costs L + Σ min(|A(uᵢ)|, L·[uᵢ is a hub]) bit tests, not the
-// k·L + Σ|A(uᵢ)| steps of k independent merges.
+// is not scanned again. When row carries a hub bitmap (only TriC builds
+// them) and the stamped list is the shorter side, the roles swap and the
+// list is tested against the hub's bitmap instead. Either way a source list
+// of length L with partners u₁…u_k costs L + Σ min(|A(uᵢ)|, L·[uᵢ is a hub])
+// bit tests, not the k·L + Σ|A(uᵢ)| steps of k independent merges.
 //
 // The kernel's three shapes are the set kernels applied to the result:
 // CountList (count), CountListSplit (count split at a row index — CETRIC's
@@ -382,8 +381,7 @@ func (o *LocalOriented) CountRowPair(a, b int32) uint64 {
 // beside OutRows: these are the lists CETRIC ships. In row space a row's
 // ghosts are the suffix ≥ NLocal of its ascending list, and ghost rows are
 // numbered in ID order, so that suffix is also the ID-sorted cut list. Hub
-// bitmaps are not carried over; call BuildHubsPar on the result if the cut
-// lists warrant them.
+// bitmaps are not carried over.
 func (o *LocalOriented) ContractPar(threads int) *LocalOriented {
 	l := o.L
 	nLocal := l.NLocal()

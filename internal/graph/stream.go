@@ -35,7 +35,7 @@ import (
 // bits of every merged Δ entry and gives a row its bitmap when it crosses
 // the threshold. A bitmap's words never exceed its row's entries, so all
 // bitmap words of a PE stay at most Entries(): the one-word-per-entry cap of
-// the static hub index (buildHubs).
+// TriC's static hub index (buildHubs).
 
 // StreamBuilder accumulates one PE's scattered edge batches into a resident
 // per-local-row adjacency (sorted global IDs, duplicates removed). Ghost

@@ -2,7 +2,10 @@ package tricount
 
 import (
 	"math"
+	"strings"
 	"testing"
+
+	"repro/internal/leakcheck"
 )
 
 // Facade tests: exercise the public API end to end the way a downstream user
@@ -134,6 +137,24 @@ func TestStreamFacade(t *testing.T) {
 		if sres.Initial+sum != sres.Count {
 			t.Fatalf("%s: Initial %d + deltas %d != Count %d", algo, sres.Initial, sum, sres.Count)
 		}
+	}
+}
+
+// TestStreamEdgesRejectsOutOfRangeVertex: an edge endpoint ≥ n in a pulled
+// batch is an error naming the vertex, not a panic or a leaked goroutine.
+func TestStreamEdgesRejectsOutOfRangeVertex(t *testing.T) {
+	leakcheck.Check(t)
+	pulled := false
+	pull := func() []Edge {
+		if pulled {
+			return nil
+		}
+		pulled = true
+		return []Edge{{U: 0, V: 1}, {U: 1, V: 5}}
+	}
+	_, err := StreamEdges(3, AlgoCetric, nil, pull, Options{P: 4})
+	if err == nil || !strings.Contains(err.Error(), "vertex 5") {
+		t.Fatalf("err %v, want one naming vertex 5", err)
 	}
 }
 
