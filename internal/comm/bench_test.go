@@ -67,9 +67,20 @@ func BenchmarkQueueAllToAll(b *testing.B) {
 // BenchmarkQueueFlushSteadyState is the allocation-regression gate for the
 // wire side: one op is a burst of aggregated records, a Flush, and the full
 // receive path on the peer (decode into the pooled arena, dispatch, recycle
-// the frame). After the warmup rounds populate the per-destination buffers
-// and the frame/arena pools, the path must report 0 allocs/op.
+// the frame). /small is a burst of 64 records. /large is a burst of 4096,
+// whose frame (≈ 48 KB) outgrows its first pooled buffer several times over
+// during the warmup. After the warmup rounds have filled the frame and arena
+// pools, every round must report 0 allocs/op.
 func BenchmarkQueueFlushSteadyState(b *testing.B) {
+	for _, bc := range []struct {
+		name  string
+		burst int
+	}{{"small", 64}, {"large", 4096}} {
+		b.Run(bc.name, func(b *testing.B) { benchQueueFlush(b, bc.burst) })
+	}
+}
+
+func benchQueueFlush(b *testing.B, burst int) {
 	net := transport.NewChanNetwork(2)
 	defer net.Close()
 	eps := make([]transport.Endpoint, 2)
@@ -100,21 +111,20 @@ func BenchmarkQueueFlushSteadyState(b *testing.B) {
 	}()
 
 	payload := []uint64{100, 103, 104, 110, 117, 125, 126, 140}
-	const burst = 64
 	var sent int64
 	round := func() {
 		for k := 0; k < burst; k++ {
 			sender.Send(0, 1, payload)
 		}
 		sender.Flush()
-		sent += burst
+		sent += int64(burst)
 		for processed.Load() < sent {
 			// Lock-step with the receiver so its inbox cannot grow.
 			runtime.Gosched()
 		}
 	}
 	for i := 0; i < 16; i++ {
-		round() // warmup: grow buffers, fill pools
+		round() // warmup: grow frames and arenas, fill the pools
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

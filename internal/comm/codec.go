@@ -9,10 +9,10 @@ import (
 
 // Wire codecs. A Codec turns one record payload (machine words) into wire
 // bytes and back. The queue applies the codec of a record's logical channel
-// at flush time — the algorithms above keep producing and consuming plain
-// []uint64 payloads — so the only thing a codec changes is the number of
-// bytes a frame occupies on the wire (reported as Metrics.EncodedBytes
-// against Metrics.RawBytes).
+// as it queues the record — the algorithms above keep producing and
+// consuming plain []uint64 payloads — so the only thing a codec changes is
+// the number of bytes a frame occupies on the wire (reported as
+// Metrics.EncodedBytes against Metrics.RawBytes).
 //
 // Sender and receiver must agree: every PE of a run has to install the same
 // codec on the same channel before any record for it is in flight.

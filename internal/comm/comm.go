@@ -56,7 +56,7 @@ type Comm struct {
 	// collectives (Group.Bcast/IBcast): receivers decode into recycled
 	// capacity and hand it back via Group.Recycle, so the steady-state
 	// exchange allocates nothing — the same discipline Queue keeps for its
-	// flush buffers.
+	// pooled frames.
 	wordBufs [][]uint64
 
 	// Watchdog state (see SetDeadline): progress counts frames ever returned

@@ -4,8 +4,8 @@
 // (§IV-B), an asynchronous sparse all-to-all with distributed termination
 // detection, dense exchanges, and basic collectives. All traffic is metered
 // in messages and machine words, matching the paper's reported quantities,
-// and — since data frames are codec-encoded at the flush boundary (see
-// codec.go) — in raw vs encoded bytes on the wire.
+// and — since records are codec-encoded as they are queued (see codec.go) —
+// in raw vs encoded bytes on the wire.
 package comm
 
 // Metrics counts one PE's communication. Frames and words are transport

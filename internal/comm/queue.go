@@ -16,14 +16,17 @@ import (
 const MaxChannels = 8
 
 // Handler processes one received record: src is the originating PE (not the
-// proxy under indirection), words the record payload.
+// proxy under indirection), words the record payload. words aliases a pooled
+// decode arena that the queue reuses for the next record, so it is valid
+// only during the call unless the handler pins it with Queue.PinPayload.
 type Handler func(src int, words []uint64)
 
-// Queue is the paper's dynamically buffered message queue (§IV-A): one
-// buffer per next-hop destination held in a hash map, a global threshold δ
-// on the total buffered words, flush-all on overflow with buffer swap
-// (double buffering: the full buffer is handed to the asynchronous transport
-// while a fresh one fills), and continuous polling for incoming messages.
+// Queue is the paper's dynamically buffered message queue (§IV-A): one wire
+// frame under construction per next-hop destination, into which records are
+// encoded as they are queued, a global threshold δ on the total buffered raw
+// words, flush-all on overflow (each frame goes to the asynchronous
+// transport; its hop takes a fresh pooled frame with its next record), and
+// continuous polling for incoming messages.
 //
 // With a Grid attached it performs the paper's indirect message delivery
 // (§IV-B): records are first shipped to a row proxy, which re-aggregates
@@ -40,16 +43,16 @@ type Queue struct {
 	grid      *Grid // nil => direct delivery
 	threshold int   // δ in words
 
-	// bufs holds one aggregation buffer per next-hop destination. Buffers
-	// are retained (truncated to the tag word) across flushes — the
-	// per-destination free list that makes steady-state flushing
-	// allocation-free.
-	bufs     map[int][]uint64
+	// frames holds, per next-hop rank, a transport.GetBuf byte frame that
+	// starts with the 8-byte data tag (nil: no record queued) and the raw
+	// words (envelopes + payloads) its records stand for. buffered is the
+	// raw total over all hops, the quantity δ bounds.
+	frames   []hopFrame
 	buffered int
 	handlers [MaxChannels]Handler
 	codecs   [MaxChannels]Codec
 
-	encScratch []byte // per-record encode buffer, reused across flushes
+	encScratch []byte // a record's encoded payload, staged: its length prefix precedes it
 
 	// Decode arenas, recycled across frames. curArena is the arena of the
 	// frame currently being dispatched (nil outside processData); handlers
@@ -68,6 +71,11 @@ type Queue struct {
 	// Drain/DrainWith (zero when the PE last did useful work); episodes
 	// accumulate into Metrics.IdleNs.
 	idleAt time.Time
+}
+
+type hopFrame struct {
+	b   []byte
+	raw int
 }
 
 // wordArena is one reusable decode buffer. refs counts the frame dispatch in
@@ -146,7 +154,7 @@ func NewQueue(c *Comm, threshold int, grid *Grid) *Queue {
 		c:         c,
 		grid:      grid,
 		threshold: threshold,
-		bufs:      make(map[int][]uint64),
+		frames:    make([]hopFrame, c.Size()),
 	}
 	for ch := range q.codecs {
 		q.codecs[ch] = Raw
@@ -195,7 +203,7 @@ func (q *Queue) SetCodec(ch int, codec Codec) {
 
 // Send enqueues a record for dst on the given channel. Local destinations
 // are delivered immediately without touching the network. The payload is
-// copied into the aggregation buffer, so the caller may reuse it.
+// encoded into the next hop's frame, so the caller may reuse it.
 func (q *Queue) Send(ch, dst int, payload []uint64) {
 	if ch < 0 || ch >= MaxChannels {
 		panic(fmt.Sprintf("comm: channel %d out of range", ch))
@@ -220,19 +228,22 @@ func (q *Queue) Send(ch, dst int, payload []uint64) {
 	q.append(hop, dst, me, ch, payload)
 }
 
-// append adds an envelope to the buffer for next hop and flushes everything
-// if the threshold is exceeded.
+// append encodes a record into the frame for next hop — the envelope
+// (finalDst, origSrc, channel, encoded byte length) as uvarints, then the
+// payload in its channel's codec — and flushes all if δ is exceeded.
 func (q *Queue) append(hop, finalDst, origSrc, ch int, payload []uint64) {
-	buf := q.bufs[hop]
-	if buf == nil {
-		// First record for this hop ever; the buffer is retained (truncated
-		// to the tag word) across flushes from here on.
-		buf = make([]uint64, 1, 1+envHdr+len(payload))
-		buf[0] = tag(kindData, 0)
+	enc := q.codecs[ch].AppendEncoded(q.encScratch[:0], payload)
+	q.encScratch = enc[:0]
+	f := &q.frames[hop]
+	if need := envHdr*binary.MaxVarintLen64 + len(enc); cap(f.b)-len(f.b) < need {
+		f.b = growFrame(f.b, need)
 	}
-	buf = append(buf, uint64(finalDst), uint64(origSrc), uint64(ch), uint64(len(payload)))
-	buf = append(buf, payload...)
-	q.bufs[hop] = buf
+	f.b = binary.AppendUvarint(f.b, uint64(finalDst))
+	f.b = binary.AppendUvarint(f.b, uint64(origSrc))
+	f.b = binary.AppendUvarint(f.b, uint64(ch))
+	f.b = binary.AppendUvarint(f.b, uint64(len(enc)))
+	f.b = append(f.b, enc...)
+	f.raw += envHdr + len(payload)
 	q.buffered += envHdr + len(payload)
 	if int64(q.buffered) > q.c.M.PeakBuffered {
 		q.c.M.PeakBuffered = int64(q.buffered)
@@ -246,54 +257,37 @@ func (q *Queue) append(hop, finalDst, origSrc, ch int, payload []uint64) {
 	}
 }
 
-// Flush encodes every non-empty buffer with the per-channel codecs and sends
-// the resulting byte frame to its next hop. Word buffers are fully encoded
-// into pooled byte frames before the send, so they are truncated and reused
-// in place (the free-list variant of the paper's double-buffer swap: records
-// keep aggregating in raw words while encoded frames travel).
+// growFrame returns a frame with room for need more bytes: a new pooled one
+// holding the data tag, or b moved to a pooled buffer of at least twice its
+// capacity, its old array going back to the pool.
+func growFrame(b []byte, need int) []byte {
+	if b == nil {
+		return binary.LittleEndian.AppendUint64(transport.GetBuf(8+need), tag(kindData, 0))
+	}
+	nb := append(transport.GetBuf(max(2*cap(b), len(b)+need)), b...)
+	transport.PutBuf(b)
+	return nb
+}
+
+// Flush hands every non-empty frame, with its raw word count (tag word
+// included), to the transport; ownership of the frame passes on with it.
 func (q *Queue) Flush() {
 	if q.buffered == 0 {
 		return
 	}
-	for hop, buf := range q.bufs {
-		if len(buf) <= 1 {
+	for hop, f := range q.frames {
+		if f.b == nil {
 			continue
 		}
-		frame := q.encodeFrame(buf)
+		q.frames[hop] = hopFrame{}
 		q.sent++
 		q.c.M.Flushes++
 		q.c.notePeer(hop)
-		if err := q.c.sendDataBytes(hop, frame, len(buf)); err != nil {
+		if err := q.c.sendDataBytes(hop, f.b, 1+f.raw); err != nil {
 			raiseSendErr("flush", hop, err)
 		}
-		q.bufs[hop] = buf[:1] // retain tag + capacity for the next cycle
 	}
 	q.buffered = 0
-}
-
-// encodeFrame serializes one raw word buffer ([tag, envelopes+payloads...])
-// into a wire byte frame: the 8-byte tag, then per record the envelope as
-// uvarints (finalDst, origSrc, channel, encoded byte length) followed by the
-// payload encoded with its channel's codec. The frame comes from the
-// transport buffer pool; ownership passes on with the send.
-func (q *Queue) encodeFrame(buf []uint64) []byte {
-	out := transport.GetBuf(8 + 8*(len(buf)-1))[:8]
-	binary.LittleEndian.PutUint64(out, buf[0])
-	i := 1
-	for i < len(buf) {
-		finalDst, origSrc, ch := buf[i], buf[i+1], buf[i+2]
-		n := int(buf[i+3])
-		payload := buf[i+4 : i+4+n]
-		i += envHdr + n
-		enc := q.codecs[ch].AppendEncoded(q.encScratch[:0], payload)
-		q.encScratch = enc[:0]
-		out = binary.AppendUvarint(out, finalDst)
-		out = binary.AppendUvarint(out, origSrc)
-		out = binary.AppendUvarint(out, ch)
-		out = binary.AppendUvarint(out, uint64(len(enc)))
-		out = append(out, enc...)
-	}
-	return out
 }
 
 // FlushIfOver flushes every buffer when more than words words are buffered.
@@ -324,13 +318,12 @@ func (q *Queue) Poll() bool {
 }
 
 // processData decodes a byte data frame record by record, dispatching
-// records for this PE and re-buffering records to forward (proxy role —
-// forwarded payloads rejoin the raw buffers and are re-encoded with the same
-// codec on the next flush). Decoded payloads land in a pooled per-frame
-// arena: handler payload slices are valid for the duration of the handler
-// call, and a handler that hands them to another goroutine must pin the
-// arena with PinPayload. The frame bytes themselves return to the transport
-// buffer pool once the frame is fully decoded.
+// records for this PE and re-queueing records to forward (proxy role — the
+// payload is encoded again toward its final destination). Decoded payloads
+// land in a pooled arena, rewound after every record while nothing is
+// pinned: a handler that hands its slice to another goroutine must pin the
+// arena with PinPayload. The frame bytes return to the transport buffer pool
+// once the frame is fully decoded.
 func (q *Queue) processData(f transport.Frame) {
 	q.recv++
 	q.c.M.RecvFrames++
@@ -386,9 +379,11 @@ func (q *Queue) processData(f transport.Frame) {
 			q.dispatch(int(ch), int(origSrc), payload)
 			q.curArena = prev
 		} else {
-			// Proxy hop: re-aggregate toward the final destination (copies
-			// the payload into the hop's word buffer).
+			// Proxy hop: re-aggregate toward the final destination.
 			q.append(int(finalDst), int(finalDst), int(origSrc), int(ch), payload)
+		}
+		if ar.refs.Load() == 1 { // no payload of the arena is pinned
+			ar.words = ar.words[:0]
 		}
 	}
 	q.c.M.RecvWords += rawWords

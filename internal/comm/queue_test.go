@@ -1,7 +1,10 @@
 package comm
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -227,9 +230,10 @@ func TestQueuePayloadConservation(t *testing.T) {
 }
 
 func TestQueueBufferReuseAcrossFlushCycles(t *testing.T) {
-	// Per-destination buffers are retained (truncated to the tag word) after
-	// every flush; many flush cycles with distinct payloads must still
-	// deliver every record intact and exactly once.
+	// Every flush hands each hop's frame to the transport and the receiver
+	// returns it to the pool, where the next frame picks it up; many flush
+	// cycles with distinct payloads must still deliver every record intact
+	// and exactly once.
 	const p = 4
 	const rounds = 50
 	sums := make([]uint64, p)
@@ -496,4 +500,179 @@ func TestQueueSetThreshold(t *testing.T) {
 			c.Barrier()
 		}
 	})
+}
+
+// frameRecorder is a transport.Endpoint stub for rank 0 of a size-rank
+// cluster: it keeps every byte frame sent, per destination, and delivers
+// nothing.
+type frameRecorder struct {
+	size   int
+	frames map[int][][]byte
+}
+
+func (r *frameRecorder) Rank() int { return 0 }
+func (r *frameRecorder) Size() int { return r.size }
+func (r *frameRecorder) Send(dst int, words []uint64) error {
+	return fmt.Errorf("unexpected word frame to %d: %v", dst, words)
+}
+func (r *frameRecorder) SendBytes(dst int, b []byte) error {
+	r.frames[dst] = append(r.frames[dst], append([]byte(nil), b...))
+	return nil
+}
+func (r *frameRecorder) Recv() (transport.Frame, bool) { return transport.Frame{}, false }
+func (r *frameRecorder) Close() error                  { return nil }
+
+// TestQueueFrameBytes pins the data-frame wire format and the counters the
+// benchmark reads. A frame is the 8-byte little-endian data tag (kind 1,
+// epoch 0), then per record the envelope — finalDst, origSrc, channel and
+// the encoded payload's byte length, each a uvarint — and the payload in its
+// channel's codec. SentWords counts the tag word plus envHdr + len(payload)
+// words per record, whatever the codec; RawBytes is 8 × SentWords.
+func TestQueueFrameBytes(t *testing.T) {
+	ep := &frameRecorder{size: 3, frames: map[int][][]byte{}}
+	c := New(ep)
+	q := NewQueue(c, 1<<20, nil)
+	q.SetCodec(1, Varint)
+	q.SetCodec(2, DeltaVarint)
+
+	long := make([]uint64, 20) // 160 raw bytes: a two-byte length uvarint
+	for i := range long {
+		long[i] = uint64(i) << 40
+	}
+	q.Send(0, 1, []uint64{1, 2, 300})
+	q.Send(1, 2, []uint64{5, 128, 70000})
+	q.Send(2, 1, []uint64{100, 103, 90})
+	q.Send(1, 1, nil)
+	q.Send(0, 2, long)
+	q.Flush()
+	q.Send(2, 2, []uint64{7})
+	q.Flush()
+
+	le := func(words ...uint64) []byte {
+		var b []byte
+		for _, w := range words {
+			b = binary.LittleEndian.AppendUint64(b, w)
+		}
+		return b
+	}
+	frame := func(records ...[]byte) []byte {
+		return append(le(1), bytes.Join(records, nil)...)
+	}
+	rawLong := le(long...)
+	want := map[int][][]byte{
+		1: {frame(
+			append([]byte{1, 0, 0, 24}, le(1, 2, 300)...),
+			[]byte{1, 0, 2, 3, 0x64, 0x06, 0x19}, // 100, +3, −13 zigzagged
+			[]byte{1, 0, 1, 0},                   // empty payload
+		)},
+		2: {
+			frame(
+				[]byte{2, 0, 1, 6, 0x05, 0x80, 0x01, 0xf0, 0xa2, 0x04},
+				append([]byte{2, 0, 0, 0xa0, 0x01}, rawLong...),
+			),
+			frame([]byte{2, 0, 2, 1, 0x07}),
+		},
+	}
+	for dst := 1; dst <= 2; dst++ {
+		if len(ep.frames[dst]) != len(want[dst]) {
+			t.Fatalf("hop %d got %d frames, want %d", dst, len(ep.frames[dst]), len(want[dst]))
+		}
+		for i, got := range ep.frames[dst] {
+			if !bytes.Equal(got, want[dst][i]) {
+				t.Errorf("hop %d frame %d:\n got % x\nwant % x", dst, i, got, want[dst][i])
+			}
+		}
+	}
+
+	// Raw words per frame: tag + (4+3) + (4+3) + (4+0) = 19 to hop 1,
+	// tag + (4+3) + (4+20) = 32 and tag + (4+1) = 6 to hop 2. Encoded bytes
+	// per frame: 8 + 28 + 7 + 4 = 47, 8 + 10 + 165 = 183 and 8 + 5 = 13.
+	// Both hops' records of the first flush were buffered at once.
+	m := c.M
+	for _, tc := range []struct {
+		name      string
+		got, want int64
+	}{
+		{"SentFrames", m.SentFrames, 3},
+		{"Flushes", m.Flushes, 3},
+		{"SentWords", m.SentWords, 19 + 32 + 6},
+		{"RawBytes", m.RawBytes, 8 * (19 + 32 + 6)},
+		{"EncodedBytes", m.EncodedBytes, 47 + 183 + 13},
+		{"PayloadWords", m.PayloadWords, 3 + 3 + 3 + 0 + 20 + 1},
+		{"PeakBuffered", m.PeakBuffered, 18 + 31},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("%s = %d, want %d", tc.name, tc.got, tc.want)
+		}
+	}
+}
+
+// TestArenaRewindKeepsPinnedPayloads: the receive side rewinds its decode
+// arena after every record nobody pinned, so a pinned payload must survive
+// both the rest of its own frame and many later frames. Every receiver pins
+// every third record it gets. Under grid routing (p = 4, 2×2) rank 0's frame
+// to rank 1 also carries the records for rank 3, which rank 1 forwards, so
+// local and forwarded records share that frame.
+func TestArenaRewindKeepsPinnedPayloads(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		p        int
+		indirect bool
+	}{{"direct", 2, false}, {"proxy", 4, true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			type pinned struct {
+				words, want []uint64
+				release     func()
+			}
+			kept := make([][]pinned, tc.p)
+			seen := make([]int, tc.p)
+			payload := func(dst, i int) []uint64 {
+				w := make([]uint64, 1+i%5)
+				for k := range w {
+					w[k] = uint64(dst)<<32 | uint64(i)<<8 | uint64(k)
+				}
+				return w
+			}
+			runCluster(t, tc.p, 1<<20, tc.indirect, func(rank int, c *Comm, q *Queue) {
+				q.Handle(0, func(src int, words []uint64) {
+					if seen[rank]%3 == 0 {
+						kept[rank] = append(kept[rank], pinned{words: words,
+							want: slices.Clone(words), release: q.PinPayload()})
+					}
+					seen[rank]++
+				})
+				c.Barrier()
+				if rank == 0 {
+					// One frame per hop holding 30 records per destination,
+					// then 200 more frames of 4 records each.
+					for i := 0; i < 30; i++ {
+						for dst := 1; dst < tc.p; dst++ {
+							q.Send(0, dst, payload(dst, i))
+						}
+					}
+					q.Flush()
+					for i := 30; i < 830; i++ {
+						for dst := 1; dst < tc.p; dst++ {
+							q.Send(0, dst, payload(dst, i))
+						}
+						if i%4 == 1 {
+							q.Flush()
+						}
+					}
+				}
+				q.Drain()
+			})
+			for rank := 1; rank < tc.p; rank++ {
+				if seen[rank] != 830 || len(kept[rank]) != 277 {
+					t.Fatalf("rank %d saw %d records and pinned %d, want 830 and 277", rank, seen[rank], len(kept[rank]))
+				}
+				for i, pn := range kept[rank] {
+					if !slices.Equal(pn.words, pn.want) {
+						t.Fatalf("rank %d pinned payload %d overwritten: %v, want %v", rank, i, pn.words, pn.want)
+					}
+					pn.release()
+				}
+			}
+		})
+	}
 }

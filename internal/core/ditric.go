@@ -12,7 +12,7 @@ import (
 // Arifuzzaman et al. (each A(v) sent at most once per destination PE), and —
 // when the queue routes through the grid — indirect delivery (DITRIC2). The
 // chNeigh/chNeighEdge records ship ID-sorted A-lists, which the channel's
-// delta-varint wire codec compresses at flush time (codec.go); the body
+// delta-varint wire codec compresses as they are queued (codec.go); the body
 // itself is codec-agnostic. One-shot runs build lg from the scattered edges
 // (plan.body); the streaming driver builds it incrementally through
 // graph.StreamBuilder before any counting starts.

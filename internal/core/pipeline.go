@@ -1,12 +1,15 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/comm"
 	"repro/internal/dist"
 	"repro/internal/graph"
 )
@@ -212,10 +215,11 @@ func drainBatch(dq *stealDeque, scratch []recvRecord, ws *countState, fn globalF
 // can pick the record up; past the high-water mark — and always without
 // workers — the handler processes it inline instead. Inline processing is
 // always legal: handlers only fire inside this PE's own polls, which every
-// algorithm issues strictly after its receiver structure is ready. Filter
-// records are validated here, before any worker can see a malformed one.
+// algorithm issues strictly after its receiver structure is ready.
+// Neighbourhood and filter records are validated here, before any worker
+// can see a malformed one.
 func (op *overlapPipeline) installHandlers() {
-	pe := op.pe
+	pe, lg := op.pe, op.state.lg
 	park := func(r recvRecord) {
 		if len(op.workers) == 0 || op.dq.size() >= dequeHighWater {
 			op.fn(op.state, r)
@@ -224,10 +228,12 @@ func (op *overlapPipeline) installHandlers() {
 		r.release = pe.Q.PinPayload()
 		op.dq.push(r)
 	}
-	pe.Q.Handle(chNeigh, func(_ int, words []uint64) {
+	pe.Q.Handle(chNeigh, func(src int, words []uint64) {
+		checkNeigh(lg, src, words, 1)
 		park(recvRecord{v: words[0], list: words[1:], kind: chNeigh})
 	})
-	pe.Q.Handle(chNeighEdge, func(_ int, words []uint64) {
+	pe.Q.Handle(chNeighEdge, func(src int, words []uint64) {
+		checkNeigh(lg, src, words, 2)
 		park(recvRecord{v: words[0], u: words[1], list: words[2:], kind: chNeighEdge})
 	})
 	pe.Q.Handle(chDelta, op.state.handleDelta)
@@ -237,6 +243,33 @@ func (op *overlapPipeline) installHandlers() {
 			park(recvRecord{v: words[0], list: words[2:], kind: chAMQ})
 		})
 		pe.Q.Handle(chDeltaF, op.state.handleDeltaEst)
+	}
+}
+
+// checkNeigh validates a received neighbourhood record before it is parked:
+// [v, A(v)...] on chNeigh (hdr 1) or [v, u, A(v)...] on chNeighEdge (hdr 2).
+// It checks what the receive kernels take on trust: a header that fits, an
+// A(v) strictly ascending below n, and v being a row here whenever the
+// record names a local vertex (an entry of A(v); on chNeighEdge, u), since v
+// is then a corner of every triangle the record closes. A record that fails
+// is a corrupt frame from src.
+func checkNeigh(lg *graph.LocalGraph, src int, rec []uint64, hdr int) {
+	n := lg.Part.N()
+	if len(rec) < hdr || !ascendingBelow(rec[hdr:], n) {
+		panic(&comm.CorruptFrameError{Src: src, Reason: fmt.Sprintf(
+			"neighbourhood record of %d words: no header, an ID out of range n=%d or a list not strictly ascending",
+			len(rec), n)})
+	}
+	named := hdr == 2 && lg.IsLocal(rec[1])
+	if list := rec[hdr:]; hdr == 1 {
+		i, _ := slices.BinarySearch(list, lg.First)
+		named = i < len(list) && lg.IsLocal(list[i])
+	}
+	if v := rec[0]; named && !lg.IsLocal(v) {
+		if _, ok := lg.GhostRow(v); !ok {
+			panic(&comm.CorruptFrameError{Src: src, Reason: fmt.Sprintf(
+				"neighbourhood record of vertex %d names a local vertex, but %d is no row on PE %d", v, v, lg.Rank)})
+		}
 	}
 }
 
