@@ -189,18 +189,21 @@ func (c *Comm) sendControl(dst int, words []uint64) error {
 
 // next returns a pending frame whose tag satisfies match, consulting the
 // stash first, then polling the transport and stashing mismatches. Returns
-// ok=false when nothing matching is currently available.
+// ok=false when nothing matching is currently available. An emptied tag
+// leaves the stash, so an empty stash costs no map walk.
 func (c *Comm) next(match func(t uint64) bool) (transport.Frame, bool) {
-	for t, fs := range c.stash {
-		if match(t) && len(fs) > 0 {
-			f := fs[0]
-			if len(fs) == 1 {
-				delete(c.stash, t)
-			} else {
-				c.stash[t] = fs[1:]
+	if len(c.stash) > 0 {
+		for t, fs := range c.stash {
+			if match(t) && len(fs) > 0 {
+				f := fs[0]
+				if len(fs) == 1 {
+					delete(c.stash, t)
+				} else {
+					c.stash[t] = fs[1:]
+				}
+				c.progress++
+				return f, true
 			}
-			c.progress++
-			return f, true
 		}
 	}
 	for {

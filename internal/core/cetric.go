@@ -11,17 +11,22 @@ import (
 // type-2 triangle without any communication; the contraction step removes
 // all non-cut edges; the global phase runs the DITRIC machinery on the
 // remaining cut graph, which by Lemma 1 contains exactly the type-3
-// triangles.
+// triangles. Who probes a cut wedge follows the heavy/light rule
+// (wedgeRule) on the cut graph: d⁺ is a row's cut out-degree, known once
+// the expansion is oriented, and the ghosts' come in through one exchange
+// where the barrier before the count stood.
 func cetricFrom(pe *dist.PE, pl *plan, lg *graph.LocalGraph, out *peOutcome, sw *stopwatch) error {
 	cfg := pl.cfg
 	sw.phase(PhaseDegrees)
-	exchangeGhostDegrees(pe, lg, cfg.Threads)
+	reqs := exchangeGhostDegrees(pe, lg, cfg.Threads)
 	sw.phase(PhaseOrient)
 	// Expansion: orient every row, including ghosts (their visible
 	// neighborhoods are the rewired incoming cut edges).
 	ori := graph.OrientLocalPar(lg, cfg.Threads)
-	sw.phase(PhasePreprocess) // residual: handler setup + the barrier
+	rule := newWedgeRule(lg, ori.CutOutDegree)
+	sw.phase(PhasePreprocess) // residual: handler setup + the out-degree exchange
 	state := newCountState(lg, cfg)
+	state.rule = rule
 	state.useAMQ(pl.amq, ori)
 
 	// Received records intersect with the *contracted* A-lists. cut is
@@ -32,7 +37,7 @@ func cetricFrom(pe *dist.PE, pl *plan, lg *graph.LocalGraph, out *peOutcome, sw 
 	op := newOverlapPipeline(pe, sw, lg, cfg, state, func(ws *countState, r recvRecord) {
 		ws.t3 += ws.recvRecord(r, cut)
 	})
-	pe.C.Barrier()
+	reqs.exchangeOutDegrees(pe, lg, rule.dplus)
 
 	// The local stage is communication-free and defers the receive side
 	// entirely: other PEs may reach their send sweeps while this one counts,
@@ -48,7 +53,7 @@ func cetricFrom(pe *dist.PE, pl *plan, lg *graph.LocalGraph, out *peOutcome, sw 
 	// Cut neighborhoods go out as (v, A(v)...) records with A(v) ID-sorted —
 	// the shape the chNeigh delta-varint codec compresses best.
 	op.stage(PhaseGlobal, lg.NLocal(), true, func(_ *countState, lo, hi int, sends chan<- hybridSend) {
-		cetricGlobalRows(pe, pl, lg, cut, lo, hi, sends)
+		cetricGlobalRows(pe, pl, lg, cut, &rule, lo, hi, sends)
 	})
 	op.finish()
 	finishBody(pe, sw, state, cfg, out)
@@ -108,20 +113,25 @@ func cetricLocalPhase(lg *graph.LocalGraph, ori *graph.LocalOriented, state *cou
 }
 
 // cetricGlobalRows ships the contracted cut neighborhoods of local rows
-// [lo,hi): (v, A(v)...) records with the surrogate dedup, per-edge
-// (v, u, A(v)...) records under the no-surrogate ablation, or — on an
-// approximate run — the filter A'(v), built once per row and sent with the
-// same dedup. Shipments go through sends (funneled) or directly to the queue
-// when sends is nil — the same contract as ditricLocalRows.
-func cetricGlobalRows(pe *dist.PE, pl *plan, lg *graph.LocalGraph, cut *graph.LocalOriented,
+// [lo,hi) to the PEs of the partners the rule gives them on the cut graph —
+// for a light v the y ∈ A(v) with d⁺(y) < heavyOutDegree, for a heavy v the
+// ghosts y ∈ N(v) with 0 < d⁺(y) < d⁺(v) and the y ∈ A(v) with d⁺(y) =
+// d⁺(v), d⁺ being cut out-degrees — as (v, A(v)...) records with the
+// surrogate dedup, or per-edge (v, u, A(v)...) records under the
+// no-surrogate ablation (sh.toPartner). An approximate run ships the filter
+// A'(v) instead, built once per row and sent with the same dedup to every
+// PE A(v) reaches. Shipments go through sends (funneled) or directly to the
+// queue when sends is nil — the same contract as ditricLocalRows.
+func cetricGlobalRows(pe *dist.PE, pl *plan, lg *graph.LocalGraph, cut *graph.LocalOriented, rule *wedgeRule,
 	lo, hi int, sends chan<- hybridSend) {
 	pt, noSurrogate := pl.pt, pl.cfg.noSurrogate
-	var hdr [2]uint64 // record header scratch
+	nLoc := uint32(lg.NLocal())
 	sh := getShipper(pe, sends)
 	defer sh.put()
 	for r := lo; r < hi; r++ {
-		v := lg.GID(int32(r))
-		av := cut.Out(int32(r))
+		rv := int32(r)
+		v := lg.GID(rv)
+		av := cut.Out(rv)
 		if len(av) < 2 {
 			continue
 		}
@@ -136,17 +146,21 @@ func cetricGlobalRows(pe *dist.PE, pl *plan, lg *graph.LocalGraph, cut *graph.Lo
 			}
 			continue
 		}
-		for _, u := range av {
-			if noSurrogate {
-				hdr[0], hdr[1] = v, u
-				sh.ship(chNeighEdge, pt.Rank(u), hdr[:2], av)
-				continue
+		if rule.heavyRow(len(av)) {
+			for _, y := range lg.RowNeighborRows(rv) {
+				// A heavy row's neighbours on its own PE share no cut edge with it.
+				if y >= nLoc && probesHeavy(int(rule.dplus[y]), len(av), lg, y, av) {
+					u := lg.GID(int32(y))
+					sh.toPartner(noSurrogate, pt.Rank(u), v, u, av, &lastRank)
+				}
 			}
-			// Surrogate dedup: av is ID-sorted, ranks are contiguous.
-			if j := pt.Rank(u); j != lastRank {
-				hdr[0] = v
-				sh.ship(chNeigh, j, hdr[:1], av)
-				lastRank = j
+			continue
+		}
+		avRows := cut.OutRows(rv) // the ghosts of av, in the same order
+		for k, u := range av {
+			// A PE the row's record already goes to needs no d⁺ test.
+			if j := pt.Rank(u); (noSurrogate || j != lastRank) && rule.dplus[avRows[k]] < rule.heavy {
+				sh.toPartner(noSurrogate, j, v, u, av, &lastRank)
 			}
 		}
 	}

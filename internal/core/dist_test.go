@@ -156,10 +156,11 @@ func TestDistributedEnumerationMatchesSequential(t *testing.T) {
 }
 
 // TestDegreeExchangeRejectsHostileFrames: a degree request for a vertex the
-// PE does not own, and a degree reply that is shorter or longer than the
-// request or names an impossible degree, are corrupt frames from the peer
-// that sent them — never an index panic, and never a ghost degree left at −1
-// or wrapped from 2^64−1.
+// PE does not own, and a degree or out-degree reply that is shorter or
+// longer than the request or names an impossible degree (an out-degree above
+// the ghost's degree), are corrupt frames from the peer that sent them —
+// never an index panic, and never a ghost degree left at −1 or wrapped from
+// 2^64−1.
 func TestDegreeExchangeRejectsHostileFrames(t *testing.T) {
 	g := gen.RMAT(gen.DefaultRMAT(6, 3))
 	n := uint64(g.NumVertices())
@@ -205,6 +206,21 @@ func TestDegreeExchangeRejectsHostileFrames(t *testing.T) {
 	for v := lg.First; v < lg.Last; v++ {
 		if got := ownedDegree(lg, 1, v); got != uint64(g.Degree(v)) {
 			t.Fatalf("ownedDegree(%d) = %d, want %d", v, got, g.Degree(v))
+		}
+	}
+
+	dplus := make([]int32, lg.Rows())
+	corrupt("short out-degree reply", 1, func() { applyOutDegreeReply(lg, 1, ghosts, degs[:1], dplus) })
+	corrupt("long out-degree reply", 1, func() { applyOutDegreeReply(lg, 1, ghosts, append(slices.Clone(degs), 0), dplus) })
+	over := slices.Clone(degs)
+	over[1]++
+	corrupt("out-degree above degree", 1, func() { applyOutDegreeReply(lg, 1, ghosts, over, dplus) })
+	over[1] = ^uint64(0)
+	corrupt("out-degree 2^64-1", 1, func() { applyOutDegreeReply(lg, 1, ghosts, over, dplus) })
+	applyOutDegreeReply(lg, 1, ghosts, degs, dplus)
+	for k, gid := range ghosts {
+		if row, _ := lg.GhostRow(gid); dplus[row] != int32(degs[k]) {
+			t.Fatalf("ghost %d: d⁺ %d, want %d", gid, dplus[row], degs[k])
 		}
 	}
 }

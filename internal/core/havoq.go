@@ -28,18 +28,7 @@ func havoqBody(pe *dist.PE, pl *plan, lg *graph.LocalGraph, out *peOutcome, sw *
 	sw.phase(PhasePreprocess) // residual: handler setup + the barrier
 	state := newCountState(lg, cfg)
 
-	// closes reports whether the oriented edge (a,b) exists, for local a.
-	closes := func(a, b graph.Vertex) bool {
-		_, ok := slices.BinarySearch(ori.Out(lg.Row(a)), b)
-		return ok
-	}
-	pe.Q.Handle(chWedge, func(_ int, words []uint64) {
-		for i := 0; i+1 < len(words); i += 2 {
-			if closes(words[i], words[i+1]) {
-				state.count++
-			}
-		}
-	})
+	pe.Q.Handle(chWedge, wedgeHandler(state, ori))
 	pe.C.Barrier()
 
 	sw.phase(PhaseLocal)
@@ -64,7 +53,7 @@ func havoqBody(pe *dist.PE, pl *plan, lg *graph.LocalGraph, out *peOutcome, sw *
 					a, b = w, u
 				}
 				if lg.IsLocal(a) {
-					if closes(a, b) {
+					if closesWedge(lg, ori, a, b) {
 						state.count++
 					}
 					continue
@@ -86,4 +75,24 @@ func havoqBody(pe *dist.PE, pl *plan, lg *graph.LocalGraph, out *peOutcome, sw *
 	sw.stop()
 	state.finish(out)
 	return nil
+}
+
+// closesWedge reports whether the oriented edge (a, b) exists, for local a.
+func closesWedge(lg *graph.LocalGraph, ori *graph.LocalOriented, a, b graph.Vertex) bool {
+	_, ok := slices.BinarySearch(ori.Out(int32(a-lg.First)), b)
+	return ok
+}
+
+// wedgeHandler answers received wedge visitors [a, b, a, b, ...]: each pair
+// whose closing edge (a, b) exists is a triangle. Every a must be a local of
+// the receiver (checkLocalPairs).
+func wedgeHandler(state *countState, ori *graph.LocalOriented) func(src int, words []uint64) {
+	return func(src int, words []uint64) {
+		checkLocalPairs(state.lg, src, words, "wedge")
+		for i := 0; i < len(words); i += 2 {
+			if closesWedge(state.lg, ori, words[i], words[i+1]) {
+				state.count++
+			}
+		}
+	}
 }

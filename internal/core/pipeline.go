@@ -228,12 +228,13 @@ func (op *overlapPipeline) installHandlers() {
 		r.release = pe.Q.PinPayload()
 		op.dq.push(r)
 	}
+	heavy := op.state.rule.heavy
 	pe.Q.Handle(chNeigh, func(src int, words []uint64) {
-		checkNeigh(lg, src, words, 1)
+		checkNeigh(lg, heavy, src, words, 1)
 		park(recvRecord{v: words[0], list: words[1:], kind: chNeigh})
 	})
 	pe.Q.Handle(chNeighEdge, func(src int, words []uint64) {
-		checkNeigh(lg, src, words, 2)
+		checkNeigh(lg, heavy, src, words, 2)
 		park(recvRecord{v: words[0], u: words[1], list: words[2:], kind: chNeighEdge})
 	})
 	pe.Q.Handle(chDelta, op.state.handleDelta)
@@ -249,16 +250,26 @@ func (op *overlapPipeline) installHandlers() {
 // checkNeigh validates a received neighbourhood record before it is parked:
 // [v, A(v)...] on chNeigh (hdr 1) or [v, u, A(v)...] on chNeighEdge (hdr 2).
 // It checks what the receive kernels take on trust: a header that fits, an
-// A(v) strictly ascending below n, and v being a row here whenever the
-// record names a local vertex (an entry of A(v); on chNeighEdge, u), since v
-// is then a corner of every triangle the record closes. A record that fails
-// is a corrupt frame from src.
-func checkNeigh(lg *graph.LocalGraph, src int, rec []uint64, hdr int) {
+// A(v) strictly ascending below n, a heavy record's v (|A(v)| ≥ heavy)
+// being a ghost row here, since its partners are read off v's ghost row
+// (recvNeigh), and v being a row here whenever the record names a local
+// vertex (an entry of A(v), which holds every local partner of a light v;
+// on chNeighEdge, u), since v is then a corner of every triangle the record
+// closes. A record that fails is a corrupt frame from src.
+func checkNeigh(lg *graph.LocalGraph, heavy int32, src int, rec []uint64, hdr int) {
 	n := lg.Part.N()
 	if len(rec) < hdr || !ascendingBelow(rec[hdr:], n) {
 		panic(&comm.CorruptFrameError{Src: src, Reason: fmt.Sprintf(
 			"neighbourhood record of %d words: no header, an ID out of range n=%d or a list not strictly ascending",
 			len(rec), n)})
+	}
+	if hdr == 1 && len(rec)-1 >= int(heavy) {
+		if _, ok := lg.GhostRow(rec[0]); !ok {
+			panic(&comm.CorruptFrameError{Src: src, Reason: fmt.Sprintf(
+				"heavy neighbourhood record of vertex %d (|A| = %d): %d is no ghost row on PE %d",
+				rec[0], len(rec)-1, rec[0], lg.Rank)})
+		}
+		return
 	}
 	named := hdr == 2 && lg.IsLocal(rec[1])
 	if list := rec[hdr:]; hdr == 1 {
@@ -315,6 +326,7 @@ func newOverlapPipeline(pe *dist.PE, sw *stopwatch, lg *graph.LocalGraph, cfg Co
 		op.scratches = make([][]recvRecord, cfg.Threads)
 		for t := 0; t < cfg.Threads; t++ {
 			op.workers[t] = newCountState(lg, cfg)
+			op.workers[t].rule = state.rule
 			op.workers[t].useAMQ(state.amq, state.amqOri)
 			op.scratches[t] = make([]recvRecord, dequeBatch)
 		}
@@ -544,6 +556,7 @@ type shipper struct {
 	sends chan<- hybridSend
 	buf   []uint64 // reused across shipments on the sends == nil path
 	rec   []uint64 // an approximate run's filter record, built once per row
+	hdr   [2]uint64
 }
 
 var shipperPool = sync.Pool{New: func() any { return new(shipper) }}
@@ -557,6 +570,26 @@ func getShipper(pe *dist.PE, sends chan<- hybridSend) *shipper {
 func (sh *shipper) put() {
 	sh.pe, sh.sends = nil, nil
 	shipperPool.Put(sh)
+}
+
+// toPartner ships av = A(v) for v's partner u, owned by PE j: one
+// (v, u, A(v)) record per partner under the no-surrogate ablation
+// (Algorithm 2 without Arifuzzaman's dedup), otherwise one (v, A(v)) record
+// per destination PE. A row's partners come in ID order and ranks own
+// contiguous ranges, so a PE's partners are adjacent: *last, the row's
+// previous destination (-1 before its first), dedups them, and a caller may
+// skip the partner test for a u on PE *last.
+func (sh *shipper) toPartner(noSurrogate bool, j int, v, u graph.Vertex, av []graph.Vertex, last *int) {
+	if noSurrogate {
+		sh.hdr[0], sh.hdr[1] = v, u
+		sh.ship(chNeighEdge, j, sh.hdr[:2], av)
+		return
+	}
+	if j != *last {
+		sh.hdr[0] = v
+		sh.ship(chNeigh, j, sh.hdr[:1], av)
+		*last = j
+	}
 }
 
 func (sh *shipper) ship(ch, dst int, head, av []uint64) {

@@ -67,61 +67,58 @@ func TestCetricTypeCountsMatchEnumeration(t *testing.T) {
 }
 
 // BenchmarkMarkedRecvSteadyState measures allocs/op of the stamped receive
-// path: records with at least two local endpoints, hubs among them, go
-// through recvNeigh — translate once, stamp into the receive mark, probe
-// every endpoint (against the mark, or against the endpoint's hub bitmap
-// where the record is the shorter side), un-stamp. The mark and the
-// translation scratch are allocated on first use and reused, so the steady
-// state must report zero allocations (CI allocation gate).
+// path: records [x, A(x)] with at least two local partners, light and heavy
+// x alike, go through recvNeigh — the partners picked by the rule (for a
+// heavy x, off x's ghost row), A(x) translated once, stamped into the
+// receive mark, probed by every partner, un-stamped. The mark, the
+// translation scratch and the partner scratch are allocated on first use and
+// reused, so the steady state must report zero allocations (CI allocation
+// gate).
 func BenchmarkMarkedRecvSteadyState(b *testing.B) {
-	g := gen.RMAT(gen.DefaultRMAT(10, 42))
+	g := gen.RMAT(gen.DefaultRMAT(11, 42))
 	const p = 4
 	pt := part.Uniform(uint64(g.NumVertices()), p)
 	per := graph.ScatterEdges(pt, g.Edges())
 	lg := graph.BuildLocal(pt, 0, per[0])
+	og := graph.Orient(g)
 	for i, gid := range lg.Ghosts() {
 		lg.SetGhostDegree(int32(lg.NLocal()+i), g.Degree(gid))
 	}
 	ori := graph.OrientLocalOnlyPar(lg, 1)
-	ori.BuildHubs(8) // low threshold: most probed endpoints carry a bitmap
+	state := newCountState(lg, Config{P: p})
+	state.rule = newWedgeRule(lg, ori.OutDegree)
+	for i, gid := range lg.Ghosts() {
+		state.rule.dplus[lg.NLocal()+i] = int32(og.OutDegree(gid))
+	}
 
-	// Records replay ghost rows' visible neighborhoods — sorted lists of
-	// local vertices, the shape a remote v's A(v) has once it reaches this
-	// PE — keeping those with a hub among at least two endpoints.
+	// Records replay what the ghosts' owners ship here: each ghost's A(x) in
+	// the global orientation, kept where the rule gives it two partners or
+	// more here (recvNeigh leaves them in state.partners).
 	type rec struct {
 		v    graph.Vertex
 		list []uint64
 	}
 	var recs []rec
-	hubProbes := 0
-	for r := lg.NLocal(); r < lg.Rows() && len(recs) < 64; r++ {
-		nb := lg.RowNeighborRows(int32(r))
-		if len(nb) < 2 {
+	light, heavy := 0, 0
+	for _, x := range lg.Ghosts() {
+		ax := og.Out(x)
+		state.recvNeigh(x, ax, ori) // allocate the mark, grow the scratch
+		if len(state.partners) < 2 {
 			continue
 		}
-		list := make([]uint64, len(nb))
-		for k, xr := range nb {
-			list[k] = lg.GID(int32(xr))
+		if state.rule.heavyRow(len(ax)) {
+			heavy++
+		} else if light >= 64 {
+			continue
+		} else {
+			light++
 		}
-		hubs := 0
-		for _, x := range list {
-			if ori.HubBitset(int32(x-lg.First)) != nil {
-				hubs++
-			}
-		}
-		if hubs > 0 {
-			recs = append(recs, rec{v: lg.GID(int32(r)), list: list})
-			hubProbes += hubs
-		}
+		recs = append(recs, rec{v: x, list: ax})
 	}
-	if len(recs) == 0 || hubProbes == 0 {
-		b.Fatal("no hub-heavy records to replay")
+	if light == 0 || heavy == 0 {
+		b.Fatalf("%d light and %d heavy records to replay; the benchmark must reach both", light, heavy)
 	}
-
-	state := newCountState(lg, Config{P: p})
-	for _, rc := range recs {
-		state.recvNeigh(rc.v, rc.list, ori) // allocate the mark, grow the scratch
-	}
+	state.count = 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -43,17 +43,23 @@ type countState struct {
 	triangles  [][3]graph.Vertex
 
 	// recvWork meters receive-side intersection work in words scanned, as
-	// the kernels scan them: a stamped record is charged its length once plus
-	// the probed side of every partner (graph.LocalOriented.Probe); the
+	// the kernels scan them: a stamped record is charged its rows here once
+	// plus the probed side of every partner (graph.LocalOriented.Probe); the
 	// single intersections that stay on the global-ID merge (a record with
-	// one local endpoint, a per-edge record) are charged list + partner.
+	// one partner, a per-edge record) are charged list + partner.
 	// Deterministic and schedule-independent, unlike wall-clock: it is the
 	// per-PE global-phase load, exported via comm.Metrics.RecvWorkWords.
+	// TestRecvWorkMatchesRuleOracle recomputes it from the global graph.
 	recvWork uint64
 
-	// Receive-side translation scratch (see graph.RowTranslator). Reused
-	// across records so steady-state receive processing allocates nothing.
-	tr graph.RowTranslator
+	// rule picks, per received record, the local rows that probe it (see
+	// wedgeRule); partners is the scratch that holds them, reused across
+	// records like tr, the receive-side translation scratch (see
+	// graph.RowTranslator), so steady-state receive processing allocates
+	// nothing.
+	rule     wedgeRule
+	partners []uint32
+	tr       graph.RowTranslator
 
 	// The stamped wedge kernel's marks (graph.Mark), allocated on first
 	// use: emitMark holds the A(v) of the emission row being swept, recvMark
@@ -128,52 +134,60 @@ func lazyMark(slot **graph.Mark, o *graph.LocalOriented) *graph.Mark {
 	return *slot
 }
 
-// recvNeigh processes one received (v, A(v)) record: the list is intersected
-// with A(u) for every local endpoint u it contains. A cheap range-check scan
-// counts those endpoints and picks the strategy: none, drop the record; one
-// (and no LCC/collection), a single intersection with nothing to amortise,
-// which stays on the global-ID merge/gallop kernels and skips the row
-// translation; otherwise translate once (one O(1) ghost-index probe per
-// non-local entry, graph.TranslateRows), stamp the translated list into
-// recvMark once, and probe every endpoint's A(u) against it — the list is
-// paid for once, not once per endpoint. Linear in the lengths involved and
-// zero allocations per record either way. Returns the number of triangles
-// found.
+// recvNeigh processes one received (v, A(v)) record: A(v) is stamped once and
+// probed by every local partner the rule gives it (wedgeRule). For a light v
+// those are the locals u ∈ A(v) with d⁺(u) < heavyOutDegree; for a heavy v,
+// whose ghost row here holds N(v) ∩ V_i, the neighbours u with 0 < d⁺(u) <
+// |A(v)| and the u ∈ A(v) with d⁺(u) = |A(v)|. One pass collects them and
+// picks the strategy: none, drop the record; one (and no LCC/collection), a
+// single intersection with nothing to amortise, which stays on the global-ID
+// merge/gallop kernels and skips the row translation; otherwise translate
+// once (one O(1) ghost-index probe per non-local entry,
+// graph.TranslateRows), stamp the translated list into recvMark once, and
+// probe every partner's A(u) against it — the list is paid for once, not
+// once per partner. Linear in the lengths involved and zero allocations per
+// record either way. Returns the number of triangles found.
 func (s *countState) recvNeigh(v graph.Vertex, list []uint64, o *graph.LocalOriented) uint64 {
-	lg := s.lg
-	kept := 0
-	first := int32(-1)
-	for _, x := range list {
-		if !lg.IsLocal(x) {
-			continue
+	lg, rule := s.lg, &s.rule
+	ps := s.partners[:0]
+	if rule.heavyRow(len(list)) {
+		gr, _ := lg.GhostRow(v) // checkNeigh: a heavy record's v is a ghost row here
+		for _, u := range lg.RowNeighborRows(gr) {
+			if probesHeavy(int(rule.dplus[u]), len(list), lg, u, list) {
+				ps = append(ps, u)
+			}
 		}
-		if kept == 0 {
-			first = int32(x - lg.First)
+	} else {
+		first, nLoc := lg.First, uint64(lg.NLocal())
+		for _, x := range list {
+			if u := x - first; u < nLoc && rule.dplus[u] < rule.heavy {
+				ps = append(ps, uint32(u))
+			}
 		}
-		kept++
 	}
+	s.partners = ps
 	fast := !s.lcc && !s.collect
 	switch {
-	case kept == 0:
+	case len(ps) == 0:
 		return 0
-	case kept == 1 && fast:
-		partner := o.Out(first)
+	case len(ps) == 1 && fast:
+		partner := o.Out(int32(ps[0]))
 		s.recvWork += uint64(len(list) + len(partner))
 		c := graph.CountIntersect(list, partner)
 		s.count += c
 		return c
 	}
-	rows, nLoc := lg.TranslateRows(&s.tr, list)
+	rows, _ := lg.TranslateRows(&s.tr, list)
 	rv := int32(-1)
 	if !fast {
-		// v is adjacent to a kept local vertex, so it is a row (ghost) here.
+		// v is adjacent to a local partner, so it is a row (ghost) here.
 		rv = lg.Row(v)
 	}
 	m := lazyMark(&s.recvMark, o)
 	m.Stamp(rows)
 	s.recvWork += uint64(len(rows))
 	var c uint64
-	for _, ur := range rows[:nLoc] {
+	for _, ur := range ps {
 		n, probed := s.countWedgeRows(m, rv, int32(ur), o)
 		s.recvWork += uint64(probed)
 		c += n
@@ -183,7 +197,8 @@ func (s *countState) recvNeigh(v graph.Vertex, list []uint64, o *graph.LocalOrie
 }
 
 // recvNeighEdge processes one received (v, u, A(v)) record (the per-edge
-// shipment of the no-surrogate ablation): intersect only for the named u —
+// shipment of the no-surrogate ablation, sent only where the rule makes u
+// v's partner): intersect only for the named u —
 // a single intersection with nothing to amortise, so nothing is stamped and
 // the fast path stays on global IDs, skipping the row translation entirely.
 func (s *countState) recvNeighEdge(v, u graph.Vertex, list []uint64, o *graph.LocalOriented) uint64 {
@@ -264,17 +279,37 @@ func (s *countState) merge(w *countState) {
 }
 
 // handleDelta processes ghost Δ aggregation records [gid, Δ, gid, Δ, ...].
-func (s *countState) handleDelta(_ int, words []uint64) {
-	for i := 0; i+1 < len(words); i += 2 {
-		s.deltaRows[s.lg.Row(words[i])] += words[i+1]
+func (s *countState) handleDelta(src int, words []uint64) {
+	checkLocalPairs(s.lg, src, words, "Δ")
+	for i := 0; i < len(words); i += 2 {
+		s.deltaRows[words[i]-s.lg.First] += words[i+1]
 	}
 }
 
 // handleDeltaEst processes an approximate run's ghost Δ records
 // [gid, Float64bits(Δ̂), ...].
-func (s *countState) handleDeltaEst(_ int, words []uint64) {
-	for i := 0; i+1 < len(words); i += 2 {
-		s.deltaEst[s.lg.Row(words[i])] += math.Float64frombits(words[i+1])
+func (s *countState) handleDeltaEst(src int, words []uint64) {
+	checkLocalPairs(s.lg, src, words, "Δ̂")
+	for i := 0; i < len(words); i += 2 {
+		s.deltaEst[words[i]-s.lg.First] += math.Float64frombits(words[i+1])
+	}
+}
+
+// checkLocalPairs validates a record of pairs [x, w, x, w, ...] whose every
+// x must be a local row of the receiver: a ghost's Δ travels to its owner,
+// a wedge visitor to the owner of its first endpoint. An odd length, or an x
+// owned elsewhere, is a corrupt frame from src, rejected before any pair is
+// applied.
+func checkLocalPairs(lg *graph.LocalGraph, src int, words []uint64, what string) {
+	if len(words)%2 != 0 {
+		panic(&comm.CorruptFrameError{Src: src, Reason: fmt.Sprintf(
+			"%s record of %d words is not a list of pairs", what, len(words))})
+	}
+	for i := 0; i < len(words); i += 2 {
+		if !lg.IsLocal(words[i]) {
+			panic(&comm.CorruptFrameError{Src: src, Reason: fmt.Sprintf(
+				"%s record names vertex %d, which PE %d does not own", what, words[i], lg.Rank)})
+		}
 	}
 }
 
@@ -333,6 +368,13 @@ func (s *countState) finish(out *peOutcome) {
 	}
 }
 
+// ghostRequests are the request lists of one degree exchange: sent[owner]
+// the ghosts this PE asked owner about, got[src] the locals src asked about.
+// exchangeOutDegrees answers them again once the orientation is known.
+type ghostRequests struct {
+	sent, got [][]uint64
+}
+
 // exchangeGhostDegrees implements exchange_ghost_degree (Algorithm 3 line 1)
 // with the dense all-to-all the paper defaults to. Reply construction — the
 // degree lookup per requested ghost, previously the last single-threaded
@@ -340,7 +382,7 @@ func (s *countState) finish(out *peOutcome) {
 // workers as the rest of the pipeline (graph.ParallelFor), flattened across
 // the per-source request lists so a few large requesters cannot serialize
 // the stage.
-func exchangeGhostDegrees(pe *dist.PE, lg *graph.LocalGraph, threads int) {
+func exchangeGhostDegrees(pe *dist.PE, lg *graph.LocalGraph, threads int) ghostRequests {
 	p := pe.P
 	reqs := make([][]uint64, p)
 	for _, g := range lg.Ghosts() {
@@ -377,6 +419,7 @@ func exchangeGhostDegrees(pe *dist.PE, lg *graph.LocalGraph, threads int) {
 	for owner, degs := range pe.C.DenseExchange(replies) {
 		applyDegreeReply(lg, owner, reqs[owner], degs)
 	}
+	return ghostRequests{sent: reqs, got: gotReqs}
 }
 
 // ownedDegree answers src's request for the degree of gid. A request for a

@@ -25,5 +25,5 @@ func tricBody(pe *dist.PE, pl *plan, lg *graph.LocalGraph, out *peOutcome, sw *s
 	// out-neighborhoods — exactly what the packed hub bitmaps are for. The
 	// threshold is fixed; the degree-oriented engines build no hub index.
 	ori.BuildHubsPar(graph.DefaultHubMinDegree, cfg.Threads)
-	return ditricCount(pe, pl, cfg, lg, ori, out, sw)
+	return ditricCount(pe, pl, cfg, lg, ori, allLight(lg), pe.C.Barrier, out, sw)
 }

@@ -320,6 +320,10 @@ func (o *LocalOriented) OutRows(row int32) []uint32 { return o.rowOut[o.off[row]
 // OutDegree returns |A(row)|.
 func (o *LocalOriented) OutDegree(row int32) int { return int(o.off[row+1] - o.off[row]) }
 
+// CutOutDegree returns the number of ghosts in A(row): the row's out-degree
+// in the cut graph ContractPar keeps.
+func (o *LocalOriented) CutOutDegree(row int32) int { return len(o.ghostSuffix(row)) }
+
 // HubBitset returns the packed bitmap of a hub row, or nil.
 func (o *LocalOriented) HubBitset(row int32) Bitset { return o.hubs.bitset(int(row)) }
 
