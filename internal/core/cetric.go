@@ -63,52 +63,93 @@ func cetricFrom(pe *dist.PE, pl *plan, lg *graph.LocalGraph, out *peOutcome, sw 
 // cetricLocalPhase runs EDGE ITERATOR over rows [lo,hi) of the expanded
 // local graph, counting and classifying type-1/type-2 triangles. It works
 // entirely in row space: A-lists are iterated as row indices (so ghost
-// endpoints cost no lookup), each A(v) is stamped into the emission mark
-// once, and every wedge (v,u) closes by probing A(u) against it. Where both
-// wedge endpoints are local the closing vertex decides the type, and rows
-// below NLocal are exactly the locals — so the classification is the
-// kernel's split shape at NLocal, two counters and no per-triangle call;
-// only LCC/collection, which need every closing vertex anyway, enumerate.
+// endpoints cost no lookup), each A(v) is stamped into the emission byte
+// mark once, and every wedge (v,u) closes by probing A(u) against it (the
+// expansion builds no hub bitmaps). A triangle is type 1 when all three
+// corners are local, and rows below NLocal are exactly the locals, so the
+// type is picked once per row: A(v) is row-sorted with ghosts last, and a
+// ghost v makes every triangle of its row type 2, a local v with no ghost
+// in A(v) every one type 1 — both count each wedge with the plain count.
+// Only a local v with a ghost in A(v) splits: a ghost u's wedges are type 2,
+// a local u's are split at NLocal on the mark by their closing vertex.
+// LCC/collection, which need every closing vertex anyway, enumerate.
 func cetricLocalPhase(lg *graph.LocalGraph, ori *graph.LocalOriented, state *countState, lo, hi int) {
-	nLoc := int32(lg.NLocal())
-	fast := !state.lcc && !state.collect
+	nLoc := uint32(lg.NLocal())
+	enumerate := state.lcc || state.collect
 	m := lazyMark(&state.emitMark, ori)
+	var t1, t2 uint64
 	for r := lo; r < hi; r++ {
 		rv := int32(r)
-		vLocal := rv < nLoc
 		av := ori.OutRows(rv)
 		if len(av) < 2 {
 			continue // a single out-neighbor cannot close a triangle
 		}
 		m.Stamp(av)
-		for _, ur := range av {
-			ru := int32(ur)
-			if !vLocal || ru >= nLoc {
-				// At most one corner of a local-phase triangle is remote, and
-				// here it is v or u: everything found is type 2.
-				c, _ := state.countWedgeRows(m, rv, ru, ori)
-				state.t2 += c
-				continue
-			}
-			// Both wedge endpoints local: the closing vertex decides the type.
-			set, probe := ori.Probe(m, ru)
-			if fast {
-				t1, t2 := graph.CountListSplit(set, probe, uint32(nLoc))
-				state.count += t1 + t2
-				state.t1 += t1
-				state.t2 += t2
-				continue
-			}
-			graph.ForEachCommonList(set, probe, func(w uint32) {
-				state.addRows(rv, ru, int32(w))
-				if int32(w) < nLoc {
-					state.t1++
-				} else {
-					state.t2++
-				}
-			})
+		switch {
+		case enumerate:
+			cetricEnumerateRow(state, m, ori, rv, av, nLoc)
+		case uint32(rv) >= nLoc:
+			t2 += stampedRowCount(m, ori, av)
+		case av[len(av)-1] < nLoc:
+			t1 += stampedRowCount(m, ori, av)
+		default:
+			below, rest := stampedRowSplit(m, ori, av, nLoc)
+			t1 += below
+			t2 += rest
 		}
 		m.Unstamp()
+	}
+	state.t1 += t1
+	state.t2 += t2
+	state.count += t1 + t2
+}
+
+// stampedRowCount returns Σ_{u ∈ av} |A(u) ∩ av| for the row list av
+// stamped in m. Kept out of line: inlined into cetricLocalPhase, its loop
+// spills its index and sum to the stack on every probed entry.
+//
+//go:noinline
+func stampedRowCount(m *graph.Mark, ori *graph.LocalOriented, av []uint32) (c uint64) {
+	for _, ur := range av {
+		c += m.CountList(ori.OutRows(int32(ur)))
+	}
+	return c
+}
+
+// stampedRowSplit is stampedRowCount for a local row with a ghost in av,
+// split by type: a ghost u's wedges are type 2, a local u's are split at
+// nLoc by their closing vertex.
+//
+//go:noinline
+func stampedRowSplit(m *graph.Mark, ori *graph.LocalOriented, av []uint32, nLoc uint32) (t1, t2 uint64) {
+	for _, ur := range av {
+		au := ori.OutRows(int32(ur))
+		if ur >= nLoc {
+			t2 += m.CountList(au)
+			continue
+		}
+		below, rest := m.CountListSplit(au, nLoc)
+		t1 += below
+		t2 += rest
+	}
+	return t1, t2
+}
+
+// cetricEnumerateRow is cetricLocalPhase's for-each shape for one stamped
+// row rv: every closing vertex is recorded, and a triangle is type 1 when v,
+// u and the closing vertex are all local.
+func cetricEnumerateRow(state *countState, m *graph.Mark, ori *graph.LocalOriented, rv int32, av []uint32, nLoc uint32) {
+	for _, ur := range av {
+		ru := int32(ur)
+		local := uint32(rv) < nLoc && ur < nLoc
+		m.ForEachCommonList(ori.OutRows(ru), func(w uint32) {
+			state.addRows(rv, ru, int32(w))
+			if local && w < nLoc {
+				state.t1++
+			} else {
+				state.t2++
+			}
+		})
 	}
 }
 

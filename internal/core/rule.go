@@ -16,7 +16,7 @@ const heavyOutDegree = 32
 // wedgeRule decides who probes an oriented edge {a, b}, a ≺ b. The edge's
 // closing vertices are A(a) ∩ A(b): one endpoint's list is stamped (or
 // shipped to the other's PE and stamped there), and the other endpoint's
-// list probes it, one bit test per word. The rule:
+// list probes it, one byte load per entry. The rule:
 //
 //   - if neither endpoint is heavy, b probes;
 //   - otherwise the endpoint with the smaller d⁺ probes, ties going to b,

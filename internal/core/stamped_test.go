@@ -38,10 +38,11 @@ func TestStampedKernelReentrancy(t *testing.T) {
 	}
 }
 
-// TestCetricTypeCountsMatchEnumeration: the counting path classifies
-// type-1/type-2 triangles with the kernel's split shape (two counters per
-// wedge), the enumerating path (Collect) by looking at every closing vertex.
-// Both must report the same Result.TypeCounts on every fixture.
+// TestCetricTypeCountsMatchEnumeration: the counting path picks the
+// type-1/type-2 split once per row (one type for a ghost row or a row with
+// no ghost in A(v), the mark's split at NLocal otherwise), the enumerating
+// path (Collect) looks at every closing vertex. Both must report the same
+// Result.TypeCounts on every fixture.
 func TestCetricTypeCountsMatchEnumeration(t *testing.T) {
 	for _, fix := range testgraph.All {
 		g := fix.Build()
@@ -129,5 +130,38 @@ func BenchmarkMarkedRecvSteadyState(b *testing.B) {
 	b.StopTimer()
 	if state.count == 0 || state.recvMark == nil {
 		b.Fatal("stamped receive path found no triangles; the benchmark is vacuous")
+	}
+}
+
+// BenchmarkCetricLocalPhaseSteadyState measures one sweep of CETRIC's
+// expansion (cetricLocalPhase) over every row of PE 0's expanded view of an
+// RGG2D at p = 4: each A(v) stamped into the emission mark, every wedge
+// probed, the triangle types split per row. The mark is allocated by a
+// warm-up sweep before the timer starts, so the steady state must report
+// zero allocations (CI allocation gate).
+func BenchmarkCetricLocalPhaseSteadyState(b *testing.B) {
+	g := gen.RGG2D(1<<13, 16, 42)
+	const p = 4
+	pt := part.Uniform(uint64(g.NumVertices()), p)
+	per := graph.ScatterEdges(pt, g.Edges())
+	lg := graph.BuildLocal(pt, 0, per[0])
+	for i, gid := range lg.Ghosts() {
+		lg.SetGhostDegree(int32(lg.NLocal()+i), g.Degree(gid))
+	}
+	ori := graph.OrientLocalPar(lg, 1)
+	state := newCountState(lg, Config{P: p})
+	cetricLocalPhase(lg, ori, state, 0, lg.Rows())
+	t1, t2 := state.t1, state.t2
+	if t1 == 0 || t2 == 0 {
+		b.Fatalf("sweep found %d type-1 and %d type-2 triangles; the benchmark must reach both", t1, t2)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cetricLocalPhase(lg, ori, state, 0, lg.Rows())
+	}
+	b.StopTimer()
+	if n := uint64(b.N + 1); state.t1 != t1*n || state.t2 != t2*n || state.count != (t1+t2)*n {
+		b.Fatalf("sweeps disagree: %d+%d of %d after %d sweeps of %d+%d", state.t1, state.t2, state.count, n, t1, t2)
 	}
 }

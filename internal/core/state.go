@@ -61,13 +61,13 @@ type countState struct {
 	partners []uint32
 	tr       graph.RowTranslator
 
-	// The stamped wedge kernel's marks (graph.Mark), allocated on first
-	// use: emitMark holds the A(v) of the emission row being swept, recvMark
-	// a received record's translated list. Two, not one, because at
-	// Threads == 1 queue handlers run inline inside shipper.ship — a record
-	// can be received while an emission row is still stamped, and one shared
-	// bitset would blend the two lists. Nothing nests deeper: the receive
-	// path never sends.
+	// The stamped wedge kernel's marks (graph.Mark, one byte per row),
+	// allocated on first use: emitMark holds the A(v) of the emission row
+	// being swept, recvMark a received record's translated list. Two, not
+	// one, because at Threads == 1 queue handlers run inline inside
+	// shipper.ship — a record can be received while an emission row is
+	// still stamped, and one shared mark would blend the two lists. Nothing
+	// nests deeper: the receive path never sends.
 	emitMark, recvMark *graph.Mark
 
 	// An approximate run's receive side (nil amq on exact runs; positive
@@ -143,10 +143,10 @@ func lazyMark(slot **graph.Mark, o *graph.LocalOriented) *graph.Mark {
 // single intersection with nothing to amortise, which stays on the global-ID
 // merge/gallop kernels and skips the row translation; otherwise translate
 // once (one O(1) ghost-index probe per non-local entry,
-// graph.TranslateRows), stamp the translated list into recvMark once, and
-// probe every partner's A(u) against it — the list is paid for once, not
-// once per partner. Linear in the lengths involved and zero allocations per
-// record either way. Returns the number of triangles found.
+// graph.TranslateRows), stamp the translated list into the byte mark
+// recvMark once, and probe every partner's A(u) against it, one byte load
+// per entry — the list is paid for once, not once per partner. Linear in
+// the lengths involved and zero allocations per record either way. Returns the number of triangles found.
 func (s *countState) recvNeigh(v graph.Vertex, list []uint64, o *graph.LocalOriented) uint64 {
 	lg, rule := s.lg, &s.rule
 	ps := s.partners[:0]
@@ -240,22 +240,32 @@ func (s *countState) recvRecord(r recvRecord, o *graph.LocalOriented) uint64 {
 
 // countWedgeRows records the triangles closing the wedge rooted at the
 // oriented edge (rv, ru), where A(rv) in row space is the list the caller
-// stamped into m once for all of rv's partners: one dispatch
-// (graph.LocalOriented.Probe: the mark probed with A(ru), or under TriC a
-// hub ru's bitmap probed with the shorter stamped list), then the count
-// shape of the kernel, or the for-each shape when LCC/collection need every
-// closing vertex. Returns the triangles found and the words probed for them.
+// stamped into m once for all of rv's partners: A(ru) probed against the
+// byte mark, or under TriC, when ru is a hub and the stamped list the
+// shorter side, the stamped list probed against ru's bitmap
+// (graph.LocalOriented.Probe); then the count shape of the kernel, or the
+// for-each shape when LCC/collection need every closing vertex. Returns the
+// triangles found and the entries probed for them.
 func (s *countState) countWedgeRows(m *graph.Mark, rv, ru int32, o *graph.LocalOriented) (c uint64, probed int) {
-	set, probe := o.Probe(m, ru)
+	hub, probe := o.Probe(m, ru)
 	if !s.lcc && !s.collect {
-		c = graph.CountList(set, probe)
+		if hub != nil {
+			c = graph.CountList(hub, probe)
+		} else {
+			c = m.CountList(probe)
+		}
 		s.count += c
 		return c, len(probe)
 	}
-	graph.ForEachCommonList(set, probe, func(w uint32) {
+	emit := func(w uint32) {
 		s.addRows(rv, ru, int32(w))
 		c++
-	})
+	}
+	if hub != nil {
+		graph.ForEachCommonList(hub, probe, emit)
+	} else {
+		m.ForEachCommonList(probe, emit)
+	}
 	return c, len(probe)
 }
 

@@ -59,7 +59,8 @@ type tk2dRound struct {
 	aScr, bScr           graph.Block  // receiver-side decode scratch
 }
 
-// tk2dWorker is one counting thread's tally and the mark it stamps.
+// tk2dWorker is one counting thread's tally and the mark it stamps (one
+// byte per row of the round band).
 type tk2dWorker struct {
 	count uint64
 	tris  [][3]graph.Vertex
@@ -98,7 +99,7 @@ func (kn *tk2dKernel) round(k int, A, B *graph.Block) {
 
 // countColumns is round's worker body over the own columns [lo, hi): per
 // column j, stamp the in-stripe B(j) once and probe it with the out-stripe
-// A(i) of every own edge (i,j) — Σ_i d⁺(i)² bit tests, which ≺ keeps small;
+// A(i) of every own edge (i,j) — Σ_i d⁺(i)² byte loads, which ≺ keeps small;
 // stamping out-lists instead would cost Σ_j d⁻(j)². An out-stripe far longer
 // than the stamped list (graph.Skewed) is galloped through instead.
 func (kn *tk2dKernel) countColumns(w, lo, hi int) {

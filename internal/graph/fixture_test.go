@@ -165,16 +165,20 @@ func TestRowSpaceCountsMatchFixtures(t *testing.T) {
 							wantLocal++
 						}
 					})
-					set, probe := ori.Probe(mark, ru)
-					if got := graph.CountList(set, probe); got != want {
+					hub, probe := ori.Probe(mark, ru)
+					if got := probeCount(mark, hub, probe); got != want {
 						t.Fatalf("%s rank %d (%d,%d): stamped count=%d, want %d", fix.Name, rank, r, ru, got, want)
 					}
-					if below, rest := graph.CountListSplit(set, probe, nLoc); below != wantLocal || below+rest != want {
+					if below, rest := mark.CountListSplit(ori.OutRows(ru), nLoc); below != wantLocal || below+rest != want {
 						t.Fatalf("%s rank %d (%d,%d): stamped split=%d+%d, want %d+%d",
 							fix.Name, rank, r, ru, below, rest, wantLocal, want-wantLocal)
 					}
 					var each uint64
-					graph.ForEachCommonList(set, probe, func(uint32) { each++ })
+					if hub != nil {
+						graph.ForEachCommonList(hub, probe, func(uint32) { each++ })
+					} else {
+						mark.ForEachCommonList(probe, func(uint32) { each++ })
+					}
 					if each != want {
 						t.Fatalf("%s rank %d (%d,%d): stamped for-each=%d, want %d", fix.Name, rank, r, ru, each, want)
 					}

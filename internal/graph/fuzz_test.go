@@ -156,23 +156,49 @@ func checkKernels[T Index](t *testing.T, a, b []T, want uint64) int {
 	return domain
 }
 
-// checkMark probes a bare Mark (row indices) stamped with b with a, and
-// leaves it all-zero.
+// checkMark probes a bare Mark (row indices) stamped with b with a, in the
+// count, split and for-each shapes, and leaves it all-zero. b is stamped a
+// second time with every entry repeated: the mark holds membership, not a
+// multiplicity, so the count must not change and Unstamp must still clear it.
 func checkMark(t *testing.T, a, b []uint32, want uint64, domain int) {
 	t.Helper()
 	m := NewMark(domain)
-	m.Stamp(b)
-	if got := m.CountList(a); got != want {
-		t.Fatalf("mark = %d, merge = %d (a=%v b=%v)", got, want, a, b)
+	doubled := make([]uint32, 0, 2*len(b))
+	for _, x := range b {
+		doubled = append(doubled, x, x)
 	}
-	var marked uint64
-	m.ForEachCommonList(a, func(uint32) { marked++ })
-	if marked != want {
-		t.Fatalf("mark ForEach = %d, merge = %d", marked, want)
+	splits := []uint32{0, uint32(domain)}
+	if len(a) > 0 {
+		splits = append(splits, a[len(a)/2])
 	}
-	m.Unstamp()
-	if got := m.bits.CountAnd(m.bits); got != 0 {
-		t.Fatalf("mark holds %d bits after Unstamp", got)
+	for _, list := range [][]uint32{b, doubled} {
+		m.Stamp(list)
+		if got := m.CountList(a); got != want {
+			t.Fatalf("mark = %d, merge = %d (a=%v b=%v)", got, want, a, list)
+		}
+		var marked []uint32
+		m.ForEachCommonList(a, func(x uint32) { marked = append(marked, x) })
+		var common []uint32
+		ForEachCommon(a, b, func(x uint32) { common = append(common, x) })
+		if !slices.Equal(marked, common) {
+			t.Fatalf("mark ForEach = %v, merge = %v", marked, common)
+		}
+		for _, split := range splits {
+			var wantBelow uint64
+			for _, x := range common {
+				if x < split {
+					wantBelow++
+				}
+			}
+			if below, rest := m.CountListSplit(a, split); below != wantBelow || below+rest != want {
+				t.Fatalf("mark split at %d = %d+%d, want %d+%d (a=%v b=%v)",
+					split, below, rest, wantBelow, want-wantBelow, a, list)
+			}
+		}
+		m.Unstamp()
+		if !m.IsClear() {
+			t.Fatalf("mark holds entries after Unstamp (b=%v)", list)
+		}
 	}
 }
 
@@ -201,75 +227,55 @@ func checkSplitMark(t *testing.T, a, b []Vertex, want uint64, domain int) {
 	}
 }
 
-// checkStamped runs all three shapes of the stamped wedge kernel for
-// list ∩ A(0), where A(0) = partner is the only non-empty row of a synthetic
-// oriented view over [0, domain), against the merge oracle: count, split at
-// 0, at Rows, and at a value inside the partner, and for-each (ascending).
-// The mark must be all-zero again after every Unstamp.
-func checkStamped(t *testing.T, list, partner []uint32, domain int, hub bool) {
+// checkStamped runs the stamped wedge kernel for list ∩ A(0), where
+// A(0) = partner is the only non-empty row of a synthetic oriented view over
+// [0, domain), against the merge oracle, in the count and for-each
+// (ascending) shapes. Probe's contract: the hub arm — the partner's bitmap,
+// probed with the stamped list — exactly when the partner has a hub and the
+// stamped list is the shorter side, otherwise no hub and A(0) to probe
+// against the mark. The mark must be all-zero again after every Unstamp.
+func checkStamped(t *testing.T, list, partner []uint32, domain int, withHub bool) {
 	t.Helper()
 	off := make([]int64, domain+1)
 	for r := 1; r <= domain; r++ {
 		off[r] = int64(len(partner))
 	}
 	o := &LocalOriented{L: &LocalGraph{nLocal: domain, gid: make([]Vertex, domain)}, off: off, rowOut: partner}
-	if hub {
+	if withHub {
 		bs := NewBitset(domain)
 		SetList(bs, partner)
 		o.hubs = hubIndex{stride: BitsetWords(domain), perRow: make([]Bitset, domain), hubs: 1}
 		o.hubs.perRow[0] = bs
 	}
-	splits := []uint32{0, uint32(domain)}
-	if len(partner) > 0 {
-		splits = append(splits, partner[len(partner)/2])
-	}
 	m := o.NewRowMark()
-	clear := func() {
-		t.Helper()
-		m.Unstamp()
-		for i, w := range m.bits {
-			if w != 0 {
-				t.Fatalf("mark word %d = %#x after Unstamp (list=%v)", i, w, list)
-			}
-		}
-	}
-	want := CountMerge(list, partner)
 	m.Stamp(list)
-	set, probe := o.Probe(m, 0)
-	if len(list) > 0 && len(partner) > 0 {
-		// The hub route is taken exactly when it scans the shorter side.
-		if swapped := &probe[0] == &list[0]; swapped != (hub && len(list) < len(partner)) {
-			t.Fatalf("Probe swapped=%v with hub=%v |list|=%d |partner|=%d", swapped, hub, len(list), len(partner))
-		}
+	hub, probe := o.Probe(m, 0)
+	if wantHub := withHub && len(list) < len(partner); (hub != nil) != wantHub {
+		t.Fatalf("Probe took the hub arm=%v with hub=%v |list|=%d |partner|=%d", hub != nil, withHub, len(list), len(partner))
 	}
-	if got := CountList(set, probe); got != want {
-		t.Fatalf("stamped count = %d, merge = %d (hub=%v list=%v partner=%v)", got, want, hub, list, partner)
+	if hub != nil && (len(probe) != len(list) || len(list) > 0 && &probe[0] != &list[0]) || hub == nil && !slices.Equal(probe, partner) {
+		t.Fatalf("Probe returned %v to test (hub arm=%v list=%v partner=%v)", probe, hub != nil, list, partner)
 	}
-	clear()
-	for _, split := range splits {
-		var wantBelow uint64
-		ForEachCommon(list, partner, func(w uint32) {
-			if w < split {
-				wantBelow++
-			}
-		})
-		m.Stamp(list)
-		set, probe = o.Probe(m, 0)
-		below, rest := CountListSplit(set, probe, split)
-		if below != wantBelow || below+rest != want {
-			t.Fatalf("stamped split at %d = %d+%d, want %d+%d (hub=%v list=%v partner=%v)",
-				split, below, rest, wantBelow, want-wantBelow, hub, list, partner)
-		}
-		clear()
+	var got uint64
+	var each []uint32
+	if hub != nil {
+		got = CountList(hub, probe)
+		ForEachCommonList(hub, probe, func(w uint32) { each = append(each, w) })
+	} else {
+		got = m.CountList(probe)
+		m.ForEachCommonList(probe, func(w uint32) { each = append(each, w) })
 	}
-	var common, got []uint32
+	m.Unstamp()
+	if !m.IsClear() {
+		t.Fatalf("mark holds entries after Unstamp (list=%v)", list)
+	}
+	if want := CountMerge(list, partner); got != want {
+		t.Fatalf("stamped count = %d, merge = %d (hub=%v list=%v partner=%v)", got, want, withHub, list, partner)
+	}
+	var common []uint32
 	ForEachCommon(list, partner, func(w uint32) { common = append(common, w) })
-	m.Stamp(list)
-	set, probe = o.Probe(m, 0)
-	ForEachCommonList(set, probe, func(w uint32) { got = append(got, w) })
-	clear()
-	if !slices.Equal(got, common) {
-		t.Fatalf("stamped for-each = %v, merge = %v (hub=%v)", got, common, hub)
+	if !slices.Equal(each, common) {
+		t.Fatalf("stamped for-each = %v, merge = %v (hub=%v)", each, common, withHub)
 	}
 }
 

@@ -120,8 +120,8 @@ func BenchmarkLocalOrientedCount(b *testing.B) {
 					}
 					mark.Stamp(av)
 					for _, ur := range av {
-						set, probe := ori.Probe(mark, int32(ur))
-						sink += graph.CountList(set, probe)
+						hub, probe := ori.Probe(mark, int32(ur))
+						sink += probeCount(mark, hub, probe)
 					}
 					mark.Unstamp()
 				}
@@ -129,6 +129,16 @@ func BenchmarkLocalOrientedCount(b *testing.B) {
 			hubSink = sink
 		})
 	}
+}
+
+// probeCount counts what LocalOriented.Probe returned: the probe list
+// against the hub bitmap when there is one, against the stamped mark
+// otherwise.
+func probeCount(m *graph.Mark, hub graph.Bitset, probe []uint32) uint64 {
+	if hub != nil {
+		return graph.CountList(hub, probe)
+	}
+	return m.CountList(probe)
 }
 
 // buildLocalForBench builds one PE's local view of g under a uniform p-way

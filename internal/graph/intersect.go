@@ -3,10 +3,11 @@ package graph
 import "math/bits"
 
 // Set intersection of sorted index lists — the inner loop of every EDGE
-// ITERATOR variant. Every kernel has one generic body over Index: 4-byte
-// row indices (every row-translated A-list, 2D block entry and row mark)
-// and 8-byte global IDs (received records, the streaming engine's record
-// lists). Two families of kernels are provided.
+// ITERATOR variant. Every pairwise and Bitset kernel has one generic body
+// over Index: 4-byte row indices (every row-translated A-list and 2D block
+// entry) and 8-byte global IDs (received records, the streaming engine's
+// record lists); the Mark is row space only. Two families of kernels are
+// provided.
 // Pairwise, for a single intersection with nothing to amortise:
 //
 //   - CountMerge: the textbook two-pointer merge (branchy; fast when the
@@ -15,17 +16,20 @@ import "math/bits"
 //     smaller slice in the larger one — wins on skewed operand sizes.
 //
 // CountIntersect dispatches per pair between the branchy merge and
-// galloping. Set-based, where one side is a Bitset and the other a list
-// tested against it — one bit test per list entry whatever the set's size:
+// galloping. Set-based, where one side is a membership index and the other
+// a list tested against it — one test per list entry whatever the set's
+// size:
 //
-//   - CountList / CountListSplit / ForEachCommonList (and Bitset.CountAnd
-//     for bitset ∩ bitset). The set is usually a Mark stamped at run time
-//     with a source list that several partner lists are then probed
-//     against — the stamped wedge kernel every 1D row-space wedge and every
-//     TK2D round goes through; LocalOriented.Probe picks the sides. The
-//     build-time bitmaps are TriC's hub index (oriented.go) and the
-//     StreamBuilder's row bitmaps. SplitMark is the streaming delta engine's
-//     two-list Mark over global IDs.
+//   - Mark.CountList / CountListSplit / ForEachCommonList: the Mark is one
+//     byte per row, stamped at run time with a source list that several
+//     partner lists are then probed against, one byte load per entry — the
+//     stamped wedge kernel every 1D row-space wedge and every TK2D round
+//     goes through.
+//   - CountList / ForEachCommonList over a Bitset (and Bitset.CountAnd for
+//     bitset ∩ bitset): the build-time bitmaps, TriC's hub index
+//     (oriented.go; LocalOriented.Probe picks it when it is the shorter
+//     side) and the StreamBuilder's row bitmaps. SplitMark is the streaming
+//     delta engine's two-bit mark over global IDs.
 
 // Index is the element type of the sorted lists the kernels run on: uint32
 // for row indices (row space is bounded to 2³¹−1 rows per PE, see
@@ -136,8 +140,9 @@ func CountMerge[T Index](a, b []T) uint64 {
 }
 
 // Bitset is a packed membership index over a dense integer domain [0, n).
-// It backs the hub-bitmap kernel: testing one element is a shift-and-mask,
-// intersecting two bitsets is word-AND + popcount.
+// It backs the build-time bitmaps (TriC's hubs, the StreamBuilder's rows):
+// testing one element is a shift-and-mask, intersecting two bitsets is
+// word-AND + popcount.
 type Bitset []uint64
 
 // BitsetWords returns the number of words a Bitset over [0, n) occupies.
@@ -164,19 +169,6 @@ func CountList[T Index](bs Bitset, list []T) uint64 {
 	return cnt
 }
 
-// CountListSplit is CountList split at a value: below counts the members of
-// list that are < split, rest those ≥ split. list must be ascending, so the
-// members below split are a prefix and the split test costs one predictable
-// branch flip per call, not one per element.
-func CountListSplit[T Index](bs Bitset, list []T, split T) (below, rest uint64) {
-	i := 0
-	for ; i < len(list) && list[i] < split; i++ {
-		x := list[i]
-		below += bs[x>>6] >> (x & 63) & 1
-	}
-	return below, CountList(bs, list[i:])
-}
-
 // ForEachCommonList calls fn for every element of list that is a member of
 // bs, in list order (ascending for sorted lists).
 func ForEachCommonList[T Index](bs Bitset, list []T, fn func(T)) {
@@ -197,26 +189,28 @@ func (bs Bitset) CountAnd(other Bitset) uint64 {
 	return uint64(cnt)
 }
 
-// Mark is the reusable "mark once" half of the stamped wedge kernel: a
-// bitset over a dense domain of row indices — the 1D engines' row space
-// (LocalOriented.NewRowMark) or a TK2D band — holding one ascending list (a
-// source neighborhood A(v)), against which any number of partner lists A(u)
-// are then probed. Stamp sets the list's L bits, Unstamp zeroes exactly the
-// words those L entries touched — never the whole domain — so a mark costs
-// 2·L word writes however large the domain is, and between stampings the
-// bitset is all-zero.
+// Mark is the reusable "mark once" half of the stamped wedge kernel: one
+// byte per index of a dense domain of row indices — the 1D engines' row
+// space (LocalOriented.NewRowMark) or a TK2D band — holding one ascending
+// list (a source neighborhood A(v)), against which any number of partner
+// lists A(u) are then probed. Stamp writes 1 at the list's L entries,
+// Unstamp writes 0 at exactly those entries — never the whole domain — so a
+// mark costs 2·L byte writes however large the domain is, and between
+// stampings every byte is 0. A probe is one byte load per entry with no
+// shift: a variable shift pins its count to one register on amd64, which
+// the bit test of a Bitset pays on every entry of the hot loops.
 //
 // A mark holds one list at a time. Code that can be re-entered while its
 // list is stamped (a queue handler dispatched from inside a send, see
 // core.countState) needs a mark per nesting level; Stamp panics on a mark
 // that is still stamped rather than let two lists blend into one miscount.
 type Mark struct {
-	bits Bitset
+	on   []byte   // on[x] == 1 iff x is in the stamped list
 	list []uint32 // the stamped list (aliased, not copied); nil when clear
 }
 
-// NewMark returns a clear mark over the dense domain [0, n) (n/8 bytes).
-func NewMark(n int) *Mark { return &Mark{bits: NewBitset(n)} }
+// NewMark returns a clear mark over the dense domain [0, n) (n bytes).
+func NewMark(n int) *Mark { return &Mark{on: make([]byte, n)} }
 
 // markHeld is the nesting guard's panic, shared by Mark and SplitMark.
 const markHeld = "graph: Mark stamped while still holding a list"
@@ -229,25 +223,63 @@ func (m *Mark) Stamp(list []uint32) {
 		panic(markHeld)
 	}
 	m.list = list
-	SetList(m.bits, list)
+	on := m.on
+	for _, x := range list {
+		on[x] = 1
+	}
 }
 
-// Unstamp clears the stamped list's words, leaving the mark all-zero.
+// Unstamp clears the stamped list's bytes, leaving the mark all-zero.
 func (m *Mark) Unstamp() {
+	on := m.on
 	for _, x := range m.list {
-		m.bits[x>>6] = 0
+		on[x] = 0
 	}
 	m.list = nil
 }
 
-// CountList returns |list ∩ stamped list|: one bit test per element of list,
-// which must lie inside the mark's domain.
-func (m *Mark) CountList(list []uint32) uint64 { return CountList(m.bits, list) }
+// CountList returns |list ∩ stamped list|: one byte load per element of
+// list, which must lie inside the mark's domain.
+func (m *Mark) CountList(list []uint32) uint64 {
+	on := m.on
+	var cnt uint64
+	for _, x := range list {
+		cnt += uint64(on[x])
+	}
+	return cnt
+}
+
+// CountListSplit is CountList split at a value: below counts the members of
+// list that are < split, rest those ≥ split. list must be ascending, so the
+// members below split are a prefix.
+func (m *Mark) CountListSplit(list []uint32, split uint32) (below, rest uint64) {
+	on := m.on
+	i := 0
+	for ; i < len(list) && list[i] < split; i++ {
+		below += uint64(on[list[i]])
+	}
+	return below, m.CountList(list[i:])
+}
 
 // ForEachCommonList calls fn for every element of list ∩ stamped list, in
 // list order.
 func (m *Mark) ForEachCommonList(list []uint32, fn func(uint32)) {
-	ForEachCommonList(m.bits, list, fn)
+	on := m.on
+	for _, x := range list {
+		if on[x] != 0 {
+			fn(x)
+		}
+	}
+}
+
+// IsClear reports whether no byte is set: the state between stampings.
+func (m *Mark) IsClear() bool {
+	for _, b := range m.on {
+		if b != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // SplitMark is a Mark over global IDs with two bits per ID: it holds one

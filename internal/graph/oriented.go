@@ -14,9 +14,10 @@ import (
 //
 // Every orientation keeps OutRows(row): A(row) as row indices, sorted
 // ascending by row — the shape every local intersection runs on, so the hot
-// loops never touch the ghost index and can use bitsets over the row domain:
-// the stamped Mark (see Probe) and, on TriC's ID orientation, the per-hub
-// bitmaps. Row indices are 4 bytes (a PE holds at most MaxRows rows).
+// loops never touch the ghost index and can index dense tables over the row
+// domain: the stamped byte Mark (see Probe) and, on TriC's ID orientation,
+// the per-hub bitmaps. Row indices are 4 bytes (a PE holds at most MaxRows
+// rows).
 //
 // Out(row), the same set as global IDs sorted ascending, is kept only where
 // lists ship or meet received ID lists: the shipped shape needs no
@@ -327,30 +328,26 @@ func (o *LocalOriented) CutOutDegree(row int32) int { return len(o.ghostSuffix(r
 // HubBitset returns the packed bitmap of a hub row, or nil.
 func (o *LocalOriented) HubBitset(row int32) Bitset { return o.hubs.bitset(int(row)) }
 
-// NewRowMark returns a clear mark over o's row domain (Rows/8 bytes).
+// NewRowMark returns a clear mark over o's row domain (Rows bytes).
 func (o *LocalOriented) NewRowMark() *Mark { return NewMark(o.L.Rows()) }
 
-// Probe is the stamped wedge kernel's one dispatch: for the list stamped in
-// m and the partner row, it returns a membership set and the ascending list
-// to test against it such that set ∩ probe = list ∩ A(row). Normally that is
-// the mark itself probed with A(row) — |A(row)| bit tests, the stamped list
-// is not scanned again. When row carries a hub bitmap (only TriC builds
-// them) and the stamped list is the shorter side, the roles swap and the
-// list is tested against the hub's bitmap instead. Either way a source list
-// of length L with partners u₁…u_k costs L + Σ min(|A(uᵢ)|, L·[uᵢ is a hub])
-// bit tests, not the k·L + Σ|A(uᵢ)| steps of k independent merges.
-//
-// The kernel's three shapes are the set kernels applied to the result:
-// CountList (count), CountListSplit (count split at a row index — CETRIC's
-// type-1/type-2 classification) and ForEachCommonList (enumerate, ascending:
-// the LCC / Collect path). len(probe) is the work the pair costs, which is
+// Probe is the stamped wedge kernel's hub dispatch: for the list stamped in
+// m and the partner row, it returns what to test so that the members are
+// list ∩ A(row). Normally hub is nil and probe is A(row), to be tested
+// against the mark itself — |A(row)| byte loads, the stamped list is not
+// scanned again. When row carries a hub bitmap (only TriC builds them) and
+// the stamped list is the shorter side, the roles swap: hub is the row's
+// bitmap and probe the stamped list, tested against it with the Bitset
+// kernels. Either way a source list of length L with partners u₁…u_k costs
+// L + Σ min(|A(uᵢ)|, L·[uᵢ is a hub]) tests, not the k·L + Σ|A(uᵢ)| steps
+// of k independent merges. len(probe) is the work the pair costs, which is
 // what the receive-side work meter charges.
-func (o *LocalOriented) Probe(m *Mark, row int32) (set Bitset, probe []uint32) {
+func (o *LocalOriented) Probe(m *Mark, row int32) (hub Bitset, probe []uint32) {
 	au := o.OutRows(row)
 	if hub := o.hubs.bitset(int(row)); hub != nil && len(m.list) < len(au) {
 		return hub, m.list
 	}
-	return m.bits, au
+	return nil, au
 }
 
 // CountRowPair returns |A(a) ∩ A(b)| in row space. Hub pairs use word-AND +

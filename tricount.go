@@ -36,6 +36,8 @@
 package tricount
 
 import (
+	"fmt"
+
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -51,8 +53,19 @@ type Vertex = graph.Vertex
 type Edge = graph.Edge
 
 // FromEdges builds a Graph on n vertices from an edge list, dropping
-// self-loops and duplicate edges.
-func FromEdges(n int, edges []Edge) *Graph { return graph.FromEdges(n, edges) }
+// self-loops and duplicate edges. An endpoint outside [0, n), a self-loop's
+// included, is an error naming the vertex; so is a negative n.
+func FromEdges(n int, edges []Edge) (*Graph, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("tricount: negative vertex count %d", n)
+	}
+	for _, e := range edges {
+		if e.U >= Vertex(n) || e.V >= Vertex(n) {
+			return nil, fmt.Errorf("tricount: edge (%d,%d): vertex %d out of range n=%d", e.U, e.V, max(e.U, e.V), n)
+		}
+	}
+	return graph.FromEdges(n, edges), nil
+}
 
 // Algorithm selects a distributed counting algorithm.
 type Algorithm = core.Algorithm

@@ -158,6 +158,36 @@ func TestStreamEdgesRejectsOutOfRangeVertex(t *testing.T) {
 	}
 }
 
+// TestFromEdgesRejectsOutOfRangeVertex: an edge endpoint outside [0, n) —
+// n itself, the largest ID, or a self-loop at n, which FromEdges would
+// otherwise drop unseen — is an error naming the vertex, not a panic; so is
+// a negative n. In-range self-loops and duplicates are still dropped.
+func TestFromEdgesRejectsOutOfRangeVertex(t *testing.T) {
+	const n = 3
+	for _, tc := range []struct {
+		name  string
+		n     int
+		edges []Edge
+		want  string
+	}{
+		{"endpoint n", n, []Edge{{U: 0, V: 1}, {U: 1, V: n}}, "vertex 3"},
+		{"largest ID", n, []Edge{{U: ^Vertex(0), V: 1}}, "vertex 18446744073709551615"},
+		{"self-loop at n", n, []Edge{{U: n, V: n}}, "vertex 3"},
+		{"negative n", -1, nil, "negative vertex count -1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g, err := FromEdges(tc.n, tc.edges)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("FromEdges = (%v, %v), want an error naming %q", g, err, tc.want)
+			}
+		})
+	}
+	g, err := FromEdges(n, []Edge{{U: 0, V: 1}, {U: 1, V: 0}, {U: 2, V: 2}, {U: 1, V: 2}})
+	if err != nil || g.NumVertices() != n || g.NumEdges() != 2 {
+		t.Fatalf("FromEdges = (%v, %v), want %d vertices and 2 edges", g, err, n)
+	}
+}
+
 func TestStreamEdgesFacade(t *testing.T) {
 	g := GenerateGNM(256, 2048, 9)
 	edges := g.Edges()
@@ -179,7 +209,11 @@ func TestStreamEdgesFacade(t *testing.T) {
 	if sres.Count != want || sres.Initial != 0 {
 		t.Fatalf("streamed %d (initial %d), want %d (initial 0)", sres.Count, sres.Initial, want)
 	}
-	if rebuilt := FromEdges(g.NumVertices(), edges); CountSeq(rebuilt) != want {
+	rebuilt, err := FromEdges(g.NumVertices(), edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if CountSeq(rebuilt) != want {
 		t.Fatalf("FromEdges round trip lost triangles")
 	}
 }
