@@ -60,18 +60,18 @@ import (
 //
 // Kernel: each pair probes the shorter side, and reads each probed entry
 // once. The record's old(v) and Δ(v), L entries, are stamped once into one
-// two-bit mark over global IDs (graph.SplitMark: bit 0 old(v), bit 1 Δ(v)),
-// so one load per entry of a partner's old(w) or Δ(w) yields both of that
-// entry's category hits. A partner w whose old(w) is longer than the record
-// and carries a row bitmap (the StreamBuilder keeps one over [0, n) for
-// every row of at least BitsetWords(n) entries) turns the probe around:
+// byte mark over global IDs (graph.SplitMark: 1 for old(v), 2 for Δ(v)),
+// so one byte load per entry of a partner's old(w) or Δ(w) yields both of
+// that entry's category hits. A partner w whose old(w) is longer than the
+// record and carries a row bitmap (the StreamBuilder keeps one over [0, n)
+// for every row of at least BitsetWords(n) entries) turns the probe around:
 // old(v) and Δ(v) are tested against w's bitmap and only Δ(w) against the
 // mark, L + |Δ(w)| bit tests instead of |old(w)| + |Δ(w)|. Any other
 // partner is probed against the mark, unless its lists are skewed against
 // the record (graph.Skewed, the intersection kernels' own gallop ratio):
 // then the pairwise merge/gallop kernels (pair) keep a short record meeting
-// an unindexed long row from scanning that row. The mark costs n/4 bytes
-// per PE — what the StreamBuilder's own row headers cost at p ≈ 112 — and
+// an unindexed long row from scanning that row. The mark costs n bytes per
+// PE, O(n) — what the StreamBuilder's own row headers cost at p ≈ 28 — and
 // the row bitmaps at most one word per resident entry; both come with the
 // engine at the first insert batch, so a pure-ingestion stream pays for
 // neither.
@@ -417,9 +417,9 @@ type streamState struct {
 	n          uint64 // vertices: every ID in a record is below it
 	n0, n1, n2 uint64
 	ship       []uint64 // record scratch, reused across rows
-	// The two-bit global-ID mark holding old(v) (bit 0) and Δ(v) (bit 1) of
-	// the record being counted. One mark serves received records and local
-	// rows alike: see countStaged for why the two never nest.
+	// The byte global-ID mark holding old(v) (as 1) and Δ(v) (as 2) of the
+	// record being counted, n bytes. One mark serves received records and
+	// local rows alike: see countStaged for why the two never nest.
 	mark *graph.SplitMark
 }
 
@@ -448,11 +448,9 @@ func (s *streamState) rowBitmap(r int32, lv int) graph.Bitset {
 }
 
 // countPartners counts the new edges (v,w), w ∈ ws, for a row v with
-// neighborhood split (ov=old, dv=Δ); every w is a local vertex. The mark is
-// stamped at the first partner that probes it and cleared on return, so a
-// row whose partners all gallop (or that has none) never touches it.
+// neighborhood split (ov=old, dv=Δ), which the caller has stamped into the
+// mark; every w is a local vertex.
 func (s *streamState) countPartners(ov, dv, ws []graph.Vertex) {
-	stamped := false
 	lv := len(ov) + len(dv)
 	for _, w := range ws {
 		r := int32(w - s.sb.First())
@@ -467,19 +465,12 @@ func (s *streamState) countPartners(ov, dv, ws []graph.Vertex) {
 			s.pair(ov, dv, ow, dw)
 			continue
 		}
-		if !stamped {
-			s.mark.Stamp(ov, dv)
-			stamped = true
-		}
 		o, d := s.mark.CountList(ow)
 		s.n0 += o
 		s.n1 += d
 		o, d = s.mark.CountList(dw)
 		s.n1 += o
 		s.n2 += d
-	}
-	if stamped {
-		s.mark.Unstamp()
 	}
 }
 
@@ -496,9 +487,19 @@ func span(list []graph.Vertex, lo, hi graph.Vertex) []graph.Vertex {
 // handle processes one shipped record [v, |Δ(v)|, Δ(v)..., old(v)...]. The
 // partners are the entries of Δ(v) this PE owns; the sender only ships here
 // when one of them is below v, and then the whole range is (v is not in it).
+// Stamping the record checks what checkRecord leaves: that Δ(v) and old(v)
+// share no entry (the mark holds each ID once) and that neither names v, at
+// one byte load per Δ(v) entry and one for v instead of a search each; a
+// record that fails is a corrupt frame from src.
 func (s *streamState) handle(src int, words []uint64) {
 	dv, ov := s.checkRecord(src, words)
+	if !s.mark.Stamp(ov, dv) || s.mark.Holds(words[0]) {
+		s.mark.Unstamp()
+		panic(&comm.CorruptFrameError{Src: src, Reason: fmt.Sprintf(
+			"stream record of vertex %d: Δ(v) meets old(v), or a list names v", words[0])})
+	}
 	s.countPartners(ov, dv, span(dv, s.sb.First(), s.sb.Last()))
+	s.mark.Unstamp()
 }
 
 // checkRecord splits a received record into Δ(v) and old(v) after checking,
@@ -553,8 +554,10 @@ func (s *streamState) record(r int32) []uint64 {
 // overflow δ, flush, poll and run handle inline, and handle stamps the mark
 // — but every Send of a row precedes its local partners, so the row's own
 // stamp is never live across one (SplitMark.Stamp panics if that ordering
-// is ever broken). Records still buffered or in flight when
-// the loop ends are the caller's Drain to deliver.
+// is ever broken). A row's lists are disjoint by construction (Stage
+// subtracts old(v) from Δ(v)), so its stamp needs no check. Records still
+// buffered or in flight when the loop ends are the caller's Drain to
+// deliver.
 func (s *streamState) countStaged(pe *dist.PE, pt *part.Partition) {
 	sb := s.sb
 	first, last := sb.First(), sb.Last()
@@ -575,6 +578,10 @@ func (s *streamState) countStaged(pe *dist.PE, pt *part.Partition) {
 				}
 			}
 		}
-		s.countPartners(sb.Row(r), dv, span(dv[i:], first+graph.Vertex(r)+1, last))
+		if ws := span(dv[i:], first+graph.Vertex(r)+1, last); len(ws) > 0 {
+			s.mark.Stamp(sb.Row(r), dv)
+			s.countPartners(sb.Row(r), dv, ws)
+			s.mark.Unstamp()
+		}
 	}
 }

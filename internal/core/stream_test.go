@@ -474,10 +474,10 @@ func pairRecord(ss *streamState, rec []uint64) [3]uint64 {
 }
 
 // TestStreamRecordRejectsHostileFrames: a delta record whose header does not
-// describe its words, or whose lists are out of range or out of order, is a
-// corrupt frame from its sender — never an index out of range, and never a
-// count of garbage — whether its partner meets it through the gallop, the
-// mark or a row bitmap. A record record() built passes and counts what the
+// describe its words, whose lists are out of range or out of order, or whose
+// lists meet each other or name v itself, is a corrupt frame from its
+// sender — never an index out of range, and never a count of garbage —
+// whether its partner meets it through the gallop, the mark or a row bitmap. A record record() built passes and counts what the
 // pairwise kernels count.
 func TestStreamRecordRejectsHostileFrames(t *testing.T) {
 	for _, seal := range []bool{false, true} {
@@ -497,6 +497,9 @@ func TestStreamRecordRejectsHostileFrames(t *testing.T) {
 			{"Δ repeated", []uint64{210, 2, 0, 0, 211}},
 			{"old descending", []uint64{210, 1, 0, 212, 211}},
 			{"old repeated", []uint64{210, 1, 0, 211, 211}},
+			{"Δ meets old", []uint64{210, 1, 0, 0, 3, 211}},
+			{"Δ names v", []uint64{210, 2, 0, 210, 3, 211}},
+			{"old names v", []uint64{210, 1, 0, 3, 210, 211}},
 		} {
 			t.Run(fmt.Sprintf("seal=%v/%s", seal, tc.name), func(t *testing.T) {
 				if cf := corruptFrom(func() { ss[0].handle(1, tc.rec) }); cf == nil || cf.Src != 1 {
@@ -521,7 +524,7 @@ func TestStreamRecordRejectsHostileFrames(t *testing.T) {
 // FuzzStreamRecord hands random words to a fixed two-PE stream as a record
 // from rank 1. The handler either rejects them as a corrupt frame from 1 or
 // counts what the pairwise kernels count on the same lists; either way the
-// two-bit mark is all-zero afterwards and a record record() built still
+// byte mark is all-zero afterwards and a record record() built still
 // counts exactly.
 func FuzzStreamRecord(f *testing.F) {
 	fx, _ := testgraph.ByName("rmat")
@@ -605,7 +608,7 @@ func shippedRows(ss [2]*streamState) []int32 {
 // BenchmarkStreamDeltaSteadyState measures allocs/op of the delta engine's
 // record path on a staged batch: rank 1 assembles every record it would ship
 // to rank 0 (send scratch) and rank 0 handles it — record checks, partner
-// search, stamping the two-bit mark, probing it or a long partner's row
+// search, stamping the byte mark, probing it or a long partner's row
 // bitmap, un-stamping, and the gallop fallback for skewed partners. Mark,
 // bitmaps and scratch are sized before the timed loop, so the steady state
 // must report zero allocations (CI allocation gate).

@@ -82,7 +82,7 @@ func FuzzBinaryGraphFormat(f *testing.F) {
 // FuzzIntersectKernels feeds arbitrary byte strings, turned into sorted
 // deduplicated index slices, through every intersection kernel in both
 // instantiations — 8-byte global IDs and 4-byte row indices — through the
-// bare marks (a Mark of row indices, a two-bit SplitMark of IDs), and through
+// bare marks (a Mark of row indices, a byte SplitMark of IDs), and through
 // the stamped wedge kernel, with either slice as the stamped list and the
 // partner with and without a hub bitmap; all must agree with the CountMerge
 // oracle over the 8-byte lists, in both argument orders.
@@ -203,8 +203,11 @@ func checkMark(t *testing.T, a, b []uint32, want uint64, domain int) {
 }
 
 // checkSplitMark stamps b, split into its even- and odd-position entries,
-// into a two-bit SplitMark over global IDs and probes it with a: each bit
-// must count its own half, and Unstamp must leave the mark all-zero.
+// into a SplitMark over global IDs and probes it with a: each half must hold
+// its own byte value (1 even, 2 odd) and count its own half, Holds must name
+// exactly b's entries, a second Stamp while held must panic, and Unstamp
+// must leave every byte zero — also after lists that share an ID (b's first
+// entry in both), which Stamp must report.
 func checkSplitMark(t *testing.T, a, b []Vertex, want uint64, domain int) {
 	t.Helper()
 	var even, odd []Vertex
@@ -216,14 +219,49 @@ func checkSplitMark(t *testing.T, a, b []Vertex, want uint64, domain int) {
 		}
 	}
 	m := NewSplitMark(domain)
-	m.Stamp(even, odd)
+	if len(m.on) != domain || !m.IsClear() {
+		t.Fatalf("NewSplitMark(%d): %d bytes, clear=%v", domain, len(m.on), m.IsClear())
+	}
+	if !m.Stamp(even, odd) {
+		t.Fatalf("Stamp reports disjoint halves as meeting (b=%v)", b)
+	}
+	if m.IsClear() != (len(b) == 0) {
+		t.Fatalf("stamped split mark reads clear=%v with %d entries (b=%v)", m.IsClear(), len(b), b)
+	}
+	for i, x := range b {
+		if want := byte(1 + i%2); m.on[x] != want {
+			t.Fatalf("split mark byte of %d = %d, want %d (b=%v)", x, m.on[x], want, b)
+		}
+	}
+	for _, x := range a {
+		if m.Holds(x) != slices.Contains(b, x) {
+			t.Fatalf("split mark Holds(%d) = %v (b=%v)", x, m.Holds(x), b)
+		}
+	}
 	inA, inB := m.CountList(a)
 	if wantA, wantB := CountMerge(a, even), CountMerge(a, odd); inA != wantA || inB != wantB || inA+inB != want {
 		t.Fatalf("split mark = (%d, %d), merge = (%d, %d) of %d (a=%v b=%v)", inA, inB, wantA, wantB, want, a, b)
 	}
+	func() {
+		defer func() {
+			if r := recover(); r != markHeld {
+				t.Fatalf("Stamp on a held split mark recovered %v, want %q", r, markHeld)
+			}
+		}()
+		m.Stamp(odd, even)
+	}()
 	m.Unstamp()
 	if !m.IsClear() {
-		t.Fatalf("split mark holds bits after Unstamp (a=%v b=%v)", a, b)
+		t.Fatalf("split mark holds bytes after Unstamp (a=%v b=%v)", a, b)
+	}
+	if len(b) > 0 {
+		if m.Stamp(b[:1], b) {
+			t.Fatalf("Stamp reports lists sharing %d as disjoint (b=%v)", b[0], b)
+		}
+		m.Unstamp()
+		if !m.IsClear() {
+			t.Fatalf("split mark holds bytes after Unstamp of lists sharing %d (b=%v)", b[0], b)
+		}
 	}
 }
 

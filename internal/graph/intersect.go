@@ -6,8 +6,8 @@ import "math/bits"
 // ITERATOR variant. Every pairwise and Bitset kernel has one generic body
 // over Index: 4-byte row indices (every row-translated A-list and 2D block
 // entry) and 8-byte global IDs (received records, the streaming engine's
-// record lists); the Mark is row space only. Two families of kernels are
-// provided.
+// record lists); the Mark is row space only, the SplitMark global IDs only.
+// Two families of kernels are provided.
 // Pairwise, for a single intersection with nothing to amortise:
 //
 //   - CountMerge: the textbook two-pointer merge (branchy; fast when the
@@ -28,8 +28,11 @@ import "math/bits"
 //   - CountList / ForEachCommonList over a Bitset (and Bitset.CountAnd for
 //     bitset ∩ bitset): the build-time bitmaps, TriC's hub index
 //     (oriented.go; LocalOriented.Probe picks it when it is the shorter
-//     side) and the StreamBuilder's row bitmaps. SplitMark is the streaming
-//     delta engine's two-bit mark over global IDs.
+//     side) and the StreamBuilder's row bitmaps (the streaming builder's
+//     staged-batch subtraction and the delta engine's long partners).
+//   - SplitMark.CountList: the streaming delta engine's byte mark over
+//     global IDs, holding one record's old(v) as 1 and Δ(v) as 2, so one
+//     byte load per probed entry yields both of its category hits.
 
 // Index is the element type of the sorted lists the kernels run on: uint32
 // for row indices (row space is bounded to 2³¹−1 rows per PE, see
@@ -282,63 +285,80 @@ func (m *Mark) IsClear() bool {
 	return true
 }
 
-// SplitMark is a Mark over global IDs with two bits per ID: it holds one
-// neighborhood split into two lists, a in bit 0 and b in bit 1 — the
-// streaming delta engine stamps a record's old(v) and Δ(v) — so one load per
-// probed entry yields the entry's membership in both. Over [0, n) it costs
-// n/4 bytes, what two Marks over the same domain would. It keeps Mark's
-// contract: Unstamp zeroes only the words the two lists touched, and
-// stamping a mark that still holds its lists panics.
+// SplitMark is a Mark over global IDs that holds one neighborhood split
+// into two disjoint lists — the streaming delta engine stamps a record's
+// old(v) and Δ(v) — one byte per ID: 1 for a member of a, 2 for a member of
+// b. One byte load per probed entry yields the entry's membership in both,
+// with no shift. Over [0, n) it costs n bytes. It keeps Mark's contract:
+// Unstamp zeroes only the stamped entries, and stamping a mark that still
+// holds its lists panics.
 type SplitMark struct {
-	words []uint64 // 32 IDs per word, ID x at bits 2(x mod 32) and 2(x mod 32)+1
-	a, b  []Vertex // the stamped lists (aliased, not copied)
-	held  bool
+	on   []byte   // on[x] is 1 if x ∈ a, 2 if x ∈ b, 0 otherwise
+	a, b []Vertex // the stamped lists (aliased, not copied)
+	held bool
 }
 
-// NewSplitMark returns a clear two-bit mark over the IDs [0, n).
-func NewSplitMark(n int) *SplitMark { return &SplitMark{words: make([]uint64, (n+31)/32)} }
+// NewSplitMark returns a clear split mark over the IDs [0, n) (n bytes).
+func NewSplitMark(n int) *SplitMark { return &SplitMark{on: make([]byte, n)} }
 
-// Stamp marks a in bit 0 and b in bit 1. Both lists must hold in-domain IDs;
-// they are aliased until Unstamp.
-func (m *SplitMark) Stamp(a, b []Vertex) {
+// Stamp marks a with 1 and b with 2, and reports whether the two lists were
+// disjoint, as the counts require: each entry of b checks its byte before
+// writing it. Both lists must hold in-domain IDs, each free of repeats; they
+// are aliased until Unstamp, which a caller that got false must call before
+// it gives up on the lists.
+func (m *SplitMark) Stamp(a, b []Vertex) (disjoint bool) {
 	if m.held {
 		panic(markHeld)
 	}
 	m.a, m.b, m.held = a, b, true
+	on := m.on
 	for _, x := range a {
-		m.words[x>>5] |= 1 << ((x & 31) << 1)
+		on[x] = 1
 	}
+	var met byte
 	for _, x := range b {
-		m.words[x>>5] |= 2 << ((x & 31) << 1)
+		met |= on[x]
+		on[x] = 2
 	}
+	return met == 0
 }
 
-// Unstamp clears the stamped lists' words, leaving the mark all-zero.
+// Unstamp clears the stamped lists' bytes, leaving the mark all-zero.
 func (m *SplitMark) Unstamp() {
+	on := m.on
 	for _, x := range m.a {
-		m.words[x>>5] = 0
+		on[x] = 0
 	}
 	for _, x := range m.b {
-		m.words[x>>5] = 0
+		on[x] = 0
 	}
 	m.a, m.b, m.held = nil, nil, false
 }
 
-// CountList returns |list ∩ a| and |list ∩ b| by one load per element of
-// list, which must lie inside the mark's domain.
+// CountList returns |list ∩ a| and |list ∩ b| by one byte load per element
+// of list, which must lie inside the mark's domain. Kept out of line:
+// inlined into the delta engine's partner loop (core.streamState), it
+// spilled the loaded byte and both sums to the stack on every probed entry.
+//
+//go:noinline
 func (m *SplitMark) CountList(list []Vertex) (inA, inB uint64) {
+	on := m.on
 	for _, x := range list {
-		w := m.words[x>>5] >> ((x & 31) << 1)
-		inA += w & 1
-		inB += w & 2
+		c := on[x]
+		inA += uint64(c & 1)
+		inB += uint64(c >> 1)
 	}
-	return inA, inB >> 1
+	return inA, inB
 }
 
-// IsClear reports whether no bit is set: the state between stampings.
+// Holds reports whether x, which must lie inside the mark's domain, is in
+// either stamped list.
+func (m *SplitMark) Holds(x Vertex) bool { return m.on[x] != 0 }
+
+// IsClear reports whether no byte is set: the state between stampings.
 func (m *SplitMark) IsClear() bool {
-	for _, w := range m.words {
-		if w != 0 {
+	for _, c := range m.on {
+		if c != 0 {
 			return false
 		}
 	}

@@ -31,11 +31,14 @@ import (
 // Row bitmaps. Once Seal has run (inserts follow), every resident row with
 // at least BitsetWords(n) entries also keeps a Bitset of its IDs over
 // [0, n), so the delta counter can test a short list against a long row bit
-// by bit instead of scanning the row. Seal builds them, and Commit sets the
-// bits of every merged Δ entry and gives a row its bitmap when it crosses
-// the threshold. A bitmap's words never exceed its row's entries, so all
-// bitmap words of a PE stay at most Entries(): the one-word-per-entry cap of
-// TriC's static hub index (buildHubs).
+// by bit instead of scanning the row, and Stage can drop a batch's repeats
+// of a long row's entries by one bit test each instead of galloping through
+// the row. Seal builds them, and Commit sets the bits of every merged Δ
+// entry and gives a row its bitmap when it crosses the threshold, so
+// between Stage and Commit a bitmap holds its row's pre-batch state. A
+// bitmap's words never exceed its row's entries, so all bitmap words of a
+// PE stay at most Entries(): the one-word-per-entry cap of TriC's static
+// hub index (buildHubs).
 
 // StreamBuilder accumulates one PE's scattered edge batches into a resident
 // per-local-row adjacency (sorted global IDs, duplicates removed). Ghost
@@ -137,8 +140,8 @@ func (b *StreamBuilder) StagedEntries() int { return b.stagedTotal }
 // bucketed per local row with a two-pass counting layout (the batch-scale
 // twin of BuildLocalPar's count + placement passes), then every
 // touched row is sorted, deduplicated, and subtracted against its resident
-// row — forward-galloping through the resident list (searchFrom) — leaving
-// the strictly-new Δ. The per-row
+// row — through the row's bitmap where it has one, else forward-galloping
+// through the resident list — leaving the strictly-new Δ. The per-row
 // pass fans out over threads; the O(batch) bucketing stays sequential.
 //
 // Self-loops are dropped. An edge with neither endpoint in this PE's range
@@ -227,36 +230,65 @@ func (b *StreamBuilder) Stage(edges []Edge, threads int) {
 const streamRowChunk = 16
 
 // stageSubtract sorts, dedups, and resident-subtracts touched rows
-// [lo, hi), recording surviving Δ lengths in stagedLen.
+// [lo, hi), recording surviving Δ lengths in stagedLen. A row with a bitmap
+// (sealed builders only; it still holds the pre-batch row) drops a
+// candidate by one bit test; any other row forward-gallops through its
+// resident list (searchFrom).
 func (b *StreamBuilder) stageSubtract(lo, hi int) {
 	adj, off := b.stagedAdj, b.stagedOff
 	for ti := lo; ti < hi; ti++ {
 		seg := sortedDedup(adj[off[ti]:off[ti+1]])
-		res := b.rows[b.touched[ti]]
-		u, ri := 0, 0
-		for _, x := range seg {
-			pos, found := searchFrom(res, x, ri)
-			ri = pos
-			if found {
-				ri++
-				continue
+		r := b.touched[ti]
+		u := 0
+		if bm := b.RowBitmap(r); bm != nil {
+			for _, x := range seg {
+				if bm[x>>6]>>(x&63)&1 == 0 {
+					seg[u] = x
+					u++
+				}
 			}
-			seg[u] = x
-			u++
+		} else {
+			res, ri := b.rows[r], 0
+			for _, x := range seg {
+				pos, found := searchFrom(res, x, ri)
+				ri = pos
+				if found {
+					ri++
+					continue
+				}
+				seg[u] = x
+				u++
+			}
 		}
 		b.stagedLen[ti] = int32(u)
 	}
 }
 
+// shortSegment is the longest candidate segment sortedDedup sorts by
+// insertion in place rather than through slices.Sort.
+const shortSegment = 16
+
 // sortedDedup sorts s and removes duplicates in place. A list that is
 // already strictly ascending — the common case: edge lists arrive grouped by
-// ascending endpoint — costs one scan and no write.
+// ascending endpoint — costs one scan and no write. A short list sorts by
+// insertion from its first descent on: the prefix before it is sorted.
 func sortedDedup(s []Vertex) []Vertex {
 	for k := 1; k < len(s); k++ {
-		if s[k] <= s[k-1] {
+		if s[k] > s[k-1] {
+			continue
+		}
+		if len(s) > shortSegment {
 			slices.Sort(s)
 			return slices.Compact(s)
 		}
+		for ; k < len(s); k++ {
+			x, j := s[k], k
+			for ; j > 0 && s[j-1] > x; j-- {
+				s[j] = s[j-1]
+			}
+			s[j] = x
+		}
+		return slices.Compact(s)
 	}
 	return s
 }

@@ -3,6 +3,7 @@ package graph_test
 import (
 	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
@@ -250,23 +251,125 @@ func TestStreamBuilderRowBitmaps(t *testing.T) {
 	}
 }
 
+// TestStreamBuilderStageThroughBitmaps: a sealed builder subtracts a
+// batch's repeats of resident entries through its row bitmaps where a row
+// has one, an unsealed builder over the same edges gallops through every
+// row; both must stage the same Δ, and that Δ must be the batch's distinct
+// candidates minus the resident row, on batches that repeat entries of
+// bitmap rows and of rows without one — shuffled, so candidate segments
+// both short and long arrive unsorted and with in-batch duplicates.
+func TestStreamBuilderStageThroughBitmaps(t *testing.T) {
+	g := gen.RMAT(gen.DefaultRMAT(10, 5))
+	edges := g.Edges()
+	rng := rand.New(rand.NewSource(6))
+	rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+	pt := part.Uniform(uint64(g.NumVertices()), 2)
+	for rank := 0; rank < 2; rank++ {
+		for _, threads := range []int{1, 3} {
+			mine := graph.ScatterEdges(pt, edges)[rank]
+			split := len(mine) / 2
+			sealed, plain := graph.NewStreamBuilder(pt, rank), graph.NewStreamBuilder(pt, rank)
+			sealed.Fold(mine[:split], threads)
+			plain.Fold(mine[:split], threads)
+			sealed.Seal(threads)
+			viaBitmap, viaGallop := 0, 0
+			const batch = 97
+			for lo := split; lo < len(mine); lo += batch {
+				hi := min(lo+batch, len(mine))
+				// New edges, resident repeats (the other orientation half the
+				// time) and in-batch duplicates, in random order.
+				b := append([]graph.Edge(nil), mine[lo:hi]...)
+				for k := 0; k < 2*(hi-lo); k++ {
+					e := mine[rng.Intn(lo)]
+					if k%2 == 1 {
+						e.U, e.V = e.V, e.U
+					}
+					b = append(b, e)
+				}
+				b = append(b, mine[lo:lo+(hi-lo)/4]...)
+				rng.Shuffle(len(b), func(i, j int) { b[i], b[j] = b[j], b[i] })
+
+				want := map[int32][]graph.Vertex{}
+				for _, e := range b {
+					for _, c := range [][2]graph.Vertex{{e.U, e.V}, {e.V, e.U}} {
+						if c[0] < sealed.First() || c[0] >= sealed.Last() || c[0] == c[1] {
+							continue
+						}
+						r := int32(c[0] - sealed.First())
+						if _, resident := slices.BinarySearch(sealed.Row(r), c[1]); !resident {
+							want[r] = append(want[r], c[1])
+						} else if sealed.RowBitmap(r) != nil {
+							viaBitmap++
+						} else {
+							viaGallop++
+						}
+					}
+				}
+				sealed.Stage(b, threads)
+				plain.Stage(b, threads)
+				if !slices.Equal(sealed.Staged(), plain.Staged()) {
+					t.Fatalf("rank %d: sealed staged rows %v, unsealed %v", rank, sealed.Staged(), plain.Staged())
+				}
+				for _, r := range sealed.Staged() {
+					w := want[r]
+					slices.Sort(w)
+					w = slices.Compact(w)
+					if got, gallop := sealed.StagedRowOf(r), plain.StagedRowOf(r); !slices.Equal(got, gallop) || !slices.Equal(got, w) {
+						t.Fatalf("rank %d threads %d: row %d (bitmap=%v) stages Δ %v sealed, %v unsealed, want %v",
+							rank, threads, r, sealed.RowBitmap(r) != nil, got, gallop, w)
+					}
+				}
+				sealed.Commit(threads)
+				plain.Commit(threads)
+			}
+			if viaBitmap == 0 || viaGallop == 0 {
+				t.Fatalf("rank %d: %d resident repeats met a row bitmap, %d a row without one; the test must reach both", rank, viaBitmap, viaGallop)
+			}
+		}
+	}
+}
+
 // BenchmarkStreamInsertSteadyState pins the per-batch insert path: staging
 // and committing a batch whose edges are already resident must not allocate
-// once the retained scratch has warmed up (CI allocation gate).
+// once the retained scratch has warmed up (CI allocation gate). /unsealed
+// subtracts by galloping through the resident rows; /sealed runs on a
+// builder with row bitmaps, and its repeats must reach them.
 func BenchmarkStreamInsertSteadyState(b *testing.B) {
 	g := gen.GNM(1<<10, 1<<13, 1)
 	pt := part.Uniform(uint64(g.NumVertices()), 2)
 	mine := graph.ScatterEdges(pt, g.Edges())[0]
-	sb := graph.NewStreamBuilder(pt, 0)
-	sb.Fold(mine, 1)
 	batch := mine[:min(256, len(mine))]
-	// Warm the retained scratch.
-	sb.Stage(batch, 1)
-	sb.Commit(1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sb.Stage(batch, 1)
-		sb.Commit(1)
+	for _, seal := range []bool{false, true} {
+		name := "unsealed"
+		if seal {
+			name = "sealed"
+		}
+		b.Run(name, func(b *testing.B) {
+			sb := graph.NewStreamBuilder(pt, 0)
+			sb.Fold(mine, 1)
+			if seal {
+				sb.Seal(1)
+				viaBitmap := 0
+				for _, e := range batch {
+					for _, v := range []graph.Vertex{e.U, e.V} {
+						if v >= sb.First() && v < sb.Last() && sb.RowBitmap(int32(v-sb.First())) != nil {
+							viaBitmap++
+						}
+					}
+				}
+				if viaBitmap == 0 {
+					b.Fatal("no repeat of the batch meets a row bitmap; /sealed would not reach the bitmap subtraction")
+				}
+			}
+			// Warm the retained scratch.
+			sb.Stage(batch, 1)
+			sb.Commit(1)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sb.Stage(batch, 1)
+				sb.Commit(1)
+			}
+		})
 	}
 }
