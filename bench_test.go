@@ -32,7 +32,7 @@ func BenchmarkIntersect(b *testing.B) {
 	big := mk(large, 3)
 	// The bitmap kernel tests list membership against a prebuilt bitset of
 	// the large side, as the hub index does for heavy A-lists.
-	bits := graph.NewBitset(large*3 + 1)
+	bits := make(graph.Bitset, graph.BitsetWords(large*3+1))
 	graph.SetList(bits, big)
 	kernels := []struct {
 		name string

@@ -1,14 +1,16 @@
 // Command gengraph generates instances from the synthetic families and
-// writes them to disk (text or binary edge lists), printing Table-I-style
-// statistics. Saved instances can be fed back to `tricount -input`.
+// writes them to disk as text edge lists ("u v" per line), printing
+// Table-I-style statistics. Saved instances can be fed back to
+// `tricount -input`.
 //
-//	gengraph -gen rgg2d -n 65536 -o rgg.bin -format binary
+//	gengraph -gen rgg2d -n 65536 -o rgg.txt
 //	gengraph -gen rmat -n 4096 -o rmat.txt -triangles
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/core"
@@ -17,24 +19,27 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintf(os.Stderr, "gengraph: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run parses args as gengraph's flags and writes its report to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("gengraph", flag.ExitOnError)
 	var (
-		family     = flag.String("gen", "", "generator family: gnm|rmat|rgg2d|rhg")
-		n          = flag.Int("n", 1<<14, "vertices for -gen")
-		edgeFactor = flag.Int("ef", 16, "edge factor for -gen")
-		seed       = flag.Uint64("seed", 42, "generator seed")
-		out        = flag.String("o", "", "output file (omit to only print stats)")
-		format     = flag.String("format", "text", "output format: text|binary")
-		stats      = flag.Bool("stats", true, "print instance statistics")
-		triangles  = flag.Bool("triangles", false, "also count triangles (can be slow)")
+		family     = fs.String("gen", "", "generator family: gnm|rmat|rgg2d|rhg")
+		n          = fs.Int("n", 1<<14, "vertices for -gen")
+		edgeFactor = fs.Int("ef", 16, "edge factor for -gen")
+		seed       = fs.Uint64("seed", 42, "generator seed")
+		out        = fs.String("o", "", "output file (omit to only print stats)")
+		stats      = fs.Bool("stats", true, "print instance statistics")
+		triangles  = fs.Bool("triangles", false, "also count triangles (can be slow)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *family == "" {
 		return fmt.Errorf("need -gen")
@@ -46,10 +51,10 @@ func run() error {
 
 	if *stats {
 		s := graph.ComputeStats(g)
-		fmt.Printf("n=%d m=%d avgdeg=%.2f maxdeg=%d wedges=%d\n",
+		fmt.Fprintf(stdout, "n=%d m=%d avgdeg=%.2f maxdeg=%d wedges=%d\n",
 			s.N, s.M, s.AvgDegree, s.MaxDegree, s.Wedges)
 		if *triangles {
-			fmt.Printf("triangles=%d\n", core.SeqCount(g))
+			fmt.Fprintf(stdout, "triangles=%d\n", core.SeqCount(g))
 		}
 	}
 
@@ -60,18 +65,13 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	switch *format {
-	case "text":
-		err = graph.WriteEdgeListText(f, g)
-	case "binary":
-		err = graph.WriteBinary(f, g)
-	default:
-		return fmt.Errorf("unknown format %q", *format)
-	}
-	if err != nil {
+	if err := graph.WriteEdgeListText(f, g); err != nil {
+		f.Close()
 		return err
 	}
-	fmt.Printf("wrote %s (%s)\n", *out, *format)
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "wrote %s\n", *out)
 	return nil
 }

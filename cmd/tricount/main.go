@@ -53,7 +53,7 @@ func run() (err error) {
 		edgeFactor = flag.Int("ef", 16, "edge factor m/n for -gen")
 		seed       = flag.Uint64("seed", 42, "generator seed")
 
-		algoName  = flag.String("algo", "cetric", "algorithm: seq (the SeqCount oracle, not a baseline)|ditric|ditric2|cetric|cetric2|tk2d|tric|havoq|noagg (ditric2/cetric2: indirect delivery; noagg: ditric with -delta 1; tk2d factors any -p into an r×c grid)")
+		algoName  = flag.String("algo", "cetric", "algorithm: seq (the SeqCount oracle, not a baseline)|ditric|ditric2|cetric|cetric2|tk2d|tric|noagg (ditric2/cetric2: indirect delivery; noagg: ditric with -delta 1; tk2d factors any -p into an r×c grid)")
 		p         = flag.Int("p", 8, "number of PEs")
 		threshold = flag.Int("delta", 0, "aggregation threshold δ in words (0 = O(|E_i|))")
 		threads   = flag.Int("threads", 1, "threads per PE (hybrid counting + parallel preprocessing)")
@@ -221,7 +221,6 @@ var algoVariants = []algoVariant{
 	{name: "ditric2", algo: core.AlgoDiTric, indirect: true},
 	{name: "cetric", algo: core.AlgoCetric},
 	{name: "cetric2", algo: core.AlgoCetric, indirect: true},
-	{name: "havoq", algo: core.AlgoHavoq},
 	{name: "tric", algo: core.AlgoTriC},
 	{name: "noagg", algo: core.AlgoDiTric, noAgg: true},
 	{name: "tk2d", algo: core.AlgoTK2D},

@@ -23,7 +23,6 @@ func TestApproxConfig(t *testing.T) {
 		{"noagg", false, false},
 		{"tk2d", false, false},
 		{"tric", false, false},
-		{"havoq", false, false},
 		{"seq", false, false},
 	} {
 		cfg := core.Config{P: 4, Threads: 2}
@@ -66,7 +65,6 @@ func TestResolveAlgo(t *testing.T) {
 		{name: "noagg", delta: 5, err: "-delta 5"},
 		{name: "tk2d", algo: core.AlgoTK2D},
 		{name: "tric", algo: core.AlgoTriC},
-		{name: "havoq", algo: core.AlgoHavoq},
 		{name: "ditric3", err: `"ditric3"`},
 		{name: "seq", err: `"seq"`},
 	} {

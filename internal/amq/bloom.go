@@ -87,11 +87,6 @@ func (b *Bloom) MayContain(key uint64) bool {
 	return true
 }
 
-// FPR returns the classic estimate (1 − e^{−kn/m})^k for n inserted keys.
-func (b *Bloom) FPR(n int) float64 {
-	return math.Pow(1-math.Exp(-float64(b.k)*float64(n)/float64(b.m)), float64(b.k))
-}
-
 // LoadFPR returns the false-positive rate implied by the actual fraction of
 // set bits, (ones/m)^k. For small filters this is considerably more accurate
 // than the asymptotic formula and is what the truthful estimator uses at

@@ -4,7 +4,8 @@ import "fmt"
 
 // Collectives. Simple coordinator-rooted implementations: their cost is
 // irrelevant to the measured quantities (they are metered as control
-// traffic), they only need to be correct on both transports.
+// traffic), they only need to be correct on both transports. Every wait in
+// them goes through waitTag, so time blocked on a slower peer is IdleNs.
 
 // Barrier blocks until every PE has entered it.
 func (c *Comm) Barrier() {
@@ -84,7 +85,7 @@ func (c *Comm) DenseExchange(data [][]uint64) [][]uint64 {
 		}
 	}
 	for got := 1; got < p; got++ {
-		f := c.wait(func(t uint64) bool { return t == tag(kindDense, e) })
+		f := c.waitTag(tag(kindDense, e))
 		c.M.RecvFrames++
 		c.M.RecvWords += int64(len(f.Words))
 		out[f.Src] = f.Words[1:]

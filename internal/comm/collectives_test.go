@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/transport"
 )
@@ -13,6 +14,12 @@ func runComms(t *testing.T, p int, body func(rank int, c *Comm)) {
 	t.Helper()
 	net := transport.NewChanNetwork(p)
 	defer net.Close()
+	runCommsOn(t, net, p, body)
+}
+
+// runCommsOn runs body on p ranks of net, one goroutine each.
+func runCommsOn(t *testing.T, net transport.Network, p int, body func(rank int, c *Comm)) {
+	t.Helper()
 	var wg sync.WaitGroup
 	for rank := 0; rank < p; rank++ {
 		ep, err := net.Endpoint(rank)
@@ -40,6 +47,58 @@ func TestBarrierSynchronizes(t *testing.T) {
 	})
 	if violated.Load() > 0 {
 		t.Fatal("some PE passed the barrier before all entered")
+	}
+}
+
+// TestCollectiveWaitsAreIdle: rank 0 enters each collective 100 ms late.
+// Every other rank's wait for it is metered into IdleNs (≥ 50 ms per
+// collective), while rank 0, whose frames are already there, meters less
+// than 50 ms. The bounds are coarse so a loaded host cannot flake them.
+func TestCollectiveWaitsAreIdle(t *testing.T) {
+	const p, late = 3, 100 * time.Millisecond
+	collectives := []struct {
+		name string
+		run  func(c *Comm)
+	}{
+		{"Barrier", func(c *Comm) { c.Barrier() }},
+		{"AllreduceSum", func(c *Comm) { c.AllreduceSum([]uint64{1}) }},
+		{"DenseExchange", func(c *Comm) { c.DenseExchange(make([][]uint64, p)) }},
+	}
+	for _, tc := range []struct {
+		name string
+		net  func() (transport.Network, error)
+	}{
+		{"chan", func() (transport.Network, error) { return transport.NewChanNetwork(p), nil }},
+		{"tcp", func() (transport.Network, error) { return transport.NewLoopbackTCPNetwork(p) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			net, err := tc.net()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer net.Close()
+			idle := make([][]time.Duration, p) // [rank][collective]
+			runCommsOn(t, net, p, func(rank int, c *Comm) {
+				for _, col := range collectives {
+					if rank == 0 {
+						time.Sleep(late)
+					}
+					before := c.M.IdleNs
+					col.run(c)
+					idle[rank] = append(idle[rank], time.Duration(c.M.IdleNs-before))
+				}
+			})
+			for i, col := range collectives {
+				if d := idle[0][i]; d >= late/2 {
+					t.Errorf("%s: the late rank 0 metered %v idle, want < %v", col.name, d, late/2)
+				}
+				for rank := 1; rank < p; rank++ {
+					if d := idle[rank][i]; d < late/2 {
+						t.Errorf("%s: rank %d waited for rank 0 but metered %v idle, want ≥ %v", col.name, rank, d, late/2)
+					}
+				}
+			}
+		})
 	}
 }
 

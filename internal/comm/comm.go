@@ -220,32 +220,24 @@ func (c *Comm) next(match func(t uint64) bool) (transport.Frame, bool) {
 	}
 }
 
-// wait blocks until a matching frame arrives, guarded by the communication
-// watchdog: it polls, and between polls parks or yields (idle).
-func (c *Comm) wait(match func(t uint64) bool) transport.Frame {
-	for {
-		if f, ok := c.next(match); ok {
-			return f
-		}
-		c.checkStalled("collective")
-		c.idle()
-	}
-}
-
-// waitTag blocks until a frame with exactly tag t arrives.
+// waitTag blocks until a frame with exactly tag t arrives — the one wait of
+// every collective and split-phase broadcast. Between polls it runs the
+// communication watchdog and parks or yields (idle), and the blocked time
+// is metered into Metrics.IdleNs, so a PE waiting for a slower peer reads
+// as idle, not as work in its enclosing phase. The fast path (frame already
+// stashed or in the inbox) takes no clock reads.
 func (c *Comm) waitTag(t uint64) transport.Frame {
-	return c.wait(func(x uint64) bool { return x == t })
-}
-
-// waitTagIdle is waitTag with the blocked time metered into Metrics.IdleNs —
-// the receive-side comm-wait the pipelined 2D exchange is built to hide. The
-// fast path (frame already stashed or in the inbox) takes no clock reads.
-func (c *Comm) waitTagIdle(t uint64) transport.Frame {
-	if f, ok := c.next(func(x uint64) bool { return x == t }); ok {
+	match := func(x uint64) bool { return x == t }
+	f, ok := c.next(match)
+	if ok {
 		return f
 	}
 	t0 := time.Now()
-	f := c.waitTag(t)
+	for !ok {
+		c.checkStalled("collective")
+		c.idle()
+		f, ok = c.next(match)
+	}
 	c.M.IdleNs += time.Since(t0).Nanoseconds()
 	return f
 }

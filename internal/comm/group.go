@@ -145,7 +145,7 @@ func (op BcastOp) Wait() []uint64 {
 	if g.Size() == 1 || g.idx == op.root {
 		return op.words
 	}
-	f := g.c.waitTagIdle(op.t)
+	f := g.c.waitTag(op.t)
 	out, err := op.codec.AppendDecoded(g.c.getWordBuf()[:0], f.Bytes[8:])
 	if err != nil {
 		panic(&CorruptFrameError{Src: f.Src, Reason: fmt.Sprintf("group bcast decode: %v", err)})

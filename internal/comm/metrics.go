@@ -40,8 +40,10 @@ type Metrics struct {
 	RecvWorkWords int64
 
 	// IdleNs is the time (ns) this PE spent waiting inside Drain/DrainWith
-	// with no frame to process and no progress work to steal — the
-	// straggler-skew signal the overlapped pipeline exists to shrink.
+	// with no frame to process and no progress work to steal, or blocked in
+	// a collective (Barrier, AllreduceSum, DenseExchange) or a broadcast's
+	// Wait for a slower peer — the straggler-skew signal the overlapped
+	// pipeline exists to shrink.
 	IdleNs int64
 	// OverlapNs is CPU time (ns) this PE spent on global-phase receive work
 	// while it was still emitting shipments — before it entered the final
@@ -114,8 +116,8 @@ type Aggregate struct {
 	MaxPeakBuffered   int64 // TriC's OOM indicator
 	MaxPeers          int64 // max distinct destinations over PEs
 	ControlSent       int64
-	TotalIdleNs       int64 // summed drain-wait time over PEs
-	MaxIdleNs         int64 // worst PE's drain-wait time (the skew bottleneck)
+	TotalIdleNs       int64 // summed wait time (drain and collectives) over PEs
+	MaxIdleNs         int64 // worst PE's wait time (the skew bottleneck)
 	TotalOverlapNs    int64 // summed global-phase work done before local completion
 	TotalRecvWork     int64 // summed receive-side intersection work (words scanned)
 	MaxRecvWork       int64 // worst PE's receive-side work — the global-phase straggler

@@ -13,8 +13,8 @@ import (
 //
 //   - chNeigh / chNeighEdge ship sorted vertex-ID sequences (adjacency
 //     rows) → DeltaVarint.
-//   - chDelta / chWedge ship small integers (Δ counts) or ID pairs without
-//     exploitable order → Varint.
+//   - chDelta ships (gid, Δ) pairs of small counts without exploitable
+//     order → Varint.
 //   - chAMQ / chDeltaF ship high-entropy words (Bloom filter blocks,
 //     Float64bits) that varints would expand past 8 bytes → Raw.
 //

@@ -35,7 +35,6 @@ var algoSpecs = map[Algorithm]struct {
 	AlgoDiTric: {count: ditricFrom, family: true},
 	AlgoCetric: {count: cetricFrom, family: true},
 	AlgoTriC:   {count: tricBody},
-	AlgoHavoq:  {count: havoqBody},
 	AlgoTK2D:   {},
 }
 

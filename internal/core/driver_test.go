@@ -46,20 +46,8 @@ func TestRunRejectsPartitionMismatch(t *testing.T) {
 
 func TestRunRejectsLCCOnBaselines(t *testing.T) {
 	g := gen.Complete(6)
-	for _, algo := range []Algorithm{AlgoTriC, AlgoHavoq} {
-		if _, err := Run(algo, g, Config{P: 2, LCC: true}); err == nil {
-			t.Fatalf("%s should reject LCC", algo)
-		}
-	}
-}
-
-func TestAlgorithmsListStable(t *testing.T) {
-	algos := Algorithms()
-	if len(algos) != 4 {
-		t.Fatalf("expected 4 algorithms, got %d", len(algos))
-	}
-	if algos[0] != AlgoDiTric || algos[3] != AlgoTriC {
-		t.Fatalf("unexpected order: %v", algos)
+	if _, err := Run(AlgoTriC, g, Config{P: 2, LCC: true}); err == nil {
+		t.Fatalf("%s should reject LCC", AlgoTriC)
 	}
 }
 
@@ -170,7 +158,7 @@ func TestPrepareRejectsRowSpaceOverflow(t *testing.T) {
 // ≥ n, in the initial source or in the inserts, fails RunStream with an
 // error naming the vertex, with no panic and no leaked goroutine.
 func TestEdgeInputsEveryEntryPoint(t *testing.T) {
-	algos := append(Algorithms(), AlgoTK2D)
+	algos := []Algorithm{AlgoDiTric, AlgoCetric, AlgoTriC, AlgoTK2D}
 	for _, c := range []struct {
 		name string
 		g    *graph.Graph
@@ -236,7 +224,7 @@ func TestEdgeInputsEveryEntryPoint(t *testing.T) {
 // bits — through one of four entry points:
 //
 //   - Run: the input either fails set-up — exactly when it asks LCC of an
-//     algorithm other than DITRIC/CETRIC or Collect of TriC/HavoqGT — or
+//     algorithm other than DITRIC/CETRIC or Collect of TriC — or
 //     counts the fixture's triangles exactly, with one collected triangle per
 //     triangle and Δ summing to three per triangle.
 //   - RunStream over SplitStream(g.Edges(), …) in 1–8 batches: a set-up
@@ -266,19 +254,19 @@ func FuzzRunConfig(f *testing.F) {
 		entryRank
 		entries
 	)
-	algos := []Algorithm{AlgoDiTric, AlgoCetric, AlgoHavoq, AlgoTriC, AlgoTK2D}
-	// The first seed is rgg on 8 PEs with HavoqGT and Collect: a counter
-	// that ignores Collect returns the count with 0 of 6,310 triangles.
+	algos := []Algorithm{AlgoDiTric, AlgoCetric, AlgoTriC, AlgoTK2D}
+	// The first seed is rgg on 8 PEs with TriC and Collect: a counter that
+	// ignores Collect returns the count with 0 of 6,310 triangles.
 	f.Add(uint8(7), uint8(2), uint8(7), uint16(0), uint8(0), uint8(bitCollect), uint8(entryRun), 0.0)
 	f.Add(uint8(6), uint8(0), uint8(3), uint16(1), uint8(2), uint8(bitIndirect|bitOverlap|bitLCC), uint8(entryRun), 0.0)
-	f.Add(uint8(2), uint8(4), uint8(5), uint16(64), uint8(3), uint8(bitOverlap|bitCollect), uint8(entryRun), 0.0)
+	f.Add(uint8(2), uint8(3), uint8(5), uint16(64), uint8(3), uint8(bitOverlap|bitCollect), uint8(entryRun), 0.0)
 	f.Add(uint8(8), uint8(1), uint8(8), uint16(7), uint8(1), uint8(bitNoSurrogate|bitCollect), uint8(entryRun), 0.0)
 	// A NaN filter size used to abort a PE body in growslice.
 	f.Add(uint8(3), uint8(1), uint8(3), uint16(0), uint8(1), uint8(0), uint8(entryApprox), math.NaN())
 	f.Add(uint8(5), uint8(0), uint8(4), uint16(3), uint8(2), uint8(bitIndirect|bitOverlap), uint8(entryStream), 0.0)
 	f.Add(uint8(1), uint8(1), uint8(6), uint16(0), uint8(0), uint8(bitLCC), uint8(entryApprox), 3.5)
 	// TriC's empty and static queue routed over the grid, with workers.
-	f.Add(uint8(4), uint8(3), uint8(5), uint16(0), uint8(2), uint8(bitIndirect|bitOverlap), uint8(entryRank), 0.0)
+	f.Add(uint8(4), uint8(2), uint8(5), uint16(0), uint8(2), uint8(bitIndirect|bitOverlap), uint8(entryRank), 0.0)
 	f.Fuzz(func(t *testing.T, fxSel, algoSel, pSel uint8, threshold uint16, threads, flags, entrySel uint8, bits float64) {
 		fx := testgraph.All[int(fxSel)%len(testgraph.All)]
 		algo := algos[int(algoSel)%len(algos)]
@@ -332,7 +320,7 @@ func FuzzRunConfig(f *testing.F) {
 			}
 		case entryRank:
 			var setupErr error
-			if invalid := (cfg.LCC && !family) || (cfg.Collect && (algo == AlgoHavoq || algo == AlgoTriC)); invalid {
+			if invalid := (cfg.LCC && !family) || (cfg.Collect && algo == AlgoTriC); invalid {
 				_, setupErr = Run(algo, g, cfg)
 				wantSetupErr(setupErr, true)
 			}
@@ -350,7 +338,7 @@ func FuzzRunConfig(f *testing.F) {
 			}
 		default:
 			res, err := Run(algo, g, cfg)
-			if wantSetupErr(err, (cfg.LCC && !family) || (cfg.Collect && (algo == AlgoHavoq || algo == AlgoTriC))) {
+			if wantSetupErr(err, (cfg.LCC && !family) || (cfg.Collect && algo == AlgoTriC)) {
 				return
 			}
 			if res.Count != fx.Triangles {

@@ -150,9 +150,8 @@ func TestNeighRecordRejectsHostileFrames(t *testing.T) {
 }
 
 // TestPairRecordsRejectHostileFrames: a ghost-Δ record (chDelta, or
-// chDeltaF on an approximate run) or a HavoqGT wedge visitor record
-// (chWedge) is a list of pairs whose first word must be a local of the
-// receiver. An odd length, or a first word that is a ghost here, no row here
+// chDeltaF on an approximate run) is a list of pairs whose first word must
+// be a local of the receiver. An odd length, or a first word that is a ghost here, no row here
 // or ≥ n, is a corrupt frame from its sender — never an untyped panic, and
 // never a Δ credited to a ghost row. Each record travels from rank 1 to rank
 // 0 of neighFixture through the wire and the handler the engines install.
@@ -168,12 +167,9 @@ func TestPairRecordsRejectHostileFrames(t *testing.T) {
 			s.useAMQ(&AMQConfig{BitsPerKey: 8}, ori)
 			pe.Q.Handle(chDeltaF, s.handleDeltaEst)
 		},
-		chWedge: func(pe *dist.PE) {
-			pe.Q.Handle(chWedge, wedgeHandler(newCountState(lg, Config{}), ori))
-		},
 	}
 	one := math.Float64bits(1)
-	for _, ch := range []int{chDelta, chDeltaF, chWedge} {
+	for _, ch := range []int{chDelta, chDeltaF} {
 		for _, tc := range []struct {
 			name string
 			rec  []uint64

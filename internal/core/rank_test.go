@@ -240,7 +240,7 @@ func TestEntryPointsRejectAlike(t *testing.T) {
 		{"unknown placement", AlgoCetric, Config{Partition: part.Uniform(n, p+1)}},
 		{"partition shape", AlgoCetric, Config{Partition: part.Uniform(n+1, p)}},
 		{"LCC on a baseline", AlgoTriC, Config{LCC: true}},
-		{"Collect on a baseline", AlgoHavoq, Config{Collect: true}},
+		{"Collect on a baseline", AlgoTriC, Config{Collect: true}},
 		{"LCC on tk2d", AlgoTK2D, Config{LCC: true}},
 		{"1D partition on tk2d", AlgoTK2D, Config{Partition: part.Uniform(n, p)}},
 	} {

@@ -28,18 +28,18 @@ func TestSeqCountClosedForms(t *testing.T) {
 		{"K25", gen.Complete(25), 2300},
 		{"K_3_4", gen.CompleteBipartite(3, 4), 0},
 		{"K_10_10", gen.CompleteBipartite(10, 10), 0},
-		{"C3", gen.Cycle(3), 1},
-		{"C4", gen.Cycle(4), 0},
-		{"C100", gen.Cycle(100), 0},
-		{"P10", gen.Path(10), 0},
-		{"Star20", gen.Star(20), 0},
-		{"Wheel3", gen.Wheel(3), 4}, // K4
-		{"Wheel5", gen.Wheel(5), 5},
-		{"Wheel50", gen.Wheel(50), 50},
+		{"C3", testgraph.Cycle(3), 1},
+		{"C4", testgraph.Cycle(4), 0},
+		{"C100", testgraph.Cycle(100), 0},
+		{"P10", testgraph.Path(10), 0},
+		{"Star20", testgraph.Star(20), 0},
+		{"Wheel3", testgraph.Wheel(3), 4}, // K4
+		{"Wheel5", testgraph.Wheel(5), 5},
+		{"Wheel50", testgraph.Wheel(50), 50},
 		{"Friendship7", gen.Friendship(7), 7},
 		{"Grid8x5", gen.Grid2D(8, 5), 0},
 		{"TriGrid6x4", gen.TriangularGrid(6, 4), 2 * 5 * 3},
-		{"Petersen", gen.Petersen(), 0},
+		{"Petersen", testgraph.Petersen(), 0},
 		{"CliqueChain4x6", gen.CliqueChain(4, 6), 4 * 20},
 		{"Empty", graph.FromEdges(0, nil), 0},
 		{"Singleton", graph.FromEdges(1, nil), 0},
@@ -144,7 +144,7 @@ func TestSeqLCC(t *testing.T) {
 		}
 	}
 	// Triangle-free graphs have all-zero LCC.
-	for _, l := range SeqLCC(gen.Petersen()) {
+	for _, l := range SeqLCC(testgraph.Petersen()) {
 		if l != 0 {
 			t.Fatal("Petersen should have zero LCC everywhere")
 		}
@@ -164,7 +164,7 @@ func TestIntersectKernelsAgreeWithMerge(t *testing.T) {
 		{"merge", graph.CountMerge[graph.Vertex]}, // the oracle, in both argument orders
 		{"gallop", graph.CountGallop[graph.Vertex]},
 		{"bitmap", func(a, b []graph.Vertex) uint64 {
-			bs := graph.NewBitset(1000)
+			bs := make(graph.Bitset, graph.BitsetWords(1000))
 			graph.SetList(bs, b)
 			return graph.CountList(bs, a)
 		}},

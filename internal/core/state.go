@@ -17,7 +17,6 @@ import (
 const (
 	chNeigh  = 0 // (v, A(v)) neighborhood shipments
 	chDelta  = 1 // (gid, Δ) ghost triangle-count aggregation (LCC)
-	chWedge  = 4 // HavoqGT-style wedge-check visitors: [a, b, ...]
 	chAMQ    = 5 // (v, |A(v)|, bloom words) approximate shipments
 	chDeltaF = 6 // (gid, Float64bits(Δ̂)) approximate ghost Δ aggregation
 	// chNeighEdge carries per-edge records (v, u, A(v)...) used when the
@@ -306,10 +305,9 @@ func (s *countState) handleDeltaEst(src int, words []uint64) {
 }
 
 // checkLocalPairs validates a record of pairs [x, w, x, w, ...] whose every
-// x must be a local row of the receiver: a ghost's Δ travels to its owner,
-// a wedge visitor to the owner of its first endpoint. An odd length, or an x
-// owned elsewhere, is a corrupt frame from src, rejected before any pair is
-// applied.
+// x must be a local row of the receiver: a ghost's Δ travels to its owner.
+// An odd length, or an x owned elsewhere, is a corrupt frame from src,
+// rejected before any pair is applied.
 func checkLocalPairs(lg *graph.LocalGraph, src int, words []uint64, what string) {
 	if len(words)%2 != 0 {
 		panic(&comm.CorruptFrameError{Src: src, Reason: fmt.Sprintf(

@@ -1,12 +1,11 @@
 // Package core implements the paper's triangle counting algorithms: the
 // sequential EDGE ITERATOR base, the distributed DITRIC and CETRIC (with and
 // without grid-indirect communication, Config.Indirect), the competitor
-// baselines TriC and a HavoqGT-style vertex-centric counter, the unbuffered
-// baseline of Fig. 2 (DITRIC with Config.Threshold = 1), and the extensions
-// of §IV-E: local clustering coefficients, triangle enumeration and
-// AMQ-approximate counting (RunApproxCetric, the one approximate counter).
-// TriC and the unbuffered baseline are the counting pipeline's two δ
-// extremes, ∞ and 1; HavoqGT keeps its own body.
+// baseline TriC, the unbuffered baseline of Fig. 2 (DITRIC with
+// Config.Threshold = 1), and the extensions of §IV-E: local clustering
+// coefficients, triangle enumeration and AMQ-approximate counting
+// (RunApproxCetric, the one approximate counter). TriC and the unbuffered
+// baseline are the counting pipeline's two δ extremes, ∞ and 1.
 package core
 
 import (
@@ -29,7 +28,6 @@ const (
 	AlgoDiTric Algorithm = "ditric"
 	AlgoCetric Algorithm = "cetric"
 	AlgoTriC   Algorithm = "tric"
-	AlgoHavoq  Algorithm = "havoq"
 	// AlgoTK2D is the 2D grid-partitioned counter à la Tom & Karypis: the
 	// oriented adjacency matrix is cut into an r×c block grid (any P ≥ 1;
 	// square P gives the classic √p×√p grid) and counting proceeds in
@@ -37,12 +35,6 @@ const (
 	// cut-neighborhood shipping.
 	AlgoTK2D Algorithm = "tk2d"
 )
-
-// Algorithms lists the 1D distributed algorithms in the order used by the
-// paper's figures.
-func Algorithms() []Algorithm {
-	return []Algorithm{AlgoDiTric, AlgoCetric, AlgoHavoq, AlgoTriC}
-}
 
 // Phase names used in Result.Phases, matching Fig. 7's breakdown.
 const (
@@ -115,19 +107,18 @@ type Config struct {
 	Indirect bool
 	// Threads is the worker count per PE. It parallelizes preprocessing for
 	// every algorithm and selects the thread schedule of the DITRIC, CETRIC
-	// and TriC counting pipeline (HavoqGT counts on the PE goroutine
-	// regardless): 1 (or less) runs the row sweeps on the PE goroutine
-	// and intersects received records inline in the queue handlers; more runs
-	// the paper's hybrid mode — workers steal row chunks, ship through the PE
-	// goroutine (funneled communication) and drain received records off a
-	// steal deque.
+	// and TriC counting pipeline: 1 (or less) runs the row sweeps on the PE
+	// goroutine and intersects received records inline in the queue
+	// handlers; more runs the paper's hybrid mode — workers steal row
+	// chunks, ship through the PE goroutine (funneled communication) and
+	// drain received records off a steal deque.
 	Threads int
 
 	// Overlap selects the overlapped schedule of the DITRIC/CETRIC counting
-	// pipeline (HavoqGT ignores it; TriC always runs barriered). The default,
-	// barriered schedule ships frames only when δ overflows and in the final
-	// drain, and polls or steals nothing between row chunks, so local and
-	// global work stay separated as in the paper's measured configuration.
+	// pipeline (TriC always runs barriered). The default, barriered schedule
+	// ships frames only when δ overflows and in the final drain, and polls
+	// or steals nothing between row chunks, so local and global work stay
+	// separated as in the paper's measured configuration.
 	// With Overlap the same pipeline flushes shipments eagerly at a watermark
 	// far below δ as row chunks complete, polls the network between chunks,
 	// and (with Threads > 1) lets workers steal parked records between
@@ -265,10 +256,10 @@ func newStopwatch(c *comm.Comm, out *peOutcome) *stopwatch {
 //   - any sub-phase key "parent/sub" folds into its parent's totals, so the
 //     Fig. 7 breakdown keeps its historical keys (preprocess, global) while
 //     the sub-keys show where the time went;
-//   - idle time recorded by the termination detector during the phase
-//     (Metrics.IdleNs — waiting with no frame to process and no deque work
-//     to steal) is split out into PhaseOverlapIdle instead of being
-//     miscounted as local or global compute.
+//   - idle time recorded during the phase (Metrics.IdleNs — the
+//     termination detector waiting with no frame to process and no deque
+//     work to steal, or a collective waiting for a slower peer) is split
+//     out into PhaseOverlapIdle instead of being miscounted as compute.
 func (s *stopwatch) phase(name string) {
 	now := time.Now()
 	if s.cur != "" {

@@ -399,7 +399,8 @@ func Run(cfg Config, body func(*PE) error) ([]comm.Metrics, error) {
 // emitting shipments (before the final drain, where the barriered path does
 // all of it; summed over the rank's workers, so it can exceed wall time),
 // Idle the wall time it waited inside the termination detector with nothing
-// to process — the straggler-skew signal the overlapped pipeline shrinks.
+// to process or in a collective for a slower peer — the straggler-skew
+// signal the overlapped pipeline shrinks.
 // The worst rank's idle is aggregated as comm.Aggregate.MaxIdleNs.
 type RankActivity struct {
 	Rank    int

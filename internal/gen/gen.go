@@ -33,6 +33,3 @@ func ByFamily(family string, n, edgeFactor int, seed uint64) (*graph.Graph, erro
 		return nil, fmt.Errorf("gen: unknown family %q (want gnm|rmat|rgg2d|rhg)", family)
 	}
 }
-
-// Families lists the weak-scaling generator families in the order of Fig. 5.
-func Families() []string { return []string{"rgg2d", "rhg", "gnm", "rmat"} }

@@ -35,18 +35,3 @@ func GNM(n, m int, seed uint64) *graph.Graph {
 	}
 	return graph.FromEdges(n, edges)
 }
-
-// GNP samples from the G(n,p) model using geometric skips, useful for dense
-// small test instances.
-func GNP(n int, p float64, seed uint64) *graph.Graph {
-	rng := NewRNG(seed)
-	var edges []graph.Edge
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			if rng.Float64() < p {
-				edges = append(edges, graph.Edge{U: uint64(u), V: uint64(v)})
-			}
-		}
-	}
-	return graph.FromEdges(n, edges)
-}

@@ -36,18 +36,17 @@ func TestGeneratorGoldenCounts(t *testing.T) {
 		{"Friendship(1)", gen.Friendship(1), 1},
 		{"TriangularGrid(5,4)", gen.TriangularGrid(5, 4), 2 * 4 * 3},
 		{"TriangularGrid(2,2)", gen.TriangularGrid(2, 2), 2},
-		{"Cycle(3)", gen.Cycle(3), 1},
-		{"Cycle(8)", gen.Cycle(8), 0},
-		{"Path(9)", gen.Path(9), 0},
-		{"Star(12)", gen.Star(12), 0},
-		{"Wheel(3)", gen.Wheel(3), 4}, // K4
-		{"Wheel(9)", gen.Wheel(9), 9},
+		{"Cycle(3)", testgraph.Cycle(3), 1},
+		{"Cycle(8)", testgraph.Cycle(8), 0},
+		{"Path(9)", testgraph.Path(9), 0},
+		{"Star(12)", testgraph.Star(12), 0},
+		{"Wheel(3)", testgraph.Wheel(3), 4}, // K4
+		{"Wheel(9)", testgraph.Wheel(9), 9},
 		{"Grid2D(5,5)", gen.Grid2D(5, 5), 0},
-		{"Petersen", gen.Petersen(), 0}, // girth 5
+		{"Petersen", testgraph.Petersen(), 0}, // girth 5
 		{"CliqueChain(4,5)", gen.CliqueChain(4, 5), 4 * choose3(5)},
 		// Seeded random generators: golden values at these exact seeds.
 		{"GNM(60,240,3)", gen.GNM(60, 240, 3), 84},
-		{"GNP(50,0.15,5)", gen.GNP(50, 0.15, 5), 62},
 		{"RMAT(scale=6,seed=7)", gen.RMAT(gen.DefaultRMAT(6, 7)), 1151},
 		{"RGG2D(80,6,9)", gen.RGG2D(80, 6, 9), 597},
 		{"RHG(80,8,2.5,11)", gen.RHG(gen.RHGConfig{N: 80, AvgDegree: 8, Gamma: 2.5, Seed: 11}), 150},

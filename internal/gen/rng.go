@@ -5,8 +5,6 @@
 // deterministic graphs with closed-form triangle counts for testing.
 package gen
 
-import "math"
-
 // SplitMix64 is a tiny, fast, well-distributed PRNG. It is the standard
 // seeding generator of the xoshiro family and is fully deterministic given
 // its seed, which keeps every experiment reproducible.
@@ -46,11 +44,6 @@ func (r *SplitMix64) Uint64n(n uint64) uint64 {
 			return v % n
 		}
 	}
-}
-
-// Exp returns an exponentially distributed float with rate 1.
-func (r *SplitMix64) Exp() float64 {
-	return -math.Log(1 - r.Float64())
 }
 
 // Hash64 is a stateless splitmix-style hash of (seed, i); generators use it

@@ -17,22 +17,24 @@ func FuzzReadEdgeListText(f *testing.F) {
 	f.Add("999999999999 1\n")
 	f.Add("a b\n")
 	f.Add("5\n")
+	f.Add("0 18446744073709551615\n")
+	f.Add("3 9223372036854775807\n")
+	f.Add("0 99999999999\n")
 	f.Fuzz(func(t *testing.T, input string) {
-		// Cap vertex IDs so malicious inputs cannot allocate unboundedly.
-		for _, line := range strings.Split(input, "\n") {
-			fields := strings.Fields(line)
-			if len(fields) >= 1 && len(fields[0]) > 6 {
-				t.Skip("IDs too large for the fuzz harness")
-			}
-			if len(fields) >= 2 && len(fields[1]) > 6 {
-				t.Skip("IDs too large for the fuzz harness")
-			}
-		}
+		// The reader bounds n by the edge lines, so no input, however large
+		// its IDs, makes it allocate out of proportion to its own length.
 		g, err := ReadEdgeListText(strings.NewReader(input))
 		if err != nil {
 			return // rejecting malformed input is fine; crashing is not
 		}
-		// Whatever parsed must round-trip through the writer.
+		if uint64(g.NumVertices()) > 2*uint64(strings.Count(input, "\n")+1)+1<<16 {
+			t.Fatalf("n=%d from a %d-byte input", g.NumVertices(), len(input))
+		}
+		// Whatever parsed must round-trip through the writer, unless dropping
+		// duplicates and self-loops left too few edges to back its max ID.
+		if uint64(g.NumVertices()) > 2*uint64(g.NumEdges())+1<<16 {
+			return
+		}
 		var buf bytes.Buffer
 		if err := WriteEdgeListText(&buf, g); err != nil {
 			t.Fatalf("write after successful read: %v", err)
@@ -43,38 +45,6 @@ func FuzzReadEdgeListText(f *testing.F) {
 		}
 		if g2.NumEdges() != g.NumEdges() {
 			t.Fatalf("round trip changed m: %d vs %d", g2.NumEdges(), g.NumEdges())
-		}
-	})
-}
-
-func FuzzBinaryGraphFormat(f *testing.F) {
-	g := FromEdges(4, []Edge{{0, 1}, {1, 2}, {2, 3}, {0, 3}})
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
-	f.Add([]byte{})
-	f.Add(make([]byte, 24))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		// Reject absurd headers cheaply to keep the harness fast.
-		if len(data) > 1<<16 {
-			t.Skip()
-		}
-		g, err := ReadBinary(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		if g.NumVertices() > 1<<20 {
-			t.Skip() // header said huge n; FromEdges already validated edges
-		}
-		// A successfully parsed graph must be internally consistent.
-		for v := 0; v < g.NumVertices(); v++ {
-			for _, u := range g.Neighbors(Vertex(v)) {
-				if int(u) >= g.NumVertices() {
-					t.Fatalf("neighbor %d out of range", u)
-				}
-			}
 		}
 	})
 }
@@ -137,7 +107,7 @@ func checkKernels[T Index](t *testing.T, a, b []T, want uint64) int {
 			domain = max(domain, int(l[len(l)-1])+1)
 		}
 	}
-	bs := NewBitset(domain)
+	bs := make(Bitset, BitsetWords(domain))
 	SetList(bs, b)
 	if got := CountList(bs, a); got != want {
 		t.Fatalf("bitmap = %d, merge = %d (a=%v b=%v)", got, want, a, b)
@@ -148,7 +118,7 @@ func checkKernels[T Index](t *testing.T, a, b []T, want uint64) int {
 		t.Fatalf("bitmap ForEach = %d, merge = %d", bits, want)
 	}
 	// Bitset ∩ Bitset via AND + popcount.
-	ba := NewBitset(domain)
+	ba := make(Bitset, BitsetWords(domain))
 	SetList(ba, a)
 	if got := ba.CountAnd(bs); got != want {
 		t.Fatalf("bitmap AND = %d, merge = %d (a=%v b=%v)", got, want, a, b)
@@ -280,7 +250,7 @@ func checkStamped(t *testing.T, list, partner []uint32, domain int, withHub bool
 	}
 	o := &LocalOriented{L: &LocalGraph{nLocal: domain, gid: make([]Vertex, domain)}, off: off, rowOut: partner}
 	if withHub {
-		bs := NewBitset(domain)
+		bs := make(Bitset, BitsetWords(domain))
 		SetList(bs, partner)
 		o.hubs = hubIndex{stride: BitsetWords(domain), perRow: make([]Bitset, domain), hubs: 1}
 		o.hubs.perRow[0] = bs

@@ -8,6 +8,10 @@ import (
 	"testing/quick"
 )
 
+// Less reports whether u ≺ v given their degrees: the order the tests check
+// orientations against.
+func Less(du int, u Vertex, dv int, v Vertex) bool { return precedes(du, u, dv, v) == 1 }
+
 func triangleEdges() []Edge {
 	return []Edge{{0, 1}, {1, 2}, {0, 2}}
 }

@@ -151,9 +151,6 @@ type Bitset []uint64
 // BitsetWords returns the number of words a Bitset over [0, n) occupies.
 func BitsetWords(n int) int { return (n + 63) / 64 }
 
-// NewBitset returns an empty bitset over [0, n).
-func NewBitset(n int) Bitset { return make(Bitset, BitsetWords(n)) }
-
 // SetList marks every element of list (elements must be inside the domain).
 func SetList[T Index](bs Bitset, list []T) {
 	for _, x := range list {

@@ -2,16 +2,15 @@ package graph
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
 
-// Text edge-list I/O ("u v" per line, '#'/'%' comments) plus a compact
-// binary format, so instances can be saved once and re-used across
-// experiment runs.
+// Text edge-list I/O ("u v" per line, '#'/'%' comments), so instances can be
+// saved once and re-used across experiment runs.
 
 // WriteEdgeListText writes one "u v" line per undirected edge.
 func WriteEdgeListText(w io.Writer, g *Graph) error {
@@ -28,16 +27,18 @@ func WriteEdgeListText(w io.Writer, g *Graph) error {
 	return bw.Flush()
 }
 
-// ReadEdgeListText parses a whitespace-separated edge list. Vertex IDs may be
-// sparse; they are compacted to 0..n-1 in first-appearance order of the
-// sorted ID set. Directed inputs are interpreted as undirected, as the paper
-// does.
+// ReadEdgeListText parses a whitespace-separated edge list. IDs are not
+// compacted: the graph has n = max ID + 1 vertices, and unnamed IDs are
+// isolated vertices. Directed inputs are interpreted as undirected, as the
+// paper does. Before anything is sized by n, an ID that does not fit in an
+// int, or a max ID with n > 2·(edge lines) + 2^16, is an error naming its
+// line, so a short hostile file cannot ask for a huge allocation.
 func ReadEdgeListText(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	var raw []Edge
 	maxID := Vertex(0)
-	line := 0
+	line, maxLine := 0, 0
 	for sc.Scan() {
 		line++
 		s := strings.TrimSpace(sc.Text())
@@ -56,13 +57,12 @@ func ReadEdgeListText(r io.Reader) (*Graph, error) {
 		if err != nil {
 			return nil, fmt.Errorf("graph: line %d: %v", line, err)
 		}
+		if m := max(u, v); m >= math.MaxInt {
+			return nil, fmt.Errorf("graph: line %d: vertex ID %d is too large: n = ID + 1 must fit in an int", line, m)
+		} else if m > maxID {
+			maxID, maxLine = m, line
+		}
 		raw = append(raw, Edge{u, v})
-		if u > maxID {
-			maxID = u
-		}
-		if v > maxID {
-			maxID = v
-		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
@@ -70,72 +70,9 @@ func ReadEdgeListText(r io.Reader) (*Graph, error) {
 	if len(raw) == 0 {
 		return FromEdges(0, nil), nil
 	}
+	if maxID+1 > 2*uint64(len(raw))+1<<16 {
+		return nil, fmt.Errorf("graph: line %d: vertex ID %d implies n=%d for only %d edges",
+			maxLine, maxID, maxID+1, len(raw))
+	}
 	return FromEdges(int(maxID)+1, raw), nil
-}
-
-const binMagic = uint64(0x5452494752503031) // "TRIGRP01"
-
-// WriteBinary writes the graph in a fixed little-endian format:
-// magic, n, m, then m canonical (u,v) pairs.
-func WriteBinary(w io.Writer, g *Graph) error {
-	bw := bufio.NewWriter(w)
-	hdr := []uint64{binMagic, uint64(g.NumVertices()), uint64(g.NumEdges())}
-	for _, x := range hdr {
-		if err := binary.Write(bw, binary.LittleEndian, x); err != nil {
-			return err
-		}
-	}
-	var err error
-	g.ForEachEdge(func(u, v Vertex) {
-		if err == nil {
-			err = binary.Write(bw, binary.LittleEndian, [2]uint64{u, v})
-		}
-	})
-	if err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// Sanity bounds for ReadBinary headers, so corrupt or hostile files cannot
-// trigger absurd allocations before the stream runs dry.
-const (
-	maxBinaryVertices = 1 << 34
-	maxBinaryEdges    = 1 << 36
-)
-
-// ReadBinary reads the format written by WriteBinary. Header fields are
-// bounds-checked and the edge array grows incrementally, so truncated or
-// corrupt inputs fail with an error instead of attempting giant allocations.
-func ReadBinary(r io.Reader) (*Graph, error) {
-	br := bufio.NewReader(r)
-	var hdr [3]uint64
-	if err := binary.Read(br, binary.LittleEndian, &hdr); err != nil {
-		return nil, err
-	}
-	if hdr[0] != binMagic {
-		return nil, fmt.Errorf("graph: bad magic %x", hdr[0])
-	}
-	if hdr[1] > maxBinaryVertices || hdr[2] > maxBinaryEdges {
-		return nil, fmt.Errorf("graph: implausible header n=%d m=%d", hdr[1], hdr[2])
-	}
-	// The vertex allocation must be backed by actual stream content (the m
-	// edges are read and validated below, before FromEdges allocates), so a
-	// crafted header cannot cause a giant allocation from a tiny input.
-	if hdr[1] > 2*hdr[2]+1<<16 {
-		return nil, fmt.Errorf("graph: implausible header: n=%d with only m=%d edges", hdr[1], hdr[2])
-	}
-	n, m := int(hdr[1]), int(hdr[2])
-	edges := make([]Edge, 0, min(m, 1<<20))
-	for i := 0; i < m; i++ {
-		var pair [2]uint64
-		if err := binary.Read(br, binary.LittleEndian, &pair); err != nil {
-			return nil, fmt.Errorf("graph: truncated edge list at %d/%d: %w", i, m, err)
-		}
-		if pair[0] >= uint64(n) || pair[1] >= uint64(n) {
-			return nil, fmt.Errorf("graph: edge (%d,%d) out of range n=%d", pair[0], pair[1], n)
-		}
-		edges = append(edges, Edge{pair[0], pair[1]})
-	}
-	return FromEdges(n, edges), nil
 }

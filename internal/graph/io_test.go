@@ -59,29 +59,27 @@ func TestReadEdgeListTextErrors(t *testing.T) {
 	}
 }
 
-func TestBinaryRoundTrip(t *testing.T) {
-	g := randomGraph(5, 40, 220)
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
-		t.Fatal(err)
+// TestReadEdgeListTextHostileIDs: a vertex ID whose n = ID + 1 wraps, does
+// not fit in an int, or is far larger than the edge lines can back is an
+// error naming its line, returned before anything is sized by n.
+func TestReadEdgeListTextHostileIDs(t *testing.T) {
+	for _, tc := range []struct{ name, in, line string }{
+		{"ID = 2^64-1", "0 18446744073709551615\n", "line 1"},
+		{"ID = 2^63-1", "3 9223372036854775807\n", "line 1"},
+		{"ID = 10^11", "# comment\n0 1\n0 99999999999\n", "line 3"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g, err := ReadEdgeListText(strings.NewReader(tc.in))
+			if err == nil || !strings.Contains(err.Error(), tc.line) {
+				t.Fatalf("%q: graph %v, err %v; want an error naming %s", tc.in, g, err, tc.line)
+			}
+		})
 	}
-	g2, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
+	// The bound counts edge lines: n = 2m + 2^16 is accepted, one more is not.
+	if g, err := ReadEdgeListText(strings.NewReader("0 65539\n1 2\n")); err != nil || g.NumVertices() != 65540 {
+		t.Fatalf("n at the bound: graph %v, err %v", g, err)
 	}
-	if g2.NumVertices() != g.NumVertices() || g2.NumEdges() != g.NumEdges() {
-		t.Fatalf("shape mismatch: %d/%d vs %d/%d",
-			g2.NumVertices(), g2.NumEdges(), g.NumVertices(), g.NumEdges())
-	}
-	for v := 0; v < g.NumVertices(); v++ {
-		if !slices.Equal(g.Neighbors(Vertex(v)), g2.Neighbors(Vertex(v))) {
-			t.Fatalf("neighborhood of %d differs", v)
-		}
-	}
-}
-
-func TestBinaryBadMagic(t *testing.T) {
-	if _, err := ReadBinary(bytes.NewReader(make([]byte, 24))); err == nil {
-		t.Fatal("want error for bad magic")
+	if _, err := ReadEdgeListText(strings.NewReader("0 65540\n1 2\n")); err == nil {
+		t.Fatal("n one past the bound was accepted")
 	}
 }

@@ -29,9 +29,6 @@ func b2u(b bool) uint64 {
 	return 0
 }
 
-// Less reports whether u ≺ v given their degrees.
-func Less(du int, u Vertex, dv int, v Vertex) bool { return precedes(du, u, dv, v) == 1 }
-
 // OutGraph is a degree-oriented view of an undirected graph: Out(v) holds the
 // outgoing neighborhood N⁺(v) = {u : v ≺ u}, sorted ascending by vertex ID.
 // It is the sequential oracle's orientation (core.SeqCount) and the one

@@ -22,9 +22,9 @@ import (
 // Out(row), the same set as global IDs sorted ascending, is kept only where
 // lists ship or meet received ID lists: the shipped shape needs no
 // translation, and sorted IDs are what the delta-varint wire codec
-// compresses. OrientLocalOnlyPar (DITRIC, HavoqGT), OrientLocalByIDPar
-// (TriC) and ContractPar (CETRIC's cut) keep it; OrientLocalPar (CETRIC's
-// expansion, whose lists never leave the PE) does not, and Out panics there.
+// compresses. OrientLocalOnlyPar (DITRIC), OrientLocalByIDPar (TriC) and
+// ContractPar (CETRIC's cut) keep it; OrientLocalPar (CETRIC's expansion,
+// whose lists never leave the PE) does not, and Out panics there.
 //
 // The degree orientations require ghost degrees, i.e. the degree exchange
 // must have run.

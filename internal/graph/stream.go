@@ -132,10 +132,6 @@ func (b *StreamBuilder) StagedRowOf(r int32) []Vertex {
 	return b.stagedAdj[off : off+b.stagedLen[idx-1]]
 }
 
-// StagedEntries returns the number of effective-new adjacency entries in
-// the staged batch.
-func (b *StreamBuilder) StagedEntries() int { return b.stagedTotal }
-
 // Stage ingests one scattered batch without committing it. Candidates are
 // bucketed per local row with a two-pass counting layout (the batch-scale
 // twin of BuildLocalPar's count + placement passes), then every

@@ -148,8 +148,12 @@ func TestStreamBuilderStageSemantics(t *testing.T) {
 		{U: 1, V: 6}, {6, 1}, // intra-batch duplicate
 		{U: 0, V: 7}, // new cut edge
 	}, 1)
-	if got := sb.StagedEntries(); got != 2 {
-		t.Fatalf("staged entries = %d, want 2", got)
+	staged := 0
+	for _, r := range sb.Staged() {
+		staged += len(sb.StagedRowOf(r))
+	}
+	if staged != 2 {
+		t.Fatalf("staged entries = %d, want 2", staged)
 	}
 	if d := sb.StagedRowOf(1); len(d) != 1 || d[0] != 6 {
 		t.Fatalf("Δ(1) = %v, want [6]", d)

@@ -111,11 +111,6 @@ func (g *Grid2D) C() int { return g.c }
 // vertex bands the broadcast schedule iterates over. √p for square grids.
 func (g *Grid2D) Rounds() int { return g.l }
 
-// Square reports whether the grid is square (r = c), in which case every
-// round's stripe is a whole block and the schedule is Tom & Karypis's
-// original √p×√p one.
-func (g *Grid2D) Square() bool { return g.r == g.c }
-
 // bandSize counts the vertices v < n with v ≡ b (mod m).
 func (g *Grid2D) bandSize(m, b int) int {
 	if uint64(b) >= g.n {

@@ -61,9 +61,6 @@ func TestGrid2DRounds(t *testing.T) {
 		if g.Rounds() != tc.l {
 			t.Errorf("%d×%d: Rounds()=%d, want lcm=%d", tc.r, tc.c, g.Rounds(), tc.l)
 		}
-		if g.Square() != (tc.r == tc.c) {
-			t.Errorf("%d×%d: Square()=%v", tc.r, tc.c, g.Square())
-		}
 	}
 }
 

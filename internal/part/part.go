@@ -81,8 +81,3 @@ func (pt *Partition) Rank(v uint64) int {
 	}
 	return lo - 1
 }
-
-// Owns reports whether PE i owns vertex v.
-func (pt *Partition) Owns(i int, v uint64) bool {
-	return v >= pt.starts[i] && v < pt.starts[i+1]
-}

@@ -38,6 +38,12 @@ func TestUniformBalance(t *testing.T) {
 	}
 }
 
+// owns reports whether v lies in PE i's range.
+func owns(pt *Partition, i int, v uint64) bool {
+	first, last := pt.Range(i)
+	return v >= first && v < last
+}
+
 func TestRankConsistentWithRanges(t *testing.T) {
 	check := func(nRaw uint16, pRaw uint8) bool {
 		n := uint64(nRaw) + 1
@@ -45,7 +51,7 @@ func TestRankConsistentWithRanges(t *testing.T) {
 		pt := Uniform(n, p)
 		for v := uint64(0); v < n; v++ {
 			r := pt.Rank(v)
-			if !pt.Owns(r, v) {
+			if !owns(pt, r, v) {
 				return false
 			}
 		}
@@ -66,7 +72,7 @@ func TestMoreRanksThanVertices(t *testing.T) {
 		t.Fatalf("total = %d, want 3", total)
 	}
 	for v := uint64(0); v < 3; v++ {
-		if !pt.Owns(pt.Rank(v), v) {
+		if !owns(pt, pt.Rank(v), v) {
 			t.Fatalf("rank lookup broken for %d", v)
 		}
 	}
@@ -185,11 +191,11 @@ func checkNeverDrops(t *testing.T, pt *Partition, p int, n uint64) {
 	for v := uint64(0); v < n; v++ {
 		owners := 0
 		for i := 0; i < p; i++ {
-			if pt.Owns(i, v) {
+			if owns(pt, i, v) {
 				owners++
 			}
 		}
-		if r := pt.Rank(v); owners != 1 || !pt.Owns(r, v) {
+		if r := pt.Rank(v); owners != 1 || !owns(pt, r, v) {
 			t.Fatalf("p=%d: vertex %d has %d owners, Rank %d (%v)", p, v, owners, r, starts(pt))
 		}
 	}
@@ -245,7 +251,7 @@ func FuzzPlacement(f *testing.F) {
 			t.Fatalf("ranges end at %d, want %d", prev, pt.N())
 		}
 		for v := uint64(0); v < pt.N(); v++ {
-			if r := pt.Rank(v); r < 0 || r >= p || !pt.Owns(r, v) {
+			if r := pt.Rank(v); r < 0 || r >= p || !owns(pt, r, v) {
 				t.Fatalf("vertex %d: Rank %d does not own it", v, r)
 			}
 		}

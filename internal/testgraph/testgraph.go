@@ -88,3 +88,54 @@ func BruteForceCount(g *graph.Graph) uint64 {
 	}
 	return count
 }
+
+// Closed-form graphs that only tests build. The gen package holds the ones
+// the fixtures above are made of.
+
+// Cycle returns the cycle C_n (one triangle iff n == 3).
+func Cycle(n int) *graph.Graph {
+	var edges []graph.Edge
+	for u := 0; u < n; u++ {
+		edges = append(edges, graph.Edge{U: uint64(u), V: uint64((u + 1) % n)})
+	}
+	return graph.FromEdges(n, edges)
+}
+
+// Path returns the path P_n, triangle-free.
+func Path(n int) *graph.Graph {
+	var edges []graph.Edge
+	for u := 0; u+1 < n; u++ {
+		edges = append(edges, graph.Edge{U: uint64(u), V: uint64(u + 1)})
+	}
+	return graph.FromEdges(n, edges)
+}
+
+// Star returns the star S_n (hub 0, n leaves), triangle-free.
+func Star(n int) *graph.Graph {
+	var edges []graph.Edge
+	for v := 1; v <= n; v++ {
+		edges = append(edges, graph.Edge{U: 0, V: uint64(v)})
+	}
+	return graph.FromEdges(n+1, edges)
+}
+
+// Wheel returns the wheel W_n: hub 0 plus a rim cycle of n vertices. For
+// n > 3 it has exactly n triangles; for n == 3 it is K_4 with 4 triangles.
+func Wheel(n int) *graph.Graph {
+	var edges []graph.Edge
+	for i := 0; i < n; i++ {
+		edges = append(edges, graph.Edge{U: 0, V: uint64(1 + i)})
+		edges = append(edges, graph.Edge{U: uint64(1 + i), V: uint64(1 + (i+1)%n)})
+	}
+	return graph.FromEdges(n+1, edges)
+}
+
+// Petersen returns the Petersen graph (girth 5, hence triangle-free).
+func Petersen() *graph.Graph {
+	edges := []graph.Edge{
+		{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 4}, {U: 4, V: 0}, // outer 5-cycle
+		{U: 5, V: 7}, {U: 7, V: 9}, {U: 9, V: 6}, {U: 6, V: 8}, {U: 8, V: 5}, // inner pentagram
+		{U: 0, V: 5}, {U: 1, V: 6}, {U: 2, V: 7}, {U: 3, V: 8}, {U: 4, V: 9}, // spokes
+	}
+	return graph.FromEdges(10, edges)
+}

@@ -1,6 +1,10 @@
 package testgraph
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/graph"
+)
 
 // TestFixtureCountsAreExact recomputes every fixture's triangle count by
 // brute force, so the precomputed Triangles column can never drift from the
@@ -48,5 +52,23 @@ func TestByName(t *testing.T) {
 	}
 	if m := Map(); len(m) != len(All) || m["K12"].NumVertices() != 12 {
 		t.Fatalf("Map() has %d entries", len(m))
+	}
+}
+
+func TestClosedFormShapes(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		n, m int
+		g    *graph.Graph
+	}{
+		{"C10", 10, 10, Cycle(10)},
+		{"P10", 10, 9, Path(10)},
+		{"S6", 7, 6, Star(6)},
+		{"W6", 7, 12, Wheel(6)},
+		{"Petersen", 10, 15, Petersen()},
+	} {
+		if tc.g.NumVertices() != tc.n || tc.g.NumEdges() != tc.m {
+			t.Errorf("%s: n=%d m=%d, want %d and %d", tc.name, tc.g.NumVertices(), tc.g.NumEdges(), tc.n, tc.m)
+		}
 	}
 }

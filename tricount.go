@@ -16,9 +16,9 @@
 //     triangle with at most one remote corner locally and communicates only
 //     the cut graph (CETRIC2 with Options.Indirect).
 //
-// The package also ships the baselines the paper compares against (TriC,
-// a HavoqGT-style vertex-centric counter, and the unbuffered edge iterator,
-// which is DITRIC with Options.Threshold = 1), the approximate extension
+// The package also ships the baselines the paper compares against (TriC
+// and the unbuffered edge iterator, which is DITRIC with
+// Options.Threshold = 1), the approximate extension
 // (CETRIC shipping Bloom-filter neighborhoods) and KAGEN-style graph
 // generators. PEs run as goroutines over an in-process transport by
 // default; a TCP transport (see internal/transport) runs real multi-process
@@ -75,8 +75,7 @@ type Algorithm = core.Algorithm
 const (
 	AlgoDiTric = core.AlgoDiTric
 	AlgoCetric = core.AlgoCetric
-	AlgoTriC   = core.AlgoTriC  // baseline: ID orientation, static buffers (δ = ∞)
-	AlgoHavoq  = core.AlgoHavoq // baseline: vertex-centric wedge visitors
+	AlgoTriC   = core.AlgoTriC // baseline: ID orientation, static buffers (δ = ∞)
 	// AlgoTK2D is the 2D grid-partitioned backend (Tom & Karypis): the
 	// oriented adjacency matrix is cut into an r×c block grid and counted in
 	// lcm(r,c) broadcast rounds along grid rows and columns. Any number of
