@@ -82,6 +82,33 @@ func run() (err error) {
 		return err
 	}
 
+	// Resolve the algorithm and reject what it cannot run before the graph
+	// is built: a misspelt -algo must not cost a full generation first.
+	cfg := core.Config{
+		P: *p, Threshold: *threshold, Threads: *threads, Overlap: *overlap,
+		LCC: *lcc,
+	}
+	var algo core.Algorithm
+	if *algoName == "seq" {
+		if *approx || *stream {
+			return fmt.Errorf("-approx and -stream need a distributed algorithm, not seq")
+		}
+	} else {
+		if algo, err = resolveAlgo(*algoName, *approx, &cfg); err != nil {
+			return err
+		}
+		if *tcpRank >= 0 {
+			if err := checkTCPRank(map[string]bool{
+				"approx": *approx, "stream": *stream, "lcc": *lcc,
+			}); err != nil {
+				return err
+			}
+		}
+		if *stream && (*lcc || *approx) {
+			return fmt.Errorf("-stream is incompatible with -lcc and -approx")
+		}
+	}
+
 	g, err := buildGraph(*genFamily, *input, *n, *edgeFactor, *seed)
 	if err != nil {
 		return err
@@ -132,9 +159,6 @@ func run() (err error) {
 	}
 
 	if *algoName == "seq" {
-		if *approx || *stream {
-			return fmt.Errorf("-approx and -stream need a distributed algorithm, not seq")
-		}
 		start := time.Now()
 		count := core.SeqCount(g)
 		// SeqCount is the independent oracle the tests check against, slower
@@ -146,28 +170,11 @@ func run() (err error) {
 		return nil
 	}
 
-	cfg := core.Config{
-		P: *p, Threshold: *threshold, Threads: *threads, Overlap: *overlap,
-		LCC: *lcc,
-	}
-	algo, err := resolveAlgo(*algoName, *approx, &cfg)
-	if err != nil {
-		return err
-	}
-
 	if *tcpRank >= 0 {
-		if err := checkTCPRank(map[string]bool{
-			"approx": *approx, "stream": *stream, "lcc": *lcc,
-		}); err != nil {
-			return err
-		}
 		return runTCPRank(g, algo, cfg, *tcpRank, *peers)
 	}
 
 	if *stream {
-		if *lcc || *approx {
-			return fmt.Errorf("-stream is incompatible with -lcc and -approx")
-		}
 		return runStream(g, *algoName, algo, cfg, *batch, *verbose)
 	}
 

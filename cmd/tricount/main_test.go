@@ -1,6 +1,10 @@
 package main
 
 import (
+	"bytes"
+	"errors"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 
@@ -134,5 +138,36 @@ func TestCheckModeFlags(t *testing.T) {
 		if tc.err != "" && (err == nil || !strings.Contains(err.Error(), tc.err)) {
 			t.Errorf("%s: err %v, want an error naming %s", tc.name, err, tc.err)
 		}
+	}
+}
+
+// TestMain lets a test run the command itself: the test binary, started
+// with "tricount" as its first argument, is tricount with the arguments
+// that follow.
+func TestMain(m *testing.M) {
+	if len(os.Args) > 1 && os.Args[1] == "tricount" {
+		os.Args = os.Args[1:]
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestUnknownAlgoExitsBeforeTheGraph: a misspelt -algo is an error before
+// anything is generated — exit 1 naming it, and no "graph:" line.
+func TestUnknownAlgoExitsBeforeTheGraph(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "tricount", "-algo", "havoq", "-gen", "rmat", "-n", "256")
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("exit: %v, want status 1 (stderr %q)", err, stderr.String())
+	}
+	if want := `tricount: unknown algorithm "havoq"`; !strings.Contains(stderr.String(), want) {
+		t.Fatalf("stderr %q, want it to contain %q", stderr.String(), want)
+	}
+	if strings.Contains(stdout.String(), "graph:") {
+		t.Fatalf("the graph was built before -algo was resolved: stdout %q", stdout.String())
 	}
 }

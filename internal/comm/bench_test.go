@@ -3,6 +3,7 @@ package comm
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -170,4 +171,49 @@ func BenchmarkDenseExchange(b *testing.B) {
 		}
 		c.DenseExchange(data)
 	})
+}
+
+// BenchmarkWireDecodeSteadyState times the receive side of the wire codec
+// on what DITRIC ships: 1024 sorted 16-entry A-lists, encoded with
+// DeltaVarint and decoded one by one into a reused arena, the way the queue
+// rewinds its arena between records. short draws the IDs from n = 2^15
+// (gaps of one or two bytes, decoded inline), long from 2^20 (three-byte
+// gaps, which take binary.Uvarint). It reports ns/word and must allocate
+// nothing (CI allocation gate).
+func BenchmarkWireDecodeSteadyState(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		n    uint64
+	}{{"DeltaVarint/short", 1 << 15}, {"DeltaVarint/long", 1 << 20}} {
+		b.Run(tc.name, func(b *testing.B) {
+			const lists, entries = 1024, 16
+			x := uint64(1)
+			var frames [][]byte
+			for i := 0; i < lists; i++ {
+				list := make([]uint64, entries)
+				for k := range list {
+					x ^= x << 13 // xorshift64: a fixed draw
+					x ^= x >> 7
+					x ^= x << 17
+					list[k] = x % tc.n
+				}
+				slices.Sort(list)
+				frames = append(frames, DeltaVarint.AppendEncoded(nil, list))
+			}
+			arena := make([]uint64, 0, 1024)
+			b.ReportAllocs()
+			b.ResetTimer()
+			words := 0
+			for i := 0; i < b.N; i++ {
+				for _, f := range frames {
+					var err error
+					if arena, err = DeltaVarint.AppendDecoded(arena[:0], f); err != nil {
+						b.Fatal(err)
+					}
+					words += len(arena)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(words), "ns/word")
+		})
+	}
 }

@@ -2,6 +2,7 @@ package comm
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -47,9 +48,11 @@ var (
 // encoded length and the decoders to the value count, so a cold buffer
 // costs one allocation instead of a chain of doublings. Varint, whose sizes
 // take a pass to compute, takes it only when dst might run short, and then
-// over what is left: a buffer that already has room pays nothing. A decoder's
-// count never exceeds len(data), so no frame can make it allocate more than
-// 8 bytes per byte it carries.
+// over what is left: a buffer that already has room pays nothing.
+// DeltaVarint's decoder, which decodes short values inline, grows dst once
+// by len(data) without that pass. A decoder's count never exceeds
+// len(data), so no frame can make it allocate more than 8 bytes per byte it
+// carries.
 
 // minEncodedLen is a lower bound on the length of words on the wire under c
 // that costs no pass over them: exact for Raw, and one byte per word for the
@@ -173,25 +176,50 @@ func (deltaVarintCodec) AppendEncoded(dst []byte, words []uint64) []byte {
 	return dst
 }
 
+// errTruncatedDelta is DeltaVarint's decode error, for a payload that ends
+// inside a varint or holds one that overflows 64 bits.
+var errTruncatedDelta = errors.New("comm: truncated delta-varint payload")
+
+// AppendDecoded grows dst once by len(data), the most values the payload
+// can hold (one per byte), and then decodes by index: values of up to three
+// bytes inline — adjacency-row gaps on up to 2^20 vertices, the common case
+// — and longer ones through binary.Uvarint, which also rejects the
+// truncated and the overlong.
 func (deltaVarintCodec) AppendDecoded(dst []uint64, data []byte) ([]uint64, error) {
 	if len(data) == 0 {
 		return dst, nil
 	}
-	first, n := binary.Uvarint(data)
-	if n <= 0 {
-		return dst, fmt.Errorf("comm: truncated delta-varint payload")
+	first, i := binary.Uvarint(data) // the first word is stored as is
+	if i <= 0 {
+		return dst, errTruncatedDelta
 	}
-	data = data[n:]
-	dst = append(dst, first)
-	prev := first
-	for len(data) > 0 {
-		z, n := binary.Uvarint(data)
-		if n <= 0 {
-			return dst, fmt.Errorf("comm: truncated delta-varint payload")
+	base := len(dst)
+	dst = slices.Grow(dst, len(data))
+	out := dst[base : base+len(data)]
+	out[0] = first
+	k, prev := 1, first
+	for i < len(data) {
+		var z uint64
+		switch b := data[i]; {
+		case b < 0x80:
+			z = uint64(b)
+			i++
+		case i+1 < len(data) && data[i+1] < 0x80:
+			z = uint64(b&0x7f) | uint64(data[i+1])<<7
+			i += 2
+		case i+2 < len(data) && data[i+2] < 0x80: // data[i+1] ≥ 0x80, by the case above
+			z = uint64(b&0x7f) | uint64(data[i+1]&0x7f)<<7 | uint64(data[i+2])<<14
+			i += 3
+		default:
+			var n int
+			if z, n = binary.Uvarint(data[i:]); n <= 0 {
+				return dst[:base+k], errTruncatedDelta
+			}
+			i += n
 		}
-		data = data[n:]
 		prev += unzigzag(z)
-		dst = append(dst, prev)
+		out[k] = prev
+		k++
 	}
-	return dst, nil
+	return dst[:base+k], nil
 }

@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -292,6 +293,81 @@ func TestQueueCodecRoundTripOverTransports(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// uvarintDecodeOracle is DeltaVarint's decoder written with nothing but
+// binary.Uvarint per value, appending to out: the reference the inline
+// short-value decoder is checked against.
+func uvarintDecodeOracle(out []uint64, data []byte) ([]uint64, bool) {
+	first := len(out)
+	for len(data) > 0 {
+		z, n := binary.Uvarint(data)
+		if n <= 0 {
+			return out, false
+		}
+		data = data[n:]
+		if len(out) == first {
+			out = append(out, z)
+		} else {
+			out = append(out, out[len(out)-1]+unzigzag(z))
+		}
+	}
+	return out, true
+}
+
+// decodeOracleCheck compares DeltaVarint's decoder with uvarintDecodeOracle;
+// its buffers are reused across checks.
+type decodeOracleCheck struct{ got, want []uint64 }
+
+// require decodes data with DeltaVarint behind a non-empty dst and compares
+// the values it appends, and whether it fails, with the oracle. (No
+// t.Helper: it runs 33 million times.)
+func (c *decodeOracleCheck) require(t *testing.T, data []byte) {
+	want, ok := uvarintDecodeOracle(c.want[:0], data)
+	got, err := DeltaVarint.AppendDecoded(append(c.got[:0], 7), data)
+	if (err == nil) != ok || got[0] != 7 || (ok && !slices.Equal(got[1:], want)) {
+		t.Fatalf("decode(% x) = %v, %v; oracle %v, ok=%v", data, got[1:], err, want, ok)
+	}
+	c.got, c.want = got, want
+}
+
+// TestDeltaVarintDecodeMatchesBinary checks the inline decoder against
+// encoding/binary on every 1-, 2- and 3-byte payload (each as the whole
+// payload and after a one-byte first word, so it is read as deltas too), on
+// every truncation of encoded lists whose values take 1 to 10 bytes, and
+// on overlong varints: 11 bytes, and 10 whose last byte overflows 64 bits.
+func TestDeltaVarintDecodeMatchesBinary(t *testing.T) {
+	var c decodeOracleCheck
+	buf := make([]byte, 4)
+	for length := 1; length <= 3; length++ {
+		for v := 0; v < 1<<(8*length); v++ {
+			for i := 0; i < length; i++ {
+				buf[1+i] = byte(v >> (8 * i))
+			}
+			c.require(t, buf[1:1+length])
+			buf[0] = 0x05
+			c.require(t, buf[:1+length])
+		}
+	}
+	words := []uint64{3, 1 << 7, 1 << 14, 1 << 21, 1<<35 + 9, 1 << 63, 2, ^uint64(0), 5, 6}
+	enc := DeltaVarint.AppendEncoded(nil, words)
+	for cut := 0; cut <= len(enc); cut++ {
+		c.require(t, enc[:cut])
+	}
+	if dec, err := DeltaVarint.AppendDecoded(nil, enc); err != nil || !slices.Equal(dec, words) {
+		t.Fatalf("round trip: %v, %v; want %v", dec, err, words)
+	}
+	overlong := [][]byte{
+		{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01},
+		{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02},
+	}
+	for _, o := range overlong {
+		c.require(t, o)
+		c.require(t, append([]byte{1, 2}, o...))
+		if _, err := DeltaVarint.AppendDecoded(nil, append([]byte{1}, o...)); err == nil {
+			t.Fatalf("decode(1 % x): want an error for an overlong varint", o)
 		}
 	}
 }

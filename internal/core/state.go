@@ -141,11 +141,12 @@ func lazyMark(slot **graph.Mark, o *graph.LocalOriented) *graph.Mark {
 // picks the strategy: none, drop the record; one (and no LCC/collection), a
 // single intersection with nothing to amortise, which stays on the global-ID
 // merge/gallop kernels and skips the row translation; otherwise translate
-// once (one O(1) ghost-index probe per non-local entry,
-// graph.TranslateRows), stamp the translated list into the byte mark
-// recvMark once, and probe every partner's A(u) against it, one byte load
-// per entry — the list is paid for once, not once per partner. Linear in
-// the lengths involved and zero allocations per record either way. Returns the number of triangles found.
+// once, in one pass and in list order (graph.TranslateRowSet: nothing
+// below depends on the stamped list's order), stamp the translated list
+// into the byte mark recvMark once, and probe every partner's A(u) against
+// it, one byte load per entry — the list is paid for once, not once per
+// partner. Linear in the lengths involved and zero allocations per record
+// either way. Returns the number of triangles found.
 func (s *countState) recvNeigh(v graph.Vertex, list []uint64, o *graph.LocalOriented) uint64 {
 	lg, rule := s.lg, &s.rule
 	ps := s.partners[:0]
@@ -176,7 +177,7 @@ func (s *countState) recvNeigh(v graph.Vertex, list []uint64, o *graph.LocalOrie
 		s.count += c
 		return c
 	}
-	rows, _ := lg.TranslateRows(&s.tr, list)
+	rows := lg.TranslateRowSet(&s.tr, list)
 	rv := int32(-1)
 	if !fast {
 		// v is adjacent to a local partner, so it is a row (ghost) here.

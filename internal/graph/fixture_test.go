@@ -223,8 +223,9 @@ func oracleTranslate(lg *graph.LocalGraph, list []graph.Vertex) (rows []uint64, 
 // resolves to its row, every other probe (locals, IDs that are no row here,
 // IDs past n, the extreme values, First and every ghost plus 2³² — which a
 // 32-bit narrowing would wrap onto a row) is absent, and TranslateRows agrees with
-// oracleTranslate on every row's neighborhood, on the whole ID range, and on
-// the reversed range (out of order: nothing may be dropped).
+// oracleTranslate — TranslateRowSet with oracleRow in list order — on every
+// row's neighborhood, on the whole ID range, and on the reversed range (out
+// of order: nothing may be dropped).
 func requireGhostIndex(t *testing.T, tag string, lg *graph.LocalGraph) {
 	t.Helper()
 	for i, gid := range lg.Ghosts() {
@@ -261,6 +262,15 @@ func requireGhostIndex(t *testing.T, tag string, lg *graph.LocalGraph) {
 		if gotLoc != wantLoc || !sameValues(got, want) {
 			t.Fatalf("%s: TranslateRows(%s) = %v (nLocal %d), oracle %v (nLocal %d)",
 				tag, what, got, gotLoc, want, wantLoc)
+		}
+		var wantSet []uint64
+		for _, x := range list {
+			if r, ok := oracleRow(lg, x); ok {
+				wantSet = append(wantSet, uint64(r))
+			}
+		}
+		if set := lg.TranslateRowSet(&tr, list); !sameValues(set, wantSet) {
+			t.Fatalf("%s: TranslateRowSet(%s) = %v, oracle %v", tag, what, set, wantSet)
 		}
 	}
 	for r := 0; r < lg.Rows(); r++ {

@@ -20,6 +20,7 @@ func FuzzReadEdgeListText(f *testing.F) {
 	f.Add("0 18446744073709551615\n")
 	f.Add("3 9223372036854775807\n")
 	f.Add("0 99999999999\n")
+	f.Add(overlongCommentInput())
 	f.Fuzz(func(t *testing.T, input string) {
 		// The reader bounds n by the edge lines, so no input, however large
 		// its IDs, makes it allocate out of proportion to its own length.

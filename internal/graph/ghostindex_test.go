@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -147,5 +148,78 @@ func TestLocalGraphHostileLookups(t *testing.T) {
 		if rows, _ := lg.TranslateRows(&tr, tc.list); !slices.Equal(rows, tc.want) {
 			t.Fatalf("TranslateRows(%v) = %v, want %v", tc.list, rows, tc.want)
 		}
+	}
+}
+
+// TestGhostIndexLayoutsAgainstOracle probes both layouts of a view's ghost
+// index — find, GhostRow, TranslateRows and TranslateRowSet — with 0, ^0, n,
+// IDs between ghosts, IDs past n and local IDs, against a binary search of
+// the ghost array. Both PEs of a 2-way split of n = 16 are built twice: with
+// two edges per vertex (few cut entries: the hash) and as a clique less the
+// edges from 0 to 8…11 and from 8 to 0…3 (cut entries outnumber n: the
+// dense table). Either way the ghosts first appear in the rows out of ID
+// order, so a build that left provisional ordinals in the index would
+// resolve them to the wrong rows.
+func TestGhostIndexLayoutsAgainstOracle(t *testing.T) {
+	const n = 16
+	pt := part.Uniform(n, 2)
+	var sparse, clique []Edge
+	for v := Vertex(0); v < n; v++ {
+		sparse = append(sparse, Edge{U: v, V: (v*7 + 3) % n}, Edge{U: v, V: (v*5 + 11) % n})
+		for u := v + 1; u < n; u++ {
+			if (v == 0 && u >= 8 && u < 12) || (v < 4 && u == 8) {
+				continue
+			}
+			clique = append(clique, Edge{U: v, V: u})
+		}
+	}
+	const maxV = ^Vertex(0)
+	probes := []Vertex{maxV, maxV - 1, 1 << 32, 1<<32 + 3, n + 5, n + 1, n}
+	for x := Vertex(n); x > 0; x-- {
+		probes = append(probes, x-1) // every ID, descending: out of list order
+	}
+	seen := map[bool]bool{}
+	for name, edges := range map[string][]Edge{"sparse": sparse, "clique": clique} {
+		per := ScatterEdges(pt, edges)
+		for rank := 0; rank < 2; rank++ {
+			lg := BuildLocal(pt, rank, per[rank])
+			tag := fmt.Sprintf("%s rank %d (dense=%v)", name, rank, lg.ghosts.dense)
+			if want := name == "clique"; lg.ghosts.dense != want {
+				t.Fatalf("%s: dense layout %v, want %v", tag, lg.ghosts.dense, want)
+			}
+			seen[lg.ghosts.dense] = true
+			ghosts := lg.Ghosts()
+			var wantRows, wantSet []uint32
+			var wantLoc []uint32
+			for _, x := range probes {
+				ord, isGhost := slices.BinarySearch(ghosts, x)
+				if lg.IsLocal(x) {
+					isGhost = false
+					wantLoc = append(wantLoc, uint32(x-lg.First))
+					wantSet = append(wantSet, uint32(x-lg.First))
+				}
+				gotOrd, ok := lg.ghosts.find(x)
+				row, rowOK := lg.GhostRow(x)
+				if ok != isGhost || rowOK != isGhost || (isGhost && (gotOrd != ord || int(row) != lg.NLocal()+ord)) {
+					t.Fatalf("%s: find(%d) = (%d,%v), GhostRow = (%d,%v); oracle ghost=%v ordinal %d",
+						tag, x, gotOrd, ok, row, rowOK, isGhost, ord)
+				}
+				if isGhost {
+					wantRows = append(wantRows, uint32(lg.NLocal()+ord))
+					wantSet = append(wantSet, uint32(lg.NLocal()+ord))
+				}
+			}
+			var tr RowTranslator
+			rows, nLoc := lg.TranslateRows(&tr, probes)
+			if want := append(slices.Clone(wantLoc), wantRows...); nLoc != len(wantLoc) || !slices.Equal(rows, want) {
+				t.Fatalf("%s: TranslateRows = %v (nLocal %d), oracle %v (nLocal %d)", tag, rows, nLoc, want, len(wantLoc))
+			}
+			if set := lg.TranslateRowSet(&tr, probes); !slices.Equal(set, wantSet) {
+				t.Fatalf("%s: TranslateRowSet = %v, oracle %v", tag, set, wantSet)
+			}
+		}
+	}
+	if !seen[true] || !seen[false] {
+		t.Fatalf("layouts seen %v; the table must probe both", seen)
 	}
 }

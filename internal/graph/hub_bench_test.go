@@ -157,8 +157,11 @@ func buildLocalForBench(g *graph.Graph, p, rank int) (*part.Partition, *graph.Lo
 // BenchmarkTranslateRowsSteadyState pins the receive-side translation: a
 // ghost-heavy sorted list (every vertex ID of a no-locality graph, of which
 // one PE of eight owns an eighth and sees most of the rest as ghosts)
-// through a warmed RowTranslator must cost one ghost-index probe per entry
-// and no allocation (CI allocation gate).
+// through a warmed RowTranslator, in both forms — TranslateRows (ascending
+// rows, the per-edge records) and TranslateRowSet (list order, the stamped
+// records) — must cost one ghost-index probe per entry and no allocation
+// (CI allocation gate). The view's cut entries outnumber n, so its ghost
+// index is the dense table.
 func BenchmarkTranslateRowsSteadyState(b *testing.B) {
 	g := gen.GNM(1<<14, 1<<17, 1)
 	_, lg := buildLocalForBench(g, 8, 3)
@@ -176,7 +179,7 @@ func BenchmarkTranslateRowsSteadyState(b *testing.B) {
 	var sink uint64
 	for i := 0; i < b.N; i++ {
 		rows, nLoc := lg.TranslateRows(&tr, list)
-		sink += uint64(len(rows) + nLoc)
+		sink += uint64(len(rows) + nLoc + len(lg.TranslateRowSet(&tr, list)))
 	}
 	hubSink = sink
 }

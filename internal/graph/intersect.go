@@ -191,8 +191,8 @@ func (bs Bitset) CountAnd(other Bitset) uint64 {
 
 // Mark is the reusable "mark once" half of the stamped wedge kernel: one
 // byte per index of a dense domain of row indices — the 1D engines' row
-// space (LocalOriented.NewRowMark) or a TK2D band — holding one ascending
-// list (a source neighborhood A(v)), against which any number of partner
+// space (LocalOriented.NewRowMark) or a TK2D band — holding one list (a
+// source neighborhood A(v)), against which any number of partner
 // lists A(u) are then probed. Stamp writes 1 at the list's L entries,
 // Unstamp writes 0 at exactly those entries — never the whole domain — so a
 // mark costs 2·L byte writes however large the domain is, and between
@@ -215,9 +215,10 @@ func NewMark(n int) *Mark { return &Mark{on: make([]byte, n)} }
 // markHeld is the nesting guard's panic, shared by Mark and SplitMark.
 const markHeld = "graph: Mark stamped while still holding a list"
 
-// Stamp marks list, which must hold in-domain indices, ascending (every
-// OutRows slice and every TranslateRows result qualifies). The slice is
-// aliased until Unstamp.
+// Stamp marks list, which must hold distinct in-domain indices in any
+// order (every OutRows slice and every TranslateRows or TranslateRowSet
+// result of a well-formed A-list qualifies). The slice is aliased until
+// Unstamp.
 func (m *Mark) Stamp(list []uint32) {
 	if m.list != nil {
 		panic(markHeld)

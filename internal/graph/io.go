@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -27,15 +28,19 @@ func WriteEdgeListText(w io.Writer, g *Graph) error {
 	return bw.Flush()
 }
 
+// maxTextLine is the longest line ReadEdgeListText reads: 1 MiB.
+const maxTextLine = 1 << 20
+
 // ReadEdgeListText parses a whitespace-separated edge list. IDs are not
 // compacted: the graph has n = max ID + 1 vertices, and unnamed IDs are
 // isolated vertices. Directed inputs are interpreted as undirected, as the
 // paper does. Before anything is sized by n, an ID that does not fit in an
 // int, or a max ID with n > 2·(edge lines) + 2^16, is an error naming its
-// line, so a short hostile file cannot ask for a huge allocation.
+// line, so a short hostile file cannot ask for a huge allocation. A line
+// longer than maxTextLine, a comment included, is an error naming it.
 func ReadEdgeListText(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(make([]byte, maxTextLine), maxTextLine)
 	var raw []Edge
 	maxID := Vertex(0)
 	line, maxLine := 0, 0
@@ -64,7 +69,9 @@ func ReadEdgeListText(r io.Reader) (*Graph, error) {
 		}
 		raw = append(raw, Edge{u, v})
 	}
-	if err := sc.Err(); err != nil {
+	if err := sc.Err(); errors.Is(err, bufio.ErrTooLong) {
+		return nil, fmt.Errorf("graph: line %d: longer than the %d-byte (1 MiB) line limit", line+1, maxTextLine)
+	} else if err != nil {
 		return nil, err
 	}
 	if len(raw) == 0 {

@@ -57,6 +57,18 @@ func TestReadEdgeListTextErrors(t *testing.T) {
 	if err != nil || g.NumVertices() != 0 {
 		t.Fatalf("empty input should give empty graph, got %v %v", g, err)
 	}
+	// A line past the 1 MiB limit, here a comment, is an error naming the
+	// line and the limit, not the scanner's bare "token too long".
+	_, err = ReadEdgeListText(strings.NewReader(overlongCommentInput()))
+	if err == nil || !strings.Contains(err.Error(), "line 2") || !strings.Contains(err.Error(), "1 MiB") {
+		t.Fatalf("2 MiB comment line: err %v, want one naming line 2 and the 1 MiB limit", err)
+	}
+}
+
+// overlongCommentInput is an edge list whose second line, a comment, is
+// 2 MiB long: past ReadEdgeListText's line limit.
+func overlongCommentInput() string {
+	return "0 1\n#" + strings.Repeat("x", 2<<20) + "\n1 2\n"
 }
 
 // TestReadEdgeListTextHostileIDs: a vertex ID whose n = ID + 1 wraps, does

@@ -160,17 +160,22 @@ func checkRow(nb []Vertex, v, n Vertex, rank int) {
 //     entries lie in [First, Last) holds no cut entry and is not scanned;
 //  2. check each row (checkRow, which panics on a malformed one before its
 //     cut count is used) and translate every entry to its row, once:
-//     locals by subtraction, cut entries through the worker's growable
-//     ghost set, which hands out provisional ordinals in first-appearance
-//     order and counts each ghost's incidence — the only hash probe a cut
-//     entry ever pays; row r is released here, after its last read;
-//  3. sort the distinct ghosts only — a PE whose locals and ghosts together
-//     pass MaxRows panics here, naming the PE, before a provisional ordinal
-//     is read back — lay out the per-row ID table (locals, then the sorted
-//     ghosts), build the final ghost index over its ghost part and map
-//     every provisional ordinal to its ghost row (one probe per ghost per
-//     worker); incidences size the ghost rows, and worker-major cursors into
-//     them keep the fill deterministic;
+//     locals by subtraction, cut entries through the worker's ghost set,
+//     which hands out provisional ordinals in first-appearance order and
+//     counts each ghost's incidence; row r is released here, after its last
+//     read. The set takes the dense layout of ghostIndex, a table indexed
+//     by global ID (one load per cut entry), when workers·n ≤ cut entries,
+//     so that its tables cost at most 4 bytes per cut entry; otherwise it
+//     is a growable hash;
+//  3. list the distinct ghosts in ID order — dense: one scan of the tables,
+//     which also maps every provisional ordinal to its ghost row and
+//     rewrites the first table into the view's index; hash: sort them, build
+//     the final index over them and map every provisional ordinal with one
+//     probe per ghost per worker — and lay out the per-row ID table (locals,
+//     then the ghosts). A PE whose locals and ghosts together pass MaxRows
+//     panics here, naming the PE, before a row is used. Incidences size the
+//     ghost rows, and worker-major cursors into them keep the fill
+//     deterministic;
 //  4. fill: in the rows that hold cut entries, rewrite provisional to final
 //     and transpose every cut entry into its ghost row. Rows are visited
 //     ascending, so ghost rows come out in ID order.
@@ -206,13 +211,20 @@ func buildRows(pt *part.Partition, rank int, row func(r int) []Vertex, release f
 		total += ws[i].cut
 	}
 
+	// The layout of the ghost index (ghostIndex): dense, one int32 per
+	// global ID and worker, when the w workers' tables cost at most 4 bytes
+	// per cut entry — no more than the hash sets and final index they
+	// replace — and the hash otherwise.
+	n := pt.N()
+	dense := uint64(w)*n <= uint64(total-localOff[nl])
+
 	adjRow := make([]uint32, total)
-	parallelBlocks(w, nl, func(worker, lo, hi int) {
+	translate := func(worker, lo, hi int) {
 		s := &ws[worker]
 		s.set = newGhostIndex(nil)
 		for r := lo; r < hi; r++ {
 			nb := row(r)
-			checkRow(nb, first+Vertex(r), pt.N(), rank)
+			checkRow(nb, first+Vertex(r), n, rank)
 			dst := adjRow[localOff[r]:localOff[r+1]]
 			cut := false
 			for k, x := range nb {
@@ -234,35 +246,86 @@ func buildRows(pt *part.Partition, rank int, row func(r int) []Vertex, release f
 				release(r)
 			}
 		}
-	})
+	}
+	if dense {
+		// The same pass with the table in place of insert: a new ghost
+		// takes the next ordinal, len(cnt). A closure of its own, not a
+		// branch inside the hash pass: with the branch, RGG2D (which stays
+		// on the hash) counted slower.
+		translate = func(worker, lo, hi int) {
+			s := &ws[worker]
+			s.set = ghostIndex{ord: make([]int32, n), dense: true}
+			tab := s.set.ord
+			for r := lo; r < hi; r++ {
+				nb := row(r)
+				checkRow(nb, first+Vertex(r), n, rank)
+				dst := adjRow[localOff[r]:localOff[r+1]]
+				cut := false
+				for k, x := range nb {
+					if d := x - first; d < Vertex(nl) {
+						dst[k] = uint32(d)
+						continue
+					}
+					o := int(tab[x]) - 1
+					if o < 0 {
+						o = len(s.cnt)
+						tab[x] = int32(o + 1)
+						s.cnt = append(s.cnt, 0)
+					}
+					s.cnt[o]++
+					dst[k], cut = uint32(nl+o), true
+				}
+				if cut {
+					s.cutRows = append(s.cutRows, int32(r))
+				}
+				if release != nil {
+					release(r)
+				}
+			}
+		}
+	}
+	parallelBlocks(w, nl, translate)
 
 	found := 0 // distinct per worker, so an upper bound on the ghosts
 	for i := range ws {
-		found += len(ws[i].set.ids)
+		found += len(ws[i].cnt)
+		ws[i].final = make([]uint32, len(ws[i].cnt))
 	}
 	gid := make([]Vertex, nl, nl+found)
 	for r := range gid {
 		gid[r] = first + Vertex(r)
 	}
-	for i := range ws {
-		gid = append(gid, ws[i].set.ids...)
+	if dense {
+		gid = scanDenseGhosts(ws, gid)
+	} else {
+		for i := range ws {
+			gid = append(gid, ws[i].set.ids...)
+		}
+		slices.Sort(gid[nl:])
+		gid = gid[:nl+len(slices.Compact(gid[nl:]))]
 	}
-	slices.Sort(gid[nl:])
-	gid = gid[:nl+len(slices.Compact(gid[nl:]))]
 	checkRowSpace(rank, uint64(len(gid)))
 	l.gid = gid
 	l.nLow, _ = slices.BinarySearch(gid[nl:], first)
-	l.ghosts = newGhostIndex(gid[nl:])
+	if dense {
+		l.ghosts = ghostIndex{ids: gid[nl:], ord: ws[0].set.ord, dense: true}
+	} else {
+		l.ghosts = newGhostIndex(gid[nl:])
+		for i := range ws {
+			s := &ws[i]
+			for o, x := range s.set.ids {
+				g, _ := l.ghosts.find(x)
+				s.final[o] = uint32(nl + g)
+			}
+		}
+	}
 	rows := len(gid)
 	off := make([]int64, rows+1)
 	copy(off, localOff)
 	for i := range ws {
 		s := &ws[i]
-		s.final = make([]uint32, len(s.cnt))
-		for o, x := range s.set.ids {
-			g, _ := l.ghosts.find(x)
-			s.final[o] = uint32(nl + g)
-			off[nl+g+1] += int64(s.cnt[o])
+		for o, f := range s.final {
+			off[f+1] += int64(s.cnt[o])
 		}
 	}
 	for r := nl; r < rows; r++ {
@@ -306,11 +369,43 @@ func buildRows(pt *part.Partition, rank int, row func(r int) []Vertex, release f
 	return l
 }
 
+// scanDenseGhosts is pass 3 of a dense build (buildRows): one scan of the
+// workers' tables in ID order appends the ghosts to gid, sets every
+// worker's provisional → final row map, and rewrites the first worker's
+// table to final ordinals, so that it can serve as the view's ghost index.
+func scanDenseGhosts(ws []slabWorker, gid []Vertex) []Vertex {
+	nl := len(gid)
+	tab := ws[0].set.ord
+	var others []*slabWorker // the other workers that met a ghost
+	for i := 1; i < len(ws); i++ {
+		if len(ws[i].cnt) > 0 {
+			others = append(others, &ws[i])
+		}
+	}
+	for x, o := range tab {
+		hit := o != 0
+		if hit {
+			ws[0].final[o-1] = uint32(len(gid))
+		}
+		for _, s := range others {
+			if o := s.set.ord[x]; o != 0 {
+				s.final[o-1] = uint32(len(gid))
+				hit = true
+			}
+		}
+		if hit {
+			tab[x] = int32(len(gid) - nl + 1)
+			gid = append(gid, Vertex(x))
+		}
+	}
+	return gid
+}
+
 func (l *LocalGraph) isLocal(v Vertex) bool { return v >= l.First && v < l.Last }
 
-// RowTranslator is reusable scratch for TranslateRows; the zero value is
-// ready to use. It grows to the largest list translated through it and then
-// allocates nothing.
+// RowTranslator is reusable scratch for TranslateRows and TranslateRowSet;
+// the zero value is ready to use. It grows to the largest list translated
+// through it and then allocates nothing.
 type RowTranslator struct {
 	loc []uint32
 	gho []uint32
@@ -341,6 +436,44 @@ func (l *LocalGraph) TranslateRows(tr *RowTranslator, list []Vertex) (rows []uin
 	loc = append(loc, gho...)
 	tr.loc, tr.gho = loc, gho
 	return loc, nLocal
+}
+
+// TranslateRowSet is TranslateRows for a caller that uses the rows as a
+// set (a Mark's stamp): one pass writes every entry's row in list order,
+// with no split into locals and ghosts and no copy, so a sorted list comes
+// back as [low ghosts][locals][high ghosts], not ascending. Entries that
+// are no row here are dropped. The returned slice aliases tr's scratch and
+// is valid until the next call.
+func (l *LocalGraph) TranslateRowSet(tr *RowTranslator, list []Vertex) []uint32 {
+	out := tr.loc
+	if cap(out) < len(list) {
+		out = make([]uint32, len(list))
+	}
+	out = out[:len(list)]
+	tr.loc = out
+	first, nl, k := l.First, Vertex(l.nLocal), 0
+	if tab := l.ghosts.ord; l.ghosts.dense {
+		for _, x := range list {
+			if d := x - first; d < nl {
+				out[k] = uint32(d)
+				k++
+			} else if x < Vertex(len(tab)) && tab[x] != 0 {
+				out[k] = uint32(nl) + uint32(tab[x]-1)
+				k++
+			}
+		}
+	} else {
+		for _, x := range list {
+			if d := x - first; d < nl {
+				out[k] = uint32(d)
+				k++
+			} else if g, ok := l.ghosts.find(x); ok {
+				out[k] = uint32(l.nLocal + g)
+				k++
+			}
+		}
+	}
+	return out[:k]
 }
 
 // IsLocal reports whether v is owned by this PE.

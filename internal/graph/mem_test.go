@@ -43,3 +43,39 @@ func TestLocalViewBytesPerEntry(t *testing.T) {
 		t.Fatalf("the 1D view allocates %.2f bytes per adjacency entry, more than %d", perEntry, maxBytesPerEntry)
 	}
 }
+
+// maxBytesPerEntryNoLocality bounds the same ratio on a graph without
+// locality, where most entries are cut entries and the ghost index takes
+// its dense layout: BuildLocalCSR and DITRIC's OrientLocalOnlyPar. The
+// view whose ghost index was always a hash allocated 15.99 here, so a dense
+// table that cost more than the hash it replaces fails the gate.
+const maxBytesPerEntryNoLocality = 16
+
+// TestLocalViewBytesPerEntryNoLocality is the memory gate of the dense
+// ghost index: GNM with n = 2^12 and m = 16n at p = 4, one thread.
+func TestLocalViewBytesPerEntryNoLocality(t *testing.T) {
+	const p, n = 4, 1 << 12
+	g := gen.GNM(n, 16*n, 42)
+	pt := part.Uniform(uint64(g.NumVertices()), p)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	entries, dense := 0, 0
+	for rank := 0; rank < p; rank++ {
+		lg := graph.BuildLocalCSR(pt, rank, g, 1)
+		setGhostDegrees(lg, g)
+		graph.OrientLocalOnlyPar(lg, 1)
+		entries += lg.LocalEdges()
+		if lg.DenseGhostIndex() {
+			dense++
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perEntry := float64(after.TotalAlloc-before.TotalAlloc) / float64(entries)
+	t.Logf("%.2f bytes allocated per adjacency entry (%d entries, %d of %d PEs dense)", perEntry, entries, dense, p)
+	if dense != p {
+		t.Fatalf("%d of %d PEs took the dense ghost index; the gate measures it on all", dense, p)
+	}
+	if perEntry > maxBytesPerEntryNoLocality {
+		t.Fatalf("the 1D view allocates %.2f bytes per adjacency entry, more than %d", perEntry, maxBytesPerEntryNoLocality)
+	}
+}

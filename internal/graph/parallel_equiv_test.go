@@ -199,50 +199,109 @@ func TestBuildLocalParForeignEdgePanics(t *testing.T) {
 	graph.BuildLocalPar(pt, 0, edges, 4)
 }
 
+// ghostDiscoverySeeds is FuzzGhostDiscovery's seed corpus: an empty graph,
+// two sparse cuts (the hash layout of the ghost index) and a clique on 12
+// vertices less the edges {0,8} and {0,9}, whose cut entries outnumber the
+// vertices (the dense layout) and whose ghosts first appear out of ID order
+// (10 and 11 in row 0, then 8 and 9). TestGhostDiscoverySeedLayouts checks
+// that the seeds reach both layouts.
+var ghostDiscoverySeeds = []struct {
+	data []byte
+	n    uint16
+}{
+	{[]byte{}, 8},
+	{[]byte{0, 0, 1, 0, 1, 0, 2, 0, 7, 0, 9, 0}, 10},
+	{[]byte{3, 0, 3, 0, 5, 0, 200, 0, 5, 0, 201, 0}, 16},
+	{cliqueEdgeBytes(12, [2]int{0, 8}, [2]int{0, 9}), 12},
+}
+
+// cliqueEdgeBytes encodes the complete graph on n vertices, less the edges
+// {u, v} (u < v) listed in drop, as FuzzGhostDiscovery's 16-bit endpoint
+// pairs.
+func cliqueEdgeBytes(n int, drop ...[2]int) []byte {
+	var data []byte
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			if slices.Contains(drop, [2]int{u, v}) {
+				continue
+			}
+			data = binary.LittleEndian.AppendUint16(data, uint16(u))
+			data = binary.LittleEndian.AppendUint16(data, uint16(v))
+		}
+	}
+	return data
+}
+
 // FuzzGhostDiscovery drives the row-slab builder's ghost machinery over
 // arbitrary edge streams, at one and several workers, through both of its
 // one-shot front ends: BuildLocalPar on the raw stream (self-loops,
 // duplicates and both orientations included) and BuildLocalCSR on
 // FromEdges of it. Each view must match the map oracle of slab_test.go
 // entry for entry — ghosts, rows, translation, degrees — and its ghost
-// index the binary-search oracle (requireGhostIndex). Edge endpoints are
-// decoded from the fuzz payload as 16-bit pairs; edges with no endpoint in
-// the local range are withheld from BuildLocalPar (those panic by contract,
-// which this target is not probing) but stay in the graph.
+// index the binary-search oracle (requireGhostIndex), in whichever layout
+// the builder took. Edge endpoints are decoded from the fuzz payload as
+// 16-bit pairs; edges with no endpoint in the local range are withheld from
+// BuildLocalPar (those panic by contract, which this target is not probing)
+// but stay in the graph.
 func FuzzGhostDiscovery(f *testing.F) {
-	f.Add([]byte{}, uint16(8))
-	f.Add([]byte{0, 0, 1, 0, 1, 0, 2, 0, 7, 0, 9, 0}, uint16(10))
-	f.Add([]byte{3, 0, 3, 0, 5, 0, 200, 0, 5, 0, 201, 0}, uint16(16))
-	f.Fuzz(func(t *testing.T, data []byte, nRaw uint16) {
-		n := uint64(nRaw%253) + 3
-		pt, err := part.New([]uint64{0, n/2 + 1, n}) // PE 0 of a 2-ish split
-		if err != nil {
-			t.Fatal(err)
+	for _, sd := range ghostDiscoverySeeds {
+		f.Add(sd.data, sd.n)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, nRaw uint16) { checkGhostDiscovery(t, data, nRaw) })
+}
+
+// checkGhostDiscovery is FuzzGhostDiscovery's body. It returns the number of
+// views built with ghosts in the dense and in the hash layout.
+func checkGhostDiscovery(t *testing.T, data []byte, nRaw uint16) (dense, hash int) {
+	n := uint64(nRaw%253) + 3
+	pt, err := part.New([]uint64{0, n/2 + 1, n}) // PE 0 of a 2-ish split
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, last := pt.Range(0)
+	var all, edges []graph.Edge
+	for i := 0; i+3 < len(data); i += 4 {
+		u := uint64(binary.LittleEndian.Uint16(data[i:])) % n
+		v := uint64(binary.LittleEndian.Uint16(data[i+2:])) % n
+		all = append(all, graph.Edge{U: u, V: v})
+		if u < last || v < last {
+			edges = append(edges, graph.Edge{U: u, V: v})
 		}
-		_, last := pt.Range(0)
-		var all, edges []graph.Edge
-		for i := 0; i+3 < len(data); i += 4 {
-			u := uint64(binary.LittleEndian.Uint16(data[i:])) % n
-			v := uint64(binary.LittleEndian.Uint16(data[i+2:])) % n
-			all = append(all, graph.Edge{U: u, V: v})
-			if u < last || v < last {
-				edges = append(edges, graph.Edge{U: u, V: v})
+	}
+	g := graph.FromEdges(int(n), all)
+	want := naiveLocal(pt, 0, all)
+	if !slices.Equal(want.ghosts, ghostOracle(pt, 0, edges)) {
+		t.Fatalf("oracles disagree: %v vs %v", want.ghosts, ghostOracle(pt, 0, edges))
+	}
+	for _, threads := range []int{1, 3} {
+		for name, lg := range map[string]*graph.LocalGraph{
+			"edges": graph.BuildLocalPar(pt, 0, edges, threads),
+			"csr":   graph.BuildLocalCSR(pt, 0, g, threads),
+		} {
+			tag := fmt.Sprintf("%s threads=%d", name, threads)
+			requireMatchesNaive(t, tag, lg, want)
+			requireGhostIndex(t, tag, lg)
+			switch {
+			case lg.NGhost() == 0:
+			case lg.DenseGhostIndex():
+				dense++
+			default:
+				hash++
 			}
 		}
-		g := graph.FromEdges(int(n), all)
-		want := naiveLocal(pt, 0, all)
-		if !slices.Equal(want.ghosts, ghostOracle(pt, 0, edges)) {
-			t.Fatalf("oracles disagree: %v vs %v", want.ghosts, ghostOracle(pt, 0, edges))
-		}
-		for _, threads := range []int{1, 3} {
-			for name, lg := range map[string]*graph.LocalGraph{
-				"edges": graph.BuildLocalPar(pt, 0, edges, threads),
-				"csr":   graph.BuildLocalCSR(pt, 0, g, threads),
-			} {
-				tag := fmt.Sprintf("%s threads=%d", name, threads)
-				requireMatchesNaive(t, tag, lg, want)
-				requireGhostIndex(t, tag, lg)
-			}
-		}
-	})
+	}
+	return dense, hash
+}
+
+// TestGhostDiscoverySeedLayouts runs FuzzGhostDiscovery's seeds and checks
+// that they reach both layouts of the ghost index.
+func TestGhostDiscoverySeedLayouts(t *testing.T) {
+	dense, hash := 0, 0
+	for _, sd := range ghostDiscoverySeeds {
+		d, h := checkGhostDiscovery(t, sd.data, sd.n)
+		dense, hash = dense+d, hash+h
+	}
+	if dense == 0 || hash == 0 {
+		t.Fatalf("the seeds built %d dense and %d hash ghost indexes; they must reach both layouts", dense, hash)
+	}
 }

@@ -121,9 +121,17 @@ func quadraticPartition(t *testing.T, n uint64, p int, reverse bool) *part.Parti
 // and at every thread count the from-edges front end, Seal and SealRelease
 // must reproduce it entry for entry with a sound ghost index. Quadratic
 // boundaries give PEs with no rows at all; p = 1 and the sparse fixture give
-// PEs with no ghosts.
+// PEs with no ghosts. The views of PEs with ghosts take both layouts of the
+// ghost index, the dense table and the hash, and the matrix must see both.
 func TestLocalBuildersAgree(t *testing.T) {
 	emptyPEs, ghostlessPEs := 0, 0
+	layouts := map[bool]int{} // ghost-index layout (dense?) -> builds of PEs with ghosts
+	count := func(lg *graph.LocalGraph) *graph.LocalGraph {
+		if lg.NGhost() > 0 {
+			layouts[lg.DenseGhostIndex()]++
+		}
+		return lg
+	}
 	for _, fx := range testgraph.All {
 		g := fx.Build()
 		edges := g.Edges()
@@ -147,8 +155,8 @@ func TestLocalBuildersAgree(t *testing.T) {
 					}
 					for _, threads := range equivThreads {
 						tag := fmt.Sprintf("%s threads=%d", tag, threads)
-						requireLocalGraphsEqual(t, tag+" csr", graph.BuildLocalCSR(pt, rank, g, threads), want)
-						requireLocalGraphsEqual(t, tag+" edges", graph.BuildLocalPar(pt, rank, per[rank], threads), want)
+						requireLocalGraphsEqual(t, tag+" csr", count(graph.BuildLocalCSR(pt, rank, g, threads)), want)
+						requireLocalGraphsEqual(t, tag+" edges", count(graph.BuildLocalPar(pt, rank, per[rank], threads)), want)
 						for _, release := range []bool{false, true} {
 							sb := graph.NewStreamBuilder(pt, rank)
 							sb.Fold(per[rank], threads)
@@ -156,7 +164,7 @@ func TestLocalBuildersAgree(t *testing.T) {
 							if release {
 								got = sb.SealRelease
 							}
-							requireLocalGraphsEqual(t, fmt.Sprintf("%s seal(release=%v)", tag, release), got(threads), want)
+							requireLocalGraphsEqual(t, fmt.Sprintf("%s seal(release=%v)", tag, release), count(got(threads)), want)
 						}
 					}
 				}
@@ -165,6 +173,10 @@ func TestLocalBuildersAgree(t *testing.T) {
 	}
 	if emptyPEs == 0 || ghostlessPEs == 0 {
 		t.Fatalf("matrix saw %d PEs without rows and %d without ghosts; it must cover both", emptyPEs, ghostlessPEs)
+	}
+	t.Logf("ghost-index layouts: %d dense, %d hash builds", layouts[true], layouts[false])
+	if layouts[true] == 0 || layouts[false] == 0 {
+		t.Fatalf("matrix built %d dense and %d hash ghost indexes; it must reach both layouts", layouts[true], layouts[false])
 	}
 }
 
