@@ -1,6 +1,6 @@
 // Command gengraph generates instances from the synthetic families and
 // writes them to disk as text edge lists ("u v" per line), printing
-// Table-I-style statistics. Saved instances can be fed back to
+// Table-I-style statistics and the generation's wall time (load=). Saved instances can be fed back to
 // `tricount -input`.
 //
 //	gengraph -gen rgg2d -n 65536 -o rgg.txt
@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/gen"
@@ -44,15 +45,17 @@ func run(args []string, stdout io.Writer) error {
 	if *family == "" {
 		return fmt.Errorf("need -gen")
 	}
+	start := time.Now()
 	g, err := gen.ByFamily(*family, *n, *edgeFactor, *seed)
 	if err != nil {
 		return err
 	}
+	load := time.Since(start)
 
 	if *stats {
 		s := graph.ComputeStats(g)
-		fmt.Fprintf(stdout, "n=%d m=%d avgdeg=%.2f maxdeg=%d wedges=%d\n",
-			s.N, s.M, s.AvgDegree, s.MaxDegree, s.Wedges)
+		fmt.Fprintf(stdout, "n=%d m=%d avgdeg=%.2f maxdeg=%d wedges=%d load=%v\n",
+			s.N, s.M, s.AvgDegree, s.MaxDegree, s.Wedges, load.Round(time.Microsecond))
 		if *triangles {
 			fmt.Fprintf(stdout, "triangles=%d\n", core.SeqCount(g))
 		}

@@ -4,7 +4,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/gen"
@@ -35,5 +37,22 @@ func TestSavedInstanceReadsBack(t *testing.T) {
 	if got.NumEdges() != want.NumEdges() || core.SeqCount(got) != core.SeqCount(want) {
 		t.Fatalf("read back m=%d with %d triangles, generated m=%d with %d",
 			got.NumEdges(), core.SeqCount(got), want.NumEdges(), core.SeqCount(want))
+	}
+}
+
+// TestStatsLineShowsLoadTime: the statistics line ends with the wall time
+// the generation took.
+func TestStatsLineShowsLoadTime(t *testing.T) {
+	var out strings.Builder
+	if err := run([]string{"-gen", "gnm", "-n", "512"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	line := strings.SplitN(out.String(), "\n", 2)[0]
+	i := strings.Index(line, " load=")
+	if !strings.HasPrefix(line, "n=512 ") || i < 0 {
+		t.Fatalf("stats line %q, want n=512 … load=<duration>", line)
+	}
+	if _, err := time.ParseDuration(line[i+len(" load="):]); err != nil {
+		t.Fatalf("stats line %q: load is not a duration: %v", line, err)
 	}
 }

@@ -109,11 +109,20 @@ func run() (err error) {
 		}
 	}
 
+	loadStart := time.Now()
 	g, err := buildGraph(*genFamily, *input, *n, *edgeFactor, *seed)
 	if err != nil {
 		return err
 	}
+	load := time.Since(loadStart)
 	fmt.Printf("graph: n=%d m=%d maxdeg=%d\n", g.NumVertices(), g.NumEdges(), g.MaxDegree())
+	if *verbose {
+		how := "generate"
+		if *input != "" {
+			how = "read and build"
+		}
+		fmt.Printf("load: %v (%s)\n", load.Round(time.Microsecond), how)
+	}
 
 	// Every path below — one-shot, -stream, estimators, a TCP rank — runs
 	// inside the profiles; each is written out when run returns.

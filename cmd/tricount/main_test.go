@@ -5,8 +5,10 @@ import (
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 )
@@ -169,5 +171,40 @@ func TestUnknownAlgoExitsBeforeTheGraph(t *testing.T) {
 	}
 	if strings.Contains(stdout.String(), "graph:") {
 		t.Fatalf("the graph was built before -algo was resolved: stdout %q", stdout.String())
+	}
+}
+
+// TestVerboseLoadLine: -v prints one load: line with the input's wall time
+// after the graph: line, for a generated and for a read input.
+func TestVerboseLoadLine(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "tri.txt")
+	if err := os.WriteFile(path, []byte("0 1\n1 2\n2 0\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		args []string
+		how  string
+	}{
+		{[]string{"-gen", "rmat", "-n", "256", "-algo", "seq", "-v"}, "(generate)"},
+		{[]string{"-input", path, "-algo", "seq", "-v"}, "(read and build)"},
+	} {
+		cmd := exec.Command(os.Args[0], append([]string{"tricount"}, tc.args...)...)
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("%v: %v", tc.args, err)
+		}
+		var loads []string
+		for _, line := range strings.Split(string(out), "\n") {
+			if strings.HasPrefix(line, "load: ") {
+				loads = append(loads, line)
+			}
+		}
+		if len(loads) != 1 || !strings.HasSuffix(loads[0], tc.how) || !strings.Contains(string(out), "graph: ") {
+			t.Fatalf("%v: load lines %q, want one ending %q beside the graph: line", tc.args, loads, tc.how)
+		}
+		dur := strings.TrimSuffix(strings.TrimPrefix(loads[0], "load: "), " "+tc.how)
+		if _, err := time.ParseDuration(dur); err != nil {
+			t.Fatalf("%v: %q is not a duration: %v", tc.args, dur, err)
+		}
 	}
 }

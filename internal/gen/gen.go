@@ -1,7 +1,12 @@
 package gen
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"math/bits"
+	"runtime"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -9,27 +14,92 @@ import (
 // ByFamily builds a synthetic graph from one of the paper's weak-scaling
 // families by name: "gnm", "rmat", "rgg2d", "rhg". n is the number of
 // vertices; edgeFactor the target m/n ratio (the paper uses 16). Negative
-// sizes are an error; edge factor 0 gives the edgeless graph.
+// sizes are an error; edge factor 0 gives the edgeless graph. So is a size
+// past maxUnits, reported before anything is allocated.
 func ByFamily(family string, n, edgeFactor int, seed uint64) (*graph.Graph, error) {
 	if n < 0 || edgeFactor < 0 {
 		return nil, fmt.Errorf("gen: %s needs n ≥ 0 and edge factor ≥ 0, got n=%d, edge factor %d", family, n, edgeFactor)
+	}
+	verts := uint64(n)
+	switch family {
+	case "gnm", "rgg2d", "rhg":
+	case "rmat":
+		verts = 1 << bits.Len64(uint64(max(n, 1)-1)) // n rounded up to 2^scale
+	default:
+		return nil, fmt.Errorf("gen: unknown family %q (want gnm|rmat|rgg2d|rhg)", family)
+	}
+	if verts > maxUnits || edgeFactor > 0 && verts > 0 && uint64(edgeFactor) > maxUnits/verts {
+		return nil, fmt.Errorf("gen: %s with n=%d and edge factor %d is too large: its vertex count (%d) and vertex count × edge factor must each be at most %d",
+			family, n, edgeFactor, verts, maxUnits)
 	}
 	switch family {
 	case "gnm":
 		return GNM(n, edgeFactor*n, seed), nil
 	case "rmat":
-		scale := 0
-		for 1<<scale < n {
-			scale++
-		}
-		cfg := DefaultRMAT(scale, seed)
+		cfg := DefaultRMAT(bits.Len64(verts-1), seed)
 		cfg.EdgeFactor = edgeFactor
 		return RMAT(cfg), nil
 	case "rgg2d":
 		return RGG2D(n, edgeFactor, seed), nil
-	case "rhg":
-		return RHG(RHGConfig{N: n, AvgDegree: 2 * float64(edgeFactor), Gamma: 2.8, Seed: seed}), nil
 	default:
-		return nil, fmt.Errorf("gen: unknown family %q (want gnm|rmat|rgg2d|rhg)", family)
+		return RHG(RHGConfig{N: n, AvgDegree: 2 * float64(edgeFactor), Gamma: 2.8, Seed: seed}), nil
 	}
+}
+
+// maxUnits bounds a family's vertex count and its vertex count times edge
+// factor, the size of its edge list: at 16 B per edge that list must stay
+// addressable, within int on 32-bit hosts and within the runtime's 2⁴⁸ B
+// heap on 64-bit ones. Past it, n·edgeFactor could overflow int and R-MAT's
+// scale could pass the word size.
+const maxUnits = min(math.MaxInt/16, 1<<44)
+
+// threads, when positive, overrides the generators' worker count; the
+// tests set it to show that no graph depends on it.
+var threads = 0
+
+// workers returns the number of workers the generators split their work
+// over: runtime.GOMAXPROCS(0), unless threads says otherwise.
+func workers() int {
+	if threads > 0 {
+		return threads
+	}
+	return runtime.GOMAXPROCS(0)
+}
+
+// inOrder runs fn over [0, n) in chunks on the workers and returns the
+// chunks' results in the order of their ranges, whatever order they ran
+// in. fn receives the worker index, for per-worker scratch.
+func inOrder[R any](n int, fn func(worker, lo, hi int) R) []R {
+	type chunk struct {
+		lo int
+		r  R
+	}
+	w := workers()
+	done := make([][]chunk, w)
+	graph.ParallelFor(w, n, func(worker, lo, hi int) {
+		done[worker] = append(done[worker], chunk{lo, fn(worker, lo, hi)})
+	})
+	var all []chunk
+	for _, d := range done {
+		all = append(all, d...)
+	}
+	slices.SortFunc(all, func(a, b chunk) int { return cmp.Compare(a.lo, b.lo) })
+	out := make([]R, len(all))
+	for i, c := range all {
+		out[i] = c.r
+	}
+	return out
+}
+
+// joinEdges concatenates parts into one list of exactly their total length.
+func joinEdges(parts [][]graph.Edge) []graph.Edge {
+	total := 0
+	for _, p := range parts {
+		total += len(p)
+	}
+	edges := make([]graph.Edge, 0, total)
+	for _, p := range parts {
+		edges = append(edges, p...)
+	}
+	return edges
 }

@@ -1,9 +1,12 @@
 package gen
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/graph"
 	"repro/internal/part"
@@ -115,7 +118,8 @@ func TestScrambleIsPermutation(t *testing.T) {
 		const n = 256
 		seen := make([]bool, n)
 		for x := uint64(0); x < n; x++ {
-			y := scramble(x, n, seed)
+			sc := newScrambler(n, seed)
+			y := sc.apply(x)
 			if y >= n || seen[y] {
 				return false
 			}
@@ -266,7 +270,11 @@ func TestByFamily(t *testing.T) {
 // TestByFamilyHostileSizes: every family rejects a negative vertex count or
 // edge factor with an error (they used to panic in makeslice, index out of
 // range, or run on for minutes), and edge factor 0 gives the edgeless graph
-// on n vertices (rhg used to index out of range).
+// on n vertices (rhg used to index out of range). A size whose edge list
+// n·edge factor overflows int, and an R-MAT size whose scale search passes
+// the word size (it used to spin forever), are errors naming n, returned
+// before anything is allocated; each cell runs under a deadline, so that a
+// hang fails rather than stalls the suite.
 func TestByFamilyHostileSizes(t *testing.T) {
 	for _, fam := range Families() {
 		for _, tc := range []struct {
@@ -277,20 +285,39 @@ func TestByFamilyHostileSizes(t *testing.T) {
 			{"n<0", -5, 16, false},
 			{"ef<0", 64, -2, false},
 			{"ef=0", 64, 0, true},
+			{"huge-n*ef", math.MaxInt / 8, 16, false},
+			{"huge-n", math.MaxInt/2 + 2, 1, false},
 		} {
 			t.Run(fam+"/"+tc.name, func(t *testing.T) {
-				g, err := ByFamily(fam, tc.n, tc.ef, 3)
+				type out struct {
+					g   *graph.Graph
+					err error
+				}
+				done := make(chan out, 1)
+				go func() {
+					g, err := ByFamily(fam, tc.n, tc.ef, 3)
+					done <- out{g, err}
+				}()
+				var o out
+				select {
+				case o = <-done:
+				case <-time.After(10 * time.Second):
+					t.Fatalf("n=%d ef=%d: no answer within 10 s", tc.n, tc.ef)
+				}
 				if !tc.ok {
-					if err == nil {
+					if o.err == nil {
 						t.Fatalf("n=%d ef=%d accepted", tc.n, tc.ef)
+					}
+					if n := fmt.Sprint(tc.n); tc.n > 0 && !strings.Contains(o.err.Error(), n) {
+						t.Fatalf("n=%d ef=%d: error %q does not name n", tc.n, tc.ef, o.err)
 					}
 					return
 				}
-				if err != nil {
-					t.Fatal(err)
+				if o.err != nil {
+					t.Fatal(o.err)
 				}
-				if g.NumVertices() < tc.n || g.NumEdges() != 0 {
-					t.Fatalf("n=%d ef=0: %d vertices, %d edges, want ≥ %d and 0", tc.n, g.NumVertices(), g.NumEdges(), tc.n)
+				if o.g.NumVertices() < tc.n || o.g.NumEdges() != 0 {
+					t.Fatalf("n=%d ef=0: %d vertices, %d edges, want ≥ %d and 0", tc.n, o.g.NumVertices(), o.g.NumEdges(), tc.n)
 				}
 			})
 		}

@@ -1,6 +1,10 @@
 package gen
 
-import "repro/internal/graph"
+import (
+	"math/bits"
+
+	"repro/internal/graph"
+)
 
 // GNM samples a graph uniformly from the G(n,m) Erdős–Rényi model: m
 // distinct undirected edges chosen uniformly at random, no self-loops. These
@@ -15,7 +19,7 @@ func GNM(n, m int, seed uint64) *graph.Graph {
 		m = int(maxEdges)
 	}
 	rng := NewRNG(seed)
-	seen := make(map[uint64]struct{}, m)
+	seen := newKeySet(m)
 	edges := make([]graph.Edge, 0, m)
 	for len(edges) < m {
 		u := rng.Uint64n(uint64(n))
@@ -26,12 +30,37 @@ func GNM(n, m int, seed uint64) *graph.Graph {
 		if u > v {
 			u, v = v, u
 		}
-		key := u*uint64(n) + v
-		if _, dup := seen[key]; dup {
+		if !seen.add(u*uint64(n) + v) {
 			continue
 		}
-		seen[key] = struct{}{}
 		edges = append(edges, graph.Edge{U: u, V: v})
 	}
 	return graph.FromEdges(n, edges)
+}
+
+// keySet is a set of nonzero keys in a flat open-addressing table with
+// linear probing, sized for its capacity at load ≤ 1/2. G(n,m)'s keys
+// u·n+v with u < v are never 0, which marks a free slot.
+type keySet struct {
+	slots []uint64
+	shift uint
+}
+
+func newKeySet(capacity int) keySet {
+	b := bits.Len64(2*uint64(max(capacity, 1)) - 1)
+	return keySet{slots: make([]uint64, 1<<b), shift: uint(64 - b)}
+}
+
+// add inserts key and reports whether it was absent.
+func (s *keySet) add(key uint64) bool {
+	mask := uint64(len(s.slots) - 1)
+	for i := key * splitMixGamma >> s.shift; ; i = (i + 1) & mask {
+		switch s.slots[i] {
+		case key:
+			return false
+		case 0:
+			s.slots[i] = key
+			return true
+		}
+	}
 }

@@ -2,6 +2,7 @@ package gen
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -10,7 +11,9 @@ import (
 // square, an edge between points at Euclidean distance < r. The radius is
 // chosen so that the expected number of edges is edgeFactor*n, matching the
 // paper's weak-scaling inputs (edgeFactor 16). Neighbor search uses a grid of
-// cells of side r, so generation is O(n + m) in expectation.
+// cells of side r, so generation is O(n + m) in expectation. Each vertex's
+// scan is independent: chunks of vertices scan on the workers, and their
+// edges join in vertex order.
 //
 // Because vertex IDs are assigned in row-major cell order, nearby IDs are
 // geometrically close: a contiguous 1D partition has small cuts. RGG is the
@@ -76,37 +79,42 @@ func RGG2D(n, edgeFactor int, seed uint64) *graph.Graph {
 	}
 
 	r2 := r * r
-	var edges []graph.Edge
-	for u := 0; u < n; u++ {
-		cx := int(px[u] / cell)
-		cy := int(py[u] / cell)
-		if cx >= cells {
-			cx = cells - 1
-		}
-		if cy >= cells {
-			cy = cells - 1
-		}
-		for dy := -1; dy <= 1; dy++ {
-			for dx := -1; dx <= 1; dx++ {
-				nx, ny := cx+dx, cy+dy
-				if nx < 0 || ny < 0 || nx >= cells || ny >= cells {
-					continue
-				}
-				c := ny*cells + nx
-				for v := bucketStart[c]; v < bucketStart[c+1]; v++ {
-					if v <= u {
+	bufs := make([][]graph.Edge, workers())
+	parts := inOrder(n, func(worker, lo, hi int) []graph.Edge {
+		edges := bufs[worker][:0]
+		for u := lo; u < hi; u++ {
+			cx := int(px[u] / cell)
+			cy := int(py[u] / cell)
+			if cx >= cells {
+				cx = cells - 1
+			}
+			if cy >= cells {
+				cy = cells - 1
+			}
+			for dy := -1; dy <= 1; dy++ {
+				for dx := -1; dx <= 1; dx++ {
+					nx, ny := cx+dx, cy+dy
+					if nx < 0 || ny < 0 || nx >= cells || ny >= cells {
 						continue
 					}
-					ddx := px[u] - px[v]
-					ddy := py[u] - py[v]
-					if ddx*ddx+ddy*ddy < r2 {
-						edges = append(edges, graph.Edge{U: uint64(u), V: uint64(v)})
+					c := ny*cells + nx
+					for v := bucketStart[c]; v < bucketStart[c+1]; v++ {
+						if v <= u {
+							continue
+						}
+						ddx := px[u] - px[v]
+						ddy := py[u] - py[v]
+						if ddx*ddx+ddy*ddy < r2 {
+							edges = append(edges, graph.Edge{U: uint64(u), V: uint64(v)})
+						}
 					}
 				}
 			}
 		}
-	}
-	return graph.FromEdges(n, edges)
+		bufs[worker] = edges
+		return slices.Clone(edges)
+	})
+	return graph.FromEdges(n, joinEdges(parts))
 }
 
 // sortByKey stably sorts order by keys (counting sort on small key ranges,

@@ -2,6 +2,7 @@ package gen
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/graph"
@@ -89,61 +90,72 @@ func RHG(cfg RHGConfig) *graph.Graph {
 		sinhRad[v] = math.Sinh(rd[v])
 	}
 
-	var edges []graph.Edge
-	for u := 0; u < n; u++ {
-		for b := 0; b < B; b++ {
-			members := bandIdx[b]
-			if len(members) == 0 {
-				continue
-			}
-			bandMin := float64(b) * R / B
-			// Maximum angular separation at which a point at the band's inner
-			// radius could still be within hyperbolic distance R of u.
-			dTheta := maxAngle(coshRad[u], sinhRad[u], bandMin, coshR)
-			if dTheta <= 0 {
-				continue
-			}
-			if dTheta >= math.Pi {
-				// Whole band is in range of the angular test; check all.
-				for _, v := range members {
-					if v > u && hypDistLE(coshRad[u], sinhRad[u], coshRad[v], sinhRad[v], th[u], th[v], coshR) {
-						edges = append(edges, graph.Edge{U: uint64(u), V: uint64(v)})
+	// The inner radius of band b and its cosh and sinh, once per band.
+	var coshBand, sinhBand [B]float64
+	for b := range coshBand {
+		bandMin := float64(b) * R / B
+		coshBand[b] = math.Cosh(bandMin)
+		sinhBand[b] = math.Sinh(bandMin)
+	}
+
+	bufs := make([][]graph.Edge, workers())
+	parts := inOrder(n, func(worker, u0, u1 int) []graph.Edge {
+		edges := bufs[worker][:0]
+		for u := u0; u < u1; u++ {
+			for b := 0; b < B; b++ {
+				members := bandIdx[b]
+				if len(members) == 0 {
+					continue
+				}
+				// Maximum angular separation at which a point at the band's
+				// inner radius could still be within hyperbolic distance R of u.
+				dTheta := maxAngle(coshRad[u], sinhRad[u], coshBand[b], sinhBand[b], coshR)
+				if dTheta <= 0 {
+					continue
+				}
+				if dTheta >= math.Pi {
+					// Whole band is in range of the angular test; check all.
+					for _, v := range members {
+						if v > u && hypDistLE(coshRad[u], sinhRad[u], coshRad[v], sinhRad[v], th[u], th[v], coshR) {
+							edges = append(edges, graph.Edge{U: uint64(u), V: uint64(v)})
+						}
+					}
+					continue
+				}
+				lo, hi := th[u]-dTheta, th[u]+dTheta
+				scan := func(a, b float64) {
+					start := sort.Search(len(members), func(i int) bool { return th[members[i]] >= a })
+					for i := start; i < len(members) && th[members[i]] <= b; i++ {
+						v := members[i]
+						if v > u && hypDistLE(coshRad[u], sinhRad[u], coshRad[v], sinhRad[v], th[u], th[v], coshR) {
+							edges = append(edges, graph.Edge{U: uint64(u), V: uint64(v)})
+						}
 					}
 				}
-				continue
-			}
-			lo, hi := th[u]-dTheta, th[u]+dTheta
-			scan := func(a, b float64) {
-				start := sort.Search(len(members), func(i int) bool { return th[members[i]] >= a })
-				for i := start; i < len(members) && th[members[i]] <= b; i++ {
-					v := members[i]
-					if v > u && hypDistLE(coshRad[u], sinhRad[u], coshRad[v], sinhRad[v], th[u], th[v], coshR) {
-						edges = append(edges, graph.Edge{U: uint64(u), V: uint64(v)})
-					}
+				// Handle wraparound of the angular window.
+				switch {
+				case lo < 0:
+					scan(0, hi)
+					scan(lo+2*math.Pi, 2*math.Pi)
+				case hi > 2*math.Pi:
+					scan(lo, 2*math.Pi)
+					scan(0, hi-2*math.Pi)
+				default:
+					scan(lo, hi)
 				}
-			}
-			// Handle wraparound of the angular window.
-			switch {
-			case lo < 0:
-				scan(0, hi)
-				scan(lo+2*math.Pi, 2*math.Pi)
-			case hi > 2*math.Pi:
-				scan(lo, 2*math.Pi)
-				scan(0, hi-2*math.Pi)
-			default:
-				scan(lo, hi)
 			}
 		}
-	}
-	return graph.FromEdges(n, edges)
+		bufs[worker] = edges
+		return slices.Clone(edges)
+	})
+	return graph.FromEdges(n, joinEdges(parts))
 }
 
 // maxAngle returns the largest Δθ at which a point with radius bandMin can be
 // within hyperbolic distance R (given as cosh R) of a point with the given
-// cosh/sinh radius; returns π if every angle qualifies.
-func maxAngle(coshRu, sinhRu, bandMin, coshR float64) float64 {
-	coshB := math.Cosh(bandMin)
-	sinhB := math.Sinh(bandMin)
+// cosh/sinh radius, bandMin given by its cosh and sinh; returns π if every
+// angle qualifies.
+func maxAngle(coshRu, sinhRu, coshB, sinhB, coshR float64) float64 {
 	if sinhRu*sinhB == 0 {
 		return math.Pi
 	}

@@ -15,9 +15,14 @@ type SplitMix64 struct {
 // NewRNG returns a SplitMix64 seeded with seed.
 func NewRNG(seed uint64) *SplitMix64 { return &SplitMix64{state: seed} }
 
+// splitMixGamma is SplitMix64's state increment: the state after k draws
+// from seed s is s + k·splitMixGamma, which is what lets a generator jump
+// ahead to any point of its stream.
+const splitMixGamma = 0x9E3779B97F4A7C15
+
 // Next returns the next 64 random bits.
 func (r *SplitMix64) Next() uint64 {
-	r.state += 0x9E3779B97F4A7C15
+	r.state += splitMixGamma
 	z := r.state
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
@@ -50,7 +55,7 @@ func (r *SplitMix64) Uint64n(n uint64) uint64 {
 // to derive per-vertex or per-chunk randomness without shared state, which is
 // what makes communication-free distributed generation possible.
 func Hash64(seed, i uint64) uint64 {
-	z := seed ^ (i+1)*0x9E3779B97F4A7C15
+	z := seed ^ (i+1)*splitMixGamma
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 	return z ^ (z >> 31)

@@ -20,6 +20,8 @@ var ownedPrefixes = []string{
 	"repro/internal/dist",
 	"repro/internal/comm",
 	"repro/internal/core",
+	"repro/internal/graph",
+	"repro/internal/gen",
 }
 
 // Check registers a cleanup that fails t if, after a settling window,
