@@ -97,14 +97,16 @@ func (g *Graph) Edges() []Edge {
 // 32-bit IDs: 4 B of scratch per adjacency entry. The scatter counts the
 // entries that land below their row's previous entry, and that count picks
 // how the rows get sorted:
-//   - Rows that arrive in random order (R-MAT, RHG, G(n,m)) are sorted by
+//   - Rows that arrive out of order (R-MAT's and G(n,m)'s at random, about
+//     half their entries below the one before; RHG's 11 %) are sorted by
 //     counting passes. Read as buckets, row x lists the owners whose rows
 //     hold x, so walking x in ascending order and appending x to each
 //     owner's row fills every row in ascending order, duplicates adjacent:
 //     one walk counts each row's distinct entries, a second one places them.
-//   - Rows that arrive nearly sorted (at most 1/8 of the entries below
-//     their predecessor, as RGG2D's) are sorted one row at a time, spread
-//     over runtime.GOMAXPROCS(0) workers. That reads faster there.
+//   - Rows that arrive (nearly) sorted, at most 1/32 of the entries below
+//     the one before (RGG2D's: none), are sorted one row at a time, spread
+//     over runtime.GOMAXPROCS(0) workers; a sorted row is only checked.
+//     That reads faster there, and on RHG's rows the counting passes do.
 //
 // Either way the adjacency array is allocated once, at its deduplicated
 // size. From 2³² vertices on the IDs do not fit the scratch, and the rows
@@ -151,7 +153,7 @@ func fromEdges(threads, n int, edges []Edge, how rowSort) *Graph {
 	}
 	rows := make([]uint32, off[n])
 	below := scatterRows(rows, off, pos, edges)
-	if how == sortPerRow || how == sortAuto && below <= off[n]/8 {
+	if how == sortPerRow || how == sortAuto && below <= off[n]/32 {
 		sortRows(threads, rows, off, pos)
 		adj := make([]Vertex, pos[n])
 		compactRows(threads, rows, off, pos, adj)
