@@ -91,15 +91,40 @@ func inOrder[R any](n int, fn func(worker, lo, hi int) R) []R {
 	return out
 }
 
-// joinEdges concatenates parts into one list of exactly their total length.
-func joinEdges(parts [][]graph.Edge) []graph.Edge {
+// scanVertices runs scan for every vertex u of [0, n), in chunks on the
+// workers, and returns the edges {u, v} for the neighbours v it appends, in
+// vertex order. Each chunk keeps only its neighbours, in a copy of exactly
+// their length; the edge list is allocated once, at its final size.
+func scanVertices(n int, scan func(u int, nbrs []graph.Vertex) []graph.Vertex) []graph.Edge {
+	type chunk struct {
+		lo, hi int
+		nbrs   []graph.Vertex
+	}
+	deg := make([]int, n)
+	bufs := make([][]graph.Vertex, workers())
+	chunks := inOrder(n, func(worker, lo, hi int) chunk {
+		nbrs := bufs[worker][:0]
+		for u := lo; u < hi; u++ {
+			k := len(nbrs)
+			nbrs = scan(u, nbrs)
+			deg[u] = len(nbrs) - k
+		}
+		bufs[worker] = nbrs
+		return chunk{lo, hi, slices.Clone(nbrs)}
+	})
 	total := 0
-	for _, p := range parts {
-		total += len(p)
+	for _, c := range chunks {
+		total += len(c.nbrs)
 	}
 	edges := make([]graph.Edge, 0, total)
-	for _, p := range parts {
-		edges = append(edges, p...)
+	for _, c := range chunks {
+		nbrs := c.nbrs
+		for u := c.lo; u < c.hi; u++ {
+			for _, v := range nbrs[:deg[u]] {
+				edges = append(edges, graph.Edge{U: uint64(u), V: v})
+			}
+			nbrs = nbrs[deg[u]:]
+		}
 	}
 	return edges
 }

@@ -288,6 +288,7 @@ func TestByFamilyHostileSizes(t *testing.T) {
 			{"huge-n*ef", math.MaxInt / 8, 16, false},
 			{"huge-n", math.MaxInt/2 + 2, 1, false},
 		} {
+			fam, tc := fam, tc // the goroutine below may outlive a failed subtest
 			t.Run(fam+"/"+tc.name, func(t *testing.T) {
 				type out struct {
 					g   *graph.Graph

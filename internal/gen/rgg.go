@@ -2,7 +2,6 @@ package gen
 
 import (
 	"math"
-	"slices"
 
 	"repro/internal/graph"
 )
@@ -79,42 +78,37 @@ func RGG2D(n, edgeFactor int, seed uint64) *graph.Graph {
 	}
 
 	r2 := r * r
-	bufs := make([][]graph.Edge, workers())
-	parts := inOrder(n, func(worker, lo, hi int) []graph.Edge {
-		edges := bufs[worker][:0]
-		for u := lo; u < hi; u++ {
-			cx := int(px[u] / cell)
-			cy := int(py[u] / cell)
-			if cx >= cells {
-				cx = cells - 1
-			}
-			if cy >= cells {
-				cy = cells - 1
-			}
-			for dy := -1; dy <= 1; dy++ {
-				for dx := -1; dx <= 1; dx++ {
-					nx, ny := cx+dx, cy+dy
-					if nx < 0 || ny < 0 || nx >= cells || ny >= cells {
+	edges := scanVertices(n, func(u int, nbrs []graph.Vertex) []graph.Vertex {
+		cx := int(px[u] / cell)
+		cy := int(py[u] / cell)
+		if cx >= cells {
+			cx = cells - 1
+		}
+		if cy >= cells {
+			cy = cells - 1
+		}
+		for dy := -1; dy <= 1; dy++ {
+			for dx := -1; dx <= 1; dx++ {
+				nx, ny := cx+dx, cy+dy
+				if nx < 0 || ny < 0 || nx >= cells || ny >= cells {
+					continue
+				}
+				c := ny*cells + nx
+				for v := bucketStart[c]; v < bucketStart[c+1]; v++ {
+					if v <= u {
 						continue
 					}
-					c := ny*cells + nx
-					for v := bucketStart[c]; v < bucketStart[c+1]; v++ {
-						if v <= u {
-							continue
-						}
-						ddx := px[u] - px[v]
-						ddy := py[u] - py[v]
-						if ddx*ddx+ddy*ddy < r2 {
-							edges = append(edges, graph.Edge{U: uint64(u), V: uint64(v)})
-						}
+					ddx := px[u] - px[v]
+					ddy := py[u] - py[v]
+					if ddx*ddx+ddy*ddy < r2 {
+						nbrs = append(nbrs, graph.Vertex(v))
 					}
 				}
 			}
 		}
-		bufs[worker] = edges
-		return slices.Clone(edges)
+		return nbrs
 	})
-	return graph.FromEdges(n, joinEdges(parts))
+	return graph.FromEdges(n, edges)
 }
 
 // sortByKey stably sorts order by keys (counting sort on small key ranges,

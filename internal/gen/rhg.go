@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"sort"
@@ -48,24 +49,14 @@ func RHG(cfg RHGConfig) *graph.Graph {
 	theta := make([]float64, n)
 	rad := make([]float64, n)
 	coshR := math.Cosh(R)
+	coshAlphaR := math.Cosh(alpha * R)
 	for i := 0; i < n; i++ {
 		theta[i] = 2 * math.Pi * HashFloat64(cfg.Seed, uint64(2*i))
 		// Inverse CDF of the radial density: F(r) = (cosh(αr)−1)/(cosh(αR)−1).
 		u := HashFloat64(cfg.Seed, uint64(2*i+1))
-		rad[i] = math.Acosh(1+u*(math.Cosh(alpha*R)-1)) / alpha
+		rad[i] = math.Acosh(1+u*(coshAlphaR-1)) / alpha
 	}
-	// Relabel by angle for ID locality.
-	ids := make([]int, n)
-	for i := range ids {
-		ids[i] = i
-	}
-	sort.Slice(ids, func(a, b int) bool { return theta[ids[a]] < theta[ids[b]] })
-	th := make([]float64, n)
-	rd := make([]float64, n)
-	for newID, oldID := range ids {
-		th[newID] = theta[oldID]
-		rd[newID] = rad[oldID]
-	}
+	th, rd := byAngle(theta, rad)
 
 	// Radial bands: band b spans radius [b·R/B, (b+1)·R/B). Points are already
 	// sorted by angle, so each band keeps a sorted angle index.
@@ -98,57 +89,52 @@ func RHG(cfg RHGConfig) *graph.Graph {
 		sinhBand[b] = math.Sinh(bandMin)
 	}
 
-	bufs := make([][]graph.Edge, workers())
-	parts := inOrder(n, func(worker, u0, u1 int) []graph.Edge {
-		edges := bufs[worker][:0]
-		for u := u0; u < u1; u++ {
-			for b := 0; b < B; b++ {
-				members := bandIdx[b]
-				if len(members) == 0 {
-					continue
-				}
-				// Maximum angular separation at which a point at the band's
-				// inner radius could still be within hyperbolic distance R of u.
-				dTheta := maxAngle(coshRad[u], sinhRad[u], coshBand[b], sinhBand[b], coshR)
-				if dTheta <= 0 {
-					continue
-				}
-				if dTheta >= math.Pi {
-					// Whole band is in range of the angular test; check all.
-					for _, v := range members {
-						if v > u && hypDistLE(coshRad[u], sinhRad[u], coshRad[v], sinhRad[v], th[u], th[v], coshR) {
-							edges = append(edges, graph.Edge{U: uint64(u), V: uint64(v)})
-						}
-					}
-					continue
-				}
-				lo, hi := th[u]-dTheta, th[u]+dTheta
-				scan := func(a, b float64) {
-					start := sort.Search(len(members), func(i int) bool { return th[members[i]] >= a })
-					for i := start; i < len(members) && th[members[i]] <= b; i++ {
-						v := members[i]
-						if v > u && hypDistLE(coshRad[u], sinhRad[u], coshRad[v], sinhRad[v], th[u], th[v], coshR) {
-							edges = append(edges, graph.Edge{U: uint64(u), V: uint64(v)})
-						}
+	edges := scanVertices(n, func(u int, nbrs []graph.Vertex) []graph.Vertex {
+		for b := 0; b < B; b++ {
+			members := bandIdx[b]
+			if len(members) == 0 {
+				continue
+			}
+			// Maximum angular separation at which a point at the band's
+			// inner radius could still be within hyperbolic distance R of u.
+			dTheta := maxAngle(coshRad[u], sinhRad[u], coshBand[b], sinhBand[b], coshR)
+			if dTheta <= 0 {
+				continue
+			}
+			if dTheta >= math.Pi {
+				// Whole band is in range of the angular test; check all.
+				for _, v := range members {
+					if v > u && hypDistLE(coshRad[u], sinhRad[u], coshRad[v], sinhRad[v], th[u], th[v], coshR) {
+						nbrs = append(nbrs, graph.Vertex(v))
 					}
 				}
-				// Handle wraparound of the angular window.
-				switch {
-				case lo < 0:
-					scan(0, hi)
-					scan(lo+2*math.Pi, 2*math.Pi)
-				case hi > 2*math.Pi:
-					scan(lo, 2*math.Pi)
-					scan(0, hi-2*math.Pi)
-				default:
-					scan(lo, hi)
+				continue
+			}
+			lo, hi := th[u]-dTheta, th[u]+dTheta
+			scan := func(a, b float64) {
+				start := sort.Search(len(members), func(i int) bool { return th[members[i]] >= a })
+				for i := start; i < len(members) && th[members[i]] <= b; i++ {
+					v := members[i]
+					if v > u && hypDistLE(coshRad[u], sinhRad[u], coshRad[v], sinhRad[v], th[u], th[v], coshR) {
+						nbrs = append(nbrs, graph.Vertex(v))
+					}
 				}
 			}
+			// Handle wraparound of the angular window.
+			switch {
+			case lo < 0:
+				scan(0, hi)
+				scan(lo+2*math.Pi, 2*math.Pi)
+			case hi > 2*math.Pi:
+				scan(lo, 2*math.Pi)
+				scan(0, hi-2*math.Pi)
+			default:
+				scan(lo, hi)
+			}
 		}
-		bufs[worker] = edges
-		return slices.Clone(edges)
+		return nbrs
 	})
-	return graph.FromEdges(n, joinEdges(parts))
+	return graph.FromEdges(n, edges)
 }
 
 // maxAngle returns the largest Δθ at which a point with radius bandMin can be
@@ -178,4 +164,38 @@ func hypDistLE(c1, s1, c2, s2, t1, t2, coshR float64) bool {
 	}
 	coshD := c1*c2 - s1*s2*math.Cos(dt)
 	return coshD <= coshR
+}
+
+// byAngle relabels the points in ascending angle, for ID locality, and
+// returns their angles and radii in the new order. Where two points share
+// an angle, sort.Slice's order of them is part of the graph, so sort.Slice
+// decides. With every angle distinct the order is unique, and a typed sort
+// of the points finds it faster; a tie at 53 bits is all but impossible.
+func byAngle(theta, rad []float64) (th, rd []float64) {
+	n := len(theta)
+	th, rd = make([]float64, n), make([]float64, n)
+	type point struct{ theta, rad float64 }
+	pts := make([]point, n)
+	for i := range pts {
+		pts[i] = point{theta[i], rad[i]}
+	}
+	slices.SortFunc(pts, func(a, b point) int { return cmp.Compare(a.theta, b.theta) })
+	tie := false
+	for i, p := range pts {
+		th[i], rd[i] = p.theta, p.rad
+		tie = tie || i > 0 && p.theta == pts[i-1].theta
+	}
+	if !tie {
+		return th, rd
+	}
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = i
+	}
+	sort.Slice(ids, func(a, b int) bool { return theta[ids[a]] < theta[ids[b]] })
+	for newID, oldID := range ids {
+		th[newID] = theta[oldID]
+		rd[newID] = rad[oldID]
+	}
+	return th, rd
 }
