@@ -53,6 +53,10 @@ func ByFamily(family string, n, edgeFactor int, seed uint64) (*graph.Graph, erro
 // scale could pass the word size.
 const maxUnits = min(math.MaxInt/16, 1<<44)
 
+// genChunk is the most items (vertices, or R-MAT samples) one chunk of a
+// generator's work covers, whatever the worker count.
+const genChunk = 1024
+
 // threads, when positive, overrides the generators' worker count; the
 // tests set it to show that no graph depends on it.
 var threads = 0
@@ -66,9 +70,10 @@ func workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// inOrder runs fn over [0, n) in chunks on the workers and returns the
-// chunks' results in the order of their ranges, whatever order they ran
-// in. fn receives the worker index, for per-worker scratch.
+// inOrder runs fn over [0, n) in chunks of at most genChunk items on the
+// workers and returns the chunks' results in the order of their ranges,
+// whatever order they ran in. fn receives the worker index, for per-worker
+// scratch.
 func inOrder[R any](n int, fn func(worker, lo, hi int) R) []R {
 	type chunk struct {
 		lo int
@@ -76,8 +81,11 @@ func inOrder[R any](n int, fn func(worker, lo, hi int) R) []R {
 	}
 	w := workers()
 	done := make([][]chunk, w)
-	graph.ParallelFor(w, n, func(worker, lo, hi int) {
-		done[worker] = append(done[worker], chunk{lo, fn(worker, lo, hi)})
+	graph.ParallelFor(w, n, func(worker, lo, end int) {
+		for ; lo < end; lo += genChunk {
+			hi := min(lo+genChunk, end)
+			done[worker] = append(done[worker], chunk{lo, fn(worker, lo, hi)})
+		}
 	})
 	var all []chunk
 	for _, d := range done {
