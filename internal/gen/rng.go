@@ -3,6 +3,20 @@
 // probabilities, 2D random geometric graphs, and random hyperbolic graphs
 // (KAGEN's models), plus a clustered web model, a road-network model and
 // deterministic graphs with closed-form triangle counts for testing.
+//
+// Like KAGEN's communication-free generators, each piece of a graph is
+// derived from the seed alone, so the pieces can be made in any order:
+// R-MAT, RGG2D and RHG split their work into fixed chunks (of samples, or
+// of vertices) that run on runtime.GOMAXPROCS(0) workers and join in chunk
+// order. An R-MAT chunk jumps ahead to its own point of the one SplitMix64
+// stream, because every sample draws the same number of values; an RGG2D
+// or RHG chunk scans its vertices' neighbourhoods, which depend only on the
+// points. G(n,m) keeps one sequential stream, as its accept/reject sequence
+// depends on every earlier draw. graph.FromEdges then sorts the rows by
+// counting passes (rows that arrive out of order) or one by one (rows that
+// arrive sorted), with 4 B of scratch per adjacency entry. Every graph is
+// bit-identical at any worker count: the tests pin each family's CSR
+// fingerprint at 1, 2, 3 and 8 workers.
 package gen
 
 // SplitMix64 is a tiny, fast, well-distributed PRNG. It is the standard

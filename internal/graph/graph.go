@@ -106,7 +106,8 @@ func (g *Graph) Edges() []Edge {
 //   - Rows that arrive (nearly) sorted, at most 1/32 of the entries below
 //     the one before (RGG2D's: none), are sorted one row at a time, spread
 //     over runtime.GOMAXPROCS(0) workers; a sorted row is only checked.
-//     That reads faster there, and on RHG's rows the counting passes do.
+//     On RGG2D's rows that reads faster than the counting passes, on RHG's
+//     slower.
 //
 // Either way the adjacency array is allocated once, at its deduplicated
 // size. From 2³² vertices on the IDs do not fit the scratch, and the rows
