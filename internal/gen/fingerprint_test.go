@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"sort"
 	"testing"
 
 	"repro/internal/graph"
@@ -127,34 +126,6 @@ func TestRMATLevelsMatchFloats(t *testing.T) {
 			gu, gv := lv.sample(got, scale)
 			if gu != wu || gv != wv {
 				t.Fatalf("A,B,C = %v, sample %d: (%d,%d), want (%d,%d)", p, i, gu, gv, wu, wv)
-			}
-		}
-	}
-}
-
-// TestByAngleKeepsSortSliceOrder: RHG's relabel is sort.Slice's order of
-// the points by angle, ties included, whichever sort byAngle takes.
-func TestByAngleKeepsSortSliceOrder(t *testing.T) {
-	for _, ties := range []bool{false, true} {
-		const n = 5000
-		theta, rad := make([]float64, n), make([]float64, n)
-		for i := range theta {
-			theta[i] = HashFloat64(7, uint64(i))
-			if ties {
-				theta[i] = float64(Hash64(7, uint64(i))%64) / 64
-			}
-			rad[i] = float64(i)
-		}
-		ids := make([]int, n)
-		for i := range ids {
-			ids[i] = i
-		}
-		sort.Slice(ids, func(a, b int) bool { return theta[ids[a]] < theta[ids[b]] })
-		th, rd := byAngle(theta, rad)
-		for newID, oldID := range ids {
-			if th[newID] != theta[oldID] || rd[newID] != rad[oldID] {
-				t.Fatalf("ties=%v: point %d is (%v, %v), want point %d (%v, %v)",
-					ties, newID, th[newID], rd[newID], oldID, theta[oldID], rad[oldID])
 			}
 		}
 	}

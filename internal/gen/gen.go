@@ -1,7 +1,6 @@
 package gen
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
@@ -41,9 +40,10 @@ func ByFamily(family string, n, edgeFactor int, seed uint64) (*graph.Graph, erro
 		return RMAT(cfg), nil
 	case "rgg2d":
 		return RGG2D(n, edgeFactor, seed), nil
-	default:
+	case "rhg":
 		return RHG(RHGConfig{N: n, AvgDegree: 2 * float64(edgeFactor), Gamma: 2.8, Seed: seed}), nil
 	}
+	panic("gen: family " + family + " passed the size check but has no generator")
 }
 
 // maxUnits bounds a family's vertex count and its vertex count times edge
@@ -70,32 +70,19 @@ func workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// inOrder runs fn over [0, n) in chunks of at most genChunk items on the
-// workers and returns the chunks' results in the order of their ranges,
-// whatever order they ran in. fn receives the worker index, for per-worker
+// inOrder runs fn over [0, n) in chunks of genChunk items, the last one
+// shorter, on the workers and returns the chunks' results in the order of
+// their ranges, whatever order they ran in. Each chunk runs on the worker
+// whose range holds its start, so the chunks do not depend on how
+// ParallelFor splits [0, n). fn receives the worker index, for per-worker
 // scratch.
 func inOrder[R any](n int, fn func(worker, lo, hi int) R) []R {
-	type chunk struct {
-		lo int
-		r  R
-	}
-	w := workers()
-	done := make([][]chunk, w)
-	graph.ParallelFor(w, n, func(worker, lo, end int) {
-		for ; lo < end; lo += genChunk {
-			hi := min(lo+genChunk, end)
-			done[worker] = append(done[worker], chunk{lo, fn(worker, lo, hi)})
+	out := make([]R, (n+genChunk-1)/genChunk)
+	graph.ParallelFor(workers(), n, func(worker, lo, end int) {
+		for c := (lo + genChunk - 1) / genChunk; c*genChunk < end; c++ {
+			out[c] = fn(worker, c*genChunk, min((c+1)*genChunk, n))
 		}
 	})
-	var all []chunk
-	for _, d := range done {
-		all = append(all, d...)
-	}
-	slices.SortFunc(all, func(a, b chunk) int { return cmp.Compare(a.lo, b.lo) })
-	out := make([]R, len(all))
-	for i, c := range all {
-		out[i] = c.r
-	}
 	return out
 }
 

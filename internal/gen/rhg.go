@@ -1,9 +1,7 @@
 package gen
 
 import (
-	"cmp"
 	"math"
-	"slices"
 	"sort"
 
 	"repro/internal/graph"
@@ -56,7 +54,18 @@ func RHG(cfg RHGConfig) *graph.Graph {
 		u := HashFloat64(cfg.Seed, uint64(2*i+1))
 		rad[i] = math.Acosh(1+u*(coshAlphaR-1)) / alpha
 	}
-	th, rd := byAngle(theta, rad)
+	// Relabel by angle for ID locality.
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = i
+	}
+	sort.Slice(ids, func(a, b int) bool { return theta[ids[a]] < theta[ids[b]] })
+	th := make([]float64, n)
+	rd := make([]float64, n)
+	for newID, oldID := range ids {
+		th[newID] = theta[oldID]
+		rd[newID] = rad[oldID]
+	}
 
 	// Radial bands: band b spans radius [b·R/B, (b+1)·R/B). Points are already
 	// sorted by angle, so each band keeps a sorted angle index.
@@ -164,38 +173,4 @@ func hypDistLE(c1, s1, c2, s2, t1, t2, coshR float64) bool {
 	}
 	coshD := c1*c2 - s1*s2*math.Cos(dt)
 	return coshD <= coshR
-}
-
-// byAngle relabels the points in ascending angle, for ID locality, and
-// returns their angles and radii in the new order. Where two points share
-// an angle, sort.Slice's order of them is part of the graph, so sort.Slice
-// decides. With every angle distinct the order is unique, and a typed sort
-// of the points finds it faster; a tie at 53 bits is all but impossible.
-func byAngle(theta, rad []float64) (th, rd []float64) {
-	n := len(theta)
-	th, rd = make([]float64, n), make([]float64, n)
-	type point struct{ theta, rad float64 }
-	pts := make([]point, n)
-	for i := range pts {
-		pts[i] = point{theta[i], rad[i]}
-	}
-	slices.SortFunc(pts, func(a, b point) int { return cmp.Compare(a.theta, b.theta) })
-	tie := false
-	for i, p := range pts {
-		th[i], rd[i] = p.theta, p.rad
-		tie = tie || i > 0 && p.theta == pts[i-1].theta
-	}
-	if !tie {
-		return th, rd
-	}
-	ids := make([]int, n)
-	for i := range ids {
-		ids[i] = i
-	}
-	sort.Slice(ids, func(a, b int) bool { return theta[ids[a]] < theta[ids[b]] })
-	for newID, oldID := range ids {
-		th[newID] = theta[oldID]
-		rd[newID] = rad[oldID]
-	}
-	return th, rd
 }
