@@ -29,10 +29,14 @@ type Plan struct {
 
 	// Per-frame fault probabilities in [0,1]. Faults are decided
 	// independently per frame in the order drop, duplicate, corrupt, delay;
-	// a dropped frame is gone (no later fault applies).
+	// a dropped frame is gone (no later fault applies). CorruptProb hits
+	// byte frames only: word frames carry control traffic alone, which has
+	// no codec layer to mis-decode, while every data frame (queue records,
+	// the ghost-degree rounds among them, and TK2D's block broadcasts) is a
+	// codec-encoded byte frame.
 	DropProb    float64
 	DupProb     float64
-	CorruptProb float64 // byte frames only: word-frame control traffic has no codec layer to mis-decode
+	CorruptProb float64
 	DelayProb   float64
 	// Delay is how long a delayed frame is withheld from the receiver.
 	Delay time.Duration

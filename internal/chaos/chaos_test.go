@@ -422,6 +422,30 @@ func TestTK2DCorruptBlockIsTyped(t *testing.T) {
 	}
 }
 
+// TestDegreeRequestCorruptIsTyped: the ghost-degree rounds travel as queue
+// byte frames, so corruption reaches them. A 1D engine's first data frame is
+// its degree request; with every byte frame corrupted, that request fails
+// the run as the same typed corrupt-frame cause as any other queue frame,
+// blaming a sender.
+func TestDegreeRequestCorruptIsTyped(t *testing.T) {
+	leakcheck.Check(t)
+	fx, _ := testgraph.ByName("rgg")
+	for _, algo := range []core.Algorithm{core.AlgoDiTric, core.AlgoCetric} {
+		t.Run(string(algo), func(t *testing.T) {
+			net := chaos.Wrap(transport.NewChanNetwork(chaosP), chaos.Plan{Seed: 13, CorruptProb: 1})
+			_, err := core.Run(algo, fx.Build(), chaosCfg(net))
+			re := typedAbort(t, err)
+			var cf *comm.CorruptFrameError
+			if re.Cause != dist.CauseCorrupt || !errors.As(re, &cf) {
+				t.Fatalf("cause = %s, want %s with a CorruptFrameError in the chain (err: %v)", re.Cause, dist.CauseCorrupt, re)
+			}
+			if cf.Src < 0 || cf.Src >= chaosP || cf.Src == re.Rank {
+				t.Fatalf("corrupt degree request blamed on rank %d by rank %d", cf.Src, re.Rank)
+			}
+		})
+	}
+}
+
 // TestStreamSilentCrash: the streaming entry point arms the same watchdogs
 // as the one-shot driver. The victim's crash is never reported by the
 // transport (DetectAfter < 0), so only the communication deadline can end

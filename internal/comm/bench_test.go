@@ -161,18 +161,6 @@ func BenchmarkBarrier(b *testing.B) {
 	}
 }
 
-// BenchmarkDenseExchange measures the degree-exchange primitive.
-func BenchmarkDenseExchange(b *testing.B) {
-	const p = 16
-	benchCluster(b, p, 0, false, func(rank int, c *Comm, q *Queue) {
-		data := make([][]uint64, p)
-		for dst := range data {
-			data[dst] = make([]uint64, 64)
-		}
-		c.DenseExchange(data)
-	})
-}
-
 // BenchmarkWireDecodeSteadyState times the receive side of the wire codec
 // on what DITRIC ships: 1024 sorted 16-entry A-lists, encoded with
 // DeltaVarint and decoded one by one into a reused arena, the way the queue

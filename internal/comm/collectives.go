@@ -6,6 +6,8 @@ import "fmt"
 // irrelevant to the measured quantities (they are metered as control
 // traffic), they only need to be correct on both transports. Every wait in
 // them goes through waitTag, so time blocked on a slower peer is IdleNs.
+// They carry no data: the ghost-degree rounds are queue channels (sparse,
+// codec-encoded, routable), and a Queue.Drain is their barrier.
 
 // Barrier blocks until every PE has entered it.
 func (c *Comm) Barrier() {
@@ -57,40 +59,6 @@ func (c *Comm) AllreduceSum(vec []uint64) []uint64 {
 		c.mustControl(dst, msg)
 	}
 	return acc
-}
-
-// DenseExchange performs a dense irregular all-to-all: data[j] goes to PE j
-// (may be empty or nil), and the result holds one slice per source PE. This
-// is the "simple dense all-to-all" the paper uses for the ghost degree
-// exchange; the traffic is metered as data.
-func (c *Comm) DenseExchange(data [][]uint64) [][]uint64 {
-	e := c.nextEpoch(kindDense)
-	p := c.Size()
-	if len(data) != p {
-		panic(fmt.Sprintf("comm: DenseExchange needs %d slices, got %d", p, len(data)))
-	}
-	me := c.Rank()
-	out := make([][]uint64, p)
-	for dst := 0; dst < p; dst++ {
-		if dst == me {
-			out[me] = append([]uint64(nil), data[me]...)
-			continue
-		}
-		msg := make([]uint64, 1+len(data[dst]))
-		msg[0] = tag(kindDense, e)
-		copy(msg[1:], data[dst])
-		c.M.PayloadWords += int64(len(data[dst]))
-		if err := c.sendData(dst, msg); err != nil {
-			raiseSendErr("dense exchange", dst, err)
-		}
-	}
-	for got := 1; got < p; got++ {
-		f := c.waitTag(tag(kindDense, e))
-		c.M.RecvFrames++
-		c.M.RecvWords += int64(len(f.Words))
-		out[f.Src] = f.Words[1:]
-	}
-	return out
 }
 
 func (c *Comm) mustControl(dst int, words []uint64) {

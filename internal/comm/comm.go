@@ -21,11 +21,8 @@ const (
 	kindRelease
 	kindReduce
 	kindBcast
-	kindDense
 	kindGroup
 )
-
-const kindMask = 0xffff
 
 func tag(kind, epoch uint64) uint64 { return kind | epoch<<16 }
 
@@ -148,16 +145,6 @@ func (c *Comm) nextEpoch(kind uint64) uint64 {
 	return e
 }
 
-// sendData ships a word-framed data frame (dense exchanges) and meters it;
-// word frames hit the wire uncompressed, so encoded equals raw bytes.
-func (c *Comm) sendData(dst int, words []uint64) error {
-	c.M.SentFrames++
-	c.M.SentWords += int64(len(words))
-	c.M.RawBytes += int64(8 * len(words))
-	c.M.EncodedBytes += int64(8 * len(words))
-	return c.ep.Send(dst, words)
-}
-
 // sendDataBytes ships a codec-encoded data frame. rawWords is the frame's
 // pre-encoding size in machine words (tag + envelopes + payloads), which
 // keeps SentWords — the paper's reported volume — codec-independent while
@@ -170,9 +157,9 @@ func (c *Comm) sendDataBytes(dst int, frame []byte, rawWords int) error {
 	return c.ep.SendBytes(dst, frame)
 }
 
-// notePeer records a distinct queue-level destination. Only aggregated
-// queue traffic counts: the dense collectives legitimately talk to every
-// PE, while the grid-indirection claim is about the queue's fan-out.
+// notePeer records a distinct data-frame destination. Every data frame is a
+// queue frame, so under grid indirection Peers is the O(√p) fan-out the
+// grid promises, whatever the frame carries.
 func (c *Comm) notePeer(dst int) {
 	if _, ok := c.peers[dst]; !ok {
 		c.peers[dst] = struct{}{}

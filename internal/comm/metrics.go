@@ -2,10 +2,10 @@
 // transport: the dynamically buffered message queue with per-destination
 // aggregation and threshold δ (§IV-A), grid-based indirect message delivery
 // (§IV-B), an asynchronous sparse all-to-all with distributed termination
-// detection, dense exchanges, and basic collectives. All traffic is metered
-// in messages and machine words, matching the paper's reported quantities,
-// and — since records are codec-encoded as they are queued (see codec.go) —
-// in raw vs encoded bytes on the wire.
+// detection, and basic collectives. All traffic is metered in messages and
+// machine words, matching the paper's reported quantities, and — since
+// records are codec-encoded as they are queued (see codec.go) — in raw vs
+// encoded bytes on the wire.
 package comm
 
 // Metrics counts one PE's communication. Frames and words are transport
@@ -41,9 +41,9 @@ type Metrics struct {
 
 	// IdleNs is the time (ns) this PE spent waiting inside Drain/DrainWith
 	// with no frame to process and no progress work to steal, or blocked in
-	// a collective (Barrier, AllreduceSum, DenseExchange) or a broadcast's
-	// Wait for a slower peer — the straggler-skew signal the overlapped
-	// pipeline exists to shrink.
+	// a collective (Barrier, AllreduceSum) or a broadcast's Wait for a
+	// slower peer — the straggler-skew signal the overlapped pipeline exists
+	// to shrink. The ghost-degree rounds wait in Drain.
 	IdleNs int64
 	// OverlapNs is CPU time (ns) this PE spent on global-phase receive work
 	// while it was still emitting shipments — before it entered the final

@@ -67,6 +67,14 @@ type Queue struct {
 
 	round uint64 // coordinator probe round
 
+	// epoch counts the Drains this queue has finished. Data, probe and
+	// termination frames carry it in their tags, so a PE still inside Drain
+	// k stashes what a peer already past it sends — the next phase's records
+	// and detector rounds — instead of dispatching them to handlers or a
+	// receiver structure that are not ready yet: back-to-back Drains need no
+	// barrier between them.
+	epoch uint64
+
 	// idleAt marks the start of the current idle episode inside
 	// Drain/DrainWith (zero when the PE last did useful work); episodes
 	// accumulate into Metrics.IdleNs.
@@ -236,7 +244,7 @@ func (q *Queue) append(hop, finalDst, origSrc, ch int, payload []uint64) {
 	q.encScratch = enc[:0]
 	f := &q.frames[hop]
 	if need := envHdr*binary.MaxVarintLen64 + len(enc); cap(f.b)-len(f.b) < need {
-		f.b = growFrame(f.b, need)
+		f.b = growFrame(f.b, need, q.dataTag())
 	}
 	f.b = binary.AppendUvarint(f.b, uint64(finalDst))
 	f.b = binary.AppendUvarint(f.b, uint64(origSrc))
@@ -258,11 +266,11 @@ func (q *Queue) append(hop, finalDst, origSrc, ch int, payload []uint64) {
 }
 
 // growFrame returns a frame with room for need more bytes: a new pooled one
-// holding the data tag, or b moved to a pooled buffer of at least twice its
-// capacity, its old array going back to the pool.
-func growFrame(b []byte, need int) []byte {
+// holding the data tag dt, or b moved to a pooled buffer of at least twice
+// its capacity, its old array going back to the pool.
+func growFrame(b []byte, need int, dt uint64) []byte {
 	if b == nil {
-		return binary.LittleEndian.AppendUint64(transport.GetBuf(8+need), tag(kindData, 0))
+		return binary.LittleEndian.AppendUint64(transport.GetBuf(8+need), dt)
 	}
 	nb := append(transport.GetBuf(max(2*cap(b), len(b)+need)), b...)
 	transport.PutBuf(b)
@@ -303,12 +311,16 @@ func (q *Queue) FlushIfOver(words int) bool {
 	return true
 }
 
-// Poll processes all currently pending data frames; it returns true if it
-// processed at least one.
+// dataTag is the tag of this epoch's data frames.
+func (q *Queue) dataTag() uint64 { return tag(kindData, q.epoch) }
+
+// Poll processes all currently pending data frames of this epoch; it
+// returns true if it processed at least one.
 func (q *Queue) Poll() bool {
 	any := false
+	dt := q.dataTag()
 	for {
-		f, ok := q.c.next(func(t uint64) bool { return t&kindMask == kindData })
+		f, ok := q.c.next(func(t uint64) bool { return t == dt })
 		if !ok {
 			return any
 		}
@@ -401,8 +413,11 @@ func (q *Queue) dispatch(ch, src int, payload []uint64) {
 
 // Drain flushes all buffers and processes incoming traffic until global
 // quiescence: no PE holds buffered records and every sent frame has been
-// received and processed. Every PE of the cluster must call Drain; rank 0
-// coordinates the four-counter termination protocol.
+// received and processed. Every PE of the cluster must call Drain, as often
+// as the others; rank 0 coordinates the four-counter termination protocol.
+// No PE returns before every PE has entered, and none dispatches a record a
+// peer sent after its own return (see epoch), so a Drain also serves as the
+// barrier between two phases.
 func (q *Queue) Drain() { q.DrainWith(nil) }
 
 // DrainWith is Drain with a progress callback for overlapped pipelines.
@@ -424,6 +439,7 @@ func (q *Queue) DrainWith(progress func() bool) {
 	} else {
 		q.drainWorker(progress)
 	}
+	q.epoch++
 	q.noteBusy()
 }
 
@@ -463,6 +479,8 @@ func (q *Queue) stall(progress func() bool) {
 
 func (q *Queue) drainCoordinator(progress func() bool) {
 	p := q.c.Size()
+	dt := q.dataTag()
+	replied := make([]bool, p)
 	var prevSent, prevRecv int64 = -1, -1
 	for {
 		// Make progress on data and keep our own buffers empty. Any idle
@@ -472,69 +490,81 @@ func (q *Queue) drainCoordinator(progress func() bool) {
 		q.Poll()
 		q.Flush()
 
-		// Probe round: collect (sent, recv) from everyone.
+		// Probe round: collect (sent, recv) from everyone, once each — a
+		// duplicated reply must not stand in for a missing one.
 		round := q.round
 		q.round++
 		for dst := 1; dst < p; dst++ {
-			if err := q.c.sendControl(dst, []uint64{tag(kindProbe, round)}); err != nil {
+			if err := q.c.sendControl(dst, []uint64{tag(kindProbe, q.epoch), round}); err != nil {
 				raiseSendErr("probe", dst, err)
 			}
 		}
+		clear(replied)
 		sumSent, sumRecv := q.sent, q.recv
+		reply := tag(kindReply, round)
 		for got := 1; got < p; {
-			f, ok := q.c.next(func(t uint64) bool {
-				return t == tag(kindReply, round) || t&kindMask == kindData
-			})
+			f, ok := q.c.next(func(t uint64) bool { return t == reply || t == dt })
 			if !ok {
 				q.stall(progress)
 				continue
 			}
 			q.noteBusy() // the wait ended on arrival; processing is not idle
-			if tagOf(f)&kindMask == kindData {
+			if tagOf(f) == dt {
 				q.processData(f)
 				q.Flush()
 				continue
 			}
+			if replied[f.Src] {
+				continue
+			}
+			replied[f.Src] = true
 			sumSent += int64(f.Words[1])
 			sumRecv += int64(f.Words[2])
 			got++
 		}
-		if sumSent == sumRecv && sumSent == prevSent && sumRecv == prevRecv {
-			for dst := 1; dst < p; dst++ {
-				if err := q.c.sendControl(dst, []uint64{tag(kindTerm, 0)}); err != nil {
-					raiseSendErr("term", dst, err)
-				}
+		// Counters only grow, so two rounds with equal sums saw every PE's
+		// counters unchanged in between: a consistent snapshot. Equal sums
+		// there mean quiescence; more frames received than sent mean the
+		// transport delivered one twice, which no later round can undo.
+		if sumSent == prevSent && sumRecv == prevRecv {
+			if sumRecv > sumSent {
+				panic(fmt.Errorf("comm: drain counted %d data frames received against %d sent: a frame was delivered twice",
+					sumRecv, sumSent))
 			}
-			return
+			if sumSent == sumRecv {
+				for dst := 1; dst < p; dst++ {
+					if err := q.c.sendControl(dst, []uint64{tag(kindTerm, q.epoch)}); err != nil {
+						raiseSendErr("term", dst, err)
+					}
+				}
+				return
+			}
 		}
 		prevSent, prevRecv = sumSent, sumRecv
 	}
 }
 
 func (q *Queue) drainWorker(progress func() bool) {
+	dt, probe, term := q.dataTag(), tag(kindProbe, q.epoch), tag(kindTerm, q.epoch)
 	for {
-		f, ok := q.c.next(func(t uint64) bool {
-			k := t & kindMask
-			return k == kindData || k == kindProbe || k == kindTerm
-		})
+		f, ok := q.c.next(func(t uint64) bool { return t == dt || t == probe || t == term })
 		if !ok {
 			q.stall(progress)
 			continue
 		}
 		q.noteBusy() // the wait ended on arrival; processing is not idle
-		switch tagOf(f) & kindMask {
-		case kindData:
+		switch tagOf(f) {
+		case dt:
 			q.processData(f)
-		case kindProbe:
+		case probe:
 			// Flush before reporting, so buffered forwards are visible in the
 			// counters (otherwise the protocol could terminate early).
 			q.Flush()
-			round := f.Words[0] >> 16
-			reply := []uint64{tag(kindReply, round), uint64(q.sent), uint64(q.recv)}
+			reply := []uint64{tag(kindReply, f.Words[1]), uint64(q.sent), uint64(q.recv)}
 			if err := q.c.sendControl(0, reply); err != nil {
 				raiseSendErr("reply", 0, err)
 			}
-		case kindTerm:
+		case term:
 			return
 		}
 	}

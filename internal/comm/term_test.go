@@ -1,8 +1,12 @@
 package comm
 
 import (
+	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
+
+	"repro/internal/transport"
 )
 
 // Termination-detection stress: handlers that trigger cascading sends,
@@ -119,5 +123,118 @@ func TestDrainManySmallPhases(t *testing.T) {
 	})
 	if total.Load() != 20 {
 		t.Fatalf("total = %d, want 20", total.Load())
+	}
+}
+
+// holdTermNet delays rank 0's termination frame to rank 2 by hold, so rank
+// 1 leaves a Drain, and ships its next phase's records, while rank 2 is
+// still inside it.
+type holdTermNet struct {
+	transport.Network
+	hold time.Duration
+}
+
+func (n holdTermNet) Endpoint(rank int) (transport.Endpoint, error) {
+	ep, err := n.Network.Endpoint(rank)
+	if err != nil || rank != 0 {
+		return ep, err
+	}
+	return holdTermEndpoint{Endpoint: ep, hold: n.hold}, nil
+}
+
+type holdTermEndpoint struct {
+	transport.Endpoint
+	hold time.Duration
+}
+
+func (e holdTermEndpoint) Send(dst int, words []uint64) error {
+	if dst == 2 && words[0]&0xffff == kindTerm {
+		time.Sleep(e.hold)
+	}
+	return e.Endpoint.Send(dst, words)
+}
+
+// TestDrainHoldsNextPhaseRecords: a PE still inside Drain does not dispatch
+// a record a peer sent after its own Drain returned. Rank 2 installs the
+// second phase's handler only once its first Drain is over, as the degree
+// rounds and the counting engines do; its first Drain sees rank 1's
+// second-phase record before its termination frame, and must leave it for
+// the second Drain.
+func TestDrainHoldsNextPhaseRecords(t *testing.T) {
+	const p = 3
+	net := holdTermNet{Network: transport.NewChanNetwork(p), hold: 50 * time.Millisecond}
+	defer net.Close()
+	var got [p]atomic.Int64
+	runCommsOn(t, net, p, func(rank int, c *Comm) {
+		q := NewQueue(c, 0, nil)
+		q.Drain()
+		q.Handle(1, func(src int, words []uint64) { got[rank].Add(int64(words[0])) })
+		if rank == 1 {
+			q.Send(1, 2, []uint64{7})
+			q.Flush()
+		}
+		q.Drain()
+	})
+	if got[2].Load() != 7 {
+		t.Fatalf("rank 2 received %d, want 7", got[2].Load())
+	}
+}
+
+// dupNet hands out endpoints whose rank-1 side delivers its first byte
+// frame twice, as a faulty transport might.
+type dupNet struct {
+	transport.Network
+	duped atomic.Bool
+}
+
+func (n *dupNet) Endpoint(rank int) (transport.Endpoint, error) {
+	ep, err := n.Network.Endpoint(rank)
+	if err != nil || rank != 1 {
+		return ep, err
+	}
+	return dupEndpoint{Endpoint: ep, n: n}, nil
+}
+
+type dupEndpoint struct {
+	transport.Endpoint
+	n *dupNet
+}
+
+func (e dupEndpoint) SendBytes(dst int, b []byte) error {
+	if e.n.duped.CompareAndSwap(false, true) {
+		if err := e.Endpoint.SendBytes(dst, append(transport.GetBuf(len(b)), b...)); err != nil {
+			return err
+		}
+	}
+	return e.Endpoint.SendBytes(dst, b)
+}
+
+// TestDrainRejectsDuplicatedFrame: a data frame delivered twice leaves more
+// frames received than sent for good. The detector's probe rounds keep
+// frames flowing, so the watchdog alone would never fire; the coordinator
+// must fail the Drain instead of probing forever, and the workers, probed no
+// more, then stop on their watchdog.
+func TestDrainRejectsDuplicatedFrame(t *testing.T) {
+	const p = 3
+	net := &dupNet{Network: transport.NewChanNetwork(p)}
+	defer net.Close()
+	errs := make([]any, p)
+	runCommsOn(t, net, p, func(rank int, c *Comm) {
+		defer func() { errs[rank] = recover() }()
+		c.SetDeadline(200 * time.Millisecond)
+		q := NewQueue(c, 0, nil)
+		q.Handle(0, func(int, []uint64) {})
+		if rank == 1 {
+			q.Send(0, 2, []uint64{1})
+		}
+		q.Drain()
+	})
+	if err, ok := errs[0].(error); !ok || !strings.Contains(err.Error(), "delivered twice") {
+		t.Fatalf("coordinator: recovered %v, want the duplicate-delivery verdict", errs[0])
+	}
+	for rank := 1; rank < p; rank++ {
+		if _, ok := errs[rank].(*WatchdogError); !ok {
+			t.Fatalf("rank %d: recovered %v, want a *WatchdogError", rank, errs[rank])
+		}
 	}
 }

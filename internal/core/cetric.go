@@ -18,7 +18,7 @@ import (
 func cetricFrom(pe *dist.PE, pl *plan, lg *graph.LocalGraph, out *peOutcome, sw *stopwatch) error {
 	cfg := pl.cfg
 	sw.phase(PhaseDegrees)
-	reqs := exchangeGhostDegrees(pe, lg, cfg.Threads)
+	reqs := exchangeGhostDegrees(pe, lg)
 	sw.phase(PhaseOrient)
 	// Expansion: orient every row, including ghosts (their visible
 	// neighborhoods are the rewired incoming cut edges).

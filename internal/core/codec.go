@@ -12,9 +12,9 @@ import (
 // delta-encoded instead of 8 raw.
 //
 //   - chNeigh / chNeighEdge ship sorted vertex-ID sequences (adjacency
-//     rows) → DeltaVarint.
+//     rows), and chDegReq an owner's ghosts in ID order → DeltaVarint.
 //   - chDelta ships (gid, Δ) pairs of small counts without exploitable
-//     order → Varint.
+//     order, chDeg and chOutDeg degrees in request order → Varint.
 //   - chAMQ / chDeltaF ship high-entropy words (Bloom filter blocks,
 //     Float64bits) that varints would expand past 8 bytes → Raw.
 //
@@ -28,6 +28,7 @@ var channelCodecs = func() [comm.MaxChannels]comm.Codec {
 	}
 	table[chNeigh] = comm.DeltaVarint
 	table[chNeighEdge] = comm.DeltaVarint
+	table[chDegReq] = comm.DeltaVarint
 	table[chAMQ] = comm.Raw
 	table[chDeltaF] = comm.Raw
 	return table

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
@@ -224,11 +225,10 @@ func TestDegreeExchangeRejectsHostileFrames(t *testing.T) {
 	}
 }
 
-// tamperNet hands out endpoints of inner whose rank-0 side passes the first
-// word frame longer than three words through tamper before sending it.
-// Under DITRIC on two PEs that is rank 0's degree-request frame, the first
-// half of the degree exchange: queue frames travel as bytes, and no control
-// frame is that long.
+// tamperNet hands out endpoints of inner whose rank-0 side passes its first
+// byte frame through tamper before sending it. Under DITRIC on two PEs that
+// is rank 0's degree request, the first record of the run: a queue frame
+// holding one chDegReq record.
 type tamperNet struct {
 	transport.Network
 	tamper   func([]uint64) []uint64
@@ -248,11 +248,35 @@ type tamperEndpoint struct {
 	n *tamperNet
 }
 
-func (e tamperEndpoint) Send(dst int, words []uint64) error {
-	if len(words) > 3 && e.n.tampered.CompareAndSwap(0, 1) {
-		words = e.n.tamper(words)
+// SendBytes decodes the frame's one record (tag, then the envelope
+// finalDst, origSrc, channel and payload length as uvarints, then the
+// payload in the channel's codec), tampers with its payload and re-encodes
+// the frame.
+func (e tamperEndpoint) SendBytes(dst int, b []byte) error {
+	if !e.n.tampered.CompareAndSwap(0, 1) {
+		return e.Endpoint.SendBytes(dst, b)
 	}
-	return e.Endpoint.Send(dst, words)
+	env := make([]uint64, 4)
+	pos := 8
+	for i := range env {
+		v, k := binary.Uvarint(b[pos:])
+		env[i], pos = v, pos+k
+	}
+	if env[2] != chDegReq || pos+int(env[3]) != len(b) {
+		panic(fmt.Sprintf("rank 0's first frame is not one degree request: envelope %v, %d bytes", env, len(b)))
+	}
+	codec := channelCodecs[chDegReq]
+	words, err := codec.AppendDecoded(nil, b[pos:])
+	if err != nil {
+		panic(err)
+	}
+	out := slices.Clone(b[:8])
+	for _, v := range env[:3] {
+		out = binary.AppendUvarint(out, v)
+	}
+	payload := codec.AppendEncoded(nil, e.n.tamper(words))
+	out = append(binary.AppendUvarint(out, uint64(len(payload))), payload...)
+	return e.Endpoint.SendBytes(dst, out)
 }
 
 // TestDegreeRequestRejectedEndToEnd: a degree request that names a vertex
@@ -264,9 +288,9 @@ func TestDegreeRequestRejectedEndToEnd(t *testing.T) {
 	g := fx.Build()
 	n := uint64(g.NumVertices())
 	for name, tamper := range map[string]func([]uint64) []uint64{
-		// words[0] is the frame tag, words[1] the first requested ghost.
-		"vertex n":         func(w []uint64) []uint64 { w[1] = n; return w },
-		"vertex of rank 0": func(w []uint64) []uint64 { w[1] = 0; return w },
+		// words[0] is the first requested ghost.
+		"vertex n":         func(w []uint64) []uint64 { w[0] = n; return w },
+		"vertex of rank 0": func(w []uint64) []uint64 { w[0] = 0; return w },
 	} {
 		t.Run(name, func(t *testing.T) {
 			net := &tamperNet{Network: transport.NewChanNetwork(2), tamper: tamper}
@@ -281,6 +305,60 @@ func TestDegreeRequestRejectedEndToEnd(t *testing.T) {
 				t.Fatalf("err = %v, want a corrupt-frame RunError blaming rank 0", err)
 			}
 		})
+	}
+}
+
+// ghostsByOwner returns, per rank r and owner o of pt, how many distinct
+// ghosts r holds of o: the length of r's degree request to o (0: none).
+func ghostsByOwner(g *graph.Graph, pt *part.Partition) [][]int {
+	counts := make([][]int, pt.P())
+	for r := range counts {
+		counts[r] = make([]int, pt.P())
+	}
+	for u := uint64(0); u < uint64(g.NumVertices()); u++ {
+		o := pt.Rank(u)
+		last := -1 // u's neighbours come in ID order, so their ranks ascend
+		for _, v := range g.Neighbors(u) {
+			if r := pt.Rank(v); r != o && r != last {
+				counts[r][o]++
+				last = r
+			}
+		}
+	}
+	return counts
+}
+
+// TestDegreeRoundsAreSparse: the ghost-degree exchange sends one request
+// frame to each owner of a PE's ghosts and one reply frame back, and no
+// frame to a PE that owns none of the sender's ghosts — so the degrees
+// phase ships exactly 2 × Σ_r (distinct owners of r's ghosts) frames, not
+// the 2·p(p − 1) of a dense exchange.
+func TestDegreeRoundsAreSparse(t *testing.T) {
+	const p = 16
+	fx, _ := testgraph.ByName("rgg")
+	g := fx.Build()
+	var owners int64
+	for _, row := range ghostsByOwner(g, part.Uniform(uint64(g.NumVertices()), p)) {
+		for _, k := range row {
+			if k > 0 {
+				owners++
+			}
+		}
+	}
+	if owners >= p*(p-1) {
+		t.Fatalf("every PE holds ghosts of every other (%d pairs): the fixture cannot tell sparse from dense", owners)
+	}
+	for _, algo := range []Algorithm{AlgoCetric, AlgoDiTric} {
+		res, err := Run(algo, g, Config{P: p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Count != fx.Triangles {
+			t.Fatalf("%s: count %d, want %d", algo, res.Count, fx.Triangles)
+		}
+		if got := res.PhaseComm[PhaseDegrees].TotalFrames; got != 2*owners {
+			t.Errorf("%s: the degrees phase sent %d frames, want 2 × %d (owner, requester) pairs", algo, got, owners)
+		}
 	}
 }
 

@@ -26,7 +26,7 @@ import (
 func ditricFrom(pe *dist.PE, pl *plan, lg *graph.LocalGraph, out *peOutcome, sw *stopwatch) error {
 	cfg := pl.cfg
 	sw.phase(PhaseDegrees)
-	reqs := exchangeGhostDegrees(pe, lg, cfg.Threads)
+	reqs := exchangeGhostDegrees(pe, lg)
 	sw.phase(PhaseOrient)
 	ori := graph.OrientLocalOnlyPar(lg, cfg.Threads)
 	rule := newWedgeRule(lg, ori.OutDegree)

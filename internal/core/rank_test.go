@@ -82,7 +82,7 @@ func ditricRecords(g *graph.Graph, pt *part.Partition, rank int) int64 {
 // TestRunRankMatchesSequential: the process-PE entry point agrees with the
 // sequential oracle on every rank, for 1D and 2D geometries alike, and the
 // "no aggregation" baseline really is unaggregated there too — δ = 1 makes
-// every shipped record its own flush.
+// every record, shipments and degree records alike, its own flush.
 func TestRunRankMatchesSequential(t *testing.T) {
 	for _, name := range []string{"K12", "rmat", "rgg"} {
 		fx, _ := testgraph.ByName(name)
@@ -103,8 +103,21 @@ func TestRunRankMatchesSequential(t *testing.T) {
 						return
 					}
 					pt := part.Uniform(uint64(g.NumVertices()), p)
+					ghosts := ghostsByOwner(g, pt)
 					for r, m := range metrics {
-						if want := ditricRecords(g, pt, r); m.Flushes != want {
+						// Besides its shipments a rank sends a degree request to
+						// each owner of its ghosts, and a degree and an
+						// out-degree reply to each PE that asked it.
+						want := ditricRecords(g, pt, r)
+						for o := range ghosts {
+							if ghosts[r][o] > 0 {
+								want++
+							}
+							if ghosts[o][r] > 0 {
+								want += 2
+							}
+						}
+						if m.Flushes != want {
 							t.Fatalf("rank %d flushed %d times for %d records", r, m.Flushes, want)
 						}
 					}

@@ -78,26 +78,28 @@ func tieInA(lg *graph.LocalGraph, y uint32, ax []graph.Vertex) bool {
 }
 
 // exchangeOutDegrees answers the requests the degree exchange received with
-// the d⁺ of the requested locals, and fills the ghost rows of dplus from the
-// owners' answers (applyOutDegreeReply). It is one DenseExchange, in which
-// every PE hears from every other, so no PE returns before all have entered:
-// the counting engines call it, with their handlers installed, where a
-// barrier would stand.
+// the d⁺ of the requested locals, one chOutDeg record per requester, and
+// fills the ghost rows of dplus from the owners' answers
+// (applyOutDegreeReply). Its Drain returns on no PE before every PE has
+// entered it, and no PE dispatches a record a peer sent after its own Drain
+// returned: the counting engines call it, with their handlers installed,
+// where a barrier would stand.
 func (gr ghostRequests) exchangeOutDegrees(pe *dist.PE, lg *graph.LocalGraph, dplus []int32) {
-	replies := make([][]uint64, pe.P)
+	pe.Q.Handle(chOutDeg, func(owner int, ds []uint64) {
+		applyOutDegreeReply(lg, owner, gr.sent[owner], ds, dplus)
+	})
+	var rep []uint64
 	for src, gids := range gr.got {
-		if src == pe.Rank || len(gids) == 0 {
+		if len(gids) == 0 {
 			continue
 		}
-		rep := make([]uint64, len(gids))
-		for k, gid := range gids {
-			rep[k] = uint64(dplus[gid-lg.First]) // a local: the degree exchange checked it
+		rep = rep[:0]
+		for _, gid := range gids {
+			rep = append(rep, uint64(dplus[gid-lg.First])) // a local: the degree exchange checked it
 		}
-		replies[src] = rep
+		pe.Q.Send(chOutDeg, src, rep)
 	}
-	for owner, ds := range pe.C.DenseExchange(replies) {
-		applyOutDegreeReply(lg, owner, gr.sent[owner], ds, dplus)
-	}
+	pe.Q.Drain()
 }
 
 // applyOutDegreeReply records in dplus the d⁺ owner sent back for the ghosts

@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/comm"
@@ -17,6 +17,9 @@ import (
 const (
 	chNeigh  = 0 // (v, A(v)) neighborhood shipments
 	chDelta  = 1 // (gid, Δ) ghost triangle-count aggregation (LCC)
+	chDegReq = 2 // a PE's ghosts owned by the receiver, ascending: a degree request
+	chDeg    = 3 // the degrees a chDegReq record asked for, in its order
+	chOutDeg = 4 // the d⁺ of the same ghosts, in the same order
 	chAMQ    = 5 // (v, |A(v)|, bloom words) approximate shipments
 	chDeltaF = 6 // (gid, Float64bits(Δ̂)) approximate ghost Δ aggregation
 	// chNeighEdge carries per-edge records (v, u, A(v)...) used when the
@@ -385,50 +388,37 @@ type ghostRequests struct {
 }
 
 // exchangeGhostDegrees implements exchange_ghost_degree (Algorithm 3 line 1)
-// with the dense all-to-all the paper defaults to. Reply construction — the
-// degree lookup per requested ghost, previously the last single-threaded
-// per-PE preprocess sub-phase — fans out over the same chunk-stealing
-// workers as the rest of the pipeline (graph.ParallelFor), flattened across
-// the per-source request lists so a few large requesters cannot serialize
-// the stage.
-func exchangeGhostDegrees(pe *dist.PE, lg *graph.LocalGraph, threads int) ghostRequests {
-	p := pe.P
-	reqs := make([][]uint64, p)
-	for _, g := range lg.Ghosts() {
-		owner := lg.Part.Rank(g)
-		reqs[owner] = append(reqs[owner], g)
-	}
-	gotReqs := pe.C.DenseExchange(reqs)
-	replies := make([][]uint64, p)
-	var srcs []int // sources with a non-empty request list
-	var offs []int // prefix offsets of their lists in the flattened index
-	total := 0
-	for src, list := range gotReqs {
-		if src == pe.Rank || len(list) == 0 {
-			continue
+// as one sparse round on the queue. A PE sends each owner of its ghosts one
+// chDegReq record, the ghosts it owns in ID order, and sends nothing to any
+// other PE. The owner's handler answers with their degrees in the same
+// order from inside the same Drain, whose termination detector counts the
+// replies a handler sends; the requester's handler applies them. Who asks
+// stays the requester: the owner never pushes degrees.
+func exchangeGhostDegrees(pe *dist.PE, lg *graph.LocalGraph) ghostRequests {
+	gr := ghostRequests{sent: make([][]uint64, pe.P), got: make([][]uint64, pe.P)}
+	var reply []uint64
+	pe.Q.Handle(chDegReq, func(src int, gids []uint64) {
+		reply = reply[:0]
+		for _, gid := range gids {
+			reply = append(reply, ownedDegree(lg, src, gid))
 		}
-		replies[src] = make([]uint64, len(list))
-		srcs = append(srcs, src)
-		offs = append(offs, total)
-		total += len(list)
-	}
-	graph.ParallelFor(threads, total, func(_, lo, hi int) {
-		// Locate the source span containing lo, then walk forward; a chunk
-		// crossing span boundaries continues into the next source.
-		si := sort.Search(len(offs), func(i int) bool { return offs[i] > lo }) - 1
-		for i := lo; i < hi; si++ {
-			src, base := srcs[si], offs[si]
-			list, rep := gotReqs[src], replies[src]
-			end := min(hi, base+len(list))
-			for ; i < end; i++ {
-				rep[i-base] = ownedDegree(lg, src, list[i-base])
-			}
-		}
+		gr.got[src] = slices.Clone(gids) // gids aliases the queue's decode arena
+		pe.Q.Send(chDeg, src, reply)
 	})
-	for owner, degs := range pe.C.DenseExchange(replies) {
-		applyDegreeReply(lg, owner, reqs[owner], degs)
+	pe.Q.Handle(chDeg, func(owner int, degs []uint64) {
+		applyDegreeReply(lg, owner, gr.sent[owner], degs)
+	})
+	ghosts := lg.Ghosts() // ascending, so each owner's ghosts are one run
+	for lo := 0; lo < len(ghosts); {
+		owner := lg.Part.Rank(ghosts[lo])
+		_, end := lg.Part.Range(owner)
+		hi, _ := slices.BinarySearch(ghosts, end)
+		gr.sent[owner] = ghosts[lo:hi:hi]
+		pe.Q.Send(chDegReq, owner, gr.sent[owner])
+		lo = hi
 	}
-	return ghostRequests{sent: reqs, got: gotReqs}
+	pe.Q.Drain()
+	return gr
 }
 
 // ownedDegree answers src's request for the degree of gid. A request for a

@@ -355,20 +355,17 @@ func streamBody(pe *dist.PE, pl *plan, feed <-chan feedItem, abortCh <-chan stru
 		return err
 	}
 	if feedDone {
-		// No insert batches anywhere (see above): skip the stream handler
-		// installation and its barrier entirely — every PE takes this exit,
-		// so no PE waits on the barrier below.
+		// No insert batches anywhere (see above): every PE takes this exit.
 		sw.stop()
 		return nil
 	}
 
 	// The initial count is globally quiescent here (the bodies end in
 	// Drain), so re-registering chNeighEdge cannot race an in-flight
-	// one-shot record; the barrier below guarantees every PE has its stream
-	// handler installed before any PE can send the first staged record.
+	// one-shot record, and a staged record a faster PE sends waits until
+	// this PE polls, which it does only after the handler is in.
 	ss := newStreamState(sb, pt.N())
 	pe.Q.Handle(chNeighEdge, ss.handle)
-	pe.C.Barrier()
 
 	for {
 		var item feedItem
@@ -388,13 +385,10 @@ func streamBody(pe *dist.PE, pl *plan, feed <-chan feedItem, abortCh <-chan stru
 		sb.Stage(item.edges, cfg.Threads)
 		sw.phase(PhaseStreamDelta)
 		ss.countStaged(pe, pt)
+		// Drain reaches global data quiescence for this batch, and it orders
+		// batches: a batch t+1 record a faster PE ships waits, stashed, for
+		// this PE's polls of batch t+1, after its own commit and staging.
 		pe.Q.Drain()
-		// Drain reached global data quiescence for this batch; the barrier
-		// additionally orders batches: no PE can stage —
-		// let alone ship — batch t+1 records before every PE has finished
-		// counting batch t, and incoming records only dispatch during this
-		// PE's own polls, which resume after its own t+1 staging.
-		pe.C.Barrier()
 		so.tuples = append(so.tuples, [3]uint64{ss.n0, ss.n1, ss.n2})
 		ss.n0, ss.n1, ss.n2 = 0, 0, 0
 		sw.phase(PhaseStreamCommit)
