@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"slices"
 
 	"repro/internal/graph"
@@ -12,28 +13,46 @@ import (
 
 // SeqCount counts triangles with the sequential EDGE ITERATOR on the
 // degree-oriented graph (COMPACT-FORWARD): for every v, N⁺(v) is marked in
-// a flag per vertex, each N⁺(u) with u ∈ N⁺(v) is scanned for marked
+// a byte per vertex, each N⁺(u) with u ∈ N⁺(v) is scanned for marked
 // members, and the marks are cleared again, so T = Σ_{(v,u)} |N⁺(v) ∩ N⁺(u)|.
-// It shares no kernel with the distributed engines it checks.
+// The vertices are split over runtime.GOMAXPROCS(0) workers, each with its
+// own n-byte mark and sum, and the sums are added at the end: beyond
+// graph.Orient's arrays it allocates one n-byte mark per worker. It shares
+// no kernel with the distributed engines it checks.
 func SeqCount(g *graph.Graph) uint64 {
+	return seqCount(runtime.GOMAXPROCS(0), g)
+}
+
+func seqCount(threads int, g *graph.Graph) uint64 {
 	o := graph.Orient(g)
-	mark := make([]bool, g.NumVertices())
-	var count uint64
-	for v := 0; v < g.NumVertices(); v++ {
-		nv := o.Out(graph.Vertex(v))
-		for _, u := range nv {
-			mark[u] = true
+	n := g.NumVertices()
+	marks := make([][]byte, max(threads, 1))
+	sums := make([]uint64, len(marks))
+	graph.ParallelFor(threads, n, func(worker, lo, hi int) {
+		if marks[worker] == nil {
+			marks[worker] = make([]byte, n)
 		}
-		for _, u := range nv {
-			for _, w := range o.Out(u) {
-				if mark[w] {
-					count++
+		mark := marks[worker]
+		var count uint64
+		for v := lo; v < hi; v++ {
+			nv := o.Out(graph.Vertex(v))
+			for _, u := range nv {
+				mark[u] = 1
+			}
+			for _, u := range nv {
+				for _, w := range o.Out(u) {
+					count += uint64(mark[w])
 				}
 			}
+			for _, u := range nv {
+				mark[u] = 0
+			}
 		}
-		for _, u := range nv {
-			mark[u] = false
-		}
+		sums[worker] += count
+	})
+	var count uint64
+	for _, s := range sums {
+		count += s
 	}
 	return count
 }
@@ -53,7 +72,8 @@ func SeqDeltas(g *graph.Graph) (uint64, []uint64) {
 }
 
 // SeqEnumerate calls fn for every triangle exactly once: SeqCount's loop
-// with a callback per closed wedge. The corner order within a call follows
+// with a callback per closed wedge, on one core, so that the callbacks come
+// in vertex order. The corner order within a call follows
 // the degree orientation (v ≺ u ≺ w).
 func SeqEnumerate(g *graph.Graph, fn func(v, u, w graph.Vertex)) {
 	o := graph.Orient(g)

@@ -50,6 +50,17 @@ func BenchmarkWebGraph(b *testing.B) {
 	})
 }
 
+// BenchmarkRoadNetwork builds the square grid of about n vertices.
+func BenchmarkRoadNetwork(b *testing.B) {
+	benchEach(b, func(n int, seed uint64) {
+		side := 1
+		for side*side < n {
+			side++
+		}
+		RoadNetwork(side, side, 0.3, seed)
+	})
+}
+
 func BenchmarkSplitMix64(b *testing.B) {
 	rng := NewRNG(1)
 	var x uint64

@@ -41,26 +41,31 @@ func Friendship(k int) *graph.Graph {
 
 // Grid2D returns a w×h grid graph (triangle-free).
 func Grid2D(w, h int) *graph.Graph {
-	id := func(x, y int) uint64 { return uint64(y*w + x) }
-	var edges []graph.Edge
+	return graph.FromEdges(w*h, gridEdges(w, h, 0))
+}
+
+// gridEdges lists the edges of the w×h grid, vertex (x, y) numbered
+// y·w + x, in a list with room for extra more.
+func gridEdges(w, h, extra int) []graph.Edge {
+	edges := make([]graph.Edge, 0, max(w-1, 0)*h+w*max(h-1, 0)+extra)
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
+			u := uint64(y*w + x)
 			if x+1 < w {
-				edges = append(edges, graph.Edge{U: id(x, y), V: id(x+1, y)})
+				edges = append(edges, graph.Edge{U: u, V: u + 1})
 			}
 			if y+1 < h {
-				edges = append(edges, graph.Edge{U: id(x, y), V: id(x, y+1)})
+				edges = append(edges, graph.Edge{U: u, V: u + uint64(w)})
 			}
 		}
 	}
-	return graph.FromEdges(w*h, edges)
+	return edges
 }
 
 // TriangularGrid returns a w×h grid with one diagonal per cell, giving
 // exactly 2·(w−1)·(h−1) triangles.
 func TriangularGrid(w, h int) *graph.Graph {
-	g := Grid2D(w, h)
-	edges := g.Edges()
+	edges := gridEdges(w, h, max(w-1, 0)*max(h-1, 0))
 	id := func(x, y int) uint64 { return uint64(y*w + x) }
 	for y := 0; y+1 < h; y++ {
 		for x := 0; x+1 < w; x++ {

@@ -238,6 +238,57 @@ func TestWebGraphClustering(t *testing.T) {
 	}
 }
 
+// webGraphOneStream is WebGraph's model drawn from one stream in its own
+// order, all host pairs and then all long links: the oracle for the
+// chunks that jump ahead in it.
+func webGraphOneStream(cfg WebConfig) *graph.Graph {
+	rng := NewRNG(cfg.Seed)
+	var edges []graph.Edge
+	for base := 0; base < cfg.N; base += cfg.HostSize {
+		end := min(base+cfg.HostSize, cfg.N)
+		for u := base; u < end; u++ {
+			for v := u + 1; v < end; v++ {
+				if rng.Float64() < cfg.IntraP {
+					edges = append(edges, graph.Edge{U: uint64(u), V: uint64(v)})
+				}
+			}
+		}
+	}
+	for u := 0; u < cfg.N; u++ {
+		for k := 0; k < cfg.LongFactor; k++ {
+			t := rng.Float64()
+			if v := min(int(t*t*float64(cfg.N)), cfg.N-1); v != u {
+				edges = append(edges, graph.Edge{U: uint64(u), V: uint64(v)})
+			}
+		}
+	}
+	return graph.FromEdges(cfg.N, edges)
+}
+
+// TestWebGraphChunksMatchOneStream checks WebGraph's jump-ahead chunks
+// against one stream at 1, 2, 3 and 8 workers, on host sizes that do and
+// do not divide the chunk size, so hosts straddle chunks, with a short last
+// host, and on graphs of one chunk and of a few.
+func TestWebGraphChunksMatchOneStream(t *testing.T) {
+	defer func(saved int) { threads = saved }(threads)
+	for _, cfg := range []WebConfig{
+		{N: 5000, HostSize: 24, IntraP: 0.3, LongFactor: 3, Seed: 7},
+		{N: 4096, HostSize: 32, IntraP: 0.4, LongFactor: 3, Seed: 42},
+		{N: 3001, HostSize: 700, IntraP: 0.05, LongFactor: 1, Seed: 1},
+		{N: 2500, HostSize: 1, IntraP: 0.5, LongFactor: 4, Seed: 9},
+		{N: 300, HostSize: 7, IntraP: 1, LongFactor: 0, Seed: 2},
+		{N: 0, HostSize: 16, IntraP: 0.5, LongFactor: 3, Seed: 3},
+	} {
+		want := fingerprint(webGraphOneStream(cfg))
+		for _, w := range []int{1, 2, 3, 8} {
+			threads = w
+			if got := fingerprint(WebGraph(cfg)); got != want {
+				t.Errorf("%+v at %d workers: fingerprint %016x, one stream %016x", cfg, w, got, want)
+			}
+		}
+	}
+}
+
 func TestRoadNetworkProfile(t *testing.T) {
 	g := RoadNetwork(32, 32, 0.05, 9)
 	avg := 2 * float64(g.NumEdges()) / float64(g.NumVertices())

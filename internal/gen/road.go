@@ -4,10 +4,12 @@ import "repro/internal/graph"
 
 // RoadNetwork builds a w×h grid with a random diagonal added in each cell
 // with probability diagP — low uniform degree and very few triangles, the
-// profile of the DIMACS usa/europe road networks.
+// profile of the DIMACS usa/europe road networks. Whether a cell gets a
+// diagonal, and which, takes one or two draws, so the cells run in order on
+// one stream; the grid and diagonal edges go into one list, allocated once
+// at its largest size.
 func RoadNetwork(w, h int, diagP float64, seed uint64) *graph.Graph {
-	g := Grid2D(w, h)
-	edges := g.Edges()
+	edges := gridEdges(w, h, max(w-1, 0)*max(h-1, 0))
 	rng := NewRNG(seed)
 	id := func(x, y int) uint64 { return uint64(y*w + x) }
 	for y := 0; y+1 < h; y++ {

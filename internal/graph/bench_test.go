@@ -33,14 +33,6 @@ func BenchmarkFromEdges(b *testing.B) {
 	}
 }
 
-func BenchmarkOrient(b *testing.B) {
-	g := benchGraph()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Orient(g)
-	}
-}
-
 func BenchmarkHasEdge(b *testing.B) {
 	g := benchGraph()
 	b.ResetTimer()

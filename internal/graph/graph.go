@@ -81,10 +81,38 @@ func (g *Graph) ForEachEdge(fn func(u, v Vertex)) {
 	}
 }
 
-// Edges returns all undirected edges in canonical (u < v) order.
+// Edges returns all undirected edges in canonical (u < v) order, the order
+// ForEachEdge calls them in, built on runtime.GOMAXPROCS(0) workers: one
+// binary search per row finds its entries above u (rows are sorted), a
+// prefix sum places the rows, and each row's suffix is written into its
+// stretch of the list. Beyond the m-edge list it allocates n+1 row offsets.
 func (g *Graph) Edges() []Edge {
-	es := make([]Edge, 0, g.NumEdges())
-	g.ForEachEdge(func(u, v Vertex) { es = append(es, Edge{u, v}) })
+	return g.edges(runtime.GOMAXPROCS(0))
+}
+
+func (g *Graph) edges(threads int) []Edge {
+	n := g.NumVertices()
+	pos := make([]int, n+1)
+	ParallelFor(threads, n, func(_, lo, hi int) {
+		for u := lo; u < hi; u++ {
+			nb := g.Neighbors(Vertex(u))
+			i, _ := slices.BinarySearch(nb, Vertex(u)+1)
+			pos[u+1] = len(nb) - i
+		}
+	})
+	for u := 0; u < n; u++ {
+		pos[u+1] += pos[u]
+	}
+	es := make([]Edge, pos[n])
+	ParallelFor(threads, n, func(_, lo, hi int) {
+		for u := lo; u < hi; u++ {
+			nb := g.Neighbors(Vertex(u))
+			row := es[pos[u]:pos[u+1]]
+			for i, v := range nb[len(nb)-len(row):] {
+				row[i] = Edge{Vertex(u), v}
+			}
+		}
+	})
 	return es
 }
 

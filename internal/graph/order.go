@@ -1,5 +1,7 @@
 package graph
 
+import "runtime"
+
 // The degree-based total order ≺ from COMPACT-FORWARD (Latapy):
 //
 //	u ≺ v  ⇔  d(u) < d(v), or d(u) == d(v) and u < v.
@@ -39,31 +41,48 @@ type OutGraph struct {
 	out []Vertex
 }
 
-// Orient builds the COMPACT-FORWARD orientation of g. The placement pass
-// writes every neighbor and advances by precedes; a write past a row's kept
-// prefix lands on the next row's first slot, which that row overwrites, and
-// out has one slot of slack for the last row's.
+// Orient builds the COMPACT-FORWARD orientation of g on
+// runtime.GOMAXPROCS(0) workers. A count pass sizes every row, a sequential
+// prefix sum lays the rows out, and a placement pass writes every neighbour
+// and advances by precedes. A row stops once its kept prefix is full, so no
+// write lands past its own row, where another worker may be placing the
+// next one. It allocates only the two arrays it returns, the same at any
+// worker count.
 func Orient(g *Graph) *OutGraph {
+	return orient(runtime.GOMAXPROCS(0), g)
+}
+
+func orient(threads int, g *Graph) *OutGraph {
 	n := g.NumVertices()
 	off := make([]int64, n+1)
-	for v := 0; v < n; v++ {
-		dv := g.Degree(Vertex(v))
-		cnt := uint64(0)
-		for _, u := range g.Neighbors(Vertex(v)) {
-			cnt += precedes(dv, Vertex(v), g.Degree(u), u)
+	ParallelFor(threads, n, func(_, lo, hi int) {
+		for v := lo; v < hi; v++ {
+			dv := g.Degree(Vertex(v))
+			cnt := uint64(0)
+			for _, u := range g.Neighbors(Vertex(v)) {
+				cnt += precedes(dv, Vertex(v), g.Degree(u), u)
+			}
+			off[v+1] = int64(cnt)
 		}
-		off[v+1] = off[v] + int64(cnt)
-	}
-	out := make([]Vertex, off[n]+1)
+	})
 	for v := 0; v < n; v++ {
-		dv := g.Degree(Vertex(v))
-		w := off[v]
-		for _, u := range g.Neighbors(Vertex(v)) {
-			out[w] = u
-			w += int64(precedes(dv, Vertex(v), g.Degree(u), u))
-		}
+		off[v+1] += off[v]
 	}
-	return &OutGraph{off: off, out: out[:off[n]]}
+	out := make([]Vertex, off[n])
+	ParallelFor(threads, n, func(_, lo, hi int) {
+		for v := lo; v < hi; v++ {
+			dv := g.Degree(Vertex(v))
+			w, end := off[v], off[v+1]
+			for _, u := range g.Neighbors(Vertex(v)) {
+				if w == end {
+					break
+				}
+				out[w] = u
+				w += int64(precedes(dv, Vertex(v), g.Degree(u), u))
+			}
+		}
+	})
+	return &OutGraph{off: off, out: out}
 }
 
 // NumVertices returns n.

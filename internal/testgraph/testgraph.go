@@ -8,6 +8,8 @@
 package testgraph
 
 import (
+	"fmt"
+
 	"repro/internal/gen"
 	"repro/internal/graph"
 )
@@ -55,6 +57,48 @@ func ByName(name string) (Graph, bool) {
 		}
 	}
 	return Graph{}, false
+}
+
+// Input is a generated graph of a given size, with no precomputed count.
+type Input struct {
+	Name  string
+	Build func() *graph.Graph
+}
+
+// Sized lists one graph per generator family on n vertices or more (R-MAT
+// rounds n up to a power of two): gnm, rmat, rgg2d and rhg at edge factor
+// 16, web and road. At n ≥ 4096 every one spans several of
+// graph.ParallelFor's 1024-vertex chunks, so a pass over its vertices runs
+// on concurrent workers; a graph of one chunk runs inline, and -race then
+// sees nothing.
+func Sized(n int) []Input {
+	in := make([]Input, 0, 6)
+	for _, fam := range []string{"gnm", "rmat", "rgg2d", "rhg"} {
+		in = append(in, family(fam, n))
+	}
+	side := 1
+	for side*side < n {
+		side++
+	}
+	return append(in,
+		Input{fmt.Sprintf("web/n=%d", n), func() *graph.Graph {
+			return gen.WebGraph(gen.WebConfig{N: n, HostSize: 32, IntraP: 0.4, LongFactor: 3, Seed: 42})
+		}},
+		Input{fmt.Sprintf("road/n=%d", side*side), func() *graph.Graph { return gen.RoadNetwork(side, side, 0.3, 42) }})
+}
+
+// Bench lists the graphs of the benchmark's rows, at their sizes (seed 42):
+// R-MAT 2¹⁶, RGG2D 2¹⁷, RHG 2¹⁷ and G(n,m) 2¹⁵, all at edge factor 16.
+var Bench = []Input{family("rmat", 1<<16), family("rgg2d", 1<<17), family("rhg", 1<<17), family("gnm", 1<<15)}
+
+func family(fam string, n int) Input {
+	return Input{fmt.Sprintf("%s/n=%d", fam, n), func() *graph.Graph {
+		g, err := gen.ByFamily(fam, n, 16, 42)
+		if err != nil {
+			panic(err)
+		}
+		return g
+	}}
 }
 
 // Map builds every fixture keyed by name (the shape the core cross-
