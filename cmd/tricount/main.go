@@ -78,7 +78,7 @@ func run() (err error) {
 
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if err := checkModeFlags(set, *stream, *approx, *batch); err != nil {
+	if err := checkModeFlags(set, *algoName, *stream, *approx, *batch); err != nil {
 		return err
 	}
 
@@ -278,14 +278,18 @@ func checkTCPRank(set map[string]bool) error {
 }
 
 // checkModeFlags rejects the set flags the chosen mode would ignore or
-// misread: -batch without -stream, -bits without -approx, and a negative
-// -batch (0 already picks the default size).
-func checkModeFlags(set map[string]bool, stream, approx bool, batch int) error {
+// misread: -batch without -stream, -bits without -approx, -overlap with an
+// algorithm that has no overlapped schedule, and a negative -batch (0
+// already picks the default size).
+func checkModeFlags(set map[string]bool, algo string, stream, approx bool, batch int) error {
 	if set["batch"] && !stream {
 		return fmt.Errorf("-batch needs -stream")
 	}
 	if set["bits"] && !approx {
 		return fmt.Errorf("-bits needs -approx")
+	}
+	if set["overlap"] && (algo == "tk2d" || algo == "tric" || algo == "seq") {
+		return fmt.Errorf("-overlap needs a DITRIC or CETRIC counting pipeline, not -algo %s", algo)
 	}
 	if batch < 0 {
 		return fmt.Errorf("-batch %d is negative (0 picks the default size)", batch)

@@ -109,12 +109,14 @@ func TestCheckTCPRank(t *testing.T) {
 }
 
 // TestCheckModeFlags: a flag the chosen mode would ignore — -batch without
-// -stream, -bits without -approx — or a negative -batch is an error naming
-// the flag; each flag in its own mode, and no flag at all, passes.
+// -stream, -bits without -approx, -overlap on an algorithm with no
+// overlapped schedule — or a negative -batch is an error naming the flag;
+// each flag in its own mode, and no flag at all, passes.
 func TestCheckModeFlags(t *testing.T) {
 	for _, tc := range []struct {
 		name           string
 		set            []string
+		algo           string // -algo; empty is the default, cetric
 		stream, approx bool
 		batch          int
 		err            string // non-empty: the error must contain it
@@ -128,12 +130,18 @@ func TestCheckModeFlags(t *testing.T) {
 		{name: "-bits 4", set: []string{"bits"}, err: "-bits"},
 		{name: "-stream -bits 4", set: []string{"stream", "bits"}, stream: true, err: "-bits"},
 		{name: "-stream -batch -5", set: []string{"stream", "batch"}, stream: true, batch: -5, err: "-batch -5"},
+		{name: "-overlap -algo cetric", set: []string{"overlap"}, algo: "cetric"},
+		{name: "-overlap -algo noagg", set: []string{"overlap"}, algo: "noagg"},
+		{name: "-overlap -approx", set: []string{"overlap", "approx"}, algo: "cetric", approx: true},
+		{name: "-overlap -algo tk2d", set: []string{"overlap"}, algo: "tk2d", err: "-overlap"},
+		{name: "-overlap -algo tric", set: []string{"overlap"}, algo: "tric", err: "-overlap"},
+		{name: "-overlap -algo seq", set: []string{"overlap"}, algo: "seq", err: "-overlap"},
 	} {
 		set := map[string]bool{}
 		for _, name := range tc.set {
 			set[name] = true
 		}
-		err := checkModeFlags(set, tc.stream, tc.approx, tc.batch)
+		err := checkModeFlags(set, tc.algo, tc.stream, tc.approx, tc.batch)
 		if tc.err == "" && err != nil {
 			t.Errorf("%s: %v", tc.name, err)
 		}
@@ -171,6 +179,29 @@ func TestUnknownAlgoExitsBeforeTheGraph(t *testing.T) {
 	}
 	if strings.Contains(stdout.String(), "graph:") {
 		t.Fatalf("the graph was built before -algo was resolved: stdout %q", stdout.String())
+	}
+}
+
+// TestOverlapWithoutPipelineExitsBeforeTheGraph: -overlap selects a
+// schedule of the DITRIC/CETRIC counting pipeline, so with -algo tk2d, tric
+// or seq it is an error before anything is generated — exit 1 naming the
+// flag, and no "graph:" line.
+func TestOverlapWithoutPipelineExitsBeforeTheGraph(t *testing.T) {
+	for _, algo := range []string{"tk2d", "tric", "seq"} {
+		cmd := exec.Command(os.Args[0], "tricount", "-algo", algo, "-overlap", "-gen", "rmat", "-n", "256", "-p", "4")
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Fatalf("-algo %s: exit %v, want status 1 (stderr %q)", algo, err, stderr.String())
+		}
+		if !strings.Contains(stderr.String(), "tricount: -overlap") {
+			t.Fatalf("-algo %s: stderr %q, want an error naming -overlap", algo, stderr.String())
+		}
+		if strings.Contains(stdout.String(), "graph:") {
+			t.Fatalf("-algo %s: the graph was built before -overlap was checked: stdout %q", algo, stdout.String())
+		}
 	}
 }
 

@@ -1,6 +1,10 @@
 package comm
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/transport"
+)
 
 // Collectives. Simple coordinator-rooted implementations: their cost is
 // irrelevant to the measured quantities (they are metered as control
@@ -37,7 +41,8 @@ func (c *Comm) AllreduceSum(vec []uint64) []uint64 {
 		copy(msg[1:], vec)
 		c.mustControl(0, msg)
 		f := c.waitTag(tag(kindBcast, e))
-		out := make([]uint64, len(f.Words)-1)
+		checkReduceLen(f, len(vec))
+		out := make([]uint64, len(vec))
 		copy(out, f.Words[1:])
 		return out
 	}
@@ -45,9 +50,7 @@ func (c *Comm) AllreduceSum(vec []uint64) []uint64 {
 	copy(acc, vec)
 	for got := 1; got < p; got++ {
 		f := c.waitTag(tag(kindReduce, e))
-		if len(f.Words)-1 != len(acc) {
-			panic(fmt.Sprintf("comm: allreduce length mismatch: %d vs %d", len(f.Words)-1, len(acc)))
-		}
+		checkReduceLen(f, len(acc))
 		for i, w := range f.Words[1:] {
 			acc[i] += w
 		}
@@ -59,6 +62,15 @@ func (c *Comm) AllreduceSum(vec []uint64) []uint64 {
 		c.mustControl(dst, msg)
 	}
 	return acc
+}
+
+// checkReduceLen rejects an allreduce frame (a contribution or the result)
+// whose vector is not n words long.
+func checkReduceLen(f transport.Frame, n int) {
+	if len(f.Words)-1 != n {
+		panic(&CorruptFrameError{Src: f.Src,
+			Reason: fmt.Sprintf("allreduce length mismatch: %d vs %d", len(f.Words)-1, n)})
+	}
 }
 
 func (c *Comm) mustControl(dst int, words []uint64) {

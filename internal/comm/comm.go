@@ -3,6 +3,7 @@ package comm
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"runtime"
 	"time"
 
@@ -27,12 +28,41 @@ const (
 func tag(kind, epoch uint64) uint64 { return kind | epoch<<16 }
 
 // tagOf extracts the demultiplexing tag from either frame shape: word 0 of a
-// word frame, the first 8 little-endian bytes of a byte frame.
+// word frame, the first 8 little-endian bytes of a byte frame. Only frames
+// checkedTag passed reach it.
 func tagOf(f transport.Frame) uint64 {
 	if f.Bytes != nil {
 		return binary.LittleEndian.Uint64(f.Bytes)
 	}
 	return f.Words[0]
+}
+
+// checkedTag returns f's tag, rejecting a frame whose tag cannot be read,
+// whose kind is none of comm's, or whose shape does not fit its kind: data
+// and group frames are byte frames, every other kind a word frame. A peer
+// past the transport's handshake can send any of these, so each is a typed
+// *CorruptFrameError, not an index panic in the reader the tag would route
+// it to.
+func checkedTag(f transport.Frame) uint64 {
+	var reason string
+	switch {
+	case f.Bytes != nil && len(f.Bytes) < 8:
+		reason = fmt.Sprintf("%d-byte frame has no tag", len(f.Bytes))
+	case f.Bytes == nil && len(f.Words) == 0:
+		reason = "empty word frame has no tag"
+	default:
+		t := tagOf(f)
+		kind := t & 0xffff
+		switch {
+		case kind < kindData || kind > kindGroup:
+			reason = fmt.Sprintf("unknown frame kind %d", kind)
+		case (kind == kindData || kind == kindGroup) != (f.Bytes != nil):
+			reason = fmt.Sprintf("frame kind %d in the wrong frame shape", kind)
+		default:
+			return t
+		}
+	}
+	panic(&CorruptFrameError{Src: f.Src, Reason: reason})
 }
 
 // Comm wraps a transport endpoint with tag-based demultiplexing and metering.
@@ -50,7 +80,7 @@ type Comm struct {
 	// peers tracks distinct data-frame destinations for Metrics.Peers.
 	peers map[int]struct{}
 	// wordBufs is a free list of decoded-word buffers for the group
-	// collectives (Group.Bcast/IBcast): receivers decode into recycled
+	// collectives (Group.Bcast): receivers decode into recycled
 	// capacity and hand it back via Group.Recycle, so the steady-state
 	// exchange allocates nothing — the same discipline Queue keeps for its
 	// pooled frames.
@@ -177,7 +207,8 @@ func (c *Comm) sendControl(dst int, words []uint64) error {
 // next returns a pending frame whose tag satisfies match, consulting the
 // stash first, then polling the transport and stashing mismatches. Returns
 // ok=false when nothing matching is currently available. An emptied tag
-// leaves the stash, so an empty stash costs no map walk.
+// leaves the stash, so an empty stash costs no map walk. Every frame passes
+// checkedTag once, on receipt, so a stashed frame is well-formed.
 func (c *Comm) next(match func(t uint64) bool) (transport.Frame, bool) {
 	if len(c.stash) > 0 {
 		for t, fs := range c.stash {
@@ -199,7 +230,7 @@ func (c *Comm) next(match func(t uint64) bool) (transport.Frame, bool) {
 			return transport.Frame{}, false
 		}
 		c.progress++
-		t := tagOf(f)
+		t := checkedTag(f)
 		if match(t) {
 			return f, true
 		}

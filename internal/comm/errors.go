@@ -42,17 +42,19 @@ func (e *WatchdogError) Error() string {
 	return fmt.Sprintf("comm: %s made no progress for %v (deadline exceeded)", e.Where, e.Waited)
 }
 
-// CorruptFrameError reports a data frame whose envelope or payload failed
-// structural validation during decode. The TCP transport's CRC trailer
-// rejects wire corruption below this layer; this error covers corruption
-// injected above it (or a codec mismatch between sender and receiver).
+// CorruptFrameError reports a frame that failed structural validation: a
+// tag, kind or shape that no sender in comm produces, a control frame
+// shorter than its reader needs, or a data payload that does not decode.
+// The TCP transport's CRC trailer rejects wire corruption below this layer;
+// this error covers corruption injected above it, a misbehaving peer, or a
+// codec mismatch between sender and receiver.
 type CorruptFrameError struct {
 	Src    int
 	Reason string
 }
 
 func (e *CorruptFrameError) Error() string {
-	return fmt.Sprintf("comm: corrupt data frame from %d: %s", e.Src, e.Reason)
+	return fmt.Sprintf("comm: corrupt frame from %d: %s", e.Src, e.Reason)
 }
 
 // raiseSendErr converts a transport send failure into a typed panic: peer-

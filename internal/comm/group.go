@@ -72,33 +72,35 @@ func (g *Group) nextTag() uint64 {
 	return t
 }
 
-// BcastOp is an in-flight split-phase broadcast handle (a value: posting
-// and completing allocate nothing). Obtained from IBcast, resolved by Wait.
-type BcastOp struct {
-	g     *Group
-	t     uint64
-	codec Codec
-	words []uint64
-	root  int
-}
-
-// IBcast posts a broadcast of words from the member at index root and
-// returns immediately with a completion handle. The root's frames leave at
-// post time (transport sends never block), so a later round's IBcast can be
-// in flight while the current round's payload is still being consumed —
-// the tag sequence disambiguates, since every member advances the group
-// sequence at post in the same SPMD program order. Receivers hand the
-// payload words to Wait; until then arriving frames park in the inbox or
-// the stash. The payload crosses the wire codec-encoded and is metered as
-// data traffic. A failed send raises *ErrPeerLost when the transport names
-// a dead peer, like every queue send.
-func (g *Group) IBcast(root int, words []uint64, codec Codec) BcastOp {
-	op := BcastOp{g: g, t: g.nextTag(), codec: codec, words: words, root: root}
-	if g.Size() == 1 || g.idx != root {
-		return op
+// Bcast broadcasts words from the member at index root. The root sends
+// them to every other member without waiting (transport sends never block)
+// and, like a size-1 group, gets its own words back unchanged. Every other
+// member blocks for the frame — the wait metered into Metrics.IdleNs — and
+// returns the decoded words in a recycled buffer: hand it back via Recycle
+// once consumed, so the steady state allocates nothing, and never Recycle
+// the root's return (it is the caller's own payload slice). The payload
+// crosses the wire codec-encoded and is metered as data traffic. A failed
+// send raises *ErrPeerLost when the transport names a dead peer, like every
+// queue send; a frame the codec cannot decode raises *CorruptFrameError,
+// like a corrupt queue frame.
+func (g *Group) Bcast(root int, words []uint64, codec Codec) []uint64 {
+	t := g.nextTag()
+	if g.Size() == 1 {
+		return words
 	}
-	g.sendToOthers(op.t, words, codec)
-	return op
+	if g.idx == root {
+		g.sendToOthers(t, words, codec)
+		return words
+	}
+	f := g.c.waitTag(t)
+	out, err := codec.AppendDecoded(g.c.getWordBuf()[:0], f.Bytes[8:])
+	if err != nil {
+		panic(&CorruptFrameError{Src: f.Src, Reason: fmt.Sprintf("group bcast decode: %v", err)})
+	}
+	g.c.M.RecvFrames++
+	g.c.M.RecvWords += int64(1 + len(out))
+	transport.PutBuf(f.Bytes)
+	return out
 }
 
 // sendToOthers ships words to every member but the caller, tagged t. The
@@ -133,35 +135,6 @@ func (g *Group) sendToOthers(t uint64, words []uint64, codec Codec) {
 	}
 }
 
-// Wait completes the broadcast: the root (and a size-1 group) gets its own
-// payload back unchanged; every other member blocks for the frame — the
-// wait metered into Metrics.IdleNs — and returns the decoded words in a
-// pooled buffer. Hand receiver-side buffers back via Recycle once consumed
-// so the steady state allocates nothing; never Recycle the root's return
-// (it is the caller's own payload slice). A frame the codec cannot decode
-// raises *CorruptFrameError, like a corrupt queue frame.
-func (op BcastOp) Wait() []uint64 {
-	g := op.g
-	if g.Size() == 1 || g.idx == op.root {
-		return op.words
-	}
-	f := g.c.waitTag(op.t)
-	out, err := op.codec.AppendDecoded(g.c.getWordBuf()[:0], f.Bytes[8:])
-	if err != nil {
-		panic(&CorruptFrameError{Src: f.Src, Reason: fmt.Sprintf("group bcast decode: %v", err)})
-	}
-	g.c.M.RecvFrames++
-	g.c.M.RecvWords += int64(1 + len(out))
-	transport.PutBuf(f.Bytes)
-	return out
-}
-
-// Bcast is the blocking broadcast: IBcast posted and completed in place.
-// Same buffer discipline as Wait.
-func (g *Group) Bcast(root int, words []uint64, codec Codec) []uint64 {
-	return g.IBcast(root, words, codec).Wait()
-}
-
-// Recycle returns a buffer obtained from a non-root Wait/Bcast to the
+// Recycle returns a buffer obtained from a non-root Bcast to the
 // communicator-wide free list (shared across this Comm's groups).
 func (g *Group) Recycle(buf []uint64) { g.c.recycleWordBuf(buf) }

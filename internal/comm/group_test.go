@@ -1,7 +1,7 @@
 package comm
 
 import (
-	"runtime"
+	"fmt"
 	"slices"
 	"sync"
 	"testing"
@@ -108,153 +108,127 @@ func TestGroupBcastMeteredAsData(t *testing.T) {
 }
 
 // TestGroupRowColInterleaved runs the tk2d communication pattern on a 2×2
-// grid: every PE is in one row group and one column group, and the two
-// broadcast streams interleave without stealing each other's frames (the
-// demultiplexing the 16-bit group ID in the tag exists for).
+// and a rectangular 2×3 grid: every PE is in one row group and one column
+// group, and the two broadcast streams interleave without stealing each
+// other's frames (the demultiplexing the 16-bit group ID in the tag exists
+// for). Every round the roots send first, then a Barrier runs with both
+// streams' frames in flight, then the other members receive; the delayed
+// cells hold data frames back for 3 or 40 Recv polls, so the barrier's
+// control (word) frames overtake them, and a fast PE's next-round frames
+// meet a slow PE still waiting on this round's. Tag confusion across the
+// row/col streams or with the barrier surfaces as a wrong payload;
+// TestGroupBcastRoundsOutOfOrder pins the rounds of one group.
 func TestGroupRowColInterleaved(t *testing.T) {
-	const q = 2
-	const p = q * q
-	const rounds = 3
-	type got struct{ row, col [rounds][]uint64 }
-	results := make([]got, p)
-	runComms(t, p, func(rank int, c *Comm) {
-		r, cc := rank/q, rank%q
-		rowGrp, err := c.NewGroup(uint64(r), []int{r * q, r*q + 1})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		colGrp, err := c.NewGroup(uint64(q+cc), []int{cc, q + cc})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		for k := 0; k < rounds; k++ {
-			root := k % q
-			rowPay := []uint64{uint64(1000*r + 10*k)}
-			colPay := []uint64{uint64(5000*cc + 10*k)}
-			var rw, cw []uint64
-			if rowGrp.Index() == root {
-				rw = rowGrp.Bcast(root, rowPay, Varint)
-			} else {
-				rw = rowGrp.Bcast(root, nil, Varint)
-			}
-			if colGrp.Index() == root {
-				cw = colGrp.Bcast(root, colPay, Varint)
-			} else {
-				cw = colGrp.Bcast(root, nil, Varint)
-			}
-			results[rank].row[k] = slices.Clone(rw)
-			results[rank].col[k] = slices.Clone(cw)
-			if rowGrp.Index() != root {
-				rowGrp.Recycle(rw)
-			}
-			if colGrp.Index() != root {
-				colGrp.Recycle(cw)
-			}
-		}
-	})
-	for rank := 0; rank < p; rank++ {
-		r, cc := rank/q, rank%q
-		for k := 0; k < rounds; k++ {
-			// Every member of row group r carries grid row r, and every member
-			// of column group cc carries column cc, so the expected payloads
-			// depend only on the group — any cross-group frame theft would
-			// surface as the other stream's value.
-			wantRow := []uint64{uint64(1000*r + 10*k)}
-			wantCol := []uint64{uint64(5000*cc + 10*k)}
-			if !slices.Equal(results[rank].row[k], wantRow) {
-				t.Fatalf("rank %d round %d row: %v, want %v", rank, k, results[rank].row[k], wantRow)
-			}
-			if !slices.Equal(results[rank].col[k], wantCol) {
-				t.Fatalf("rank %d round %d col: %v, want %v", rank, k, results[rank].col[k], wantCol)
-			}
+	const rounds = 6
+	for _, grid := range [][2]int{{2, 2}, {2, 3}} {
+		for _, delay := range []int{0, 3, 40} {
+			r, c := grid[0], grid[1]
+			t.Run(fmt.Sprintf("%dx%d/delay=%d", r, c, delay), func(t *testing.T) {
+				p := r * c
+				var net transport.Network = transport.NewChanNetwork(p)
+				if delay > 0 {
+					net = &delayNet{inner: net, delay: delay}
+				}
+				defer net.Close()
+				type got struct{ row, col [rounds][]uint64 }
+				results := make([]got, p)
+				runCommsOn(t, net, p, func(rank int, cm *Comm) {
+					a, b := rank/c, rank%c
+					rowRanks, colRanks := make([]int, c), make([]int, r)
+					for j := range rowRanks {
+						rowRanks[j] = a*c + j
+					}
+					for i := range colRanks {
+						colRanks[i] = i*c + b
+					}
+					rowGrp, err := cm.NewGroup(uint64(a), rowRanks)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					colGrp, err := cm.NewGroup(uint64(r+b), colRanks)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					for k := 0; k < rounds; k++ {
+						rowRoot, colRoot := k%c, k%r
+						var rowPay, colPay []uint64
+						if rowGrp.Index() == rowRoot {
+							rowPay = []uint64{uint64(1000*a + k), uint64(k)}
+						}
+						if colGrp.Index() == colRoot {
+							colPay = []uint64{uint64(5000*b + k)}
+						}
+						var rw, cw []uint64
+						if rowGrp.Index() == rowRoot {
+							rw = rowGrp.Bcast(rowRoot, rowPay, Varint)
+						}
+						if colGrp.Index() == colRoot {
+							cw = colGrp.Bcast(colRoot, colPay, Varint)
+						}
+						cm.Barrier() // control frames overtake the held data frames
+						if rowGrp.Index() != rowRoot {
+							rw = rowGrp.Bcast(rowRoot, nil, Varint)
+						}
+						if colGrp.Index() != colRoot {
+							cw = colGrp.Bcast(colRoot, nil, Varint)
+						}
+						results[rank].row[k] = slices.Clone(rw)
+						results[rank].col[k] = slices.Clone(cw)
+						if rowGrp.Index() != rowRoot {
+							rowGrp.Recycle(rw)
+						}
+						if colGrp.Index() != colRoot {
+							colGrp.Recycle(cw)
+						}
+					}
+				})
+				for rank := 0; rank < p; rank++ {
+					a, b := rank/c, rank%c
+					for k := 0; k < rounds; k++ {
+						// Every member of row group a carries grid row a, and
+						// every member of column group b carries column b, so
+						// the expected payloads depend only on the group — any
+						// cross-group frame theft would surface as the other
+						// stream's value.
+						wantRow := []uint64{uint64(1000*a + k), uint64(k)}
+						wantCol := []uint64{uint64(5000*b + k)}
+						if !slices.Equal(results[rank].row[k], wantRow) {
+							t.Fatalf("rank %d round %d row: %v, want %v", rank, k, results[rank].row[k], wantRow)
+						}
+						if !slices.Equal(results[rank].col[k], wantCol) {
+							t.Fatalf("rank %d round %d col: %v, want %v", rank, k, results[rank].col[k], wantCol)
+						}
+					}
+				}
+			})
 		}
 	}
 }
 
-// TestGroupIBcastPipelinedInterleaved is the tag-safety property test for
-// the split-phase exchange: on a rectangular 2×3 grid every PE keeps the
-// round-(k+1) row AND column broadcasts in flight while consuming round k,
-// over a network that holds data frames back for many Recv polls while
-// letting control (word) frames overtake them — a Barrier runs between post
-// and completion every round, so barrier traffic passes the delayed
-// payloads. Any tag confusion (across rounds, across the row/col streams,
-// or with the barrier) would surface as a wrong or misordered payload.
-func TestGroupIBcastPipelinedInterleaved(t *testing.T) {
-	const r, c = 2, 3
-	const p = r * c
-	const rounds = 6
-	for _, delay := range []int{3, 40} {
-		net := &delayNet{inner: transport.NewChanNetwork(p), delay: delay}
-		type got struct{ row, col [rounds][]uint64 }
-		results := make([]got, p)
-		var wg sync.WaitGroup
-		for rank := 0; rank < p; rank++ {
-			ep, err := net.Endpoint(rank)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wg.Add(1)
-			go func(rank int, ep transport.Endpoint) {
-				defer wg.Done()
-				cm := New(ep)
-				a, b := rank/c, rank%c
-				rowGrp, err := cm.NewGroup(uint64(a), []int{a * c, a*c + 1, a*c + 2})
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				colGrp, err := cm.NewGroup(uint64(r+b), []int{b, c + b})
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				post := func(k int) (BcastOp, BcastOp) {
-					rowRoot, colRoot := k%c, k%r
-					var rowPay, colPay []uint64
-					if rowGrp.Index() == rowRoot {
-						rowPay = []uint64{uint64(1000*a + k), uint64(k)}
-					}
-					if colGrp.Index() == colRoot {
-						colPay = []uint64{uint64(5000*b + k)}
-					}
-					return rowGrp.IBcast(rowRoot, rowPay, Varint), colGrp.IBcast(colRoot, colPay, Varint)
-				}
-				rowOp, colOp := post(0)
-				for k := 0; k < rounds; k++ {
-					var nextRow, nextCol BcastOp
-					if k+1 < rounds {
-						nextRow, nextCol = post(k + 1) // round k+1 in flight behind round k
-					}
-					cm.Barrier() // control frames overtake the held data frames
-					rw, cw := rowOp.Wait(), colOp.Wait()
-					results[rank].row[k] = slices.Clone(rw)
-					results[rank].col[k] = slices.Clone(cw)
-					if rowGrp.Index() != k%c {
-						rowGrp.Recycle(rw)
-					}
-					if colGrp.Index() != k%r {
-						colGrp.Recycle(cw)
-					}
-					rowOp, colOp = nextRow, nextCol
-				}
-			}(rank, ep)
-		}
-		wg.Wait()
-		net.Close()
-		for rank := 0; rank < p; rank++ {
-			a, b := rank/c, rank%c
-			for k := 0; k < rounds; k++ {
-				wantRow := []uint64{uint64(1000*a + k), uint64(k)}
-				wantCol := []uint64{uint64(5000*b + k)}
-				if !slices.Equal(results[rank].row[k], wantRow) {
-					t.Fatalf("delay=%d rank %d round %d row: %v, want %v", delay, rank, k, results[rank].row[k], wantRow)
-				}
-				if !slices.Equal(results[rank].col[k], wantCol) {
-					t.Fatalf("delay=%d rank %d round %d col: %v, want %v", delay, rank, k, results[rank].col[k], wantCol)
-				}
-			}
+// TestGroupBcastRoundsOutOfOrder: a member that finds a group's next
+// broadcast before the current one takes each round's own payload — the
+// per-group sequence number in the tag, not arrival order, decides. Rank 0
+// roots two broadcasts into a frame recorder; rank 1 is handed the second
+// frame first.
+func TestGroupBcastRoundsOutOfOrder(t *testing.T) {
+	rec := &frameRecorder{size: 2, frames: map[int][][]byte{}}
+	root, err := New(rec).NewGroup(5, []int{0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	root.Bcast(0, []uint64{10, 11}, Varint)
+	root.Bcast(0, []uint64{20}, Varint)
+	sent := rec.frames[1]
+	ep := &craftedEndpoint{rank: 1, size: 2, frames: []transport.Frame{{Bytes: sent[1]}, {Bytes: sent[0]}}}
+	g, err := New(ep).NewGroup(5, []int{0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round, want := range [][]uint64{{10, 11}, {20}} {
+		if got := g.Bcast(0, nil, Varint); !slices.Equal(got, want) {
+			t.Fatalf("round %d: %v, want %v", round, got, want)
 		}
 	}
 }
@@ -269,10 +243,6 @@ func TestGroupSize1(t *testing.T) {
 		words := []uint64{4, 5, 6}
 		if got := g.Bcast(0, words, Varint); !slices.Equal(got, words) {
 			t.Errorf("size-1 bcast: %v", got)
-		}
-		op := g.IBcast(0, words, Varint)
-		if got := op.Wait(); !slices.Equal(got, words) {
-			t.Errorf("size-1 ibcast: %v", got)
 		}
 		if c.M.SentFrames != 0 {
 			t.Errorf("size-1 group communicated: %+v", c.M)
@@ -317,7 +287,7 @@ func TestGroupSendFailureIsPeerLost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := recovered(func() { g.IBcast(0, []uint64{1, 2, 3}, Varint) })
+	v := recovered(func() { g.Bcast(0, []uint64{1, 2, 3}, Varint) })
 	lost, ok := v.(*ErrPeerLost)
 	if !ok {
 		t.Fatalf("panic value %T (%v), want *ErrPeerLost", v, v)
@@ -383,80 +353,6 @@ func BenchmarkGroupBcastSteadyState(b *testing.B) {
 	for i := 0; i < 16; i++ {
 		round(payload) // warmup: fill the decode buffers and the frame pool
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		round(payload)
-	}
-	b.StopTimer()
-	round([]uint64{stopWord})
-	wg.Wait()
-}
-
-// BenchmarkIBcastSteadyState gates the split-phase path: each op posts the
-// data broadcast and the reverse ack broadcast before completing either —
-// two collectives in flight per iteration, value-typed handles, pooled
-// decode buffers — and must run at 0 allocs/op on both sides once warm.
-func BenchmarkIBcastSteadyState(b *testing.B) {
-	net := transport.NewChanNetwork(2)
-	defer net.Close()
-	eps := make([]transport.Endpoint, 2)
-	for rank := range eps {
-		ep, err := net.Endpoint(rank)
-		if err != nil {
-			b.Fatal(err)
-		}
-		eps[rank] = ep
-	}
-	const stopWord = ^uint64(0)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		c := New(eps[1])
-		g, err := c.NewGroup(1, []int{0, 1})
-		if err != nil {
-			panic(err)
-		}
-		ack := []uint64{1}
-		for {
-			op := g.IBcast(0, nil, Varint)
-			ackOp := g.IBcast(1, ack, Varint)
-			buf := op.Wait()
-			done := len(buf) > 0 && buf[0] == stopWord
-			g.Recycle(buf)
-			ackOp.Wait()
-			if done {
-				return
-			}
-		}
-	}()
-	c := New(eps[0])
-	g, err := c.NewGroup(1, []int{0, 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	payload := make([]uint64, 512)
-	for i := range payload {
-		payload[i] = uint64(i%37) + 1
-	}
-	round := func(words []uint64) {
-		op := g.IBcast(0, words, Varint)
-		ackOp := g.IBcast(1, nil, Varint)
-		op.Wait()
-		ackBuf := ackOp.Wait()
-		g.Recycle(ackBuf)
-	}
-	for i := 0; i < 16; i++ {
-		round(payload)
-	}
-	// End the warm-up on a collection. While it runs the peer finishes its
-	// last round, so the frame pool and the inbox are at their high water,
-	// and its stop-the-world restarts start any OS thread the scheduler
-	// still wants. Without it, a single timed iteration can catch either:
-	// the slice growth of a new high water, or the runtime's allocations
-	// for a fresh thread when ResetTimer's ReadMemStats restarts the world.
-	runtime.GC()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -340,9 +340,6 @@ func (q *Queue) processData(f transport.Frame) {
 	q.recv++
 	q.c.M.RecvFrames++
 	b := f.Bytes
-	if b == nil {
-		panic("comm: data frame without byte framing")
-	}
 	me := q.c.Rank()
 	rawWords := int64(1) // tag word
 	ar := q.getArena()
@@ -514,6 +511,9 @@ func (q *Queue) drainCoordinator(progress func() bool) {
 				q.Flush()
 				continue
 			}
+			if len(f.Words) != 3 {
+				panic(&CorruptFrameError{Src: f.Src, Reason: fmt.Sprintf("%d-word probe reply", len(f.Words))})
+			}
 			if replied[f.Src] {
 				continue
 			}
@@ -557,6 +557,9 @@ func (q *Queue) drainWorker(progress func() bool) {
 		case dt:
 			q.processData(f)
 		case probe:
+			if len(f.Words) != 2 {
+				panic(&CorruptFrameError{Src: f.Src, Reason: fmt.Sprintf("%d-word probe", len(f.Words))})
+			}
 			// Flush before reporting, so buffered forwards are visible in the
 			// counters (otherwise the protocol could terminate early).
 			q.Flush()

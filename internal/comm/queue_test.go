@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/transport"
 )
@@ -675,4 +676,107 @@ func TestArenaRewindKeepsPinnedPayloads(t *testing.T) {
 			}
 		})
 	}
+}
+
+// craftedEndpoint is rank `rank` of a size-rank cluster whose incoming
+// frames are frames, delivered in order; sends vanish.
+type craftedEndpoint struct {
+	rank, size int
+	frames     []transport.Frame
+}
+
+func (e *craftedEndpoint) Rank() int                { return e.rank }
+func (e *craftedEndpoint) Size() int                { return e.size }
+func (e *craftedEndpoint) Send(int, []uint64) error { return nil }
+func (e *craftedEndpoint) SendBytes(_ int, b []byte) error {
+	transport.PutBuf(b)
+	return nil
+}
+func (e *craftedEndpoint) Close() error { return nil }
+func (e *craftedEndpoint) Recv() (transport.Frame, bool) {
+	if len(e.frames) == 0 {
+		return transport.Frame{}, false
+	}
+	f := e.frames[0]
+	e.frames = e.frames[1:]
+	return f, true
+}
+
+// TestMisshapenFrameIsTyped hands one crafted frame from rank 2 to a PE
+// waiting in Drain, in a group Bcast and in AllreduceSum. A frame whose tag
+// cannot be read, whose kind is unknown or whose shape does not fit its kind
+// fails every wait; a well-shaped control frame too short for its reader
+// fails the wait that reads it (rank 0 is the drain coordinator and the
+// allreduce root). Each must raise *CorruptFrameError naming rank 2 — the
+// value dist classifies as a corrupt frame — not an index panic.
+func TestMisshapenFrameIsTyped(t *testing.T) {
+	const sender = 2
+	le := func(w uint64) []byte { return binary.LittleEndian.AppendUint64(nil, w) }
+	waits := map[string]func(c *Comm){
+		"drain":     func(c *Comm) { NewQueue(c, 1<<10, nil).Drain() },
+		"bcast":     func(c *Comm) { mustGroup(c).Bcast(0, nil, Varint) },
+		"allreduce": func(c *Comm) { c.AllreduceSum([]uint64{1, 2}) },
+	}
+	misshapen := map[string][]uint64{
+		"0-word":         {},
+		"kind-0":         {0},
+		"unknown-kind":   {tag(kindGroup+1, 0)},
+		"data-as-words":  {tag(kindData, 0)},
+		"group-as-words": {tag(kindGroup, 0)},
+	}
+	misshapenBytes := map[string][]byte{
+		"0-byte":           {},
+		"3-byte":           {1, 2, 3},
+		"7-byte":           make([]byte, 7),
+		"result-as-bytes":  le(tag(kindBcast, 0)),
+		"barrier-as-bytes": le(tag(kindBarrier, 0)),
+	}
+	type cell struct {
+		wait  string
+		rank  int
+		frame transport.Frame
+	}
+	cells := map[string]cell{
+		"drain/short-probe":           {"drain", 1, transport.Frame{Words: []uint64{tag(kindProbe, 0)}}},
+		"drain/short-reply":           {"drain", 0, transport.Frame{Words: []uint64{tag(kindReply, 0), 5}}},
+		"allreduce/short-result":      {"allreduce", 1, transport.Frame{Words: []uint64{tag(kindBcast, 0), 7}}},
+		"allreduce/long-contribution": {"allreduce", 0, transport.Frame{Words: []uint64{tag(kindReduce, 0), 1, 2, 3}}},
+	}
+	for wait := range waits {
+		for name, w := range misshapen {
+			cells[wait+"/"+name] = cell{wait, 1, transport.Frame{Words: w}}
+		}
+		for name, b := range misshapenBytes {
+			cells[wait+"/"+name] = cell{wait, 1, transport.Frame{Bytes: b}}
+		}
+	}
+	for name, cl := range cells {
+		t.Run(name, func(t *testing.T) {
+			f := cl.frame
+			f.Src = sender
+			c := New(&craftedEndpoint{rank: cl.rank, size: 3, frames: []transport.Frame{f}})
+			c.SetDeadline(time.Second) // a frame the wait ignores ends as a watchdog, not a hang
+			v := recovered(func() { waits[cl.wait](c) })
+			cf, ok := v.(*CorruptFrameError)
+			if !ok {
+				t.Fatalf("panic value %T (%v), want *CorruptFrameError", v, v)
+			}
+			if cf.Src != sender {
+				t.Fatalf("corrupt frame blamed on %d, want %d", cf.Src, sender)
+			}
+		})
+	}
+}
+
+// mustGroup is the caller's group over all of c's ranks.
+func mustGroup(c *Comm) *Group {
+	members := make([]int, c.Size())
+	for i := range members {
+		members[i] = i
+	}
+	g, err := c.NewGroup(0, members)
+	if err != nil {
+		panic(err)
+	}
+	return g
 }

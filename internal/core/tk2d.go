@@ -1,8 +1,6 @@
 package core
 
 import (
-	"time"
-
 	"repro/internal/comm"
 	"repro/internal/dist"
 	"repro/internal/graph"
@@ -35,28 +33,63 @@ import (
 // exchange (≺ is read off the global CSR as the block is cut), no
 // termination detection: the broadcast rounds are self-synchronizing.
 //
-// With cfg.Overlap the exchange is pipelined: round k+1's row/column
-// broadcasts are posted split-phase (comm.Group.IBcast) before round k's
-// block-local counting drains, so the per-round critical path is
-// max(comm, compute) instead of comm + compute. Receive waits are metered
-// into Metrics.IdleNs in both modes, and counting wall spent with the next
-// round in flight into Metrics.OverlapNs. Counts are identical to the
-// blocking schedule.
+// Each round is one blocking broadcast per group; a receive wait is metered
+// into Metrics.IdleNs. Config.Overlap does not apply: posting round k+1's
+// broadcasts before counting round k measured no faster.
 
-// tk2dRound is the double-buffered per-round exchange state: each of the
-// two in-flight rounds owns a posting slot — root-side stripe + wire
-// scratch and the split-phase handles — and a decode slot. Pipelined runs
-// keep slot (k+1)&1 posted while slot k&1 counts; blocking runs drain each
-// round before posting the next, so they use slot 0 throughout. A slot's
-// buffers are sized in one step when it first fills, from counts the block
-// or the frame carries, and later rounds reuse that capacity (growing once
-// more only for a larger stripe).
-type tk2dRound struct {
-	rowOp, colOp         comm.BcastOp
-	rowRoot, colRoot     *graph.Block // operand the PE roots itself this round (own block, transpose, or stripe)
-	rowStripe, colStripe graph.Block  // root-side stripe scratch (rect grids)
-	rowWire, colWire     []uint64     // root-side wire scratch
-	aScr, bScr           graph.Block  // receiver-side decode scratch
+// tk2dStream is one direction of a PE's round exchange — along its row
+// group (out-stripes of the own rows) or down its column group (transposed
+// in-stripes of the own columns) — with the scratch every round reuses. A
+// buffer is sized in one step when it first fills, from counts the block or
+// the frame carries; later rounds reuse that capacity (growing once more
+// only for a larger stripe).
+type tk2dStream struct {
+	g2      *part.Grid2D
+	grp     *comm.Group
+	members []int                         // grp's ranks: members[i] is member i's global rank
+	own     *graph.Block                  // own block (row) or its transpose (column)
+	whole   []uint64                      // own's wire form when every round's stripe is all of own, else nil
+	band    int                           // this PE's band along the stream: a (row), b (column)
+	root    func(k int) int               // member index of round k's root: g2.RootRow or g2.RootCol
+	cut     func(k int) (res, stride int) // round k's stripe: g2.StripeRow or g2.StripeCol
+
+	stripe  graph.Block  // root-side stripe scratch (rect grids)
+	wire    []uint64     // root-side wire scratch
+	dec     graph.Block  // receiver-side decode scratch
+	operand *graph.Block // round k's operand once exchange returns: the own stripe or dec
+}
+
+// exchange runs the stream's round-k broadcast. The root ships its round-k
+// stripe and counts against it; every other member decodes the root's. A
+// payload that is not the block this round expects is a transport fault,
+// typed like the queue path's.
+func (s *tk2dStream) exchange(k int) error {
+	// Block wire words are already gap-differenced per adjacency row
+	// (graph.Block.AppendWire), so varint on top yields delta-varint
+	// compression without a stateful codec re-differencing across record
+	// boundaries.
+	root := s.root(k)
+	if s.grp.Index() == root {
+		if s.whole != nil {
+			s.grp.Bcast(root, s.whole, comm.Varint)
+			s.operand = s.own
+			return nil
+		}
+		res, stride := s.cut(k)
+		s.own.StripeInto(&s.stripe, k, res, stride, s.g2.BandSizeRound(k))
+		s.wire = s.stripe.AppendWire(s.wire[:0])
+		s.grp.Bcast(root, s.wire, comm.Varint)
+		s.operand = &s.stripe
+		return nil
+	}
+	buf := s.grp.Bcast(root, nil, comm.Varint)
+	err := graph.DecodeBlockInto(buf, s.band, k, s.own.NRows(), s.g2.BandSizeRound(k), &s.dec)
+	s.grp.Recycle(buf)
+	if err != nil {
+		return &comm.CorruptFrameError{Src: s.members[root], Reason: err.Error()}
+	}
+	s.operand = &s.dec
+	return nil
 }
 
 // tk2dWorker is one counting thread's tally and the mark it stamps (one
@@ -90,8 +123,8 @@ func newTK2DKernel(g2 *part.Grid2D, rank int, ownT *graph.Block, cfg Config) *tk
 	return kn
 }
 
-// round closes round k's wedges against the own edges, given acquire's
-// operands: the round's out-stripe A of the own rows, in-stripe B of the columns.
+// round closes round k's wedges against the own edges: A is the round's
+// out-stripe of the own rows, B its in-stripe of the own columns.
 func (kn *tk2dKernel) round(k int, A, B *graph.Block) {
 	kn.k, kn.A, kn.B = k, A, B
 	graph.ParallelFor(kn.cfg.Threads, kn.ownT.NRows(), kn.columns)
@@ -131,8 +164,7 @@ func (kn *tk2dKernel) countColumns(w, lo, hi int) {
 }
 
 // tk2dBody is one PE's TK2D run: build the owned block and its transpose,
-// then L broadcast rounds of exchange + block-local counting — blocking, or
-// pipelined one round ahead under cfg.Overlap.
+// then L rounds, each a row and a column broadcast and block-local counting.
 func tk2dBody(pe *dist.PE, pl *plan, g *graph.Graph, out *peOutcome) error {
 	g2, cfg := pl.g2, pl.cfg
 	sw := newStopwatch(pe.C, out)
@@ -142,133 +174,49 @@ func tk2dBody(pe *dist.PE, pl *plan, g *graph.Graph, out *peOutcome) error {
 	sw.phase(PhaseBuild)
 	own := graph.BuildBlockCSR(g2, pe.Rank, g, cfg.Threads)
 	ownT := own.Transpose(cfg.Threads)
+	row := tk2dStream{g2: g2, members: g2.RowRanks(a), own: own, band: a, root: g2.RootRow, cut: g2.StripeRow}
+	col := tk2dStream{g2: g2, members: g2.ColRanks(b), own: ownT, band: b, root: g2.RootCol, cut: g2.StripeCol}
 	// When a dimension's stride is 1 (L = c resp. L = r — always on square
 	// grids) every round's stripe is the whole block, so the wire form is
 	// serialized once here instead of per round.
-	fastRow, fastCol := rounds == g2.C(), rounds == g2.R()
-	var ownWire, ownTWire []uint64
-	if fastRow {
-		ownWire = own.AppendWire(nil)
+	if rounds == g2.C() {
+		row.whole = own.AppendWire(nil)
 	}
-	if fastCol {
-		ownTWire = ownT.AppendWire(nil)
+	if rounds == g2.R() {
+		col.whole = ownT.AppendWire(nil)
 	}
 
 	sw.phase(PhasePreprocess)
 	// Group IDs: rows take 0..r-1, columns r..r+c-1 — unique per run, so
 	// interleaved row/column broadcasts never share a tag.
-	rowGrp, err := pe.C.NewGroup(uint64(a), g2.RowRanks(a))
-	if err != nil {
+	var err error
+	if row.grp, err = pe.C.NewGroup(uint64(a), row.members); err != nil {
 		return err
 	}
-	colGrp, err := pe.C.NewGroup(uint64(g2.R()+b), g2.ColRanks(b))
-	if err != nil {
+	if col.grp, err = pe.C.NewGroup(uint64(g2.R()+b), col.members); err != nil {
 		return err
-	}
-	// Line up the rounds so build skew lands here, not in the first round's
-	// exchange wait (control traffic, like the 1D bodies' pre-count barrier).
-	pe.C.Barrier()
-
-	pipelined := cfg.Overlap && rounds > 1
-	var slots [2]tk2dRound
-	slot := func(k int) *tk2dRound {
-		if pipelined {
-			return &slots[k&1]
-		}
-		return &slots[0]
-	}
-	// post ships round k's stripes split-phase from this PE's posting slot.
-	// Root frames leave here; receivers only advance the tag sequence.
-	post := func(k int) {
-		s := slot(k)
-		rowRoot, colRoot := g2.RootRow(k), g2.RootCol(k)
-		var rowWords, colWords []uint64
-		if b == rowRoot {
-			if fastRow {
-				s.rowRoot, rowWords = own, ownWire
-			} else {
-				res, stride := g2.StripeRow(k)
-				own.StripeInto(&s.rowStripe, k, res, stride, g2.BandSizeRound(k))
-				s.rowRoot = &s.rowStripe
-				s.rowWire = s.rowStripe.AppendWire(s.rowWire[:0])
-				rowWords = s.rowWire
-			}
-		}
-		if a == colRoot {
-			if fastCol {
-				s.colRoot, colWords = ownT, ownTWire
-			} else {
-				res, stride := g2.StripeCol(k)
-				ownT.StripeInto(&s.colStripe, k, res, stride, g2.BandSizeRound(k))
-				s.colRoot = &s.colStripe
-				s.colWire = s.colStripe.AppendWire(s.colWire[:0])
-				colWords = s.colWire
-			}
-		}
-		// Block wire words are already gap-differenced per adjacency row
-		// (graph.Block.AppendWire), so varint on top yields delta-varint
-		// compression without a stateful codec re-differencing across record
-		// boundaries.
-		s.rowOp = rowGrp.IBcast(rowRoot, rowWords, comm.Varint)
-		s.colOp = colGrp.IBcast(colRoot, colWords, comm.Varint)
-	}
-	// receive completes a broadcast into scr. A payload that is not the block
-	// this round expects is a transport fault, typed like the queue path's.
-	receive := func(op comm.BcastOp, grp *comm.Group, src, band, k, nRows int, scr *graph.Block) (*graph.Block, error) {
-		buf := op.Wait()
-		err := graph.DecodeBlockInto(buf, band, k, nRows, g2.BandSizeRound(k), scr)
-		grp.Recycle(buf)
-		if err != nil {
-			return nil, &comm.CorruptFrameError{Src: src, Reason: err.Error()}
-		}
-		return scr, nil
-	}
-	// acquire completes round k's exchange and returns the counting
-	// operands: A = round-k stripe of block (a, k mod c), B = transposed
-	// round-k stripe of block (k mod r, b), both with round-space entries. (A
-	// root's own handle needs no completion: Wait hands its payload back.)
-	acquire := func(k int) (A, B *graph.Block, err error) {
-		s := slot(k)
-		A, B = s.rowRoot, s.colRoot
-		if root := g2.RootRow(k); b != root {
-			A, err = receive(s.rowOp, rowGrp, g2.Rank(a, root), a, k, own.NRows(), &s.aScr)
-		}
-		if root := g2.RootCol(k); a != root && err == nil {
-			B, err = receive(s.colOp, colGrp, g2.Rank(root, b), b, k, ownT.NRows(), &s.bScr)
-		}
-		return A, B, err
 	}
 
 	kernel := newTK2DKernel(g2, pe.Rank, ownT, cfg)
-	sw.phase(PhaseGlobalExchange)
-	if pipelined {
-		post(0)
-	}
 	for k := 0; k < rounds; k++ {
 		sw.phase(PhaseGlobalExchange)
-		if pipelined {
-			// Round k+1 goes on the wire before round k's payload is touched:
-			// its frames land in the inbox (or stash) while the counting below
-			// runs, so the next acquire's wait collapses to a decode.
-			if k+1 < rounds {
-				post(k + 1)
-			}
-		} else {
-			post(k)
+		// A broadcast this PE roots never waits, so it runs first: the
+		// column root sends its stripe before it waits on its row's, and no
+		// column receiver waits behind that row exchange.
+		first, second := &row, &col
+		if a == g2.RootCol(k) {
+			first, second = &col, &row
 		}
-		A, B, err := acquire(k)
-		if err != nil {
+		if err := first.exchange(k); err != nil {
 			return err
 		}
-		sw.phase(PhaseLocal)
-		t0 := time.Now()
-		kernel.round(k, A, B)
-		if pipelined && k+1 < rounds {
-			// Counting wall with the next round's broadcasts in flight: the
-			// compute that hides communication, same meaning as the 1D
-			// pipeline's OverlapNs.
-			pe.C.M.OverlapNs += time.Since(t0).Nanoseconds()
+		if err := second.exchange(k); err != nil {
+			return err
 		}
+		// A = round-k stripe of block (a, k mod c), B = transposed round-k
+		// stripe of block (k mod r, b), both with round-space entries.
+		sw.phase(PhaseLocal)
+		kernel.round(k, row.operand, col.operand)
 	}
 	sw.stop()
 	for i := range kernel.workers {

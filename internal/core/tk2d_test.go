@@ -13,23 +13,18 @@ import (
 
 // TestTK2DEquivalence pins TK2D to the sequential oracle on every fixture
 // across the full p × Threads grid — square and rectangular PE counts (p = 2
-// is the 1×2, row-fast grid), both the blocking and the pipelined (Overlap)
-// exchange schedule.
+// is the 1×2, row-fast grid).
 func TestTK2DEquivalence(t *testing.T) {
 	for _, tg := range testgraph.All {
 		for _, p := range []int{1, 2, 4, 6, 8, 9, 16} {
 			for _, threads := range []int{1, 4} {
-				for _, overlap := range []bool{false, true} {
-					res, err := Run(AlgoTK2D, tg.Build(),
-						Config{P: p, Threads: threads, Overlap: overlap})
-					if err != nil {
-						t.Fatalf("%s p=%d threads=%d overlap=%v: %v",
-							tg.Name, p, threads, overlap, err)
-					}
-					if res.Count != tg.Triangles {
-						t.Errorf("%s p=%d threads=%d overlap=%v: count %d, want %d",
-							tg.Name, p, threads, overlap, res.Count, tg.Triangles)
-					}
+				res, err := Run(AlgoTK2D, tg.Build(), Config{P: p, Threads: threads})
+				if err != nil {
+					t.Fatalf("%s p=%d threads=%d: %v", tg.Name, p, threads, err)
+				}
+				if res.Count != tg.Triangles {
+					t.Errorf("%s p=%d threads=%d: count %d, want %d",
+						tg.Name, p, threads, res.Count, tg.Triangles)
 				}
 			}
 		}
@@ -99,8 +94,7 @@ func TestTK2DWireBytesBelowDITRIC(t *testing.T) {
 // sequential oracle: the count, the collected triangle set (SeqEnumerate)
 // and the per-vertex triangle counts Δ every LCC is computed from
 // (SeqDeltas; TK2D itself rejects cfg.LCC, so Δ is tallied from the set) —
-// on a square and a rectangular grid, blocking and pipelined, one worker
-// and several. Beside the clique chain the fixtures are K12, where every
+// on a square and a rectangular grid, one worker and several. Beside the clique chain the fixtures are K12, where every
 // degree ties and ≺ is the ID tie-break alone, and rmat, the most skewed of
 // the catalog (max degree 9.8× the mean), where ≺ and ID order differ most.
 func TestTK2DCollect(t *testing.T) {
@@ -116,32 +110,27 @@ func TestTK2DCollect(t *testing.T) {
 		_, wantDeltas := SeqDeltas(fix)
 		for _, p := range []int{4, 6} {
 			for _, threads := range []int{1, 3} {
-				for _, overlap := range []bool{false, true} {
-					res, err := Run(AlgoTK2D, fix,
-						Config{P: p, Collect: true, Threads: threads, Overlap: overlap})
-					if err != nil {
-						t.Fatalf("%s p=%d threads=%d overlap=%v: %v", name, p, threads, overlap, err)
+				res, err := Run(AlgoTK2D, fix, Config{P: p, Collect: true, Threads: threads})
+				if err != nil {
+					t.Fatalf("%s p=%d threads=%d: %v", name, p, threads, err)
+				}
+				if res.Count != tg.Triangles {
+					t.Errorf("%s p=%d threads=%d: count %d, want %d", name, p, threads, res.Count, tg.Triangles)
+				}
+				got := slices.Clone(res.Triangles)
+				sortTriangles(got)
+				if !slices.Equal(got, exp) {
+					t.Fatalf("%s p=%d threads=%d: triangle sets differ: got %d, want %d",
+						name, p, threads, len(got), len(exp))
+				}
+				deltas := make([]uint64, fix.NumVertices())
+				for _, tri := range got {
+					for _, v := range tri {
+						deltas[v]++
 					}
-					if res.Count != tg.Triangles {
-						t.Errorf("%s p=%d threads=%d overlap=%v: count %d, want %d",
-							name, p, threads, overlap, res.Count, tg.Triangles)
-					}
-					got := slices.Clone(res.Triangles)
-					sortTriangles(got)
-					if !slices.Equal(got, exp) {
-						t.Fatalf("%s p=%d threads=%d overlap=%v: triangle sets differ: got %d, want %d",
-							name, p, threads, overlap, len(got), len(exp))
-					}
-					deltas := make([]uint64, fix.NumVertices())
-					for _, tri := range got {
-						for _, v := range tri {
-							deltas[v]++
-						}
-					}
-					if !slices.Equal(deltas, wantDeltas) {
-						t.Fatalf("%s p=%d threads=%d overlap=%v: per-vertex triangle counts differ from SeqDeltas",
-							name, p, threads, overlap)
-					}
+				}
+				if !slices.Equal(deltas, wantDeltas) {
+					t.Fatalf("%s p=%d threads=%d: per-vertex triangle counts differ from SeqDeltas", name, p, threads)
 				}
 			}
 		}
@@ -153,7 +142,7 @@ func sortTriangles(tris [][3]uint64) {
 }
 
 // tk2dLocalOperands cuts, out of all ranks' blocks and transposes, the two
-// operands acquire(k) hands PE rank — no communicator involved.
+// operands round k's exchange hands PE rank — no communicator involved.
 func tk2dLocalOperands(g2 *part.Grid2D, blocks, blocksT []*graph.Block, rank, k int) (A, B *graph.Block) {
 	a, b := g2.RowCol(rank)
 	A, B = new(graph.Block), new(graph.Block)
@@ -296,27 +285,27 @@ func TestTK2DExchangeFoldsIntoGlobal(t *testing.T) {
 	}
 }
 
-// TestTK2DPipelinedMetersOverlap pins the pipelined schedule's metering:
-// with Overlap set and more than one round, counting wall spent while the
-// next round's broadcasts are in flight lands in Metrics.OverlapNs.
-func TestTK2DPipelinedMetersOverlap(t *testing.T) {
+// TestTK2DSendsNoControlFrames: the broadcast rounds synchronize
+// themselves, so a TK2D run sends data frames only — no barrier or other
+// control traffic — and meters no overlap, on a square and a rectangular
+// grid. Overlap is set to show that TK2D ignores it.
+func TestTK2DSendsNoControlFrames(t *testing.T) {
 	g := gen.RMAT(gen.DefaultRMAT(10, 7))
-	res, err := Run(AlgoTK2D, g, Config{P: 9, Overlap: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Agg.TotalOverlapNs == 0 {
-		t.Fatal("pipelined tk2d metered no overlap")
-	}
-	blocking, err := Run(AlgoTK2D, g, Config{P: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if blocking.Agg.TotalOverlapNs != 0 {
-		t.Fatalf("blocking tk2d metered overlap: %d ns", blocking.Agg.TotalOverlapNs)
-	}
-	if res.Count != blocking.Count {
-		t.Fatalf("pipelined count %d != blocking count %d", res.Count, blocking.Count)
+	want := SeqCount(g)
+	for _, p := range []int{4, 6} {
+		res, err := Run(AlgoTK2D, g, Config{P: p, Overlap: true})
+		if err != nil {
+			t.Fatalf("p=%d: %v", p, err)
+		}
+		if res.Count != want {
+			t.Errorf("p=%d: count %d, want %d", p, res.Count, want)
+		}
+		if res.Agg.ControlSent != 0 {
+			t.Errorf("p=%d: tk2d sent %d control frames", p, res.Agg.ControlSent)
+		}
+		if res.Agg.TotalOverlapNs != 0 {
+			t.Errorf("p=%d: tk2d metered %d ns of overlap", p, res.Agg.TotalOverlapNs)
+		}
 	}
 }
 

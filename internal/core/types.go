@@ -115,7 +115,8 @@ type Config struct {
 	Threads int
 
 	// Overlap selects the overlapped schedule of the DITRIC/CETRIC counting
-	// pipeline (TriC always runs barriered). The default, barriered schedule
+	// pipeline; TriC always runs barriered and TK2D ignores it (each of its
+	// rounds is one blocking broadcast). The default, barriered schedule
 	// ships frames only when δ overflows and in the final drain, and polls
 	// or steals nothing between row chunks, so local and global work stay
 	// separated as in the paper's measured configuration.
@@ -126,12 +127,6 @@ type Config struct {
 	// finishes; CETRIC's interleave with its cut send sweep. It is one
 	// pipeline with two schedules, not two code paths: counts, triangle sets
 	// and LCC are identical under both.
-	//
-	// For TK2D the same knob pipelines the round loop: round k+1's row and
-	// column broadcasts are posted split-phase (comm.Group.IBcast) before
-	// round k's block-local counting drains, making the per-round critical
-	// path max(comm, compute) instead of comm + compute. Counts are
-	// identical to the blocking schedule.
 	Overlap bool
 
 	// Partition overrides the default uniform 1D partition. Only code inside

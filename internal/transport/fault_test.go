@@ -138,6 +138,29 @@ func TestTCPCRCRoundTrip(t *testing.T) {
 	PutBuf(f.Bytes)
 }
 
+// TestTCPDeliversShortFrames: frames too short to carry a tag — a 3-byte
+// and an empty byte frame (CRC intact), and an empty word frame — pass the
+// transport exactly as sent. Rejecting them is the communication layer's
+// job (comm's frame check), not the stream's.
+func TestTCPDeliversShortFrames(t *testing.T) {
+	e0, e1 := tcpPair(t, TCPOptions{})
+	for _, b := range [][]byte{{1, 2, 3}, {}} {
+		if err := e0.SendBytes(1, append(GetBuf(len(b)), b...)); err != nil {
+			t.Fatal(err)
+		}
+		f := recvFrom(t, e1)
+		if f.Src != 0 || f.Words != nil || f.Bytes == nil || string(f.Bytes) != string(b) {
+			t.Fatalf("%d-byte frame delivered as src %d, words %v, bytes %v", len(b), f.Src, f.Words, f.Bytes)
+		}
+	}
+	if err := e0.Send(1, []uint64{}); err != nil {
+		t.Fatal(err)
+	}
+	if f := recvFrom(t, e1); f.Src != 0 || f.Bytes != nil || f.Words == nil || len(f.Words) != 0 {
+		t.Fatalf("empty word frame delivered as src %d, words %v, bytes %v", f.Src, f.Words, f.Bytes)
+	}
+}
+
 func TestTCPReconnectAfterConnDrop(t *testing.T) {
 	e0, e1 := tcpPair(t, TCPOptions{RetryInterval: 5 * time.Millisecond})
 	if err := e0.Send(1, []uint64{1}); err != nil {

@@ -165,8 +165,8 @@ type ApproxResult = core.ApproxResult
 // CountApprox runs the AMQ-approximate CETRIC: exact type-1/2 counting plus
 // Bloom-filter-approximated type-3 counting. It is the CETRIC counting
 // pipeline with filters in place of the shipped neighborhoods, so
-// Options.Threads and Options.Overlap select its schedule as they do for
-// Count, and Options.LCC adds per-vertex estimates.
+// Options.Threads and Options.Overlap select its schedule as they do for a
+// CETRIC Count, and Options.LCC adds per-vertex estimates.
 func CountApprox(g *Graph, opt Options, aopt ApproxOptions) (*ApproxResult, error) {
 	return core.RunApproxCetric(g, opt, aopt)
 }
