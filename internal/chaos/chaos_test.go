@@ -165,10 +165,9 @@ var approxCetric = schedule{algo: core.AlgoCetric, approx: true}
 
 var barrieredCetric = schedule{algo: core.AlgoCetric}
 
-// withTK2D adds the 2D backend to the default cell, once with Overlap set:
-// TK2D ignores the flag, and its cell shows that a caller who sets it gets
-// the same failure semantics.
-var withTK2D = []schedule{barrieredCetric, {algo: core.AlgoTK2D}, {algo: core.AlgoTK2D, overlap: true}}
+// withTK2D adds the 2D backend to the default cell. TK2D has one schedule
+// (it ignores Overlap), so it has one cell.
+var withTK2D = []schedule{barrieredCetric, {algo: core.AlgoTK2D}}
 
 func (s schedule) String() string {
 	name := string(s.algo)
@@ -283,7 +282,7 @@ func TestFaultGrid(t *testing.T) {
 			// approximate run's filter records, and one that reaches
 			// overlapped CETRIC while its local stage is still shipping.
 			schedules: []schedule{barrieredCetric, {algo: core.AlgoCetric, overlap: true},
-				{algo: core.AlgoTK2D}, {algo: core.AlgoTK2D, overlap: true}, approxCetric},
+				{algo: core.AlgoTK2D}, approxCetric},
 		},
 		{
 			name: "duplicate",
@@ -334,7 +333,7 @@ func TestFaultGrid(t *testing.T) {
 			schedules: []schedule{barrieredCetric, {algo: core.AlgoCetric, overlap: true},
 				{algo: core.AlgoDiTric}, {algo: core.AlgoDiTric, overlap: true},
 				{algo: core.AlgoCetric, threads: 2}, {algo: core.AlgoDiTric, overlap: true, threads: 2},
-				{algo: core.AlgoTK2D}, {algo: core.AlgoTK2D, overlap: true},
+				{algo: core.AlgoTK2D},
 				{algo: core.AlgoCetric, tcp: true}, approxCetric},
 			check: func(t *testing.T, re *dist.RunError) {
 				var pl *comm.ErrPeerLost

@@ -49,10 +49,10 @@ var (
 // costs one allocation instead of a chain of doublings. Varint, whose sizes
 // take a pass to compute, takes it only when dst might run short, and then
 // over what is left: a buffer that already has room pays nothing.
-// DeltaVarint's decoder, which decodes short values inline, grows dst once
-// by len(data) without that pass. A decoder's count never exceeds
-// len(data), so no frame can make it allocate more than 8 bytes per byte it
-// carries.
+// DeltaVarint's decoder grows dst once by len(data) without that pass. Both
+// varint decoders decode short values inline. A decoder's count never
+// exceeds len(data), so no frame can make it allocate more than 8 bytes per
+// byte it carries.
 
 // minEncodedLen is a lower bound on the length of words on the wire under c
 // that costs no pass over them: exact for Raw, and one byte per word for the
@@ -132,25 +132,53 @@ func (varintCodec) AppendEncoded(dst []byte, words []uint64) []byte {
 	return dst
 }
 
+// errTruncatedVarint is Varint's decode error, for a payload that ends
+// inside a varint or holds one that overflows 64 bits.
+var errTruncatedVarint = errors.New("comm: truncated varint payload")
+
+// AppendDecoded grows dst once, when it is short, to hold every value of
+// the payload (one ends at each byte with the continuation bit clear), and
+// then decodes by index: values of up to three bytes inline — degrees and
+// IDs below 2^21, the common case — and longer ones through
+// binary.Uvarint, which also rejects the truncated and the overlong.
 func (varintCodec) AppendDecoded(dst []uint64, data []byte) ([]uint64, error) {
-	for len(data) > 0 {
-		w, n := binary.Uvarint(data)
-		if n <= 0 {
-			return dst, fmt.Errorf("comm: truncated varint payload")
+	if cap(dst)-len(dst) < len(data) {
+		values := 0
+		for _, c := range data {
+			values += int(^c >> 7)
 		}
-		if len(dst) == cap(dst) {
-			// One value ends at every byte with the continuation bit
-			// clear: room for every value left, this one included.
-			left := 0
-			for _, c := range data {
-				left += int(^c >> 7)
-			}
-			dst = slices.Grow(dst, left)
-		}
-		data = data[n:]
-		dst = append(dst, w)
+		dst = slices.Grow(dst, values)
 	}
-	return dst, nil
+	base := len(dst)
+	out := dst[base:cap(dst)]
+	k := 0
+	for i := 0; i < len(data); k++ {
+		if k == len(out) {
+			// More values than the continuation bits promised: the
+			// last one is truncated.
+			return dst[:base+k], errTruncatedVarint
+		}
+		var w uint64
+		switch b := data[i]; {
+		case b < 0x80:
+			w = uint64(b)
+			i++
+		case i+1 < len(data) && data[i+1] < 0x80:
+			w = uint64(b&0x7f) | uint64(data[i+1])<<7
+			i += 2
+		case i+2 < len(data) && data[i+2] < 0x80: // data[i+1] ≥ 0x80, by the case above
+			w = uint64(b&0x7f) | uint64(data[i+1]&0x7f)<<7 | uint64(data[i+2])<<14
+			i += 3
+		default:
+			var n int
+			if w, n = binary.Uvarint(data[i:]); n <= 0 {
+				return dst[:base+k], errTruncatedVarint
+			}
+			i += n
+		}
+		out[k] = w
+	}
+	return dst[:base+k], nil
 }
 
 type deltaVarintCodec struct{}

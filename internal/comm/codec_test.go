@@ -297,10 +297,11 @@ func TestQueueCodecRoundTripOverTransports(t *testing.T) {
 	}
 }
 
-// uvarintDecodeOracle is DeltaVarint's decoder written with nothing but
-// binary.Uvarint per value, appending to out: the reference the inline
-// short-value decoder is checked against.
-func uvarintDecodeOracle(out []uint64, data []byte) ([]uint64, bool) {
+// uvarintDecodeOracle is the varint decoders written with nothing but
+// binary.Uvarint per value, appending to out, each value after the first a
+// zigzagged delta if delta is set: the reference the inline short-value
+// decoders are checked against.
+func uvarintDecodeOracle(out []uint64, data []byte, delta bool) ([]uint64, bool) {
 	first := len(out)
 	for len(data) > 0 {
 		z, n := binary.Uvarint(data)
@@ -308,7 +309,7 @@ func uvarintDecodeOracle(out []uint64, data []byte) ([]uint64, bool) {
 			return out, false
 		}
 		data = data[n:]
-		if len(out) == first {
+		if !delta || len(out) == first {
 			out = append(out, z)
 		} else {
 			out = append(out, out[len(out)-1]+unzigzag(z))
@@ -317,18 +318,21 @@ func uvarintDecodeOracle(out []uint64, data []byte) ([]uint64, bool) {
 	return out, true
 }
 
-// decodeOracleCheck compares DeltaVarint's decoder with uvarintDecodeOracle;
-// its buffers are reused across checks.
-type decodeOracleCheck struct{ got, want []uint64 }
+// decodeOracleCheck compares codec's decoder with uvarintDecodeOracle; its
+// buffers are reused across checks.
+type decodeOracleCheck struct {
+	codec     Codec
+	got, want []uint64
+}
 
-// require decodes data with DeltaVarint behind a non-empty dst and compares
+// require decodes data with the codec behind a non-empty dst and compares
 // the values it appends, and whether it fails, with the oracle. (No
 // t.Helper: it runs 33 million times.)
 func (c *decodeOracleCheck) require(t *testing.T, data []byte) {
-	want, ok := uvarintDecodeOracle(c.want[:0], data)
-	got, err := DeltaVarint.AppendDecoded(append(c.got[:0], 7), data)
+	want, ok := uvarintDecodeOracle(c.want[:0], data, c.codec == DeltaVarint)
+	got, err := c.codec.AppendDecoded(append(c.got[:0], 7), data)
 	if (err == nil) != ok || got[0] != 7 || (ok && !slices.Equal(got[1:], want)) {
-		t.Fatalf("decode(% x) = %v, %v; oracle %v, ok=%v", data, got[1:], err, want, ok)
+		t.Fatalf("%s: decode(% x) = %v, %v; oracle %v, ok=%v", c.codec.Name(), data, got[1:], err, want, ok)
 	}
 	c.got, c.want = got, want
 }
@@ -339,7 +343,17 @@ func (c *decodeOracleCheck) require(t *testing.T, data []byte) {
 // every truncation of encoded lists whose values take 1 to 10 bytes, and
 // on overlong varints: 11 bytes, and 10 whose last byte overflows 64 bits.
 func TestDeltaVarintDecodeMatchesBinary(t *testing.T) {
-	var c decodeOracleCheck
+	decodeMatchesBinary(t, DeltaVarint)
+}
+
+// TestVarintDecodeMatchesBinary is the same check of Varint's inline
+// decoder, whose values are not deltas.
+func TestVarintDecodeMatchesBinary(t *testing.T) {
+	decodeMatchesBinary(t, Varint)
+}
+
+func decodeMatchesBinary(t *testing.T, codec Codec) {
+	c := decodeOracleCheck{codec: codec}
 	buf := make([]byte, 4)
 	for length := 1; length <= 3; length++ {
 		for v := 0; v < 1<<(8*length); v++ {
@@ -352,11 +366,11 @@ func TestDeltaVarintDecodeMatchesBinary(t *testing.T) {
 		}
 	}
 	words := []uint64{3, 1 << 7, 1 << 14, 1 << 21, 1<<35 + 9, 1 << 63, 2, ^uint64(0), 5, 6}
-	enc := DeltaVarint.AppendEncoded(nil, words)
+	enc := codec.AppendEncoded(nil, words)
 	for cut := 0; cut <= len(enc); cut++ {
 		c.require(t, enc[:cut])
 	}
-	if dec, err := DeltaVarint.AppendDecoded(nil, enc); err != nil || !slices.Equal(dec, words) {
+	if dec, err := codec.AppendDecoded(nil, enc); err != nil || !slices.Equal(dec, words) {
 		t.Fatalf("round trip: %v, %v; want %v", dec, err, words)
 	}
 	overlong := [][]byte{
@@ -366,7 +380,7 @@ func TestDeltaVarintDecodeMatchesBinary(t *testing.T) {
 	for _, o := range overlong {
 		c.require(t, o)
 		c.require(t, append([]byte{1, 2}, o...))
-		if _, err := DeltaVarint.AppendDecoded(nil, append([]byte{1}, o...)); err == nil {
+		if _, err := codec.AppendDecoded(nil, append([]byte{1}, o...)); err == nil {
 			t.Fatalf("decode(1 % x): want an error for an overlong varint", o)
 		}
 	}

@@ -32,9 +32,9 @@ func fingerprint(g *graph.Graph) uint64 {
 
 // TestGraphFingerprints pins every seeded family's CSR, not just its
 // triangle count, at 2^13 vertices and two seeds, and at 1, 2, 3 and 8
-// workers: the parallel generators and both row sorts of graph.FromEdges
-// must give the graph the sequential generators gave, bit for bit. The
-// values were recorded from the sequential generators.
+// workers: the parallel generators, graph.FromEdges' row sorts and
+// graph.FromRuns must give the graph the sequential generators gave, bit
+// for bit. The values were recorded from the sequential generators.
 func TestGraphFingerprints(t *testing.T) {
 	leakcheck.Check(t)
 	build := map[string]func(seed uint64) *graph.Graph{

@@ -86,40 +86,27 @@ func inOrder[R any](n int, fn func(worker, lo, hi int) R) []R {
 	return out
 }
 
-// scanVertices runs scan for every vertex u of [0, n), in chunks on the
-// workers, and returns the edges {u, v} for the neighbours v it appends, in
-// vertex order. Each chunk keeps only its neighbours, in a copy of exactly
-// their length; the edge list is allocated once, at its final size.
-func scanVertices(n int, scan func(u int, nbrs []graph.Vertex) []graph.Vertex) []graph.Edge {
-	type chunk struct {
-		lo, hi int
-		nbrs   []graph.Vertex
-	}
-	deg := make([]int, n)
+// scanVertices runs a scan for every vertex u of [0, n), in chunks on the
+// workers, and builds the graph of the edges {u, v} for the neighbours v it
+// appends: u's run, which must ascend strictly, all above u. scanFrom(lo)
+// returns the scan of the chunk that starts at vertex lo, which is then
+// called for each vertex of the chunk in ascending order, so it may carry
+// state from one vertex to the next. Each chunk keeps its runs in a copy of
+// exactly their length, and graph.FromRuns assembles the CSR from the
+// chunks as they are, with no edge list.
+func scanVertices(n int, scanFrom func(lo int) func(u int, nbrs []graph.Vertex) []graph.Vertex) *graph.Graph {
+	runLen := make([]int, n)
 	bufs := make([][]graph.Vertex, workers())
-	chunks := inOrder(n, func(worker, lo, hi int) chunk {
+	runs := inOrder(n, func(worker, lo, hi int) []graph.Vertex {
 		nbrs := bufs[worker][:0]
+		scan := scanFrom(lo)
 		for u := lo; u < hi; u++ {
 			k := len(nbrs)
 			nbrs = scan(u, nbrs)
-			deg[u] = len(nbrs) - k
+			runLen[u] = len(nbrs) - k
 		}
 		bufs[worker] = nbrs
-		return chunk{lo, hi, slices.Clone(nbrs)}
+		return slices.Clone(nbrs)
 	})
-	total := 0
-	for _, c := range chunks {
-		total += len(c.nbrs)
-	}
-	edges := make([]graph.Edge, 0, total)
-	for _, c := range chunks {
-		nbrs := c.nbrs
-		for u := c.lo; u < c.hi; u++ {
-			for _, v := range nbrs[:deg[u]] {
-				edges = append(edges, graph.Edge{U: uint64(u), V: v})
-			}
-			nbrs = nbrs[deg[u]:]
-		}
-	}
-	return edges
+	return graph.FromRuns(n, genChunk, runLen, runs)
 }

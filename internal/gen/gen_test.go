@@ -3,6 +3,8 @@ package gen
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -391,5 +393,40 @@ func TestDeterministicGraphShapes(t *testing.T) {
 	}
 	if g := CliqueChain(3, 4); g.NumEdges() != 3*6+2 {
 		t.Fatalf("clique chain m = %d", g.NumEdges())
+	}
+}
+
+// TestAngleOrderMatchesSortSlice holds RHG's relabel against the
+// sort.Slice it replaced, at 1, 2, 3 and 8 workers: on distinct angles
+// (enough of them that the buckets sort on several workers), on angles
+// with ties, where it must take sort.Slice's order itself, on angles all
+// in one bucket and at 2π, and on a single and no angle.
+func TestAngleOrderMatchesSortSlice(t *testing.T) {
+	defer func(saved int) { threads = saved }(threads)
+	distinct := make([]float64, 5000)
+	for i := range distinct {
+		distinct[i] = 2 * math.Pi * HashFloat64(3, uint64(i))
+	}
+	ties := make([]float64, 5000)
+	for i := range ties {
+		ties[i] = float64(Hash64(4, uint64(i))%600) * (2 * math.Pi / 600) // about 8 points per angle
+	}
+	oneTie := append([]float64(nil), distinct...)
+	oneTie[4000] = oneTie[17]
+	for name, theta := range map[string][]float64{
+		"distinct": distinct, "ties": ties, "one tie": oneTie, "one": {1.5}, "none": {},
+		"one bucket": {3e-9, 1e-9, 2e-9, 0}, "2π": {2 * math.Pi, 1, 2 * math.Pi * (1 - 0x1p-53), 0},
+	} {
+		want := make([]int, len(theta))
+		for i := range want {
+			want[i] = i
+		}
+		sort.Slice(want, func(a, b int) bool { return theta[want[a]] < theta[want[b]] })
+		for _, w := range []int{1, 2, 3, 8} {
+			threads = w
+			if got := angleOrder(theta); !slices.Equal(got, want) {
+				t.Errorf("%s at %d workers: the order differs from sort.Slice's", name, w)
+			}
+		}
 	}
 }

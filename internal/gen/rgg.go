@@ -11,8 +11,9 @@ import (
 // chosen so that the expected number of edges is edgeFactor*n, matching the
 // paper's weak-scaling inputs (edgeFactor 16). Neighbor search uses a grid of
 // cells of side r, so generation is O(n + m) in expectation. Each vertex's
-// scan is independent: chunks of vertices scan on the workers, and their
-// edges join in vertex order.
+// scan is independent: chunks of vertices scan on the workers, and each
+// vertex's neighbours above it, which its scan meets in ascending order,
+// are its run for graph.FromRuns.
 //
 // Because vertex IDs are assigned in row-major cell order, nearby IDs are
 // geometrically close: a contiguous 1D partition has small cuts. RGG is the
@@ -35,10 +36,12 @@ func RGG2D(n, edgeFactor int, seed uint64) *graph.Graph {
 	// Deterministic point per vertex index via stateless hashing.
 	xs := make([]float64, n)
 	ys := make([]float64, n)
-	for i := 0; i < n; i++ {
-		xs[i] = HashFloat64(seed, uint64(2*i))
-		ys[i] = HashFloat64(seed, uint64(2*i+1))
-	}
+	graph.ParallelFor(workers(), n, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			xs[i] = HashFloat64(seed, uint64(2*i))
+			ys[i] = HashFloat64(seed, uint64(2*i+1))
+		}
+	})
 	// Sort vertices into cells; relabel IDs in cell (row-major) order so that
 	// the ID space has geometric locality, as KAGEN's distributed generator
 	// produces naturally.
@@ -78,7 +81,7 @@ func RGG2D(n, edgeFactor int, seed uint64) *graph.Graph {
 	}
 
 	r2 := r * r
-	edges := scanVertices(n, func(u int, nbrs []graph.Vertex) []graph.Vertex {
+	scan := func(u int, nbrs []graph.Vertex) []graph.Vertex {
 		cx := int(px[u] / cell)
 		cy := int(py[u] / cell)
 		if cx >= cells {
@@ -107,8 +110,8 @@ func RGG2D(n, edgeFactor int, seed uint64) *graph.Graph {
 			}
 		}
 		return nbrs
-	})
-	return graph.FromEdges(n, edges)
+	}
+	return scanVertices(n, func(int) func(int, []graph.Vertex) []graph.Vertex { return scan })
 }
 
 // sortByKey stably sorts order by keys (counting sort on small key ranges,

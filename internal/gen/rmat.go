@@ -41,8 +41,9 @@ func DefaultRMAT(scale int, seed uint64) RMATConfig {
 // Sample i draws exactly Scale values from one SplitMix64 stream, so its
 // generator state is seed + i·Scale·γ (γ the SplitMix64 increment): chunks
 // of samples jump ahead to their own state, run on the workers, and write
-// their edges into their own stretch of one list, closed up in chunk order.
-// The edge sequence is the one a single stream draws, at any worker count.
+// their edges into their own stretch of one list; graph.FromEdgeChunks
+// reads the stretches in chunk order where they lie. The edge sequence is
+// the one a single stream draws, at any worker count.
 func RMAT(cfg RMATConfig) *graph.Graph {
 	n := 1 << cfg.Scale
 	m := cfg.EdgeFactor * n
@@ -68,11 +69,7 @@ func RMAT(cfg RMATConfig) *graph.Graph {
 		}
 		return edges[lo:w]
 	})
-	w := 0
-	for _, p := range parts {
-		w += copy(edges[w:], p)
-	}
-	return graph.FromEdges(n, edges[:w])
+	return graph.FromEdgeChunks(n, parts)
 }
 
 // rmatLevels holds the quadrant thresholds of one R-MAT level as integers:

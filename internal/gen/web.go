@@ -23,8 +23,9 @@ type WebConfig struct {
 // One SplitMix64 stream draws one value per host pair {u, v} (u < v, in
 // the order of u, then v), then LongFactor values per vertex. Both runs of
 // draws are a fixed count per vertex, so a chunk of vertices jumps ahead
-// to its own point of each, runs on the workers and keeps its own edges;
-// the chunks join, in chunk order, into one list of the exact size.
+// to its own point of each, runs on the workers and keeps its own edges,
+// in a copy of their exact length; the chunks reach graph.FromEdgeChunks
+// as they are, never joined.
 func WebGraph(cfg WebConfig) *graph.Graph {
 	n, hs, lf := cfg.N, cfg.HostSize, cfg.LongFactor
 	// pairsBefore is the number of host-pair draws of the vertices below u:
@@ -69,13 +70,5 @@ func WebGraph(cfg WebConfig) *graph.Graph {
 		bufs[worker] = edges
 		return slices.Clone(edges)
 	})
-	total := 0
-	for _, c := range chunks {
-		total += len(c)
-	}
-	edges := make([]graph.Edge, 0, total)
-	for _, c := range chunks {
-		edges = append(edges, c...)
-	}
-	return graph.FromEdges(n, edges)
+	return graph.FromEdgeChunks(n, chunks)
 }

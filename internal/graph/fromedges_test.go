@@ -52,8 +52,9 @@ func sortFromEdges(n int, edges []Edge) ([]int64, []Vertex) {
 // span three of the workers' chunks), in the order given, reversed, shuffled, sorted by endpoint,
 // with every edge doubled and flipped, and with self-loops spliced in,
 // through every row sort (counting passes, per-row sort, full width, and
-// the automatic choice) on 1 and 3 workers. Each must equal the
-// sort-based builder and leave its input as it was.
+// the automatic choice) on 1, 2, 3 and 8 workers, the list whole on one
+// worker and cut into chunks (empty ones among them) on more. Each must
+// equal the sort-based builder and leave its input as it was.
 func FuzzFromEdges(f *testing.F) {
 	f.Add(uint8(3), []byte{})
 	f.Add(uint8(0), []byte{0, 1, 1, 2, 2, 0})
@@ -108,8 +109,8 @@ func FuzzFromEdges(f *testing.F) {
 			wantOff, wantAdj := sortFromEdges(n, in)
 			keep := slices.Clone(in)
 			for _, how := range []rowSort{sortAuto, sortCounting, sortPerRow, sortWide} {
-				for _, threads := range []int{1, 3} {
-					g := fromEdges(threads, n, in, how)
+				for _, threads := range []int{1, 2, 3, 8} {
+					g := fromEdges(threads, n, splitEdges(in, threads), how)
 					where := fmt.Sprintf("n=%d %s path=%d threads=%d", n, name, how, threads)
 					if !slices.Equal(g.off, wantOff) || !slices.Equal(g.adj, wantAdj) {
 						t.Fatalf("%s: off %v adj %v, want %v %v", where, g.off, g.adj, wantOff, wantAdj)
@@ -121,4 +122,68 @@ func FuzzFromEdges(f *testing.F) {
 			}
 		}
 	})
+}
+
+// splitEdges cuts edges into k+1 chunks at k uneven points, the first one
+// empty, so that FromEdgeChunks' workers' blocks straddle chunk ends; k ≤ 1
+// keeps the list whole.
+func splitEdges(edges []Edge, k int) [][]Edge {
+	if k <= 1 {
+		return [][]Edge{edges}
+	}
+	chunks := [][]Edge{nil}
+	for i := 1; i < k; i++ {
+		cut := len(edges) * i * i / (k * k)
+		chunks = append(chunks, edges[:cut])
+		edges = edges[cut:]
+	}
+	return append(chunks, edges)
+}
+
+// TestFromEdgesWorkersOnEveryPath is FuzzFromEdges' check on a list long
+// enough that 2, 3 and 8 workers each get their own stretch of edges and
+// range of buckets: 20,000 seeded edges on 3,000 vertices, a tenth of them
+// self-loops and a tenth repeated flipped, whole and cut into chunks,
+// through every row sort. The per-row path also gets the list sorted, its
+// rows in order.
+func TestFromEdgesWorkersOnEveryPath(t *testing.T) {
+	const n = 3000
+	x := uint64(7)
+	next := func() Vertex {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		return Vertex(x % n)
+	}
+	edges := make([]Edge, 0, 22000)
+	for i := 0; i < 20000; i++ {
+		e := Edge{next(), next()}
+		switch i % 10 {
+		case 3:
+			e.V = e.U
+		case 7:
+			edges = append(edges, Edge{e.V, e.U})
+		}
+		edges = append(edges, e)
+	}
+	sorted := slices.Clone(edges)
+	slices.SortFunc(sorted, func(a, b Edge) int {
+		if a.U != b.U {
+			return int(a.U) - int(b.U)
+		}
+		return int(a.V) - int(b.V)
+	})
+	for name, in := range map[string][]Edge{"random": edges, "sorted": sorted} {
+		wantOff, wantAdj := sortFromEdges(n, in)
+		for _, how := range []rowSort{sortAuto, sortCounting, sortPerRow, sortWide} {
+			for _, threads := range []int{1, 2, 3, 8} {
+				for _, chunks := range [][][]Edge{{in}, splitEdges(in, threads+1)} {
+					g := fromEdges(threads, n, chunks, how)
+					if !slices.Equal(g.off, wantOff) || !slices.Equal(g.adj, wantAdj) {
+						t.Fatalf("%s, path %d, %d workers, %d chunks: the CSR differs from the sort-based builder's", name, how, threads, len(chunks))
+					}
+				}
+			}
+		}
+	}
 }

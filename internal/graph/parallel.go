@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -102,6 +103,27 @@ func parallelFor(threads, n, chunk int, fn func(worker, lo, hi int)) {
 // worker-major placement reproduce the sequential layout exactly, which
 // chunk stealing cannot guarantee. workers must come from workersFor.
 func parallelBlocks(workers, n int, fn func(worker, lo, hi int)) {
+	runBlocks(workers, n, func(w int) (int, int) { return blockRange(w, workers, n) }, fn)
+}
+
+// parallelRows is parallelBlocks over the rows of the offsets off, cut so
+// that each worker's block holds about an equal share of the entries.
+func parallelRows(workers int, off []int64, fn func(worker, lo, hi int)) {
+	n := len(off) - 1
+	cut := func(w int) int {
+		if w == workers {
+			return n
+		}
+		share := off[n] / int64(workers) * int64(w)
+		i, _ := slices.BinarySearch(off[:n], share)
+		return i
+	}
+	runBlocks(workers, n, func(w int) (int, int) { return cut(w), cut(w + 1) }, fn)
+}
+
+// runBlocks runs fn on the block of each worker, as block gives it, on
+// goroutines but for a single worker.
+func runBlocks(workers, n int, block func(w int) (lo, hi int), fn func(worker, lo, hi int)) {
 	if n <= 0 {
 		return
 	}
@@ -115,7 +137,7 @@ func parallelBlocks(workers, n int, fn func(worker, lo, hi int)) {
 		panicVal any
 	)
 	for t := 0; t < workers; t++ {
-		lo, hi := blockRange(t, workers, n)
+		lo, hi := block(t)
 		if lo >= hi {
 			continue
 		}
